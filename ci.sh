@@ -27,6 +27,10 @@ cargo build --workspace --all-targets --release
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
 
+echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
+echo "    release mode: the gate that keeps every UM artifact byte-stable)"
+cargo test --release -p eta-mem --lib -q -- um::tests::differential um::tests::lazy_index
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
@@ -82,7 +86,8 @@ echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads)"
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
     --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.etag" >/dev/null
 for alg in bfs sssp; do
-    for extra in "" "--sanitize" "--transfer adaptive"; do
+    for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
+        "--transfer prefetch"; do
         # shellcheck disable=SC2086
         cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.etag" \
             --alg "$alg" --host-threads 1 $extra --json >"$PROFILE_OUT/hp.1.json"

@@ -175,6 +175,8 @@ pub struct MemSystem {
     /// page group. A `BTreeMap` so every policy walk is in region order —
     /// decisions must be deterministic.
     adaptive: BTreeMap<RegionId, AdaptiveRegion>,
+    /// Scratch: the page indices of the warp access being resolved.
+    page_scratch: Vec<usize>,
     /// Memcheck shadow state; `None` unless a sanitizer enabled it.
     shadow: Option<InitShadow>,
     /// Event recorder shared by every layer above (disabled by default —
@@ -196,6 +198,7 @@ impl MemSystem {
             um: UmDriver::new(),
             zero_copy_bytes: 0,
             adaptive: BTreeMap::new(),
+            page_scratch: Vec::new(),
             shadow: None,
             prof: Profiler::off(),
             faults: DeviceFaultState::default(),
@@ -592,7 +595,8 @@ impl MemSystem {
                 // page migration entirely: they are counted as zero-copy
                 // traffic (the launch charges them as one ZeroCopyRead span)
                 // while every sector still feeds the density estimator.
-                let mut pages: Vec<usize> = Vec::with_capacity(sectors.len());
+                let pages = &mut self.page_scratch;
+                pages.clear();
                 let mut zc_sectors = 0u64;
                 if let Some(ar) = self.adaptive.get_mut(&region) {
                     let um_region = self.um.region(ar.um_index);
@@ -624,7 +628,7 @@ impl MemSystem {
                 let mark = self.pcie.timeline.spans().len();
                 let mut end = self
                     .um
-                    .touch_pages(um_index, &pages, now, budget, &mut self.pcie);
+                    .touch_pages(um_index, pages, now, budget, &mut self.pcie);
                 self.prof_link_spans(mark);
                 // Fault injection applies to *demand* migrations only (a
                 // prefetch is driver-paced and retries internally). A touch
@@ -770,6 +774,19 @@ mod tests {
         assert!(t1 > 0);
         let t2 = m.ensure_resident(a.region, &[sector0], t1);
         assert_eq!(t2, t1, "resident page returns its arrival time");
+    }
+
+    #[test]
+    fn empty_unified_region_prefetches_and_retires_as_a_noop() {
+        // Regression: `prefetch` computed `n_pages - 1` on zero pages.
+        let mut m = system(1 << 20);
+        let a = m.alloc_unified(0);
+        assert_eq!(m.prefetch(a, 42), 42);
+        m.enable_adaptive(a);
+        assert_eq!(m.adaptive_tick(42, 1 << 20), 42);
+        m.invalidate_unified(a);
+        assert!(m.pcie.timeline.spans().is_empty());
+        m.um.check_invariants();
     }
 
     #[test]

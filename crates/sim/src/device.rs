@@ -493,6 +493,11 @@ impl Device {
                 .prof
                 .record(Track::Kernel, kernel.name(), start_ns, end_ns, args);
         }
+        // Conservation laws of the UM bookkeeping, checked continuously
+        // rather than discovered (O(pages), so debug builds only).
+        if cfg!(debug_assertions) {
+            self.mem.um.check_invariants();
+        }
         LaunchResult { end_ns, metrics }
     }
 
