@@ -34,6 +34,13 @@ cargo test --release -p eta-mem --lib -q -- um::tests::differential um::tests::l
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
+echo "==> committed artifacts are current (full suite, regenerated and compared"
+echo "    byte for byte: the engine, multi-BFS plain/checkpointed/resumed and"
+echo "    PageRank loops; the slower artifacts are the pre-merge"
+echo "    'report all --check reports/' step of .claude/skills/verify/SKILL.md)"
+cargo run --release -p eta-bench --bin report -- \
+    profile serve faults chaos extras lint --check reports/
+
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"
 trap 'rm -rf "$PROFILE_OUT"' EXIT
@@ -115,18 +122,21 @@ cargo run --release -p eta-bench --bin bench_serve -- --label ci-smoke \
 grep -q '"bench": "serve"' "$PROFILE_OUT/BENCH_serve.json"
 grep -q '"goodput_qps"' "$PROFILE_OUT/BENCH_serve.json"
 
-echo "==> sharded-vs-single differential (CLI label digests must match)"
+echo "==> sharded-vs-single differential (every program's CLI answer digest"
+echo "    must match across group sizes 1, 2 and 4)"
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
     --max-weight 64 --seed 7 --out "$PROFILE_OUT/g.etag" >/dev/null
-for alg in bfs sssp; do
+for alg in bfs sssp pagerank; do
     single="$(cargo run --release -p eta-cli -- run "$PROFILE_OUT/g.etag" \
-        --alg "$alg" | grep 'labels digest')"
-    sharded="$(cargo run --release -p eta-cli -- run "$PROFILE_OUT/g.etag" \
-        --alg "$alg" --devices 2 | grep 'labels digest')"
-    if [ "$single" != "$sharded" ]; then
-        echo "ci: $alg digest diverges under sharding: $single vs $sharded" >&2
-        exit 1
-    fi
+        --alg "$alg" | grep -E '(labels|ranks) digest')"
+    for devices in 2 4; do
+        sharded="$(cargo run --release -p eta-cli -- run "$PROFILE_OUT/g.etag" \
+            --alg "$alg" --devices "$devices" | grep -E '(labels|ranks) digest')"
+        if [ -z "$single" ] || [ "$single" != "$sharded" ]; then
+            echo "ci: $alg digest diverges on $devices devices: $single vs $sharded" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "ci: all gates passed"

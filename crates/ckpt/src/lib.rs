@@ -98,6 +98,16 @@ impl CkptState {
         }
     }
 
+    /// The active frontier in queue order, for the states that carry one.
+    pub fn frontier(&self) -> Option<&[u32]> {
+        match self {
+            CkptState::MultiBfs { frontier, .. } | CkptState::SingleSource { frontier, .. } => {
+                Some(frontier)
+            }
+            CkptState::PageRank { .. } => None,
+        }
+    }
+
     /// Number of 32-bit words in the snapshot payload (sizing/accounting).
     pub fn payload_words(&self) -> u64 {
         let len = |v: &Vec<u32>| v.len() as u64;

@@ -43,11 +43,24 @@ impl DeviceQueue {
     }
 
     /// Host-side push during setup (seeding the source), free of charge —
-    /// it rides along with the label initialization copy.
-    pub fn host_seed(&self, dev: &mut Device, values: &[u32]) {
-        assert!(values.len() as u32 <= self.capacity);
+    /// it rides along with the label initialization copy. Returns the
+    /// queue length.
+    pub fn host_seed(&self, dev: &mut Device, values: &[u32]) -> u32 {
+        let len = u32::try_from(values.len()).unwrap_or(u32::MAX);
+        assert!(len <= self.capacity, "seed exceeds the queue capacity");
         dev.mem.host_write(self.items, 0, values);
-        dev.mem.host_write(self.count, 0, &[values.len() as u32]);
+        dev.mem.host_write(self.count, 0, &[len]);
+        len
+    }
+
+    /// Seeds the queue from host `values` and charges the one 4-byte count
+    /// update that tells the device about them — how every frontier is
+    /// (re)built from the host: initialization, checkpoint resume, and the
+    /// post-exchange merge of a device group. Returns the length and the
+    /// time the count update lands.
+    pub fn seed(&self, dev: &mut Device, values: &[u32], now: Ns) -> (u32, Ns) {
+        let len = self.host_seed(dev, values);
+        (len, dev.mem.copy_h2d(self.count, 0, &[len], now))
     }
 
     /// Returns the queue's device capacity (registry eviction path).
@@ -94,6 +107,41 @@ impl VirtualQueue {
         for s in [self.ids, self.starts, self.ends, self.count] {
             dev.mem.free_explicit(s);
         }
+    }
+}
+
+/// Procedure 1's four device queues: the `(act, next)` active-set pair and
+/// the uniform-K / tail virtual active sets the UDC cut fills.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkQueues {
+    pub act: DeviceQueue,
+    pub next: DeviceQueue,
+    pub full: VirtualQueue,
+    pub partial: VirtualQueue,
+}
+
+impl WorkQueues {
+    /// `n`-vertex active sets plus virtual sets of the given capacities.
+    pub fn alloc(dev: &mut Device, n: u32, full: u32, partial: u32) -> Result<Self, MemError> {
+        Ok(WorkQueues {
+            act: DeviceQueue::alloc(dev, n)?,
+            next: DeviceQueue::alloc(dev, n)?,
+            full: VirtualQueue::alloc(dev, full)?,
+            partial: VirtualQueue::alloc(dev, partial)?,
+        })
+    }
+
+    /// In-core UDC bounds the uniform-K queue by `m / k` shadows (plus the
+    /// rounding slack the cut can produce).
+    pub fn full_capacity(m: u32, k: u32) -> u32 {
+        (m / k).max(1) + 1
+    }
+
+    pub fn release(self, dev: &mut Device) {
+        self.act.release(dev);
+        self.next.release(dev);
+        self.full.release(dev);
+        self.partial.release(dev);
     }
 }
 

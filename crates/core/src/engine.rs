@@ -1,48 +1,37 @@
-//! The EtaGraph iteration engine — Procedure 1 of the paper.
+//! The label-traversal engine: BFS / SSSP / SSWP / CC as a program of
+//! the superstep driver (`crate::driver`, walked through in DESIGN.md's
+//! "Superstep driver"), plus the device resources a traversal runs on.
+//! [`run`] and [`run_query_ckpt`] run a query on one device — a group of
+//! one — and `sharded::run_sharded` runs the same program on a device group.
 //!
-//! ```text
-//! Load data into UM allocation CSR;        (DeviceGraph::upload)
-//! Init label and transfer to GPU;
-//! Allocate actSet / virtActSet at GPU;
-//! Init actSet;  cudaMemPrefetchAsync(CSR); (UnifiedPrefetch mode)
-//! while actSet not empty:
-//!     actSet2virtActSet();                 (ActToVirtKernel, on-device UDC)
-//!     invokeKernel(alg, virtActSet.size)   (TraversalKernel × {full, tail})
-//! ```
-//!
-//! Timing composition: each launch starts when its inputs are ready; the
-//! iteration advances to `max(kernel end, latest UM page arrival)`, so
-//! demand-paged transfers overlap compute exactly as Fig. 4 shows. Count
-//! readbacks and counter resets are explicit 4-byte PCIe hops — the
-//! per-iteration overhead that costs EtaGraph its lead on tiny graphs.
-//!
-//! Two optional variants branch off the main loop:
-//!
-//! * [`UdcMode::OutOfCore`] replaces the on-the-fly UDC with a
-//!   pre-materialized shadow table (§III-A's rejected alternative);
-//! * `direction_optimizing` switches BFS iterations whose frontier spans a
-//!   large fraction of the edges to pull-based processing over the
-//!   transposed graph.
+//! Two variants are keyed on what [`prepare`] built, not on who calls: a
+//! [`UdcMode::OutOfCore`] table replaces the on-the-fly UDC with a
+//! pre-materialized shadow table (§III-A's rejected alternative), and a
+//! transposed graph lets BFS supersteps whose frontier spans a large
+//! fraction of the edges pull instead of push (`direction_optimizing`).
 
-use crate::active_set::{DeviceQueue, VirtualQueue};
-use crate::config::{Algorithm, EtaConfig, TransferMode, UdcMode};
+use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
+use crate::config::{Algorithm, EtaConfig, UdcMode};
 use crate::device_graph::DeviceGraph;
+use crate::driver::{drive, owner, Frontier, Group, Lane, Program, ShardView};
 use crate::error::{check_source, QueryError};
 use crate::kernels::{PullBfsKernel, TraversalKernel};
 use crate::result::{IterationStats, RunResult};
-use crate::udc::{ActToVirtKernel, ExpandFromTableKernel, ShadowTable};
+use crate::sharded::Sharded;
+use crate::udc::ShadowTable;
 use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
 use eta_graph::Csr;
 use eta_mem::system::{DSlice, MemError};
+use eta_mem::Ns;
 use eta_prof::Track;
-use eta_sim::{Device, KernelMetrics, LaunchConfig};
+use eta_sim::Device;
 
 /// Device-resident out-of-core shadow table.
 pub(crate) struct DeviceShadowTable {
-    ids: DSlice,
-    starts: DSlice,
-    ends: DSlice,
-    vertex_range: DSlice,
+    pub(crate) ids: DSlice,
+    pub(crate) starts: DSlice,
+    pub(crate) ends: DSlice,
+    pub(crate) vertex_range: DSlice,
 }
 
 /// Transposed topology for pull iterations.
@@ -63,10 +52,7 @@ pub struct QueryResources {
     pub(crate) pull: Option<PullGraph>,
     pub(crate) labels: DSlice,
     pub(crate) tags: DSlice,
-    pub(crate) act: DeviceQueue,
-    pub(crate) next: DeviceQueue,
-    pub(crate) full: VirtualQueue,
-    pub(crate) partial: VirtualQueue,
+    pub(crate) queues: WorkQueues,
     pub(crate) shadow_table: Option<DeviceShadowTable>,
 }
 
@@ -90,10 +76,7 @@ impl QueryResources {
         }
         dev.mem.free_explicit(self.labels);
         dev.mem.free_explicit(self.tags);
-        self.act.release(dev);
-        self.next.release(dev);
-        self.full.release(dev);
-        self.partial.release(dev);
+        self.queues.release(dev);
         if let Some(t) = self.shadow_table {
             for s in [t.ids, t.starts, t.ends, t.vertex_range] {
                 dev.mem.free_explicit(s);
@@ -130,22 +113,17 @@ pub fn prepare(
 
     let labels = dev.mem.alloc_explicit(n as u64)?;
     let tags = dev.mem.alloc_explicit(n as u64)?;
-    let act = DeviceQueue::alloc(dev, n)?;
-    let next = DeviceQueue::alloc(dev, n)?;
 
-    // Virtual active sets. In-core UDC bounds the full queue by |E|/K and
-    // the tail queue by |V|; the out-of-core table needs capacity for every
-    // shadow of the graph at once — part of its extra-memory cost.
-    let (full, partial, shadow_table) = match cfg.udc {
+    // Work queues. In-core UDC bounds the full queue by |E|/K and the tail
+    // queue by |V|; the out-of-core table needs capacity for every shadow of
+    // the graph at once — part of its extra-memory cost.
+    let (queues, shadow_table) = match cfg.udc {
         UdcMode::InCore => {
-            let full_cap = (csr.m() as u32 / cfg.k).max(1) + 1;
-            (
-                VirtualQueue::alloc(dev, full_cap)?,
-                VirtualQueue::alloc(dev, n)?,
-                None,
-            )
+            let full_cap = WorkQueues::full_capacity(dg.m, cfg.k);
+            (WorkQueues::alloc(dev, n, full_cap, n)?, None)
         }
         UdcMode::OutOfCore => {
+            let (act, next) = (DeviceQueue::alloc(dev, n)?, DeviceQueue::alloc(dev, n)?);
             let table = ShadowTable::build(csr, cfg.k);
             let n_shadows = table.len() as u32;
             let ids = dev.mem.alloc_explicit(n_shadows.max(1) as u64)?;
@@ -160,33 +138,33 @@ pub fn prepare(
                 now = dev.mem.copy_h2d(ends, 0, &table.ends, now);
             }
             now = dev.mem.copy_h2d(vertex_range, 0, &table.vertex_range, now);
-            let queue = VirtualQueue::alloc(dev, n_shadows.max(1))?;
-            (
-                queue, // single mixed-degree queue
-                VirtualQueue::alloc(dev, 1)?,
-                Some(DeviceShadowTable {
-                    ids,
-                    starts,
-                    ends,
-                    vertex_range,
-                }),
-            )
+            // A single mixed-degree queue in the `full` slot; no tails.
+            let full = VirtualQueue::alloc(dev, n_shadows.max(1))?;
+            let partial = VirtualQueue::alloc(dev, 1)?;
+            let table = DeviceShadowTable {
+                ids,
+                starts,
+                ends,
+                vertex_range,
+            };
+            let queues = WorkQueues {
+                act,
+                next,
+                full,
+                partial,
+            };
+            (queues, Some(table))
         }
     };
-    Ok((
-        QueryResources {
-            dg,
-            pull,
-            labels,
-            tags,
-            act,
-            next,
-            full,
-            partial,
-            shadow_table,
-        },
-        now,
-    ))
+    let res = QueryResources {
+        dg,
+        pull,
+        labels,
+        tags,
+        queues,
+        shadow_table,
+    };
+    Ok((res, now))
 }
 
 /// Runs one traversal on a fresh device state.
@@ -207,47 +185,18 @@ pub fn run(
     let (res, ready) = prepare(dev, csr, cfg, alg == Algorithm::Bfs)?;
     // Single-shot semantics: preparation (upload, table copies) is part of
     // the measured total, so the query "starts" at time zero.
-    run_query(dev, &res, csr, source, alg, cfg, 0, ready)
+    run_query_ckpt(dev, &res, csr, source, alg, cfg, 0, ready, CkptCtl::off())
 }
 
-/// Runs one query on already-prepared resources.
+/// Runs one query on already-prepared resources, as a group of one.
 ///
 /// `query_start` anchors the measured total and the timeline filter;
 /// `ready_ns` is when the resources become usable (per-query work begins at
 /// the later of the two). Per-query state (labels, tags, frontier seed) is
 /// re-initialized and charged; the topology and work queues of `res` are
 /// reused, so a warm query on a [`crate::session::Session`] skips the
-/// upload entirely.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query(
-    dev: &mut Device,
-    res: &QueryResources,
-    csr: &Csr,
-    source: u32,
-    alg: Algorithm,
-    cfg: &EtaConfig,
-    query_start: eta_mem::Ns,
-    ready_ns: eta_mem::Ns,
-) -> Result<RunResult, QueryError> {
-    run_query_ckpt(
-        dev,
-        res,
-        csr,
-        source,
-        alg,
-        cfg,
-        query_start,
-        ready_ns,
-        CkptCtl::off(),
-    )
-}
-
-/// [`run_query`] with checkpoint/resume control (see eta-ckpt). With
-/// `CkptCtl::off()` this is byte-identical to the plain path; with a due
-/// sink it snapshots labels + tags + the frontier in queue order at
-/// iteration boundaries (charged PCIe d2h traffic); with a resume snapshot
-/// it restores that state instead of initializing, continuing the
-/// uninterrupted run's remaining iterations byte-for-byte.
+/// upload entirely. `ckpt` is the driver's checkpoint hook: `CkptCtl::off()`
+/// for a plain run, a sink to snapshot into, a snapshot to resume from.
 #[allow(clippy::too_many_arguments)]
 pub fn run_query_ckpt(
     dev: &mut Device,
@@ -256,357 +205,408 @@ pub fn run_query_ckpt(
     source: u32,
     alg: Algorithm,
     cfg: &EtaConfig,
-    query_start: eta_mem::Ns,
-    ready_ns: eta_mem::Ns,
-    mut ckpt: CkptCtl<'_>,
+    query_start: Ns,
+    ready_ns: Ns,
+    ckpt: CkptCtl<'_>,
 ) -> Result<RunResult, QueryError> {
-    assert!(
-        !alg.needs_weights() || csr.is_weighted(),
-        "{} needs an edge-weighted graph",
-        alg.name()
-    );
+    let views = [ShardView::whole(csr, res.dg.n)];
+    let prog = Traversal::new(alg, source, cfg, &views, std::slice::from_ref(res));
     check_source(source, csr.n())?;
-    let n = csr.n() as u32;
-    let m = csr.m() as u64;
-    let tpb = cfg.threads_per_block;
-    let mut now = query_start.max(ready_ns);
-    let QueryResources {
-        dg,
-        pull,
-        labels,
-        tags,
-        act,
-        next,
-        full,
-        partial,
-        shadow_table,
-    } = res;
-    let (labels, tags) = (*labels, *tags);
-    let (full, partial) = (*full, *partial);
-    let pull = if alg == Algorithm::Bfs {
-        pull.as_ref()
-    } else {
-        None
-    };
-
-    let (start_iter, start_len) = if let Some(ck) = ckpt.resume {
-        // Resume: restore the snapshot instead of initializing. A stale or
-        // mismatched snapshot is a typed error the serving layer downgrades
-        // to restart-from-scratch.
-        ck.validate(ckpt.graph_digest, n)?;
-        let (ck_source, ck_labels, ck_tags, ck_frontier) = match &ck.state {
-            CkptState::SingleSource {
-                source: s,
-                labels,
-                tags,
-                frontier,
-            } => (*s, labels, tags, frontier),
-            _ => return Err(CkptError::StateShape.into()),
-        };
-        if ck_source != source || ck_labels.len() != n as usize || ck_tags.len() != n as usize {
-            return Err(CkptError::StateShape.into());
-        }
-        now = dev.mem.copy_h2d(labels, 0, ck_labels, now);
-        now = dev.mem.copy_h2d(tags, 0, ck_tags, now);
-        act.host_seed(dev, ck_frontier);
-        now = dev
-            .mem
-            .copy_h2d(act.count, 0, &[ck_frontier.len() as u32], now);
-        dg.prefetch(dev, now);
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Ckpt,
-                "resume",
-                query_start.max(ready_ns),
-                now,
-                vec![
-                    ("iteration", ck.iteration.into()),
-                    ("words", ck.payload_words().into()),
-                    ("kind", ck.state.kind().into()),
-                ],
-            );
-        }
-        (ck.iteration, ck_frontier.len() as u32)
-    } else {
-        // "Init label and transfer to GPU": one |V|-word copy each for labels
-        // and tags. Connected components is all-active: every vertex seeds the
-        // first frontier carrying its own ID.
-        let init: Vec<u32> = if alg.all_active() {
-            (0..n).collect()
-        } else {
-            let mut v = vec![alg.init_label(); n as usize];
-            v[source as usize] = alg.source_label();
-            v
-        };
-        now = dev.mem.copy_h2d(labels, 0, &init, now);
-        now = dev.mem.copy_h2d(tags, 0, &vec![0u32; n as usize], now);
-        let seeds: Vec<u32> = if alg.all_active() {
-            (0..n).collect()
-        } else {
-            vec![source]
-        };
-        act.host_seed(dev, &seeds);
-        now = dev.mem.copy_h2d(act.count, 0, &[seeds.len() as u32], now);
-
-        // Procedure 1: `cudaMemPrefetchAsync(CSR)` after the label transfer.
-        // Idempotent on warm sessions: already-resident pages move nothing.
-        dg.prefetch(dev, now);
-        (0, if alg.all_active() { n } else { 1 })
-    };
-
-    // --- iterate until the active set drains --------------------------------
-    let mut queues = (*act, *next);
-    let mut act_len = start_len;
-    let mut iter = start_iter;
-    let mut per_iteration = Vec::new();
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-    let init_label = alg.init_label();
-
-    while act_len > 0 {
-        iter += 1;
-        // Adaptive transfer policy: fold last iteration's access density
-        // into per-group backend decisions before this iteration's kernels
-        // touch memory, announcing the coming frontier's edge volume so a
-        // dense wave escalates regions to streaming *before* it breaks
-        // (observer-side degree sum, like the pull check below).
-        // Fire-and-forget like `dg.prefetch` — transitions queue on the
-        // link and kernels stall on page arrival.
-        if cfg.transfer == TransferMode::Adaptive {
-            let frontier = dev.mem.host_read(queues.0.items, 0, act_len as u64);
-            let out_edges: u64 = frontier
-                .iter()
-                .map(|&v| (csr.row_offsets[v as usize + 1] - csr.row_offsets[v as usize]) as u64)
-                .sum();
-            dev.mem.adaptive_tick(now, out_edges * 4);
-        }
-        let start_ns = now;
-        let (act, next) = (&queues.0, &queues.1);
-        now = next.reset(dev, now);
-
-        // Direction decision (observer-side; real implementations track
-        // frontier edge counts while building the frontier).
-        let use_pull = pull.is_some() && {
-            let frontier = dev.mem.host_read(act.items, 0, act_len as u64);
-            let out_edges: u64 = frontier
-                .iter()
-                .map(|&v| (csr.row_offsets[v as usize + 1] - csr.row_offsets[v as usize]) as u64)
-                .sum();
-            out_edges * PULL_ALPHA > m
-        };
-
-        let (nf, np) = if use_pull {
-            let pg = pull.expect("checked above");
-            let kern = PullBfsKernel {
-                n,
-                t_row_offsets: pg.row_offsets,
-                t_col_idx: pg.col_idx,
-                labels,
-                next: *next,
-                iter,
-            };
-            let r = dev.launch(&kern, LaunchConfig::for_items(n, tpb), now);
-            now = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(f.into());
-            }
-            (0, 0)
-        } else {
-            // Reset the virtual active sets ("reset when shadow vertices
-            // are processed").
-            now = full.reset(dev, now);
-            if shadow_table.is_none() {
-                now = partial.reset(dev, now);
-            }
-
-            // UDC: on-the-fly cut or table expansion.
-            let r = match &shadow_table {
-                None => {
-                    let a2v =
-                        ActToVirtKernel::new(act, act_len, dg.row_offsets, &full, &partial, cfg.k);
-                    dev.launch(&a2v, LaunchConfig::for_items(act_len, tpb), now)
-                }
-                Some(t) => {
-                    let expand = ExpandFromTableKernel {
-                        act_items: act.items,
-                        act_len,
-                        table_ids: t.ids,
-                        table_starts: t.starts,
-                        table_ends: t.ends,
-                        vertex_range: t.vertex_range,
-                        out: full,
-                    };
-                    dev.launch(&expand, LaunchConfig::for_items(act_len, tpb), now)
-                }
-            };
-            now = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(f.into());
-            }
-
-            let (nf, t) = full.read_count(dev, now);
-            now = t;
-            let np = if shadow_table.is_none() {
-                let (np, t) = partial.read_count(dev, now);
-                now = t;
-                np
-            } else {
-                0
-            };
-
-            // Traverse the uniform-K queue, then the tails (out-of-core mode
-            // runs everything through the mixed queue in the "full" slot).
-            for (queue, len) in [(full, nf), (partial, np)] {
-                if len == 0 {
-                    continue;
-                }
-                let kern = TraversalKernel {
-                    alg,
-                    smp: cfg.smp,
-                    k: cfg.k,
-                    queue,
-                    len,
-                    col_idx: dg.col_idx,
-                    // BFS ignores weights even on a weighted graph.
-                    weights: if alg.needs_weights() {
-                        dg.weights
-                    } else {
-                        None
-                    },
-                    labels,
-                    tags,
-                    next: *next,
-                    iter,
-                    threads_per_block: tpb,
-                };
-                let r = dev.launch(&kern, LaunchConfig::for_items(len, tpb), now);
-                now = r.end_ns.max(r.metrics.data_ready_ns);
-                metrics.merge(&r.metrics);
-                kernel_ns += r.metrics.time_ns;
-                if let Some(f) = dev.take_fault() {
-                    return Err(f.into());
-                }
-            }
-            (nf, np)
-        };
-
-        // Observer-only statistics (no simulated cost): cumulative visits.
-        let visited_total = dev
-            .mem
-            .host_read(labels, 0, n as u64)
-            .iter()
-            .filter(|&&l| l != init_label)
-            .count() as u64;
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Iteration,
-                alg.name(),
-                start_ns,
-                now,
-                vec![
-                    ("iteration", iter.into()),
-                    ("active", act_len.into()),
-                    ("shadow_full", nf.into()),
-                    ("shadow_partial", np.into()),
-                    ("pulled", use_pull.into()),
-                    ("visited_total", visited_total.into()),
-                ],
-            );
-        }
-        per_iteration.push(IterationStats {
-            iteration: iter,
-            active: act_len,
-            shadow_full: nf,
-            shadow_partial: np,
-            pulled: use_pull,
-            visited_total,
-            start_ns,
-            end_ns: now,
-        });
-
-        // Swap frontiers and read the new size.
-        queues = (queues.1, queues.0);
-        let (len, t) = queues.0.read_count(dev, now);
-        act_len = len;
-        now = t;
-
-        // Iteration boundary: labels + tags + the frontier in queue order
-        // are the complete per-query state (the virtual queues are rebuilt
-        // from the frontier every iteration).
-        if act_len > 0 {
-            if let Some(sink) = ckpt.sink.as_deref_mut() {
-                if sink.policy.due(iter) {
-                    let ck_start = now;
-                    now = dev.mem.copy_d2h(labels, n as u64, now);
-                    now = dev.mem.copy_d2h(tags, n as u64, now);
-                    now = dev.mem.copy_d2h(queues.0.items, act_len as u64, now);
-                    if let Some(f) = dev.take_fault() {
-                        return Err(f.into());
-                    }
-                    let ck = Checkpoint {
-                        graph_digest: ckpt.graph_digest,
-                        n,
-                        iteration: iter,
-                        taken_at_ns: now,
-                        state: CkptState::SingleSource {
-                            source,
-                            labels: dev.mem.host_read(labels, 0, n as u64).to_vec(),
-                            tags: dev.mem.host_read(tags, 0, n as u64).to_vec(),
-                            frontier: dev
-                                .mem
-                                .host_read(queues.0.items, 0, act_len as u64)
-                                .to_vec(),
-                        },
-                    };
-                    if dev.mem.prof.is_enabled() {
-                        dev.mem.prof.record(
-                            Track::Ckpt,
-                            "checkpoint",
-                            ck_start,
-                            now,
-                            vec![
-                                ("iteration", iter.into()),
-                                ("words", ck.payload_words().into()),
-                                ("frontier", act_len.into()),
-                            ],
-                        );
-                    }
-                    sink.store(ck);
-                }
-            }
-        }
-    }
-
-    // --- results back to the host -------------------------------------------
-    now = dev.mem.copy_d2h(labels, n as u64, now);
-    if let Some(f) = dev.take_fault() {
-        return Err(f.into());
-    }
-    let labels_host = dev.mem.host_read(labels, 0, n as u64).to_vec();
-
+    let ready = vec![query_start.max(ready_ns)];
+    let group = &mut Group::new(std::slice::from_mut(dev), ready, cfg);
+    let (run, (labels, per_iteration)) = drive(group, None, prog, ckpt).map_err(|e| e.error)?;
     // Only this query's spans (warm sessions accumulate earlier queries').
     let mut timeline = eta_mem::Timeline::new();
-    for span in dev.merged_timeline().spans() {
-        if span.start >= query_start {
-            timeline.push(*span);
-        }
-    }
+    let spans = dev.merged_timeline();
+    let mine = spans.spans().iter().filter(|s| s.start >= query_start);
+    mine.for_each(|s| timeline.push(*s));
     Ok(RunResult {
         algorithm: alg,
-        labels: labels_host,
-        iterations: iter,
-        kernel_ns,
-        total_ns: now - query_start,
+        labels,
+        iterations: run.steps,
+        kernel_ns: run.kernel_ns,
+        total_ns: run.end_ns - query_start,
         per_iteration,
-        metrics,
+        metrics: run.metrics,
         um_stats: dev.mem.um.stats.clone(),
         overlap_fraction: timeline.overlap_fraction(),
         timeline,
     })
+}
+
+/// What the owner initializes global vertex `v` to — also the right
+/// initial value for every halo replica, so senders never ship a label the
+/// owner already has.
+fn global_init_label(alg: Algorithm, source: u32, v: u32) -> u32 {
+    if alg.all_active() {
+        v
+    } else if v == source {
+        alg.source_label()
+    } else {
+        alg.init_label()
+    }
+}
+
+/// Whether `new` beats `old` under the algorithm's merge order.
+fn improves(alg: Algorithm, new: u32, old: u32) -> bool {
+    if alg == Algorithm::Sswp {
+        new > old
+    } else {
+        new < old
+    }
+}
+
+/// One group member of a label traversal.
+struct Member<'a> {
+    view: ShardView<'a>,
+    res: &'a QueryResources,
+    frontier: Frontier,
+    /// Last label shipped per halo slot; suppresses unimproved resends.
+    last_sent: Vec<u32>,
+    /// This superstep's `(global vertex, label)` messages in halo order.
+    /// Halo ids ascend and owners hold contiguous ranges, so every owner's
+    /// batch is one contiguous run of it.
+    outbox: Vec<(u32, u32)>,
+}
+
+impl Member<'_> {
+    /// Out-edges of the frontier's vertices (observer-side degree sum; real
+    /// implementations track it while building the frontier).
+    fn frontier_edges(&self, dev: &Device) -> u64 {
+        let offsets = &self.view.csr.row_offsets;
+        let degree = |&v: &u32| (offsets[v as usize + 1] - offsets[v as usize]) as u64;
+        self.frontier.items(dev).iter().map(degree).sum()
+    }
+
+    /// The run of the outbox addressed to `owner`'s range.
+    fn batch_for(&self, owner: &ShardView<'_>) -> &[(u32, u32)] {
+        let from = self.outbox.partition_point(|msg| msg.0 < owner.lo);
+        let to = self.outbox.partition_point(|msg| msg.0 < owner.hi);
+        &self.outbox[from..to]
+    }
+}
+
+/// Label traversal (BFS / SSSP / SSWP / CC) as a driver program. Labels,
+/// tags and the frontier in queue order are the complete per-query state
+/// (the virtual queues are rebuilt from the frontier every superstep), which
+/// is what a snapshot holds — merged over the global vertex space, so one
+/// taken on any group shape resumes on any other.
+pub(crate) struct Traversal<'a> {
+    alg: Algorithm,
+    source: u32,
+    cfg: &'a EtaConfig,
+    views: &'a [ShardView<'a>],
+    members: Vec<Member<'a>>,
+    /// Filled for a group of one only (it is part of that event shape).
+    per_iteration: Vec<IterationStats>,
+}
+
+impl<'a> Traversal<'a> {
+    /// `resources[s]` must have been prepared for `views[s].csr`.
+    pub fn new(
+        alg: Algorithm,
+        source: u32,
+        cfg: &'a EtaConfig,
+        views: &'a [ShardView<'a>],
+        resources: &'a [QueryResources],
+    ) -> Self {
+        assert!(
+            !alg.needs_weights() || views.iter().all(|v| v.csr.is_weighted()),
+            "{} needs an edge-weighted graph",
+            alg.name()
+        );
+        let member = |(&view, res): (&ShardView<'a>, &'a QueryResources)| Member {
+            view,
+            res,
+            frontier: Frontier {
+                q: res.queues,
+                len: 0,
+            },
+            last_sent: Vec::new(),
+            outbox: Vec::new(),
+        };
+        Traversal {
+            alg,
+            source,
+            cfg,
+            views,
+            members: views.iter().zip(resources).map(member).collect(),
+            per_iteration: Vec::new(),
+        }
+    }
+
+    fn solo(&self) -> bool {
+        self.views.len() == 1
+    }
+}
+
+impl Program for Traversal<'_> {
+    /// Global per-vertex labels (the owned ranges, concatenated) and the
+    /// per-iteration statistics.
+    type Output = (Vec<u32>, Vec<IterationStats>);
+
+    fn vertices(&self) -> u32 {
+        self.views.last().map_or(0, |v| v.hi)
+    }
+
+    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
+        let (alg, source, solo, n) = (self.alg, self.source, self.solo(), self.vertices());
+        let restored = match resume.map(|ck| &ck.state) {
+            None => None,
+            Some(CkptState::SingleSource {
+                source: s,
+                labels,
+                tags,
+                frontier,
+            }) if *s == source && labels.len() == n as usize && tags.len() == n as usize => {
+                Some((labels, tags, frontier))
+            }
+            Some(_) => return Err(CkptError::StateShape.into()),
+        };
+        for (s, m) in self.members.iter_mut().enumerate() {
+            let (view, owned) = (m.view, m.view.lo..m.view.hi);
+            // "Init label and transfer to GPU": one local-size copy each for
+            // labels and tags, halo replicas included. Fresh, the source
+            // seeds its owner's frontier — and connected components is
+            // all-active: every owned vertex, carrying its own id.
+            let (local, local_tags, seeds): (Vec<u32>, Vec<u32>, Vec<u32>) = match restored {
+                Some((labels, tags, frontier)) => {
+                    let mut tags = tags[view.lo as usize..view.hi as usize].to_vec();
+                    tags.resize(view.globals().count(), 0);
+                    let mine = frontier.iter().filter(|v| owned.contains(v));
+                    let labels = view.globals().map(|v| labels[v as usize]);
+                    (labels.collect(), tags, mine.map(|v| v - view.lo).collect())
+                }
+                None => {
+                    let labels = view.globals().map(|v| global_init_label(alg, source, v));
+                    let seeds = if alg.all_active() {
+                        (0..view.own_len()).collect()
+                    } else if owned.contains(&source) {
+                        vec![source - view.lo]
+                    } else {
+                        Vec::new()
+                    };
+                    (labels.collect(), vec![0; view.globals().count()], seeds)
+                }
+            };
+
+            let lane = &mut g.lane(s);
+            let start = lane.now();
+            lane.h2d(m.res.labels, &local);
+            lane.h2d(m.res.tags, &local_tags);
+            m.frontier.seed(lane, &seeds);
+            // Procedure 1: `cudaMemPrefetchAsync(CSR)` after the label
+            // transfer. Idempotent on warm sessions.
+            m.res.dg.prefetch(lane.dev, lane.now());
+            if let Some(ck) = resume {
+                lane.event(Track::Ckpt, "resume", start, || {
+                    let mut args = vec![("iteration", ck.iteration.into())];
+                    if solo {
+                        args.push(("words", ck.payload_words().into()));
+                        args.push(("kind", ck.state.kind().into()));
+                    } else {
+                        args.push(("shard", (s as u32).into()));
+                        args.push(("frontier", m.frontier.len.into()));
+                    }
+                    args
+                });
+            }
+            m.last_sent = local[view.own_len() as usize..].to_vec();
+        }
+        Ok(())
+    }
+
+    fn active(&self, s: usize, _done: u32) -> Option<u32> {
+        Some(self.members[s].frontier.len).filter(|&len| len > 0)
+    }
+
+    fn announce(&self, dev: &Device, s: usize) -> Option<u64> {
+        Some(self.members[s].frontier_edges(dev) * 4)
+    }
+
+    fn compute(&mut self, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
+        let (alg, cfg, solo) = (self.alg, self.cfg, self.solo());
+        let m = &mut self.members[lane.member];
+        let (res, active, start_ns) = (m.res, m.frontier.len, lane.now());
+        let next = m.frontier.q.next;
+        let pull = res.pull.as_ref().filter(|_| {
+            alg == Algorithm::Bfs && m.frontier_edges(lane.dev) * PULL_ALPHA > res.dg.m as u64
+        });
+        let (nf, np) = if let Some(pg) = pull {
+            lane.h2d(next.count, &[0]);
+            let kern = PullBfsKernel {
+                n: res.dg.n,
+                t_row_offsets: pg.row_offsets,
+                t_col_idx: pg.col_idx,
+                labels: res.labels,
+                next,
+                iter: step,
+            };
+            lane.launch(&kern, res.dg.n)?;
+            (0, 0)
+        } else {
+            let relax = |queue, len| TraversalKernel {
+                alg,
+                smp: cfg.smp,
+                k: cfg.k,
+                queue,
+                len,
+                col_idx: res.dg.col_idx,
+                // BFS ignores weights even on a weighted graph.
+                weights: res.dg.weights.filter(|_| alg.needs_weights()),
+                labels: res.labels,
+                tags: res.tags,
+                next,
+                iter: step,
+                threads_per_block: cfg.threads_per_block,
+            };
+            let table = res.shadow_table.as_ref();
+            m.frontier
+                .step(lane, res.dg.row_offsets, cfg.k, table, relax)?
+        };
+
+        // Observer-only statistics (no simulated cost): cumulative visits.
+        let visited_total = solo.then(|| {
+            let labels = lane.read(res.labels, res.dg.n as u64);
+            labels.iter().filter(|&&l| l != alg.init_label()).count() as u64
+        });
+        let shard = lane.member as u32;
+        lane.event(Track::Iteration, alg.name(), start_ns, || {
+            let mut args = vec![("iteration", step.into())];
+            if !solo {
+                args.push(("shard", shard.into()));
+            }
+            args.push(("active", active.into()));
+            args.push(("shadow_full", nf.into()));
+            args.push(("shadow_partial", np.into()));
+            if let Some(visited_total) = visited_total {
+                args.push(("pulled", pull.is_some().into()));
+                args.push(("visited_total", visited_total.into()));
+            }
+            args
+        });
+        if let Some(visited_total) = visited_total {
+            self.per_iteration.push(IterationStats {
+                iteration: step,
+                active,
+                shadow_full: nf,
+                shadow_partial: np,
+                pulled: pull.is_some(),
+                visited_total,
+                start_ns,
+                end_ns: lane.now(),
+            });
+        }
+        m.frontier.swap_and_count(lane);
+        Ok(())
+    }
+
+    /// Host-observer work over the pre-merge state of every member (BSP:
+    /// messages reflect the superstep just run).
+    fn collect(&mut self, g: &Group<'_>, send: &mut dyn FnMut(usize, usize, u64)) {
+        let (alg, views) = (self.alg, self.views);
+        for (s, m) in self.members.iter_mut().enumerate() {
+            m.outbox.clear();
+            let labels = g.devs[s].mem.host_read(m.res.labels, 0, m.res.dg.n as u64);
+            let replicas = &labels[m.view.own_len() as usize..];
+            for ((&gv, &cur), sent) in m.view.halo.iter().zip(replicas).zip(&mut m.last_sent) {
+                if improves(alg, cur, *sent) {
+                    *sent = cur;
+                    m.outbox.push((gv, cur));
+                }
+            }
+            for batch in m
+                .outbox
+                .chunk_by(|a, b| owner(views, a.0) == owner(views, b.0))
+            {
+                send(s, owner(views, batch[0].0), batch.len() as u64);
+            }
+        }
+    }
+
+    /// Merges deliveries at their owners in (sender device id, vertex id)
+    /// order and appends newly improved owned vertices to the owner's
+    /// frontier. Host-observer work, free except for the rebuilt frontier's
+    /// 4-byte count update — the same charging as a resume.
+    fn commit(&mut self, g: &mut Group<'_>) -> Sharded<()> {
+        for (o, view) in self.views.iter().enumerate() {
+            let mut inbox = self
+                .members
+                .iter()
+                .flat_map(|m| m.batch_for(view))
+                .peekable();
+            if inbox.peek().is_none() {
+                continue;
+            }
+            let res = self.members[o].res;
+            let mut labels = g.devs[o]
+                .mem
+                .host_read(res.labels, 0, res.dg.n as u64)
+                .to_vec();
+            let mut improved: Vec<u32> = Vec::new();
+            for &(gv, label) in inbox {
+                let local = gv - view.lo;
+                if improves(self.alg, label, labels[local as usize]) {
+                    labels[local as usize] = label;
+                    improved.push(local);
+                }
+            }
+            if improved.is_empty() {
+                continue;
+            }
+            g.devs[o].mem.host_write(res.labels, 0, &labels);
+            improved.sort_unstable();
+            improved.dedup();
+            let frontier = &mut self.members[o].frontier;
+            let mut items = frontier.items(&g.devs[o]).to_vec();
+            let mut queued = vec![false; labels.len()];
+            for &v in &items {
+                queued[v as usize] = true;
+            }
+            let before = items.len();
+            items.extend(improved.into_iter().filter(|&v| !queued[v as usize]));
+            if items.len() > before {
+                frontier.seed(&mut g.lane(o), &items);
+            }
+        }
+        Ok(())
+    }
+
+    /// Charged d2h copies of every member's owned labels, tags and
+    /// frontier. Halo frontier entries are dropped — their deliveries were
+    /// merged into the owners before this runs, so the owned entries are
+    /// the complete active set.
+    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
+        let (mut labels, mut tags, mut frontier) = (Vec::new(), Vec::new(), Vec::new());
+        for (s, m) in self.members.iter().enumerate() {
+            let (own, items, lane) = (m.view.own_len(), m.frontier.q.act.items, &mut g.lane(s));
+            lane.d2h(m.res.labels, own as u64);
+            lane.d2h(m.res.tags, own as u64);
+            lane.d2h(items, m.frontier.len as u64);
+            lane.poll()?;
+            labels.extend_from_slice(lane.read(m.res.labels, own as u64));
+            tags.extend_from_slice(lane.read(m.res.tags, own as u64));
+            let entries = lane.read(items, m.frontier.len as u64).iter();
+            frontier.extend(entries.filter(|&&l| l < own).map(|&l| m.view.lo + l));
+        }
+        Ok(CkptState::SingleSource {
+            source: self.source,
+            labels,
+            tags,
+            frontier,
+        })
+    }
+
+    fn finish(self, g: &mut Group<'_>) -> Sharded<Self::Output> {
+        let mut labels = Vec::with_capacity(self.vertices() as usize);
+        for (s, m) in self.members.iter().enumerate() {
+            let (own, lane) = (m.view.own_len() as u64, &mut g.lane(s));
+            lane.d2h(m.res.labels, own);
+            lane.poll()?;
+            labels.extend_from_slice(lane.read(m.res.labels, own));
+        }
+        Ok((labels, self.per_iteration))
+    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,13 @@
 //! ```
 //!
 //! The modules follow the paper's structure: [`udc`] (§III), [`active_set`]
-//! and [`engine`] (§IV), [`kernels`] with SMP (§V), [`device_graph`] for the
-//! transfer policies (§IV-B), and [`config`] for the ablation axes.
+//! (§IV), [`kernels`] with SMP (§V), [`device_graph`] for the transfer
+//! policies (§IV-B), and [`config`] for the ablation axes. Procedure 1 is one
+//! BSP superstep driver over a device group of ≥ 1 (DESIGN.md, "Superstep
+//! driver"); [`engine`], [`multi_bfs`] and [`pagerank`] plug their
+//! algorithms into it, and [`sharded`] runs them on groups larger than one.
 //!
-//! With profiling enabled (`GpuConfig::with_profiling`), the engine records
+//! With profiling enabled (`GpuConfig::with_profiling`), the driver records
 //! one `eta-prof` event per iteration — frontier size, shadowing counts, and
 //! the push/pull decision — alongside the simulator's kernel and transfer
 //! events; see PROFILING.md and [`session::Session::profile`].
@@ -32,6 +35,7 @@
 pub mod active_set;
 pub mod config;
 pub mod device_graph;
+mod driver;
 pub mod engine;
 pub mod error;
 pub mod kernels;
@@ -83,15 +87,5 @@ impl<'g> EtaGraph<'g> {
     pub fn run(&self, alg: Algorithm, source: u32) -> Result<RunResult, QueryError> {
         let mut dev = Device::new(self.gpu);
         engine::run(&mut dev, self.graph, source, alg, &self.cfg)
-    }
-
-    /// Runs and also hands back the device for metric inspection.
-    pub fn run_on(
-        &self,
-        dev: &mut Device,
-        alg: Algorithm,
-        source: u32,
-    ) -> Result<RunResult, QueryError> {
-        engine::run(dev, self.graph, source, alg, &self.cfg)
     }
 }

@@ -12,17 +12,18 @@
 //! their *fresh* bits to neighbors with `atomicOr`, and per-source levels
 //! are recorded the iteration a bit first appears.
 
-use crate::active_set::{DeviceQueue, VirtualQueue};
+use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
 use crate::config::EtaConfig;
 use crate::device_graph::DeviceGraph;
+use crate::driver::{drive, Frontier, Group, Lane, Program};
 use crate::error::{check_source, QueryError};
-use crate::udc::ActToVirtKernel;
+use crate::sharded::Sharded;
 use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
 use eta_graph::Csr;
 use eta_mem::system::{DSlice, MemError};
 use eta_mem::Ns;
 use eta_prof::Track;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, KernelMetrics, WarpCtx, WARP_SIZE};
 
 /// Maximum concurrent sources per batch (one bit per source in a word).
 pub const MAX_BATCH: usize = 32;
@@ -37,10 +38,7 @@ pub struct MultiBfsResources {
     next_fresh: DSlice,
     /// `n * MAX_BATCH` words; a batch of `b` sources uses the first `n*b`.
     levels: DSlice,
-    act: DeviceQueue,
-    next: DeviceQueue,
-    full: VirtualQueue,
-    partial: VirtualQueue,
+    queues: WorkQueues,
     n: u32,
 }
 
@@ -63,16 +61,14 @@ impl MultiBfsResources {
             joint: dev.mem.alloc_explicit(n as u64)?,
             next_fresh: dev.mem.alloc_explicit(n as u64)?,
             levels: dev.mem.alloc_explicit(n as u64 * MAX_BATCH as u64)?,
-            act: DeviceQueue::alloc(dev, n)?,
-            next: DeviceQueue::alloc(dev, n)?,
-            full: VirtualQueue::alloc(dev, Self::full_cap(csr, cfg))?,
-            partial: VirtualQueue::alloc(dev, n)?,
+            queues: WorkQueues::alloc(dev, n, Self::full_cap(csr, cfg), n)?,
             n,
         })
     }
 
     fn full_cap(csr: &Csr, cfg: &EtaConfig) -> u32 {
-        (csr.m() as u32 / cfg.k).max(1) + 1
+        // Edge ids are u32, so the saturation never engages.
+        WorkQueues::full_capacity(u32::try_from(csr.m()).unwrap_or(u32::MAX), cfg.k)
     }
 
     /// Explicit device bytes [`MultiBfsResources::alloc`] will request —
@@ -96,10 +92,7 @@ impl MultiBfsResources {
         for s in [self.fresh, self.joint, self.next_fresh, self.levels] {
             dev.mem.free_explicit(s);
         }
-        self.act.release(dev);
-        self.next.release(dev);
-        self.full.release(dev);
-        self.partial.release(dev);
+        self.queues.release(dev);
     }
 }
 
@@ -260,35 +253,23 @@ pub fn run(
 ) -> Result<MultiBfsResult, QueryError> {
     let (dg, t_up) = DeviceGraph::upload(dev, csr, cfg.transfer, 0)?;
     let res = MultiBfsResources::alloc(dev, csr, cfg)?;
-    let mut r = run_on(dev, &dg, &res, sources, cfg, t_up)?;
+    let mut r = run_on_ckpt(dev, &dg, &res, sources, cfg, t_up, CkptCtl::off())?;
     r.total_ns += t_up;
     Ok(r)
 }
 
-/// Runs one batch on already-prepared resources, starting at `start` on the
-/// session clock. [`MultiBfsResult::total_ns`] is the batch's duration from
-/// `start`; per-query state (masks, levels, seeds) is re-initialized and
-/// charged, so the resources are immediately reusable for the next batch.
-pub fn run_on(
-    dev: &mut Device,
-    dg: &DeviceGraph,
-    res: &MultiBfsResources,
-    sources: &[u32],
-    cfg: &EtaConfig,
-    start: Ns,
-) -> Result<MultiBfsResult, QueryError> {
-    run_on_ckpt(dev, dg, res, sources, cfg, start, CkptCtl::off())
-}
-
-/// [`run_on`] with checkpoint/resume control. With `CkptCtl::off()` this is
-/// byte-identical to the plain path. With a sink whose policy is due, the
-/// batch state (reach masks, levels, frontier in queue order) is copied
-/// back to the host at iteration boundaries — charged PCIe traffic on the
-/// simulated clock, visible on the profiler's checkpoint track. With a
-/// resume snapshot, initialization is replaced by restoring that state, so
-/// the continued run replays the uninterrupted run's remaining iterations
-/// byte-for-byte (the frontier is restored in queue order, which pins the
-/// propagation order and therefore every atomic outcome).
+/// Runs one batch on already-prepared resources as a group of one, starting
+/// at `start` on the session clock. [`MultiBfsResult::total_ns`] is the
+/// batch's duration from `start`; per-query state (masks, levels, seeds) is
+/// re-initialized and charged, so the resources are immediately reusable
+/// for the next batch.
+///
+/// `ckpt` is the driver's checkpoint hook: `CkptCtl::off()` for a plain
+/// run; a due sink copies the batch state back at iteration boundaries
+/// (charged PCIe traffic on the profiler's checkpoint track); a resume
+/// snapshot replaces initialization, and the continued run replays the
+/// uninterrupted run's remaining iterations byte-for-byte (the frontier is
+/// restored in queue order, which pins every atomic outcome).
 pub fn run_on_ckpt(
     dev: &mut Device,
     dg: &DeviceGraph,
@@ -296,7 +277,7 @@ pub fn run_on_ckpt(
     sources: &[u32],
     cfg: &EtaConfig,
     start: Ns,
-    mut ckpt: CkptCtl<'_>,
+    ckpt: CkptCtl<'_>,
 ) -> Result<MultiBfsResult, QueryError> {
     assert!(
         !sources.is_empty() && sources.len() <= MAX_BATCH,
@@ -305,230 +286,164 @@ pub fn run_on_ckpt(
     for &s in sources {
         check_source(s, res.n as usize)?;
     }
-    let n = res.n;
-    let b = sources.len();
-    let tpb = cfg.threads_per_block;
-    let mut now = start;
+    let prog = Batch {
+        dg,
+        res,
+        sources,
+        k: cfg.k,
+        levels: res.levels.slice(0, res.n as u64 * sources.len() as u64),
+        frontier: Frontier {
+            q: res.queues,
+            len: 0,
+        },
+    };
+    let group = &mut Group::new(std::slice::from_mut(dev), vec![start], cfg);
+    let (run, levels) = drive(group, None, prog, ckpt).map_err(|e| e.error)?;
+    Ok(MultiBfsResult {
+        levels,
+        iterations: run.steps,
+        kernel_ns: run.kernel_ns,
+        total_ns: run.end_ns - start,
+        metrics: run.metrics,
+    })
+}
 
-    let fresh = res.fresh;
-    let joint = res.joint;
-    let next_fresh = res.next_fresh;
-    let levels = res.levels.slice(0, n as u64 * b as u64);
-    let act = res.act;
-    let next = res.next;
-    let full = res.full;
-    let partial = res.partial;
+/// One batch as a driver program. It announces no edge volume, so the
+/// adaptive transfer policy is never ticked by a batch.
+struct Batch<'a> {
+    dg: &'a DeviceGraph,
+    res: &'a MultiBfsResources,
+    sources: &'a [u32],
+    k: u32,
+    /// The first `n * sources.len()` words of the resources' level block.
+    levels: DSlice,
+    frontier: Frontier,
+}
 
-    let (start_iter, start_len) = if let Some(ck) = ckpt.resume {
-        // Resume: restore the snapshot instead of initializing. Validation
-        // is a typed error, not an assert — the serving layer downgrades a
-        // stale snapshot to restart-from-scratch.
-        ck.validate(ckpt.graph_digest, n)?;
-        let (ck_sources, ck_fresh, ck_joint, ck_levels, ck_frontier) = match &ck.state {
-            CkptState::MultiBfs {
-                sources: s,
-                fresh,
-                joint,
-                levels,
-                frontier,
-            } => (s, fresh, joint, levels, frontier),
-            _ => return Err(CkptError::StateShape.into()),
-        };
-        if ck_sources != sources
-            || ck_fresh.len() != n as usize
-            || ck_levels.len() != n as usize * b
-        {
-            return Err(CkptError::StateShape.into());
-        }
-        now = dev.mem.copy_h2d(fresh, 0, ck_fresh, now);
-        now = dev.mem.copy_h2d(joint, 0, ck_joint, now);
-        now = dev
-            .mem
-            .copy_h2d(next_fresh, 0, &vec![0u32; n as usize], now);
-        now = dev.mem.copy_h2d(levels, 0, ck_levels, now);
-        act.host_seed(dev, ck_frontier);
-        now = dev
-            .mem
-            .copy_h2d(act.count, 0, &[ck_frontier.len() as u32], now);
-        dg.prefetch(dev, now);
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Ckpt,
-                "resume",
-                start,
-                now,
+impl Program for Batch<'_> {
+    type Output = Vec<Vec<u32>>;
+
+    fn vertices(&self) -> u32 {
+        self.res.n
+    }
+
+    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
+        assert_eq!(g.devs.len(), 1, "a batch runs on a group of one");
+        let (res, n) = (self.res, self.res.n as usize);
+        let init;
+        let (fresh, joint, levels, seeds): (&[u32], &[u32], &[u32], &[u32]) =
+            match resume.map(|ck| &ck.state) {
+                Some(CkptState::MultiBfs {
+                    sources,
+                    fresh,
+                    joint,
+                    levels,
+                    frontier,
+                }) if sources == self.sources
+                    && fresh.len() == n
+                    && levels.len() == n * sources.len() =>
+                {
+                    (fresh, joint, levels, frontier)
+                }
+                Some(_) => return Err(CkptError::StateShape.into()),
+                None => {
+                    // Each source carries its own bit at level 0. Sources may
+                    // repeat or collide on a vertex; bits just merge.
+                    let mut fresh = vec![0u32; n];
+                    let mut levels = vec![u32::MAX; n * self.sources.len()];
+                    let mut seeds: Vec<u32> = Vec::new();
+                    for (s, &v) in self.sources.iter().enumerate() {
+                        fresh[v as usize] |= 1 << s;
+                        levels[s * n + v as usize] = 0;
+                        if !seeds.contains(&v) {
+                            seeds.push(v);
+                        }
+                    }
+                    init = (fresh, levels, seeds);
+                    (&init.0, &init.0, &init.1, &init.2)
+                }
+            };
+        let lane = &mut g.lane(0);
+        let start = lane.now();
+        lane.h2d(res.fresh, fresh);
+        lane.h2d(res.joint, joint);
+        lane.h2d(res.next_fresh, &vec![0u32; n]);
+        lane.h2d(self.levels, levels);
+        self.frontier.seed(lane, seeds);
+        self.dg.prefetch(lane.dev, lane.now());
+        if let Some(ck) = resume {
+            lane.event(Track::Ckpt, "resume", start, || {
                 vec![
                     ("iteration", ck.iteration.into()),
                     ("words", ck.payload_words().into()),
                     ("kind", ck.state.kind().into()),
-                ],
-            );
+                ]
+            });
         }
-        (ck.iteration, ck_frontier.len() as u32)
-    } else {
-        // Initial state: each source carries its own bit at level 0. Sources
-        // may repeat or collide on a vertex; bits just merge.
-        let mut fresh_init = vec![0u32; n as usize];
-        let mut level_init = vec![u32::MAX; n as usize * b];
-        let mut seed_vertices: Vec<u32> = Vec::new();
-        for (s, &v) in sources.iter().enumerate() {
-            fresh_init[v as usize] |= 1 << s;
-            level_init[s * n as usize + v as usize] = 0;
-            if !seed_vertices.contains(&v) {
-                seed_vertices.push(v);
-            }
-        }
-        now = dev.mem.copy_h2d(fresh, 0, &fresh_init, now);
-        now = dev.mem.copy_h2d(joint, 0, &fresh_init, now);
-        now = dev
-            .mem
-            .copy_h2d(next_fresh, 0, &vec![0u32; n as usize], now);
-        now = dev.mem.copy_h2d(levels, 0, &level_init, now);
-        act.host_seed(dev, &seed_vertices);
-        now = dev
-            .mem
-            .copy_h2d(act.count, 0, &[seed_vertices.len() as u32], now);
-        dg.prefetch(dev, now);
-        (0, seed_vertices.len() as u32)
-    };
-
-    let mut queues = (act, next);
-    let mut act_len = start_len;
-    let mut iter = start_iter;
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-
-    while act_len > 0 {
-        iter += 1;
-        let (act, nxt) = (&queues.0, &queues.1);
-        now = full.reset(dev, now);
-        now = partial.reset(dev, now);
-        now = nxt.reset(dev, now);
-
-        let a2v = ActToVirtKernel::new(act, act_len, dg.row_offsets, &full, &partial, cfg.k);
-        let r = dev.launch(&a2v, LaunchConfig::for_items(act_len, tpb), now);
-        now = r.end_ns.max(r.metrics.data_ready_ns);
-        metrics.merge(&r.metrics);
-        kernel_ns += r.metrics.time_ns;
-        if let Some(f) = dev.take_fault() {
-            return Err(f.into());
-        }
-
-        let (nf, t) = full.read_count(dev, now);
-        let (np, t2) = partial.read_count(dev, t);
-        now = t2;
-
-        for (queue, len) in [(full, nf), (partial, np)] {
-            if len == 0 {
-                continue;
-            }
-            let kern = MultiPropagateKernel {
-                queue,
-                len,
-                col_idx: dg.col_idx,
-                fresh,
-                joint,
-                next_fresh,
-                next: *nxt,
-                levels,
-                n,
-                iter,
-            };
-            let r = dev.launch(&kern, LaunchConfig::for_items(len, tpb), now);
-            now = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(f.into());
-            }
-        }
-
-        // New frontier: swap its fresh masks in, then continue.
-        let (len, t) = nxt.read_count(dev, now);
-        now = t;
-        if len > 0 {
-            let swap = SwapFreshKernel {
-                frontier: nxt.items,
-                len,
-                fresh,
-                next_fresh,
-            };
-            let r = dev.launch(&swap, LaunchConfig::for_items(len, tpb), now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(f.into());
-            }
-        }
-        queues = (queues.1, queues.0);
-        act_len = len;
-
-        // Iteration boundary: SwapFresh zeroed next_fresh for exactly the
-        // vertices that were enqueued (each was pushed once, on its first
-        // grower), so next_fresh is globally zero again and fresh + joint +
-        // levels + the frontier *in queue order* are the complete state.
-        if act_len > 0 {
-            if let Some(sink) = ckpt.sink.as_deref_mut() {
-                if sink.policy.due(iter) {
-                    let ck_start = now;
-                    now = dev.mem.copy_d2h(fresh, n as u64, now);
-                    now = dev.mem.copy_d2h(joint, n as u64, now);
-                    now = dev.mem.copy_d2h(levels, n as u64 * b as u64, now);
-                    now = dev.mem.copy_d2h(queues.0.items, act_len as u64, now);
-                    if let Some(f) = dev.take_fault() {
-                        return Err(f.into());
-                    }
-                    let ck = Checkpoint {
-                        graph_digest: ckpt.graph_digest,
-                        n,
-                        iteration: iter,
-                        taken_at_ns: now,
-                        state: CkptState::MultiBfs {
-                            sources: sources.to_vec(),
-                            fresh: dev.mem.host_read(fresh, 0, n as u64).to_vec(),
-                            joint: dev.mem.host_read(joint, 0, n as u64).to_vec(),
-                            levels: dev.mem.host_read(levels, 0, n as u64 * b as u64).to_vec(),
-                            frontier: dev
-                                .mem
-                                .host_read(queues.0.items, 0, act_len as u64)
-                                .to_vec(),
-                        },
-                    };
-                    if dev.mem.prof.is_enabled() {
-                        dev.mem.prof.record(
-                            Track::Ckpt,
-                            "checkpoint",
-                            ck_start,
-                            now,
-                            vec![
-                                ("iteration", iter.into()),
-                                ("words", ck.payload_words().into()),
-                                ("frontier", act_len.into()),
-                            ],
-                        );
-                    }
-                    sink.store(ck);
-                }
-            }
-        }
+        Ok(())
     }
 
-    now = dev.mem.copy_d2h(levels, n as u64 * b as u64, now);
-    if let Some(f) = dev.take_fault() {
-        return Err(f.into());
+    fn active(&self, _s: usize, _done: u32) -> Option<u32> {
+        Some(self.frontier.len).filter(|&len| len > 0)
     }
-    let flat = dev.mem.host_read(levels, 0, n as u64 * b as u64);
-    let out = (0..b)
-        .map(|s| flat[s * n as usize..(s + 1) * n as usize].to_vec())
-        .collect();
-    Ok(MultiBfsResult {
-        levels: out,
-        iterations: iter,
-        kernel_ns,
-        total_ns: now - start,
-        metrics,
-    })
+
+    fn compute(&mut self, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
+        let (dg, res, levels, next) = (self.dg, self.res, self.levels, self.frontier.q.next);
+        let propagate = |queue, len| MultiPropagateKernel {
+            queue,
+            len,
+            col_idx: dg.col_idx,
+            fresh: res.fresh,
+            joint: res.joint,
+            next_fresh: res.next_fresh,
+            next,
+            levels,
+            n: res.n,
+            iter: step,
+        };
+        self.frontier
+            .step(lane, dg.row_offsets, self.k, None, propagate)?;
+        // New frontier: swap its fresh masks in (an empty one launches
+        // nothing), then continue.
+        self.frontier.swap_and_count(lane);
+        let swap = SwapFreshKernel {
+            frontier: self.frontier.q.act.items,
+            len: self.frontier.len,
+            fresh: res.fresh,
+            next_fresh: res.next_fresh,
+        };
+        lane.launch(&swap, self.frontier.len)
+    }
+
+    /// SwapFresh zeroed `next_fresh` for exactly the vertices that were
+    /// enqueued (each was pushed once, on its first grower), so it is
+    /// globally zero again at the boundary and fresh + joint + levels + the
+    /// frontier *in queue order* are the complete state.
+    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
+        let (res, n, levels) = (self.res, self.res.n as u64, self.levels);
+        let (items, len) = (self.frontier.q.act.items, self.frontier.len as u64);
+        let lane = &mut g.lane(0);
+        lane.d2h(res.fresh, n);
+        lane.d2h(res.joint, n);
+        lane.d2h(levels, levels.len);
+        lane.d2h(items, len);
+        lane.poll()?;
+        Ok(CkptState::MultiBfs {
+            sources: self.sources.to_vec(),
+            fresh: lane.read(res.fresh, n).to_vec(),
+            joint: lane.read(res.joint, n).to_vec(),
+            levels: lane.read(levels, levels.len).to_vec(),
+            frontier: lane.read(items, len).to_vec(),
+        })
+    }
+
+    fn finish(self, g: &mut Group<'_>) -> Sharded<Vec<Vec<u32>>> {
+        let (levels, lane) = (self.levels, &mut g.lane(0));
+        lane.d2h(levels, levels.len);
+        lane.poll()?;
+        let per_source = lane.read(levels, levels.len).chunks(self.res.n as usize);
+        Ok(per_source.map(<[u32]>::to_vec).collect())
+    }
 }
 
 #[cfg(test)]
@@ -635,8 +550,9 @@ mod tests {
             "footprint estimator must match what alloc actually takes"
         );
         // Two batches back-to-back on the same resources, clock advancing.
-        let r1 = run_on(&mut dev, &dg, &res, &[0, 7], &cfg, 0).unwrap();
-        let r2 = run_on(&mut dev, &dg, &res, &[3], &cfg, r1.total_ns).unwrap();
+        let r1 = run_on_ckpt(&mut dev, &dg, &res, &[0, 7], &cfg, 0, CkptCtl::off()).unwrap();
+        let off = CkptCtl::off();
+        let r2 = run_on_ckpt(&mut dev, &dg, &res, &[3], &cfg, r1.total_ns, off).unwrap();
         assert_eq!(r1.levels[0], reference::bfs(&g, 0));
         assert_eq!(r1.levels[1], reference::bfs(&g, 7));
         assert_eq!(r2.levels[0], reference::bfs(&g, 3));

@@ -12,18 +12,24 @@
 //! Ranks are IEEE-754 `f32` stored in device words; scatter-accumulation
 //! uses the simulator's `atomicAdd(float)` analog. Results are validated
 //! against the `f64` host reference within a tolerance.
+//!
+//! `Ranking` is the algorithm as a superstep-driver program: a
+//! superstep is contrib + scatter per member, the exchange of cross-shard
+//! contributions, then apply.
 
 use crate::active_set::VirtualQueue;
-use crate::config::{EtaConfig, TransferMode};
+use crate::config::EtaConfig;
 use crate::device_graph::DeviceGraph;
+use crate::driver::{drive, owner, Group, Lane, Program, ShardView};
 use crate::error::QueryError;
+use crate::sharded::Sharded;
 use crate::udc::shadow_count_graph;
 use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
 use eta_graph::Csr;
 use eta_mem::system::{DSlice, MemError};
 use eta_mem::Ns;
 use eta_prof::Track;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, KernelMetrics, WarpCtx, WARP_SIZE};
 
 /// PageRank configuration.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +54,7 @@ impl Default for PageRankConfig {
 }
 
 /// Outcome of a PageRank run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PageRankResult {
     pub ranks: Vec<f32>,
     pub iterations: u32,
@@ -313,319 +319,349 @@ impl Kernel for ApplyKernel {
 }
 
 /// Runs PageRank on the simulated device.
-pub fn run(dev: &mut Device, csr: &Csr, cfg: &PageRankConfig) -> Result<PageRankResult, MemError> {
-    let n = csr.n() as u32;
-    if n == 0 {
-        return Ok(PageRankResult {
-            ranks: Vec::new(),
-            iterations: 0,
-            kernel_ns: 0,
-            total_ns: 0,
-            metrics: KernelMetrics::default(),
-        });
-    }
-    let tpb = cfg.eta.threads_per_block;
-    let (dg, mut now) = DeviceGraph::upload(dev, csr, cfg.eta.transfer, 0)?;
-
-    let ranks = dev.mem.alloc_explicit(n as u64)?;
-    let next_ranks = dev.mem.alloc_explicit(n as u64)?;
-    let contrib = dev.mem.alloc_explicit(n as u64)?;
-    let n_shadows = shadow_count_graph(csr, cfg.eta.k) as u32;
-    let queue = VirtualQueue::alloc(dev, n_shadows.max(1))?;
-
-    let init = vec![(1.0f32 / n as f32).to_bits(); n as usize];
-    now = dev.mem.copy_h2d(ranks, 0, &init, now);
-    now = dev
-        .mem
-        .copy_h2d(next_ranks, 0, &vec![0f32.to_bits(); n as usize], now);
-    now = queue.reset(dev, now);
-    dg.prefetch(dev, now);
-
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-    let launch = |dev: &mut Device,
-                  kern: &dyn Kernel,
-                  items: u32,
-                  now: Ns,
-                  metrics: &mut KernelMetrics,
-                  kernel_ns: &mut u64|
-     -> Ns {
-        let r = dev.launch(kern, LaunchConfig::for_items(items, tpb), now);
-        metrics.merge(&r.metrics);
-        *kernel_ns += r.metrics.time_ns;
-        r.end_ns.max(r.metrics.data_ready_ns)
-    };
-
-    // Static UDC: all vertices cut once, the queue reused every iteration.
-    let udc = StaticUdcKernel {
-        n,
-        row_offsets: dg.row_offsets,
-        out: queue,
-        k: cfg.eta.k,
-    };
-    now = launch(dev, &udc, n, now, &mut metrics, &mut kernel_ns);
-    let (len, t) = queue.read_count(dev, now);
-    now = t;
-    debug_assert_eq!(len, n_shadows);
-
-    // Dangling mass is constant per iteration only if recomputed; track it
-    // host-side from the rank snapshot (observer arithmetic, the base-term
-    // scalar a real implementation computes with a tiny reduction kernel).
-    for _ in 0..cfg.iterations {
-        // Adaptive transfer policy: fold last iteration's access density into
-        // per-group routing decisions before this iteration's kernels run.
-        // PageRank is all-active — every iteration sweeps every edge — so
-        // the announced volume is the full edge array and regions escalate
-        // to streaming from the first boundary (prefetch is provably the
-        // right backend for a dense sweep).
-        // Fire-and-forget like `dg.prefetch` — kernels stall on page arrival.
-        if cfg.eta.transfer == TransferMode::Adaptive {
-            dev.mem.adaptive_tick(now, csr.m() as u64 * 4);
-        }
-        let rank_words = dev.mem.host_read(ranks, 0, n as u64);
-        let dangling: f32 = (0..n as usize)
-            .filter(|&v| csr.degree(v as u32) == 0)
-            .map(|v| f32::from_bits(rank_words[v]))
-            .sum();
-        let base = (1.0 - cfg.damping) / n as f32 + cfg.damping * dangling / n as f32;
-
-        let contrib_k = ContribKernel {
-            n,
-            row_offsets: dg.row_offsets,
-            ranks,
-            contrib,
-        };
-        now = launch(dev, &contrib_k, n, now, &mut metrics, &mut kernel_ns);
-
-        let scatter = ScatterKernel {
-            smp: cfg.eta.smp,
-            k: cfg.eta.k,
-            queue,
-            len,
-            col_idx: dg.col_idx,
-            contrib,
-            next_ranks,
-            threads_per_block: tpb,
-        };
-        now = launch(dev, &scatter, len, now, &mut metrics, &mut kernel_ns);
-
-        let apply = ApplyKernel {
-            n,
-            ranks,
-            next_ranks,
-            base,
-            damping: cfg.damping,
-        };
-        now = launch(dev, &apply, n, now, &mut metrics, &mut kernel_ns);
-    }
-
-    now = dev.mem.copy_d2h(ranks, n as u64, now);
-    let ranks_host: Vec<f32> = dev
-        .mem
-        .host_read(ranks, 0, n as u64)
-        .iter()
-        .map(|&b| f32::from_bits(b))
-        .collect();
-    Ok(PageRankResult {
-        ranks: ranks_host,
-        iterations: cfg.iterations,
-        kernel_ns,
-        total_ns: now,
-        metrics,
-    })
+pub fn run(
+    dev: &mut Device,
+    csr: &Csr,
+    cfg: &PageRankConfig,
+) -> Result<PageRankResult, QueryError> {
+    run_ckpt(dev, csr, cfg, CkptCtl::off())
 }
 
-/// Fault-aware [`run`] with checkpoint/resume control (see eta-ckpt).
-///
-/// Unlike the legacy path this polls the injected-fault watchdog after
-/// every launch and copy, returning [`QueryError::DeviceFault`] instead of
-/// silently completing. The iteration boundary is after the apply step,
-/// where `next_ranks` is zero by construction, so the rank words plus the
-/// completed-iteration count are the complete state; the static UDC queue
-/// is recomputed deterministically on resume rather than snapshotted.
+/// [`run`] with checkpoint/resume control (see eta-ckpt). The iteration
+/// boundary is after the apply step, where `next_ranks` is zero by
+/// construction, so the rank words plus the completed-iteration count are
+/// the complete state; the static UDC queue is recomputed deterministically
+/// on resume rather than snapshotted.
 pub fn run_ckpt(
     dev: &mut Device,
     csr: &Csr,
     cfg: &PageRankConfig,
-    mut ckpt: CkptCtl<'_>,
+    ckpt: CkptCtl<'_>,
 ) -> Result<PageRankResult, QueryError> {
-    let n = csr.n() as u32;
-    if n == 0 {
-        return Ok(PageRankResult {
-            ranks: Vec::new(),
-            iterations: 0,
-            kernel_ns: 0,
-            total_ns: 0,
-            metrics: KernelMetrics::default(),
-        });
+    if csr.n() == 0 {
+        return Ok(PageRankResult::default());
     }
-    let tpb = cfg.eta.threads_per_block;
-    let (dg, mut now) = DeviceGraph::upload(dev, csr, cfg.eta.transfer, 0)?;
+    let (shard, ready) = RankShard::alloc(dev, csr, &cfg.eta)?;
+    let views = [ShardView::whole(csr, shard.dg.n)];
+    let prog = Ranking::new(cfg, csr, &views, std::slice::from_ref(&shard));
+    let group = &mut Group::new(std::slice::from_mut(dev), vec![ready], &cfg.eta);
+    let (run, ranks) = drive(group, None, prog, ckpt).map_err(|e| e.error)?;
+    Ok(PageRankResult {
+        ranks,
+        iterations: cfg.iterations,
+        kernel_ns: run.kernel_ns,
+        total_ns: run.end_ns,
+        metrics: run.metrics,
+    })
+}
 
-    let ranks = dev.mem.alloc_explicit(n as u64)?;
-    let next_ranks = dev.mem.alloc_explicit(n as u64)?;
-    let contrib = dev.mem.alloc_explicit(n as u64)?;
-    let n_shadows = shadow_count_graph(csr, cfg.eta.k) as u32;
-    let queue = VirtualQueue::alloc(dev, n_shadows.max(1))?;
+/// One group member's device state: its share of the topology, the three
+/// per-vertex arrays (halo rows included) and the static shadow queue.
+pub(crate) struct RankShard {
+    dg: DeviceGraph,
+    ranks: DSlice,
+    next_ranks: DSlice,
+    contrib: DSlice,
+    queue: VirtualQueue,
+    /// Shadow vertices the static UDC cuts (the queue's final length).
+    shadows: u32,
+}
 
-    let done = if let Some(ck) = ckpt.resume {
-        ck.validate(ckpt.graph_digest, n)?;
-        let ranks_bits = match &ck.state {
-            CkptState::PageRank { ranks_bits } => ranks_bits,
-            _ => return Err(CkptError::StateShape.into()),
+impl RankShard {
+    /// Places `csr` on `dev` and allocates the rank arrays; returns the
+    /// time synchronous setup completes.
+    pub fn alloc(dev: &mut Device, csr: &Csr, cfg: &EtaConfig) -> Result<(Self, Ns), MemError> {
+        let (dg, ready) = DeviceGraph::upload(dev, csr, cfg.transfer, 0)?;
+        let shadows = shadow_count_graph(csr, cfg.k) as u32;
+        let shard = RankShard {
+            ranks: dev.mem.alloc_explicit(dg.n as u64)?,
+            next_ranks: dev.mem.alloc_explicit(dg.n as u64)?,
+            contrib: dev.mem.alloc_explicit(dg.n as u64)?,
+            queue: VirtualQueue::alloc(dev, shadows.max(1))?,
+            dg,
+            shadows,
         };
-        if ranks_bits.len() != n as usize || ck.iteration > cfg.iterations {
-            return Err(CkptError::StateShape.into());
+        Ok((shard, ready))
+    }
+
+    pub fn release(self, dev: &mut Device) {
+        self.dg.release(dev);
+        for s in [self.ranks, self.next_ranks, self.contrib] {
+            dev.mem.free_explicit(s);
         }
-        now = dev.mem.copy_h2d(ranks, 0, ranks_bits, now);
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Ckpt,
-                "resume",
-                0,
-                now,
-                vec![
-                    ("iteration", ck.iteration.into()),
-                    ("words", ck.payload_words().into()),
-                    ("kind", ck.state.kind().into()),
-                ],
-            );
+        self.queue.release(dev);
+    }
+}
+
+/// Per-destination replay entries: for global vertex `v`, the source of
+/// every in-edge in the order the single-device scatter applies them.
+type Inedges = Vec<Vec<u32>>;
+
+/// What a group of more than one exchanges. The single-device scatter
+/// applies `next[dst] += contrib[src]` in a total order fixed by the
+/// simulator: blocks and warps run serially in index order, and within a
+/// warp's unrolled edge loop lanes apply in lane order at each step `j`. For
+/// the shadow at global queue slot `g` that is the key `(g/32, j, g%32)`.
+/// Because the static-UDC queue is sorted by vertex id and halo rows cut
+/// zero shadows, each shard's local queue is a contiguous slice of the
+/// global one — so every message can carry its global key, and the owner
+/// can re-apply all of them (local and remote) in the exact global order.
+///
+/// Also returns the `(from, to, messages)` batches of one superstep,
+/// ascending: every edge into another member's range ships one message.
+fn plan_exchange(
+    csr: &Csr,
+    k: u32,
+    views: &[ShardView<'_>],
+) -> (Inedges, Vec<(usize, usize, u64)>) {
+    let mut keyed: Vec<Vec<(u32, u32, u32, u32)>> = vec![Vec::new(); csr.n()];
+    let mut counts = vec![vec![0u64; views.len()]; views.len()];
+    let mut g = 0u32;
+    for (u, row) in csr.row_offsets.windows(2).enumerate() {
+        let from = owner(views, u as u32);
+        for shadow in csr.col_idx[row[0] as usize..row[1] as usize].chunks(k as usize) {
+            for (j, &dst) in shadow.iter().enumerate() {
+                keyed[dst as usize].push((g / 32, j as u32, g % 32, u as u32));
+                counts[from][owner(views, dst)] += 1;
+            }
+            g += 1;
         }
-        ck.iteration
-    } else {
-        let init = vec![(1.0f32 / n as f32).to_bits(); n as usize];
-        now = dev.mem.copy_h2d(ranks, 0, &init, now);
-        0
-    };
-    now = dev
-        .mem
-        .copy_h2d(next_ranks, 0, &vec![0f32.to_bits(); n as usize], now);
-    now = queue.reset(dev, now);
-    dg.prefetch(dev, now);
+    }
+    let inedges = keyed.into_iter().map(|mut list| {
+        list.sort_unstable_by_key(|&(w, j, l, _)| (w, j, l));
+        list.into_iter().map(|(.., u)| u).collect()
+    });
+    let batches = counts.iter().enumerate().flat_map(|(from, row)| {
+        let remote = row
+            .iter()
+            .enumerate()
+            .filter(move |&(to, &c)| to != from && c > 0);
+        remote.map(move |(to, &c)| (from, to, c))
+    });
+    (inedges.collect(), batches.collect())
+}
 
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-    let launch = |dev: &mut Device,
-                  kern: &dyn Kernel,
-                  items: u32,
-                  now: Ns,
-                  metrics: &mut KernelMetrics,
-                  kernel_ns: &mut u64|
-     -> Result<Ns, QueryError> {
-        let r = dev.launch(kern, LaunchConfig::for_items(items, tpb), now);
-        metrics.merge(&r.metrics);
-        *kernel_ns += r.metrics.time_ns;
-        if let Some(f) = dev.take_fault() {
-            return Err(f.into());
-        }
-        Ok(r.end_ns.max(r.metrics.data_ready_ns))
-    };
+/// PageRank as a driver program over a group of >= 1.
+pub(crate) struct Ranking<'a> {
+    cfg: &'a PageRankConfig,
+    views: &'a [ShardView<'a>],
+    shards: &'a [RankShard],
+    /// Both empty for a group of one: its device scatter order *is* the
+    /// global order, and nothing crosses.
+    inedges: Inedges,
+    cross: Vec<(usize, usize, u64)>,
+}
 
-    // Static UDC: recomputed identically whether fresh or resumed, so the
-    // snapshot never needs to carry the queue.
-    let udc = StaticUdcKernel {
-        n,
-        row_offsets: dg.row_offsets,
-        out: queue,
-        k: cfg.eta.k,
-    };
-    now = launch(dev, &udc, n, now, &mut metrics, &mut kernel_ns)?;
-    let (len, t) = queue.read_count(dev, now);
-    now = t;
-    debug_assert_eq!(len, n_shadows);
-
-    for it in done..cfg.iterations {
-        let rank_words = dev.mem.host_read(ranks, 0, n as u64);
-        let dangling: f32 = (0..n as usize)
-            .filter(|&v| csr.degree(v as u32) == 0)
-            .map(|v| f32::from_bits(rank_words[v]))
-            .sum();
-        let base = (1.0 - cfg.damping) / n as f32 + cfg.damping * dangling / n as f32;
-
-        let contrib_k = ContribKernel {
-            n,
-            row_offsets: dg.row_offsets,
-            ranks,
-            contrib,
+impl<'a> Ranking<'a> {
+    /// `shards[s]` must have been allocated for `views[s].csr`, and the
+    /// views must partition `csr`.
+    pub fn new(
+        cfg: &'a PageRankConfig,
+        csr: &Csr,
+        views: &'a [ShardView<'a>],
+        shards: &'a [RankShard],
+    ) -> Self {
+        let (inedges, cross) = match views.len() {
+            1 => Default::default(),
+            _ => plan_exchange(csr, cfg.eta.k, views),
         };
-        now = launch(dev, &contrib_k, n, now, &mut metrics, &mut kernel_ns)?;
+        Ranking {
+            cfg,
+            views,
+            shards,
+            inedges,
+            cross,
+        }
+    }
 
+    /// Every member's owned words of one per-vertex array, concatenated
+    /// into global vertex order (observer-side).
+    fn owned<'g>(
+        &'g self,
+        g: &'g Group<'_>,
+        array: impl Fn(&RankShard) -> DSlice + 'g,
+    ) -> impl Iterator<Item = u32> + 'g {
+        let members = self.views.iter().zip(self.shards).enumerate();
+        members.flat_map(move |(s, (view, shard))| {
+            let words = g.devs[s]
+                .mem
+                .host_read(array(shard), 0, view.own_len() as u64);
+            words.iter().copied()
+        })
+    }
+
+    /// Charged readback of every member's owned ranks, in global order —
+    /// a snapshot and the final result are the same copy.
+    fn read_ranks(&self, g: &mut Group<'_>) -> Sharded<Vec<u32>> {
+        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
+            let lane = &mut g.lane(s);
+            lane.d2h(shard.ranks, view.own_len() as u64);
+            lane.poll()?;
+        }
+        Ok(self.owned(g, |shard| shard.ranks).collect())
+    }
+}
+
+impl Program for Ranking<'_> {
+    type Output = Vec<f32>;
+
+    fn vertices(&self) -> u32 {
+        self.views.last().map_or(0, |v| v.hi)
+    }
+
+    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
+        let (n, k) = (self.vertices(), self.cfg.eta.k);
+        let restored = match resume.map(|ck| (ck, &ck.state)) {
+            None => None,
+            Some((ck, CkptState::PageRank { ranks_bits }))
+                if ranks_bits.len() == n as usize && ck.iteration <= self.cfg.iterations =>
+            {
+                Some((ck, ranks_bits))
+            }
+            Some(_) => return Err(CkptError::StateShape.into()),
+        };
+        let uniform = (1.0f32 / n as f32).to_bits();
+        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
+            let (local_n, lane) = (shard.dg.n, &mut g.lane(s));
+            match restored {
+                None => lane.h2d(shard.ranks, &vec![uniform; local_n as usize]),
+                Some((ck, bits)) => {
+                    let local: Vec<u32> = view.globals().map(|v| bits[v as usize]).collect();
+                    lane.h2d(shard.ranks, &local);
+                    // Single-shot semantics: the restore span opens at the
+                    // run's time zero, upload included.
+                    lane.event(Track::Ckpt, "resume", 0, || {
+                        vec![
+                            ("iteration", ck.iteration.into()),
+                            ("words", ck.payload_words().into()),
+                            ("kind", ck.state.kind().into()),
+                        ]
+                    });
+                }
+            }
+            lane.h2d(shard.next_ranks, &vec![0f32.to_bits(); local_n as usize]);
+            lane.h2d(shard.queue.count, &[0]);
+            shard.dg.prefetch(lane.dev, lane.now());
+            if local_n > 0 {
+                // Static UDC: all vertices cut once, the queue reused every
+                // iteration — and recomputed identically whether fresh or
+                // resumed, so a snapshot never needs to carry it.
+                let udc = StaticUdcKernel {
+                    n: local_n,
+                    row_offsets: shard.dg.row_offsets,
+                    out: shard.queue,
+                    k,
+                };
+                lane.launch(&udc, local_n)?;
+                let len = lane.timed(|dev, now| shard.queue.read_count(dev, now));
+                debug_assert_eq!(len, shard.shadows, "queue holds every owned shadow");
+            }
+        }
+        Ok(())
+    }
+
+    /// All-active: every member sweeps every owned vertex each iteration.
+    fn active(&self, s: usize, done: u32) -> Option<u32> {
+        (done < self.cfg.iterations).then(|| self.views[s].own_len())
+    }
+
+    /// The full local edge array, so regions escalate to streaming from the
+    /// first boundary (prefetch is provably right for a dense sweep).
+    fn announce(&self, _dev: &Device, s: usize) -> Option<u64> {
+        Some(self.shards[s].dg.m as u64 * 4)
+    }
+
+    fn compute(&mut self, lane: &mut Lane<'_>, _step: u32) -> Sharded<()> {
+        let (shard, eta) = (&self.shards[lane.member], &self.cfg.eta);
+        if shard.dg.n == 0 {
+            return Ok(());
+        }
+        let contrib = ContribKernel {
+            n: shard.dg.n,
+            row_offsets: shard.dg.row_offsets,
+            ranks: shard.ranks,
+            contrib: shard.contrib,
+        };
+        lane.launch(&contrib, shard.dg.n)?;
         let scatter = ScatterKernel {
-            smp: cfg.eta.smp,
-            k: cfg.eta.k,
-            queue,
-            len,
-            col_idx: dg.col_idx,
-            contrib,
-            next_ranks,
-            threads_per_block: tpb,
+            smp: eta.smp,
+            k: eta.k,
+            queue: shard.queue,
+            len: shard.shadows,
+            col_idx: shard.dg.col_idx,
+            contrib: shard.contrib,
+            next_ranks: shard.next_ranks,
+            threads_per_block: eta.threads_per_block,
         };
-        now = launch(dev, &scatter, len, now, &mut metrics, &mut kernel_ns)?;
+        lane.launch(&scatter, shard.shadows)
+    }
 
-        let apply = ApplyKernel {
-            n,
-            ranks,
-            next_ranks,
-            base,
-            damping: cfg.damping,
-        };
-        now = launch(dev, &apply, n, now, &mut metrics, &mut kernel_ns)?;
+    fn collect(&mut self, _g: &Group<'_>, send: &mut dyn FnMut(usize, usize, u64)) {
+        for &(from, to, messages) in &self.cross {
+            send(from, to, messages);
+        }
+    }
 
-        // Iteration boundary: apply zeroed next_ranks, so the rank words
-        // are the whole state.
-        let completed = it + 1;
-        if completed < cfg.iterations {
-            if let Some(sink) = ckpt.sink.as_deref_mut() {
-                if sink.policy.due(completed) {
-                    let ck_start = now;
-                    now = dev.mem.copy_d2h(ranks, n as u64, now);
-                    if let Some(f) = dev.take_fault() {
-                        return Err(f.into());
-                    }
-                    let ck = Checkpoint {
-                        graph_digest: ckpt.graph_digest,
-                        n,
-                        iteration: completed,
-                        taken_at_ns: now,
-                        state: CkptState::PageRank {
-                            ranks_bits: dev.mem.host_read(ranks, 0, n as u64).to_vec(),
-                        },
-                    };
-                    if dev.mem.prof.is_enabled() {
-                        dev.mem.prof.record(
-                            Track::Ckpt,
-                            "checkpoint",
-                            ck_start,
-                            now,
-                            vec![
-                                ("iteration", completed.into()),
-                                ("words", ck.payload_words().into()),
-                            ],
-                        );
-                    }
-                    sink.store(ck);
+    fn commit(&mut self, g: &mut Group<'_>) -> Sharded<()> {
+        let (n, damping) = (self.vertices() as f32, self.cfg.damping);
+        // Dangling mass and base term, folded host-side in ascending global
+        // vertex order from the rank snapshot (observer arithmetic: the
+        // scalar a real implementation computes with a tiny reduction).
+        let mut dangling = 0f32;
+        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
+            let ranks = g.devs[s]
+                .mem
+                .host_read(shard.ranks, 0, view.own_len() as u64);
+            for (row, &bits) in view.csr.row_offsets.windows(2).zip(ranks) {
+                if row[0] == row[1] {
+                    dangling += f32::from_bits(bits);
                 }
             }
         }
+        let base = (1.0 - damping) / n + damping * dangling / n;
+
+        // Replay every contribution at its owner in global scatter order and
+        // write the folded sums over the device partials — the modeled
+        // equivalent of shipping `(dst, contrib)` pairs over the fabric and
+        // merging them in a canonical order.
+        if !self.inedges.is_empty() {
+            let contrib: Vec<u32> = self.owned(g, |shard| shard.contrib).collect();
+            for (o, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
+                let sum = |sources: &Vec<u32>| {
+                    let shares = sources.iter().map(|&u| f32::from_bits(contrib[u as usize]));
+                    shares.fold(0f32, |acc, share| acc + share).to_bits()
+                };
+                let owned = &self.inedges[view.lo as usize..view.hi as usize];
+                let sums: Vec<u32> = owned.iter().map(sum).collect();
+                g.devs[o].mem.host_write(shard.next_ranks, 0, &sums);
+            }
+        }
+
+        for (s, shard) in self.shards.iter().enumerate().filter(|(_, sh)| sh.dg.n > 0) {
+            let apply = ApplyKernel {
+                n: shard.dg.n,
+                ranks: shard.ranks,
+                next_ranks: shard.next_ranks,
+                base,
+                damping,
+            };
+            g.lane(s).launch(&apply, shard.dg.n)?;
+        }
+        Ok(())
     }
 
-    now = dev.mem.copy_d2h(ranks, n as u64, now);
-    if let Some(f) = dev.take_fault() {
-        return Err(f.into());
+    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
+        let ranks_bits = self.read_ranks(g)?;
+        Ok(CkptState::PageRank { ranks_bits })
     }
-    let ranks_host: Vec<f32> = dev
-        .mem
-        .host_read(ranks, 0, n as u64)
-        .iter()
-        .map(|&b| f32::from_bits(b))
-        .collect();
-    Ok(PageRankResult {
-        ranks: ranks_host,
-        iterations: cfg.iterations,
-        kernel_ns,
-        total_ns: now,
-        metrics,
-    })
+
+    fn finish(self, g: &mut Group<'_>) -> Sharded<Vec<f32>> {
+        Ok(self
+            .read_ranks(g)?
+            .into_iter()
+            .map(f32::from_bits)
+            .collect())
+    }
 }
 
 #[cfg(test)]

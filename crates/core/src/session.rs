@@ -24,6 +24,7 @@ use crate::engine::{self, QueryResources};
 use crate::error::QueryError;
 use crate::multi_bfs::{self, MultiBfsResources, MultiBfsResult};
 use crate::result::RunResult;
+use eta_ckpt::CkptCtl;
 use eta_graph::Csr;
 use eta_mem::system::MemError;
 use eta_mem::Ns;
@@ -72,7 +73,7 @@ impl<'g> Session<'g> {
     /// `um_stats` accumulates across the session's lifetime.
     pub fn query(&mut self, alg: Algorithm, source: u32) -> Result<RunResult, QueryError> {
         let start = self.clock_ns;
-        let r = engine::run_query(
+        let r = engine::run_query_ckpt(
             &mut self.dev,
             &self.res,
             self.csr,
@@ -81,6 +82,7 @@ impl<'g> Session<'g> {
             &self.cfg,
             start,
             start,
+            CkptCtl::off(),
         )?;
         self.clock_ns = start + r.total_ns;
         self.queries += 1;
@@ -92,23 +94,17 @@ impl<'g> Session<'g> {
     /// source in the batch. Batch state is allocated lazily on first use
     /// and reused afterwards; each source counts as one query.
     pub fn query_batch(&mut self, sources: &[u32]) -> Result<MultiBfsResult, QueryError> {
-        if self.multi.is_none() {
-            self.multi = Some(MultiBfsResources::alloc(
+        let res = match &self.multi {
+            Some(res) => res,
+            None => self.multi.insert(MultiBfsResources::alloc(
                 &mut self.dev,
                 self.csr,
                 &self.cfg,
-            )?);
-        }
-        let res = self.multi.as_ref().expect("just allocated");
-        let start = self.clock_ns;
-        let r = multi_bfs::run_on(
-            &mut self.dev,
-            self.res.device_graph(),
-            res,
-            sources,
-            &self.cfg,
-            start,
-        )?;
+            )?),
+        };
+        let (dg, start) = (self.res.device_graph(), self.clock_ns);
+        let off = CkptCtl::off();
+        let r = multi_bfs::run_on_ckpt(&mut self.dev, dg, res, sources, &self.cfg, start, off)?;
         self.clock_ns = start + r.total_ns;
         self.queries += sources.len() as u32;
         Ok(r)

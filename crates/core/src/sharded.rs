@@ -1,58 +1,30 @@
-//! Multi-device BSP sharded traversal over modeled NVLink peer links.
+//! Device-group entry points: the superstep driver's programs run
+//! over an [`eta_shard::GraphPartition`] (vertex-range shards, each owning
+//! its range's out-edges plus zero-degree halo rows for cross-range
+//! destinations) with halo traffic on an [`eta_mem::PeerFabric`]. This
+//! module is the adapters and result types; the loop is the driver's and the
+//! halo merge rules live with each program (`engine::Traversal`,
+//! `pagerank::Ranking`).
 //!
-//! The single-device engine ([`crate::engine`]) is bounded by one GPU's
-//! memory and SMs. This module runs the same iteration on a device *group*:
-//! the graph is split by [`eta_shard::GraphPartition`] into vertex-range
-//! shards (each owning its range's out-edges plus zero-degree halo rows for
-//! cross-range destinations), every superstep runs the unchanged UDC +
-//! traversal kernels on all shards, and the improved halo labels are then
-//! exchanged over an [`eta_mem::PeerFabric`] and merged at their owners in
-//! **(device id, vertex id) order** — a fixed total order that makes the
-//! whole computation deterministic, byte for byte.
-//!
-//! # Timing model
-//!
-//! Each shard advances its own simulated clock through its kernel launches
-//! and 4-byte count hops, exactly as the single-device engine does. A
-//! superstep ends at the *barrier* — the latest shard clock — after which
-//! each sender's message batches are charged to the per-pair peer links
-//! (batches on the same link serialize; that is the fabric contention).
-//! A receiver's next superstep starts at `max(barrier, last incoming
-//! transfer end)`. Applying the received values and rebuilding the frontier
-//! is host-observer work, free except for the 4-byte frontier-count update
-//! — the same charging the engine's resume path uses. Every peer transfer
-//! is mirrored into the sender device's profiler on [`Track::Peer`].
-//!
-//! # Determinism and equivalence
-//!
-//! For the monotone label algorithms (BFS/SSSP/SSWP/CC) the label arrays
-//! converge to the algorithm's unique fixpoint, so `merge(run_sharded(N))`
-//! is byte-identical to the single-device labels for every `N` — iteration
-//! *counts* may differ (a cross-shard relaxation lands one superstep later
-//! than the same intra-device relaxation), the *labels* cannot. PageRank is
-//! not monotone — float addition does not commute — so
-//! [`run_sharded_pagerank`] replays every scatter message at its owner in
-//! the exact global warp-serial order the single-device kernel would have
-//! applied them (see the function docs), preserving bit-identical ranks.
-//!
-//! The sharded path always runs the in-core UDC and never direction
-//! optimizes: pull iterations need the global transposed topology, which no
-//! shard holds.
+//! Labels (BFS/SSSP/SSWP/CC are monotone: one fixpoint whatever the group)
+//! and ranks (scatter sums replayed in the single-device order) are
+//! byte-identical to a single device's for every group size; iteration
+//! *counts* may differ, since a cross-shard relaxation lands one superstep
+//! later than the same intra-device one. The group path always runs the
+//! in-core UDC and never direction-optimizes: pull needs the global
+//! transposed topology, which no shard holds.
 
-use crate::active_set::VirtualQueue;
-use crate::config::{Algorithm, EtaConfig, TransferMode, UdcMode};
-use crate::device_graph::DeviceGraph;
-use crate::engine::{self, QueryResources};
+use crate::config::{Algorithm, EtaConfig, UdcMode};
+use crate::driver::{drive, Group, ShardView};
+use crate::engine::{self, Traversal};
 use crate::error::{check_source, QueryError};
-use crate::kernels::TraversalKernel;
-use crate::pagerank::{ApplyKernel, ContribKernel, PageRankConfig, ScatterKernel, StaticUdcKernel};
-use crate::udc::{shadow_count_graph, ActToVirtKernel};
-use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
+use crate::pagerank::{PageRankConfig, RankShard, Ranking};
+use eta_ckpt::CkptCtl;
 use eta_graph::Csr;
+use eta_mem::system::MemError;
 use eta_mem::{Ns, PeerFabric};
-use eta_prof::Track;
-use eta_shard::GraphPartition;
-use eta_sim::{Device, KernelMetrics, LaunchConfig};
+use eta_shard::{GraphPartition, ShardSpec};
+use eta_sim::{Device, KernelMetrics};
 
 /// Wire bytes per halo message: a global vertex id plus a label word.
 pub const MSG_BYTES: u64 = 8;
@@ -74,7 +46,17 @@ impl std::fmt::Display for ShardedError {
 
 impl std::error::Error for ShardedError {}
 
-fn fail(shard: usize, error: QueryError) -> ShardedError {
+pub(crate) type Sharded<T> = Result<T, ShardedError>;
+
+/// A snapshot that cannot be restored is no single member's fault; like
+/// every whole-group failure it is bound to slot 0.
+impl From<eta_ckpt::CkptError> for ShardedError {
+    fn from(e: eta_ckpt::CkptError) -> Self {
+        fail(0, e.into())
+    }
+}
+
+pub(crate) fn fail(shard: usize, error: QueryError) -> ShardedError {
     ShardedError {
         shard: shard as u32,
         error,
@@ -122,43 +104,35 @@ impl ShardedRunResult {
     }
 }
 
-/// What the owner initialized (or would initialize) global vertex `v` to —
-/// also the right initial value for every halo replica, so senders never
-/// ship a label the owner already has.
-fn global_init_label(alg: Algorithm, source: u32, v: u32) -> u32 {
-    if alg.all_active() {
-        v
-    } else if v == source {
-        alg.source_label()
-    } else {
-        alg.init_label()
+/// Per-member device resources for every shard of `part`, with the time
+/// each member's synchronous setup completes.
+fn per_member<R>(
+    devs: &mut [Device],
+    part: &GraphPartition,
+    alloc: impl Fn(&mut Device, &ShardSpec) -> Result<(R, Ns), MemError>,
+) -> Sharded<(Vec<R>, Vec<Ns>)> {
+    assert_eq!(devs.len(), part.shards.len(), "one device per shard");
+    let (mut resources, mut ready) = (Vec::new(), Vec::new());
+    for (s, (dev, shard)) in devs.iter_mut().zip(&part.shards).enumerate() {
+        let (res, t) = alloc(dev, shard).map_err(|e| fail(s, e.into()))?;
+        resources.push(res);
+        ready.push(t);
+    }
+    Ok((resources, ready))
+}
+
+/// Pull needs the global transpose; out-of-core UDC would ship one table
+/// per shard. Both are single-device experiments — a group normalizes them
+/// away.
+fn group_config(cfg: &EtaConfig) -> EtaConfig {
+    EtaConfig {
+        udc: UdcMode::InCore,
+        direction_optimizing: false,
+        ..*cfg
     }
 }
 
-/// Whether `new` beats `old` under the algorithm's merge order.
-fn improves(alg: Algorithm, new: u32, old: u32) -> bool {
-    if alg == Algorithm::Sswp {
-        new > old
-    } else {
-        new < old
-    }
-}
-
-struct ShardState {
-    res: QueryResources,
-    /// `(act, next)` — swapped every superstep like the engine's pair.
-    queues: (
-        crate::active_set::DeviceQueue,
-        crate::active_set::DeviceQueue,
-    ),
-    act_len: u32,
-    clock: Ns,
-    /// Last label shipped per halo slot; suppresses unimproved resends.
-    last_sent: Vec<u32>,
-}
-
-/// Runs one traversal across the whole device group. See the module docs
-/// for the execution and timing model.
+/// Runs one traversal across the whole device group.
 pub fn run_sharded(
     devs: &mut [Device],
     fabric: &mut PeerFabric,
@@ -170,13 +144,10 @@ pub fn run_sharded(
     run_sharded_ckpt(devs, fabric, part, source, alg, cfg, CkptCtl::off())
 }
 
-/// [`run_sharded`] with checkpoint/resume control. Checkpoints are taken at
-/// superstep boundaries and are **global**: owned labels, tags and frontier
-/// are merged into one [`CkptState::SingleSource`] over the global vertex
-/// space (`n = part.n`, `graph_digest` = the *global* CSR digest), so a
-/// snapshot taken on one group shape resumes on any other — including a
-/// single device via the plain engine.
-#[allow(clippy::too_many_arguments)]
+/// [`run_sharded`] with checkpoint/resume control. Snapshots are **global**
+/// (`n = part.n`, `graph_digest` = the *global* CSR digest), so one taken on
+/// any group shape resumes on any other — including a single device via
+/// [`engine::run_query_ckpt`].
 pub fn run_sharded_ckpt(
     devs: &mut [Device],
     fabric: &mut PeerFabric,
@@ -186,547 +157,38 @@ pub fn run_sharded_ckpt(
     cfg: &EtaConfig,
     ckpt: CkptCtl<'_>,
 ) -> Result<ShardedRunResult, ShardedError> {
-    assert_eq!(devs.len(), part.shards.len(), "one device per shard");
     assert!(
         fabric.devices() as usize >= devs.len(),
         "fabric must span the group"
     );
-    assert!(
-        !alg.needs_weights() || part.shards.iter().all(|s| s.csr.is_weighted()),
-        "{} needs an edge-weighted partition",
-        alg.name()
-    );
     check_source(source, part.n as usize).map_err(|e| fail(0, e))?;
-    // Pull needs the global transpose; out-of-core UDC would ship one table
-    // per shard. Both are single-device experiments — normalize them away.
-    let cfg = EtaConfig {
-        udc: UdcMode::InCore,
-        direction_optimizing: false,
-        ..*cfg
-    };
-
-    let mut states = Vec::with_capacity(devs.len());
-    for (s, shard) in part.shards.iter().enumerate() {
-        let (res, ready) = engine::prepare(&mut devs[s], &shard.csr, &cfg, false)
-            .map_err(|e| fail(s, e.into()))?;
-        let queues = (res.act, res.next);
-        states.push(ShardState {
-            res,
-            queues,
-            act_len: 0,
-            clock: ready,
-            last_sent: Vec::new(),
-        });
-    }
-
-    let result = drive(devs, fabric, part, source, alg, &cfg, ckpt, &mut states);
-    for (s, st) in states.into_iter().enumerate() {
-        st.res.release(&mut devs[s]);
-    }
-    result
-}
-
-/// Everything between prepare and release, separated so resources are
-/// returned to the devices on both the success and the fault path (the
-/// serving layer reuses group members after a fault elsewhere in the group).
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    devs: &mut [Device],
-    fabric: &mut PeerFabric,
-    part: &GraphPartition,
-    source: u32,
-    alg: Algorithm,
-    cfg: &EtaConfig,
-    mut ckpt: CkptCtl<'_>,
-    states: &mut [ShardState],
-) -> Result<ShardedRunResult, ShardedError> {
-    let nshards = states.len();
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-    let mut per_superstep = Vec::new();
-    let mut exchanged_bytes = 0u64;
-
-    // --- initialize labels, tags and frontiers ------------------------------
-    let start_step = if let Some(ck) = ckpt.resume {
-        ck.validate(ckpt.graph_digest, part.n)
-            .map_err(|e| fail(0, e.into()))?;
-        let (ck_source, ck_labels, ck_tags, ck_frontier) = match &ck.state {
-            CkptState::SingleSource {
-                source: s,
-                labels,
-                tags,
-                frontier,
-            } => (*s, labels, tags, frontier),
-            _ => return Err(fail(0, CkptError::StateShape.into())),
-        };
-        if ck_source != source
-            || ck_labels.len() != part.n as usize
-            || ck_tags.len() != part.n as usize
-        {
-            return Err(fail(0, CkptError::StateShape.into()));
-        }
-        for (s, shard) in part.shards.iter().enumerate() {
-            let own = shard.own_len() as usize;
-            let mut labels: Vec<u32> = ck_labels[shard.lo as usize..shard.hi as usize].to_vec();
-            labels.extend(shard.halo.iter().map(|&g| ck_labels[g as usize]));
-            let mut tags: Vec<u32> = ck_tags[shard.lo as usize..shard.hi as usize].to_vec();
-            tags.resize(shard.local_n() as usize, 0);
-            let frontier: Vec<u32> = ck_frontier
-                .iter()
-                .filter(|&&g| part.owner(g) as usize == s)
-                .map(|&g| g - shard.lo)
-                .collect();
-            let st = &mut states[s];
-            let dev = &mut devs[s];
-            let resume_start = st.clock;
-            let mut now = dev.mem.copy_h2d(st.res.labels, 0, &labels, st.clock);
-            now = dev.mem.copy_h2d(st.res.tags, 0, &tags, now);
-            st.queues.0.host_seed(dev, &frontier);
-            now = dev
-                .mem
-                // lint: allow(L-CAST-TRUNC): frontier entries live in the u32 vertex space
-                .copy_h2d(st.queues.0.count, 0, &[frontier.len() as u32], now);
-            st.res.dg.prefetch(dev, now);
-            if dev.mem.prof.is_enabled() {
-                dev.mem.prof.record(
-                    Track::Ckpt,
-                    "resume",
-                    resume_start,
-                    now,
-                    vec![
-                        ("iteration", ck.iteration.into()),
-                        ("shard", (s as u32).into()),
-                        // lint: allow(L-CAST-TRUNC): frontier entries live in the u32 vertex space
-                        ("frontier", (frontier.len() as u32).into()),
-                    ],
-                );
-            }
-            st.last_sent = labels[own..].to_vec();
-            // lint: allow(L-CAST-TRUNC): frontier entries live in the u32 vertex space
-            st.act_len = frontier.len() as u32;
-            st.clock = now;
-        }
-        ck.iteration
-    } else {
-        for (s, shard) in part.shards.iter().enumerate() {
-            let own = shard.own_len() as usize;
-            let mut labels: Vec<u32> = (shard.lo..shard.hi)
-                .map(|g| global_init_label(alg, source, g))
-                .collect();
-            labels.extend(
-                shard
-                    .halo
-                    .iter()
-                    .map(|&g| global_init_label(alg, source, g)),
-            );
-            let seeds: Vec<u32> = if alg.all_active() {
-                (0..shard.own_len()).collect()
-            } else if part.owner(source) as usize == s {
-                vec![source - shard.lo]
-            } else {
-                Vec::new()
-            };
-            let st = &mut states[s];
-            let dev = &mut devs[s];
-            let mut now = dev.mem.copy_h2d(st.res.labels, 0, &labels, st.clock);
-            now = dev
-                .mem
-                .copy_h2d(st.res.tags, 0, &vec![0u32; shard.local_n() as usize], now);
-            st.queues.0.host_seed(dev, &seeds);
-            now = dev
-                .mem
-                // lint: allow(L-CAST-TRUNC): seeds are vertices in the u32 vertex space
-                .copy_h2d(st.queues.0.count, 0, &[seeds.len() as u32], now);
-            st.res.dg.prefetch(dev, now);
-            st.last_sent = labels[own..].to_vec();
-            // lint: allow(L-CAST-TRUNC): seeds are vertices in the u32 vertex space
-            st.act_len = seeds.len() as u32;
-            st.clock = now;
-        }
-        0
-    };
-
-    // --- BSP superstep loop -------------------------------------------------
-    let mut step = start_step;
-    while states.iter().any(|st| st.act_len > 0) {
-        step += 1;
-        let active_entering: u32 = states.iter().map(|st| st.act_len).sum();
-        let start_ns = states
-            .iter()
-            .filter(|st| st.act_len > 0)
-            .map(|st| st.clock)
-            .min()
-            .unwrap_or(0);
-
-        // 1. One local engine iteration per shard with a non-empty frontier.
-        for s in 0..nshards {
-            if states[s].act_len == 0 {
-                continue;
-            }
-            shard_iteration(
-                &mut devs[s],
-                &mut states[s],
-                &part.shards[s].csr,
-                alg,
-                cfg,
-                step,
-                s as u32,
-                &mut metrics,
-                &mut kernel_ns,
-            )
-            .map_err(|e| fail(s, e))?;
-        }
-
-        // 2. Superstep barrier, then collect the improved halo labels.
-        //    Collection is host-observer work over the pre-merge state of
-        //    every shard (BSP: messages reflect the superstep just run).
-        // lint: allow(L-PANIC): devs is non-empty (asserted against part.shards at entry)
-        let barrier = states.iter().map(|st| st.clock).max().expect("non-empty");
-        let mut msgs: Vec<Vec<Vec<(u32, u32)>>> = vec![vec![Vec::new(); nshards]; nshards];
-        for s in 0..nshards {
-            let shard = &part.shards[s];
-            if shard.halo.is_empty() {
-                continue;
-            }
-            let own = shard.own_len() as usize;
-            let labels_now = devs[s]
-                .mem
-                .host_read(states[s].res.labels, 0, shard.local_n() as u64)
-                .to_vec();
-            for (h, &gv) in shard.halo.iter().enumerate() {
-                let cur = labels_now[own + h];
-                if improves(alg, cur, states[s].last_sent[h]) {
-                    states[s].last_sent[h] = cur;
-                    msgs[s][part.owner(gv) as usize].push((gv, cur));
-                }
-            }
-        }
-
-        // 3. Charge each sender→owner batch to the pair's peer link.
-        let mark = fabric.log().len();
-        let mut ready = vec![barrier; nshards];
-        let mut step_msgs = 0u32;
-        let mut step_bytes = 0u64;
-        for s in 0..nshards {
-            for o in 0..nshards {
-                if msgs[s][o].is_empty() {
-                    continue;
-                }
-                let bytes = msgs[s][o].len() as u64 * MSG_BYTES;
-                let (_, end) = fabric.transfer(s as u32, o as u32, bytes, barrier);
-                ready[o] = ready[o].max(end);
-                // lint: allow(L-CAST-TRUNC): one message per halo slot, bounded by the u32 vertex space
-                step_msgs += msgs[s][o].len() as u32;
-                step_bytes += bytes;
-            }
-        }
-        exchanged_bytes += step_bytes;
-        mirror_peer_spans(devs, fabric, mark);
-        for (st, r) in states.iter_mut().zip(&ready) {
-            st.clock = *r;
-        }
-
-        // 4. Merge at the owners in (sender device id, vertex id) order and
-        //    append newly improved owned vertices to the owner's frontier.
-        for o in 0..nshards {
-            if (0..nshards).all(|s| msgs[s][o].is_empty()) {
-                continue;
-            }
-            let shard = &part.shards[o];
-            let mut labels_host = devs[o]
-                .mem
-                .host_read(states[o].res.labels, 0, shard.local_n() as u64)
-                .to_vec();
-            let mut improved: Vec<u32> = Vec::new();
-            for sender in msgs.iter() {
-                for &(gv, label) in &sender[o] {
-                    let local = (gv - shard.lo) as usize;
-                    if improves(alg, label, labels_host[local]) {
-                        labels_host[local] = label;
-                        improved.push(local as u32);
-                    }
-                }
-            }
-            if improved.is_empty() {
-                continue;
-            }
-            devs[o]
-                .mem
-                .host_write(states[o].res.labels, 0, &labels_host);
-            improved.sort_unstable();
-            improved.dedup();
-            let mut items = devs[o]
-                .mem
-                .host_read(states[o].queues.0.items, 0, states[o].act_len as u64)
-                .to_vec();
-            let mut queued = vec![false; shard.local_n() as usize];
-            for &v in &items {
-                queued[v as usize] = true;
-            }
-            let before = items.len();
-            items.extend(improved.iter().copied().filter(|&v| !queued[v as usize]));
-            if items.len() > before {
-                // Rebuild like the engine's resume path: host-seeded items
-                // plus one charged 4-byte count update.
-                states[o].queues.0.host_seed(&mut devs[o], &items);
-                states[o].clock = devs[o].mem.copy_h2d(
-                    states[o].queues.0.count,
-                    0,
-                    // lint: allow(L-CAST-TRUNC): merged frontier items are vertices in the u32 vertex space
-                    &[items.len() as u32],
-                    states[o].clock,
-                );
-                // lint: allow(L-CAST-TRUNC): merged frontier items are vertices in the u32 vertex space
-                states[o].act_len = items.len() as u32;
-            }
-        }
-
-        // lint: allow(L-PANIC): devs is non-empty (asserted against part.shards at entry)
-        let end_ns = states.iter().map(|st| st.clock).max().expect("non-empty");
-        per_superstep.push(SuperstepStats {
-            superstep: step,
-            active: active_entering,
-            messages: step_msgs,
-            exchanged_bytes: step_bytes,
-            start_ns,
-            end_ns,
-        });
-
-        // 5. Global checkpoint at the superstep boundary (post-merge state).
-        if states.iter().any(|st| st.act_len > 0) {
-            let digest = ckpt.graph_digest;
-            if let Some(sink) = ckpt.sink.as_deref_mut() {
-                if sink.policy.due(step) {
-                    let ck = take_checkpoint(devs, part, states, source, step, digest)?;
-                    sink.store(ck);
-                }
-            }
-        }
-    }
-
-    // --- owned labels back to the host --------------------------------------
-    let mut owned = Vec::with_capacity(nshards);
-    for (s, shard) in part.shards.iter().enumerate() {
-        let own = shard.own_len() as u64;
-        let st = &mut states[s];
-        st.clock = devs[s].mem.copy_d2h(st.res.labels, own, st.clock);
-        if let Some(f) = devs[s].take_fault() {
-            return Err(fail(s, f.into()));
-        }
-        owned.push(devs[s].mem.host_read(st.res.labels, 0, own).to_vec());
-    }
-    let labels = part.merge_owned(&owned);
-    let total_ns = states.iter().map(|st| st.clock).max().unwrap_or(0);
+    let cfg = group_config(cfg);
+    let views: Vec<ShardView<'_>> = part.shards.iter().map(ShardView::of).collect();
+    let prepare =
+        |dev: &mut Device, shard: &ShardSpec| engine::prepare(dev, &shard.csr, &cfg, false);
+    let (resources, ready) = per_member(devs, part, prepare)?;
+    let prog = Traversal::new(alg, source, &cfg, &views, &resources);
+    let result = drive(&mut Group::new(devs, ready, &cfg), Some(fabric), prog, ckpt);
+    // Resources go back on the fault path too: the serving layer reuses
+    // group members after a fault elsewhere in the group.
+    devs.iter_mut()
+        .zip(resources)
+        .for_each(|(dev, res)| res.release(dev));
+    let (run, (labels, _)) = result?;
     Ok(ShardedRunResult {
         algorithm: alg,
         labels,
-        supersteps: step - start_step,
-        kernel_ns,
-        total_ns,
-        exchanged_bytes,
-        metrics,
-        per_superstep,
+        supersteps: run.steps - run.resumed,
+        kernel_ns: run.kernel_ns,
+        total_ns: run.end_ns,
+        exchanged_bytes: run.exchanged_bytes,
+        metrics: run.metrics,
+        per_superstep: run.per_superstep,
     })
 }
-
-/// One engine iteration on one shard: reset, UDC cut, traversal over the
-/// full and tail queues, frontier swap, count readback. Identical charging
-/// to the single-device loop.
-#[allow(clippy::too_many_arguments)]
-fn shard_iteration(
-    dev: &mut Device,
-    st: &mut ShardState,
-    shard_csr: &Csr,
-    alg: Algorithm,
-    cfg: &EtaConfig,
-    step: u32,
-    shard: u32,
-    metrics: &mut KernelMetrics,
-    kernel_ns: &mut u64,
-) -> Result<(), QueryError> {
-    let tpb = cfg.threads_per_block;
-    // Adaptive policy tick at the superstep boundary, per shard (each shard
-    // device runs its own policy over its own partition's regions),
-    // announcing this superstep's local frontier edge volume so a dense
-    // wave escalates the shard's regions to streaming before it breaks.
-    if cfg.transfer == TransferMode::Adaptive {
-        let frontier = dev.mem.host_read(st.queues.0.items, 0, st.act_len as u64);
-        let out_edges: u64 = frontier
-            .iter()
-            .map(|&v| {
-                (shard_csr.row_offsets[v as usize + 1] - shard_csr.row_offsets[v as usize]) as u64
-            })
-            .sum();
-        dev.mem.adaptive_tick(st.clock, out_edges * 4);
-    }
-    let start_ns = st.clock;
-    let (act, next) = (st.queues.0, st.queues.1);
-    let mut now = next.reset(dev, st.clock);
-    now = st.res.full.reset(dev, now);
-    now = st.res.partial.reset(dev, now);
-
-    let a2v = ActToVirtKernel::new(
-        &act,
-        st.act_len,
-        st.res.dg.row_offsets,
-        &st.res.full,
-        &st.res.partial,
-        cfg.k,
-    );
-    let r = dev.launch(&a2v, LaunchConfig::for_items(st.act_len, tpb), now);
-    now = r.end_ns.max(r.metrics.data_ready_ns);
-    metrics.merge(&r.metrics);
-    *kernel_ns += r.metrics.time_ns;
-    if let Some(f) = dev.take_fault() {
-        return Err(f.into());
-    }
-
-    let (nf, t) = st.res.full.read_count(dev, now);
-    now = t;
-    let (np, t) = st.res.partial.read_count(dev, now);
-    now = t;
-    for (queue, len) in [(st.res.full, nf), (st.res.partial, np)] {
-        if len == 0 {
-            continue;
-        }
-        let kern = TraversalKernel {
-            alg,
-            smp: cfg.smp,
-            k: cfg.k,
-            queue,
-            len,
-            col_idx: st.res.dg.col_idx,
-            weights: if alg.needs_weights() {
-                st.res.dg.weights
-            } else {
-                None
-            },
-            labels: st.res.labels,
-            tags: st.res.tags,
-            next,
-            iter: step,
-            threads_per_block: tpb,
-        };
-        let r = dev.launch(&kern, LaunchConfig::for_items(len, tpb), now);
-        now = r.end_ns.max(r.metrics.data_ready_ns);
-        metrics.merge(&r.metrics);
-        *kernel_ns += r.metrics.time_ns;
-        if let Some(f) = dev.take_fault() {
-            return Err(f.into());
-        }
-    }
-
-    if dev.mem.prof.is_enabled() {
-        dev.mem.prof.record(
-            Track::Iteration,
-            alg.name(),
-            start_ns,
-            now,
-            vec![
-                ("iteration", step.into()),
-                ("shard", shard.into()),
-                ("active", st.act_len.into()),
-                ("shadow_full", nf.into()),
-                ("shadow_partial", np.into()),
-            ],
-        );
-    }
-
-    st.queues = (st.queues.1, st.queues.0);
-    let (len, t) = st.queues.0.read_count(dev, now);
-    st.act_len = len;
-    st.clock = t;
-    Ok(())
-}
-
-/// Mirrors peer-fabric transfers recorded since `mark` into the sending
-/// device's profiler on [`Track::Peer`].
-fn mirror_peer_spans(devs: &mut [Device], fabric: &PeerFabric, mark: usize) {
-    for t in fabric.log_since(mark) {
-        let dev = &mut devs[t.from as usize];
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Peer,
-                "halo_exchange",
-                t.start,
-                t.end,
-                vec![
-                    ("from", t.from.into()),
-                    ("to", t.to.into()),
-                    ("bytes", t.bytes.into()),
-                ],
-            );
-        }
-    }
-}
-
-/// Snapshots the whole group into one global checkpoint: charged d2h copies
-/// of each shard's owned labels, tags and frontier, merged over the global
-/// vertex space. Halo frontier entries are dropped — their deliveries were
-/// merged into the owners before this runs, so the owned entries are the
-/// complete active set.
-fn take_checkpoint(
-    devs: &mut [Device],
-    part: &GraphPartition,
-    states: &mut [ShardState],
-    source: u32,
-    step: u32,
-    graph_digest: u64,
-) -> Result<Checkpoint, ShardedError> {
-    let mut owned_labels = Vec::with_capacity(states.len());
-    let mut owned_tags = Vec::with_capacity(states.len());
-    let mut frontier = Vec::new();
-    for (s, shard) in part.shards.iter().enumerate() {
-        let own = shard.own_len() as u64;
-        let st = &mut states[s];
-        let dev = &mut devs[s];
-        let ck_start = st.clock;
-        let mut t = dev.mem.copy_d2h(st.res.labels, own, st.clock);
-        t = dev.mem.copy_d2h(st.res.tags, own, t);
-        t = dev.mem.copy_d2h(st.queues.0.items, st.act_len as u64, t);
-        if let Some(f) = dev.take_fault() {
-            return Err(fail(s, f.into()));
-        }
-        owned_labels.push(dev.mem.host_read(st.res.labels, 0, own).to_vec());
-        owned_tags.push(dev.mem.host_read(st.res.tags, 0, own).to_vec());
-        frontier.extend(
-            dev.mem
-                .host_read(st.queues.0.items, 0, st.act_len as u64)
-                .iter()
-                .filter(|&&l| l < shard.own_len())
-                .map(|&l| shard.lo + l),
-        );
-        if dev.mem.prof.is_enabled() {
-            dev.mem.prof.record(
-                Track::Ckpt,
-                "checkpoint",
-                ck_start,
-                t,
-                vec![("iteration", step.into()), ("shard", (s as u32).into())],
-            );
-        }
-        st.clock = t;
-    }
-    Ok(Checkpoint {
-        graph_digest,
-        n: part.n,
-        iteration: step,
-        taken_at_ns: states.iter().map(|st| st.clock).max().unwrap_or(0),
-        state: CkptState::SingleSource {
-            source,
-            labels: part.merge_owned(&owned_labels),
-            tags: part.merge_owned(&owned_tags),
-            frontier,
-        },
-    })
-}
-
-// ---------------------------------------------------------------------------
-// PageRank
-// ---------------------------------------------------------------------------
 
 /// Outcome of a sharded PageRank run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardedPageRankResult {
     pub ranks: Vec<f32>,
     pub iterations: u32,
@@ -737,59 +199,10 @@ pub struct ShardedPageRankResult {
     pub per_superstep: Vec<SuperstepStats>,
 }
 
-/// Per-destination replay entries: for global vertex `v`, every in-edge's
-/// `(warp, step, lane, src)` under the single-device scatter schedule.
-type Inedges = Vec<Vec<(u32, u32, u32, u32)>>;
-
-/// The single-device scatter applies `next[dst] += contrib[src]` in a total
-/// order fixed by the simulator: blocks and warps run serially in index
-/// order, and within a warp's unrolled edge loop lanes apply in lane order
-/// at each step `j`. For the shadow at global queue slot `g` that is the
-/// key `(g/32, j, g%32)`. Because the static-UDC queue is sorted by vertex
-/// id and halo rows cut zero shadows, each shard's local queue is a
-/// contiguous slice of the global one — so every message can carry its
-/// global key, and the owner can re-apply all of them (local and remote) in
-/// the exact global order.
-fn build_replay(csr: &Csr, k: u32) -> Inedges {
-    let n = csr.n();
-    let mut inedges: Inedges = vec![Vec::new(); n];
-    let mut g = 0u32;
-    for u in 0..n as u32 {
-        let (start, end) = (
-            csr.row_offsets[u as usize] as usize,
-            csr.row_offsets[u as usize + 1] as usize,
-        );
-        let deg = (end - start) as u32;
-        let parts = deg.div_ceil(k);
-        for p in 0..parts {
-            let s = start + (p * k) as usize;
-            let e = (s + k as usize).min(end);
-            for (j, &dst) in csr.col_idx[s..e].iter().enumerate() {
-                inedges[dst as usize].push((g / 32, j as u32, g % 32, u));
-            }
-            g += 1;
-        }
-    }
-    for list in &mut inedges {
-        list.sort_unstable_by_key(|&(w, j, l, _)| (w, j, l));
-    }
-    inedges
-}
-
 /// Runs PageRank across the device group with **bit-identical** ranks to
-/// the single-device [`crate::pagerank::run`].
-///
-/// Each shard launches the same static-UDC / contrib / scatter / apply
-/// kernels on its local slice for timing and metrics; the scatter's
-/// float accumulations, however, are order-sensitive, so each owner's
-/// `next_ranks` are recomputed by replaying every contribution message in
-/// the single-device global order (see `build_replay`) and written back
-/// before the apply kernel — the modeled equivalent of shipping
-/// `(dst, contrib)` pairs over the fabric and merging them in a canonical
-/// order. Cross-shard contributions are charged to the peer links every
-/// iteration (PageRank is all-active: every cross edge sends each round);
-/// the dangling-mass base term is folded host-side in ascending global
-/// vertex order, exactly as the single-device path does.
+/// the single-device [`crate::pagerank::run`]: the same program, with every
+/// cross-shard contribution charged to the peer links each iteration
+/// (PageRank is all-active: every cross edge sends each round).
 pub fn run_sharded_pagerank(
     devs: &mut [Device],
     fabric: &mut PeerFabric,
@@ -797,303 +210,28 @@ pub fn run_sharded_pagerank(
     csr: &Csr,
     cfg: &PageRankConfig,
 ) -> Result<ShardedPageRankResult, ShardedError> {
-    assert_eq!(devs.len(), part.shards.len(), "one device per shard");
     assert_eq!(part.n as usize, csr.n(), "partition must match the graph");
-    let n = part.n;
-    if n == 0 {
-        return Ok(ShardedPageRankResult {
-            ranks: Vec::new(),
-            iterations: 0,
-            kernel_ns: 0,
-            total_ns: 0,
-            exchanged_bytes: 0,
-            metrics: KernelMetrics::default(),
-            per_superstep: Vec::new(),
-        });
+    if part.n == 0 {
+        return Ok(ShardedPageRankResult::default());
     }
-    let nshards = devs.len();
-    let k = cfg.eta.k;
-    let tpb = cfg.eta.threads_per_block;
-    let inedges = build_replay(csr, k);
-
-    // Cross-shard contribution counts are static: every owned edge whose
-    // destination lives elsewhere ships one message per iteration.
-    let mut cross = vec![vec![0u64; nshards]; nshards];
-    for (s, shard) in part.shards.iter().enumerate() {
-        for v in shard.lo..shard.hi {
-            for &dst in csr.neighbors(v) {
-                let o = part.owner(dst) as usize;
-                if o != s {
-                    cross[s][o] += 1;
-                }
-            }
-        }
-    }
-
-    struct PrShard {
-        dg: DeviceGraph,
-        ranks: eta_mem::system::DSlice,
-        next_ranks: eta_mem::system::DSlice,
-        contrib: eta_mem::system::DSlice,
-        queue: VirtualQueue,
-        len: u32,
-        clock: Ns,
-    }
-
-    let mut shards_dev: Vec<PrShard> = Vec::with_capacity(nshards);
-    let mut metrics = KernelMetrics::default();
-    let mut kernel_ns = 0u64;
-    let init_bits = (1.0f32 / n as f32).to_bits();
-    for (s, shard) in part.shards.iter().enumerate() {
-        let dev = &mut devs[s];
-        let local_n = shard.local_n();
-        let setup = (|| -> Result<(PrShard, Ns), eta_mem::system::MemError> {
-            let (dg, now) = DeviceGraph::upload(dev, &shard.csr, cfg.eta.transfer, 0)?;
-            let ranks = dev.mem.alloc_explicit(local_n as u64)?;
-            let next_ranks = dev.mem.alloc_explicit(local_n as u64)?;
-            let contrib = dev.mem.alloc_explicit(local_n as u64)?;
-            let n_shadows = shadow_count_graph(&shard.csr, k) as u32;
-            let queue = VirtualQueue::alloc(dev, n_shadows.max(1))?;
-            Ok((
-                PrShard {
-                    dg,
-                    ranks,
-                    next_ranks,
-                    contrib,
-                    queue,
-                    len: n_shadows,
-                    clock: now,
-                },
-                now,
-            ))
-        })()
-        .map_err(|e| fail(s, e.into()))?;
-        let (mut ps, now) = setup;
-        let mut now = dev
-            .mem
-            .copy_h2d(ps.ranks, 0, &vec![init_bits; local_n as usize], now);
-        now = dev.mem.copy_h2d(
-            ps.next_ranks,
-            0,
-            &vec![0f32.to_bits(); local_n as usize],
-            now,
-        );
-        now = ps.queue.reset(dev, now);
-        ps.dg.prefetch(dev, now);
-        if local_n > 0 {
-            let udc = StaticUdcKernel {
-                n: local_n,
-                row_offsets: ps.dg.row_offsets,
-                out: ps.queue,
-                k,
-            };
-            let r = dev.launch(&udc, LaunchConfig::for_items(local_n, tpb), now);
-            now = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(fail(s, f.into()));
-            }
-            let (len, t) = ps.queue.read_count(dev, now);
-            now = t;
-            debug_assert_eq!(len, ps.len, "queue holds every owned shadow");
-        }
-        ps.clock = now;
-        shards_dev.push(ps);
-    }
-
-    // Host mirror of every vertex's rank bits (identical to the device
-    // values by construction — asserted where they are re-read).
-    let mut rank_bits = vec![init_bits; n as usize];
-    let mut per_superstep = Vec::new();
-    let mut exchanged_bytes = 0u64;
-
-    for it in 0..cfg.iterations {
-        // Adaptive policy tick at the superstep boundary, per shard device.
-        // All-active sweep: each shard announces its full local edge volume,
-        // so shard regions escalate to streaming from the first boundary.
-        // Fire-and-forget: transitions queue on each shard's own link.
-        if cfg.eta.transfer == TransferMode::Adaptive {
-            for (s, ps) in shards_dev.iter().enumerate() {
-                devs[s]
-                    .mem
-                    .adaptive_tick(ps.clock, part.shards[s].local_m() * 4);
-            }
-        }
-        let start_ns = shards_dev.iter().map(|ps| ps.clock).min().unwrap_or(0);
-        // Dangling mass and base term, folded in ascending global vertex
-        // order — the same sequence of f32 adds as the single-device host
-        // fold over its rank snapshot.
-        let dangling: f32 = (0..n as usize)
-            .filter(|&v| csr.degree(v as u32) == 0)
-            .map(|v| f32::from_bits(rank_bits[v]))
-            .sum();
-        let base = (1.0 - cfg.damping) / n as f32 + cfg.damping * dangling / n as f32;
-
-        // Contribution shares, host-mirrored for the replay (bit-equal to
-        // what each shard's contrib kernel computes for its owned rows).
-        let contrib_bits: Vec<u32> = (0..n as usize)
-            .map(|v| {
-                let deg = csr.degree(v as u32);
-                if deg == 0 {
-                    0f32.to_bits()
-                } else {
-                    (f32::from_bits(rank_bits[v]) / deg as f32).to_bits()
-                }
-            })
-            .collect();
-
-        // 1. Contrib + scatter on every shard.
-        for (s, ps) in shards_dev.iter_mut().enumerate() {
-            let local_n = part.shards[s].local_n();
-            if local_n == 0 {
-                continue;
-            }
-            let dev = &mut devs[s];
-            let contrib_k = ContribKernel {
-                n: local_n,
-                row_offsets: ps.dg.row_offsets,
-                ranks: ps.ranks,
-                contrib: ps.contrib,
-            };
-            let r = dev.launch(&contrib_k, LaunchConfig::for_items(local_n, tpb), ps.clock);
-            ps.clock = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(fail(s, f.into()));
-            }
-            if ps.len > 0 {
-                let scatter = ScatterKernel {
-                    smp: cfg.eta.smp,
-                    k,
-                    queue: ps.queue,
-                    len: ps.len,
-                    col_idx: ps.dg.col_idx,
-                    contrib: ps.contrib,
-                    next_ranks: ps.next_ranks,
-                    threads_per_block: tpb,
-                };
-                let r = dev.launch(&scatter, LaunchConfig::for_items(ps.len, tpb), ps.clock);
-                ps.clock = r.end_ns.max(r.metrics.data_ready_ns);
-                metrics.merge(&r.metrics);
-                kernel_ns += r.metrics.time_ns;
-                if let Some(f) = dev.take_fault() {
-                    return Err(fail(s, f.into()));
-                }
-            }
-        }
-
-        // 2. Barrier + charge the cross-shard contribution batches.
-        let barrier = shards_dev.iter().map(|ps| ps.clock).max().unwrap_or(0);
-        let mark = fabric.log().len();
-        let mut ready = vec![barrier; nshards];
-        let mut step_msgs = 0u32;
-        let mut step_bytes = 0u64;
-        for (s, row) in cross.iter().enumerate() {
-            for (o, &count) in row.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let bytes = count * MSG_BYTES;
-                let (_, end) = fabric.transfer(s as u32, o as u32, bytes, barrier);
-                ready[o] = ready[o].max(end);
-                step_msgs += count as u32;
-                step_bytes += bytes;
-            }
-        }
-        exchanged_bytes += step_bytes;
-        mirror_peer_spans(devs, fabric, mark);
-
-        // 3. Replay every contribution at its owner in global scatter order
-        //    and write the folded sums over the device partials.
-        for (o, shard) in part.shards.iter().enumerate() {
-            let own = shard.own_len() as usize;
-            if own == 0 {
-                shards_dev[o].clock = ready[o];
-                continue;
-            }
-            let next_bits: Vec<u32> = (shard.lo..shard.hi)
-                .map(|gv| {
-                    let mut acc = 0f32;
-                    for &(_, _, _, u) in &inedges[gv as usize] {
-                        acc += f32::from_bits(contrib_bits[u as usize]);
-                    }
-                    acc.to_bits()
-                })
-                .collect();
-            devs[o]
-                .mem
-                .host_write(shards_dev[o].next_ranks, 0, &next_bits);
-            shards_dev[o].clock = ready[o];
-        }
-
-        // 4. Apply on every shard, then refresh the host rank mirror.
-        for (s, ps) in shards_dev.iter_mut().enumerate() {
-            let shard = &part.shards[s];
-            let local_n = shard.local_n();
-            if local_n == 0 {
-                continue;
-            }
-            let dev = &mut devs[s];
-            let apply = ApplyKernel {
-                n: local_n,
-                ranks: ps.ranks,
-                next_ranks: ps.next_ranks,
-                base,
-                damping: cfg.damping,
-            };
-            let r = dev.launch(&apply, LaunchConfig::for_items(local_n, tpb), ps.clock);
-            ps.clock = r.end_ns.max(r.metrics.data_ready_ns);
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-            if let Some(f) = dev.take_fault() {
-                return Err(fail(s, f.into()));
-            }
-            let own = shard.own_len() as u64;
-            let owned_now = dev.mem.host_read(ps.ranks, 0, own);
-            rank_bits[shard.lo as usize..shard.hi as usize].copy_from_slice(owned_now);
-        }
-
-        let end_ns = shards_dev.iter().map(|ps| ps.clock).max().unwrap_or(0);
-        per_superstep.push(SuperstepStats {
-            superstep: it + 1,
-            active: n,
-            messages: step_msgs,
-            exchanged_bytes: step_bytes,
-            start_ns,
-            end_ns,
-        });
-    }
-
-    // Final readback of the owned ranks, then release everything.
-    let mut total_ns = 0;
-    for (s, ps) in shards_dev.iter_mut().enumerate() {
-        let shard = &part.shards[s];
-        let dev = &mut devs[s];
-        ps.clock = dev.mem.copy_d2h(ps.ranks, shard.own_len() as u64, ps.clock);
-        if let Some(f) = dev.take_fault() {
-            return Err(fail(s, f.into()));
-        }
-        total_ns = total_ns.max(ps.clock);
-    }
-    let ranks: Vec<f32> = rank_bits.iter().map(|&b| f32::from_bits(b)).collect();
-    for (s, ps) in shards_dev.into_iter().enumerate() {
-        let dev = &mut devs[s];
-        ps.dg.release(dev);
-        for sl in [ps.ranks, ps.next_ranks, ps.contrib] {
-            dev.mem.free_explicit(sl);
-        }
-        ps.queue.release(dev);
-    }
+    let views: Vec<ShardView<'_>> = part.shards.iter().map(ShardView::of).collect();
+    let alloc = |dev: &mut Device, shard: &ShardSpec| RankShard::alloc(dev, &shard.csr, &cfg.eta);
+    let (shards, ready) = per_member(devs, part, alloc)?;
+    let prog = Ranking::new(cfg, csr, &views, &shards);
+    let group = &mut Group::new(devs, ready, &cfg.eta);
+    let result = drive(group, Some(fabric), prog, CkptCtl::off());
+    devs.iter_mut()
+        .zip(shards)
+        .for_each(|(dev, rs)| rs.release(dev));
+    let (run, ranks) = result?;
     Ok(ShardedPageRankResult {
         ranks,
         iterations: cfg.iterations,
-        kernel_ns,
-        total_ns,
-        exchanged_bytes,
-        metrics,
-        per_superstep,
+        kernel_ns: run.kernel_ns,
+        total_ns: run.end_ns,
+        exchanged_bytes: run.exchanged_bytes,
+        metrics: run.metrics,
+        per_superstep: run.per_superstep,
     })
 }
 
@@ -1102,6 +240,7 @@ mod tests {
     use super::*;
     use crate::pagerank;
     use eta_graph::generate::{rmat, RmatConfig};
+    use eta_prof::Track;
     use eta_sim::GpuConfig;
 
     fn group(devices: usize) -> Vec<Device> {
@@ -1146,6 +285,8 @@ mod tests {
 
     #[test]
     fn one_device_group_degenerates_to_no_exchange() {
+        // A 1-shard partition and the plain engine are literally the same
+        // loop: same labels, same kernels, same clock.
         let g = test_graph();
         let cfg = EtaConfig::paper();
         let part = GraphPartition::vertex_range(&g, 1);
@@ -1155,6 +296,10 @@ mod tests {
         let mut dev = Device::new(GpuConfig::default_preset());
         let single = engine::run(&mut dev, &g, 0, Algorithm::Bfs, &cfg).unwrap();
         assert_eq!(r.labels, single.labels);
+        assert_eq!(r.kernel_ns, single.kernel_ns);
+        assert_eq!(r.total_ns, single.total_ns);
+        assert_eq!(format!("{:?}", r.metrics), format!("{:?}", single.metrics));
+        assert_eq!(r.supersteps, single.iterations);
         assert_eq!(r.exchanged_bytes, 0);
         assert!(r.per_superstep.iter().all(|s| s.messages == 0));
     }

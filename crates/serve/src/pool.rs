@@ -207,8 +207,8 @@ impl DeviceWorker {
         rg.pins = rg.pins.saturating_sub(1);
     }
 
-    /// Runs one batch against the resident graph `name`, starting at
-    /// `start` on this device's clock.
+    /// [`Self::run_batch_ckpt`] for callers that never checkpoint: a
+    /// disabled sink, no resume.
     pub fn run_batch(
         &mut self,
         name: &str,
@@ -216,8 +216,7 @@ impl DeviceWorker {
         cfg: &EtaConfig,
         start: Ns,
     ) -> Result<MultiBfsResult, QueryError> {
-        let rg = self.resident.get(name).expect("graph must be resident");
-        multi_bfs::run_on(&mut self.dev, &rg.dg, &rg.multi, sources, cfg, start)
+        self.run_batch_ckpt(name, sources, cfg, start, &mut CkptSink::default(), None)
     }
 
     /// Content digest of the resident graph `name` (`None` when not
@@ -227,10 +226,11 @@ impl DeviceWorker {
         self.resident.get(name).map(|rg| rg.digest)
     }
 
-    /// Runs one batch with checkpointing: snapshots land in `sink` at the
-    /// sink's configured interval, and `resume` (when given) restarts the
-    /// batch from a prior snapshot instead of iteration 0. With a disabled
-    /// sink and no resume this is byte-identical to [`Self::run_batch`].
+    /// Runs one batch against the resident graph `name`, starting at
+    /// `start` on this device's clock. Snapshots land in `sink` at its
+    /// configured interval (a disabled sink is byte-inert), and `resume`
+    /// (when given) restarts the batch from a prior snapshot instead of
+    /// iteration 0.
     pub fn run_batch_ckpt(
         &mut self,
         name: &str,

@@ -621,11 +621,7 @@ impl<'r> Service<'r> {
         worker.pin(&graph);
         let sources: Vec<u32> = batch.iter().map(|q| q.req.source).collect();
         let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let result = if self.cfg.checkpoint_interval == 0 {
-            worker.run_batch(&graph, &sources, cfg, ready)
-        } else {
-            worker.run_batch_ckpt(&graph, &sources, cfg, ready, &mut sink, None)
-        };
+        let result = worker.run_batch_ckpt(&graph, &sources, cfg, ready, &mut sink, None);
         worker.unpin(&graph);
         st.checkpoints += sink.taken;
         let result = match result {

@@ -184,3 +184,32 @@ fn seeded_faults_are_survived_detected_and_reported() {
         serde_json::to_string(&again).unwrap()
     );
 }
+
+/// `pagerank::run` used to launch without ever polling the fault watchdog:
+/// under this plan it returned `Ok` with an ECC double-bit error left
+/// pending on the device for its next user. Every launch now goes through
+/// the driver's one polling site, so the fault surfaces as a typed error —
+/// and either way nothing stays pending.
+#[test]
+fn pagerank_surfaces_device_faults_instead_of_swallowing_them() {
+    use etagraph::pagerank::{self, PageRankConfig};
+    let g = rmat(&RmatConfig::paper(10, 8_000, 3));
+    let cfg = PageRankConfig::default();
+    let run = |plan: Option<FaultPlan>| {
+        let mut dev = Device::new(GpuConfig::default_preset());
+        if let Some(plan) = &plan {
+            dev.install_faults(plan, 0);
+        }
+        let r = pagerank::run(&mut dev, &g, &cfg);
+        assert!(dev.take_fault().is_none(), "no fault may be left pending");
+        r.map(|r| r.ranks.iter().map(|x| x.to_bits()).collect::<Vec<u32>>())
+    };
+    let faulted = run(Some(FaultPlan::seeded(5, 1, 1_000_000)));
+    assert!(
+        matches!(faulted, Err(etagraph::QueryError::DeviceFault(_))),
+        "got {faulted:?}"
+    );
+    let clean = run(None).expect("no plan, no fault");
+    let inert = run(Some(FaultPlan::default())).expect("the empty plan is inert");
+    assert_eq!(clean, inert, "bit-identical ranks under the empty plan");
+}

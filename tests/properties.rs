@@ -212,9 +212,8 @@ proptest! {
     fn adaptive_runs_are_deterministic((g, src) in arb_weighted_with_source()) {
         let run = || {
             let mut dev = eta_sim::Device::new(GpuConfig::default_preset());
-            let r = EtaGraph::new(&g, EtaConfig::adaptive())
-                .run_on(&mut dev, Algorithm::Sssp, src)
-                .unwrap();
+            let cfg = EtaConfig::adaptive();
+            let r = etagraph::engine::run(&mut dev, &g, src, Algorithm::Sssp, &cfg).unwrap();
             (r.labels, r.total_ns, dev.mem.adaptive_totals())
         };
         prop_assert_eq!(run(), run());
@@ -226,9 +225,8 @@ proptest! {
     #[test]
     fn zero_copy_acquires_no_residency((g, src) in arb_weighted_with_source()) {
         let mut dev = eta_sim::Device::new(GpuConfig::default_preset());
-        let r = EtaGraph::new(&g, EtaConfig::zero_copy())
-            .run_on(&mut dev, Algorithm::Sssp, src)
-            .unwrap();
+        let cfg = EtaConfig::zero_copy();
+        let r = etagraph::engine::run(&mut dev, &g, src, Algorithm::Sssp, &cfg).unwrap();
         prop_assert_eq!(dev.mem.um.resident_bytes(), 0, "zero-copy must not migrate pages");
         if g.degree(src) > 0 {
             prop_assert!(dev.mem.zero_copy_bytes > 0, "graph reads must cross the link");
@@ -383,6 +381,88 @@ proptest! {
             prop_assert_eq!(bits(&resumed.ranks), bits(&clean.ranks));
             prop_assert_eq!(resumed.iterations, clean.iterations);
         }
+    }
+}
+
+/// Checkpoint control is inert until a snapshot is due: with a sink
+/// attached whose policy never fires, every program — label traversal,
+/// PageRank, batched BFS — under every transfer mode matches its plain entry
+/// point in simulated time, kernel counters and answer bits. (The plain and
+/// checkpointed PageRank loops once disagreed on the adaptive policy tick;
+/// this graph is the smallest R-MAT where that tick moves the clock.)
+#[test]
+fn a_sink_that_is_never_due_changes_nothing() {
+    use eta_ckpt::{CkptCtl, CkptSink};
+    use eta_graph::generate::{rmat, RmatConfig};
+    use eta_sim::Device;
+    use etagraph::{engine, multi_bfs, pagerank, session::Session};
+
+    let g = rmat(&RmatConfig::paper(11, 30_000, 3));
+    let (digest, gpu, sources) = (g.digest(), GpuConfig::default_preset(), [0u32, 7, 99]);
+    // (total_ns, kernel_ns, metrics) of the two runs, then their answers.
+    type Clock<'m> = (u64, u64, &'m eta_sim::KernelMetrics);
+    fn same(what: String, plain: Clock<'_>, ckpt: Clock<'_>, answers_agree: bool) {
+        let key =
+            |(total, kernel, m): Clock<'_>| (total, kernel, serde_json::to_string(m).unwrap());
+        assert_eq!(key(plain), key(ckpt), "{what}: clock or counters moved");
+        assert!(answers_agree, "{what}: answer bits moved");
+    }
+    for transfer in [
+        TransferMode::UnifiedPrefetch,
+        TransferMode::Unified,
+        TransferMode::ExplicitCopy,
+        TransferMode::ZeroCopy,
+        TransferMode::Adaptive,
+    ] {
+        let cfg = EtaConfig {
+            transfer,
+            ..EtaConfig::paper()
+        };
+        let mut sink = CkptSink::every(u32::MAX);
+
+        let a = engine::run(&mut Device::new(gpu), &g, 0, Algorithm::Bfs, &cfg).unwrap();
+        let mut dev = Device::new(gpu);
+        let (res, ready) = engine::prepare(&mut dev, &g, &cfg, true).unwrap();
+        let ctl = CkptCtl::with_sink(&mut sink, digest);
+        let b = engine::run_query_ckpt(&mut dev, &res, &g, 0, Algorithm::Bfs, &cfg, 0, ready, ctl)
+            .unwrap();
+        same(
+            format!("bfs under {transfer:?}"),
+            (a.total_ns, a.kernel_ns, &a.metrics),
+            (b.total_ns, b.kernel_ns, &b.metrics),
+            a.labels == b.labels,
+        );
+
+        let pr_cfg = PageRankConfig {
+            iterations: 3,
+            eta: cfg,
+            ..PageRankConfig::default()
+        };
+        let bits = |ranks: &[f32]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        let a = pagerank::run(&mut Device::new(gpu), &g, &pr_cfg).unwrap();
+        let ctl = CkptCtl::with_sink(&mut sink, digest);
+        let b = pagerank::run_ckpt(&mut Device::new(gpu), &g, &pr_cfg, ctl).unwrap();
+        same(
+            format!("pagerank under {transfer:?}"),
+            (a.total_ns, a.kernel_ns, &a.metrics),
+            (b.total_ns, b.kernel_ns, &b.metrics),
+            bits(&a.ranks) == bits(&b.ranks),
+        );
+
+        let mut session = Session::with_gpu(&g, cfg, gpu).unwrap();
+        let a = session.query_batch(&sources).unwrap();
+        let mut dev = Device::new(gpu);
+        let (res, ready) = engine::prepare(&mut dev, &g, &cfg, true).unwrap();
+        let multi = multi_bfs::MultiBfsResources::alloc(&mut dev, &g, &cfg).unwrap();
+        let (dg, ctl) = (res.device_graph(), CkptCtl::with_sink(&mut sink, digest));
+        let b = multi_bfs::run_on_ckpt(&mut dev, dg, &multi, &sources, &cfg, ready, ctl).unwrap();
+        same(
+            format!("multi-bfs under {transfer:?}"),
+            (a.total_ns, a.kernel_ns, &a.metrics),
+            (b.total_ns, b.kernel_ns, &b.metrics),
+            a.levels == b.levels,
+        );
+        assert_eq!(sink.taken, 0, "the policy never fired");
     }
 }
 
