@@ -24,7 +24,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --all-targets --release"
 cargo build --workspace --all-targets --release
 
-echo "==> cargo test --workspace --release -q"
+echo "==> cargo test --workspace --release -q (includes eta-serve's one-"
+echo "    emitting-site-per-event source scan and the exactly-once saturation"
+echo "    grid over both placements)"
 cargo test --workspace --release -q
 
 echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
@@ -109,18 +111,6 @@ cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
 cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
     --devices 2 --host-threads 4 --json >"$PROFILE_OUT/hp.serve.4.json"
 cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.4.json"
-
-echo "==> bench_sim smoke run (host-time trajectory, temp file)"
-cargo run --release -p eta-bench --bin bench_sim -- --label ci-smoke \
-    --threads 4 --out "$PROFILE_OUT/BENCH_sim.json" >/dev/null 2>&1
-grep -q '"bench": "sim"' "$PROFILE_OUT/BENCH_sim.json"
-grep -q '"sim_cycles_per_host_sec"' "$PROFILE_OUT/BENCH_sim.json"
-
-echo "==> bench_serve smoke run (serving-layer trajectory, temp file)"
-cargo run --release -p eta-bench --bin bench_serve -- --label ci-smoke \
-    --out "$PROFILE_OUT/BENCH_serve.json" >/dev/null 2>&1
-grep -q '"bench": "serve"' "$PROFILE_OUT/BENCH_serve.json"
-grep -q '"goodput_qps"' "$PROFILE_OUT/BENCH_serve.json"
 
 echo "==> sharded-vs-single differential (every program's CLI answer digest"
 echo "    must match across group sizes 1, 2 and 4)"

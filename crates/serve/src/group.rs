@@ -1,46 +1,18 @@
-//! Device-group scheduling: one query, many devices.
-//!
-//! The pool scheduler in [`crate::sched`] places each query on a single
-//! device; graphs larger than one device's memory can only be served by UM
-//! oversubscription. This module serves a query *across* a device group
-//! with [`etagraph::sharded`]: the graph is partitioned by the registry
-//! ([`crate::registry::GraphRegistry::partition`]), admission sizes the
-//! largest member's footprint — halo replicas included — and dispatch
-//! acquires and releases whole groups **atomically**: every member is busy
-//! from dispatch to the query's completion (or to the fault that killed
-//! it), so a group can never be half-claimed by two queries.
-//!
-//! Fault recovery reuses the pool ladder, adapted to groups: a
-//! [`etagraph::sharded::ShardedError`] names the faulting member, which is
-//! quarantined immediately (a group fault stalls `group_size` devices, so
-//! one strike is enough); the query's newest global snapshot is parked and,
-//! after backoff, resumed on a **regrouped** set drawn from the remaining
-//! healthy members — the group-shape-agnostic checkpoint is what makes the
-//! regroup legal. A query that exhausts its retries is answered by the CPU
-//! reference, `degraded: true`, exactly like the pool path. Nothing is
-//! ever lost.
-//!
-//! Fault windows are evaluated on each launch's device clock (members get a
-//! fresh simulated device per acquisition, since partitioned residency is
-//! per-query): a window at `[0, end)` re-arms on every launch, so permanent
-//! faults stay permanent and recovery must come from regrouping, not from
-//! waiting out the window on the same member.
+//! Device-group serving — one query across `group_size` devices — as names
+//! only: [`GroupConfig`] maps field for field onto the one scheduler
+//! ([`crate::sched`]) with the group placement, FIFO order, batch width 1
+//! and first-strike quarantine (a group fault stalls `group_size` devices,
+//! so one strike is enough). DESIGN.md's "Scheduler" chapter covers the
+//! placement; `benchmark/` pins these two names.
 
-use crate::qos::{QosConfig, QosState};
+use crate::placement::Placement;
+use crate::qos::QosConfig;
 use crate::registry::GraphRegistry;
-use crate::report::{
-    BatchRecord, DeviceStats, FaultEvent, GroupStats, QuarantineRecord, RequestRecord, ServeReport,
-};
-use crate::request::{RejectReason, Rejection, Request};
-use eta_ckpt::{digest_words, Checkpoint, CkptCtl, CkptSink, CkptStore};
+use crate::sched::{Policy, ServeConfig, Service};
 use eta_fault::FaultPlan;
-use eta_graph::reference;
-use eta_mem::{Ns, PeerFabric};
-use eta_prof::{Profile, Profiler, Track};
-use eta_sim::{Device, GpuConfig};
-use etagraph::sharded::{run_sharded_ckpt, ShardedRunResult};
-use etagraph::{Algorithm, EtaConfig, QueryError};
-use std::collections::BTreeMap;
+use eta_mem::Ns;
+use eta_sim::GpuConfig;
+use etagraph::EtaConfig;
 
 /// Shape of a group-serving service.
 #[derive(Debug, Clone)]
@@ -60,15 +32,12 @@ pub struct GroupConfig {
     pub max_retries: u32,
     /// First retry delay; doubles per retry.
     pub backoff_base_ns: Ns,
-    /// How long a faulted member sits out of dispatch. Group faults
-    /// quarantine on the first strike.
+    /// How long a faulted member sits out of dispatch.
     pub quarantine_ns: Ns,
     /// Snapshot interval in supersteps (0 = checkpointing off; a faulted
     /// query then retries from scratch on the regrouped set).
     pub checkpoint_interval: u32,
-    /// Overload control. Only the retry budget applies to group serving
-    /// (regroup-resume retries draw from the same budget as pool
-    /// retries); the default disables it and is byte-inert.
+    /// Overload control; the default disables it and is byte-inert.
     pub qos: QosConfig,
 }
 
@@ -90,640 +59,43 @@ impl Default for GroupConfig {
     }
 }
 
-/// One pool member: scheduler-visible clock state plus the device of its
-/// most recent launch (kept for post-run metric and profile inspection).
-pub struct GroupMember {
-    pub id: usize,
-    pub dev: Device,
-    pub free_at: Ns,
-    pub busy_ns: Ns,
-    pub quarantined_until: Ns,
-    pub faults: u32,
-    /// Sharded queries this member served to completion.
-    pub queries: u32,
-}
+/// Constructor namespace for a [`Service`] on the group placement.
+pub struct GroupService;
 
-/// A queued group query plus its ladder state.
-struct GroupQueued {
-    req: Request,
-    retries: u32,
-    not_before: Ns,
-    /// Parked snapshot to resume from, if the last attempt checkpointed.
-    ckpt_key: Option<u64>,
-    /// Members of the attempt that parked the snapshot (detects migration).
-    from_members: Vec<usize>,
-}
-
-/// Per-composition accumulation for [`GroupStats`].
-#[derive(Default)]
-struct GroupAccum {
-    queries: u32,
-    busy_ns: Ns,
-    exchanged_bytes: u64,
-    supersteps: u64,
-}
-
-struct GroupRunState {
-    queue: Vec<GroupQueued>,
-    store: CkptStore,
-    records: Vec<RequestRecord>,
-    rejections: Vec<Rejection>,
-    batches: Vec<BatchRecord>,
-    fault_events: Vec<FaultEvent>,
-    quarantines: Vec<QuarantineRecord>,
-    groups: BTreeMap<Vec<u32>, GroupAccum>,
-    checkpoints: u32,
-    resumes: u32,
-    migrations: u32,
-    work_saved_iterations: u64,
-    qos: QosState,
-}
-
-/// The group-serving service. BFS-only, like the pool scheduler: the
-/// request vocabulary, CPU fallback, and digest fingerprints are shared
-/// with [`crate::sched::Service`].
-pub struct GroupService<'r> {
-    registry: &'r mut GraphRegistry,
-    cfg: GroupConfig,
-    members: Vec<GroupMember>,
-    prof: Profiler,
-}
-
-impl<'r> GroupService<'r> {
-    /// The registry is taken mutably: partitioned residency is computed
-    /// through its partition cache.
-    pub fn new(registry: &'r mut GraphRegistry, cfg: GroupConfig) -> Self {
-        assert!(cfg.group_size >= 1, "need at least one member per group");
-        assert!(
-            cfg.group_size <= cfg.devices,
-            "group cannot exceed the pool"
-        );
-        let members = (0..cfg.devices)
-            .map(|id| GroupMember {
-                id,
-                dev: Device::new(cfg.gpu),
-                free_at: 0,
-                busy_ns: 0,
-                quarantined_until: 0,
-                faults: 0,
-                queries: 0,
-            })
-            .collect();
-        let prof = Profiler::new(cfg.gpu.profiling);
-        GroupService {
-            registry,
-            cfg,
-            members,
-            prof,
-        }
-    }
-
-    pub fn members(&self) -> &[GroupMember] {
-        &self.members
-    }
-
-    /// Scheduler events plus each member's most recent launch. Peer-fabric
-    /// spans appear on [`Track::Peer`] in the sending member's process.
-    pub fn profile(&self) -> Profile {
-        let mut p = Profile::new();
-        p.push("scheduler", self.prof.events().to_vec());
-        for m in &self.members {
-            p.push(&format!("device{}", m.id), m.dev.mem.prof.events().to_vec());
-        }
-        p
-    }
-
-    /// Serves `trace` (sorted by arrival) to completion. Deterministic.
-    pub fn run(&mut self, trace: &[Request]) -> ServeReport {
-        debug_assert!(
-            trace.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns),
-            "trace must be sorted by arrival time"
-        );
-        let mut st = GroupRunState {
-            queue: Vec::new(),
-            store: CkptStore::new(),
-            records: Vec::new(),
-            rejections: Vec::new(),
-            batches: Vec::new(),
-            fault_events: Vec::new(),
-            quarantines: Vec::new(),
-            groups: BTreeMap::new(),
-            checkpoints: 0,
-            resumes: 0,
-            migrations: 0,
-            work_saved_iterations: 0,
-            qos: QosState::new(&self.cfg.qos),
+impl GroupService {
+    /// The registry is taken mutably for compatibility only; partitions
+    /// are cached behind `&GraphRegistry`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(registry: &mut GraphRegistry, cfg: GroupConfig) -> Service<'_> {
+        let placement = Placement::Groups {
+            size: cfg.group_size,
         };
-        let mut next = 0usize;
-        let mut now: Ns = 0;
-        loop {
-            while next < trace.len() && trace[next].arrival_ns <= now {
-                self.admit(&trace[next], now, &mut st);
-                next += 1;
-            }
-            if self.dispatchable_index(now, &st).is_some() {
-                self.dispatch(now, &mut st);
-                continue;
-            }
-            let t_arrival = trace.get(next).map(|r| r.arrival_ns);
-            let t_member = if st.queue.is_empty() {
-                None
-            } else {
-                self.members
-                    .iter()
-                    .flat_map(|m| [m.free_at, m.quarantined_until])
-                    .filter(|&t| t > now)
-                    .min()
-            };
-            let t_backoff = st
-                .queue
-                .iter()
-                .map(|q| q.not_before)
-                .filter(|&t| t > now)
-                .min();
-            match [t_arrival, t_member, t_backoff].into_iter().flatten().min() {
-                Some(t) => now = t,
-                None => break,
-            }
-        }
-        debug_assert!(st.queue.is_empty(), "no query may be stranded");
-        self.finish(st)
-    }
-
-    fn healthy_idle(&self, now: Ns) -> Vec<usize> {
-        self.members
-            .iter()
-            .filter(|m| m.free_at <= now && m.quarantined_until <= now)
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Earliest-arrival queued entry that can run right now: a fresh query
-    /// needs a full group, a parked one regroups on whatever healthy
-    /// members exist (at least one).
-    fn dispatchable_index(&self, now: Ns, st: &GroupRunState) -> Option<usize> {
-        let idle = self.healthy_idle(now).len();
-        st.queue
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| {
-                let need = if q.ckpt_key.is_some() {
-                    1
-                } else {
-                    self.cfg.group_size
-                };
-                q.not_before <= now && idle >= need
-            })
-            .min_by_key(|(_, q)| (q.req.arrival_ns, q.req.id))
-            .map(|(i, _)| i)
-    }
-
-    fn admit(&mut self, req: &Request, now: Ns, st: &mut GroupRunState) {
-        let prof = &mut self.prof;
-        let rejections = &mut st.rejections;
-        let mut reject = |reason: RejectReason| {
-            if prof.is_enabled() {
-                prof.instant(
-                    Track::Sched,
-                    "reject",
-                    now,
-                    vec![("id", req.id.into()), ("reason", reason.name().into())],
-                );
-            }
-            rejections.push(Rejection {
-                id: req.id,
-                reason,
-                at_ns: now,
-            })
+        let cfg = ServeConfig {
+            devices: cfg.devices,
+            gpu: cfg.gpu,
+            eta: cfg.eta,
+            queue_capacity: cfg.queue_capacity,
+            max_batch: 1,
+            policy: Policy::Fifo,
+            faults: cfg.faults,
+            max_retries: cfg.max_retries,
+            backoff_base_ns: cfg.backoff_base_ns,
+            quarantine_after: 1,
+            quarantine_ns: cfg.quarantine_ns,
+            checkpoint_interval: cfg.checkpoint_interval,
+            qos: cfg.qos,
         };
-        let Some(csr) = self.registry.get(&req.graph) else {
-            return reject(RejectReason::UnknownGraph);
-        };
-        if req.source as usize >= csr.n() {
-            return reject(RejectReason::SourceOutOfRange);
-        }
-        // Partitioned admission: the largest member's footprint — halo
-        // replicas included — must fit a device. A query a full group
-        // cannot host can never be served; refuse it upfront.
-        let capacity = self.members[0].dev.mem.capacity_bytes();
-        let fp = self
-            .registry
-            .group_footprint_bytes(&req.graph, self.cfg.group_size as u32, &self.cfg.eta)
-            // lint: allow(L-PANIC): admit() only runs after the UnknownGraph check on the same name
-            .expect("graph presence checked above");
-        if fp > capacity {
-            return reject(RejectReason::AdmissionDenied);
-        }
-        if st.queue.len() >= self.cfg.queue_capacity {
-            return reject(RejectReason::QueueFull);
-        }
-        st.queue.push(GroupQueued {
-            req: req.clone(),
-            retries: 0,
-            not_before: now,
-            ckpt_key: None,
-            from_members: Vec::new(),
-        });
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Sched,
-                "enqueue",
-                now,
-                vec![
-                    ("id", req.id.into()),
-                    ("graph", req.graph.as_str().into()),
-                    ("depth", st.queue.len().into()),
-                ],
-            );
-        }
-    }
-
-    /// One group dispatch: acquire members, run the sharded query, settle
-    /// the outcome. Acquisition is atomic — every chosen member's clock is
-    /// advanced to the same completion (or fault) time before the next
-    /// scheduling decision happens.
-    fn dispatch(&mut self, now: Ns, st: &mut GroupRunState) {
-        let idx = self
-            .dispatchable_index(now, st)
-            // lint: allow(L-PANIC): dispatch() is gated on dispatchable_index() returning this entry
-            .expect("caller checked dispatchability");
-        let q = st.queue.remove(idx);
-        let resume_ck = q.ckpt_key.and_then(|k| st.store.take(k));
-        let idle = self.healthy_idle(now);
-        let size = if resume_ck.is_some() {
-            idle.len().min(self.cfg.group_size).max(1)
-        } else {
-            self.cfg.group_size
-        };
-        let ids: Vec<usize> = idle.into_iter().take(size).collect();
-
-        let graph = q.req.graph.clone();
-        let digest = self
-            .registry
-            .get(&graph)
-            // lint: allow(L-PANIC): partition cache was populated for this (name, devices) at admission
-            .expect("validated at admission")
-            .digest();
-        let mut devices: Vec<Device> = ids
-            .iter()
-            .map(|&i| {
-                let mut d = Device::new(self.cfg.gpu);
-                d.install_faults(&self.cfg.faults, i as u32);
-                d
-            })
-            .collect();
-        let mut fabric = PeerFabric::nvlink(size as u32);
-        let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let result = {
-            let part = self
-                .registry
-                .partition(&graph, size as u32)
-                // lint: allow(L-PANIC): partition cache was populated for this (name, devices) at admission
-                .expect("validated at admission");
-            let ctl = match &resume_ck {
-                Some(ck) => CkptCtl::resuming(&mut sink, ck, digest),
-                None => CkptCtl::with_sink(&mut sink, digest),
-            };
-            run_sharded_ckpt(
-                &mut devices,
-                &mut fabric,
-                part,
-                q.req.source,
-                Algorithm::Bfs,
-                &self.cfg.eta,
-                ctl,
-            )
-        };
-        for (d, &i) in devices.into_iter().zip(&ids) {
-            self.members[i].dev = d;
-        }
-        st.checkpoints += sink.taken;
-
-        match result {
-            Ok(r) => self.settle_success(now, &ids, q, r, resume_ck, st),
-            Err(e) => match e.error {
-                QueryError::DeviceFault(fault) => {
-                    let faulted = ids[e.shard as usize];
-                    let fail_at = now + fault.at_ns;
-                    for &i in &ids {
-                        let m = &mut self.members[i];
-                        m.busy_ns += fail_at - now;
-                        m.free_at = fail_at;
-                    }
-                    let m = &mut self.members[faulted];
-                    m.faults += 1;
-                    m.quarantined_until = fail_at + self.cfg.quarantine_ns;
-                    st.fault_events.push(FaultEvent {
-                        device: faulted as u32,
-                        kind: fault.kind.name().to_string(),
-                        at_ns: fail_at,
-                    });
-                    st.quarantines.push(QuarantineRecord {
-                        device: faulted as u32,
-                        from_ns: fail_at,
-                        until_ns: fail_at + self.cfg.quarantine_ns,
-                    });
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Fault,
-                            "group_member_fault",
-                            fail_at,
-                            vec![
-                                ("device", (faulted as u32).into()),
-                                ("kind", fault.kind.name().into()),
-                                // lint: allow(L-CAST-TRUNC): group size is bounded by cfg.devices, far below u32::MAX
-                                ("group", (ids.len() as u32).into()),
-                            ],
-                        );
-                    }
-                    if q.retries >= self.cfg.max_retries {
-                        self.cpu_fallback(&q, now, fail_at, faulted as u32, st);
-                        return;
-                    }
-                    // A regroup-resume is a retry: it draws from the same
-                    // qos budget as the pool ladder, so correlated group
-                    // faults cannot amplify load without bound.
-                    if !st.qos.retry_try_take(&self.cfg.qos, fail_at) {
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Qos,
-                                "retry_denied",
-                                fail_at,
-                                vec![("id", q.req.id.into())],
-                            );
-                        }
-                        self.cpu_fallback(&q, now, fail_at, faulted as u32, st);
-                        return;
-                    }
-                    // Park the newest snapshot: one taken during this
-                    // attempt, else the one this attempt resumed from — the
-                    // iterations it saved are still saved.
-                    let parked = sink.take().or(resume_ck);
-                    let ckpt_key = parked.map(|ck| {
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Ckpt,
-                                "park",
-                                fail_at,
-                                vec![("id", q.req.id.into()), ("iteration", ck.iteration.into())],
-                            );
-                        }
-                        st.store.put(ck)
-                    });
-                    let delay = self.cfg.backoff_base_ns << q.retries;
-                    st.queue.push(GroupQueued {
-                        req: q.req,
-                        retries: q.retries + 1,
-                        not_before: (fail_at + delay).max(now + 1),
-                        ckpt_key,
-                        from_members: ids,
-                    });
-                }
-                // The group could not even allocate its shards (capacity
-                // raced the admission estimate). Typed refusal, like the
-                // pool path.
-                QueryError::Mem(_) => {
-                    st.rejections.push(Rejection {
-                        id: q.req.id,
-                        reason: RejectReason::AdmissionDenied,
-                        at_ns: now,
-                    });
-                }
-                // A stale snapshot demotes the query to a from-scratch
-                // retry; its backoff gate has already passed.
-                QueryError::Checkpoint(_) => {
-                    st.queue.push(GroupQueued {
-                        req: q.req,
-                        retries: q.retries,
-                        not_before: now + 1,
-                        ckpt_key: None,
-                        from_members: Vec::new(),
-                    });
-                }
-                QueryError::SourceOutOfRange { .. } => {
-                    unreachable!("sources validated at admission")
-                }
-            },
-        }
-    }
-
-    fn settle_success(
-        &mut self,
-        now: Ns,
-        ids: &[usize],
-        q: GroupQueued,
-        r: ShardedRunResult,
-        resume_ck: Option<Checkpoint>,
-        st: &mut GroupRunState,
-    ) {
-        let completion = now + r.total_ns;
-        for &i in ids {
-            let m = &mut self.members[i];
-            m.busy_ns += r.total_ns;
-            m.free_at = completion;
-            m.queries += 1;
-        }
-        if resume_ck.is_some() {
-            st.resumes += 1;
-            st.work_saved_iterations += resume_ck.as_ref().map_or(0, |ck| ck.iteration) as u64;
-            if ids != q.from_members {
-                st.migrations += 1;
-            }
-        }
-        let key: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-        let acc = st.groups.entry(key).or_default();
-        acc.queries += 1;
-        acc.busy_ns += r.total_ns;
-        acc.exchanged_bytes += r.exchanged_bytes;
-        acc.supersteps += r.supersteps as u64;
-        let leader = ids[0] as u32;
-        st.batches.push(BatchRecord {
-            device: leader,
-            graph: q.req.graph.clone(),
-            size: 1,
-            dispatched_ns: now,
-            started_ns: now,
-            completed_ns: completion,
-        });
-        let reached = r.labels.iter().filter(|&&l| l != u32::MAX).count() as u32;
-        st.records.push(RequestRecord {
-            id: q.req.id,
-            graph: q.req.graph.clone(),
-            class: q.req.class,
-            source: q.req.source,
-            arrival_ns: q.req.arrival_ns,
-            queue_wait_ns: now - q.req.arrival_ns,
-            transfer_ns: r.total_ns.saturating_sub(r.kernel_ns),
-            compute_ns: r.kernel_ns,
-            latency_ns: completion - q.req.arrival_ns,
-            batch_size: 1,
-            device: leader,
-            reached,
-            levels_digest: digest_words(&[&r.labels]),
-            deadline_met: q.req.deadline_ns.map(|d| completion <= d),
-            degraded: false,
-            retries: q.retries,
-        });
-        if self.prof.is_enabled() {
-            self.prof.record(
-                Track::Sched,
-                "group_query",
-                now,
-                completion,
-                vec![
-                    ("graph", q.req.graph.as_str().into()),
-                    // lint: allow(L-CAST-TRUNC): group size is bounded by cfg.devices, far below u32::MAX
-                    ("group", (ids.len() as u32).into()),
-                    ("exchanged_bytes", r.exchanged_bytes.into()),
-                ],
-            );
-        }
-    }
-
-    /// Last rung: the CPU reference answers a query whose retry budget is
-    /// exhausted — same cost model as the pool scheduler's fallback.
-    fn cpu_fallback(
-        &mut self,
-        q: &GroupQueued,
-        now: Ns,
-        fail_at: Ns,
-        device: u32,
-        st: &mut GroupRunState,
-    ) {
-        // lint: allow(L-PANIC): the queued request passed the UnknownGraph check at admission
-        let csr = self.registry.get(&q.req.graph).expect("validated");
-        let levels = reference::bfs(csr, q.req.source);
-        let reached = levels.iter().filter(|&&l| l != u32::MAX).count() as u32;
-        let cpu_ns = 10_000 + 2 * csr.n() as Ns + 4 * csr.m() as Ns;
-        let completion = fail_at + cpu_ns;
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Fault,
-                "cpu_fallback",
-                fail_at,
-                vec![("id", q.req.id.into()), ("cpu_ns", cpu_ns.into())],
-            );
-        }
-        st.records.push(RequestRecord {
-            id: q.req.id,
-            graph: q.req.graph.clone(),
-            class: q.req.class,
-            source: q.req.source,
-            arrival_ns: q.req.arrival_ns,
-            queue_wait_ns: now - q.req.arrival_ns,
-            transfer_ns: 0,
-            compute_ns: cpu_ns,
-            latency_ns: completion - q.req.arrival_ns,
-            batch_size: 1,
-            device,
-            reached,
-            levels_digest: digest_words(&[&levels]),
-            deadline_met: q.req.deadline_ns.map(|d| completion <= d),
-            degraded: true,
-            retries: q.retries,
-        });
-    }
-
-    fn finish(&self, st: GroupRunState) -> ServeReport {
-        let GroupRunState {
-            mut records,
-            mut rejections,
-            batches,
-            fault_events,
-            quarantines,
-            groups,
-            checkpoints,
-            resumes,
-            migrations,
-            work_saved_iterations,
-            qos,
-            ..
-        } = st;
-        records.sort_by_key(|r| r.id);
-        rejections.sort_by_key(|r| r.id);
-        let makespan_ns = batches
-            .iter()
-            .map(|b| b.completed_ns)
-            .chain(records.iter().map(|r| r.arrival_ns + r.latency_ns))
-            .max()
-            .unwrap_or(0);
-        let throughput_qps = if makespan_ns == 0 {
-            0.0
-        } else {
-            records.len() as f64 / (makespan_ns as f64 / 1e9)
-        };
-        let devices = self
-            .members
-            .iter()
-            .map(|m| DeviceStats {
-                device: m.id as u32,
-                busy_ns: m.busy_ns,
-                utilization: if makespan_ns == 0 {
-                    0.0
-                } else {
-                    m.busy_ns as f64 / makespan_ns as f64
-                },
-                uploads: m.queries,
-                evictions: 0,
-            })
-            .collect();
-        let groups = groups
-            .into_iter()
-            .map(|(devices, a)| GroupStats {
-                devices,
-                queries: a.queries,
-                busy_ns: a.busy_ns,
-                utilization: if makespan_ns == 0 {
-                    0.0
-                } else {
-                    a.busy_ns as f64 / makespan_ns as f64
-                },
-                exchanged_bytes: a.exchanged_bytes,
-                supersteps: a.supersteps,
-                bytes_per_superstep: a.exchanged_bytes.checked_div(a.supersteps).unwrap_or(0),
-            })
-            .collect();
-        let degraded = records.iter().filter(|r| r.degraded).count() as u32;
-        let denom = records.len() + rejections.len();
-        let availability = if denom == 0 {
-            1.0
-        } else {
-            records.len() as f64 / denom as f64
-        };
-        ServeReport {
-            // lint: allow(L-CAST-TRUNC): one record per request; traces are far below u32::MAX
-            completed: records.len() as u32,
-            // lint: allow(L-CAST-TRUNC): one rejection per request; traces are far below u32::MAX
-            rejected: rejections.len() as u32,
-            degraded,
-            availability,
-            makespan_ns,
-            throughput_qps,
-            records,
-            rejections,
-            batches,
-            devices,
-            fault_events,
-            quarantines,
-            checkpoints,
-            resumes,
-            migrations,
-            work_saved_iterations,
-            groups,
-            qos: if self.cfg.qos.any_enabled() {
-                Some(qos.stats)
-            } else {
-                None
-            },
-        }
+        Service::with_placement(registry, cfg, placement)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Priority;
+    use crate::request::{Priority, RejectReason, Request};
+    use eta_ckpt::digest_words;
     use eta_graph::generate::{rmat, RmatConfig};
+    use eta_graph::reference;
 
     fn registry_with(names: &[(&str, u64)]) -> GraphRegistry {
         let mut reg = GraphRegistry::new();

@@ -1,69 +1,30 @@
 //! `eta-serve` — a deterministic, simulated-time traversal query service on
-//! top of the EtaGraph engine.
+//! top of the EtaGraph engine: a *stream* of traversal requests scheduled
+//! onto simulated devices.
 //!
-//! The ROADMAP's north star is a system that serves heavy traffic from many
-//! users; until now a query entered the repository only through one warm
-//! [`etagraph::session::Session`]. This crate adds the missing layer: a
-//! *stream* of traversal requests scheduled onto simulated devices.
-//!
-//! * [`registry`] — named graphs a tenant can query by name.
-//! * [`pool`] — N simulated [`eta_sim::Device`]s, each with its own clock,
-//!   per-graph device residency (topology + batch state), admission by
-//!   allocation footprint, and LRU eviction when a new graph does not fit.
-//! * [`sched`] — a priority + deadline-aware queue with backpressure
-//!   (bounded queue, reject-with-reason), per-request timeouts, and BFS
-//!   *source batching*: up to 32 same-graph requests coalesce into one
-//!   [`etagraph::multi_bfs`] launch, so one topology read serves the batch.
-//! * [`workload`] — an open-loop Poisson arrival generator (seeded SplitMix
+//! * [`registry`] — named graphs a tenant can query by name, plus cached
+//!   partitions for device-group serving.
+//! * [`pool`] — simulated [`eta_sim::Device`]s, each with its own clock,
+//!   per-graph device residency, admission by allocation footprint, and
+//!   LRU eviction when a new graph does not fit.
+//! * [`sched`] — the one scheduler: a simulated-time event loop over the
+//!   pool with a bounded, priority + deadline-aware queue, same-graph BFS
+//!   source batching, the device-fault recovery ladder (retry, checkpoint
+//!   resume, quarantine, CPU fallback) and the [`qos`] overload-control
+//!   hooks. [`group`] is its constructor for the device-group placement
+//!   (one sharded query across several devices).
+//! * [`workload`] — an open-loop arrival generator (seeded SplitMix
 //!   streams, no wall clock) for driving the service reproducibly.
-//! * [`report`] — per-request latency decomposition (queue wait, transfer,
-//!   compute) and per-device utilization, as plain serializable records;
-//!   percentile math lives in `eta-bench`'s `stats` module.
+//! * [`report`] — per-request latency decomposition, per-device and
+//!   per-group utilization, fault and quarantine timelines, as plain
+//!   serializable records.
 //!
-//! With a non-empty [`eta_fault::FaultPlan`] in [`ServeConfig::faults`],
-//! the service survives injected device failures through a four-rung
-//! recovery ladder: resume-from-checkpoint (below), per-request retry with
-//! exponential backoff, quarantine of repeatedly-faulting devices, and a
-//! last-resort CPU fallback that answers from `eta_graph::reference` with
-//! `degraded: true`. The report then carries availability, fault events,
-//! and quarantine windows. The default (empty) plan is inert and
-//! byte-identical to the pre-fault service.
-//!
-//! With [`ServeConfig::checkpoint_interval`] `> 0`, running batches emit an
-//! [`eta_ckpt::Checkpoint`] every N completed iterations; when a batch
-//! faults, the scheduler parks each rider's newest snapshot in an
-//! [`eta_ckpt::CkptStore`] and rung 0 of the ladder resumes it after
-//! backoff — on the same device (a re-probe) or migrated to a healthy one,
-//! since snapshots are device-independent host state. The report counts
-//! `checkpoints`, `resumes`, `migrations`, and `work_saved_iterations`;
-//! interval 0 (the default) disables the machinery and is byte-identical
-//! to the pre-checkpoint service.
-//!
-//! With a non-default [`qos::QosConfig`] in [`ServeConfig::qos`], the
-//! service gains overload control ([`qos`]): cost-model admission by
-//! deadline feasibility (calibrated online from completed batches),
-//! deterministic worst-first shedding at queue capacity, per-tenant
-//! fair-share token buckets, a global retry budget over the recovery
-//! ladder (denied retries degrade straight to the CPU fallback instead of
-//! amplifying load), and brownout degradation of best-effort traffic
-//! (demote + zero-copy) when the queue-delay EWMA crosses a threshold.
-//! The default config disables every feature and is byte-inert.
-//!
-//! With [`group::GroupService`], one query runs across a device *group*
-//! via `etagraph::sharded`: the registry admits **partitioned residency**
-//! (cached [`eta_shard::GraphPartition`]s, halo-aware footprint sizing),
-//! the scheduler acquires and releases whole groups atomically, and the
-//! fault ladder regroups — a faulted member quarantines and the query
-//! resumes from its group-shape-agnostic checkpoint on the remaining
-//! healthy members. The report's `groups` entries carry per-composition
-//! utilization and exchanged bytes per superstep.
-//!
-//! Everything is deterministic: the same registry, config, and trace produce
-//! byte-identical reports, because all time is simulated and all randomness
-//! is counter-based. With profiling on (`GpuConfig::with_profiling`), the
-//! scheduler emits `enqueue`/`reject` instants and `batch` spans into an
-//! `eta-prof` profile alongside each device's kernel and transfer events —
-//! `Service::profile` merges them into one multi-process trace.
+//! DESIGN.md's "Serving layer", "Scheduler", "Fault model" and "Overload
+//! control" chapters are the reference. Everything is deterministic: the
+//! same registry, config, and trace produce byte-identical reports, and
+//! every optional layer — [`ServeConfig::faults`],
+//! [`ServeConfig::checkpoint_interval`], [`ServeConfig::qos`], profiling
+//! ([`Service::profile`]) — is byte-inert at its default.
 //!
 //! ```
 //! use eta_graph::generate::{rmat, RmatConfig};
@@ -82,6 +43,8 @@
 //! ```
 
 pub mod group;
+mod ledger;
+mod placement;
 pub mod pool;
 pub mod qos;
 pub mod registry;

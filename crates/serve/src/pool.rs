@@ -83,6 +83,12 @@ impl DeviceWorker {
         }
     }
 
+    /// Whether the scheduler may dispatch here at `now`: not busy, not
+    /// quarantined.
+    pub fn is_idle(&self, now: Ns) -> bool {
+        self.free_at <= now && self.quarantined_until <= now
+    }
+
     /// Installs this worker's slice of a fault plan on its device (the
     /// plan's per-device events are filtered by `self.id`). An empty plan
     /// is inert.

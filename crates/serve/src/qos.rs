@@ -9,8 +9,9 @@
 //! *admission-time* decisions beat queue-time decisions — arbitrate before
 //! you spend.
 //!
-//! This module supplies the policy pieces; [`crate::sched`] threads them
-//! through the event loop:
+//! This module supplies the policy pieces; [`crate::sched`] consults them
+//! at its named hooks (DESIGN.md, "Scheduler") and the ledger counts their
+//! verdicts:
 //!
 //! * [`CostModel`] — per-graph per-request device-time estimates, seeded by
 //!   an analytic prior over the graph's size and calibrated online from the
@@ -24,8 +25,9 @@
 //!   blindly the newcomer; per-tenant [`TokenBucket`]s keep one hot tenant
 //!   from starving the rest under congestion.
 //! * retry budgets — a global [`TokenBucket`] gates the recovery ladder's
-//!   retries (and the group scheduler's regroup-resume) so fault recovery
-//!   degrades to the CPU fallback instead of amplifying a saturated pool.
+//!   retries (a regroup-resume on the group placement is one) so fault
+//!   recovery degrades to the CPU fallback instead of amplifying a
+//!   saturated pool.
 //! * brownout — when the queue-delay EWMA crosses a threshold, best-effort
 //!   requests (no deadline) lose their batching-priority boost and are
 //!   routed to zero-copy transfer (no pin pressure); both revert
@@ -251,8 +253,9 @@ pub enum BrownoutTransition {
     Exited,
 }
 
-/// Mutable qos state for one run: the cost model, the tenant and retry
-/// buckets, the brownout EWMA, and the stats.
+/// Mutable qos policy state for one run: the cost model, the tenant and
+/// retry buckets, and the brownout EWMA. Verdicts are returned, not
+/// counted — [`QosStats`] belongs to the scheduler's ledger.
 #[derive(Debug, Clone)]
 pub struct QosState {
     pub cost: CostModel,
@@ -261,7 +264,6 @@ pub struct QosState {
     /// Whether brownout degradation is currently in force.
     pub brownout_active: bool,
     wait_ewma: Ns,
-    pub stats: QosStats,
 }
 
 impl QosState {
@@ -272,7 +274,6 @@ impl QosState {
             retry: TokenBucket::new(cfg.retry_rate_per_s, cfg.retry_burst),
             brownout_active: false,
             wait_ewma: 0,
-            stats: QosStats::default(),
         }
     }
 
@@ -293,19 +294,11 @@ impl QosState {
         bucket.try_take(now, cost_ns)
     }
 
-    /// Asks the global retry budget for one retry token. Always grants when
-    /// the budget feature is off; stats count grants and denials otherwise.
-    pub fn retry_try_take(&mut self, cfg: &QosConfig, now: Ns) -> bool {
-        if !cfg.retry_budget {
-            return true;
-        }
-        if self.retry.try_take(now, 1) {
-            self.stats.retries_granted += 1;
-            true
-        } else {
-            self.stats.retries_denied += 1;
-            false
-        }
+    /// Asks the global retry budget for one retry token: `None` when the
+    /// budget feature is off (every retry is then allowed and nothing is
+    /// counted), otherwise whether the token was granted.
+    pub fn retry_try_take(&mut self, cfg: &QosConfig, now: Ns) -> Option<bool> {
+        cfg.retry_budget.then(|| self.retry.try_take(now, 1))
     }
 
     /// Feeds one queue-delay sample (the dispatched head's wait) into the
@@ -314,11 +307,9 @@ impl QosState {
         self.wait_ewma = self.wait_ewma - self.wait_ewma / 8 + wait_ns / 8;
         if !self.brownout_active && self.wait_ewma >= cfg.brownout_enter_ns {
             self.brownout_active = true;
-            self.stats.brownout_entries += 1;
             Some(BrownoutTransition::Entered)
         } else if self.brownout_active && self.wait_ewma <= cfg.brownout_exit_ns {
             self.brownout_active = false;
-            self.stats.brownout_exits += 1;
             Some(BrownoutTransition::Exited)
         } else {
             None
@@ -328,12 +319,6 @@ impl QosState {
     /// The current queue-delay EWMA (for reporting and tests).
     pub fn wait_ewma(&self) -> Ns {
         self.wait_ewma
-    }
-
-    /// Records the queue depth after a push.
-    pub fn note_depth(&mut self, depth: usize) {
-        // lint: allow(L-CAST-TRUNC): depth is bounded by queue_capacity, far below u32::MAX
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u32);
     }
 }
 
@@ -431,8 +416,7 @@ mod tests {
             }
         }
         assert!(exited, "sustained recovery must exit brownout");
-        assert_eq!(st.stats.brownout_entries, 1);
-        assert_eq!(st.stats.brownout_exits, 1);
+        assert!(!st.brownout_active);
     }
 
     #[test]
@@ -454,12 +438,12 @@ mod tests {
         let cfg = QosConfig::default();
         let mut st = QosState::new(&cfg);
         for _ in 0..1_000 {
-            assert!(st.retry_try_take(&cfg, 0));
+            assert_eq!(
+                st.retry_try_take(&cfg, 0),
+                None,
+                "a disabled budget issues no verdict, so nothing is counted"
+            );
         }
-        assert_eq!(
-            st.stats.retries_granted, 0,
-            "disabled budget keeps no stats"
-        );
     }
 
     #[test]
@@ -471,11 +455,9 @@ mod tests {
             ..QosConfig::default()
         };
         let mut st = QosState::new(&cfg);
-        assert!(st.retry_try_take(&cfg, 0));
-        assert!(st.retry_try_take(&cfg, 0));
-        assert!(!st.retry_try_take(&cfg, 0));
-        assert_eq!(st.stats.retries_granted, 2);
-        assert_eq!(st.stats.retries_denied, 1);
+        assert_eq!(st.retry_try_take(&cfg, 0), Some(true));
+        assert_eq!(st.retry_try_take(&cfg, 0), Some(true));
+        assert_eq!(st.retry_try_take(&cfg, 0), Some(false));
     }
 
     #[test]

@@ -11,19 +11,28 @@
 //! and [`GraphRegistry::group_footprint_bytes`] sizes the *largest member's*
 //! pinned bytes — counting each shard's halo-replica label/tag/queue rows,
 //! not just its owned range, because that is what the engine allocates.
+//! The cache sits behind `&self` (and a lock, so the registry stays
+//! `Sync`): every service built on one registry — whatever its placement,
+//! whatever its host thread — shares it and finds it warm.
 
 use eta_graph::Csr;
 use eta_shard::GraphPartition;
 use etagraph::EtaConfig;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// One registered graph plus its lazily built partitions, keyed by group
+/// size. Replacing the graph replaces the entry, which drops them.
+#[derive(Debug)]
+struct Entry {
+    csr: Csr,
+    partitions: Mutex<BTreeMap<u32, Arc<GraphPartition>>>,
+}
 
 /// Host-side catalog of named graphs.
 #[derive(Debug, Default)]
 pub struct GraphRegistry {
-    graphs: BTreeMap<String, Csr>,
-    /// Cached partitions, keyed by (graph name, group size). Invalidated
-    /// when the graph is replaced.
-    partitions: BTreeMap<(String, u32), GraphPartition>,
+    graphs: BTreeMap<String, Entry>,
 }
 
 impl GraphRegistry {
@@ -33,21 +42,28 @@ impl GraphRegistry {
 
     /// Registers (or replaces) a graph under `name`.
     pub fn insert(&mut self, name: &str, csr: Csr) {
-        self.partitions.retain(|(n, _), _| n != name);
-        self.graphs.insert(name.to_string(), csr);
+        let entry = Entry {
+            csr,
+            partitions: Mutex::default(),
+        };
+        self.graphs.insert(name.to_string(), entry);
     }
 
     /// The `devices`-way vertex-range partition of `name`, computed on
     /// first use and cached (partitioning walks every edge). `None` when
     /// the graph is not registered.
-    pub fn partition(&mut self, name: &str, devices: u32) -> Option<&GraphPartition> {
-        let csr = self.graphs.get(name)?;
-        let key = (name.to_string(), devices);
-        if !self.partitions.contains_key(&key) {
-            let part = GraphPartition::vertex_range(csr, devices);
-            self.partitions.insert(key.clone(), part);
-        }
-        self.partitions.get(&key)
+    pub fn partition(&self, name: &str, devices: u32) -> Option<Arc<GraphPartition>> {
+        let entry = self.graphs.get(name)?;
+        // An insert either happened or did not, so a poisoned cache is
+        // still a valid cache.
+        let mut cache = entry
+            .partitions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let part = cache
+            .entry(devices)
+            .or_insert_with(|| Arc::new(GraphPartition::vertex_range(&entry.csr, devices)));
+        Some(Arc::clone(part))
     }
 
     /// Explicit device bytes the *largest* member of a `devices`-way group
@@ -59,25 +75,19 @@ impl GraphRegistry {
     /// whole graph, and an owned-range check would over-admit exactly those
     /// partitions (the group then OOMs mid-flight instead of rejecting
     /// upfront). `None` when the graph is not registered.
-    pub fn group_footprint_bytes(
-        &mut self,
-        name: &str,
-        devices: u32,
-        cfg: &EtaConfig,
-    ) -> Option<u64> {
+    pub fn group_footprint_bytes(&self, name: &str, devices: u32, cfg: &EtaConfig) -> Option<u64> {
         let explicit = cfg.transfer.topology_is_explicit();
-        let k = cfg.k;
         self.partition(name, devices).map(|p| {
             p.shards
                 .iter()
-                .map(|s| s.footprint_bytes(k, explicit))
+                .map(|s| s.footprint_bytes(cfg.k, explicit))
                 .max()
                 .unwrap_or(0)
         })
     }
 
     pub fn get(&self, name: &str) -> Option<&Csr> {
-        self.graphs.get(name)
+        self.graphs.get(name).map(|e| &e.csr)
     }
 
     /// Registered names, in sorted order.

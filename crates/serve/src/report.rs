@@ -97,7 +97,7 @@ pub struct QuarantineRecord {
 /// Accounting for one device-group composition used by sharded serving:
 /// which members, how much work they did together, and how much halo
 /// traffic the queries moved over the peer fabric.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct GroupStats {
     /// Member device ids, ascending. Groups are keyed by composition, so a
     /// regrouped resume after a quarantine shows up as a separate entry.

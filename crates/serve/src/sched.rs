@@ -1,30 +1,24 @@
-//! The scheduler: a bounded admission queue in front of the device pool,
-//! with priority/deadline ordering and same-graph source batching.
-//!
-//! The service is a discrete-event simulation driven by one scalar clock.
-//! Two kinds of events exist — a request arrives, a device frees up — and
-//! between events the scheduler greedily dispatches: it picks the
-//! highest-ordered queued request, coalesces up to `max_batch` queued
-//! requests for the *same graph* into one [`etagraph::multi_bfs`] launch
-//! (one topology read serves all of them), and places the batch on the
-//! lowest-numbered idle device. Ties everywhere break on request id or
-//! device id, so a trace replays to byte-identical reports.
+//! The scheduler: one simulated-time event loop over a device pool, for
+//! every placement. DESIGN.md's "Scheduler" chapter is the reference — the
+//! loop, the request lifecycle, the per-placement table and the qos hooks;
+//! `ledger.rs` is the lifecycle's sole writer and `placement.rs` holds the
+//! two launch back-ends.
 
+use crate::ledger::Ledger;
+use crate::placement::{launch_resident, Launch, Placement};
 use crate::pool::DeviceWorker;
-use crate::qos::{BrownoutTransition, QosConfig, QosState};
+use crate::qos::{QosConfig, QosState};
 use crate::registry::GraphRegistry;
-use crate::report::{
-    BatchRecord, DeviceStats, FaultEvent, QuarantineRecord, RequestRecord, ServeReport,
-};
-use crate::request::{RejectReason, Rejection, Request};
-use eta_ckpt::{digest_words, CkptSink, CkptStore};
+use crate::report::ServeReport;
+use crate::request::{RejectReason, Request};
+use eta_ckpt::{Checkpoint, CkptSink};
 use eta_fault::{DeviceFault, FaultPlan};
 use eta_graph::{reference, Csr};
 use eta_mem::Ns;
-use eta_prof::{Profile, Profiler, Track};
+use eta_prof::Profile;
 use eta_sim::GpuConfig;
 use etagraph::multi_bfs::MAX_BATCH;
-use etagraph::{EtaConfig, QueryError, TransferMode};
+use etagraph::{EtaConfig, TransferMode};
 use serde::Serialize;
 
 /// Dispatch-order policy.
@@ -61,9 +55,9 @@ pub struct ServeConfig {
     /// up to [`MAX_BATCH`]).
     pub max_batch: usize,
     pub policy: Policy,
-    /// Device-fault injection plan, installed per device at construction.
-    /// The default (empty) plan is inert: the service behaves — and its
-    /// report serializes — exactly as if the fault machinery did not exist.
+    /// Device-fault injection plan, installed per device. The default
+    /// (empty) plan is inert: the service behaves — and its report
+    /// serializes — exactly as if the fault machinery did not exist.
     pub faults: FaultPlan,
     /// Device-fault retries per request before the CPU fallback answers it.
     pub max_retries: u32,
@@ -77,17 +71,13 @@ pub struct ServeConfig {
     pub quarantine_ns: Ns,
     /// Snapshot interval in traversal iterations (0 = checkpointing off;
     /// the service then behaves — and its report serializes — exactly as
-    /// if the checkpoint machinery did not exist). With an interval, rung
-    /// 0 of the recovery ladder becomes *resume-from-checkpoint*: a
-    /// faulted batch restarts from its last snapshot after the backoff,
-    /// on the same device (a re-probe) when it is dispatchable again, or
-    /// migrated to the lowest-numbered healthy device otherwise.
+    /// if the checkpoint machinery did not exist). With an interval, a
+    /// faulted launch parks its newest snapshot and resumes from it after
+    /// the backoff instead of restarting from scratch.
     pub checkpoint_interval: u32,
-    /// Overload control ([`crate::qos`]): admission by deadline
-    /// feasibility, worst-first shedding, tenant fair share, a retry
-    /// budget over the recovery ladder, and brownout degradation. The
-    /// default disables every feature — the service then behaves, and its
-    /// report serializes, exactly as if the qos layer did not exist.
+    /// Overload control ([`crate::qos`]). The default disables every
+    /// feature — the service then behaves, and its report serializes,
+    /// exactly as if the qos layer did not exist.
     pub qos: QosConfig,
 }
 
@@ -111,92 +101,79 @@ impl Default for ServeConfig {
     }
 }
 
-/// A queued request plus its scheduler-side retry state. The public
-/// [`Request`] stays a pure tenant-facing value; retry bookkeeping never
-/// leaks into it.
-#[derive(Debug, Clone)]
-struct Queued {
-    req: Request,
+/// An admitted request: the lifecycle's one token. It is created at
+/// admission, moved — never cloned — through queue, launch and parking lot,
+/// and consumed by exactly one of the ledger's terminal transitions. The
+/// public [`Request`] stays a pure tenant-facing value; retry bookkeeping
+/// never leaks into it.
+#[derive(Debug)]
+pub(crate) struct Queued<'r> {
+    pub(crate) req: Request,
+    /// The registered graph, looked up once at admission.
+    csr: &'r Csr,
     /// Device-fault retries so far.
-    retries: u32,
+    pub(crate) retries: u32,
     /// Backoff gate: not dispatchable before this time.
-    not_before: Ns,
+    pub(crate) not_before: Ns,
     /// Qos cost-model estimate at admission (device-ns this request is
     /// expected to consume); feeds the backlog term of later admission
     /// decisions. Unused when qos is off.
     est_ns: Ns,
 }
 
-/// A faulted batch with a parked snapshot: rung 0 of the recovery ladder.
-/// The snapshot's level slots index the *original* source list, so the
-/// resume relaunches the full list even when some riders have already
-/// exited to the CPU fallback — only surviving riders produce records.
-#[derive(Debug, Clone)]
-struct ResumableBatch {
-    graph: String,
-    /// Source list of the original launch (checkpoint slots index this).
-    sources: Vec<u32>,
-    /// Surviving riders as (slot into `sources`, queue entry).
-    riders: Vec<(usize, Queued)>,
-    /// Key of the parked snapshot in the scheduler's checkpoint store.
-    ckpt_key: u64,
-    /// Device the snapshot was taken on (preferred for the re-probe).
-    from_device: usize,
-    /// Backoff gate, like [`Queued::not_before`].
+/// One launch's worth of work: a source list and the riders waiting on its
+/// level arrays. A snapshot's level slots index the *original* source
+/// list, so a resumed job relaunches the full list even when some riders
+/// have already exited to the CPU fallback — only surviving riders produce
+/// records.
+pub(crate) struct Job<'r> {
+    pub(crate) graph: String,
+    pub(crate) csr: &'r Csr,
+    pub(crate) sources: Vec<u32>,
+    /// Surviving riders as (slot into `sources`, request).
+    riders: Vec<(usize, Queued<'r>)>,
+    /// Snapshot to resume from, and the members that parked it.
+    pub(crate) resume: Option<(Checkpoint, Vec<usize>)>,
+    /// Brownout route: run in zero-copy mode.
+    degrade: bool,
+    /// Backoff gate while the job sits parked on its snapshot.
     not_before: Ns,
 }
 
-/// Mutable per-run scheduler state, bundled so the dispatch paths share
-/// one signature instead of a dozen `&mut Vec` parameters.
-struct RunState {
-    queue: Vec<Queued>,
-    resumables: Vec<ResumableBatch>,
-    store: CkptStore,
-    records: Vec<RequestRecord>,
-    rejections: Vec<Rejection>,
-    batches: Vec<BatchRecord>,
-    fault_events: Vec<FaultEvent>,
-    quarantines: Vec<QuarantineRecord>,
-    checkpoints: u32,
-    resumes: u32,
-    migrations: u32,
-    work_saved_iterations: u64,
+/// Scheduler working state for one run (what the report is made from
+/// lives in the ledger).
+struct RunState<'r> {
+    queue: Vec<Queued<'r>>,
+    /// Faulted jobs waiting out their backoff with a snapshot in hand.
+    parked: Vec<Job<'r>>,
     qos: QosState,
 }
 
-impl RunState {
-    fn new(qos: &QosConfig) -> Self {
-        RunState {
-            queue: Vec::new(),
-            resumables: Vec::new(),
-            store: CkptStore::new(),
-            records: Vec::new(),
-            rejections: Vec::new(),
-            batches: Vec::new(),
-            fault_events: Vec::new(),
-            quarantines: Vec::new(),
-            checkpoints: 0,
-            resumes: 0,
-            migrations: 0,
-            work_saved_iterations: 0,
-            qos: QosState::new(qos),
-        }
-    }
-}
-
-/// The running service: registry + device pool + scheduler state.
+/// The running service: registry + device pool + placement + ledger.
 pub struct Service<'r> {
-    registry: &'r GraphRegistry,
-    cfg: ServeConfig,
-    workers: Vec<DeviceWorker>,
-    /// Scheduler-side `eta-prof` events (queue/batch/admission); follows
-    /// `cfg.gpu.profiling` like the per-device profilers do.
-    prof: Profiler,
+    pub(crate) registry: &'r GraphRegistry,
+    pub(crate) cfg: ServeConfig,
+    pub(crate) placement: Placement,
+    pub(crate) workers: Vec<DeviceWorker>,
+    ledger: Ledger,
 }
 
 impl<'r> Service<'r> {
+    /// A pool service: every launch is a batch on one device.
     pub fn new(registry: &'r GraphRegistry, cfg: ServeConfig) -> Self {
-        assert!(cfg.devices >= 1, "need at least one device");
+        Self::with_placement(registry, cfg, Placement::Pool)
+    }
+
+    pub(crate) fn with_placement(
+        registry: &'r GraphRegistry,
+        cfg: ServeConfig,
+        placement: Placement,
+    ) -> Self {
+        assert!(placement.members() >= 1, "a launch needs a member");
+        assert!(
+            placement.members() <= cfg.devices,
+            "a launch cannot exceed the pool"
+        );
         assert!(
             (1..=MAX_BATCH).contains(&cfg.max_batch),
             "max_batch must be 1..={MAX_BATCH}"
@@ -208,26 +185,30 @@ impl<'r> Service<'r> {
                 w
             })
             .collect();
-        let prof = Profiler::new(cfg.gpu.profiling);
+        let ledger = Ledger::new(placement, cfg.gpu.profiling);
         Service {
             registry,
             cfg,
+            placement,
             workers,
-            prof,
+            ledger,
         }
     }
 
     /// The device pool, for post-run inspection (e.g. sanitizer reports).
+    /// On the group placement each member holds the device of its most
+    /// recent launch.
     pub fn workers(&self) -> &[DeviceWorker] {
         &self.workers
     }
 
     /// The multi-process `eta-prof` profile: one "scheduler" process for
-    /// queue/batch/admission events, one "deviceN" process per worker.
-    /// Empty unless the service's [`GpuConfig`] enables profiling.
+    /// the ledger's events, one "deviceN" process per worker (peer-fabric
+    /// spans appear in the sending member's process). Empty unless the
+    /// service's [`GpuConfig`] enables profiling.
     pub fn profile(&self) -> Profile {
         let mut p = Profile::new();
-        p.push("scheduler", self.prof.events().to_vec());
+        p.push("scheduler", self.ledger.events().to_vec());
         for w in &self.workers {
             p.push(&format!("device{}", w.id), w.dev.mem.prof.events().to_vec());
         }
@@ -242,7 +223,11 @@ impl<'r> Service<'r> {
             trace.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns),
             "trace must be sorted by arrival time"
         );
-        let mut st = RunState::new(&self.cfg.qos);
+        let mut st = RunState {
+            queue: Vec::new(),
+            parked: Vec::new(),
+            qos: QosState::new(&self.cfg.qos),
+        };
         let mut next = 0usize;
         let mut now: Ns = 0;
         loop {
@@ -250,258 +235,182 @@ impl<'r> Service<'r> {
                 self.admit(&trace[next], now, &mut st);
                 next += 1;
             }
-            let worker_free = self
-                .workers
-                .iter()
-                .any(|w| w.free_at <= now && w.quarantined_until <= now);
-            // Parked batches resume before fresh dispatch: their riders are
-            // the oldest work in the system and their snapshots embody
-            // iterations already paid for.
-            if worker_free && st.resumables.iter().any(|r| r.not_before <= now) {
-                self.dispatch_resume(now, &mut st);
-                continue;
-            }
-            if worker_free && st.queue.iter().any(|q| q.not_before <= now) {
-                self.dispatch(now, &mut st);
-                continue;
-            }
-            // Nothing dispatchable: advance to the next event.
-            let t_arrival = trace.get(next).map(|r| r.arrival_ns);
-            let t_worker = if st.queue.is_empty() && st.resumables.is_empty() {
-                None // an idle device with no pending work is not an event
+            let idle = self.workers.iter().filter(|w| w.is_idle(now)).count();
+            // Parked jobs go first: their riders are the oldest work in the
+            // system and their snapshots embody iterations already paid
+            // for. A resume makes do with whatever healthy members exist.
+            let job = if idle >= 1 && st.parked.iter().any(|p| p.not_before <= now) {
+                Self::pick_parked(now, &mut st)
+            } else if idle >= self.placement.members()
+                && st.queue.iter().any(|q| q.not_before <= now)
+            {
+                self.pick(now, &mut st)
             } else {
-                self.workers
-                    .iter()
-                    .flat_map(|w| [w.free_at, w.quarantined_until])
-                    .filter(|&t| t > now)
-                    .min()
+                match self.next_event(trace.get(next), now, &st) {
+                    Some(t) => now = t,
+                    None => break,
+                }
+                continue;
             };
-            // Backoff gates are events too: a retried request (or a parked
-            // batch) wakes the loop when its `not_before` passes, even with
-            // devices idle.
-            let t_backoff = st
-                .queue
-                .iter()
-                .map(|q| q.not_before)
-                .chain(st.resumables.iter().map(|r| r.not_before))
-                .filter(|&t| t > now)
-                .min();
-            match [t_arrival, t_worker, t_backoff].into_iter().flatten().min() {
-                Some(t) => now = t,
-                None => break,
+            if let Some(job) = job {
+                self.launch(job, now, &mut st);
             }
         }
-        // Quarantine-audit invariant: a device pulled from dispatch
-        // mid-batch must never strand its riders — everything queued was
-        // either answered or rejected by the time the loop drains.
+        // Exactly-once disposition, checked continuously in debug builds:
+        // `Queued` moves by value, so no request is answered twice; nothing
+        // may be left waiting, and the dispositions must add up to the
+        // trace, so none was dropped on the way either.
         debug_assert!(
-            st.queue.is_empty() && st.resumables.is_empty(),
+            st.queue.is_empty() && st.parked.is_empty(),
             "the event loop may not leave requests stranded"
         );
-        self.finish(st)
+        debug_assert_eq!(self.ledger.disposed(), trace.len(), "a request was dropped");
+        self.ledger
+            .finish(&self.workers, self.cfg.qos.any_enabled())
     }
 
-    /// One typed refusal: the prof instant plus the [`Rejection`] record.
-    fn reject(&mut self, id: u32, reason: RejectReason, now: Ns, st: &mut RunState) {
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Sched,
-                "reject",
-                now,
-                vec![("id", id.into()), ("reason", reason.name().into())],
-            );
-        }
-        st.rejections.push(Rejection {
-            id,
-            reason,
-            at_ns: now,
-        });
+    /// Nothing is dispatchable at `now`: the next of {arrival, member
+    /// freeing up or leaving quarantine, backoff gate}. An idle pool with
+    /// nothing waiting is not an event; a gate is one even with devices
+    /// idle.
+    fn next_event(&self, arrival: Option<&Request>, now: Ns, st: &RunState) -> Option<Ns> {
+        let waiting = !(st.queue.is_empty() && st.parked.is_empty());
+        let workers = self
+            .workers
+            .iter()
+            .filter(|_| waiting)
+            .flat_map(|w| [w.free_at, w.quarantined_until]);
+        let gates = st
+            .queue
+            .iter()
+            .map(|q| q.not_before)
+            .chain(st.parked.iter().map(|p| p.not_before));
+        let later = workers.chain(gates).filter(|&t| t > now).min();
+        [arrival.map(|r| r.arrival_ns), later]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    /// Admission control at arrival time. Every refusal is a typed
-    /// [`Rejection`]; admitted requests enter the bounded queue. With qos
-    /// features on, arrival is also where overload policy bites: deadline
-    /// feasibility, tenant fair share, and worst-first shedding at
-    /// capacity — arbitrate before you spend.
-    fn admit(&mut self, req: &Request, now: Ns, st: &mut RunState) {
-        let Some(csr) = self.registry.get(&req.graph) else {
-            return self.reject(req.id, RejectReason::UnknownGraph, now, st);
+    /// Admission control at arrival time: validation, the placement's
+    /// footprint, then the qos hooks — deadline feasibility, tenant fair
+    /// share, worst-first shedding at capacity (arbitrate before you
+    /// spend) — each inert when its feature is off. Every refusal is a
+    /// typed rejection; admitted requests enter the bounded queue.
+    fn admit(&mut self, req: &Request, now: Ns, st: &mut RunState<'r>) {
+        let registry = self.registry;
+        let Some(csr) = registry.get(&req.graph) else {
+            return self.ledger.refuse(req, RejectReason::UnknownGraph, now);
         };
         if req.source as usize >= csr.n() {
-            return self.reject(req.id, RejectReason::SourceOutOfRange, now, st);
+            return self.ledger.refuse(req, RejectReason::SourceOutOfRange, now);
         }
-        // A graph whose footprint exceeds the device even when it is the
-        // sole tenant can never be served; refuse it upfront rather than
-        // letting it evict everyone else and still fail.
-        let capacity = self.workers[0].dev.mem.capacity_bytes();
-        if DeviceWorker::footprint_bytes(csr, &self.cfg.eta) > capacity {
-            return self.reject(req.id, RejectReason::AdmissionDenied, now, st);
+        // A graph whose footprint exceeds a member even when it is the sole
+        // tenant can never be served; refuse it upfront rather than letting
+        // it evict everyone else and still fail. A group sizes its largest
+        // member's shard, halo replicas included.
+        let footprint = match self.placement {
+            Placement::Pool => Some(DeviceWorker::footprint_bytes(csr, &self.cfg.eta)),
+            Placement::Groups { size } => u32::try_from(size)
+                .ok()
+                .and_then(|n| registry.group_footprint_bytes(&req.graph, n, &self.cfg.eta)),
+        };
+        if footprint.is_none_or(|bytes| bytes > self.workers[0].dev.mem.capacity_bytes()) {
+            return self.ledger.refuse(req, RejectReason::AdmissionDenied, now);
         }
+        let qos = &self.cfg.qos;
         let est_ns = st.qos.cost.estimate(&req.graph, csr, &self.cfg.eta);
-        // Deadline feasibility: predicted completion = the earliest any
-        // device frees up, plus the queued backlog spread across the pool,
-        // plus this request's own estimate. A request that cannot make its
-        // deadline even under that optimistic schedule is refused now,
-        // before it wastes queue space and device time on a guaranteed
-        // SLO miss.
-        if self.cfg.qos.admission {
-            if let Some(deadline) = req.deadline_ns {
-                let backlog: Ns = st.queue.iter().map(|q| q.est_ns).sum();
-                let earliest_free = self
-                    .workers
-                    .iter()
-                    .map(|w| w.free_at.max(w.quarantined_until))
-                    .min()
-                    .unwrap_or(now)
-                    .max(now);
-                let predicted = earliest_free + backlog / self.cfg.devices as Ns + est_ns;
-                if predicted > deadline {
-                    st.qos.stats.admission_rejections += 1;
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Qos,
-                            "admission_infeasible",
-                            now,
-                            vec![
-                                ("id", req.id.into()),
-                                ("predicted_ns", predicted.into()),
-                                ("deadline_ns", deadline.into()),
-                            ],
-                        );
-                    }
-                    return self.reject(req.id, RejectReason::DeadlineInfeasible, now, st);
-                }
+        // Hook: deadline feasibility. Predicted completion = the earliest
+        // any device frees up, plus the queued backlog spread across the
+        // pool, plus this request's own estimate. A request that cannot
+        // make its deadline even under that optimistic schedule is refused
+        // now, before it wastes queue space and device time on a
+        // guaranteed SLO miss.
+        if let (true, Some(deadline)) = (qos.admission, req.deadline_ns) {
+            let backlog: Ns = st.queue.iter().map(|q| q.est_ns).sum();
+            let earliest_free = self
+                .workers
+                .iter()
+                .map(|w| w.free_at.max(w.quarantined_until))
+                .min()
+                .unwrap_or(now)
+                .max(now);
+            let width = (self.cfg.devices / self.placement.members()) as Ns;
+            let predicted = earliest_free + backlog / width + est_ns;
+            if predicted > deadline {
+                return self.ledger.infeasible(req, predicted, deadline, now);
             }
         }
-        // Tenant fair share, enforced only under congestion so the policy
-        // stays work-conserving: an idle pool serves anyone, a backlogged
-        // pool charges each tenant's bucket for its estimated device time.
-        if self.cfg.qos.fair_share
-            && st.queue.len() >= self.cfg.qos.fair_share_min_queue
-            && !st
-                .qos
-                .tenant_try_charge(&self.cfg.qos, &req.graph, now, est_ns)
+        // Hook: tenant fair share, enforced only under congestion so the
+        // policy stays work-conserving: an idle pool serves anyone, a
+        // backlogged pool charges each tenant's bucket for its estimated
+        // device time.
+        if qos.fair_share
+            && st.queue.len() >= qos.fair_share_min_queue
+            && !st.qos.tenant_try_charge(qos, &req.graph, now, est_ns)
         {
-            st.qos.stats.throttle_rejections += 1;
-            if self.prof.is_enabled() {
-                self.prof.instant(
-                    Track::Qos,
-                    "tenant_throttled",
-                    now,
-                    vec![("id", req.id.into()), ("tenant", req.graph.as_str().into())],
-                );
-            }
-            return self.reject(req.id, RejectReason::TenantThrottled, now, st);
+            return self.ledger.throttled(req, now);
         }
         if st.queue.len() >= self.cfg.queue_capacity {
-            if !self.cfg.qos.shed {
-                return self.reject(req.id, RejectReason::QueueFull, now, st);
+            if !qos.shed {
+                return self.ledger.refuse(req, RejectReason::QueueFull, now);
             }
-            // Deterministic worst-first shedding: among the queue and the
-            // newcomer, drop the entry with (lowest priority, latest
+            // Hook: deterministic worst-first shedding. Among the queue and
+            // the newcomer, drop the entry with (lowest priority, latest
             // deadline, highest id) — ids are unique, so there are no ties.
-            let key = |q: &Queued| {
-                (
-                    q.req.class.rank(),
-                    q.req.deadline_ns.unwrap_or(Ns::MAX),
-                    q.req.id,
-                )
-            };
-            let newcomer_key = (req.class.rank(), req.deadline_ns.unwrap_or(Ns::MAX), req.id);
-            let worst = st
-                .queue
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, q)| key(q))
-                .map(|(i, q)| (i, key(q)))
-                // lint: allow(L-PANIC): this branch only runs when queue.len() >= capacity >= 1
-                .expect("queue is at capacity, so non-empty");
-            st.qos.stats.shed_rejections += 1;
-            if worst.1 > newcomer_key {
-                // The newcomer displaces a worse queued entry.
-                let victim = st.queue.remove(worst.0);
-                if self.prof.is_enabled() {
-                    self.prof.instant(
-                        Track::Qos,
-                        "shed",
-                        now,
-                        vec![
-                            ("id", victim.req.id.into()),
-                            ("displaced_by", req.id.into()),
-                        ],
-                    );
+            let key = |r: &Request| (r.class.rank(), r.deadline_ns.unwrap_or(Ns::MAX), r.id);
+            let worst = (0..st.queue.len()).max_by_key(|&i| key(&st.queue[i].req));
+            match worst {
+                Some(i) if key(&st.queue[i].req) > key(req) => {
+                    let victim = st.queue.remove(i);
+                    self.ledger.shed(Some(victim), req, now);
                 }
-                self.reject(victim.req.id, RejectReason::ShedOverload, now, st);
-            } else {
-                if self.prof.is_enabled() {
-                    self.prof
-                        .instant(Track::Qos, "shed", now, vec![("id", req.id.into())]);
-                }
-                return self.reject(req.id, RejectReason::ShedOverload, now, st);
+                _ => return self.ledger.shed(None, req, now),
             }
         }
-        st.queue.push(Queued {
+        let q = Queued {
             req: req.clone(),
+            csr,
             retries: 0,
             not_before: now,
             est_ns,
-        });
-        st.qos.note_depth(st.queue.len());
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Sched,
-                "enqueue",
-                now,
-                vec![
-                    ("id", req.id.into()),
-                    ("graph", req.graph.as_str().into()),
-                    ("class", req.class.name().into()),
-                    ("depth", st.queue.len().into()),
-                ],
-            );
-        }
+        };
+        self.ledger.enqueued(&q, st.queue.len() + 1, now);
+        st.queue.push(q);
     }
 
-    /// One dispatch decision at time `now`: drop expired requests, order
-    /// the queue by policy, coalesce the head's graph-mates into a batch,
-    /// and run it on the lowest-numbered idle (and not quarantined) device.
-    ///
-    /// A batch that fails with [`QueryError::DeviceFault`] walks the
-    /// recovery ladder: each rider is re-queued with exponential backoff
-    /// until `max_retries`, after which the CPU reference answers it with
-    /// `degraded: true`. The faulting device accrues consecutive-fault
-    /// strikes and is quarantined at `quarantine_after`.
-    fn dispatch(&mut self, now: Ns, st: &mut RunState) {
-        let prof = &mut self.prof;
-        let rejections = &mut st.rejections;
+    /// The ready parked job with the earliest gate, then the lowest
+    /// surviving rider id (rider ids are unique across the whole system,
+    /// so this total order has no ties).
+    fn pick_parked(now: Ns, st: &mut RunState<'r>) -> Option<Job<'r>> {
+        let idx = (0..st.parked.len())
+            .filter(|&i| st.parked[i].not_before <= now)
+            .min_by_key(|&i| {
+                let job = &st.parked[i];
+                let min_id = job.riders.iter().map(|(_, q)| q.req.id).min();
+                (job.not_before, min_id.unwrap_or(u32::MAX))
+            })?;
+        Some(st.parked.remove(idx))
+    }
+
+    /// One pick at time `now`: drop expired requests, order the queue by
+    /// policy, and coalesce the head's graph-mates into a job, up to
+    /// `max_batch` riders.
+    fn pick(&mut self, now: Ns, st: &mut RunState<'r>) -> Option<Job<'r>> {
         // Timeout semantics are inclusive at the boundary tick: a request
         // whose wait has *reached* its limit is already too old to serve
         // (so `timeout_ns: Some(0)` never dispatches, even at its own
         // arrival tick).
-        st.queue.retain(|q| match q.req.timeout_ns {
-            Some(limit) if now - q.req.arrival_ns >= limit => {
-                if prof.is_enabled() {
-                    prof.instant(
-                        Track::Sched,
-                        "reject",
-                        now,
-                        vec![
-                            ("id", q.req.id.into()),
-                            ("reason", RejectReason::TimedOut.name().into()),
-                        ],
-                    );
-                }
-                rejections.push(Rejection {
-                    id: q.req.id,
-                    reason: RejectReason::TimedOut,
-                    at_ns: now,
-                });
-                false
-            }
-            _ => true,
-        });
-        // Brownout state is sampled once per dispatch decision; transitions
-        // observed below take effect at the *next* dispatch (hysteresis by
+        let expired = |q: &mut Queued| {
+            q.req
+                .timeout_ns
+                .is_some_and(|limit| now - q.req.arrival_ns >= limit)
+        };
+        for q in st.queue.extract_if(.., expired) {
+            self.ledger.reject(q, RejectReason::TimedOut, now);
+        }
+        // Hook: brownout. The state is sampled once per pick; transitions
+        // observed below take effect at the *next* one (hysteresis by
         // construction — one decision is never half-degraded).
         let brownout = self.cfg.qos.brownout && st.qos.brownout_active;
         match self.cfg.policy {
@@ -510,14 +419,9 @@ impl<'r> Service<'r> {
             // demoted below every SLO-bound class so deadline traffic
             // drains first.
             Policy::PriorityDeadline => st.queue.sort_by_key(|q| {
-                let rank = q.req.class.rank()
-                    + if brownout && q.req.deadline_ns.is_none() {
-                        2
-                    } else {
-                        0
-                    };
+                let demoted = brownout && q.req.deadline_ns.is_none();
                 (
-                    rank,
+                    q.req.class.rank() + if demoted { 2 } else { 0 },
                     q.req.deadline_ns.unwrap_or(Ns::MAX),
                     q.req.arrival_ns,
                     q.req.id,
@@ -525,64 +429,70 @@ impl<'r> Service<'r> {
             }),
         }
         // The first dispatchable entry (backoff gate passed) defines the
-        // batch's graph; later dispatchable entries for the same graph ride
-        // along, up to `max_batch`. Entries still backing off stay queued.
-        let Some(head) = st.queue.iter().find(|q| q.not_before <= now) else {
-            return; // every dispatchable entry timed out above
-        };
-        let graph = head.req.graph.clone();
-        // Brownout degradation applies to a best-effort head: the batch
-        // runs in zero-copy mode (no bulk upload contending with SLO
-        // traffic), trading its own kernel time for bus headroom. A
-        // degraded batch only coalesces other best-effort riders so an
-        // SLO-bound request never rides a degraded launch.
-        let degrade = brownout && head.req.deadline_ns.is_none();
+        // job's graph; later dispatchable entries for the same graph ride
+        // along. Entries still backing off stay queued. `None`: every
+        // dispatchable entry timed out above.
+        let head = st.queue.iter().find(|q| q.not_before <= now)?;
+        let (graph, csr) = (head.req.graph.clone(), head.csr);
         let head_wait = now - head.req.arrival_ns;
-        let mut batch: Vec<Queued> = Vec::new();
-        let max_batch = self.cfg.max_batch;
-        st.queue.retain(|q| {
-            if batch.len() < max_batch
+        // A best-effort head under brownout runs its job in zero-copy mode
+        // (no bulk upload contending with SLO traffic), trading its own
+        // kernel time for bus headroom, and only coalesces other
+        // best-effort riders — an SLO-bound request never rides a degraded
+        // launch.
+        let degrade = brownout && head.req.deadline_ns.is_none();
+        let mut room = self.cfg.max_batch;
+        let rides = |q: &mut Queued| {
+            let rides = room > 0
                 && q.req.graph == graph
                 && q.not_before <= now
-                && (!brownout || (q.req.deadline_ns.is_none() == degrade))
-            {
-                batch.push(q.clone());
-                false
-            } else {
-                true
-            }
-        });
-        // Queue-delay EWMA drives the brownout state machine: the wait the
-        // dispatched head experienced is the freshest congestion signal.
+                && (!brownout || q.req.deadline_ns.is_none() == degrade);
+            room -= usize::from(rides);
+            rides
+        };
+        let riders: Vec<(usize, Queued)> = st.queue.extract_if(.., rides).enumerate().collect();
+        // The wait the dispatched head experienced is the freshest
+        // congestion signal for the brownout state machine.
         if self.cfg.qos.brownout {
-            match st.qos.observe_wait(&self.cfg.qos, head_wait) {
-                Some(BrownoutTransition::Entered) if self.prof.is_enabled() => {
-                    self.prof.instant(
-                        Track::Qos,
-                        "brownout_enter",
-                        now,
-                        vec![("wait_ewma_ns", st.qos.wait_ewma().into())],
-                    );
-                }
-                Some(BrownoutTransition::Exited) if self.prof.is_enabled() => {
-                    self.prof.instant(
-                        Track::Qos,
-                        "brownout_exit",
-                        now,
-                        vec![("wait_ewma_ns", st.qos.wait_ewma().into())],
-                    );
-                }
-                _ => {}
+            if let Some(transition) = st.qos.observe_wait(&self.cfg.qos, head_wait) {
+                self.ledger.brownout(transition, st.qos.wait_ewma(), now);
             }
         }
-        let widx = self
-            .workers
-            .iter()
-            .position(|w| w.free_at <= now && w.quarantined_until <= now)
-            .expect("dispatch requires an idle worker");
-        let worker = &mut self.workers[widx];
-        let csr = self.registry.get(&graph).expect("validated at admission");
-        let run_cfg = if degrade {
+        Some(Job {
+            sources: riders.iter().map(|(_, q)| q.req.source).collect(),
+            graph,
+            csr,
+            riders,
+            resume: None,
+            degrade,
+            not_before: now,
+        })
+    }
+
+    /// Healthy idle members for a launch, ascending: a resumed job takes
+    /// back the members that parked it where they are dispatchable again
+    /// (a re-probe — on the pool its graph is still resident there), the
+    /// rest are the lowest-numbered. A fresh launch takes the placement's
+    /// full complement; a resume regroups on as many as there are.
+    fn acquire(&self, now: Ns, from: &[usize]) -> Vec<usize> {
+        let others = (0..self.workers.len()).filter(|m| !from.contains(m));
+        let mut members: Vec<usize> = (from.iter().copied().chain(others))
+            .filter(|&m| self.workers[m].is_idle(now))
+            .take(self.placement.members())
+            .collect();
+        members.sort_unstable();
+        members
+    }
+
+    /// Dispatches `job` at `now`: acquire members, run the placement's
+    /// back-end, settle the outcome for every rider — release the members,
+    /// calibrate the cost model, complete or re-route each request.
+    /// Acquisition is atomic: every member's clock advances to the same
+    /// completion (or fault) time before the next scheduling decision.
+    fn launch(&mut self, mut job: Job<'r>, now: Ns, st: &mut RunState<'r>) {
+        let from = job.resume.as_ref().map_or(&[][..], |(_, from)| from);
+        let members = self.acquire(now, from);
+        let eta = if job.degrade {
             EtaConfig {
                 transfer: TransferMode::ZeroCopy,
                 ..self.cfg.eta
@@ -590,581 +500,165 @@ impl<'r> Service<'r> {
         } else {
             self.cfg.eta
         };
-        let cfg = &run_cfg;
-        let ready = match worker.ensure_resident(&graph, csr, cfg, now) {
-            Ok(t) => t,
-            Err(_) => {
-                // The pool could not make room (e.g. memory fragmentation
-                // across co-resident tenants). Refuse this batch; the rest
-                // of the queue keeps flowing.
-                for q in &batch {
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Sched,
-                            "reject",
-                            now,
-                            vec![
-                                ("id", q.req.id.into()),
-                                ("reason", RejectReason::AdmissionDenied.name().into()),
-                            ],
-                        );
-                    }
-                    st.rejections.push(Rejection {
-                        id: q.req.id,
-                        reason: RejectReason::AdmissionDenied,
-                        at_ns: now,
-                    });
-                }
-                return;
-            }
-        };
-        worker.pin(&graph);
-        let sources: Vec<u32> = batch.iter().map(|q| q.req.source).collect();
         let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let result = worker.run_batch_ckpt(&graph, &sources, cfg, ready, &mut sink, None);
-        worker.unpin(&graph);
-        st.checkpoints += sink.taken;
-        let result = match result {
-            Ok(r) => r,
-            Err(QueryError::DeviceFault(fault)) => {
-                let fail_at = self.note_fault(widx, fault, now, st);
-                let device = widx as u32;
-                // Rung 0: with a snapshot in hand, surviving riders park as
-                // a resumable batch instead of restarting from scratch.
-                let parked = sink.take();
-                let mut riders: Vec<(usize, Queued)> = Vec::new();
-                let mut min_retries = u32::MAX;
-                for (slot, q) in batch.into_iter().enumerate() {
-                    if q.retries >= self.cfg.max_retries {
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else if !st.qos.retry_try_take(&self.cfg.qos, fail_at) {
-                        // Retry budget exhausted: under correlated faults,
-                        // unbudgeted retries amplify load exactly when the
-                        // pool is weakest. Skip the remaining rungs and
-                        // degrade straight to the CPU fallback.
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Qos,
-                                "retry_denied",
-                                fail_at,
-                                vec![("id", q.req.id.into())],
-                            );
-                        }
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else if parked.is_some() {
-                        min_retries = min_retries.min(q.retries);
-                        riders.push((
-                            slot,
-                            Queued {
-                                retries: q.retries + 1,
-                                not_before: 0, // set below, once the gate is known
-                                req: q.req,
-                                est_ns: q.est_ns,
-                            },
-                        ));
-                    } else {
-                        // Rung 1 (no snapshot yet — the fault beat the first
-                        // interval): re-queue with exponential backoff. The
-                        // gate is strictly in the future, so the event loop
-                        // always advances.
-                        let delay = self.cfg.backoff_base_ns << q.retries;
-                        let not_before = (fail_at + delay).max(now + 1);
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Fault,
-                                "retry",
-                                fail_at,
-                                vec![("id", q.req.id.into()), ("not_before", not_before.into())],
-                            );
-                        }
-                        st.queue.push(Queued {
-                            retries: q.retries + 1,
-                            not_before,
-                            req: q.req,
-                            est_ns: q.est_ns,
-                        });
-                    }
-                }
-                if let Some(ck) = parked {
-                    if !riders.is_empty() {
-                        let delay = self.cfg.backoff_base_ns << min_retries;
-                        let not_before = (fail_at + delay).max(now + 1);
-                        for (_, q) in &mut riders {
-                            q.not_before = not_before;
-                        }
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Ckpt,
-                                "park",
-                                fail_at,
-                                vec![
-                                    ("device", device.into()),
-                                    ("iteration", ck.iteration.into()),
-                                    ("riders", riders.len().into()),
-                                ],
-                            );
-                        }
-                        let ckpt_key = st.store.put(ck);
-                        st.resumables.push(ResumableBatch {
-                            graph,
-                            sources,
-                            riders,
-                            ckpt_key,
-                            from_device: widx,
-                            not_before,
-                        });
-                    }
-                    // Every rider already exited to the CPU reference: the
-                    // snapshot has no one left to serve and is dropped.
-                }
-                return;
+        let outcome = match self.placement {
+            Placement::Pool => {
+                launch_resident(&mut self.workers[members[0]], &job, &eta, now, &mut sink)
             }
-            Err(e) => unreachable!("sources validated at admission: {e}"),
+            Placement::Groups { .. } => self.launch_sharded(&members, &job, &eta, now, &mut sink),
         };
-        let worker = &mut self.workers[widx];
-        worker.consecutive_faults = 0;
-        let completion = ready + result.total_ns;
-        worker.busy_ns += completion - now;
-        worker.free_at = completion;
-        // Calibrate the cost model with the measured per-request device
-        // time. Degraded (zero-copy) launches are excluded: their costs
-        // would bias estimates for the normal path.
-        if !degrade {
-            st.qos.cost.observe(
-                &graph,
-                csr,
-                &self.cfg.eta,
-                result.total_ns / batch.len() as Ns,
-            );
-        } else {
-            st.qos.stats.brownout_batches += 1;
-            // lint: allow(L-CAST-TRUNC): batch size is bounded by cfg.max_batch (<= 32)
-            st.qos.stats.brownout_downgrades += batch.len() as u32;
-        }
-        st.batches.push(BatchRecord {
-            device: widx as u32,
-            graph: graph.clone(),
-            size: batch.len() as u32,
-            dispatched_ns: now,
-            started_ns: ready,
-            completed_ns: completion,
-        });
-        for (k, q) in batch.iter().enumerate() {
-            let r = &q.req;
-            let reached = result.levels[k].iter().filter(|&&l| l != u32::MAX).count() as u32;
-            st.records.push(RequestRecord {
-                id: r.id,
-                graph: r.graph.clone(),
-                class: r.class,
-                source: r.source,
-                arrival_ns: r.arrival_ns,
-                queue_wait_ns: now - r.arrival_ns,
-                transfer_ns: (completion - now) - result.kernel_ns,
-                compute_ns: result.kernel_ns,
-                latency_ns: completion - r.arrival_ns,
-                batch_size: batch.len() as u32,
-                device: widx as u32,
-                reached,
-                levels_digest: digest_words(&[&result.levels[k]]),
-                deadline_met: r.deadline_ns.map(|d| completion <= d),
-                degraded: false,
-                retries: q.retries,
-            });
-        }
-        if self.prof.is_enabled() {
-            self.prof.record(
-                Track::Sched,
-                "batch",
-                now,
-                completion,
-                vec![
-                    ("graph", graph.as_str().into()),
-                    ("device", (widx as u32).into()),
-                    ("size", batch.len().into()),
-                ],
-            );
+        self.ledger.checkpoints(sink.taken);
+        match outcome {
+            Launch::Served(served) => {
+                for &m in &members {
+                    let w = &mut self.workers[m];
+                    w.consecutive_faults = 0;
+                    w.busy_ns += served.completed_ns - now;
+                    w.free_at = served.completed_ns;
+                }
+                let resumed = job
+                    .resume
+                    .as_ref()
+                    .map(|(ck, from)| (ck.iteration, &from[..]));
+                let riders = job.riders.len();
+                match (resumed, job.degrade) {
+                    // A resumed run is no sample of a fresh request's cost,
+                    // and a degraded (zero-copy) one would bias estimates
+                    // for the normal path.
+                    (Some(_), _) => {}
+                    (None, true) => self.ledger.degraded_launch(riders),
+                    (None, false) => {
+                        let per_request = (served.completed_ns - served.started_ns) / riders as Ns;
+                        let eta = &self.cfg.eta;
+                        st.qos.cost.observe(&job.graph, job.csr, eta, per_request);
+                    }
+                }
+                self.ledger
+                    .launched(job.graph, &members, now, &served, job.riders, resumed);
+            }
+            Launch::Faulted { slot, fault } => {
+                let (device, fail_at) = self.note_fault(&members, slot, fault, now);
+                // Progress is never thrown away: a snapshot taken during
+                // this launch supersedes the one it resumed from; otherwise
+                // the old one is parked again — the iterations it saved
+                // are still saved.
+                let snapshot = sink.take().or(job.resume.take().map(|(ck, _)| ck));
+                job.resume = snapshot.map(|ck| (ck, members));
+                self.ladder(job, device, fail_at, now, st);
+            }
+            // A fresh job the members cannot host is refused; the rest of
+            // the queue keeps flowing.
+            Launch::Refused if job.resume.is_none() => {
+                for (_, q) in job.riders {
+                    self.ledger.reject(q, RejectReason::AdmissionDenied, now);
+                }
+            }
+            // No usable snapshot after all: the riders restart from
+            // scratch through the ordinary queue (their gates have passed).
+            Launch::Refused | Launch::Stale => {
+                st.queue.extend(job.riders.into_iter().map(|(_, q)| q));
+            }
         }
     }
 
-    /// Rung 0 of the recovery ladder: relaunch a faulted batch from its
-    /// parked snapshot. The snapshot's own device is preferred once its
-    /// backoff has passed (a re-probe); when that device is busy or
-    /// quarantined the batch migrates to the lowest-numbered healthy
-    /// device whose residency admits the graph.
-    fn dispatch_resume(&mut self, now: Ns, st: &mut RunState) {
-        // Deterministic pick: earliest gate, then lowest surviving rider id
-        // (rider ids are unique across the whole system, so this total
-        // order has no ties).
-        let idx = st
-            .resumables
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.not_before <= now)
-            .min_by_key(|(_, r)| {
-                let min_id = r.riders.iter().map(|(_, q)| q.req.id).min();
-                (r.not_before, min_id.unwrap_or(u32::MAX))
-            })
-            .map(|(i, _)| i)
-            .expect("caller checked a resumable is ready");
-        let rb = st.resumables.remove(idx);
-        let preferred_free = self.workers[rb.from_device].free_at <= now
-            && self.workers[rb.from_device].quarantined_until <= now;
-        let widx = if preferred_free {
-            rb.from_device
-        } else {
-            self.workers
-                .iter()
-                .position(|w| w.free_at <= now && w.quarantined_until <= now)
-                .expect("caller checked an idle worker")
-        };
-        let migrated = widx != rb.from_device;
-        let Some(ck) = st.store.take(rb.ckpt_key) else {
-            // Defensive: a missing snapshot demotes the riders to ordinary
-            // retries (their backoff gates have already passed).
-            st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
+    /// Device-fault bookkeeping for a launch that died at member `slot`:
+    /// every member was held until the fault surfaced; the faulting one
+    /// takes a strike and is quarantined when its consecutive strikes
+    /// reach `quarantine_after`. Returns the faulting device and the fault
+    /// time on the service clock.
+    fn note_fault(
+        &mut self,
+        members: &[usize],
+        slot: usize,
+        fault: DeviceFault,
+        now: Ns,
+    ) -> (usize, Ns) {
+        let fail_at = fault.at_ns.max(now);
+        for &m in members {
+            let w = &mut self.workers[m];
+            w.busy_ns += fail_at - now;
+            w.free_at = fail_at;
+        }
+        let w = &mut self.workers[members[slot]];
+        w.consecutive_faults += 1;
+        w.faults += 1;
+        self.ledger.faulted(w.id, &fault, fail_at, members.len());
+        if w.consecutive_faults >= self.cfg.quarantine_after {
+            w.consecutive_faults = 0;
+            w.quarantined_until = fail_at + self.cfg.quarantine_ns;
+            self.ledger.quarantined(w.id, fail_at, w.quarantined_until);
+        }
+        (w.id, fail_at)
+    }
+
+    /// The recovery ladder, walked per rider of a job that faulted on
+    /// `device` at `fail_at`: retries spent → CPU fallback; retry budget
+    /// denied → CPU fallback (under correlated faults, unbudgeted retries
+    /// amplify load exactly when the pool is weakest); a snapshot in hand
+    /// (`job.resume`) → park and resume after the backoff; otherwise
+    /// re-queue behind the backoff and restart from scratch.
+    fn ladder(
+        &mut self,
+        mut job: Job<'r>,
+        device: usize,
+        fail_at: Ns,
+        now: Ns,
+        st: &mut RunState<'r>,
+    ) {
+        let snapshot = job.resume.as_ref().map(|(ck, _)| ck.iteration);
+        for (slot, mut q) in std::mem::take(&mut job.riders) {
+            let mut granted = q.retries < self.cfg.max_retries;
+            if granted {
+                if let Some(verdict) = st.qos.retry_try_take(&self.cfg.qos, fail_at) {
+                    self.ledger.retry_verdict(&q, verdict, fail_at);
+                    granted = verdict;
+                }
+            }
+            if !granted {
+                self.cpu_fallback(q, now, fail_at, device);
+            } else if snapshot.is_some() {
+                job.riders.push((slot, q));
+            } else {
+                q.not_before = self.gate(q.retries, fail_at, now);
+                q.retries += 1;
+                self.ledger.retrying(&q, fail_at);
+                st.queue.push(q);
+            }
+        }
+        // With every rider gone to the CPU reference the snapshot has no
+        // one left to serve and is dropped.
+        let (Some(iteration), false) = (snapshot, job.riders.is_empty()) else {
             return;
         };
-        let csr = self
-            .registry
-            .get(&rb.graph)
-            .expect("validated at admission");
-        let cfg = &self.cfg.eta;
-        let worker = &mut self.workers[widx];
-        let ready = match worker.ensure_resident(&rb.graph, csr, cfg, now) {
-            Ok(t) => t,
-            Err(_) => {
-                // The healthy device cannot host the graph right now
-                // (residency pressure). Demote: the riders re-enter the
-                // ordinary queue and the ladder continues without the
-                // snapshot.
-                st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
-                return;
-            }
-        };
-        worker.pin(&rb.graph);
-        let mut sink = CkptSink::every(self.cfg.checkpoint_interval);
-        let saved_iterations = ck.iteration;
-        let result =
-            worker.run_batch_ckpt(&rb.graph, &rb.sources, cfg, ready, &mut sink, Some(&ck));
-        worker.unpin(&rb.graph);
-        st.checkpoints += sink.taken;
-        match result {
-            Ok(result) => {
-                let worker = &mut self.workers[widx];
-                worker.consecutive_faults = 0;
-                let completion = ready + result.total_ns;
-                worker.busy_ns += completion - now;
-                worker.free_at = completion;
-                st.resumes += 1;
-                st.work_saved_iterations += saved_iterations as u64;
-                if migrated {
-                    st.migrations += 1;
-                }
-                if self.prof.is_enabled() {
-                    self.prof.instant(
-                        Track::Ckpt,
-                        if migrated { "migrate" } else { "resume" },
-                        now,
-                        vec![
-                            ("device", (widx as u32).into()),
-                            ("from_device", (rb.from_device as u32).into()),
-                            ("iteration", saved_iterations.into()),
-                            ("riders", rb.riders.len().into()),
-                        ],
-                    );
-                }
-                st.batches.push(BatchRecord {
-                    device: widx as u32,
-                    graph: rb.graph.clone(),
-                    size: rb.riders.len() as u32,
-                    dispatched_ns: now,
-                    started_ns: ready,
-                    completed_ns: completion,
-                });
-                for (slot, q) in &rb.riders {
-                    let r = &q.req;
-                    let levels = &result.levels[*slot];
-                    let reached = levels.iter().filter(|&&l| l != u32::MAX).count() as u32;
-                    st.records.push(RequestRecord {
-                        id: r.id,
-                        graph: r.graph.clone(),
-                        class: r.class,
-                        source: r.source,
-                        arrival_ns: r.arrival_ns,
-                        queue_wait_ns: now - r.arrival_ns,
-                        transfer_ns: (completion - now) - result.kernel_ns,
-                        compute_ns: result.kernel_ns,
-                        latency_ns: completion - r.arrival_ns,
-                        batch_size: rb.riders.len() as u32,
-                        device: widx as u32,
-                        reached,
-                        levels_digest: digest_words(&[levels]),
-                        deadline_met: r.deadline_ns.map(|d| completion <= d),
-                        degraded: false,
-                        retries: q.retries,
-                    });
-                }
-            }
-            Err(QueryError::DeviceFault(fault)) => {
-                let fail_at = self.note_fault(widx, fault, now, st);
-                let device = widx as u32;
-                // Progress is never thrown away: a snapshot taken during
-                // the resumed run supersedes the old one; otherwise the old
-                // snapshot is re-parked — the iterations it saved are still
-                // saved.
-                let parked = sink.take().unwrap_or(ck);
-                let mut riders: Vec<(usize, Queued)> = Vec::new();
-                let mut min_retries = u32::MAX;
-                for (slot, q) in rb.riders {
-                    if q.retries >= self.cfg.max_retries {
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else if !st.qos.retry_try_take(&self.cfg.qos, fail_at) {
-                        // Same budget as the fresh-dispatch ladder: a resume
-                        // retry is still a retry.
-                        if self.prof.is_enabled() {
-                            self.prof.instant(
-                                Track::Qos,
-                                "retry_denied",
-                                fail_at,
-                                vec![("id", q.req.id.into())],
-                            );
-                        }
-                        self.cpu_fallback(&q, csr, now, fail_at, device, st);
-                    } else {
-                        min_retries = min_retries.min(q.retries);
-                        riders.push((
-                            slot,
-                            Queued {
-                                retries: q.retries + 1,
-                                not_before: 0, // set below
-                                req: q.req,
-                                est_ns: q.est_ns,
-                            },
-                        ));
-                    }
-                }
-                if !riders.is_empty() {
-                    let delay = self.cfg.backoff_base_ns << min_retries;
-                    let not_before = (fail_at + delay).max(now + 1);
-                    for (_, q) in &mut riders {
-                        q.not_before = not_before;
-                    }
-                    if self.prof.is_enabled() {
-                        self.prof.instant(
-                            Track::Ckpt,
-                            "park",
-                            fail_at,
-                            vec![
-                                ("device", device.into()),
-                                ("iteration", parked.iteration.into()),
-                                ("riders", riders.len().into()),
-                            ],
-                        );
-                    }
-                    let ckpt_key = st.store.put(parked);
-                    st.resumables.push(ResumableBatch {
-                        graph: rb.graph,
-                        sources: rb.sources,
-                        riders,
-                        ckpt_key,
-                        from_device: widx,
-                        not_before,
-                    });
-                }
-            }
-            Err(QueryError::Checkpoint(_)) => {
-                // The snapshot did not validate against the resident graph
-                // (stale epoch or shape mismatch). Treat as "no usable
-                // checkpoint": the riders restart from scratch through the
-                // ordinary queue.
-                st.queue.extend(rb.riders.into_iter().map(|(_, q)| q));
-            }
-            Err(e) => unreachable!("sources validated at admission: {e}"),
+        let fewest = job.riders.iter().map(|(_, q)| q.retries).min();
+        job.not_before = self.gate(fewest.unwrap_or(0), fail_at, now);
+        for (_, q) in &mut job.riders {
+            q.not_before = job.not_before;
+            q.retries += 1;
         }
+        self.ledger
+            .parked(device, iteration, job.riders.len(), fail_at);
+        // A resume runs the normal route, whatever the first attempt did.
+        job.degrade = false;
+        st.parked.push(job);
     }
 
-    /// Shared device-fault bookkeeping: clock/busy accounting, the fault
-    /// event, the consecutive-strike counter, and quarantine when the
-    /// strikes reach the threshold. Returns the fault time on the service
-    /// clock.
-    fn note_fault(&mut self, widx: usize, fault: DeviceFault, now: Ns, st: &mut RunState) -> Ns {
-        let worker = &mut self.workers[widx];
-        // The device clock stopped where the fault surfaced; the worker was
-        // busy (and the requests were in flight) until then.
-        let fail_at = fault.at_ns.max(now);
-        worker.busy_ns += fail_at - now;
-        worker.free_at = fail_at;
-        worker.consecutive_faults += 1;
-        worker.faults += 1;
-        let device = worker.id as u32;
-        let strikes = worker.consecutive_faults;
-        st.fault_events.push(FaultEvent {
-            device,
-            kind: fault.kind.name().to_string(),
-            at_ns: fault.at_ns,
-        });
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Fault,
-                "device_fault",
-                fail_at,
-                vec![
-                    ("device", device.into()),
-                    ("kind", fault.kind.name().into()),
-                ],
-            );
-        }
-        if strikes >= self.cfg.quarantine_after {
-            let worker = &mut self.workers[widx];
-            worker.quarantined_until = fail_at + self.cfg.quarantine_ns;
-            worker.consecutive_faults = 0;
-            let until_ns = worker.quarantined_until;
-            st.quarantines.push(QuarantineRecord {
-                device,
-                from_ns: fail_at,
-                until_ns,
-            });
-            if self.prof.is_enabled() {
-                self.prof.instant(
-                    Track::Fault,
-                    "quarantine",
-                    fail_at,
-                    vec![("device", device.into()), ("until_ns", until_ns.into())],
-                );
-            }
-        }
-        fail_at
+    /// Exponential backoff after a fault at `fail_at`; the gate is strictly
+    /// in the future, so the event loop always advances.
+    fn gate(&self, retries: u32, fail_at: Ns, now: Ns) -> Ns {
+        (fail_at + (self.cfg.backoff_base_ns << retries)).max(now + 1)
     }
 
-    /// Rung 3: the CPU reference answers a rider whose retry budget is
-    /// exhausted. Slow but sure — the response is correct, only the path
-    /// is degraded.
-    fn cpu_fallback(
-        &mut self,
-        q: &Queued,
-        csr: &Csr,
-        now: Ns,
-        fail_at: Ns,
-        device: u32,
-        st: &mut RunState,
-    ) {
-        let levels = reference::bfs(csr, q.req.source);
-        let reached = levels.iter().filter(|&&l| l != u32::MAX).count() as u32;
-        let cpu_ns = Self::cpu_fallback_ns(csr);
-        let completion = fail_at + cpu_ns;
-        if self.prof.is_enabled() {
-            self.prof.instant(
-                Track::Fault,
-                "cpu_fallback",
-                fail_at,
-                vec![("id", q.req.id.into()), ("cpu_ns", cpu_ns.into())],
-            );
-        }
-        st.records.push(RequestRecord {
-            id: q.req.id,
-            graph: q.req.graph.clone(),
-            class: q.req.class,
-            source: q.req.source,
-            arrival_ns: q.req.arrival_ns,
-            queue_wait_ns: now - q.req.arrival_ns,
-            transfer_ns: 0,
-            compute_ns: cpu_ns,
-            latency_ns: completion - q.req.arrival_ns,
-            batch_size: 1,
-            device,
-            reached,
-            levels_digest: digest_words(&[&levels]),
-            deadline_met: q.req.deadline_ns.map(|d| completion <= d),
-            degraded: true,
-            retries: q.retries,
-        });
-    }
-
-    /// Simulated cost of a host-side [`reference::bfs`] answer: a fixed
-    /// software overhead plus memory-bound per-vertex and per-edge walks,
-    /// far off the GPU's rates. Deterministic by construction.
-    fn cpu_fallback_ns(csr: &Csr) -> Ns {
-        10_000 + 2 * csr.n() as Ns + 4 * csr.m() as Ns
-    }
-
-    /// Assembles the final report: makespan, throughput, availability,
-    /// per-device stats, and the fault/quarantine timelines.
-    fn finish(&self, st: RunState) -> ServeReport {
-        let RunState {
-            mut records,
-            mut rejections,
-            batches,
-            fault_events,
-            quarantines,
-            checkpoints,
-            resumes,
-            migrations,
-            work_saved_iterations,
-            qos,
-            ..
-        } = st;
-        records.sort_by_key(|r| r.id);
-        rejections.sort_by_key(|r| r.id);
-        // CPU-fallback completions have no batch record, so the makespan
-        // also covers per-request completion times (identical to the batch
-        // maximum on a fault-free run).
-        let makespan_ns = batches
-            .iter()
-            .map(|b| b.completed_ns)
-            .chain(records.iter().map(|r| r.arrival_ns + r.latency_ns))
-            .max()
-            .unwrap_or(0);
-        let throughput_qps = if makespan_ns == 0 {
-            0.0
-        } else {
-            records.len() as f64 / (makespan_ns as f64 / 1e9)
-        };
-        let devices = self
-            .workers
-            .iter()
-            .map(|w| DeviceStats {
-                device: w.id as u32,
-                busy_ns: w.busy_ns,
-                utilization: if makespan_ns == 0 {
-                    0.0
-                } else {
-                    w.busy_ns as f64 / makespan_ns as f64
-                },
-                uploads: w.uploads,
-                evictions: w.evictions,
-            })
-            .collect();
-        let degraded = records.iter().filter(|r| r.degraded).count() as u32;
-        let denom = records.len() + rejections.len();
-        let availability = if denom == 0 {
-            1.0
-        } else {
-            records.len() as f64 / denom as f64
-        };
-        ServeReport {
-            completed: records.len() as u32,
-            rejected: rejections.len() as u32,
-            degraded,
-            availability,
-            makespan_ns,
-            throughput_qps,
-            records,
-            rejections,
-            batches,
-            devices,
-            fault_events,
-            quarantines,
-            checkpoints,
-            resumes,
-            migrations,
-            work_saved_iterations,
-            groups: Vec::new(),
-            qos: if self.cfg.qos.any_enabled() {
-                Some(qos.stats)
-            } else {
-                None
-            },
-        }
+    /// Last rung: the CPU reference answers a rider. Slow but sure — the
+    /// response is correct, only the path is degraded. Its simulated cost
+    /// is a fixed software overhead plus memory-bound per-vertex and
+    /// per-edge walks, far off the GPU's rates; deterministic by
+    /// construction.
+    fn cpu_fallback(&mut self, q: Queued<'r>, now: Ns, fail_at: Ns, device: usize) {
+        let levels = reference::bfs(q.csr, q.req.source);
+        let cpu_ns = 10_000 + 2 * q.csr.n() as Ns + 4 * q.csr.m() as Ns;
+        self.ledger
+            .fell_back(q, &levels, cpu_ns, now, fail_at, device);
     }
 }
 
@@ -1173,7 +667,6 @@ mod tests {
     use super::*;
     use crate::request::Priority;
     use eta_graph::generate::{rmat, RmatConfig};
-    use eta_graph::reference;
 
     fn registry_with(names: &[(&str, u64)]) -> GraphRegistry {
         let mut reg = GraphRegistry::new();
@@ -1300,17 +793,50 @@ mod tests {
         );
     }
 
+    /// Both placements, shaped so that every launch carries one request:
+    /// the pool without batching, and groups of two over two devices.
+    fn serial_service<'r>(reg: &'r GraphRegistry, placement: Placement) -> Service<'r> {
+        let cfg = ServeConfig {
+            devices: placement.members(),
+            max_batch: 1,
+            ..ServeConfig::default()
+        };
+        Service::with_placement(reg, cfg, placement)
+    }
+
+    const PLACEMENTS: [Placement; 2] = [Placement::Pool, Placement::Groups { size: 2 }];
+
     #[test]
     fn timeouts_drop_stale_requests_at_dispatch() {
         let reg = registry_with(&[("g", 1)]);
-        let mut stale = req(1, "g", 1, 1);
-        stale.timeout_ns = Some(10); // far shorter than any BFS launch
-        let trace = vec![req(0, "g", 0, 0), stale, req(2, "g", 2, 2)];
-        let report = Service::new(&reg, ServeConfig::default()).run(&trace);
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.rejections.len(), 1);
-        assert_eq!(report.rejections[0].id, 1);
-        assert_eq!(report.rejections[0].reason, RejectReason::TimedOut);
+        for placement in PLACEMENTS {
+            let mut stale = req(1, "g", 1, 1);
+            stale.timeout_ns = Some(10); // far shorter than any BFS launch
+            let trace = vec![req(0, "g", 0, 0), stale, req(2, "g", 2, 2)];
+            let report = serial_service(&reg, placement).run(&trace);
+            assert_eq!(report.completed, 2, "{placement:?}");
+            assert_eq!(report.rejections.len(), 1);
+            assert_eq!(report.rejections[0].id, 1);
+            assert_eq!(report.rejections[0].reason, RejectReason::TimedOut);
+            // A burst at t = 0 with a 1 µs limit: whoever the first launch
+            // picks up has waited 0 ns; by the next pick (hundreds of µs
+            // later) everyone else is too old. The group placement used to
+            // ignore the limit and serve all six.
+            let burst: Vec<Request> = (0..6)
+                .map(|i| Request {
+                    timeout_ns: Some(1_000),
+                    ..req(i, "g", i, 0)
+                })
+                .collect();
+            let report = serial_service(&reg, placement).run(&burst);
+            assert_eq!(report.completed, 1, "{placement:?}");
+            assert!(report.records.iter().all(|r| r.queue_wait_ns < 1_000));
+            assert_eq!(report.rejections.len(), 5);
+            assert!(report
+                .rejections
+                .iter()
+                .all(|r| r.reason == RejectReason::TimedOut && r.at_ns >= 1_000));
+        }
     }
 
     #[test]
@@ -1345,15 +871,38 @@ mod tests {
         // request whose wait exactly equalled its timeout slip through.
         // The pinned semantics are inclusive: wait >= limit is too old,
         // so a zero timeout can never dispatch — not even at the arrival
-        // tick, where the wait is exactly 0.
+        // tick, where the wait is exactly 0. On every placement.
         let reg = registry_with(&[("g", 1)]);
-        let mut zero = req(0, "g", 0, 0);
-        zero.timeout_ns = Some(0);
-        let report = Service::new(&reg, ServeConfig::default()).run(&[zero]);
-        assert_eq!(report.completed, 0);
-        assert_eq!(report.rejections.len(), 1);
-        assert_eq!(report.rejections[0].reason, RejectReason::TimedOut);
-        assert_eq!(report.rejections[0].at_ns, 0, "dropped at the arrival tick");
+        for placement in PLACEMENTS {
+            let zeros: Vec<Request> = (0..2)
+                .map(|i| Request {
+                    timeout_ns: Some(0),
+                    ..req(i, "g", i, 0)
+                })
+                .collect();
+            let report = serial_service(&reg, placement).run(&zeros);
+            assert_eq!(report.completed, 0, "{placement:?}");
+            assert_eq!(report.rejections.len(), 2);
+            for r in &report.rejections {
+                assert_eq!(r.reason, RejectReason::TimedOut);
+                assert_eq!(r.at_ns, 0, "dropped at the arrival tick");
+            }
+        }
+    }
+
+    #[test]
+    fn queued_requests_cannot_be_cloned() {
+        // The type-level half of exactly-once disposition: the ledger's
+        // terminal transitions take `Queued` by value, so the only way to
+        // answer a request twice would be to copy it first. If `Queued`
+        // ever gains `Clone`, both impls below apply and the call is
+        // ambiguous — a compile error, not a test failure.
+        trait AmbiguousIfClone<Marker> {
+            fn check() {}
+        }
+        impl<T> AmbiguousIfClone<()> for T {}
+        impl<T: Clone> AmbiguousIfClone<u8> for T {}
+        <Queued<'static> as AmbiguousIfClone<_>>::check();
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Integration tests for the overload-control (qos) layer: exactly-once
 //! request disposition under saturation, byte-determinism, and the behavior
 //! of each control — admission, shedding, fair share, the retry budget, and
-//! brownout — observed through the public `Service` API.
+//! brownout — observed through the public `Service` API, on both placements.
+//!
+//! Exactly-once disposition is not re-asserted per test. It rests on a
+//! type-level argument plus one property: an admitted request is a
+//! `Queued` token that is not `Clone` and that the ledger's terminal
+//! transitions consume by value, so no request can be answered twice
+//! (`sched::tests::queued_requests_cannot_be_cloned`, `tests/emit_sites.rs`);
+//! that none is dropped is the saturation grid below, and in every debug
+//! build `Service::run` asserts that dispositions add up to the trace.
 
 use eta_fault::{FaultPlan, HangFault};
 use eta_graph::generate::{rmat, RmatConfig};
 use eta_mem::Ns;
 use eta_serve::{
-    poisson_trace, Arrival, GraphRegistry, Priority, QosConfig, RejectReason, Request, ServeConfig,
-    ServeReport, Service, WorkloadConfig,
+    poisson_trace, Arrival, GraphRegistry, GroupConfig, GroupService, Priority, QosConfig,
+    RejectReason, Request, ServeConfig, ServeReport, Service, WorkloadConfig,
 };
 use std::collections::BTreeSet;
 
@@ -55,44 +63,76 @@ fn assert_exactly_once(trace: &[Request], report: &ServeReport, label: &str) {
     );
 }
 
-/// Property-style sweep: rate multipliers x arrival shapes x fault plans,
-/// all with the full qos profile on a small queue. Every cell must dispose
-/// of every request exactly once, and a second run must serialize to the
-/// same bytes.
+/// Property-style sweep: placements x rate multipliers x arrival shapes x
+/// fault plans, all with the full qos profile on a small queue. Every cell
+/// must dispose of every request exactly once, and a second run must
+/// serialize to the same bytes.
 #[test]
 fn exactly_once_disposition_under_saturation_grid() {
-    let reg = registry_with(&[("tenant-a", 1), ("tenant-b", 2)]);
+    let mut reg = registry_with(&[("tenant-a", 1), ("tenant-b", 2)]);
     let names = vec!["tenant-a".to_string(), "tenant-b".to_string()];
-    for &rate in &[20_000.0f64, 80_000.0, 160_000.0] {
-        for &arrival in &[Arrival::Poisson, Arrival::Burst] {
-            for plan_seed in [None, Some(131u64)] {
-                let workload = WorkloadConfig {
-                    requests: 80,
-                    seed: 7,
-                    rate_per_s: rate,
-                    arrival,
-                    interactive_fraction: 0.5,
-                    interactive_slo_ns: Some(1_000_000),
-                    batch_slo_ns: None,
-                    timeout_ns: None,
-                };
-                let trace = poisson_trace(&reg, &names, &workload);
-                let cfg = ServeConfig {
-                    devices: 2,
-                    queue_capacity: 16,
-                    checkpoint_interval: 2,
-                    faults: plan_seed
+    for grouped in [false, true] {
+        for &rate in &[20_000.0f64, 80_000.0, 160_000.0] {
+            for &arrival in &[Arrival::Poisson, Arrival::Burst] {
+                for plan_seed in [None, Some(131u64)] {
+                    let workload = WorkloadConfig {
+                        requests: 80,
+                        seed: 7,
+                        rate_per_s: rate,
+                        arrival,
+                        interactive_fraction: 0.5,
+                        interactive_slo_ns: Some(1_000_000),
+                        batch_slo_ns: None,
+                        timeout_ns: None,
+                    };
+                    let trace = poisson_trace(&reg, &names, &workload);
+                    let faults = plan_seed
                         .map(|s| FaultPlan::seeded(s, 2, 10_000_000))
-                        .unwrap_or_default(),
-                    qos: QosConfig::standard(),
-                    ..ServeConfig::default()
-                };
-                let label = format!("rate={rate} arrival={} plan={plan_seed:?}", arrival.name());
-                let a = Service::new(&reg, cfg.clone()).run(&trace);
-                assert_exactly_once(&trace, &a, &label);
-                let b = Service::new(&reg, cfg).run(&trace);
-                let json = |r: &ServeReport| serde_json::to_string(r).expect("serializes");
-                assert_eq!(json(&a), json(&b), "{label}: reruns must be byte-identical");
+                        .unwrap_or_default();
+                    // Pool of 2, or groups of 2 drawn from 3 devices.
+                    let mut run = || {
+                        if grouped {
+                            let cfg = GroupConfig {
+                                devices: 3,
+                                group_size: 2,
+                                queue_capacity: 16,
+                                checkpoint_interval: 2,
+                                faults: faults.clone(),
+                                qos: QosConfig::standard(),
+                                ..GroupConfig::default()
+                            };
+                            GroupService::new(&mut reg, cfg).run(&trace)
+                        } else {
+                            let cfg = ServeConfig {
+                                devices: 2,
+                                queue_capacity: 16,
+                                checkpoint_interval: 2,
+                                faults: faults.clone(),
+                                qos: QosConfig::standard(),
+                                ..ServeConfig::default()
+                            };
+                            Service::new(&reg, cfg).run(&trace)
+                        }
+                    };
+                    let label = format!(
+                        "grouped={grouped} rate={rate} arrival={} plan={plan_seed:?}",
+                        arrival.name()
+                    );
+                    let a = run();
+                    assert_exactly_once(&trace, &a, &label);
+                    // The controls are on wherever they are configured:
+                    // with shedding enabled a full queue sheds its worst
+                    // entry, it never answers `queue_full`.
+                    assert!(
+                        a.rejections
+                            .iter()
+                            .all(|r| r.reason != RejectReason::QueueFull),
+                        "{label}: shedding replaces queue_full"
+                    );
+                    let b = run();
+                    let json = |r: &ServeReport| serde_json::to_string(r).expect("serializes");
+                    assert_eq!(json(&a), json(&b), "{label}: reruns must be byte-identical");
+                }
             }
         }
     }
@@ -187,6 +227,25 @@ fn shed_evicts_worst_entry_not_the_newcomer() {
         report.qos.as_ref().unwrap().shed_rejections,
         shed.len() as u32
     );
+
+    // The same hook on the group placement, which used to answer a full
+    // queue `queue_full` while reporting qos as on: a burst of equals
+    // against a one-slot queue sheds each newcomer (highest id = worst).
+    let mut reg = reg;
+    let burst: Vec<Request> = (0..6).map(|i| req(i, "g", Priority::Batch, i, 0)).collect();
+    let cfg = GroupConfig {
+        queue_capacity: 1,
+        qos: QosConfig::standard(),
+        ..GroupConfig::default()
+    };
+    let report = GroupService::new(&mut reg, cfg).run(&burst);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.rejections.len(), 5);
+    assert!(report
+        .rejections
+        .iter()
+        .all(|r| r.reason == RejectReason::ShedOverload));
+    assert_eq!(report.qos.as_ref().unwrap().shed_rejections, 5);
 }
 
 /// Under congestion, per-tenant fair share throttles the flooding tenant
@@ -333,7 +392,6 @@ fn brownout_degrades_best_effort_and_recovers() {
         ..ServeConfig::default()
     };
     let report = Service::new(&reg, cfg).run(&trace);
-    assert_exactly_once(&trace, &report, "brownout");
     let stats = report.qos.as_ref().unwrap();
     assert!(stats.brownout_entries > 0, "the wave must enter brownout");
     assert!(
