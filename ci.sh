@@ -25,8 +25,9 @@ echo "==> cargo build --workspace --all-targets --release"
 cargo build --workspace --all-targets --release
 
 echo "==> cargo test --workspace --release -q (includes eta-serve's one-"
-echo "    emitting-site-per-event source scan and the exactly-once saturation"
-echo "    grid over both placements)"
+echo "    emitting-site-per-event source scan, the exactly-once saturation"
+echo "    grid over both placements, eta-sim's launch allocation guard and"
+echo "    eta-mem's O(1)-flush cache differential)"
 cargo test --workspace --release -q
 
 echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
@@ -91,19 +92,24 @@ mv "$PROFILE_OUT/transfer.json" "$PROFILE_OUT/transfer.first.json"
 cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"
 
-echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads)"
+echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads;"
+echo "    the web graph is the deep regime: hundreds of one-block launches)"
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
-    --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.etag" >/dev/null
-for alg in bfs sssp; do
-    for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
-        "--transfer prefetch"; do
-        # shellcheck disable=SC2086
-        cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.etag" \
-            --alg "$alg" --host-threads 1 $extra --json >"$PROFILE_OUT/hp.1.json"
-        # shellcheck disable=SC2086
-        cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.etag" \
-            --alg "$alg" --host-threads 4 $extra --json >"$PROFILE_OUT/hp.4.json"
-        cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.4.json"
+    --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.rmat.etag" >/dev/null
+cargo run --release -p eta-cli -- generate web --vertices 4000 --edges 12000 \
+    --communities 128 --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.web.etag" >/dev/null
+for graph in rmat web; do
+    for alg in bfs sssp; do
+        for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
+            "--transfer prefetch"; do
+            # shellcheck disable=SC2086
+            cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
+                --alg "$alg" --host-threads 1 $extra --json >"$PROFILE_OUT/hp.1.json"
+            # shellcheck disable=SC2086
+            cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
+                --alg "$alg" --host-threads 4 $extra --json >"$PROFILE_OUT/hp.4.json"
+            cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.4.json"
+        done
     done
 done
 cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \

@@ -75,18 +75,18 @@ impl Kernel for RefreshKernel {
             }
         }
         let srcs = w.load_burst(self.src, &start, &count, mask);
-        for (j, srow) in srcs.iter().enumerate() {
+        for j in 0..srcs.rows() {
             let mut row = 0u32;
             let mut idx = [0u32; WARP_SIZE];
             for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && (j as u32) < count[lane] {
+                if (mask >> lane) & 1 == 1 && j < count[lane] {
                     row |= 1 << lane;
-                    idx[lane] = start[lane] + j as u32;
+                    idx[lane] = start[lane] + j;
                 }
             }
             // Sources within a shard are sorted, so this gather coalesces
             // (the point of the CW layout).
-            let vals = w.load(self.labels, srow, row);
+            let vals = w.load(self.labels, &w.burst_row(srcs, j), row);
             w.store(self.srcval, &idx, &vals, row);
         }
     }
@@ -131,10 +131,12 @@ impl Kernel for RelaxKernel {
             .weights
             .map(|ws| w.load_burst(ws, &start, &count, mask));
 
-        for j in 0..vals.len() {
+        for j in 0..vals.rows() {
+            let (val_row, dst_row) = (w.burst_row(vals, j), w.burst_row(dsts, j));
+            let wt_row = wts.map(|rows| w.burst_row(rows, j));
             let mut row = 0u32;
             for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && (j as u32) < count[lane] {
+                if (mask >> lane) & 1 == 1 && j < count[lane] {
                     row |= 1 << lane;
                 }
             }
@@ -150,11 +152,11 @@ impl Kernel for RelaxKernel {
             let mut active_row = 0u32;
             for lane in 0..WARP_SIZE {
                 if (row >> lane) & 1 == 1 {
-                    let sv = vals[j][lane];
+                    let sv = val_row[lane];
                     if sv == unvisited {
                         continue; // source side not reached yet
                     }
-                    let wt = wts.as_ref().map_or(1, |rows| rows[j][lane]);
+                    let wt = wt_row.map_or(1, |row| row[lane]);
                     new[lane] = match self.alg {
                         Algorithm::Bfs => sv.saturating_add(1),
                         Algorithm::Sssp => sv.saturating_add(wt),
@@ -169,9 +171,9 @@ impl Kernel for RelaxKernel {
                 continue;
             }
             let old = if self.alg == Algorithm::Sswp {
-                w.atomic_max(self.labels, &dsts[j], &new, active_row)
+                w.atomic_max(self.labels, &dst_row, &new, active_row)
             } else {
-                w.atomic_min(self.labels, &dsts[j], &new, active_row)
+                w.atomic_min(self.labels, &dst_row, &new, active_row)
             };
             let mut improved = 0u32;
             for lane in 0..WARP_SIZE {

@@ -10,6 +10,12 @@ use eta_mem::system::MemSystem;
 use eta_sim::{GpuConfig, Kernel, LaunchConfig, WarpCtx};
 use std::hint::black_box;
 
+struct NullKernel;
+
+impl Kernel for NullKernel {
+    fn run(&self, _w: &mut WarpCtx<'_>) {}
+}
+
 struct StreamKernel {
     data: eta_mem::DSlice,
     n: u32,
@@ -68,8 +74,34 @@ fn bench_primitives(c: &mut Criterion) {
         })
     });
 
-    // MemSystem residency path.
+    // The per-launch floor on a warm device: a whole-machine grid that
+    // records nothing, and the deep-traversal shape — one block, one load.
+    // (The compute timeline is the launches' output log; drained so the
+    // loop measures launches, not its growth.)
     group.throughput(Throughput::Elements(1));
+    group.bench_function("null_launch", |b| {
+        let mut dev = eta_sim::Device::new(GpuConfig::default_preset());
+        let grid = LaunchConfig {
+            blocks: dev.cfg.num_sms as u32,
+            threads_per_block: 256,
+        };
+        b.iter(|| {
+            dev.compute_timeline.clear();
+            black_box(dev.launch(&NullKernel, grid, 0).end_ns)
+        })
+    });
+    group.bench_function("one_block_launch", |b| {
+        let mut dev = eta_sim::Device::new(GpuConfig::default_preset());
+        let n = 256u32;
+        let data = dev.mem.alloc_explicit(n as u64).unwrap();
+        let k = StreamKernel { data, n };
+        b.iter(|| {
+            dev.compute_timeline.clear();
+            black_box(dev.launch(&k, LaunchConfig::for_items(n, 256), 0).end_ns)
+        })
+    });
+
+    // MemSystem residency path.
     group.bench_function("um_resident_touch", |b| {
         let mut m = MemSystem::new(1 << 30, PcieLink::new(12.0, 1000));
         let a = m.alloc_unified(1 << 20);

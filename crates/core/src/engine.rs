@@ -267,6 +267,12 @@ struct Member<'a> {
     /// Halo ids ascend and owners hold contiguous ranges, so every owner's
     /// batch is one contiguous run of it.
     outbox: Vec<(u32, u32)>,
+    /// Observer state of a group of one: which vertices' labels have left
+    /// `init_label`, and how many — `visited_total`, kept per superstep
+    /// from the vertices the kernels appended to `next` instead of
+    /// rescanning every label.
+    seen: Vec<bool>,
+    visited: u64,
 }
 
 impl Member<'_> {
@@ -324,6 +330,8 @@ impl<'a> Traversal<'a> {
             },
             last_sent: Vec::new(),
             outbox: Vec::new(),
+            seen: Vec::new(),
+            visited: 0,
         };
         Traversal {
             alg,
@@ -412,6 +420,10 @@ impl Program for Traversal<'_> {
                 });
             }
             m.last_sent = local[view.own_len() as usize..].to_vec();
+            if solo {
+                m.seen = local.iter().map(|&l| l != alg.init_label()).collect();
+                m.visited = m.seen.iter().filter(|&&seen| seen).count() as u64;
+            }
         }
         Ok(())
     }
@@ -466,9 +478,27 @@ impl Program for Traversal<'_> {
         };
 
         // Observer-only statistics (no simulated cost): cumulative visits.
+        // A label leaves `init_label` only by an improvement, and the
+        // kernels append every vertex they improve to `next` (once per
+        // superstep: the tag claim in `relax_row`, the found lanes of the
+        // pull kernel), so the newly visited are among this superstep's
+        // appends.
         let visited_total = solo.then(|| {
-            let labels = lane.read(res.labels, res.dg.n as u64);
-            labels.iter().filter(|&&l| l != alg.init_label()).count() as u64
+            let appended = lane.read(next.count, 1)[0];
+            for &v in lane.read(next.items, appended as u64) {
+                if !std::mem::replace(&mut m.seen[v as usize], true) {
+                    m.visited += 1;
+                }
+            }
+            debug_assert_eq!(
+                m.visited,
+                lane.read(res.labels, res.dg.n as u64)
+                    .iter()
+                    .filter(|&&l| l != alg.init_label())
+                    .count() as u64,
+                "incremental visited_total diverged from the label scan"
+            );
+            m.visited
         });
         let shard = lane.member as u32;
         lane.event(Track::Iteration, alg.name(), start_ns, || {

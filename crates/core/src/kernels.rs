@@ -164,30 +164,32 @@ impl Kernel for TraversalKernel {
             }
 
             let rows = w.load_burst(self.col_idx, &start, &deg, mask);
-            for (j, row) in rows.iter().enumerate() {
+            for j in 0..rows.rows() {
                 let mut row_mask = 0u32;
                 let mut slots = [0u32; WARP_SIZE];
                 for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && (j as u32) < deg[lane] {
+                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
                         row_mask |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j as u32;
+                        slots[lane] = slot_base[lane] + j;
                     }
                 }
-                w.store_shared(&slots, row, row_mask);
+                let row = w.burst_row(rows, j);
+                w.store_shared(&slots, &row, row_mask);
             }
             let weight_shared_off = tpb * per_thread;
             if let Some(ws) = self.weights {
                 let wrows = w.load_burst(ws, &start, &deg, mask);
-                for (j, row) in wrows.iter().enumerate() {
+                for j in 0..wrows.rows() {
                     let mut row_mask = 0u32;
                     let mut slots = [0u32; WARP_SIZE];
                     for lane in 0..WARP_SIZE {
-                        if (mask >> lane) & 1 == 1 && (j as u32) < deg[lane] {
+                        if (mask >> lane) & 1 == 1 && j < deg[lane] {
                             row_mask |= 1 << lane;
-                            slots[lane] = weight_shared_off + slot_base[lane] + j as u32;
+                            slots[lane] = weight_shared_off + slot_base[lane] + j;
                         }
                     }
-                    w.store_shared(&slots, row, row_mask);
+                    let row = w.burst_row(wrows, j);
+                    w.store_shared(&slots, &row, row_mask);
                 }
             }
 

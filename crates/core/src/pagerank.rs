@@ -239,16 +239,17 @@ impl Kernel for ScatterKernel {
                 slot_base[lane] = (tids[lane] % tpb) * self.k;
             }
             let rows = w.load_burst(self.col_idx, &start, &deg, mask);
-            for (j, row_vals) in rows.iter().enumerate() {
+            for j in 0..rows.rows() {
                 let mut row = 0u32;
                 let mut slots = [0u32; WARP_SIZE];
                 for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && (j as u32) < deg[lane] {
+                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
                         row |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j as u32;
+                        slots[lane] = slot_base[lane] + j;
                     }
                 }
-                w.store_shared(&slots, row_vals, row);
+                let row_vals = w.burst_row(rows, j);
+                w.store_shared(&slots, &row_vals, row);
             }
             for j in 0..max_deg {
                 let mut row = 0u32;

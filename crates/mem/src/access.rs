@@ -1,9 +1,9 @@
 //! Per-SM access recording for the staged launch pipeline.
 //!
-//! The simulator's launch hot path used to probe the cache hierarchy inline
-//! while each warp executed. To parallelize the per-SM work across host
-//! threads *without changing a single output byte*, a launch is now split
-//! into stages (see DESIGN.md "Host parallelism"):
+//! A launch does not probe the cache hierarchy while its warps execute: so
+//! that the per-SM work can run on several host threads *without changing a
+//! single output byte*, it is split into stages (see DESIGN.md "Host
+//! parallelism"), over the SMs its grid runs blocks on:
 //!
 //! 1. **Record** (serial, canonical block-major order): warps execute
 //!    functionally and append one [`AccessRec`] per global-memory
@@ -13,21 +13,21 @@
 //!    addresses become sorted, deduplicated 32-byte sector IDs.
 //! 3. **Residency** (serial, canonical order):
 //!    [`crate::system::MemSystem::resolve_access`] replays UM migrations and
-//!    zero-copy classification in exactly the order the inline path ran
-//!    them.
-//! 4. **L1 drain** ([`drain_l1`], parallel per SM): each SM's private L1 is
-//!    probed over its own queue; sectors that miss are staged as [`L2Work`].
+//!    zero-copy classification access by access, in the recorded order.
+//! 4. **L1 drain** ([`drain_l1`], parallel per SM): each SM's private L1 —
+//!    invalidated at launch start by an O(1) [`Cache::flush`], not cleared —
+//!    is probed over its own queue; sectors that miss are staged as
+//!    [`L2Work`].
 //! 5. **L2/DRAM drain** (serial, canonical order): the shared L2 is probed
 //!    by walking the global order list with per-SM cursors.
 //!
 //! Stages touching only per-SM state (2, 4) parallelize freely; stages
 //! touching shared state (3, 5) replay the canonical order, so every
-//! counter, span, and sanitizer finding is byte-identical to the
-//! single-threaded run.
+//! counter, span, and sanitizer finding is byte-identical at any thread
+//! count.
 //!
 //! All buffers are flat arenas (`Vec`s of plain data indexed by ranges), so
-//! the parallel stages allocate nothing after the first launch warms the
-//! capacity.
+//! no stage allocates after the first launch warms the capacity.
 
 use crate::cache::Cache;
 use crate::coalesce::sector_of_word;
@@ -88,7 +88,7 @@ pub struct L1DrainParams {
 }
 
 /// One SM's recorded accesses and the per-SM results of the parallel
-/// stages. Cleared (capacity kept) at the start of every launch.
+/// stages. Cleared (capacity kept) by the next launch.
 #[derive(Debug, Default)]
 pub struct SmQueue {
     /// Raw active-lane word addresses, one range per [`AccessRec`].
@@ -148,10 +148,10 @@ impl SmQueue {
     }
 
     /// Stage 2: coalesces every access's raw addresses into sorted,
-    /// deduplicated sector IDs — the same map the inline path ran through
-    /// [`crate::coalesce::sectors_for_warp`] (normal accesses) or its
-    /// sort+dedup of `addr / 8` (burst groups). Per-SM state only, so
-    /// launches run one call per SM concurrently.
+    /// deduplicated sector IDs — the map of
+    /// [`crate::coalesce::sectors_for_warp`], over all of a burst group's
+    /// (lane, row) addresses at once. Per-SM state only, so launches run
+    /// one call per SM concurrently.
     pub fn coalesce(&mut self) {
         self.sectors.clear();
         for rec in &mut self.recs {
@@ -172,11 +172,11 @@ impl SmQueue {
     }
 }
 
-/// Stage 4: replays one SM's queue against its private L1, exactly as the
-/// inline path did — per access: zero-copy sectors skip the caches and
-/// raise the latency floor; load sectors probe L1 and stage misses for L2;
-/// store/atomic sectors bypass L1 entirely; then the L1 clock advances by
-/// the access's insertions (interleave-multiplied unless burst).
+/// Stage 4: replays one SM's queue against its private L1 — per access:
+/// zero-copy sectors skip the caches and raise the latency floor; load
+/// sectors probe L1 and stage misses for L2; store/atomic sectors bypass
+/// L1 entirely; then the L1 clock advances by the access's insertions
+/// (interleave-multiplied unless burst).
 ///
 /// Accesses with L2-bound sectors defer their stall charge to the serial
 /// L2 drain (the final charge is `max(worst_c, worst_l2_dram)`); accesses

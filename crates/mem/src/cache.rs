@@ -75,16 +75,21 @@ impl CacheStats {
 struct Line {
     tag: u64,
     last_touch: u64,
-    valid: bool,
+    /// The cache epoch this line was filled in. A line is valid iff its
+    /// epoch equals the cache's; 0 is never a cache epoch, so a fresh line
+    /// is invalid.
+    epoch: u64,
 }
 
-const INVALID: Line = Line {
-    tag: 0,
-    last_touch: 0,
-    valid: false,
-};
-
 /// A set-associative cache keyed by line (sector) ID.
+///
+/// # Flush validity
+///
+/// [`Cache::flush`] is O(1): it bumps `epoch`, and [`Cache::access`] treats
+/// every line stamped with an older epoch as invalid — exactly the state a
+/// clear of all lines would leave (an invalid line's tag and touch time are
+/// never read). The epoch is a `u64` bumped once per flush, so it cannot
+/// wrap within a process lifetime and there is no wrap-around case.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -92,6 +97,8 @@ pub struct Cache {
     /// `sets * ways` lines, set-major.
     lines: Vec<Line>,
     clock: u64,
+    /// Flush generation, starting at 1.
+    epoch: u64,
     stats: CacheStats,
 }
 
@@ -103,11 +110,17 @@ impl Cache {
             "cache smaller than one set"
         );
         let sets = cfg.sets();
+        let never_filled = Line {
+            tag: 0,
+            last_touch: 0,
+            epoch: 0,
+        };
         Cache {
             cfg,
             sets,
-            lines: vec![INVALID; sets * cfg.ways],
+            lines: vec![never_filled; sets * cfg.ways],
             clock: 0,
+            epoch: 1,
             stats: CacheStats::default(),
         }
     }
@@ -124,9 +137,10 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Invalidates all contents (new kernel launch) without clearing stats.
+    /// Invalidates all contents (new kernel launch) without clearing stats
+    /// or the clock. O(1): see the type's "Flush validity" contract.
     pub fn flush(&mut self) {
-        self.lines.fill(INVALID);
+        self.epoch += 1;
     }
 
     /// Advances the interleaving clock by `ticks` logical instructions.
@@ -140,7 +154,8 @@ impl Cache {
 
     /// Probes the cache for `line_id` (a sector ID). Returns `true` on hit.
     ///
-    /// On miss the line is installed, evicting the LRU way of its set. A
+    /// On miss the line is installed in the last invalid way of its set,
+    /// else over the least recently touched way (the first on a tie). A
     /// resident line whose age exceeds `retention` counts as a miss: the
     /// interleaved traffic of co-resident warps is assumed to have evicted it.
     pub fn access(&mut self, line_id: u64) -> bool {
@@ -151,7 +166,10 @@ impl Cache {
         let mut victim = 0usize;
         let mut victim_touch = u64::MAX;
         for (w, line) in ways.iter_mut().enumerate() {
-            if line.valid && line.tag == line_id {
+            if line.epoch != self.epoch {
+                victim = w;
+                victim_touch = 0;
+            } else if line.tag == line_id {
                 let age = self.clock.saturating_sub(line.last_touch);
                 line.last_touch = self.clock;
                 if age <= self.cfg.retention {
@@ -161,21 +179,16 @@ impl Cache {
                 // Aged out: treat as a miss but the refill reuses this way.
                 self.stats.misses += 1;
                 return false;
-            }
-            let touch = if line.valid { line.last_touch } else { 0 };
-            if !line.valid {
+            } else if line.last_touch < victim_touch {
                 victim = w;
-                victim_touch = 0;
-            } else if touch < victim_touch {
-                victim = w;
-                victim_touch = touch;
+                victim_touch = line.last_touch;
             }
         }
         self.stats.misses += 1;
         ways[victim] = Line {
             tag: line_id,
             last_touch: self.clock,
-            valid: true,
+            epoch: self.epoch,
         };
         false
     }
@@ -184,6 +197,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
 
     fn small_cache(retention: u64) -> Cache {
         // 8 lines total, 2-way, 4 sets.
@@ -264,6 +278,202 @@ mod tests {
         assert!(!c.access(1));
         assert_eq!(c.stats().hits, before.hits);
         assert_eq!(c.stats().misses, before.misses + 1);
+    }
+
+    /// The cache as it was before flush became O(1) — a `valid` bit per
+    /// line, cleared by a fill of the whole tag array — kept as the
+    /// differential oracle for [`Cache`].
+    struct RefCache {
+        cfg: CacheConfig,
+        sets: usize,
+        lines: Vec<RefLine>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    #[derive(Clone, Copy)]
+    struct RefLine {
+        tag: u64,
+        last_touch: u64,
+        valid: bool,
+    }
+
+    const INVALID: RefLine = RefLine {
+        tag: 0,
+        last_touch: 0,
+        valid: false,
+    };
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets();
+            RefCache {
+                cfg,
+                sets,
+                lines: vec![INVALID; sets * cfg.ways],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn flush(&mut self) {
+            self.lines.fill(INVALID);
+        }
+
+        fn access(&mut self, line_id: u64) -> bool {
+            let set = (line_id as usize) % self.sets;
+            let base = set * self.cfg.ways;
+            let ways = &mut self.lines[base..base + self.cfg.ways];
+            let mut victim = 0usize;
+            let mut victim_touch = u64::MAX;
+            for (w, line) in ways.iter_mut().enumerate() {
+                if line.valid && line.tag == line_id {
+                    let age = self.clock.saturating_sub(line.last_touch);
+                    line.last_touch = self.clock;
+                    if age <= self.cfg.retention {
+                        self.stats.hits += 1;
+                        return true;
+                    }
+                    self.stats.misses += 1;
+                    return false;
+                }
+                let touch = if line.valid { line.last_touch } else { 0 };
+                if !line.valid {
+                    victim = w;
+                    victim_touch = 0;
+                } else if touch < victim_touch {
+                    victim = w;
+                    victim_touch = touch;
+                }
+            }
+            self.stats.misses += 1;
+            ways[victim] = RefLine {
+                tag: line_id,
+                last_touch: self.clock,
+                valid: true,
+            };
+            false
+        }
+    }
+
+    /// The cache under test and the oracle, driven in lockstep.
+    struct Pair {
+        new: Cache,
+        old: RefCache,
+    }
+
+    impl Pair {
+        fn new(cfg: CacheConfig) -> Self {
+            Pair {
+                new: Cache::new(cfg),
+                old: RefCache::new(cfg),
+            }
+        }
+
+        fn access(&mut self, id: u64) {
+            assert_eq!(self.new.access(id), self.old.access(id), "line {id}");
+            self.assert_same();
+        }
+
+        fn tick(&mut self, ticks: u64) {
+            self.new.tick(ticks);
+            self.old.clock += ticks;
+            self.assert_same();
+        }
+
+        fn flush(&mut self) {
+            self.new.flush();
+            self.old.flush();
+            self.assert_same();
+        }
+
+        fn assert_same(&self) {
+            assert_eq!(self.new.stats(), self.old.stats);
+            assert_eq!(self.new.clock(), self.old.clock);
+        }
+    }
+
+    /// One way; 2-way x 4 sets; the default preset's L1 and L2.
+    fn geometries(retention: u64) -> [CacheConfig; 4] {
+        let geometry = |size_bytes, ways| CacheConfig {
+            size_bytes,
+            line_bytes: 32,
+            ways,
+            retention,
+        };
+        [
+            geometry(4 * 32, 1),
+            geometry(8 * 32, 2),
+            geometry(48 * 1024, 8),
+            geometry(2816 * 1024, 16),
+        ]
+    }
+
+    #[test]
+    fn flush_edges_match_fill_oracle() {
+        for cfg in geometries(6).into_iter().chain(geometries(u64::MAX)) {
+            let mut pair = Pair::new(cfg);
+            // Flush on a never-ticked, never-filled cache, twice over.
+            pair.flush();
+            pair.flush();
+            // Flush at the same clock as the last touch: the line is gone
+            // although its age is 0.
+            pair.access(3);
+            pair.flush();
+            pair.access(3);
+            pair.access(3);
+            // A stale line of an older epoch in every way of a set, then
+            // refills: each must land where the cleared array puts it.
+            let sets = cfg.sets() as u64;
+            for w in 0..cfg.ways as u64 + 1 {
+                pair.access(w * sets);
+                pair.tick(1);
+            }
+            pair.flush();
+            pair.flush();
+            for w in (0..cfg.ways as u64 + 2).rev() {
+                pair.access(w * sets);
+                pair.tick(2);
+                pair.access(1 + w * sets);
+            }
+            pair.tick(7);
+            for w in 0..cfg.ways as u64 + 2 {
+                pair.access(w * sets);
+            }
+            // Refill a flushed set without ticking: the invalid ways fill
+            // from the last one down, which the tie on `last_touch` then
+            // exposes — the overflow evicts way 0, the line filled last.
+            pair.flush();
+            for w in 0..cfg.ways as u64 + 1 {
+                pair.access(w * sets);
+            }
+            pair.access((cfg.ways as u64 - 1) * sets);
+            pair.access(0);
+        }
+    }
+
+    #[test]
+    fn differential_random_ops_match_fill_oracle() {
+        for case in 0..240u64 {
+            let mut rng = Rng(case);
+            let retention = [0, 3, 40, 768, u64::MAX][rng.below(5)];
+            let cfg = geometries(retention)[(case % 4) as usize];
+            let mut pair = Pair::new(cfg);
+            // A few hot sets, so ways fill, age, conflict and get reused.
+            let sets = cfg.sets() as u64;
+            let span = cfg.ways + 3;
+            for _ in 0..400 {
+                match rng.below(100) {
+                    0..=69 => pair.access(rng.below(3) as u64 + sets * rng.below(span) as u64),
+                    70..=89 => pair.tick(rng.below(2 * retention.clamp(1, 50) as usize) as u64),
+                    90..=97 => pair.flush(),
+                    _ => {
+                        pair.flush();
+                        pair.flush();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

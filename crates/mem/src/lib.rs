@@ -42,6 +42,8 @@ pub mod coalesce;
 pub mod pcie;
 pub mod peer;
 pub mod system;
+#[cfg(test)]
+mod test_rng;
 pub mod timeline;
 pub mod um;
 

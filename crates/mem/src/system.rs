@@ -679,8 +679,8 @@ impl MemSystem {
     /// The classification must happen right here, between this access's
     /// residency and the next one's — the adaptive policy's per-page-group
     /// choices evolve access by access (`note_sector`, residency changes),
-    /// so deferring the flags would diverge from the inline path the
-    /// pipeline replaces.
+    /// so flags computed after the whole launch's residency would describe
+    /// a later policy state than the access saw.
     pub fn resolve_access(
         &mut self,
         region: RegionId,

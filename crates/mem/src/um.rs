@@ -602,6 +602,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Rng;
 
     fn driver_with_region(pages: u64) -> (UmDriver, usize) {
         let mut d = UmDriver::new();
@@ -984,23 +985,6 @@ mod tests {
         pair.touch(0, &[0, 8, 31], FAULT_GROUP_BYTES);
         pair.assert_same();
         assert!(pair.new.resident_bytes() > FAULT_GROUP_BYTES);
-    }
-
-    /// SplitMix64, the workspace's seeded generator (`L-DET-RAND`).
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
     }
 
     #[test]

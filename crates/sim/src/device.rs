@@ -36,6 +36,7 @@ use crate::config::{ConfigError, GpuConfig};
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::metrics::KernelMetrics;
 use crate::sanitizer::{Sanitizer, SanitizerReport};
+use crate::warp::{Lanes, WarpCtx, WarpId};
 use eta_fault::{DeviceFault, FaultKind, FaultPlan};
 use eta_mem::access::{L1DrainParams, PipeOp, SmQueue};
 use eta_mem::cache::Cache;
@@ -49,19 +50,39 @@ use eta_prof::{ArgValue, Profile, Track};
 pub struct Device {
     pub cfg: GpuConfig,
     pub mem: MemSystem,
-    l1: Vec<Cache>,
+    sms: Vec<Sm>,
     l2: Cache,
     /// Compute spans recorded by launches (transfer spans live on the link).
     pub compute_timeline: Timeline,
     /// Attached when `cfg.sanitizer` enables any analysis.
     sanitizer: Option<Sanitizer>,
-    /// Per-SM record/replay arenas for the staged launch pipeline, reused
-    /// across launches so the hot path allocates nothing once warm.
-    queues: Vec<SmQueue>,
     /// Canonical record order: the SM index of every recorded access, in
     /// block-major execution order. The serial residency and L2 stages walk
-    /// this to replay shared state exactly as the inline path did.
+    /// this to evolve shared state in one order at any host thread count.
     order: Vec<u32>,
+    /// SMs the last launch ran blocks on: `sms[..used_sms]`. Blocks are
+    /// dealt round-robin from SM 0, so every other SM recorded nothing and
+    /// no launch stage visits it.
+    used_sms: usize,
+    /// One block's shared memory, zeroed at every block start.
+    shared: Vec<u32>,
+    /// Row arena of the running warp's [`crate::warp::Burst`]s.
+    burst_rows: Vec<Lanes>,
+}
+
+/// One SM: its private L1, its record/replay arena for the staged launch
+/// pipeline, and the launch's per-SM accumulators and replay cursors. All
+/// of it is reused across launches, so a launch allocates nothing once
+/// warm.
+struct Sm {
+    l1: Cache,
+    queue: SmQueue,
+    instr: u64,
+    stall: u64,
+    /// Next of `queue.recs` / `queue.l2q` in a serial stage's walk of the
+    /// canonical order.
+    next_rec: usize,
+    next_l2: usize,
 }
 
 /// Outcome of one kernel launch.
@@ -99,13 +120,30 @@ impl Device {
         Ok(Device {
             cfg,
             mem,
-            l1: (0..cfg.num_sms).map(|_| Cache::new(cfg.l1)).collect(),
+            sms: (0..cfg.num_sms)
+                .map(|_| Sm {
+                    l1: Cache::new(cfg.l1),
+                    queue: SmQueue::default(),
+                    instr: 0,
+                    stall: 0,
+                    next_rec: 0,
+                    next_l2: 0,
+                })
+                .collect(),
             l2: Cache::new(cfg.l2),
             compute_timeline: Timeline::new(),
             sanitizer,
-            queues: (0..cfg.num_sms).map(|_| SmQueue::default()).collect(),
             order: Vec::new(),
+            used_sms: 0,
+            shared: Vec::new(),
+            burst_rows: Vec::new(),
         })
+    }
+
+    /// What SM `sm` recorded and replayed in the last launch (empty for an
+    /// SM that launch ran no block on).
+    pub fn sm_queue(&self, sm: usize) -> &SmQueue {
+        &self.sms[sm].queue
     }
 
     /// The sanitizer's findings so far; `None` when no sanitizer is attached.
@@ -197,15 +235,22 @@ impl Device {
         let l2_interleave = (self.cfg.num_sms as u64).min(total_warps).max(1);
         let warps_per_block = (launch.threads_per_block as u64).div_ceil(32) as u32;
 
-        // New kernels start cold in L1 (flushed per launch, as on hardware
-        // where L1 is not coherent across kernels). L2 persists.
-        for c in &mut self.l1 {
-            c.flush();
+        // The previous launch's records go; this launch's SMs start cold in
+        // L1 (invalidated per launch, as on hardware where L1 is not
+        // coherent across kernels — O(1) each, see `Cache::flush`). An SM
+        // this launch leaves idle keeps its stale L1 until the launch that
+        // next uses it invalidates it here. L2 persists.
+        for sm in &mut self.sms[..self.used_sms] {
+            sm.queue.clear();
         }
-
-        let mut sm_instr = vec![0u64; self.cfg.num_sms];
-        let mut sm_stall = vec![0u64; self.cfg.num_sms];
-        let mut shared = vec![0u32; shared_words as usize];
+        self.order.clear();
+        let used = (launch.blocks as usize).min(self.cfg.num_sms);
+        self.used_sms = used;
+        for sm in &mut self.sms[..used] {
+            sm.l1.flush();
+            (sm.instr, sm.stall, sm.next_rec, sm.next_l2) = (0, 0, 0, 0);
+        }
+        self.shared.resize(shared_words as usize, 0);
 
         if let Some(san) = self.sanitizer.as_mut() {
             san.begin_launch(kernel.name());
@@ -214,41 +259,34 @@ impl Device {
 
         // ---- Stage 1: record (serial, canonical block-major order) ------
         // Warps execute functionally — real loads, stores, atomics, all
-        // sanitizer hooks — in exactly the inline path's order, but global
-        // accesses are recorded into per-SM queues instead of probing the
-        // caches. Functional results and sanitizer findings are therefore
-        // byte-identical by construction; the cache/residency effects are
+        // sanitizer hooks — in canonical order, recording their global
+        // accesses into per-SM queues; the cache/residency effects are
         // replayed below.
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.order.clear();
         for block in 0..launch.blocks {
-            let sm = (block as usize) % self.cfg.num_sms;
-            shared.fill(0);
+            let smi = (block as usize) % self.cfg.num_sms;
+            let sm = &mut self.sms[smi];
+            self.shared.fill(0);
             for warp in 0..warps_per_block {
-                let mut ctx = crate::warp::WarpCtx::new_recording(
+                let mut ctx = WarpCtx::new_recording(
                     &self.cfg,
                     &mut self.mem,
-                    sm as u32,
-                    &mut self.queues[sm],
+                    smi as u32,
+                    &mut sm.queue,
                     &mut self.order,
-                    &mut shared,
-                    crate::warp::WarpId {
+                    &mut self.shared,
+                    &mut self.burst_rows,
+                    WarpId {
                         block,
                         warp_in_block: warp,
                         threads_per_block: launch.threads_per_block,
                         grid_blocks: launch.blocks,
                     },
-                    occupancy,
-                    l2_interleave,
-                    start_ns,
                     self.sanitizer.as_mut(),
                 );
                 kernel.run(&mut ctx);
                 let (instr, stall) = ctx.finish(&mut metrics);
-                sm_instr[sm] += instr;
-                sm_stall[sm] += stall;
+                sm.instr += instr;
+                sm.stall += stall;
             }
         }
         if let Some(san) = self.sanitizer.as_mut() {
@@ -256,103 +294,97 @@ impl Device {
         }
 
         let host_threads = self.cfg.host_threads;
+        let sms = &mut self.sms[..used];
 
         // ---- Stage 2: coalesce (parallel per SM) ------------------------
-        eta_par::for_each_mut_threads(host_threads, &mut self.queues, |_, q| q.coalesce());
+        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| sm.queue.coalesce());
 
         // ---- Stage 3: residency + zero-copy classification (serial) -----
         // UM migrations, PCIe spans, adaptive-policy evolution and fault
         // injection are shared state: replay them in the canonical order.
-        {
-            let mut cursor = vec![0usize; self.cfg.num_sms];
-            for &sm in &self.order {
-                let smi = sm as usize;
-                let q = &mut self.queues[smi];
-                let rec = q.recs[cursor[smi]];
-                cursor[smi] += 1;
-                let secs = &q.sectors[rec.sec_start..rec.sec_start + rec.sec_len];
-                let zc = &mut q.zc[rec.sec_start..rec.sec_start + rec.sec_len];
-                let arrival = self.mem.resolve_access(rec.region, secs, start_ns, zc);
-                metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
-            }
+        for &smi in &self.order {
+            let sm = &mut sms[smi as usize];
+            let q = &mut sm.queue;
+            let rec = q.recs[sm.next_rec];
+            sm.next_rec += 1;
+            let secs = &q.sectors[rec.sec_start..rec.sec_start + rec.sec_len];
+            let zc = &mut q.zc[rec.sec_start..rec.sec_start + rec.sec_len];
+            let arrival = self.mem.resolve_access(rec.region, secs, start_ns, zc);
+            metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
         }
 
         // ---- Stage 4: L1 drain (parallel per SM) ------------------------
-        // Each SM's L1 is private and flushed per launch, so its probe
-        // sequence is fully determined by its own queue.
-        {
-            let params = L1DrainParams {
-                l1_latency: self.cfg.l1_latency,
-                zero_copy_latency: self.cfg.zero_copy_latency,
-                interleave: occupancy,
-            };
-            let mut per_sm: Vec<(&mut Cache, &mut SmQueue)> =
-                self.l1.iter_mut().zip(self.queues.iter_mut()).collect();
-            eta_par::for_each_mut_threads(host_threads, &mut per_sm, |_, (l1, q)| {
-                eta_mem::access::drain_l1(q, l1, &params);
-            });
-        }
+        // Each SM's L1 is private and starts the launch invalidated, so its
+        // probe sequence is fully determined by its own queue.
+        let params = L1DrainParams {
+            l1_latency: self.cfg.l1_latency,
+            zero_copy_latency: self.cfg.zero_copy_latency,
+            interleave: occupancy,
+        };
+        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| {
+            eta_mem::access::drain_l1(&mut sm.queue, &mut sm.l1, &params);
+        });
 
         // ---- Stage 5: shared L2/DRAM drain (serial, canonical order) ----
-        {
-            let mut rec_cursor = vec![0usize; self.cfg.num_sms];
-            let mut l2_cursor = vec![0usize; self.cfg.num_sms];
-            for &sm in &self.order {
-                let smi = sm as usize;
-                let q = &mut self.queues[smi];
-                let i = rec_cursor[smi];
-                rec_cursor[smi] += 1;
-                let Some(&work) = q.l2q.get(l2_cursor[smi]) else {
-                    continue;
-                };
-                if work.rec != i {
-                    continue;
-                }
-                l2_cursor[smi] += 1;
-                let rec = q.recs[work.rec];
-                let mut worst_d = 0u64;
-                for &sec in &q.l2q_sectors[work.sec_start..work.sec_start + work.sec_len] {
-                    match rec.op {
-                        PipeOp::Load => {
-                            metrics.l2_requests += 1;
-                            if self.l2.access(sec) {
-                                metrics.l2.hits += 1;
-                                worst_d = worst_d.max(self.cfg.l2_latency);
-                            } else {
-                                metrics.l2.misses += 1;
-                                metrics.dram_transactions += 1;
-                                worst_d = worst_d.max(self.cfg.dram_latency);
-                            }
+        for sm in sms.iter_mut() {
+            sm.next_rec = 0;
+        }
+        for &smi in &self.order {
+            let sm = &mut sms[smi as usize];
+            let q = &sm.queue;
+            let i = sm.next_rec;
+            sm.next_rec += 1;
+            let Some(&work) = q.l2q.get(sm.next_l2) else {
+                continue;
+            };
+            if work.rec != i {
+                continue;
+            }
+            sm.next_l2 += 1;
+            let rec = q.recs[work.rec];
+            let mut worst_d = 0u64;
+            for &sec in &q.l2q_sectors[work.sec_start..work.sec_start + work.sec_len] {
+                match rec.op {
+                    PipeOp::Load => {
+                        metrics.l2_requests += 1;
+                        if self.l2.access(sec) {
+                            metrics.l2.hits += 1;
+                            worst_d = worst_d.max(self.cfg.l2_latency);
+                        } else {
+                            metrics.l2.misses += 1;
+                            metrics.dram_transactions += 1;
+                            worst_d = worst_d.max(self.cfg.dram_latency);
                         }
-                        PipeOp::Store | PipeOp::Atomic => {
-                            if !self.l2.access(sec) {
-                                metrics.dram_write_transactions += 1;
-                            }
+                    }
+                    PipeOp::Store | PipeOp::Atomic => {
+                        if !self.l2.access(sec) {
+                            metrics.dram_write_transactions += 1;
                         }
                     }
                 }
-                let inserted = work.sec_len as u64;
-                if rec.burst {
-                    self.l2.tick(inserted);
-                } else {
-                    // The L2 absorbs traffic from every SM concurrently.
-                    self.l2.tick(l2_interleave * inserted);
-                }
-                if rec.charge {
-                    let worst = work.worst_c.max(worst_d);
-                    sm_stall[smi] += worst;
-                    metrics.mem_stall_cycles += worst;
-                }
+            }
+            let inserted = work.sec_len as u64;
+            if rec.burst {
+                self.l2.tick(inserted);
+            } else {
+                // The L2 absorbs traffic from every SM concurrently.
+                self.l2.tick(l2_interleave * inserted);
+            }
+            if rec.charge {
+                let worst = work.worst_c.max(worst_d);
+                sm.stall += worst;
+                metrics.mem_stall_cycles += worst;
             }
         }
 
         // Merge the per-SM stage results in SM-index order.
-        for (smi, q) in self.queues.iter().enumerate() {
+        for sm in sms.iter_mut() {
+            let q = &sm.queue;
             metrics.l1_requests += q.l1_requests;
             metrics.l1.hits += q.l1_hits;
             metrics.l1.misses += q.l1_requests - q.l1_hits;
             metrics.mem_stall_cycles += q.stall;
-            sm_stall[smi] += q.stall;
+            sm.stall += q.stall;
         }
 
         // Warp-accumulated counters are already in `metrics`; derive bytes.
@@ -360,10 +392,9 @@ impl Device {
 
         // Timing.
         let hiding = occupancy.min(self.cfg.hiding_cap as u64).max(1);
-        let sm_cycles = sm_instr
+        let sm_cycles = sms
             .iter()
-            .zip(&sm_stall)
-            .map(|(&i, &s)| i + s / hiding)
+            .map(|sm| sm.instr + sm.stall / hiding)
             .max()
             .unwrap_or(0);
         let dram_cycles = (metrics.dram_bytes as f64 / self.cfg.dram_bytes_per_cycle()) as u64;
@@ -493,9 +524,21 @@ impl Device {
                 .prof
                 .record(Track::Kernel, kernel.name(), start_ns, end_ns, args);
         }
-        // Conservation laws of the UM bookkeeping, checked continuously
-        // rather than discovered (O(pages), so debug builds only).
+        // Conservation laws of the launch's counters and of the UM
+        // bookkeeping, checked continuously rather than discovered (the
+        // latter is O(pages), so debug builds only).
         if cfg!(debug_assertions) {
+            let m = &metrics;
+            assert_eq!(m.l1_requests, m.l1.hits + m.l1.misses, "L1 probes");
+            assert_eq!(m.l2_requests, m.l2.hits + m.l2.misses, "L2 read probes");
+            assert_eq!(m.l1.misses, m.l2_requests, "every L1 miss reads L2");
+            assert_eq!(m.dram_transactions, m.l2.misses, "every L2 miss reads DRAM");
+            assert_eq!(
+                m.dram_bytes,
+                (m.dram_transactions + m.dram_write_transactions) * 32
+            );
+            let recorded: usize = self.sms.iter().map(|sm| sm.queue.recs.len()).sum();
+            assert_eq!(recorded, self.order.len(), "one order entry per record");
             self.mem.um.check_invariants();
         }
         LaunchResult { end_ns, metrics }
@@ -512,9 +555,9 @@ impl Device {
 
     /// Clears caches and timelines for a fresh experiment on the same data.
     pub fn reset_run_state(&mut self) {
-        for c in &mut self.l1 {
-            c.flush();
-            c.reset_stats();
+        for sm in &mut self.sms {
+            sm.l1.flush();
+            sm.l1.reset_stats();
         }
         self.l2.flush();
         self.l2.reset_stats();
@@ -935,9 +978,76 @@ mod tests {
         let n = 2048u32;
         let input = dev.mem.alloc_explicit(n as u64).unwrap();
         let output = dev.mem.alloc_explicit(n as u64).unwrap();
-        dev.launch(&DoubleKernel { input, output, n }, grid(n, 256), 0);
+        let k = DoubleKernel { input, output, n };
+        let cold = dev.launch(&k, grid(n, 256), 0).metrics;
+        assert_eq!((cold.l1.hits, cold.l2.hits), (0, 0), "a first touch");
+        let warm = dev.launch(&k, grid(n, 256), 0).metrics;
+        assert_eq!(warm.l1.hits, 0, "L1 starts every launch invalidated");
+        assert_eq!(warm.l2.hits, warm.l2_requests, "L2 persists");
         dev.reset_run_state();
         assert!(dev.compute_timeline.spans().is_empty());
         assert_eq!(dev.mem.pcie.bytes_moved(), 0);
+        let again = dev.launch(&k, grid(n, 256), 0).metrics;
+        assert_eq!((again.l1, again.l2), (cold.l1, cold.l2), "cold again");
+        assert_eq!(again.dram_bytes, cold.dram_bytes);
+    }
+
+    /// Each warp checks its slice of the block's shared memory is zero,
+    /// counting the rows it checked and the non-zero words it found, then
+    /// dirties it.
+    struct SharedProbe {
+        words: u64,
+        checked: DSlice,
+        dirty: DSlice,
+    }
+
+    impl Kernel for SharedProbe {
+        fn shared_words_per_block(&self, _threads_per_block: u32) -> u64 {
+            self.words
+        }
+
+        fn run(&self, w: &mut WarpCtx<'_>) {
+            let id = w.id();
+            let per_warp = self.words as u32 / (id.threads_per_block / 32);
+            let zero = [0u32; 32];
+            for row in 0..per_warp / 32 {
+                let base = id.warp_in_block * per_warp + row * 32;
+                let mut idx = [0u32; 32];
+                for (lane, slot) in idx.iter_mut().enumerate() {
+                    *slot = base + lane as u32;
+                }
+                let seen = w.load_shared(&idx, u32::MAX);
+                let mut nonzero = zero;
+                nonzero[0] = seen.iter().filter(|&&v| v != 0).count() as u32;
+                w.atomic_add(self.dirty, &zero, &nonzero, 1);
+                w.atomic_add(self.checked, &zero, &[1; 32], 1);
+                w.store_shared(&idx, &[0xDEAD_BEEF; 32], u32::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_memory_starts_zeroed_for_every_block_across_launch_sizes() {
+        let mut dev = Device::new(GpuConfig::default_preset());
+        let checked = dev.mem.alloc_explicit(8).unwrap();
+        let dirty = dev.mem.alloc_explicit(8).unwrap();
+        let launch = LaunchConfig {
+            blocks: 3,
+            threads_per_block: 256,
+        };
+        // The block buffer is device-owned scratch: none, 16 KiB, none
+        // again, and back — every block of every launch finds it zeroed.
+        let mut rows = 0;
+        for words in [0u64, 4096, 0, 4096, 1024] {
+            let probe = SharedProbe {
+                words,
+                checked,
+                dirty,
+            };
+            dev.launch(&probe, launch, 0);
+            rows += 3 * words as u32 / 32;
+            assert_eq!(dev.mem.host_read(checked, 0, 1), &[rows], "{words} words");
+            assert_eq!(dev.mem.host_read(dirty, 0, 1), &[0], "{words} words");
+        }
     }
 }

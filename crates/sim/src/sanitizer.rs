@@ -30,6 +30,7 @@
 
 use crate::config::WARP_SIZE;
 use crate::warp::{Lanes, WarpId};
+use eta_mem::coalesce::sectors_for_warp;
 use eta_mem::system::{DSlice, MemSystem, RegionKind};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -329,6 +330,8 @@ pub struct Sanitizer {
     lint: Vec<KernelLintStats>,
     lint_index: HashMap<String, usize>,
     cur_lint: usize,
+    /// Coalescing scratch for the lint transaction count.
+    sector_scratch: Vec<u64>,
 }
 
 impl Sanitizer {
@@ -344,6 +347,7 @@ impl Sanitizer {
             lint: Vec::new(),
             lint_index: HashMap::new(),
             cur_lint: 0,
+            sector_scratch: Vec::new(),
         }
     }
 
@@ -479,9 +483,9 @@ impl Sanitizer {
         ok
     }
 
-    /// Post-coalesce hook for one global instruction: uninitialized-read
-    /// checks, race tracking and lint accounting over the effective mask.
-    #[allow(clippy::too_many_arguments)] // mirrors the coalescer's operands
+    /// Hook for one global instruction, after [`Sanitizer::pre_access`]:
+    /// uninitialized-read checks, race tracking and lint accounting (the
+    /// instruction's coalesced transaction count) over the effective mask.
     pub fn global_access(
         &mut self,
         id: WarpId,
@@ -489,11 +493,16 @@ impl Sanitizer {
         s: DSlice,
         idx: &Lanes,
         mask: u32,
-        sectors: u64,
         mem: &MemSystem,
     ) {
         let active = mask.count_ones() as u64;
         if self.mode.lint() {
+            let mut addrs = [0u64; WARP_SIZE];
+            for lane in 0..WARP_SIZE {
+                addrs[lane] = s.word_off + idx[lane] as u64;
+            }
+            sectors_for_warp(&addrs, mask, &mut self.sector_scratch);
+            let sectors = self.sector_scratch.len() as u64;
             let l = &mut self.lint[self.cur_lint];
             l.mem_instructions += 1;
             l.active_lanes += active;
@@ -949,11 +958,11 @@ mod tests {
         let s = dslice(64);
         let idx = [0u32; WARP_SIZE];
         san.begin_launch("a");
-        san.global_access(wid(0, 0), AccessKind::Store, s, &idx, 1, 1, &mem);
+        san.global_access(wid(0, 0), AccessKind::Store, s, &idx, 1, &mem);
         san.end_launch();
         // A different launch touching the same word is stream-ordered.
         san.begin_launch("b");
-        san.global_access(wid(1, 0), AccessKind::Load, s, &idx, 1, 1, &mem);
+        san.global_access(wid(1, 0), AccessKind::Load, s, &idx, 1, &mem);
         san.end_launch();
         assert!(san.report().is_clean());
     }
@@ -1009,11 +1018,11 @@ mod tests {
         san.begin_launch("k");
         let idx = [0u32; WARP_SIZE];
         // Loads through zero-copy are the intended pattern: clean.
-        san.global_access(wid(0, 0), AccessKind::Load, zc, &idx, 1, 1, &mem);
+        san.global_access(wid(0, 0), AccessKind::Load, zc, &idx, 1, &mem);
         assert!(san.report().warnings.is_empty());
         // A store is flagged — as a warning, so gates stay green.
-        san.global_access(wid(0, 0), AccessKind::Store, zc, &idx, 1, 1, &mem);
-        san.global_access(wid(0, 0), AccessKind::Atomic, zc, &idx, 1, 1, &mem);
+        san.global_access(wid(0, 0), AccessKind::Store, zc, &idx, 1, &mem);
+        san.global_access(wid(0, 0), AccessKind::Atomic, zc, &idx, 1, &mem);
         let rep = san.report();
         assert!(rep.is_clean(), "warnings never break is_clean");
         assert_eq!(rep.warnings.len(), 1, "site-folded");
@@ -1021,7 +1030,7 @@ mod tests {
         assert_eq!(rep.warnings[0].occurrences, 2);
         // Stores to a normal explicit region are not flagged.
         let ex = mem.alloc_explicit(64).unwrap();
-        san.global_access(wid(0, 0), AccessKind::Store, ex, &idx, 1, 1, &mem);
+        san.global_access(wid(0, 0), AccessKind::Store, ex, &idx, 1, &mem);
         assert_eq!(san.report().warnings.len(), 1);
     }
 

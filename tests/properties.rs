@@ -384,6 +384,63 @@ proptest! {
     }
 }
 
+/// The deep, tiny-frontier regime (hundreds of one-block launches): labels
+/// equal the CPU reference and every superstep's `visited_total` — kept
+/// incrementally from the frontier appends — equals a recount over the
+/// final BFS levels, on a fresh run and on one resumed from a mid-run
+/// snapshot (whose seen-set starts from the restored labels).
+#[test]
+fn deep_traversal_counts_visits_exactly_fresh_and_resumed() {
+    use eta_ckpt::{CkptCtl, CkptSink};
+    use eta_graph::generate::{web, WebConfig};
+    use eta_sim::Device;
+    use etagraph::engine;
+
+    let (g, src) = web(&WebConfig {
+        vertices: 4_000,
+        edges: 12_000,
+        communities: 128,
+        lcc_fraction: 0.7,
+        source_island: None,
+        seed: 11,
+    });
+    let (cfg, digest, levels) = (EtaConfig::paper(), g.digest(), reference::bfs(&g, src));
+    let check = |run: &etagraph::RunResult, first: u32| {
+        assert_eq!(run.labels, levels);
+        assert_eq!(run.per_iteration[0].iteration, first);
+        for it in &run.per_iteration {
+            let reached = levels.iter().filter(|&&l| l <= it.iteration).count();
+            assert_eq!(
+                it.visited_total, reached as u64,
+                "superstep {}",
+                it.iteration
+            );
+        }
+    };
+
+    let mut dev = Device::new(GpuConfig::default_preset());
+    let (res, ready) = engine::prepare(&mut dev, &g, &cfg, true).unwrap();
+    let mut sink = CkptSink::every(97);
+    let ctl = CkptCtl::with_sink(&mut sink, digest);
+    let fresh =
+        engine::run_query_ckpt(&mut dev, &res, &g, src, Algorithm::Bfs, &cfg, 0, ready, ctl)
+            .unwrap();
+    assert!(fresh.iterations >= 200, "{} supersteps", fresh.iterations);
+    assert!(fresh.per_iteration.iter().all(|it| it.active < 256));
+    check(&fresh, 1);
+
+    let ck = sink.take().expect("a snapshot every 97 supersteps");
+    assert!(ck.iteration >= 97 && ck.iteration < fresh.iterations);
+    let mut dev = Device::new(GpuConfig::default_preset());
+    let (res, ready) = engine::prepare(&mut dev, &g, &cfg, true).unwrap();
+    let ctl = CkptCtl::resuming(&mut sink, &ck, digest);
+    let resumed =
+        engine::run_query_ckpt(&mut dev, &res, &g, src, Algorithm::Bfs, &cfg, 0, ready, ctl)
+            .unwrap();
+    assert_eq!(resumed.iterations, fresh.iterations);
+    check(&resumed, ck.iteration + 1);
+}
+
 /// Checkpoint control is inert until a snapshot is due: with a sink
 /// attached whose policy never fires, every program — label traversal,
 /// PageRank, batched BFS — under every transfer mode matches its plain entry
