@@ -66,12 +66,11 @@ cmp "$PROFILE_OUT/chaos.first.json" "$PROFILE_OUT/chaos.json"
 
 echo "==> overload drill gate (quick suite: nonzero exit on any lost or"
 echo "    double-counted request, or a saturated cell where qos loses; then"
-echo "    a second run must be byte-identical)"
+echo "    the report binary must regenerate the CLI's two files byte for byte"
+echo "    — one artifact writer)"
 cargo run --release -p eta-cli -- overload --out "$PROFILE_OUT" >/dev/null
 grep -q "0 lost" "$PROFILE_OUT/overload.txt"
-mv "$PROFILE_OUT/overload.json" "$PROFILE_OUT/overload.first.json"
-cargo run --release -p eta-bench --bin report -- overload --quick --out "$PROFILE_OUT" >/dev/null
-cmp "$PROFILE_OUT/overload.first.json" "$PROFILE_OUT/overload.json"
+cargo run --release -p eta-bench --bin report -- overload --quick --check "$PROFILE_OUT"
 
 echo "==> report shard smoke run (quick suite, twice, byte-identical)"
 cargo run --release -p eta-bench --bin report -- shard --quick --out "$PROFILE_OUT" >/dev/null
@@ -117,6 +116,19 @@ cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
 cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
     --devices 2 --host-threads 4 --json >"$PROFILE_OUT/hp.serve.4.json"
 cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.4.json"
+
+echo "==> fault parity (one launch path: a hang plan is a typed error under"
+echo "    every --framework, never a run that exits 0)"
+echo '{"hangs":[{"device":0,"start_ns":0,"end_ns":100000000000,"budget_ns":1000}]}' \
+    >"$PROFILE_OUT/hang.json"
+for fw in eta tigr gunrock cusha chunkstream; do
+    if cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.rmat.etag" --alg bfs \
+        --framework "$fw" --faults "$PROFILE_OUT/hang.json" >"$PROFILE_OUT/hang.out" 2>&1; then
+        echo "ci: --framework $fw swallowed the hang plan" >&2
+        exit 1
+    fi
+    grep -q "kernel_hang" "$PROFILE_OUT/hang.out"
+done
 
 echo "==> sharded-vs-single differential (every program's CLI answer digest"
 echo "    must match across group sizes 1, 2 and 4)"

@@ -21,10 +21,11 @@
 //! framework never goes O.O.M — its weakness is transfer volume, not
 //! capacity, which is exactly how the paper positions GTS.
 
-use crate::framework::{Framework, FrameworkError};
+use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::Csr;
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use etagraph::driver::Group;
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -133,15 +134,7 @@ impl Framework for ChunkStream {
         source: u32,
         alg: Algorithm,
     ) -> Result<RunResult, FrameworkError> {
-        if alg == Algorithm::Cc {
-            return Err(FrameworkError::Unsupported(
-                "connected components is an EtaGraph-only extension",
-            ));
-        }
-        if alg.needs_weights() && !csr.is_weighted() {
-            return Err(FrameworkError::Unsupported("weights required"));
-        }
-        let tpb = self.threads_per_block;
+        check_supported(csr, alg)?;
         let n = csr.n() as u32;
         let m = csr.m() as u32;
         let chunk = self.chunk_edges.min(m.max(1));
@@ -160,43 +153,39 @@ impl Framework for ChunkStream {
 
         // Device: double-buffered chunk slots + labels + flag.
         let weighted = alg.needs_weights();
-        let buf_a = [
-            dev.mem.alloc_explicit(chunk as u64)?,
-            dev.mem.alloc_explicit(chunk as u64)?,
-            dev.mem
-                .alloc_explicit(if weighted { chunk as u64 } else { 1 })?,
-        ];
-        let buf_b = [
-            dev.mem.alloc_explicit(chunk as u64)?,
-            dev.mem.alloc_explicit(chunk as u64)?,
-            dev.mem
-                .alloc_explicit(if weighted { chunk as u64 } else { 1 })?,
-        ];
+        let mut chunk_slot = || -> Result<[DSlice; 3], FrameworkError> {
+            Ok([
+                dev.mem.alloc_explicit(chunk as u64)?,
+                dev.mem.alloc_explicit(chunk as u64)?,
+                dev.mem
+                    .alloc_explicit(if weighted { chunk as u64 } else { 1 })?,
+            ])
+        };
+        let slots = [chunk_slot()?, chunk_slot()?];
         let labels = dev.mem.alloc_explicit(n as u64)?;
         let flag = dev.mem.alloc_explicit(1)?;
 
-        let mut init = vec![alg.init_label(); n as usize];
-        init[source as usize] = alg.source_label();
-        let mut now = dev.mem.copy_h2d(labels, 0, &init, 0);
+        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let lane = &mut group.lane(0);
+        lane.h2d(labels, &init_labels(n, source, alg));
 
         let mut iter = 0u32;
-        let mut metrics = KernelMetrics::default();
-        let mut kernel_ns = 0u64;
         let mut per_iteration = Vec::new();
-        let init_label = alg.init_label();
-
         loop {
             iter += 1;
-            let start_ns = now;
-            now = dev.mem.copy_h2d(flag, 0, &[0], now);
+            let start_ns = lane.now();
+            lane.h2d(flag, &[0]);
 
             // Stream every chunk through the double buffers: chunk c's copy
             // is issued while chunk c-1 computes, and the buffer is reused
             // only after the kernel two chunks back released it. The copy of
             // the *whole* chunk happens regardless of how many of its edges
             // matter — the fixed-granularity waste the paper calls out.
-            let mut compute_ready = now;
-            let mut buf_ready = [now; 2];
+            //
+            // Two stream clocks: the lane's is the compute stream; copies
+            // are issued on the copy stream at `buf_ready[slot]`, off the
+            // lane, and the launch waits for whichever is later.
+            let mut buf_ready = [lane.now(); 2];
             for c in 0..n_chunks {
                 let lo = (c * chunk) as usize;
                 let hi = ((c + 1) * chunk).min(m) as usize;
@@ -205,47 +194,30 @@ impl Framework for ChunkStream {
                     continue;
                 }
                 let slot = (c % 2) as usize;
-                let bufs = if slot == 0 { &buf_a } else { &buf_b };
-                let request = buf_ready[slot];
-                let mut xfer_end = dev.mem.copy_h2d(bufs[0], 0, &src_h[lo..hi], request);
-                xfer_end = dev.mem.copy_h2d(bufs[1], 0, &dst_h[lo..hi], xfer_end);
+                let bufs = &slots[slot];
+                let mem = &mut lane.dev.mem;
+                let mut xfer_end = mem.copy_h2d(bufs[0], 0, &src_h[lo..hi], buf_ready[slot]);
+                xfer_end = mem.copy_h2d(bufs[1], 0, &dst_h[lo..hi], xfer_end);
                 if weighted {
-                    xfer_end = dev.mem.copy_h2d(bufs[2], 0, &w_h[lo..hi], xfer_end);
+                    xfer_end = mem.copy_h2d(bufs[2], 0, &w_h[lo..hi], xfer_end);
                 }
                 let kern = ChunkRelaxKernel {
                     alg,
                     src: bufs[0].slice(0, len as u64),
                     dst: bufs[1].slice(0, len as u64),
-                    weights: if weighted {
-                        Some(bufs[2].slice(0, len as u64))
-                    } else {
-                        None
-                    },
+                    weights: weighted.then(|| bufs[2].slice(0, len as u64)),
                     labels,
                     flag,
                     len,
                 };
-                let r = dev.launch(
-                    &kern,
-                    LaunchConfig::for_items(len, tpb),
-                    xfer_end.max(compute_ready),
-                );
-                compute_ready = r.end_ns;
-                buf_ready[slot] = r.end_ns;
-                metrics.merge(&r.metrics);
-                kernel_ns += r.metrics.time_ns;
+                lane.timed(|_, now| ((), now.max(xfer_end)));
+                lane.launch(&kern, len)?;
+                buf_ready[slot] = lane.now();
             }
-            now = compute_ready.max(now);
 
-            now = dev.mem.copy_d2h(flag, 1, now);
-            let changed = dev.mem.host_read(flag, 0, 1)[0];
+            let changed = lane.readback(flag, 1)?[0];
 
-            let visited_total = dev
-                .mem
-                .host_read(labels, 0, n as u64)
-                .iter()
-                .filter(|&&l| l != init_label)
-                .count() as u64;
+            let visited_total = lane.visited_scan(labels, alg.init_label());
             per_iteration.push(IterationStats {
                 iteration: iter,
                 active: visited_total as u32,
@@ -254,28 +226,15 @@ impl Framework for ChunkStream {
                 pulled: false,
                 visited_total,
                 start_ns,
-                end_ns: now,
+                end_ns: lane.now(),
             });
             if changed == 0 || m == 0 {
                 break;
             }
         }
 
-        now = dev.mem.copy_d2h(labels, n as u64, now);
-        let labels_host = dev.mem.host_read(labels, 0, n as u64).to_vec();
-        let timeline = dev.merged_timeline();
-        Ok(RunResult {
-            algorithm: alg,
-            labels: labels_host,
-            iterations: iter,
-            kernel_ns,
-            total_ns: now,
-            per_iteration,
-            metrics,
-            um_stats: dev.mem.um.stats.clone(),
-            overlap_fraction: timeline.overlap_fraction(),
-            timeline,
-        })
+        let labels = lane.readback(labels, n as u64)?.to_vec();
+        Ok(group.solo_result(alg, labels, iter, per_iteration, 0))
     }
 }
 

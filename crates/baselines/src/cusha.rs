@@ -20,10 +20,11 @@
 //! few-iteration social graphs, out-of-memory from mid-size graphs onward,
 //! and no way to exploit a small active set.
 
-use crate::framework::{Framework, FrameworkError};
+use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::{Csr, GShards};
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use etagraph::driver::Group;
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -207,15 +208,7 @@ impl Framework for CushaLike {
         source: u32,
         alg: Algorithm,
     ) -> Result<RunResult, FrameworkError> {
-        if alg == Algorithm::Cc {
-            return Err(FrameworkError::Unsupported(
-                "connected components is an EtaGraph-only extension",
-            ));
-        }
-        if alg.needs_weights() && !csr.is_weighted() {
-            return Err(FrameworkError::Unsupported("weights required"));
-        }
-        let tpb = self.threads_per_block;
+        check_supported(csr, alg)?;
         let n = csr.n() as u32;
         let m = csr.m() as u64;
 
@@ -251,31 +244,24 @@ impl Framework for CushaLike {
         let flag = dev.mem.alloc_explicit(1)?;
 
         // Upfront transfers of all shard data.
-        let mut now = 0;
+        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let lane = &mut group.lane(0);
         if m > 0 {
-            now = dev.mem.copy_h2d(src, 0, &src_h, now);
-            now = dev.mem.copy_h2d(dst, 0, &dst_h, now);
+            lane.h2d(src, &src_h);
+            lane.h2d(dst, &dst_h);
         }
         if let Some(ws) = weights {
-            now = dev.mem.copy_h2d(ws, 0, &w_h, now);
+            lane.h2d(ws, &w_h);
         }
-        let mut init = vec![alg.init_label(); n as usize];
-        init[source as usize] = alg.source_label();
-        now = dev.mem.copy_h2d(labels, 0, &init, now);
+        lane.h2d(labels, &init_labels(n, source, alg));
 
         let total_threads = (m as u32).div_ceil(EDGES_PER_THREAD).max(1);
-        let launch = LaunchConfig::for_items(total_threads, tpb);
-
         let mut iter = 0u32;
-        let mut metrics = KernelMetrics::default();
-        let mut kernel_ns = 0u64;
         let mut per_iteration = Vec::new();
-        let init_label = alg.init_label();
-
         loop {
             iter += 1;
-            let start_ns = now;
-            now = dev.mem.copy_h2d(flag, 0, &[0], now);
+            let start_ns = lane.now();
+            lane.h2d(flag, &[0]);
 
             let refresh = RefreshKernel {
                 src,
@@ -283,10 +269,7 @@ impl Framework for CushaLike {
                 labels,
                 m: m as u32,
             };
-            let r = dev.launch(&refresh, launch, now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
+            lane.launch(&refresh, total_threads)?;
 
             let relax = RelaxKernel {
                 alg,
@@ -297,20 +280,11 @@ impl Framework for CushaLike {
                 flag,
                 m: m as u32,
             };
-            let r = dev.launch(&relax, launch, now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
+            lane.launch(&relax, total_threads)?;
 
-            now = dev.mem.copy_d2h(flag, 1, now);
-            let changed = dev.mem.host_read(flag, 0, 1)[0];
+            let changed = lane.readback(flag, 1)?[0];
 
-            let visited_total = dev
-                .mem
-                .host_read(labels, 0, n as u64)
-                .iter()
-                .filter(|&&l| l != init_label)
-                .count() as u64;
+            let visited_total = lane.visited_scan(labels, alg.init_label());
             per_iteration.push(IterationStats {
                 iteration: iter,
                 active: visited_total as u32,
@@ -319,7 +293,7 @@ impl Framework for CushaLike {
                 pulled: false,
                 visited_total,
                 start_ns,
-                end_ns: now,
+                end_ns: lane.now(),
             });
 
             if changed == 0 || m == 0 {
@@ -327,21 +301,8 @@ impl Framework for CushaLike {
             }
         }
 
-        now = dev.mem.copy_d2h(labels, n as u64, now);
-        let labels_host = dev.mem.host_read(labels, 0, n as u64).to_vec();
-        let timeline = dev.merged_timeline();
-        Ok(RunResult {
-            algorithm: alg,
-            labels: labels_host,
-            iterations: iter,
-            kernel_ns,
-            total_ns: now,
-            per_iteration,
-            metrics,
-            um_stats: dev.mem.um.stats.clone(),
-            overlap_fraction: timeline.overlap_fraction(),
-            timeline,
-        })
+        let labels = lane.readback(labels, n as u64)?.to_vec();
+        Ok(group.solo_result(alg, labels, iter, per_iteration, 0))
     }
 }
 

@@ -1,10 +1,13 @@
 //! The common interface Table III drives: run an algorithm from a source on
-//! a fresh device, report kernel/total time or an out-of-memory failure.
+//! a device, report kernel/total time, an out-of-memory failure or a device
+//! fault.
 
 use eta_graph::Csr;
 use eta_mem::system::MemError;
 use eta_sim::{Device, GpuConfig};
-use etagraph::{Algorithm, EtaConfig, RunResult};
+use etagraph::error::DeviceFault;
+use etagraph::sharded::ShardedError;
+use etagraph::{Algorithm, EtaConfig, QueryError, RunResult};
 
 /// Why a framework run produced no numbers.
 #[derive(Debug, Clone)]
@@ -13,6 +16,9 @@ pub enum FrameworkError {
     Oom(MemError),
     /// The framework cannot run this algorithm (Table III's '–' cells).
     Unsupported(&'static str),
+    /// The device failed mid-run under an installed fault plan (kernel
+    /// hang, double-bit ECC, UM migration failure — see eta-fault).
+    DeviceFault(DeviceFault),
 }
 
 impl std::fmt::Display for FrameworkError {
@@ -20,6 +26,7 @@ impl std::fmt::Display for FrameworkError {
         match self {
             FrameworkError::Oom(e) => write!(f, "O.O.M ({e})"),
             FrameworkError::Unsupported(why) => write!(f, "unsupported: {why}"),
+            FrameworkError::DeviceFault(fault) => write!(f, "{fault}"),
         }
     }
 }
@@ -32,17 +39,62 @@ impl From<MemError> for FrameworkError {
     }
 }
 
+impl From<QueryError> for FrameworkError {
+    fn from(e: QueryError) -> Self {
+        match e {
+            QueryError::Mem(m) => FrameworkError::Oom(m),
+            QueryError::DeviceFault(f) => FrameworkError::DeviceFault(f),
+            QueryError::SourceOutOfRange { .. } => {
+                FrameworkError::Unsupported("source out of range")
+            }
+            // Frameworks run without checkpoint hooks, so a checkpoint
+            // error can only mean misconfiguration upstream.
+            QueryError::Checkpoint(_) => {
+                FrameworkError::Unsupported("checkpoint error outside a resumable run")
+            }
+        }
+    }
+}
+
+/// A [`etagraph::driver::Lane`] failure; a group of one has no shard to name.
+impl From<ShardedError> for FrameworkError {
+    fn from(e: ShardedError) -> Self {
+        e.error.into()
+    }
+}
+
+/// Rejects what no baseline runs: connected components, and a weighted
+/// algorithm on an unweighted graph.
+pub(crate) fn check_supported(csr: &Csr, alg: Algorithm) -> Result<(), FrameworkError> {
+    if alg == Algorithm::Cc {
+        return Err(FrameworkError::Unsupported(
+            "connected components is an EtaGraph-only extension",
+        ));
+    }
+    if alg.needs_weights() && !csr.is_weighted() {
+        return Err(FrameworkError::Unsupported("weights required"));
+    }
+    Ok(())
+}
+
+/// Per-vertex labels before the first iteration: `source` carries the
+/// algorithm's source label, everything else its initial label.
+pub(crate) fn init_labels(n: u32, source: u32, alg: Algorithm) -> Vec<u32> {
+    let mut init = vec![alg.init_label(); n as usize];
+    init[source as usize] = alg.source_label();
+    init
+}
+
 /// A GPU graph-processing framework under comparison.
 pub trait Framework {
     fn name(&self) -> &'static str;
 
     /// Runs `alg` from `source` on `dev`, which must be a fresh device (the
     /// frameworks assume an empty allocator for their O.O.M accounting).
-    ///
-    /// Taking the device from the caller — rather than a `GpuConfig` to
-    /// build one internally — lets callers attach instrumentation and read
-    /// it back after the run: `Device::sanitizer_report` is the motivating
-    /// example. Use [`run_fresh`] for the old construct-and-run behavior.
+    /// Whatever the caller attached to the device applies to every
+    /// framework alike: a sanitizer or profiler is read back after the run,
+    /// and an installed fault plan fails the run with
+    /// [`FrameworkError::DeviceFault`].
     ///
     /// `csr` must carry weights when the algorithm needs them. Total time
     /// includes host→device transfer of the framework's own data structures
@@ -58,7 +110,7 @@ pub trait Framework {
 }
 
 /// Runs `fw` on a freshly constructed device — the common non-instrumented
-/// path, equivalent to the pre-refactor `Framework::run(gpu, ...)`.
+/// path.
 pub fn run_fresh(
     fw: &dyn Framework,
     gpu: GpuConfig,
@@ -105,22 +157,7 @@ impl Framework for EtaFramework {
         source: u32,
         alg: Algorithm,
     ) -> Result<RunResult, FrameworkError> {
-        etagraph::engine::run(dev, csr, source, alg, &self.cfg).map_err(|e| match e {
-            etagraph::QueryError::Mem(m) => FrameworkError::Oom(m),
-            etagraph::QueryError::SourceOutOfRange { .. } => {
-                FrameworkError::Unsupported("source out of range")
-            }
-            // The bench harness never installs a fault plan; a fault here
-            // would mean a plan leaked into a baseline device.
-            etagraph::QueryError::DeviceFault(_) => {
-                FrameworkError::Unsupported("device fault injected outside a fault run")
-            }
-            // Likewise: baselines run without checkpoint hooks, so a
-            // checkpoint error can only mean misconfiguration upstream.
-            etagraph::QueryError::Checkpoint(_) => {
-                FrameworkError::Unsupported("checkpoint error outside a resumable run")
-            }
-        })
+        Ok(etagraph::engine::run(dev, csr, source, alg, &self.cfg)?)
     }
 }
 

@@ -20,11 +20,12 @@
 //!   matching Gunrock's large SSSP gap in Table III;
 //! * no shared-memory staging of neighbor lists.
 
-use crate::framework::{Framework, FrameworkError};
+use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::Csr;
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
 use etagraph::active_set::DeviceQueue;
+use etagraph::driver::Group;
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -308,15 +309,7 @@ impl Framework for GunrockLike {
         source: u32,
         alg: Algorithm,
     ) -> Result<RunResult, FrameworkError> {
-        if alg == Algorithm::Cc {
-            return Err(FrameworkError::Unsupported(
-                "connected components is an EtaGraph-only extension",
-            ));
-        }
-        if alg.needs_weights() && !csr.is_weighted() {
-            return Err(FrameworkError::Unsupported("weights required"));
-        }
-        let tpb = self.threads_per_block;
+        check_supported(csr, alg)?;
         let n = csr.n() as u32;
         let m = csr.m() as u64;
 
@@ -330,42 +323,36 @@ impl Framework for GunrockLike {
         };
         let labels = dev.mem.alloc_explicit(n as u64)?;
         let tags = dev.mem.alloc_explicit(n as u64)?;
-        let frontier_a = DeviceQueue::alloc(&mut *dev, n)?;
-        let frontier_b = DeviceQueue::alloc(&mut *dev, n)?;
+        let mut front = DeviceQueue::alloc(&mut *dev, n)?;
+        let mut next = DeviceQueue::alloc(&mut *dev, n)?;
         let raw = DeviceQueue::alloc(&mut *dev, n)?;
         // Gunrock's load-balancing scan array, sized for the worst-case
         // frontier (|E|/2 words) — allocated upfront like the real system.
         let scan_temp = dev.mem.alloc_explicit((m / 2).max(n as u64).max(1))?;
 
         // Upfront transfers.
-        let mut now = dev.mem.copy_h2d(row_offsets, 0, &csr.row_offsets, 0);
+        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let lane = &mut group.lane(0);
+        lane.h2d(row_offsets, &csr.row_offsets);
         if m > 0 {
-            now = dev.mem.copy_h2d(col_idx, 0, &csr.col_idx, now);
+            lane.h2d(col_idx, &csr.col_idx);
         }
         if let (Some(ws), Some(wdata)) = (weights, &csr.weights) {
-            now = dev.mem.copy_h2d(ws, 0, wdata, now);
+            lane.h2d(ws, wdata);
         }
-        let mut init = vec![alg.init_label(); n as usize];
-        init[source as usize] = alg.source_label();
-        now = dev.mem.copy_h2d(labels, 0, &init, now);
-        now = dev.mem.copy_h2d(tags, 0, &vec![0u32; n as usize], now);
-        frontier_a.host_seed(&mut *dev, &[source]);
-        now = dev.mem.copy_h2d(frontier_a.count, 0, &[1], now);
+        let init = init_labels(n, source, alg);
+        lane.h2d(labels, &init);
+        lane.h2d(tags, &vec![0u32; n as usize]);
+        lane.watch(&init, alg.init_label());
+        let mut act_len = lane.timed(|dev, now| front.seed(dev, &[source], now));
 
-        let mut queues = (frontier_a, frontier_b);
-        let mut act_len = 1u32;
         let mut iter = 0u32;
-        let mut metrics = KernelMetrics::default();
-        let mut kernel_ns = 0u64;
         let mut per_iteration = Vec::new();
-        let init_label = alg.init_label();
-
         while act_len > 0 {
             iter += 1;
-            let start_ns = now;
-            let (front, next) = (&queues.0, &queues.1);
-            now = raw.reset(&mut *dev, now);
-            now = next.reset(&mut *dev, now);
+            let start_ns = lane.now();
+            lane.h2d(raw.count, &[0]);
+            lane.h2d(next.count, &[0]);
 
             // 1. load-balancing partition
             let lb = LbPartitionKernel {
@@ -374,10 +361,7 @@ impl Framework for GunrockLike {
                 row_offsets,
                 scan_temp: scan_temp.slice(0, (act_len as u64).min(scan_temp.len)),
             };
-            let r = dev.launch(&lb, LaunchConfig::for_items(act_len, tpb), now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
+            lane.launch(&lb, act_len)?;
 
             // 2. advance
             let adv = AdvanceKernel {
@@ -392,80 +376,41 @@ impl Framework for GunrockLike {
                 raw_out: raw,
                 iter,
             };
-            let r = dev.launch(&adv, LaunchConfig::for_items(act_len, tpb), now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
-
-            let (raw_len, t) = raw.read_count(&mut *dev, now);
-            now = t;
+            lane.launch(&adv, act_len)?;
+            let raw_len = lane.timed(|dev, now| raw.read_count(dev, now));
 
             // 3. filter (+ SSSP/SSWP's extra bucketing pass)
             if raw_len > 0 {
-                if alg != Algorithm::Bfs {
-                    let bucket = FilterKernel {
-                        raw: raw.items,
-                        len: raw_len,
-                        labels,
-                        next: *next,
-                        compact: false,
-                    };
-                    let r = dev.launch(&bucket, LaunchConfig::for_items(raw_len, tpb), now);
-                    now = r.end_ns;
-                    metrics.merge(&r.metrics);
-                    kernel_ns += r.metrics.time_ns;
-                }
-                let filter = FilterKernel {
+                let filter = |compact| FilterKernel {
                     raw: raw.items,
                     len: raw_len,
                     labels,
-                    next: *next,
-                    compact: true,
+                    next,
+                    compact,
                 };
-                let r = dev.launch(&filter, LaunchConfig::for_items(raw_len, tpb), now);
-                now = r.end_ns;
-                metrics.merge(&r.metrics);
-                kernel_ns += r.metrics.time_ns;
+                if alg != Algorithm::Bfs {
+                    lane.launch(&filter(false), raw_len)?;
+                }
+                lane.launch(&filter(true), raw_len)?;
             }
 
-            let visited_total = dev
-                .mem
-                .host_read(labels, 0, n as u64)
-                .iter()
-                .filter(|&&l| l != init_label)
-                .count() as u64;
             per_iteration.push(IterationStats {
                 iteration: iter,
                 active: act_len,
                 shadow_full: 0,
                 shadow_partial: raw_len,
                 pulled: false,
-                visited_total,
+                visited_total: lane.visited(next, labels),
                 start_ns,
-                end_ns: now,
+                end_ns: lane.now(),
             });
 
-            queues = (queues.1, queues.0);
-            let (len, t) = queues.0.read_count(&mut *dev, now);
-            act_len = len;
-            now = t;
+            std::mem::swap(&mut front, &mut next);
+            act_len = lane.timed(|dev, now| front.read_count(dev, now));
         }
 
-        now = dev.mem.copy_d2h(labels, n as u64, now);
-        let labels_host = dev.mem.host_read(labels, 0, n as u64).to_vec();
-        let timeline = dev.merged_timeline();
-        Ok(RunResult {
-            algorithm: alg,
-            labels: labels_host,
-            iterations: iter,
-            kernel_ns,
-            total_ns: now,
-            per_iteration,
-            metrics,
-            um_stats: dev.mem.um.stats.clone(),
-            overlap_fraction: timeline.overlap_fraction(),
-            timeline,
-        })
+        let labels = lane.readback(labels, n as u64)?.to_vec();
+        Ok(group.solo_result(alg, labels, iter, per_iteration, 0))
     }
 }
 

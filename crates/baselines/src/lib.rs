@@ -15,10 +15,15 @@
 //!
 //! Each framework allocates its *real* data structures through the device
 //! allocator, so the out-of-memory entries of Table III fall out of actual
-//! allocation failures rather than hand-written special cases. All four
-//! frameworks (including EtaGraph, wrapped in [`EtaFramework`]) produce a
-//! [`etagraph::RunResult`] validated against the CPU references in the
-//! test suite.
+//! allocation failures rather than hand-written special cases. Each keeps
+//! its own iteration loop but runs every launch, copy and readback on the
+//! driver's [`etagraph::driver::Lane`] — one clock rule, one counter sum,
+//! one fault poll, one [`etagraph::RunResult`] assembly for all five
+//! frameworks (EtaGraph is wrapped in [`EtaFramework`]) — so Table III
+//! compares execution models, not harnesses, and whatever is attached to
+//! the device (sanitizer, profiler, a `--faults` plan) applies to every
+//! `--framework` alike. Labels are validated against the CPU references in
+//! the test suite.
 
 // Kernels address per-lane register arrays by explicit lane index under an
 // active mask — the SIMT idiom this simulator exists to model. Iterator

@@ -18,11 +18,12 @@
 //! (the VST fixes load imbalance just as UDC does) but totals dominated by
 //! the upfront transfer, and O.O.M from sk-2005 SSSP onward.
 
-use crate::framework::{Framework, FrameworkError};
+use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::{Csr, Vst};
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, KernelMetrics, LaunchConfig, WarpCtx, WARP_SIZE};
+use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
 use etagraph::active_set::DeviceQueue;
+use etagraph::driver::Group;
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -227,12 +228,7 @@ impl Framework for TigrLike {
         source: u32,
         alg: Algorithm,
     ) -> Result<RunResult, FrameworkError> {
-        if alg == Algorithm::Cc {
-            return Err(FrameworkError::Unsupported(
-                "connected components is an EtaGraph-only extension",
-            ));
-        }
-        let tpb = self.threads_per_block;
+        check_supported(csr, alg)?;
         let n = csr.n() as u32;
 
         // Host-side preprocessing (not charged, per the paper's methodology).
@@ -246,55 +242,46 @@ impl Framework for TigrLike {
         let col_idx = dev.mem.alloc_explicit(vst.col_idx.len().max(1) as u64)?;
         // Tigr keeps per-real bookkeeping for its updates (Table I's 2|V|).
         let _bookkeeping = dev.mem.alloc_explicit(n.max(1) as u64)?;
-        let weights = match (&vst.weights, alg.needs_weights()) {
-            (Some(_), true) => Some(dev.mem.alloc_explicit(vst.col_idx.len().max(1) as u64)?),
-            (None, true) => {
-                return Err(FrameworkError::Unsupported("weights required"));
+        let weights = match &vst.weights {
+            Some(_) if alg.needs_weights() => {
+                Some(dev.mem.alloc_explicit(vst.col_idx.len().max(1) as u64)?)
             }
             _ => None,
         };
         let labels = dev.mem.alloc_explicit(n as u64)?;
         let tags = dev.mem.alloc_explicit(n as u64)?;
-        let act = DeviceQueue::alloc(&mut *dev, n)?;
-        let next = DeviceQueue::alloc(&mut *dev, n)?;
+        let mut act = DeviceQueue::alloc(&mut *dev, n)?;
+        let mut next = DeviceQueue::alloc(&mut *dev, n)?;
         let virt_frontier = DeviceQueue::alloc(&mut *dev, n_virt.max(1))?;
 
         // Upfront copies (charged).
-        let mut now = dev.mem.copy_h2d(virt_offsets, 0, &vst.virt_offsets, 0);
+        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let lane = &mut group.lane(0);
+        lane.h2d(virt_offsets, &vst.virt_offsets);
         if !vst.virt_real.is_empty() {
-            now = dev.mem.copy_h2d(virt_real, 0, &vst.virt_real, now);
+            lane.h2d(virt_real, &vst.virt_real);
         }
-        now = dev
-            .mem
-            .copy_h2d(real_virt_start, 0, &vst.real_virt_start, now);
+        lane.h2d(real_virt_start, &vst.real_virt_start);
         if !vst.col_idx.is_empty() {
-            now = dev.mem.copy_h2d(col_idx, 0, &vst.col_idx, now);
+            lane.h2d(col_idx, &vst.col_idx);
         }
         if let (Some(ws), Some(wdata)) = (weights, &vst.weights) {
-            now = dev.mem.copy_h2d(ws, 0, wdata, now);
+            lane.h2d(ws, wdata);
         }
-        let mut init = vec![alg.init_label(); n as usize];
-        init[source as usize] = alg.source_label();
-        now = dev.mem.copy_h2d(labels, 0, &init, now);
-        now = dev.mem.copy_h2d(tags, 0, &vec![0u32; n as usize], now);
-        act.host_seed(&mut *dev, &[source]);
-        now = dev.mem.copy_h2d(act.count, 0, &[1], now);
+        let init = init_labels(n, source, alg);
+        lane.h2d(labels, &init);
+        lane.h2d(tags, &vec![0u32; n as usize]);
+        lane.watch(&init, alg.init_label());
+        let mut act_len = lane.timed(|dev, now| act.seed(dev, &[source], now));
 
         // Frontier loop.
-        let mut queues = (act, next);
-        let mut act_len = 1u32;
         let mut iter = 0u32;
-        let mut metrics = KernelMetrics::default();
-        let mut kernel_ns = 0u64;
         let mut per_iteration = Vec::new();
-        let init_label = alg.init_label();
-
         while act_len > 0 {
             iter += 1;
-            let start_ns = now;
-            let (act, next) = (&queues.0, &queues.1);
-            now = virt_frontier.reset(&mut *dev, now);
-            now = next.reset(&mut *dev, now);
+            let start_ns = lane.now();
+            lane.h2d(virt_frontier.count, &[0]);
+            lane.h2d(next.count, &[0]);
 
             let expand = ExpandKernel {
                 act_items: act.items,
@@ -302,13 +289,9 @@ impl Framework for TigrLike {
                 real_virt_start,
                 virt_frontier,
             };
-            let r = dev.launch(&expand, LaunchConfig::for_items(act_len, tpb), now);
-            now = r.end_ns;
-            metrics.merge(&r.metrics);
-            kernel_ns += r.metrics.time_ns;
+            lane.launch(&expand, act_len)?;
 
-            let (nv, t) = virt_frontier.read_count(&mut *dev, now);
-            now = t;
+            let nv = lane.timed(|dev, now| virt_frontier.read_count(dev, now));
             if nv > 0 {
                 let traverse = TigrTraverse {
                     alg,
@@ -320,53 +303,29 @@ impl Framework for TigrLike {
                     weights,
                     labels,
                     tags,
-                    next: *next,
+                    next,
                     iter,
                 };
-                let r = dev.launch(&traverse, LaunchConfig::for_items(nv, tpb), now);
-                now = r.end_ns;
-                metrics.merge(&r.metrics);
-                kernel_ns += r.metrics.time_ns;
+                lane.launch(&traverse, nv)?;
             }
 
-            let visited_total = dev
-                .mem
-                .host_read(labels, 0, n as u64)
-                .iter()
-                .filter(|&&l| l != init_label)
-                .count() as u64;
             per_iteration.push(IterationStats {
                 iteration: iter,
                 active: act_len,
                 shadow_full: 0,
                 shadow_partial: nv,
                 pulled: false,
-                visited_total,
+                visited_total: lane.visited(next, labels),
                 start_ns,
-                end_ns: now,
+                end_ns: lane.now(),
             });
 
-            queues = (queues.1, queues.0);
-            let (len, t) = queues.0.read_count(&mut *dev, now);
-            act_len = len;
-            now = t;
+            std::mem::swap(&mut act, &mut next);
+            act_len = lane.timed(|dev, now| act.read_count(dev, now));
         }
 
-        now = dev.mem.copy_d2h(labels, n as u64, now);
-        let labels_host = dev.mem.host_read(labels, 0, n as u64).to_vec();
-        let timeline = dev.merged_timeline();
-        Ok(RunResult {
-            algorithm: alg,
-            labels: labels_host,
-            iterations: iter,
-            kernel_ns,
-            total_ns: now,
-            per_iteration,
-            metrics,
-            um_stats: dev.mem.um.stats.clone(),
-            overlap_fraction: timeline.overlap_fraction(),
-            timeline,
-        })
+        let labels = lane.readback(labels, n as u64)?.to_vec();
+        Ok(group.solo_result(alg, labels, iter, per_iteration, 0))
     }
 }
 

@@ -97,6 +97,8 @@ pub enum CellOutcome {
     Ok(Box<RunResult>),
     Oom,
     Unsupported,
+    /// The device failed under an installed fault plan.
+    Fault,
 }
 
 impl CellOutcome {
@@ -106,6 +108,7 @@ impl CellOutcome {
             CellOutcome::Ok(r) => format!("{:.2}/{:.2}", r.kernel_ms(), r.total_ms()),
             CellOutcome::Oom => "O.O.M".to_string(),
             CellOutcome::Unsupported => "-".to_string(),
+            CellOutcome::Fault => "FAULT".to_string(),
         }
     }
 
@@ -143,6 +146,7 @@ pub fn run_cell(fw: &dyn Framework, name: &'static str, alg: Algorithm) -> CellO
         Ok(r) => CellOutcome::Ok(Box::new(r)),
         Err(FrameworkError::Oom(_)) => CellOutcome::Oom,
         Err(FrameworkError::Unsupported(_)) => CellOutcome::Unsupported,
+        Err(FrameworkError::DeviceFault(_)) => CellOutcome::Fault,
     }
 }
 

@@ -6,6 +6,7 @@ use eta_graph::{analysis, datasets, EdgeList, GShards, Vst};
 use eta_sim::GpuConfig;
 use etagraph::{Algorithm, EtaConfig};
 use serde_json::{json, Value};
+use std::path::{Path, PathBuf};
 
 /// A regenerated table or figure: human text plus machine-readable JSON.
 pub struct Artifact {
@@ -13,6 +14,34 @@ pub struct Artifact {
     pub title: String,
     pub text: String,
     pub json: Value,
+}
+
+impl Artifact {
+    /// The two files an artifact is committed as under `dir`, with their
+    /// bytes: `<name>.txt` and `<name>.json`. The one rendering every writer
+    /// (the `report` binary, the CLI's drills) and `report --check` share.
+    pub fn files(&self, dir: &Path) -> [(PathBuf, Vec<u8>); 2] {
+        let json = serde_json::to_string_pretty(&self.json).unwrap_or_default();
+        let txt = format!("{}\n\n{}\n", self.title, self.text);
+        [("txt", txt), ("json", json)]
+            .map(|(ext, body)| (dir.join(format!("{}.{ext}", self.name)), body.into_bytes()))
+    }
+
+    /// Writes both files (creating `dir`) and returns their paths.
+    pub fn write(&self, dir: &Path) -> std::io::Result<[PathBuf; 2]> {
+        std::fs::create_dir_all(dir)?;
+        let files = self.files(dir);
+        for (path, bytes) in &files {
+            std::fs::write(path, bytes)?;
+        }
+        Ok(files.map(|(path, _)| path))
+    }
+
+    /// Whether `dir` holds exactly the bytes [`Artifact::write`] would.
+    pub fn matches(&self, dir: &Path) -> bool {
+        let same = |(path, bytes): (PathBuf, Vec<u8>)| std::fs::read(path).ok() == Some(bytes);
+        self.files(dir).into_iter().all(same)
+    }
 }
 
 /// Table I: theoretical space overhead and normalized transfer volume of
@@ -157,7 +186,8 @@ pub fn table3(suite: Suite) -> Artifact {
                     "iterations": cell.result().map(|r| r.iterations),
                     "outcome": match cell { CellOutcome::Ok(_) => "ok",
                                             CellOutcome::Oom => "oom",
-                                            CellOutcome::Unsupported => "unsupported" },
+                                            CellOutcome::Unsupported => "unsupported",
+                                            CellOutcome::Fault => "fault" },
                 }));
             }
             rows.push(row);

@@ -940,90 +940,70 @@ fn serve(args: &Args) -> Result<Output, ArgError> {
 
 /// Runs the deterministic chaos-soak drill from `eta-bench`: seeded fault
 /// plans crossed with checkpoint intervals, every completed answer checked
-/// against the CPU reference. `--full` runs the large sweep; `--out DIR`
-/// also writes the `chaos.txt` / `chaos.json` artifact pair.
+/// against the CPU reference.
 fn chaos(args: &Args) -> Result<Output, ArgError> {
-    let suite = if args.switch("full") {
-        eta_bench::Suite::Full
-    } else {
-        eta_bench::Suite::Quick
-    };
-    let out_dir = args.get("out").map(String::from);
-    args.ensure_consumed()?;
-
-    let a = eta_bench::chaos::chaos(suite);
-    let lost = a.json["verification"]["lost"].as_u64().unwrap_or(u64::MAX);
-    let wrong = a.json["verification"]["wrong"].as_u64().unwrap_or(u64::MAX);
-    let mut text = format!("{}\n\n{}", a.title, a.text);
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir}: {e}")))?;
-        let txt = format!("{dir}/chaos.txt");
-        std::fs::write(&txt, format!("{}\n\n{}", a.title, a.text))
-            .map_err(|e| ArgError(format!("writing {txt}: {e}")))?;
-        let jsn = format!("{dir}/chaos.json");
-        std::fs::write(
-            &jsn,
-            serde_json::to_string_pretty(&a.json).unwrap_or_default(),
-        )
-        .map_err(|e| ArgError(format!("writing {jsn}: {e}")))?;
-        let _ = writeln!(text, "\nwrote {txt} and {jsn}");
-    }
-    if lost > 0 || wrong > 0 {
-        return Err(ArgError(format!(
-            "chaos drill FAILED: {lost} lost, {wrong} wrong — minimal reproducers in the json artifact"
-        )));
-    }
-    let _ = writeln!(text, "\nchaos drill passed: 0 lost, 0 wrong");
-    Ok(Output { json: a.json, text })
+    drill(args, eta_bench::chaos::chaos, |_, lost, wrong| {
+        if lost > 0 || wrong > 0 {
+            return Err(format!(
+                "{lost} lost, {wrong} wrong — minimal reproducers in the json artifact"
+            ));
+        }
+        Ok("0 lost, 0 wrong".into())
+    })
 }
 
 /// Runs the deterministic overload drill from `eta-bench`: arrival-rate
 /// multipliers over calibrated capacity crossed with fault plans, every
 /// trace served qos-off and qos-on, every id accounted for exactly once.
-/// `--full` runs the large sweep; `--out DIR` also writes the
-/// `overload.txt` / `overload.json` artifact pair.
 fn overload(args: &Args) -> Result<Output, ArgError> {
+    drill(args, eta_bench::overload::overload, |json, lost, wrong| {
+        let wins = json["saturated_qos_wins"].as_u64().unwrap_or(0);
+        let cells = json["saturated_cells"].as_u64().unwrap_or(u64::MAX);
+        if lost > 0 || wrong > 0 {
+            return Err(format!(
+                "{lost} lost, {wrong} wrong — per-cell detail in the json artifact"
+            ));
+        }
+        if wins < cells {
+            return Err(format!(
+                "qos beat the baseline in only {wins}/{cells} saturated cells"
+            ));
+        }
+        Ok(format!(
+            "0 lost, 0 wrong; qos won all {cells} saturated cells"
+        ))
+    })
+}
+
+/// The drill runner: `--full` runs the large sweep, `--out DIR` also writes
+/// the artifact pair exactly as `report <name> --out DIR` would, and
+/// `verdict(json, lost, wrong)` decides pass (a summary) or fail (why).
+fn drill(
+    args: &Args,
+    run: fn(eta_bench::Suite) -> eta_bench::tables::Artifact,
+    verdict: fn(&serde_json::Value, u64, u64) -> Result<String, String>,
+) -> Result<Output, ArgError> {
     let suite = if args.switch("full") {
         eta_bench::Suite::Full
     } else {
         eta_bench::Suite::Quick
     };
-    let out_dir = args.get("out").map(String::from);
+    let out_dir = args.get("out").map(std::path::PathBuf::from);
     args.ensure_consumed()?;
 
-    let a = eta_bench::overload::overload(suite);
-    let lost = a.json["verification"]["lost"].as_u64().unwrap_or(u64::MAX);
-    let wrong = a.json["verification"]["wrong"].as_u64().unwrap_or(u64::MAX);
-    let wins = a.json["saturated_qos_wins"].as_u64().unwrap_or(0);
-    let cells = a.json["saturated_cells"].as_u64().unwrap_or(u64::MAX);
+    let a = run(suite);
     let mut text = format!("{}\n\n{}", a.title, a.text);
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir}: {e}")))?;
-        let txt = format!("{dir}/overload.txt");
-        std::fs::write(&txt, format!("{}\n\n{}", a.title, a.text))
-            .map_err(|e| ArgError(format!("writing {txt}: {e}")))?;
-        let jsn = format!("{dir}/overload.json");
-        std::fs::write(
-            &jsn,
-            serde_json::to_string_pretty(&a.json).unwrap_or_default(),
-        )
-        .map_err(|e| ArgError(format!("writing {jsn}: {e}")))?;
-        let _ = writeln!(text, "\nwrote {txt} and {jsn}");
+        let [txt, jsn] = a
+            .write(dir)
+            .map_err(|e| ArgError(format!("writing {} to {}: {e}", a.name, dir.display())))?;
+        let _ = writeln!(text, "\nwrote {} and {}", txt.display(), jsn.display());
     }
-    if lost > 0 || wrong > 0 {
-        return Err(ArgError(format!(
-            "overload drill FAILED: {lost} lost, {wrong} wrong — per-cell detail in the json artifact"
-        )));
-    }
-    if wins < cells {
-        return Err(ArgError(format!(
-            "overload drill FAILED: qos beat the baseline in only {wins}/{cells} saturated cells"
-        )));
-    }
-    let _ = writeln!(
-        text,
-        "\noverload drill passed: 0 lost, 0 wrong; qos won all {cells} saturated cells"
-    );
+    let lost = a.json["verification"]["lost"].as_u64().unwrap_or(u64::MAX);
+    let wrong = a.json["verification"]["wrong"].as_u64().unwrap_or(u64::MAX);
+    let summary = verdict(&a.json, lost, wrong)
+        .map_err(|why| ArgError(format!("{} drill FAILED: {why}", a.name)))?;
+    let _ = writeln!(text, "\n{} drill passed: {summary}", a.name);
     Ok(Output { json: a.json, text })
 }
 
@@ -1572,6 +1552,21 @@ mod tests {
         // Typo'd flags are named here too.
         let err = dispatch(argv("chaos --fulll")).unwrap_err();
         assert!(err.0.contains("--fulll"), "{err}");
+    }
+
+    #[test]
+    fn overload_subcommand_writes_the_report_binarys_bytes() {
+        // One artifact writer: `etagraph overload --out D` must leave what
+        // `report overload --quick --out D` leaves, so `--check` says `same`
+        // (the drills used to drop the text file's final newline).
+        let dir = tmpfile("overload-out");
+        let out = dispatch(argv(&format!("overload --out {dir}"))).unwrap();
+        assert!(out.text.contains("overload drill passed"), "{}", out.text);
+        let regenerated = eta_bench::overload::overload(eta_bench::Suite::Quick);
+        for (path, bytes) in regenerated.files(std::path::Path::new(&dir)) {
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{}", path.display());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl DeviceQueue {
         (dev.mem.host_read(self.count, 0, 1)[0], end)
     }
 
-    /// Resets the counter to zero (4-byte host→device transfer).
-    pub fn reset(&self, dev: &mut Device, now: Ns) -> Ns {
-        dev.mem.copy_h2d(self.count, 0, &[0], now)
-    }
-
     /// Host-side push during setup (seeding the source), free of charge —
     /// it rides along with the label initialization copy. Returns the
     /// queue length.
@@ -96,10 +91,6 @@ impl VirtualQueue {
     pub fn read_count(&self, dev: &mut Device, now: Ns) -> (u32, Ns) {
         let end = dev.mem.copy_d2h(self.count, 1, now);
         (dev.mem.host_read(self.count, 0, 1)[0], end)
-    }
-
-    pub fn reset(&self, dev: &mut Device, now: Ns) -> Ns {
-        dev.mem.copy_h2d(self.count, 0, &[0], now)
     }
 
     /// Returns the queue's device capacity (registry eviction path).
@@ -158,7 +149,7 @@ mod tests {
         let (count, t) = q.read_count(&mut dev, 0);
         assert_eq!(count, 3);
         assert!(t > 0, "readback crosses PCIe");
-        let t2 = q.reset(&mut dev, t);
+        let (_, t2) = q.seed(&mut dev, &[], t);
         assert!(t2 > t);
         let (count, _) = q.read_count(&mut dev, t2);
         assert_eq!(count, 0);

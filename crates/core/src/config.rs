@@ -110,6 +110,12 @@ impl TransferMode {
     pub fn topology_is_explicit(self) -> bool {
         matches!(self, TransferMode::ExplicitCopy)
     }
+
+    /// Whether kernels read topology from pinned host memory over the
+    /// interconnect, so it never occupies device memory at all.
+    pub fn topology_is_zero_copy(self) -> bool {
+        matches!(self, TransferMode::ZeroCopy)
+    }
 }
 
 /// Where the Unified Degree Cut transformation runs (§III-A).

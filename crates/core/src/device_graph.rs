@@ -36,82 +36,45 @@ impl DeviceGraph {
         mode: TransferMode,
         now: Ns,
     ) -> Result<(DeviceGraph, Ns), MemError> {
+        // One array at a time: allocate by mode, then fill. Explicit
+        // copies chain on the link; host-backed data (unified, zero-copy)
+        // starts on the host at no transfer cost — that is the whole point.
+        // `cudaMemPrefetchAsync` is issued by the engine after the label
+        // initialization copies, matching Procedure 1's statement order
+        // (see [`DeviceGraph::prefetch`]).
         let n = csr.n() as u32;
         let m = csr.m() as u32;
-        let ro_len = csr.row_offsets.len() as u64;
-        let ci_len = csr.col_idx.len() as u64;
-
-        let (row_offsets, col_idx, weights, end) = match mode {
-            TransferMode::Unified | TransferMode::UnifiedPrefetch | TransferMode::Adaptive => {
-                let ro = dev.mem.alloc_unified(ro_len);
-                let ci = dev.mem.alloc_unified(ci_len.max(1));
-                let w = csr
-                    .weights
-                    .as_ref()
-                    .map(|_| dev.mem.alloc_unified(ci_len.max(1)));
-                // Host-side writes: UM data starts on the host at no device
-                // transfer cost (that is the whole point).
-                dev.mem.host_write(ro, 0, &csr.row_offsets);
-                dev.mem.host_write(ci, 0, &csr.col_idx);
-                if let (Some(ws), Some(wdata)) = (w, &csr.weights) {
-                    dev.mem.host_write(ws, 0, wdata);
-                }
-                // Adaptive: same unified allocations, with the per-group
-                // policy manager observing them. Every group starts on demand
-                // paging; the engine drives transitions via `adaptive_tick`.
-                if mode == TransferMode::Adaptive {
-                    dev.mem.enable_adaptive(ro);
-                    dev.mem.enable_adaptive(ci);
-                    if let Some(ws) = w {
-                        dev.mem.enable_adaptive(ws);
-                    }
-                }
-                // Note: `cudaMemPrefetchAsync` is issued by the engine after
-                // the label initialization copies, matching Procedure 1's
-                // statement order (see [`DeviceGraph::prefetch`]).
-                (ro, ci, w, now)
+        let mut end = now;
+        let mut place = |data: &[u32]| -> Result<DSlice, MemError> {
+            let len = data.len().max(1) as u64;
+            if mode.topology_is_explicit() {
+                let slice = dev.mem.alloc_explicit(len)?;
+                end = dev.mem.copy_h2d(slice, 0, data, end);
+                return Ok(slice);
             }
-            TransferMode::ExplicitCopy => {
-                let ro = dev.mem.alloc_explicit(ro_len)?;
-                let ci = dev.mem.alloc_explicit(ci_len.max(1))?;
-                let w = match &csr.weights {
-                    Some(_) => Some(dev.mem.alloc_explicit(ci_len.max(1))?),
-                    None => None,
-                };
-                let mut end = dev.mem.copy_h2d(ro, 0, &csr.row_offsets, now);
-                end = dev.mem.copy_h2d(ci, 0, &csr.col_idx, end);
-                if let (Some(ws), Some(wdata)) = (w, &csr.weights) {
-                    end = dev.mem.copy_h2d(ws, 0, wdata, end);
-                }
-                (ro, ci, w, end)
+            let slice = if mode.topology_is_zero_copy() {
+                dev.mem.alloc_zero_copy(len)
+            } else {
+                dev.mem.alloc_unified(len)
+            };
+            dev.mem.host_write(slice, 0, data);
+            // Adaptive: the per-group policy manager observes the unified
+            // allocation. Every group starts on demand paging; the driver
+            // moves them via `adaptive_tick`.
+            if mode == TransferMode::Adaptive {
+                dev.mem.enable_adaptive(slice);
             }
-            TransferMode::ZeroCopy => {
-                let ro = dev.mem.alloc_zero_copy(ro_len);
-                let ci = dev.mem.alloc_zero_copy(ci_len.max(1));
-                let w = csr
-                    .weights
-                    .as_ref()
-                    .map(|_| dev.mem.alloc_zero_copy(ci_len.max(1)));
-                dev.mem.host_write(ro, 0, &csr.row_offsets);
-                dev.mem.host_write(ci, 0, &csr.col_idx);
-                if let (Some(ws), Some(wdata)) = (w, &csr.weights) {
-                    dev.mem.host_write(ws, 0, wdata);
-                }
-                (ro, ci, w, now)
-            }
+            Ok(slice)
         };
-
-        Ok((
-            DeviceGraph {
-                n,
-                m,
-                row_offsets,
-                col_idx,
-                weights,
-                mode,
-            },
-            end,
-        ))
+        let graph = DeviceGraph {
+            n,
+            m,
+            row_offsets: place(&csr.row_offsets)?,
+            col_idx: place(&csr.col_idx)?,
+            weights: csr.weights.as_deref().map(&mut place).transpose()?,
+            mode,
+        };
+        Ok((graph, end))
     }
 
     /// Retires the topology from the device: explicit copies return their

@@ -1,14 +1,19 @@
 //! The BSP superstep driver — the paper's Procedure 1, once, over a device
-//! **group of >= 1**. [`drive`] owns the loop; an algorithm is a [`Program`]
+//! **group of >= 1**. `drive` owns the loop; an algorithm is a `Program`
 //! plugged into it (label traversal in `engine`, batched BFS in `multi_bfs`,
 //! PageRank in `pagerank`). A single device is a group of one: no fabric, an
 //! empty halo, a barrier that is its own clock. DESIGN.md's "Superstep
 //! driver" section has the hook contract, the timing model and the
 //! group-of-one degenerations.
+//!
+//! The public surface is what an execution model that keeps its own loop
+//! needs to run on the same launch path: a [`Group::solo`], its [`Lane`],
+//! and [`Group::solo_result`] (DESIGN.md, "Execution models on a `Lane`").
 
-use crate::active_set::{VirtualQueue, WorkQueues};
-use crate::config::{EtaConfig, TransferMode};
+use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
+use crate::config::{Algorithm, EtaConfig, TransferMode};
 use crate::engine::DeviceShadowTable;
+use crate::result::{IterationStats, RunResult};
 use crate::sharded::{fail, Sharded, SuperstepStats, MSG_BYTES};
 use crate::udc::{ActToVirtKernel, ExpandFromTableKernel};
 use eta_ckpt::{Checkpoint, CkptCtl, CkptState};
@@ -61,9 +66,10 @@ pub(crate) fn owner(views: &[ShardView<'_>], gv: u32) -> usize {
 
 /// The device group a run executes on: one device and one simulated clock
 /// per member, plus the kernel counters summed over every launch.
-pub(crate) struct Group<'a> {
-    pub devs: &'a mut [Device],
-    pub clocks: Vec<Ns>,
+pub struct Group<'a> {
+    pub(crate) devs: &'a mut [Device],
+    pub(crate) clocks: Vec<Ns>,
+    visited: Vec<Visited>,
     metrics: KernelMetrics,
     kernel_ns: Ns,
     threads_per_block: u32,
@@ -72,20 +78,39 @@ pub(crate) struct Group<'a> {
 
 impl<'a> Group<'a> {
     /// `ready[s]` is when member `s` may start per-query work.
-    pub fn new(devs: &'a mut [Device], ready: Vec<Ns>, cfg: &EtaConfig) -> Self {
-        assert!(!devs.is_empty() && devs.len() == ready.len());
+    pub(crate) fn new(devs: &'a mut [Device], ready: Vec<Ns>, cfg: &EtaConfig) -> Self {
+        let adaptive = cfg.transfer == TransferMode::Adaptive;
+        Self::build(devs, ready, cfg.threads_per_block, adaptive)
+    }
+
+    /// A group of one whose member may start work at `ready_ns`, for an
+    /// execution model that keeps its own loop and runs it on
+    /// [`Group::lane`]`(0)`.
+    pub fn solo(dev: &'a mut Device, ready_ns: Ns, threads_per_block: u32) -> Self {
+        let devs = std::slice::from_mut(dev);
+        Self::build(devs, vec![ready_ns], threads_per_block, false)
+    }
+
+    fn build(
+        devs: &'a mut [Device],
+        clocks: Vec<Ns>,
+        threads_per_block: u32,
+        adaptive: bool,
+    ) -> Self {
+        assert!(!devs.is_empty() && devs.len() == clocks.len());
         Group {
+            visited: devs.iter().map(|_| Visited::default()).collect(),
             devs,
-            clocks: ready,
+            clocks,
             metrics: KernelMetrics::default(),
             kernel_ns: 0,
-            threads_per_block: cfg.threads_per_block,
-            adaptive: cfg.transfer == TransferMode::Adaptive,
+            threads_per_block,
+            adaptive,
         }
     }
 
     /// The latest member clock: the barrier, and the run's end.
-    pub fn end_ns(&self) -> Ns {
+    pub(crate) fn end_ns(&self) -> Ns {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
@@ -95,20 +120,69 @@ impl<'a> Group<'a> {
             member: s,
             dev: &mut self.devs[s],
             clock: &mut self.clocks[s],
+            visited: &mut self.visited[s],
             metrics: &mut self.metrics,
             kernel_ns: &mut self.kernel_ns,
             threads_per_block: self.threads_per_block,
         }
     }
+
+    /// Assembles what a finished run on a group of one measured: `labels`
+    /// after `iterations` supersteps, the summed kernel counters, the
+    /// spans since `query_start` (warm sessions accumulate earlier
+    /// queries') and the end-to-end time from it.
+    pub fn solo_result(
+        &self,
+        algorithm: Algorithm,
+        labels: Vec<u32>,
+        iterations: u32,
+        per_iteration: Vec<IterationStats>,
+        query_start: Ns,
+    ) -> RunResult {
+        let dev = &self.devs[0];
+        let mut timeline = eta_mem::Timeline::new();
+        let spans = dev.merged_timeline();
+        let mine = spans.spans().iter().filter(|s| s.start >= query_start);
+        mine.for_each(|s| timeline.push(*s));
+        let total_ns = self.end_ns() - query_start;
+        debug_assert!(
+            total_ns >= self.kernel_ns,
+            "kernels serialize on one device: total {total_ns} < kernel {}",
+            self.kernel_ns
+        );
+        RunResult {
+            algorithm,
+            labels,
+            iterations,
+            kernel_ns: self.kernel_ns,
+            total_ns,
+            per_iteration,
+            metrics: self.metrics,
+            um_stats: dev.mem.um.stats.clone(),
+            overlap_fraction: timeline.overlap_fraction(),
+            timeline,
+        }
+    }
+}
+
+/// Observer state behind `visited_total`: which of a member's labels have
+/// left `init_label`, and how many.
+#[derive(Default)]
+struct Visited {
+    init_label: u32,
+    seen: Vec<bool>,
+    count: u64,
 }
 
 /// One group member: its device and its clock. Every launch and every
-/// polled copy of every program goes through here, and a failure comes back
-/// bound to the member that raised it.
-pub(crate) struct Lane<'a> {
+/// polled copy of every program and every baseline model goes through here:
+/// the clock follows one rule, the counters sum in one place, and a device
+/// fault comes back as an error bound to the member that raised it.
+pub struct Lane<'a> {
     pub member: usize,
     pub dev: &'a mut Device,
     clock: &'a mut Ns,
+    visited: &'a mut Visited,
     metrics: &'a mut KernelMetrics,
     kernel_ns: &'a mut Ns,
     threads_per_block: u32,
@@ -146,21 +220,72 @@ impl Lane<'_> {
         value
     }
 
+    /// Charged host→device copy of `data` to the start of `slice`.
     pub fn h2d(&mut self, slice: DSlice, data: &[u32]) {
         *self.clock = self.dev.mem.copy_h2d(slice, 0, data, *self.clock);
     }
 
+    /// Charged device→host copy of `slice`'s first `len` words.
     pub fn d2h(&mut self, slice: DSlice, len: u64) {
         *self.clock = self.dev.mem.copy_d2h(slice, len, *self.clock);
     }
 
+    /// A charged readback of `slice`'s first `len` words: the copy, the
+    /// fault poll, then the words.
+    pub fn readback(&mut self, slice: DSlice, len: u64) -> Sharded<&[u32]> {
+        self.d2h(slice, len);
+        self.poll()?;
+        Ok(self.read(slice, len))
+    }
+
+    /// Host view of device words, free of charge: what a charged copy
+    /// delivered, or an observer-only statistic.
     pub fn read(&self, slice: DSlice, len: u64) -> &[u32] {
         self.dev.mem.host_read(slice, 0, len)
     }
 
+    /// Starts the `visited_total` observer (no simulated cost) from the
+    /// labels this member was initialized with.
+    pub fn watch(&mut self, labels: &[u32], init_label: u32) {
+        let seen: Vec<bool> = labels.iter().map(|&l| l != init_label).collect();
+        let count = seen.iter().filter(|&&s| s).count() as u64;
+        *self.visited = Visited {
+            init_label,
+            seen,
+            count,
+        };
+    }
+
+    /// `visited_total` after a superstep of a frontier model. A label
+    /// leaves `init_label` only by an improvement, and a frontier kernel
+    /// appends every vertex it improves to `next` (once per superstep), so
+    /// the newly visited are among this superstep's appends and no label
+    /// is rescanned.
+    pub fn visited(&mut self, next: DeviceQueue, labels: DSlice) -> u64 {
+        let appended = self.read(next.count, 1)[0];
+        for &v in self.dev.mem.host_read(next.items, 0, appended as u64) {
+            if !std::mem::replace(&mut self.visited.seen[v as usize], true) {
+                self.visited.count += 1;
+            }
+        }
+        debug_assert_eq!(
+            self.visited.count,
+            self.visited_scan(labels, self.visited.init_label),
+            "incremental visited_total diverged from the label scan"
+        );
+        self.visited.count
+    }
+
+    /// `visited_total` by scanning every label: the form for frontier-less
+    /// models, which sweep O(m) per iteration anyway.
+    pub fn visited_scan(&self, labels: DSlice, init_label: u32) -> u64 {
+        let labels = self.read(labels, labels.len).iter();
+        labels.filter(|&&l| l != init_label).count() as u64
+    }
+
     /// Records a profiler span from `start` to now; `args` is only built
     /// when profiling is on.
-    pub fn event(
+    pub(crate) fn event(
         &mut self,
         track: Track,
         name: &str,
@@ -395,7 +520,7 @@ pub(crate) fn drive<P: Program>(
         kernel_ns: g.kernel_ns,
         end_ns: g.end_ns(),
         exchanged_bytes,
-        metrics: std::mem::take(&mut g.metrics),
+        metrics: g.metrics,
         per_superstep,
     };
     Ok((run, output))

@@ -34,12 +34,6 @@ pub(crate) struct DeviceShadowTable {
     pub(crate) vertex_range: DSlice,
 }
 
-/// Transposed topology for pull iterations.
-pub(crate) struct PullGraph {
-    row_offsets: DSlice,
-    col_idx: DSlice,
-}
-
 /// Pull when `frontier_out_edges * PULL_ALPHA > |E|` (Beamer's alpha).
 const PULL_ALPHA: u64 = 20;
 
@@ -49,7 +43,8 @@ const PULL_ALPHA: u64 = 20;
 /// (see [`crate::session::Session`]).
 pub struct QueryResources {
     pub(crate) dg: DeviceGraph,
-    pub(crate) pull: Option<PullGraph>,
+    /// Transposed topology for pull iterations.
+    pub(crate) pull: Option<DeviceGraph>,
     pub(crate) labels: DSlice,
     pub(crate) tags: DSlice,
     pub(crate) queues: WorkQueues,
@@ -69,10 +64,7 @@ impl QueryResources {
     pub fn release(self, dev: &mut Device) {
         self.dg.release(dev);
         if let Some(pg) = self.pull {
-            dev.mem.invalidate_unified(pg.row_offsets);
-            dev.mem.invalidate_unified(pg.col_idx);
-            dev.mem.free_explicit(pg.row_offsets);
-            dev.mem.free_explicit(pg.col_idx);
+            pg.release(dev);
         }
         dev.mem.free_explicit(self.labels);
         dev.mem.free_explicit(self.tags);
@@ -103,10 +95,7 @@ pub fn prepare(
         let (tg, end) = DeviceGraph::upload(dev, &transposed, cfg.transfer, now)?;
         now = end;
         tg.prefetch(dev, now);
-        Some(PullGraph {
-            row_offsets: tg.row_offsets,
-            col_idx: tg.col_idx,
-        })
+        Some(tg)
     } else {
         None
     };
@@ -215,23 +204,7 @@ pub fn run_query_ckpt(
     let ready = vec![query_start.max(ready_ns)];
     let group = &mut Group::new(std::slice::from_mut(dev), ready, cfg);
     let (run, (labels, per_iteration)) = drive(group, None, prog, ckpt).map_err(|e| e.error)?;
-    // Only this query's spans (warm sessions accumulate earlier queries').
-    let mut timeline = eta_mem::Timeline::new();
-    let spans = dev.merged_timeline();
-    let mine = spans.spans().iter().filter(|s| s.start >= query_start);
-    mine.for_each(|s| timeline.push(*s));
-    Ok(RunResult {
-        algorithm: alg,
-        labels,
-        iterations: run.steps,
-        kernel_ns: run.kernel_ns,
-        total_ns: run.end_ns - query_start,
-        per_iteration,
-        metrics: run.metrics,
-        um_stats: dev.mem.um.stats.clone(),
-        overlap_fraction: timeline.overlap_fraction(),
-        timeline,
-    })
+    Ok(group.solo_result(alg, labels, run.steps, per_iteration, query_start))
 }
 
 /// What the owner initializes global vertex `v` to — also the right
@@ -267,12 +240,6 @@ struct Member<'a> {
     /// Halo ids ascend and owners hold contiguous ranges, so every owner's
     /// batch is one contiguous run of it.
     outbox: Vec<(u32, u32)>,
-    /// Observer state of a group of one: which vertices' labels have left
-    /// `init_label`, and how many — `visited_total`, kept per superstep
-    /// from the vertices the kernels appended to `next` instead of
-    /// rescanning every label.
-    seen: Vec<bool>,
-    visited: u64,
 }
 
 impl Member<'_> {
@@ -330,8 +297,6 @@ impl<'a> Traversal<'a> {
             },
             last_sent: Vec::new(),
             outbox: Vec::new(),
-            seen: Vec::new(),
-            visited: 0,
         };
         Traversal {
             alg,
@@ -421,8 +386,7 @@ impl Program for Traversal<'_> {
             }
             m.last_sent = local[view.own_len() as usize..].to_vec();
             if solo {
-                m.seen = local.iter().map(|&l| l != alg.init_label()).collect();
-                m.visited = m.seen.iter().filter(|&&seen| seen).count() as u64;
+                lane.watch(&local, alg.init_label());
             }
         }
         Ok(())
@@ -477,29 +441,9 @@ impl Program for Traversal<'_> {
                 .step(lane, res.dg.row_offsets, cfg.k, table, relax)?
         };
 
-        // Observer-only statistics (no simulated cost): cumulative visits.
-        // A label leaves `init_label` only by an improvement, and the
-        // kernels append every vertex they improve to `next` (once per
-        // superstep: the tag claim in `relax_row`, the found lanes of the
-        // pull kernel), so the newly visited are among this superstep's
-        // appends.
-        let visited_total = solo.then(|| {
-            let appended = lane.read(next.count, 1)[0];
-            for &v in lane.read(next.items, appended as u64) {
-                if !std::mem::replace(&mut m.seen[v as usize], true) {
-                    m.visited += 1;
-                }
-            }
-            debug_assert_eq!(
-                m.visited,
-                lane.read(res.labels, res.dg.n as u64)
-                    .iter()
-                    .filter(|&&l| l != alg.init_label())
-                    .count() as u64,
-                "incremental visited_total diverged from the label scan"
-            );
-            m.visited
-        });
+        // Observer-only statistics: the tag claim in `relax_row` and the
+        // found lanes of the pull kernel append each improved vertex once.
+        let visited_total = solo.then(|| lane.visited(next, res.labels));
         let shard = lane.member as u32;
         lane.event(Track::Iteration, alg.name(), start_ns, || {
             let mut args = vec![("iteration", step.into())];
@@ -631,9 +575,7 @@ impl Program for Traversal<'_> {
         let mut labels = Vec::with_capacity(self.vertices() as usize);
         for (s, m) in self.members.iter().enumerate() {
             let (own, lane) = (m.view.own_len() as u64, &mut g.lane(s));
-            lane.d2h(m.res.labels, own);
-            lane.poll()?;
-            labels.extend_from_slice(lane.read(m.res.labels, own));
+            labels.extend_from_slice(lane.readback(m.res.labels, own)?);
         }
         Ok((labels, self.per_iteration))
     }
@@ -944,13 +886,21 @@ mod tests {
 
     #[test]
     fn released_resources_return_their_explicit_capacity() {
+        // The second configuration holds a weighted transposed topology in
+        // explicit memory: all three of its arrays must come back too.
+        let pulling = EtaConfig {
+            transfer: TransferMode::ExplicitCopy,
+            ..EtaConfig::direction_optimizing()
+        };
         let g = test_graph();
-        let mut dev = device();
-        let before = dev.mem.explicit_used_bytes();
-        let (res, _) = prepare(&mut dev, &g, &EtaConfig::out_of_core(), true).unwrap();
-        assert!(dev.mem.explicit_used_bytes() > before);
-        res.release(&mut dev);
-        assert_eq!(dev.mem.explicit_used_bytes(), before);
+        for cfg in [EtaConfig::out_of_core(), pulling] {
+            let mut dev = device();
+            let before = dev.mem.explicit_used_bytes();
+            let (res, _) = prepare(&mut dev, &g, &cfg, true).unwrap();
+            assert!(dev.mem.explicit_used_bytes() > before);
+            res.release(&mut dev);
+            assert_eq!(dev.mem.explicit_used_bytes(), before);
+        }
     }
 
     #[test]

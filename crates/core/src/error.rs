@@ -7,7 +7,7 @@
 //! turn into per-request rejections instead of process aborts.
 
 use eta_ckpt::CkptError;
-use eta_fault::DeviceFault;
+pub use eta_fault::DeviceFault;
 use eta_mem::system::MemError;
 
 /// Why a query could not run.

@@ -35,7 +35,7 @@
 pub mod active_set;
 pub mod config;
 pub mod device_graph;
-mod driver;
+pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod kernels;

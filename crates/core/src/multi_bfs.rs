@@ -439,9 +439,9 @@ impl Program for Batch<'_> {
 
     fn finish(self, g: &mut Group<'_>) -> Sharded<Vec<Vec<u32>>> {
         let (levels, lane) = (self.levels, &mut g.lane(0));
-        lane.d2h(levels, levels.len);
-        lane.poll()?;
-        let per_source = lane.read(levels, levels.len).chunks(self.res.n as usize);
+        let per_source = lane
+            .readback(levels, levels.len)?
+            .chunks(self.res.n as usize);
         Ok(per_source.map(<[u32]>::to_vec).collect())
     }
 }

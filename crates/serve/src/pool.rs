@@ -102,22 +102,18 @@ impl DeviceWorker {
     /// pages in against the *remaining* budget, so it does not count here —
     /// the UM driver's own LRU handles its oversubscription.
     pub fn footprint_bytes(csr: &Csr, cfg: &EtaConfig) -> u64 {
-        let topo = match cfg.transfer {
-            // Upfront memcpy pins the whole topology in device memory.
-            TransferMode::ExplicitCopy => {
-                let ro = csr.row_offsets.len() as u64;
-                let ci = (csr.col_idx.len() as u64).max(1);
-                let w = if csr.is_weighted() { ci } else { 0 };
-                (ro + ci + w) * 4
-            }
-            // Unified topology (demand-paged, prefetched, or adaptively
-            // routed) pages in against the remaining budget under the UM
-            // driver's own LRU; zero-copy topology never occupies device
-            // memory at all. Either way admission pins nothing for it.
-            TransferMode::Unified
-            | TransferMode::UnifiedPrefetch
-            | TransferMode::Adaptive
-            | TransferMode::ZeroCopy => 0,
+        // Upfront memcpy pins the whole topology in device memory. Unified
+        // topology (demand-paged, prefetched, or adaptively routed) pages
+        // in against the remaining budget under the UM driver's own LRU and
+        // zero-copy topology never occupies device memory at all: admission
+        // pins nothing for either.
+        let topo = if cfg.transfer.topology_is_explicit() {
+            let ro = csr.row_offsets.len() as u64;
+            let ci = (csr.col_idx.len() as u64).max(1);
+            let w = if csr.is_weighted() { ci } else { 0 };
+            (ro + ci + w) * 4
+        } else {
+            0
         };
         topo + MultiBfsResources::footprint_bytes(csr, cfg)
     }

@@ -40,7 +40,7 @@
 
 use eta_graph::Csr;
 use eta_mem::Ns;
-use etagraph::{EtaConfig, TransferMode};
+use etagraph::EtaConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -195,9 +195,10 @@ impl CostModel {
     /// over PCIe, so its prior doubles.
     pub fn prior(csr: &Csr, eta: &EtaConfig) -> Ns {
         let base = 30_000 + csr.n() as Ns / 2 + csr.m() as Ns / 4;
-        match eta.transfer {
-            TransferMode::ZeroCopy => base * 2,
-            _ => base,
+        if eta.transfer.topology_is_zero_copy() {
+            base * 2
+        } else {
+            base
         }
     }
 

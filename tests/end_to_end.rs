@@ -1,10 +1,14 @@
 //! End-to-end integration tests across the workspace: datasets → device
 //! placement → kernels → results, validated against the CPU references.
 
-use eta_baselines::{run_fresh, CushaLike, EtaFramework, Framework, GunrockLike, TigrLike};
+use eta_baselines::{
+    run_fresh, ChunkStream, CushaLike, EtaFramework, Framework, FrameworkError, GunrockLike,
+    TigrLike,
+};
+use eta_fault::{FaultKind, FaultPlan, HangFault};
 use eta_graph::generate::{rmat, web, RmatConfig, WebConfig};
 use eta_graph::{analysis, reference};
-use eta_sim::GpuConfig;
+use eta_sim::{Device, GpuConfig};
 use etagraph::{Algorithm, EtaConfig, EtaGraph};
 
 fn frameworks() -> Vec<Box<dyn Framework>> {
@@ -33,6 +37,47 @@ fn all_frameworks_agree_on_all_algorithms() {
             assert_eq!(&r.labels, expect, "{} {}", fw.name(), alg.name());
             assert!(r.total_ns >= r.kernel_ns, "{}: total < kernel", fw.name());
             assert!(r.iterations >= 1);
+        }
+    }
+}
+
+/// Every execution model runs on the driver's one launch path, so a fault
+/// plan applies to all five alike: a hang window is a typed error, and the
+/// empty plan changes nothing.
+#[test]
+fn every_framework_polls_faults_and_ignores_the_empty_plan() {
+    let g = rmat(&RmatConfig::paper(10, 12_000, 99)).with_random_weights(5, 32);
+    let src = 1u32;
+    let mut hang = FaultPlan::default();
+    hang.hangs.push(HangFault {
+        device: 0,
+        start_ns: 0,
+        end_ns: u64::MAX,
+        budget_ns: 1_000,
+    });
+    let mut fws = frameworks();
+    fws.push(Box::new(ChunkStream::default()));
+    for fw in fws {
+        for (alg, expect) in [
+            (Algorithm::Bfs, reference::bfs(&g, src)),
+            (Algorithm::Sssp, reference::sssp(&g, src)),
+            (Algorithm::Sswp, reference::sswp(&g, src)),
+        ] {
+            let what = format!("{} {}", fw.name(), alg.name());
+            let mut dev = Device::new(GpuConfig::default_preset());
+            dev.install_faults(&hang, 0);
+            match fw.run(&mut dev, &g, src, alg) {
+                Err(FrameworkError::DeviceFault(f)) => assert_eq!(f.kind, FaultKind::KernelHang),
+                other => panic!(
+                    "{what}: expected a kernel hang, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            let mut dev = Device::new(GpuConfig::default_preset());
+            dev.install_faults(&FaultPlan::default(), 0);
+            let r = fw.run(&mut dev, &g, src, alg).unwrap();
+            assert_eq!(r.labels, expect, "{what}");
+            assert!(r.total_ns >= r.kernel_ns, "{what}: total < kernel");
         }
     }
 }
