@@ -34,6 +34,17 @@ echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
 echo "    release mode: the gate that keeps every UM artifact byte-stable)"
 cargo test --release -p eta-mem --lib -q -- um::tests::differential um::tests::lazy_index
 
+echo "==> per-access differentials (release mode: recency-key cache vs the"
+echo "    valid-bit oracle, one-pass coalesce vs per-access sort + dedup,"
+echo "    closed-form bank conflicts vs the sort-based definition)"
+cargo test --release -p eta-mem --lib -q -- \
+    cache::tests::differential_random_ops_match_fill_oracle \
+    cache::tests::flush_edges_match_fill_oracle \
+    cache::tests::clock_at_the_key_bound_matches_fill_oracle \
+    access::tests::coalesce_matches_per_access_sort_and_dedup
+cargo test --release -p eta-sim --lib -q -- \
+    warp::tests::bank_conflicts_match_the_sort_based_definition
+
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

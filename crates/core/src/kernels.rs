@@ -20,7 +20,7 @@
 use crate::active_set::{DeviceQueue, VirtualQueue};
 use crate::config::Algorithm;
 use eta_mem::system::DSlice;
-use eta_sim::{Kernel, Lanes, WarpCtx, WARP_SIZE};
+use eta_sim::{active_lanes, Kernel, Lanes, WarpCtx, WARP_SIZE};
 
 /// Parameters of one traversal launch over one virtual active set.
 pub struct TraversalKernel {
@@ -45,6 +45,12 @@ pub struct TraversalKernel {
     pub threads_per_block: u32,
 }
 
+/// The lanes of row `j`: those with more than `j` neighbors left (an
+/// inactive lane's degree is 0).
+fn row_lanes(deg: &Lanes, j: u32) -> u32 {
+    (0..WARP_SIZE).fold(0, |row, lane| row | u32::from(j < deg[lane]) << lane)
+}
+
 impl TraversalKernel {
     fn weighted(&self) -> bool {
         self.alg.needs_weights()
@@ -67,10 +73,8 @@ impl TraversalKernel {
     /// labels and pushing improved vertices.
     fn relax_row(&self, w: &mut WarpCtx<'_>, dst: &Lanes, wt: &Lanes, my: &Lanes, row_mask: u32) {
         let mut new = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (row_mask >> lane) & 1 == 1 {
-                new[lane] = self.relax_value(my[lane], wt[lane]);
-            }
+        for lane in active_lanes(row_mask) {
+            new[lane] = self.relax_value(my[lane], wt[lane]);
         }
         w.alu(1);
         let old = if self.alg == Algorithm::Sswp {
@@ -79,17 +83,13 @@ impl TraversalKernel {
             w.atomic_min(self.labels, dst, &new, row_mask)
         };
         let mut improved = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (row_mask >> lane) & 1 == 1 {
-                let better = if self.alg == Algorithm::Sswp {
-                    new[lane] > old[lane]
-                } else {
-                    new[lane] < old[lane]
-                };
-                if better {
-                    improved |= 1 << lane;
-                }
-            }
+        for lane in active_lanes(row_mask) {
+            let better = if self.alg == Algorithm::Sswp {
+                new[lane] > old[lane]
+            } else {
+                new[lane] < old[lane]
+            };
+            improved |= u32::from(better) << lane;
         }
         if improved == 0 {
             return;
@@ -98,10 +98,8 @@ impl TraversalKernel {
         let iters = [self.iter; WARP_SIZE];
         let old_tag = w.atomic_max(self.tags, dst, &iters, improved);
         let mut push = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (improved >> lane) & 1 == 1 && old_tag[lane] < self.iter {
-                push |= 1 << lane;
-            }
+        for lane in active_lanes(improved) {
+            push |= u32::from(old_tag[lane] < self.iter) << lane;
         }
         if push == 0 {
             return;
@@ -143,11 +141,9 @@ impl Kernel for TraversalKernel {
 
         let mut deg = [0u32; WARP_SIZE];
         let mut max_deg = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                deg[lane] = end[lane] - start[lane];
-                max_deg = max_deg.max(deg[lane]);
-            }
+        for lane in active_lanes(mask) {
+            deg[lane] = end[lane] - start[lane];
+            max_deg = max_deg.max(deg[lane]);
         }
         if max_deg == 0 {
             return;
@@ -165,13 +161,10 @@ impl Kernel for TraversalKernel {
 
             let rows = w.load_burst(self.col_idx, &start, &deg, mask);
             for j in 0..rows.rows() {
-                let mut row_mask = 0u32;
+                let row_mask = row_lanes(&deg, j);
                 let mut slots = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row_mask |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j;
-                    }
+                for lane in active_lanes(row_mask) {
+                    slots[lane] = slot_base[lane] + j;
                 }
                 let row = w.burst_row(rows, j);
                 w.store_shared(&slots, &row, row_mask);
@@ -180,13 +173,10 @@ impl Kernel for TraversalKernel {
             if let Some(ws) = self.weights {
                 let wrows = w.load_burst(ws, &start, &deg, mask);
                 for j in 0..wrows.rows() {
-                    let mut row_mask = 0u32;
+                    let row_mask = row_lanes(&deg, j);
                     let mut slots = [0u32; WARP_SIZE];
-                    for lane in 0..WARP_SIZE {
-                        if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                            row_mask |= 1 << lane;
-                            slots[lane] = weight_shared_off + slot_base[lane] + j;
-                        }
+                    for lane in active_lanes(row_mask) {
+                        slots[lane] = weight_shared_off + slot_base[lane] + j;
                     }
                     let row = w.burst_row(wrows, j);
                     w.store_shared(&slots, &row, row_mask);
@@ -195,13 +185,10 @@ impl Kernel for TraversalKernel {
 
             // --- process from shared memory.
             for j in 0..max_deg {
-                let mut row_mask = 0u32;
+                let row_mask = row_lanes(&deg, j);
                 let mut slots = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row_mask |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j;
-                    }
+                for lane in active_lanes(row_mask) {
+                    slots[lane] = slot_base[lane] + j;
                 }
                 if row_mask == 0 {
                     continue;
@@ -222,13 +209,10 @@ impl Kernel for TraversalKernel {
             // --- no SMP: one global load per neighbor step, the classic
             // "load and process neighbor vertices one by one" pattern.
             for j in 0..max_deg {
-                let mut row_mask = 0u32;
+                let row_mask = row_lanes(&deg, j);
                 let mut idx = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row_mask |= 1 << lane;
-                        idx[lane] = start[lane] + j;
-                    }
+                for lane in active_lanes(row_mask) {
+                    idx[lane] = start[lane] + j;
                 }
                 if row_mask == 0 {
                     continue;
@@ -278,10 +262,8 @@ impl Kernel for PullBfsKernel {
         let my = w.load(self.labels, &tids, mask);
         w.alu(1);
         let mut unvisited = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 && my[lane] == u32::MAX {
-                unvisited |= 1 << lane;
-            }
+        for lane in active_lanes(mask) {
+            unvisited |= u32::from(my[lane] == u32::MAX) << lane;
         }
         if unvisited == 0 {
             return;
@@ -293,23 +275,18 @@ impl Kernel for PullBfsKernel {
         }
         let hi = w.load(self.t_row_offsets, &v1, unvisited);
         let mut deg = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (unvisited >> lane) & 1 == 1 {
-                deg[lane] = hi[lane] - lo[lane];
-            }
+        for lane in active_lanes(unvisited) {
+            deg[lane] = hi[lane] - lo[lane];
         }
 
         let parent_level = self.iter - 1;
         let mut found = 0u32;
         let mut j = 0u32;
         loop {
-            let mut row = 0u32;
+            let row = row_lanes(&deg, j) & !found;
             let mut idx = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (unvisited >> lane) & 1 == 1 && (found >> lane) & 1 == 0 && j < deg[lane] {
-                    row |= 1 << lane;
-                    idx[lane] = lo[lane] + j;
-                }
+            for lane in active_lanes(row) {
+                idx[lane] = lo[lane] + j;
             }
             if row == 0 {
                 break; // every lane found a parent or exhausted its in-edges
@@ -317,10 +294,8 @@ impl Kernel for PullBfsKernel {
             let parent = w.load(self.t_col_idx, &idx, row);
             let pl = w.load(self.labels, &parent, row);
             w.alu(1);
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 && pl[lane] == parent_level {
-                    found |= 1 << lane;
-                }
+            for lane in active_lanes(row) {
+                found |= u32::from(pl[lane] == parent_level) << lane;
             }
             j += 1;
         }

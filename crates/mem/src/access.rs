@@ -107,8 +107,6 @@ pub struct SmQueue {
     pub stall: u64,
     pub l1_requests: u64,
     pub l1_hits: u64,
-    /// Per-access coalescing scratch, reused so stage 2 never allocates.
-    scratch: Vec<u64>,
 }
 
 impl SmQueue {
@@ -152,20 +150,40 @@ impl SmQueue {
     /// [`crate::coalesce::sectors_for_warp`], over all of a burst group's
     /// (lane, row) addresses at once. Per-SM state only, so launches run
     /// one call per SM concurrently.
+    ///
+    /// One pass maps addresses to sectors straight into the arena, dropping
+    /// a sector equal to its predecessor (a lane's consecutive words, a dense
+    /// warp's neighbouring lanes). A run that comes out ascending is already
+    /// the answer; only the others are sorted and deduplicated, in place.
     pub fn coalesce(&mut self) {
         self.sectors.clear();
         for rec in &mut self.recs {
-            self.scratch.clear();
-            self.scratch.extend(
-                self.addrs[rec.addr_start..rec.addr_start + rec.addr_len]
-                    .iter()
-                    .map(|&a| sector_of_word(a)),
-            );
-            self.scratch.sort_unstable();
-            self.scratch.dedup();
-            rec.sec_start = self.sectors.len();
-            rec.sec_len = self.scratch.len();
-            self.sectors.extend_from_slice(&self.scratch);
+            let start = self.sectors.len();
+            let mut ascending = true;
+            let mut last = None;
+            for &addr in &self.addrs[rec.addr_start..rec.addr_start + rec.addr_len] {
+                let sec = sector_of_word(addr);
+                if last != Some(sec) {
+                    // `None < Some(_)`: the first sector never descends.
+                    ascending &= last < Some(sec);
+                    self.sectors.push(sec);
+                    last = Some(sec);
+                }
+            }
+            if !ascending {
+                let run = &mut self.sectors[start..];
+                run.sort_unstable();
+                let mut kept = 1;
+                for i in 1..run.len() {
+                    if run[i] != run[kept - 1] {
+                        run[kept] = run[i];
+                        kept += 1;
+                    }
+                }
+                self.sectors.truncate(start + kept);
+            }
+            rec.sec_start = start;
+            rec.sec_len = self.sectors.len() - start;
         }
         self.zc.clear();
         self.zc.resize(self.sectors.len(), false);
@@ -231,6 +249,7 @@ pub fn drain_l1(queue: &mut SmQueue, l1: &mut Cache, p: &L1DrainParams) {
 mod tests {
     use super::*;
     use crate::cache::CacheConfig;
+    use crate::test_rng::Rng;
 
     fn queue_with(recs: &[(PipeOp, bool, bool, &[u64])]) -> SmQueue {
         let mut q = SmQueue::default();
@@ -254,6 +273,74 @@ mod tests {
         assert_eq!(q.recs[1].sec_start, 4);
         assert_eq!(&q.sectors[4..], &[2]);
         assert_eq!(q.zc.len(), q.sectors.len());
+    }
+
+    /// Stage 2 as it was before the one-pass form — every access copied out,
+    /// sorted, deduplicated and copied back — kept as the differential
+    /// oracle: `(sectors, per-access (sec_start, sec_len))`.
+    fn coalesce_by_sort(q: &SmQueue) -> (Vec<u64>, Vec<(usize, usize)>) {
+        let mut sectors = Vec::new();
+        let mut ranges = Vec::new();
+        for rec in &q.recs {
+            let mut run: Vec<u64> = q.addrs[rec.addr_start..rec.addr_start + rec.addr_len]
+                .iter()
+                .map(|&a| sector_of_word(a))
+                .collect();
+            run.sort_unstable();
+            run.dedup();
+            ranges.push((sectors.len(), run.len()));
+            sectors.extend(run);
+        }
+        (sectors, ranges)
+    }
+
+    #[test]
+    fn coalesce_matches_per_access_sort_and_dedup() {
+        for case in 0..200u64 {
+            let mut rng = Rng(case);
+            let mut q = SmQueue::default();
+            for _ in 0..rng.below(40) {
+                let start = q.addrs.len();
+                let base = rng.below(1 << 20) as u64;
+                match rng.below(7) {
+                    // Dense and strided ascending warps.
+                    0 => q.addrs.extend((0..32).map(|l| base + l)),
+                    1 => q.addrs.extend((0..32).map(|l| base + 8 * l)),
+                    2 => q.addrs.extend((0..32).rev().map(|l| base + 3 * l)),
+                    // Few sectors, many repeats, no order.
+                    3 => q.addrs.extend((0..32).map(|_| base + rng.below(24) as u64)),
+                    // A gather: anywhere.
+                    4 => q
+                        .addrs
+                        .extend((0..rng.below(33)).map(|_| rng.below(1 << 20) as u64)),
+                    // A burst group: four consecutive words per lane, the
+                    // lanes in ascending or in arbitrary order.
+                    5 => q
+                        .addrs
+                        .extend((0..128).map(|i| base + (i / 4) * 16 + i % 4)),
+                    _ => {
+                        for _ in 0..32 {
+                            let lane = rng.below(1 << 12) as u64 * 4;
+                            q.addrs.extend((0..4).map(|r| lane + r));
+                        }
+                    }
+                }
+                // Every fifth access loses its tail; some lose everything.
+                if rng.below(5) == 0 {
+                    q.addrs.truncate(start + rng.below(3));
+                }
+                q.commit(0, PipeOp::Load, false, true, start);
+            }
+            q.coalesce();
+            let (sectors, ranges) = coalesce_by_sort(&q);
+            assert_eq!(q.sectors, sectors, "case {case}");
+            let got: Vec<_> = q.recs.iter().map(|r| (r.sec_start, r.sec_len)).collect();
+            assert_eq!(got, ranges, "case {case}");
+            assert_eq!(q.zc.len(), sectors.len(), "case {case}");
+            // A second run over the same records starts from a clean arena.
+            q.coalesce();
+            assert_eq!(q.sectors, sectors, "case {case}, again");
+        }
     }
 
     #[test]

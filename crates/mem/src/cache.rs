@@ -71,31 +71,47 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    last_touch: u64,
-    /// The cache epoch this line was filled in. A line is valid iff its
-    /// epoch equals the cache's; 0 is never a cache epoch, so a fresh line
-    /// is invalid.
-    epoch: u64,
-}
-
 /// A set-associative cache keyed by line (sector) ID.
+///
+/// # Set layout
+///
+/// A set is `ways` tags and, parallel to them, `ways` *recency keys*. The
+/// key of a valid way is `(last_touch + 1) << way_bits | way`; that of an
+/// invalid way is `ways - 1 - way`, which is below every valid key. Keys of
+/// one set are distinct, and their minimum is exactly the victim rule — the
+/// last invalid way, else the least recently touched way, the first on a
+/// tie — so a miss is one minimum over the keys, with no per-way branch.
+///
+/// Fills take the last invalid way, so the invalid ways of a set are always
+/// its first ones. The tag scan leans on that: it keeps the *last* way whose
+/// tag matches, which is the valid holder if there is one (a stale tag of an
+/// invalid way sits before it), and checks that one way's key for validity.
+///
+/// `last_touch + 1` must fit in `64 - way_bits` bits: [`Cache::tick`] panics
+/// rather than let the clock pass `(u64::MAX >> way_bits) - 1` — 2^60 − 2
+/// for 16 ways, which no run can reach.
 ///
 /// # Flush validity
 ///
-/// [`Cache::flush`] is O(1): it bumps `epoch`, and [`Cache::access`] treats
-/// every line stamped with an older epoch as invalid — exactly the state a
-/// clear of all lines would leave (an invalid line's tag and touch time are
-/// never read). The epoch is a `u64` bumped once per flush, so it cannot
-/// wrap within a process lifetime and there is no wrap-around case.
+/// [`Cache::flush`] is O(1): it bumps `epoch`. Each set records the epoch
+/// its keys belong to, and [`Cache::access`] brings the set it probes up to
+/// date first: keys of an older epoch are reset to "all invalid" — the state
+/// a clear of every line would leave. The tags stay, stale; a tag is only
+/// believed when its way's key is valid. A set no probe reaches keeps its
+/// old keys, which nothing reads. The epoch is a `u64` bumped once per
+/// flush, so it cannot wrap within a process lifetime.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
-    /// `sets * ways` lines, set-major.
-    lines: Vec<Line>,
+    /// `sets * ways` tags, set-major.
+    tags: Vec<u64>,
+    /// Recency keys, parallel to `tags`.
+    keys: Vec<u64>,
+    /// The flush generation each set's keys belong to (0: never touched).
+    set_epoch: Vec<u64>,
+    /// Bits of a key holding the way index; valid keys are `>= 1 << way_bits`.
+    way_bits: u32,
     clock: u64,
     /// Flush generation, starting at 1.
     epoch: u64,
@@ -110,15 +126,14 @@ impl Cache {
             "cache smaller than one set"
         );
         let sets = cfg.sets();
-        let never_filled = Line {
-            tag: 0,
-            last_touch: 0,
-            epoch: 0,
-        };
+        let way_bits = usize::BITS - (cfg.ways - 1).leading_zeros();
         Cache {
             cfg,
             sets,
-            lines: vec![never_filled; sets * cfg.ways],
+            tags: vec![0; sets * cfg.ways],
+            keys: vec![0; sets * cfg.ways],
+            set_epoch: vec![0; sets],
+            way_bits,
             clock: 0,
             epoch: 1,
             stats: CacheStats::default(),
@@ -145,7 +160,16 @@ impl Cache {
 
     /// Advances the interleaving clock by `ticks` logical instructions.
     pub fn tick(&mut self, ticks: u64) {
-        self.clock += ticks;
+        self.clock = self.clock.saturating_add(ticks);
+        assert!(
+            self.clock <= self.max_clock(),
+            "cache clock past the recency-key range"
+        );
+    }
+
+    /// The last clock value whose `last_touch + 1` fits above the way bits.
+    fn max_clock(&self) -> u64 {
+        (u64::MAX >> self.way_bits) - 1
     }
 
     pub fn clock(&self) -> u64 {
@@ -159,37 +183,59 @@ impl Cache {
     /// resident line whose age exceeds `retention` counts as a miss: the
     /// interleaved traffic of co-resident warps is assumed to have evicted it.
     pub fn access(&mut self, line_id: u64) -> bool {
+        let ways = self.cfg.ways;
         let set = (line_id as usize) % self.sets;
-        let base = set * self.cfg.ways;
-        let ways = &mut self.lines[base..base + self.cfg.ways];
-
-        let mut victim = 0usize;
-        let mut victim_touch = u64::MAX;
-        for (w, line) in ways.iter_mut().enumerate() {
-            if line.epoch != self.epoch {
-                victim = w;
-                victim_touch = 0;
-            } else if line.tag == line_id {
-                let age = self.clock.saturating_sub(line.last_touch);
-                line.last_touch = self.clock;
-                if age <= self.cfg.retention {
-                    self.stats.hits += 1;
-                    return true;
-                }
-                // Aged out: treat as a miss but the refill reuses this way.
-                self.stats.misses += 1;
-                return false;
-            } else if line.last_touch < victim_touch {
-                victim = w;
-                victim_touch = line.last_touch;
+        let base = set * ways;
+        let tags = &mut self.tags[base..base + ways];
+        let keys = &mut self.keys[base..base + ways];
+        if self.set_epoch[set] != self.epoch {
+            self.set_epoch[set] = self.epoch;
+            for (w, key) in keys.iter_mut().enumerate() {
+                *key = (ways - 1 - w) as u64;
             }
         }
-        self.stats.misses += 1;
-        ways[victim] = Line {
-            tag: line_id,
-            last_touch: self.clock,
-            epoch: self.epoch,
+        let valid_floor = 1u64 << self.way_bits;
+        let touched = (self.clock + 1) << self.way_bits;
+
+        debug_assert!(
+            keys.is_sorted_by_key(|&key| key >= valid_floor),
+            "invalid ways come first"
+        );
+        // The last match is the valid holder if there is one (see "Set
+        // layout"), so the scan needs neither an exit nor the keys.
+        let mut hit = ways;
+        for (w, &tag) in tags.iter().enumerate() {
+            hit = if tag == line_id { w } else { hit };
+        }
+        if hit < ways && keys[hit] >= valid_floor {
+            let last_touch = (keys[hit] >> self.way_bits) - 1;
+            keys[hit] = touched | hit as u64;
+            // Aged out: a miss, but the refill reuses this way.
+            let fresh = self.clock - last_touch <= self.cfg.retention;
+            self.stats.hits += fresh as u64;
+            self.stats.misses += !fresh as u64;
+            return fresh;
+        }
+
+        let mut least = [u64::MAX; 4];
+        let mut quads = keys.chunks_exact(4);
+        for quad in &mut quads {
+            for (acc, &key) in least.iter_mut().zip(quad) {
+                *acc = (*acc).min(key);
+            }
+        }
+        for (acc, &key) in least.iter_mut().zip(quads.remainder()) {
+            *acc = (*acc).min(key);
+        }
+        let least = least[0].min(least[1]).min(least[2].min(least[3]));
+        let victim = if least < valid_floor {
+            ways - 1 - least as usize
+        } else {
+            (least & (valid_floor - 1)) as usize
         };
+        self.stats.misses += 1;
+        tags[victim] = line_id;
+        keys[victim] = touched | victim as u64;
         false
     }
 }
@@ -393,8 +439,9 @@ mod tests {
         }
     }
 
-    /// One way; 2-way x 4 sets; the default preset's L1 and L2.
-    fn geometries(retention: u64) -> [CacheConfig; 4] {
+    /// One way; 2-way x 4 sets; ways that are no power of two (3 x 5 sets,
+    /// 12 x 2 sets); a single 8-way set; the default preset's L1 and L2.
+    fn geometries(retention: u64) -> [CacheConfig; 7] {
         let geometry = |size_bytes, ways| CacheConfig {
             size_bytes,
             line_bytes: 32,
@@ -404,6 +451,9 @@ mod tests {
         [
             geometry(4 * 32, 1),
             geometry(8 * 32, 2),
+            geometry(15 * 32, 3),
+            geometry(24 * 32, 12),
+            geometry(8 * 32, 8),
             geometry(48 * 1024, 8),
             geometry(2816 * 1024, 16),
         ]
@@ -454,17 +504,21 @@ mod tests {
 
     #[test]
     fn differential_random_ops_match_fill_oracle() {
-        for case in 0..240u64 {
+        for case in 0..420u64 {
             let mut rng = Rng(case);
             let retention = [0, 3, 40, 768, u64::MAX][rng.below(5)];
-            let cfg = geometries(retention)[(case % 4) as usize];
+            let cfg = geometries(retention)[(case % 7) as usize];
             let mut pair = Pair::new(cfg);
-            // A few hot sets, so ways fill, age, conflict and get reused.
+            // A few hot sets, so ways fill, age, conflict and get reused;
+            // every other case with line ids far above `u32::MAX`.
             let sets = cfg.sets() as u64;
             let span = cfg.ways + 3;
+            let high = (case / 7 % 2) * sets * ((1 << 33) + 5);
             for _ in 0..400 {
                 match rng.below(100) {
-                    0..=69 => pair.access(rng.below(3) as u64 + sets * rng.below(span) as u64),
+                    0..=69 => {
+                        pair.access(high + rng.below(3) as u64 + sets * rng.below(span) as u64)
+                    }
                     70..=89 => pair.tick(rng.below(2 * retention.clamp(1, 50) as usize) as u64),
                     90..=97 => pair.flush(),
                     _ => {
@@ -474,6 +528,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The recency keys hold `last_touch + 1` above the way bits: the cache
+    /// must agree with the oracle right up to the last clock value that
+    /// fits, and refuse to tick past it.
+    #[test]
+    fn clock_at_the_key_bound_matches_fill_oracle() {
+        for retention in [0, 3, u64::MAX] {
+            for cfg in geometries(retention) {
+                let mut pair = Pair::new(cfg);
+                let sets = cfg.sets() as u64;
+                pair.access(0);
+                pair.tick(pair.new.max_clock() - 6);
+                for step in 0..6 {
+                    // Fill past the set's capacity, re-touch, age by one.
+                    for w in 0..cfg.ways as u64 + 1 {
+                        pair.access((w + step) * sets);
+                    }
+                    pair.access(step * sets);
+                    pair.tick(1);
+                }
+                assert_eq!(pair.new.clock(), pair.new.max_clock());
+                pair.access(0);
+                pair.flush();
+                pair.access(0);
+                pair.access(sets);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "recency-key range")]
+    fn ticking_past_the_key_bound_panics() {
+        let mut c = small_cache(u64::MAX);
+        c.tick(u64::MAX >> 1);
     }
 
     #[test]

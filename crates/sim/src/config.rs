@@ -92,6 +92,10 @@ pub enum ConfigError {
     ZeroL2Ways,
     /// `l2.line_bytes == 0`.
     ZeroL2Line,
+    /// `l1.size_bytes < l1.line_bytes * l1.ways`: not even one set.
+    L1SmallerThanOneSet,
+    /// `l2.size_bytes < l2.line_bytes * l2.ways`.
+    L2SmallerThanOneSet,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -107,6 +111,12 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroL1Line => "l1.line_bytes must be at least 1",
             ConfigError::ZeroL2Ways => "l2.ways must be at least 1",
             ConfigError::ZeroL2Line => "l2.line_bytes must be at least 1",
+            ConfigError::L1SmallerThanOneSet => {
+                "l1.size_bytes must hold at least one set (line_bytes * ways)"
+            }
+            ConfigError::L2SmallerThanOneSet => {
+                "l2.size_bytes must hold at least one set (line_bytes * ways)"
+            }
         };
         f.write_str(msg)
     }
@@ -216,6 +226,17 @@ impl GpuConfig {
         if self.l2.line_bytes == 0 {
             return Err(ConfigError::ZeroL2Line);
         }
+        let holds_a_set = |c: &CacheConfig| {
+            c.line_bytes
+                .checked_mul(c.ways as u64)
+                .is_some_and(|set_bytes| c.size_bytes >= set_bytes)
+        };
+        if !holds_a_set(&self.l1) {
+            return Err(ConfigError::L1SmallerThanOneSet);
+        }
+        if !holds_a_set(&self.l2) {
+            return Err(ConfigError::L2SmallerThanOneSet);
+        }
         Ok(())
     }
 
@@ -293,11 +314,23 @@ mod tests {
             (|c| c.l1.line_bytes = 0, ConfigError::ZeroL1Line),
             (|c| c.l2.ways = 0, ConfigError::ZeroL2Ways),
             (|c| c.l2.line_bytes = 0, ConfigError::ZeroL2Line),
+            // Regression (PR 18): these two passed `validate` and then
+            // tripped `Cache::new`'s assert inside `Device::try_new`.
+            (|c| c.l1.size_bytes = 64, ConfigError::L1SmallerThanOneSet),
+            (
+                |c| c.l2.size_bytes = c.l2.line_bytes * c.l2.ways as u64 - 1,
+                ConfigError::L2SmallerThanOneSet,
+            ),
+            (
+                |c| c.l2.line_bytes = u64::MAX,
+                ConfigError::L2SmallerThanOneSet,
+            ),
         ];
         for (mutate, want) in cases {
             let mut c = GpuConfig::default_preset();
             mutate(&mut c);
             assert_eq!(c.validate(), Err(*want), "expected {want:?}");
+            assert_eq!(crate::Device::try_new(c).err(), Some(*want));
             // The error renders without panicking.
             assert!(!want.to_string().is_empty());
         }

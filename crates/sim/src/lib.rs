@@ -31,4 +31,4 @@ pub use metrics::KernelMetrics;
 pub use sanitizer::{
     Finding, FindingKind, KernelLintStats, Sanitizer, SanitizerMode, SanitizerReport, Severity,
 };
-pub use warp::{Burst, Lanes, WarpCtx, WarpId, FULL_MASK};
+pub use warp::{active_lanes, Burst, Lanes, WarpCtx, WarpId, FULL_MASK};

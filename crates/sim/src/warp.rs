@@ -31,6 +31,18 @@ pub type Lanes = [u32; WARP_SIZE];
 /// A fully-active warp mask.
 pub const FULL_MASK: u32 = u32::MAX;
 
+/// The lanes set in `mask`, in ascending order.
+#[inline]
+pub fn active_lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// Identity of a warp within a launch.
 #[derive(Debug, Clone, Copy)]
 pub struct WarpId {
@@ -131,9 +143,14 @@ impl<'a> WarpCtx<'a> {
         self.id
     }
 
+    /// Global thread ID of lane 0.
+    fn first_thread(&self) -> u32 {
+        self.id.block * self.id.threads_per_block + self.id.warp_in_block * 32
+    }
+
     /// Global thread ID of each lane.
     pub fn thread_ids(&self) -> Lanes {
-        let base = self.id.block * self.id.threads_per_block + self.id.warp_in_block * 32;
+        let base = self.first_thread();
         let mut out = [0u32; WARP_SIZE];
         for (lane, slot) in out.iter_mut().enumerate() {
             *slot = base + lane as u32;
@@ -143,14 +160,10 @@ impl<'a> WarpCtx<'a> {
 
     /// Mask of lanes whose global thread ID is below `n_items`.
     pub fn mask_for_items(&self, n_items: u32) -> u32 {
-        let ids = self.thread_ids();
-        let mut mask = 0u32;
-        for (lane, &id) in ids.iter().enumerate() {
-            if id < n_items {
-                mask |= 1 << lane;
-            }
+        match n_items.saturating_sub(self.first_thread()) {
+            live if live >= WARP_SIZE as u32 => FULL_MASK,
+            live => (1 << live) - 1,
         }
-        mask
     }
 
     // ---- accounting ------------------------------------------------------
@@ -191,8 +204,15 @@ impl<'a> WarpCtx<'a> {
     /// Resolves active lanes' element indices to word addresses and records
     /// them as one access of the owning SM's queue. Returns the effective
     /// lane mask (the sanitizer drops out-of-bounds lanes, report-and-
-    /// continue, where `DSlice::addr` would otherwise panic).
-    fn access(&mut self, s: DSlice, idx: &Lanes, mask: u32, op: AccessOp) -> u32 {
+    /// continue, where `DSlice::addr` would otherwise panic) and its lanes'
+    /// addresses, in lane order at the front of the array.
+    fn access(
+        &mut self,
+        s: DSlice,
+        idx: &Lanes,
+        mask: u32,
+        op: AccessOp,
+    ) -> (u32, [u64; WARP_SIZE]) {
         let mask = match self.san.as_deref_mut() {
             Some(san) => san.pre_access(self.id, s, idx, mask),
             None => mask,
@@ -204,15 +224,17 @@ impl<'a> WarpCtx<'a> {
         // No active lane coalesces to no sectors: nothing to record. The
         // raw addresses are coalesced by stage 2 of the pipeline, off the
         // serial critical path.
+        let mut addrs = [0u64; WARP_SIZE];
         if mask == 0 {
-            return mask;
+            return (mask, addrs);
+        }
+        for (slot, lane) in addrs.iter_mut().zip(active_lanes(mask)) {
+            *slot = s.addr(idx[lane] as u64);
         }
         let addr_start = self.queue.addrs.len();
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                self.queue.addrs.push(s.addr(idx[lane] as u64));
-            }
-        }
+        self.queue
+            .addrs
+            .extend_from_slice(&addrs[..mask.count_ones() as usize]);
         // Loads charge their worst sector latency once it is known (the
         // L1/L2 drain stages); stores and atomics charge constant costs at
         // the call sites below, so their records charge nothing.
@@ -220,18 +242,16 @@ impl<'a> WarpCtx<'a> {
         self.queue
             .commit(s.region, op.pipe(), false, charge, addr_start);
         self.order.push(self.sm);
-        mask
+        (mask, addrs)
     }
 
     /// One warp load instruction: `out[lane] = s[idx[lane]]` for active lanes.
     pub fn load(&mut self, s: DSlice, idx: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Load);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Load);
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                out[lane] = self.mem.word(s.addr(idx[lane] as u64));
-            }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            out[lane] = self.mem.word(addr);
         }
         out
     }
@@ -239,13 +259,11 @@ impl<'a> WarpCtx<'a> {
     /// One warp store instruction: `s[idx[lane]] = vals[lane]`.
     pub fn store(&mut self, s: DSlice, idx: &Lanes, vals: &Lanes, mask: u32) {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Store);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Store);
         // Stores retire through the write queue; charge issue cost only.
         self.stall += self.cfg.burst_issue;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                self.mem.set_word(s.addr(idx[lane] as u64), vals[lane]);
-            }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            self.mem.set_word(addr, vals[lane]);
         }
     }
 
@@ -276,11 +294,7 @@ impl<'a> WarpCtx<'a> {
             }
             None => mask,
         };
-        let rows = (0..WARP_SIZE)
-            .filter(|&l| (mask >> l) & 1 == 1)
-            .map(|l| count[l])
-            .max()
-            .unwrap_or(0);
+        let rows = active_lanes(mask).map(|l| count[l]).max().unwrap_or(0);
         let first = self.burst_rows.len();
         self.burst_rows
             .resize(first + rows as usize, [0; WARP_SIZE]);
@@ -291,21 +305,17 @@ impl<'a> WarpCtx<'a> {
             // One vectorized instruction: every active (lane, row) address
             // in the group is one recorded access, coalesced together.
             self.instructions += 1;
-            let active = (0..WARP_SIZE)
-                .filter(|&l| (mask >> l) & 1 == 1 && count[l] > group_start)
-                .count() as u32;
-            self.count_lanes(active);
+            let mut active = 0u32;
             let addr_start = self.queue.addrs.len();
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 != 1 {
-                    continue;
-                }
+            for lane in active_lanes(mask) {
+                active += (count[lane] > group_start) as u32;
                 for r in group_start..group_end.min(count[lane]) {
                     let addr = s.addr((start[lane] + r) as u64);
                     self.queue.addrs.push(addr);
                     self.burst_rows[first + r as usize][lane] = self.mem.word(addr);
                 }
             }
+            self.count_lanes(active);
             if self.queue.addrs.len() > addr_start {
                 // The first non-empty group charges its worst sector
                 // latency once the drain stages know it; later groups pay
@@ -338,18 +348,15 @@ impl<'a> WarpCtx<'a> {
     /// Lanes apply in lane order, so same-address adds see prior lanes.
     pub fn atomic_add(&mut self, s: DSlice, idx: &Lanes, delta: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let addr = s.addr(idx[lane] as u64);
-                let old = self.mem.word(addr);
-                out[lane] = old;
-                self.mem.set_word(addr, old.wrapping_add(delta[lane]));
-            }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            let old = self.mem.word(addr);
+            out[lane] = old;
+            self.mem.set_word(addr, old.wrapping_add(delta[lane]));
         }
         out
     }
@@ -357,19 +364,16 @@ impl<'a> WarpCtx<'a> {
     /// Lane-serialized atomic min at L2: returns each lane's old value.
     pub fn atomic_min(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let addr = s.addr(idx[lane] as u64);
-                let old = self.mem.word(addr);
-                out[lane] = old;
-                if val[lane] < old {
-                    self.mem.set_word(addr, val[lane]);
-                }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            let old = self.mem.word(addr);
+            out[lane] = old;
+            if val[lane] < old {
+                self.mem.set_word(addr, val[lane]);
             }
         }
         out
@@ -380,18 +384,15 @@ impl<'a> WarpCtx<'a> {
     /// values; lanes apply in lane order.
     pub fn atomic_or(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let addr = s.addr(idx[lane] as u64);
-                let old = self.mem.word(addr);
-                out[lane] = old;
-                self.mem.set_word(addr, old | val[lane]);
-            }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            let old = self.mem.word(addr);
+            out[lane] = old;
+            self.mem.set_word(addr, old | val[lane]);
         }
         out
     }
@@ -407,18 +408,15 @@ impl<'a> WarpCtx<'a> {
         mask: u32,
     ) -> [f32; WARP_SIZE] {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0f32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let addr = s.addr(idx[lane] as u64);
-                let old = f32::from_bits(self.mem.word(addr));
-                out[lane] = old;
-                self.mem.set_word(addr, (old + val[lane]).to_bits());
-            }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            let old = f32::from_bits(self.mem.word(addr));
+            out[lane] = old;
+            self.mem.set_word(addr, (old + val[lane]).to_bits());
         }
         out
     }
@@ -426,19 +424,16 @@ impl<'a> WarpCtx<'a> {
     /// Lane-serialized atomic max at L2 (SSWP's widest-path update).
     pub fn atomic_max(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let mask = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let addr = s.addr(idx[lane] as u64);
-                let old = self.mem.word(addr);
-                out[lane] = old;
-                if val[lane] > old {
-                    self.mem.set_word(addr, val[lane]);
-                }
+        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+            let old = self.mem.word(addr);
+            out[lane] = old;
+            if val[lane] > old {
+                self.mem.set_word(addr, val[lane]);
             }
         }
         out
@@ -458,10 +453,8 @@ impl<'a> WarpCtx<'a> {
         self.count_lanes(mask.count_ones());
         self.shared_bank_conflicts += bank_conflicts(idx, mask);
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                out[lane] = self.shared[idx[lane] as usize];
-            }
+        for lane in active_lanes(mask) {
+            out[lane] = self.shared[idx[lane] as usize];
         }
         out
     }
@@ -479,10 +472,8 @@ impl<'a> WarpCtx<'a> {
         };
         self.count_lanes(mask.count_ones());
         self.shared_bank_conflicts += bank_conflicts(idx, mask);
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                self.shared[idx[lane] as usize] = vals[lane];
-            }
+        for lane in active_lanes(mask) {
+            self.shared[idx[lane] as usize] = vals[lane];
         }
     }
 }
@@ -490,34 +481,28 @@ impl<'a> WarpCtx<'a> {
 /// Shared-memory bank-conflict replays for one warp access: shared memory
 /// has 32 word-wide banks (`word % 32`); lanes addressing *different* words
 /// in the same bank serialize, while lanes reading the same word broadcast.
-/// Returns `Σ_banks (distinct words in bank − 1)` over active lanes.
+/// Returns `Σ_banks (distinct words in bank − 1)` over active lanes, which
+/// is `distinct words − touched banks` because equal words share a bank.
 fn bank_conflicts(idx: &Lanes, mask: u32) -> u64 {
-    let mut pairs = [(0u32, 0u32); WARP_SIZE];
+    let mut words = [0u32; WARP_SIZE];
     let mut n = 0usize;
-    for lane in 0..WARP_SIZE {
-        if (mask >> lane) & 1 == 1 {
-            pairs[n] = (idx[lane] % 32, idx[lane]);
-            n += 1;
-        }
+    let mut banks = 0u32;
+    // Strictly increasing in lane order (the SMP slot pattern `tid·K + j`):
+    // every word is distinct and nothing needs sorting.
+    let mut increasing = true;
+    for lane in active_lanes(mask) {
+        increasing &= n == 0 || words[n - 1] < idx[lane];
+        words[n] = idx[lane];
+        n += 1;
+        banks |= 1 << (idx[lane] % 32);
     }
-    let pairs = &mut pairs[..n];
-    pairs.sort_unstable();
-    let mut conflicts = 0u64;
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let bank = pairs[i].0;
-        let mut distinct = 0u64;
-        let mut last: Option<u32> = None;
-        while i < pairs.len() && pairs[i].0 == bank {
-            if last != Some(pairs[i].1) {
-                distinct += 1;
-                last = Some(pairs[i].1);
-            }
-            i += 1;
-        }
-        conflicts += distinct.saturating_sub(1);
+    let words = &mut words[..n];
+    let mut distinct = n;
+    if !increasing {
+        words.sort_unstable();
+        distinct -= words.windows(2).filter(|w| w[0] == w[1]).count();
     }
-    conflicts
+    (distinct - banks.count_ones() as usize) as u64
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -619,6 +604,69 @@ mod tests {
             *s = i as u32;
         }
         l
+    }
+
+    /// The definition, as `bank_conflicts` computed it before the closed
+    /// form: sort the active `(bank, word)` pairs, count each bank's distinct
+    /// words. Kept as the differential oracle.
+    fn bank_conflicts_by_sort(idx: &Lanes, mask: u32) -> u64 {
+        let mut pairs: Vec<(u32, u32)> = (0..WARP_SIZE)
+            .filter(|&lane| (mask >> lane) & 1 == 1)
+            .map(|lane| (idx[lane] % 32, idx[lane]))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|bank| bank.len() as u64 - 1)
+            .sum()
+    }
+
+    #[test]
+    fn bank_conflicts_match_the_sort_based_definition() {
+        let pattern =
+            |f: &dyn Fn(u32) -> u32| -> Lanes { std::array::from_fn(|lane| f(lane as u32)) };
+        let mut patterns = vec![
+            pattern(&|l| l),
+            pattern(&|_| 7),
+            pattern(&|l| 31 - l),
+            pattern(&|l| 4000 - 33 * l),
+        ];
+        for stride in [2, 16, 32, 33] {
+            patterns.push(pattern(&|l| l * stride));
+        }
+        // The SMP slot pattern: thread `tid` owns slots `tid·K + j`.
+        for k in [1, 4, 16, 17] {
+            for j in [0, 1, k - 1] {
+                patterns.push(pattern(&|l| (64 + l) * k + j));
+            }
+        }
+        // Seeded draws from few words, few banks, and anywhere: repeats,
+        // shared banks and unsorted lane order all occur.
+        let mut state = 0x5eed_u64;
+        let mut draw = |below: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32 % below
+        };
+        for below in [3, 40, 4096, u32::MAX] {
+            for _ in 0..40 {
+                patterns.push(std::array::from_fn(|_| draw(below)));
+            }
+        }
+        let mut masks = vec![0, FULL_MASK, 0x5555_5555, 0xAAAA_AAAA, 0x0000_FFFF];
+        masks.extend((0..WARP_SIZE).map(|lane| 1u32 << lane));
+        masks.extend((0..20).map(|_| draw(u32::MAX)));
+        for idx in &patterns {
+            for &mask in &masks {
+                assert_eq!(
+                    bank_conflicts(idx, mask),
+                    bank_conflicts_by_sort(idx, mask),
+                    "idx {idx:?} mask {mask:#x}"
+                );
+            }
+        }
     }
 
     #[test]
