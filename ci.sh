@@ -103,12 +103,17 @@ cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFIL
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"
 
 echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads;"
-echo "    the web graph is the deep regime: hundreds of one-block launches)"
+echo "    the web graph is the deep regime: hundreds of one-block launches;"
+echo "    the scale-15 graph is the wide one: launches of many waves with a"
+echo "    ragged tail, where stages 2 and 4 dispatch once per wave)"
+hp_start=$SECONDS
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
     --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.rmat.etag" >/dev/null
 cargo run --release -p eta-cli -- generate web --vertices 4000 --edges 12000 \
     --communities 128 --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.web.etag" >/dev/null
-for graph in rmat web; do
+cargo run --release -p eta-cli -- generate rmat --scale 15 --edges 500000 \
+    --max-weight 64 --seed 17 --out "$PROFILE_OUT/hp.waves.etag" >/dev/null
+for graph in rmat web waves; do
     for alg in bfs sssp; do
         for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
             "--transfer prefetch"; do
@@ -122,6 +127,7 @@ for graph in rmat web; do
         done
     done
 done
+echo "    host-parallelism loop: $((SECONDS - hp_start)) s"
 cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
     --devices 2 --host-threads 1 --json >"$PROFILE_OUT/hp.serve.1.json"
 cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \

@@ -111,7 +111,7 @@ fn bench_primitives(c: &mut Criterion) {
     group.bench_function("shared_row_store_load", |b| {
         let cfg = GpuConfig::default_preset();
         let mut mem = MemSystem::new(cfg.device_mem_bytes, PcieLink::new(12.0, 1000));
-        let (mut queue, mut order, mut rows) = (SmQueue::default(), Vec::new(), Vec::new());
+        let (mut queue, mut rows) = (SmQueue::default(), Vec::new());
         let mut shared = vec![0u32; 32 * 16];
         let id = WarpId {
             block: 0,
@@ -119,17 +119,8 @@ fn bench_primitives(c: &mut Criterion) {
             threads_per_block: 32,
             grid_blocks: 1,
         };
-        let mut w = WarpCtx::new_recording(
-            &cfg,
-            &mut mem,
-            0,
-            &mut queue,
-            &mut order,
-            &mut shared,
-            &mut rows,
-            id,
-            None,
-        );
+        let mut w =
+            WarpCtx::new_recording(&cfg, &mut mem, &mut queue, &mut shared, &mut rows, id, None);
         let slots: Lanes = std::array::from_fn(|lane| lane as u32 * 16 + 3);
         b.iter(|| {
             w.store_shared(black_box(&slots), &slots, FULL_MASK);

@@ -3,31 +3,38 @@
 //! A launch does not probe the cache hierarchy while its warps execute: so
 //! that the per-SM work can run on several host threads *without changing a
 //! single output byte*, it is split into stages (see DESIGN.md "Host
-//! parallelism"), over the SMs its grid runs blocks on:
+//! parallelism"). The unit of the pipeline is the *wave*: `num_sms`
+//! consecutive blocks dealt one per SM from SM 0 (the last wave of a grid is
+//! ragged). A launch runs all five stages over one wave, then the next, so
+//! its scratch — the [`SmQueue`] arenas — is the size of a wave, not of the
+//! grid:
 //!
-//! 1. **Record** (serial, canonical block-major order): warps execute
+//! 1. **Record** (serial, block-major order): the wave's warps execute
 //!    functionally and append one [`AccessRec`] per global-memory
-//!    instruction to their SM's [`SmQueue`], plus the SM index to a global
-//!    order list.
+//!    instruction to their SM's [`SmQueue`].
 //! 2. **Coalesce** ([`SmQueue::coalesce`], parallel per SM): raw lane word
 //!    addresses become sorted, deduplicated 32-byte sector IDs.
 //! 3. **Residency** (serial, canonical order):
 //!    [`crate::system::MemSystem::resolve_access`] replays UM migrations and
-//!    zero-copy classification access by access, in the recorded order.
+//!    zero-copy classification access by access.
 //! 4. **L1 drain** ([`drain_l1`], parallel per SM): each SM's private L1 —
-//!    invalidated at launch start by an O(1) [`Cache::flush`], not cleared —
-//!    is probed over its own queue; sectors that miss are staged as
-//!    [`L2Work`].
+//!    invalidated at launch start by an O(1) [`Cache::flush`], not cleared,
+//!    and carried from wave to wave — is probed over its own queue; sectors
+//!    that miss are staged as [`L2Work`].
 //! 5. **L2/DRAM drain** (serial, canonical order): the shared L2 is probed
-//!    by walking the global order list with per-SM cursors.
+//!    with each SM's [`L2Work`] in turn.
 //!
-//! Stages touching only per-SM state (2, 4) parallelize freely; stages
-//! touching shared state (3, 5) replay the canonical order, so every
-//! counter, span, and sanitizer finding is byte-identical at any thread
-//! count.
+//! Because SM *i* holds exactly block *i* of the wave, the canonical
+//! (block-major) order inside a wave is the SM order: the serial stages walk
+//! the wave's queues in SM-index order and need no order log. Stages
+//! touching only per-SM state (2, 4) parallelize freely; stages touching
+//! shared state (3, 5) see the same global access sequence as a launch that
+//! staged the whole grid, so every counter, span, and sanitizer finding is
+//! byte-identical at any thread count and any grid size.
 //!
-//! All buffers are flat arenas (`Vec`s of plain data indexed by ranges), so
-//! no stage allocates after the first launch warms the capacity.
+//! All buffers are flat arenas (`Vec`s of plain data indexed by ranges),
+//! cleared between waves with their capacity kept, so no stage allocates
+//! once a launch's widest wave has warmed them.
 
 use crate::cache::Cache;
 use crate::coalesce::sector_of_word;
@@ -87,8 +94,8 @@ pub struct L1DrainParams {
     pub interleave: u64,
 }
 
-/// One SM's recorded accesses and the per-SM results of the parallel
-/// stages. Cleared (capacity kept) by the next launch.
+/// One SM's recorded accesses of one wave and the per-SM results of the
+/// parallel stages. Cleared (capacity kept) by the next wave.
 #[derive(Debug, Default)]
 pub struct SmQueue {
     /// Raw active-lane word addresses, one range per [`AccessRec`].
@@ -110,7 +117,7 @@ pub struct SmQueue {
 }
 
 impl SmQueue {
-    /// Empties every arena, keeping capacity for the next launch.
+    /// Empties every arena, keeping capacity for the next wave.
     pub fn clear(&mut self) {
         self.addrs.clear();
         self.recs.clear();

@@ -148,10 +148,6 @@ impl Cache {
         self.stats
     }
 
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidates all contents (new kernel launch) without clearing stats
     /// or the clock. O(1): see the type's "Flush validity" contract.
     pub fn flush(&mut self) {

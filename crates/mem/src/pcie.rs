@@ -52,8 +52,7 @@ impl PcieLink {
         }
     }
 
-    /// Installs bandwidth-degradation windows (from a fault plan). Windows
-    /// are configuration, not run state: [`Self::reset`] keeps them.
+    /// Installs bandwidth-degradation windows (from a fault plan).
     pub fn set_slowdowns(&mut self, windows: Vec<(Ns, Ns, f64)>) {
         self.slowdowns = windows;
     }
@@ -72,13 +71,6 @@ impl PcieLink {
 
     pub fn busy_until(&self) -> Ns {
         self.busy_until
-    }
-
-    /// Resets the link clock and recording (new experiment).
-    pub fn reset(&mut self) {
-        self.busy_until = 0;
-        self.timeline.clear();
-        self.bytes_moved = 0;
     }
 
     /// Pure wire time for `bytes` (no queueing, no latency).
@@ -194,10 +186,6 @@ mod tests {
         let mut plain = PcieLink::new(1.0, 100);
         let (_, e3) = plain.transfer(SpanKind::Migration, 1000, 0);
         assert_eq!(e3, 1100);
-        // Reset keeps the windows (they are configuration).
-        link.reset();
-        let (_, e4) = link.transfer(SpanKind::Migration, 1000, 0);
-        assert_eq!(e4, 3100);
     }
 
     #[test]
@@ -206,8 +194,5 @@ mod tests {
         link.transfer(SpanKind::CopyH2D, 100, 0);
         link.transfer(SpanKind::CopyD2H, 50, 0);
         assert_eq!(link.bytes_moved(), 150);
-        link.reset();
-        assert_eq!(link.bytes_moved(), 0);
-        assert_eq!(link.timeline.spans().len(), 0);
     }
 }

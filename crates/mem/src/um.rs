@@ -238,11 +238,6 @@ impl UmDriver {
         self.resident_bytes
     }
 
-    /// Host-side access after kernels complete: residency is irrelevant.
-    pub fn reset_stats(&mut self) {
-        self.stats = UmStats::default();
-    }
-
     /// Ensures the given pages of `region` are resident, migrating on demand.
     ///
     /// `pages` must be sorted (the coalescer emits sorted sectors, so this is

@@ -138,13 +138,6 @@ impl Profiler {
         self.events.is_empty()
     }
 
-    /// Drops all recorded events and open spans (e.g. between experiment
-    /// runs on a reused device) without changing the enabled flag.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.stack.clear();
-    }
-
     /// Heap bytes held by the recording buffers. Exposed so tests can
     /// assert the disabled mode's zero-allocation guarantee.
     pub fn allocated_bytes(&self) -> usize {
@@ -194,18 +187,6 @@ mod tests {
         p.end(5);
         assert!(p.is_empty());
         assert_eq!(p.depth(), 0);
-    }
-
-    #[test]
-    fn clear_resets_recording_but_not_enablement() {
-        let mut p = Profiler::new(true);
-        p.instant(Track::Um, "fault", 3, Vec::new());
-        p.begin(Track::Kernel, "k", 4);
-        assert_eq!(p.len(), 1);
-        p.clear();
-        assert!(p.is_empty());
-        assert_eq!(p.depth(), 0);
-        assert!(p.is_enabled());
     }
 
     #[test]

@@ -56,33 +56,93 @@ pub struct Device {
     pub compute_timeline: Timeline,
     /// Attached when `cfg.sanitizer` enables any analysis.
     sanitizer: Option<Sanitizer>,
-    /// Canonical record order: the SM index of every recorded access, in
-    /// block-major execution order. The serial residency and L2 stages walk
-    /// this to evolve shared state in one order at any host thread count.
-    order: Vec<u32>,
-    /// SMs the last launch ran blocks on: `sms[..used_sms]`. Blocks are
-    /// dealt round-robin from SM 0, so every other SM recorded nothing and
-    /// no launch stage visits it.
-    used_sms: usize,
+    /// SMs the last wave ran a block on: `sms[..wave_sms]`. A wave deals
+    /// its blocks from SM 0, so every other SM's queue is empty and no
+    /// stage visits it.
+    wave_sms: usize,
     /// One block's shared memory, zeroed at every block start.
     shared: Vec<u32>,
     /// Row arena of the running warp's [`crate::warp::Burst`]s.
     burst_rows: Vec<Lanes>,
 }
 
-/// One SM: its private L1, its record/replay arena for the staged launch
-/// pipeline, and the launch's per-SM accumulators and replay cursors. All
-/// of it is reused across launches, so a launch allocates nothing once
+/// One SM: its private L1, its record/replay arena for one wave of the
+/// staged launch pipeline, and the launch's per-SM accumulators. All of it
+/// is reused across waves and launches, so a launch allocates nothing once
 /// warm.
 struct Sm {
     l1: Cache,
     queue: SmQueue,
     instr: u64,
     stall: u64,
-    /// Next of `queue.recs` / `queue.l2q` in a serial stage's walk of the
-    /// canonical order.
-    next_rec: usize,
-    next_l2: usize,
+}
+
+/// What a launch fixes before its first wave.
+struct Grid {
+    launch: LaunchConfig,
+    start_ns: Ns,
+    warps_per_block: u32,
+    /// Resident warps per SM: the latency-hiding and L1 interleave factor.
+    occupancy: u64,
+    l2_interleave: u64,
+    /// SMs the grid runs blocks on: `sms[..used_sms]`.
+    used_sms: usize,
+    /// `mem.zero_copy_bytes` at launch start.
+    zc_mark: u64,
+}
+
+/// Stage 5 for one SM of a wave: its L2-bound sectors probe the shared L2,
+/// misses go to DRAM, and the L2 clock advances by each access's insertions.
+/// Returns the stall cycles charged to the SM.
+fn drain_l2(
+    queue: &SmQueue,
+    l2: &mut Cache,
+    cfg: &GpuConfig,
+    grid: &Grid,
+    metrics: &mut KernelMetrics,
+) -> u64 {
+    let mut stall = 0;
+    let mut drained = 0;
+    for work in &queue.l2q {
+        debug_assert_eq!(work.sec_start, drained, "L2 work tiles its sector arena");
+        drained += work.sec_len;
+        let rec = queue.recs[work.rec];
+        let mut worst_d = 0u64;
+        for &sec in &queue.l2q_sectors[work.sec_start..work.sec_start + work.sec_len] {
+            match rec.op {
+                PipeOp::Load => {
+                    metrics.l2_requests += 1;
+                    if l2.access(sec) {
+                        metrics.l2.hits += 1;
+                        worst_d = worst_d.max(cfg.l2_latency);
+                    } else {
+                        metrics.l2.misses += 1;
+                        metrics.dram_transactions += 1;
+                        worst_d = worst_d.max(cfg.dram_latency);
+                    }
+                }
+                PipeOp::Store | PipeOp::Atomic => {
+                    if !l2.access(sec) {
+                        metrics.dram_write_transactions += 1;
+                    }
+                }
+            }
+        }
+        let inserted = work.sec_len as u64;
+        if rec.burst {
+            l2.tick(inserted);
+        } else {
+            // The L2 absorbs traffic from every SM concurrently.
+            l2.tick(grid.l2_interleave * inserted);
+        }
+        if rec.charge {
+            let worst = work.worst_c.max(worst_d);
+            stall += worst;
+            metrics.mem_stall_cycles += worst;
+        }
+    }
+    debug_assert_eq!(drained, queue.l2q_sectors.len(), "every L2 work visited");
+    stall
 }
 
 /// Outcome of one kernel launch.
@@ -126,22 +186,20 @@ impl Device {
                     queue: SmQueue::default(),
                     instr: 0,
                     stall: 0,
-                    next_rec: 0,
-                    next_l2: 0,
                 })
                 .collect(),
             l2: Cache::new(cfg.l2),
             compute_timeline: Timeline::new(),
             sanitizer,
-            order: Vec::new(),
-            used_sms: 0,
+            wave_sms: 0,
             shared: Vec::new(),
             burst_rows: Vec::new(),
         })
     }
 
-    /// What SM `sm` recorded and replayed in the last launch (empty for an
-    /// SM that launch ran no block on).
+    /// What SM `sm` recorded and replayed in the last *wave* of the last
+    /// launch: empty for an SM the grid ran no block on, and after a ragged
+    /// launch for the SMs past its tail.
     pub fn sm_queue(&self, sm: usize) -> &SmQueue {
         &self.sms[sm].queue
     }
@@ -203,6 +261,11 @@ impl Device {
     /// The kernel executes functionally (real data is read and written) while
     /// the memory hierarchy records costs; the result carries the modelled
     /// end time and the per-launch metric deltas.
+    ///
+    /// The grid streams through the staged pipeline (see
+    /// [`eta_mem::access`]) one *wave* at a time — `num_sms` consecutive
+    /// blocks, one per SM, the last wave ragged — so launch scratch is the
+    /// size of a wave, not of the grid.
     pub fn launch<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
@@ -216,274 +279,24 @@ impl Device {
                 metrics,
             };
         }
-
-        let shared_words = kernel.shared_words_per_block(launch.threads_per_block);
-        assert!(
-            shared_words * 4 <= self.cfg.shared_mem_per_sm,
-            "kernel '{}' requests {} B of shared memory per block; the SM has {} B \
-             (CUDA would fail this launch)",
-            kernel.name(),
-            shared_words * 4,
-            self.cfg.shared_mem_per_sm
-        );
-        let occupancy = self.occupancy(&launch, shared_words);
-        // L2 interleaving pressure: between two instructions of one warp,
-        // roughly one instruction per *SM* reaches the shared L2 (the other
-        // co-resident warps' traffic is already serialized through the same
-        // L2 instance by this simulator). Bounded by the grid's actual size.
-        let total_warps = launch.blocks as u64 * (launch.threads_per_block as u64).div_ceil(32);
-        let l2_interleave = (self.cfg.num_sms as u64).min(total_warps).max(1);
-        let warps_per_block = (launch.threads_per_block as u64).div_ceil(32) as u32;
-
-        // The previous launch's records go; this launch's SMs start cold in
-        // L1 (invalidated per launch, as on hardware where L1 is not
-        // coherent across kernels — O(1) each, see `Cache::flush`). An SM
-        // this launch leaves idle keeps its stale L1 until the launch that
-        // next uses it invalidates it here. L2 persists.
-        for sm in &mut self.sms[..self.used_sms] {
-            sm.queue.clear();
-        }
-        self.order.clear();
-        let used = (launch.blocks as usize).min(self.cfg.num_sms);
-        self.used_sms = used;
-        for sm in &mut self.sms[..used] {
-            sm.l1.flush();
-            (sm.instr, sm.stall, sm.next_rec, sm.next_l2) = (0, 0, 0, 0);
-        }
-        self.shared.resize(shared_words as usize, 0);
-
-        if let Some(san) = self.sanitizer.as_mut() {
-            san.begin_launch(kernel.name());
-        }
-        let zc_mark = self.mem.zero_copy_bytes;
-
-        // ---- Stage 1: record (serial, canonical block-major order) ------
-        // Warps execute functionally — real loads, stores, atomics, all
-        // sanitizer hooks — in canonical order, recording their global
-        // accesses into per-SM queues; the cache/residency effects are
-        // replayed below.
-        for block in 0..launch.blocks {
-            let smi = (block as usize) % self.cfg.num_sms;
-            let sm = &mut self.sms[smi];
-            self.shared.fill(0);
-            for warp in 0..warps_per_block {
-                let mut ctx = WarpCtx::new_recording(
-                    &self.cfg,
-                    &mut self.mem,
-                    smi as u32,
-                    &mut sm.queue,
-                    &mut self.order,
-                    &mut self.shared,
-                    &mut self.burst_rows,
-                    WarpId {
-                        block,
-                        warp_in_block: warp,
-                        threads_per_block: launch.threads_per_block,
-                        grid_blocks: launch.blocks,
-                    },
-                    self.sanitizer.as_mut(),
-                );
-                kernel.run(&mut ctx);
-                let (instr, stall) = ctx.finish(&mut metrics);
-                sm.instr += instr;
-                sm.stall += stall;
-            }
+        let grid = self.begin_launch(kernel, launch, start_ns);
+        let (mut recorded, mut replayed) = (0, 0);
+        for first in (0..launch.blocks).step_by(self.cfg.num_sms) {
+            let end = first.saturating_add(self.cfg.num_sms as u32);
+            let wave = first..end.min(launch.blocks);
+            recorded += self.record_wave(kernel, &grid, wave, &mut metrics);
+            replayed += self.replay_wave(&grid, &mut metrics);
         }
         if let Some(san) = self.sanitizer.as_mut() {
             san.end_launch();
         }
-
-        let host_threads = self.cfg.host_threads;
-        let sms = &mut self.sms[..used];
-
-        // ---- Stage 2: coalesce (parallel per SM) ------------------------
-        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| sm.queue.coalesce());
-
-        // ---- Stage 3: residency + zero-copy classification (serial) -----
-        // UM migrations, PCIe spans, adaptive-policy evolution and fault
-        // injection are shared state: replay them in the canonical order.
-        for &smi in &self.order {
-            let sm = &mut sms[smi as usize];
-            let q = &mut sm.queue;
-            let rec = q.recs[sm.next_rec];
-            sm.next_rec += 1;
-            let secs = &q.sectors[rec.sec_start..rec.sec_start + rec.sec_len];
-            let zc = &mut q.zc[rec.sec_start..rec.sec_start + rec.sec_len];
-            let arrival = self.mem.resolve_access(rec.region, secs, start_ns, zc);
-            metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
-        }
-
-        // ---- Stage 4: L1 drain (parallel per SM) ------------------------
-        // Each SM's L1 is private and starts the launch invalidated, so its
-        // probe sequence is fully determined by its own queue.
-        let params = L1DrainParams {
-            l1_latency: self.cfg.l1_latency,
-            zero_copy_latency: self.cfg.zero_copy_latency,
-            interleave: occupancy,
-        };
-        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| {
-            eta_mem::access::drain_l1(&mut sm.queue, &mut sm.l1, &params);
-        });
-
-        // ---- Stage 5: shared L2/DRAM drain (serial, canonical order) ----
-        for sm in sms.iter_mut() {
-            sm.next_rec = 0;
-        }
-        for &smi in &self.order {
-            let sm = &mut sms[smi as usize];
-            let q = &sm.queue;
-            let i = sm.next_rec;
-            sm.next_rec += 1;
-            let Some(&work) = q.l2q.get(sm.next_l2) else {
-                continue;
-            };
-            if work.rec != i {
-                continue;
-            }
-            sm.next_l2 += 1;
-            let rec = q.recs[work.rec];
-            let mut worst_d = 0u64;
-            for &sec in &q.l2q_sectors[work.sec_start..work.sec_start + work.sec_len] {
-                match rec.op {
-                    PipeOp::Load => {
-                        metrics.l2_requests += 1;
-                        if self.l2.access(sec) {
-                            metrics.l2.hits += 1;
-                            worst_d = worst_d.max(self.cfg.l2_latency);
-                        } else {
-                            metrics.l2.misses += 1;
-                            metrics.dram_transactions += 1;
-                            worst_d = worst_d.max(self.cfg.dram_latency);
-                        }
-                    }
-                    PipeOp::Store | PipeOp::Atomic => {
-                        if !self.l2.access(sec) {
-                            metrics.dram_write_transactions += 1;
-                        }
-                    }
-                }
-            }
-            let inserted = work.sec_len as u64;
-            if rec.burst {
-                self.l2.tick(inserted);
-            } else {
-                // The L2 absorbs traffic from every SM concurrently.
-                self.l2.tick(l2_interleave * inserted);
-            }
-            if rec.charge {
-                let worst = work.worst_c.max(worst_d);
-                sm.stall += worst;
-                metrics.mem_stall_cycles += worst;
-            }
-        }
-
-        // Merge the per-SM stage results in SM-index order.
-        for sm in sms.iter_mut() {
-            let q = &sm.queue;
-            metrics.l1_requests += q.l1_requests;
-            metrics.l1.hits += q.l1_hits;
-            metrics.l1.misses += q.l1_requests - q.l1_hits;
-            metrics.mem_stall_cycles += q.stall;
-            sm.stall += q.stall;
-        }
-
         // Warp-accumulated counters are already in `metrics`; derive bytes.
         metrics.dram_bytes = (metrics.dram_transactions + metrics.dram_write_transactions) * 32;
 
-        // Timing.
-        let hiding = occupancy.min(self.cfg.hiding_cap as u64).max(1);
-        let sm_cycles = sms
-            .iter()
-            .map(|sm| sm.instr + sm.stall / hiding)
-            .max()
-            .unwrap_or(0);
-        let dram_cycles = (metrics.dram_bytes as f64 / self.cfg.dram_bytes_per_cycle()) as u64;
-        let cycles = sm_cycles.max(dram_cycles).max(1);
-        metrics.cycles = cycles;
-        metrics.time_ns = self.cfg.cycles_to_ns(cycles).max(1);
-        metrics.occupancy_warps = occupancy;
-
-        // The kernel occupies the device until both its compute finishes and
-        // its last demand-migrated page has arrived — warps stall in place on
-        // UM faults. `time_ns` stays pure compute (the paper's t_kernel); the
-        // recorded span covers the stall, which is exactly the overlapped
-        // region Fig. 4 plots.
-        let mut end_ns = (start_ns + metrics.time_ns).max(metrics.data_ready_ns);
-
-        // Zero-copy traffic of this launch occupies the PCIe link as one
-        // aggregate ZeroCopyRead span (per-sector latency is already in the
-        // warps' stall cycles; this adds the *bandwidth* bound and makes the
-        // traffic visible to Fig.-4-style overlap accounting). The launch
-        // cannot retire before its host reads have all crossed the link.
-        let zc_bytes = self.mem.zero_copy_bytes - zc_mark;
-        if zc_bytes > 0 {
-            let zc_end = self.mem.charge_zero_copy(zc_bytes, start_ns);
-            end_ns = end_ns.max(zc_end);
-        }
-
-        // Fault injection (eta-fault): inert unless a plan is installed, so
-        // the default path stays byte-identical.
+        let mut end_ns = self.time_launch(&grid, &mut metrics);
         if self.mem.faults.active {
-            // Watchdog: a launch starting inside a hang window that exceeds
-            // its cycle budget is killed at start + budget.
-            if let Some(budget) = self.mem.faults.hang_budget(start_ns) {
-                if end_ns - start_ns > budget {
-                    end_ns = start_ns + budget;
-                    self.mem.faults.counters.hangs += 1;
-                    let device = self.mem.faults.device();
-                    self.mem.faults.set_pending(DeviceFault {
-                        kind: FaultKind::KernelHang,
-                        device,
-                        at_ns: end_ns,
-                    });
-                    self.mem.prof.instant(
-                        Track::Fault,
-                        "kernel_hang",
-                        end_ns,
-                        vec![
-                            ("kernel", kernel.name().into()),
-                            ("device", device.into()),
-                            ("budget_ns", budget.into()),
-                        ],
-                    );
-                }
-            }
-            // One-shot ECC events covered by the (possibly shortened) launch
-            // span fire now: single-bit corrects and continues, double-bit
-            // fails the launch.
-            for e in self.mem.faults.fire_ecc(start_ns, end_ns) {
-                let device = self.mem.faults.device();
-                if e.double_bit {
-                    self.mem.faults.set_pending(DeviceFault {
-                        kind: FaultKind::EccDoubleBit,
-                        device,
-                        at_ns: e.at_ns,
-                    });
-                }
-                self.mem.prof.instant(
-                    Track::Fault,
-                    "ecc_error",
-                    e.at_ns,
-                    vec![
-                        ("kernel", kernel.name().into()),
-                        ("device", device.into()),
-                        ("addr_start", e.addr_start.into()),
-                        ("addr_words", e.addr_words.into()),
-                        ("double_bit", e.double_bit.into()),
-                    ],
-                );
-                if let Some(san) = self.sanitizer.as_mut() {
-                    san.note_ecc(
-                        kernel.name(),
-                        e.addr_start,
-                        e.addr_words,
-                        e.double_bit,
-                        e.at_ns,
-                    );
-                }
-            }
+            end_ns = self.inject_launch_faults(kernel.name(), start_ns, end_ns);
         }
-
         self.compute_timeline.push(Span {
             kind: SpanKind::Compute,
             start: start_ns,
@@ -491,42 +304,11 @@ impl Device {
             bytes: 0,
         });
         if self.mem.prof.is_enabled() {
-            let args: Vec<(&'static str, ArgValue)> = vec![
-                ("cycles", metrics.cycles.into()),
-                ("instructions", metrics.instructions.into()),
-                ("ipc", metrics.ipc().into()),
-                ("time_ns", metrics.time_ns.into()),
-                ("warps", metrics.warps.into()),
-                ("occupancy_warps", metrics.occupancy_warps.into()),
-                (
-                    "warp_efficiency",
-                    metrics.warp_execution_efficiency().into(),
-                ),
-                ("l1_sector_requests", metrics.l1_requests.into()),
-                ("l1_hit_rate", metrics.l1_hit_rate().into()),
-                ("l2_sector_requests", metrics.l2_requests.into()),
-                ("l2_hit_rate", metrics.l2_hit_rate().into()),
-                ("dram_read_transactions", metrics.dram_transactions.into()),
-                (
-                    "dram_write_transactions",
-                    metrics.dram_write_transactions.into(),
-                ),
-                ("dram_bytes", metrics.dram_bytes.into()),
-                ("shared_accesses", metrics.shared_accesses.into()),
-                (
-                    "shared_bank_conflicts",
-                    metrics.shared_bank_conflicts.into(),
-                ),
-                ("atomics", metrics.atomics.into()),
-                ("mem_stall_cycles", metrics.mem_stall_cycles.into()),
-            ];
-            self.mem
-                .prof
-                .record(Track::Kernel, kernel.name(), start_ns, end_ns, args);
+            self.profile_launch(kernel.name(), start_ns, end_ns, &metrics);
         }
-        // Conservation laws of the launch's counters and of the UM
-        // bookkeeping, checked continuously rather than discovered (the
-        // latter is O(pages), so debug builds only).
+        // Conservation laws of the launch's counters, of the waves and of
+        // the UM bookkeeping, checked continuously rather than discovered
+        // (the latter is O(pages), so debug builds only).
         if cfg!(debug_assertions) {
             let m = &metrics;
             assert_eq!(m.l1_requests, m.l1.hits + m.l1.misses, "L1 probes");
@@ -537,11 +319,290 @@ impl Device {
                 m.dram_bytes,
                 (m.dram_transactions + m.dram_write_transactions) * 32
             );
-            let recorded: usize = self.sms.iter().map(|sm| sm.queue.recs.len()).sum();
-            assert_eq!(recorded, self.order.len(), "one order entry per record");
+            assert_eq!(replayed, recorded, "every record replayed exactly once");
             self.mem.um.check_invariants();
         }
         LaunchResult { end_ns, metrics }
+    }
+
+    /// The launch prologue: checks the kernel fits, derives what every wave
+    /// shares, and resets the SMs the grid uses. Their L1s start cold
+    /// (invalidated per launch, as on hardware where L1 is not coherent
+    /// across kernels — O(1) each, see `Cache::flush`); an SM this launch
+    /// leaves idle keeps its stale L1 until the launch that next uses it
+    /// invalidates it here. L2 persists.
+    fn begin_launch<K: Kernel + ?Sized>(
+        &mut self,
+        kernel: &K,
+        launch: LaunchConfig,
+        start_ns: Ns,
+    ) -> Grid {
+        let shared_words = kernel.shared_words_per_block(launch.threads_per_block);
+        assert!(
+            shared_words * 4 <= self.cfg.shared_mem_per_sm,
+            "kernel '{}' requests {} B of shared memory per block; the SM has {} B \
+             (CUDA would fail this launch)",
+            kernel.name(),
+            shared_words * 4,
+            self.cfg.shared_mem_per_sm
+        );
+        let warps_per_block = (launch.threads_per_block as u64).div_ceil(32);
+        // L2 interleaving pressure: between two instructions of one warp,
+        // roughly one instruction per *SM* reaches the shared L2 (the other
+        // co-resident warps' traffic is already serialized through the same
+        // L2 instance by this simulator). Bounded by the grid's actual size.
+        let total_warps = launch.blocks as u64 * warps_per_block;
+        let grid = Grid {
+            launch,
+            start_ns,
+            warps_per_block: warps_per_block as u32,
+            occupancy: self.occupancy(&launch, shared_words),
+            l2_interleave: (self.cfg.num_sms as u64).min(total_warps).max(1),
+            used_sms: (launch.blocks as usize).min(self.cfg.num_sms),
+            zc_mark: self.mem.zero_copy_bytes,
+        };
+        for sm in &mut self.sms[..grid.used_sms] {
+            sm.l1.flush();
+            (sm.instr, sm.stall) = (0, 0);
+        }
+        self.shared.resize(shared_words as usize, 0);
+        if let Some(san) = self.sanitizer.as_mut() {
+            san.begin_launch(kernel.name());
+        }
+        grid
+    }
+
+    /// Stage 1 for one wave: its warps execute functionally — real loads,
+    /// stores, atomics, all sanitizer hooks — in block-major order,
+    /// recording their global accesses into their SM's queue; the
+    /// cache/residency effects are replayed by [`Device::replay_wave`].
+    /// Returns the number of accesses recorded.
+    ///
+    /// A wave starts at a multiple of `num_sms`, so SM *i* runs exactly
+    /// block *i* of the wave and walking the wave's SMs in index order *is*
+    /// the canonical block-major order. The queues the previous wave (or
+    /// launch) filled are emptied first.
+    fn record_wave<K: Kernel + ?Sized>(
+        &mut self,
+        kernel: &K,
+        grid: &Grid,
+        wave: std::ops::Range<u32>,
+        metrics: &mut KernelMetrics,
+    ) -> usize {
+        debug_assert_eq!(wave.start as usize % self.cfg.num_sms, 0, "wave start");
+        for sm in &mut self.sms[..self.wave_sms] {
+            sm.queue.clear();
+        }
+        self.wave_sms = wave.len();
+        let mut recorded = 0;
+        for (sm, block) in self.sms.iter_mut().zip(wave) {
+            self.shared.fill(0);
+            for warp in 0..grid.warps_per_block {
+                let mut ctx = WarpCtx::new_recording(
+                    &self.cfg,
+                    &mut self.mem,
+                    &mut sm.queue,
+                    &mut self.shared,
+                    &mut self.burst_rows,
+                    WarpId {
+                        block,
+                        warp_in_block: warp,
+                        threads_per_block: grid.launch.threads_per_block,
+                        grid_blocks: grid.launch.blocks,
+                    },
+                    self.sanitizer.as_mut(),
+                );
+                kernel.run(&mut ctx);
+                let (instr, stall, recs) = ctx.finish(metrics);
+                sm.instr += instr;
+                sm.stall += stall;
+                recorded += recs;
+            }
+        }
+        recorded
+    }
+
+    /// Stages 2–5 over the wave just recorded, then the wave's per-SM L1
+    /// results folded into the launch's accumulators. Returns the number of
+    /// accesses the residency stage replayed.
+    fn replay_wave(&mut self, grid: &Grid, metrics: &mut KernelMetrics) -> usize {
+        let host_threads = self.cfg.host_threads;
+        let sms = &mut self.sms[..self.wave_sms];
+
+        // ---- Stage 2: coalesce (parallel per SM) ------------------------
+        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| sm.queue.coalesce());
+
+        // ---- Stage 3: residency + zero-copy classification (serial) -----
+        // UM migrations, PCIe spans, adaptive-policy evolution and fault
+        // injection are shared state: replay them in the canonical order.
+        let mut replayed = 0;
+        for sm in sms.iter_mut() {
+            let q = &mut sm.queue;
+            replayed += q.recs.len();
+            for rec in &q.recs {
+                let secs = rec.sec_start..rec.sec_start + rec.sec_len;
+                let arrival = self.mem.resolve_access(
+                    rec.region,
+                    &q.sectors[secs.clone()],
+                    grid.start_ns,
+                    &mut q.zc[secs],
+                );
+                metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
+            }
+        }
+
+        // ---- Stage 4: L1 drain (parallel per SM) ------------------------
+        // Each SM's L1 is private and starts the launch invalidated, so its
+        // probe sequence is fully determined by its own queues, wave after
+        // wave.
+        let params = L1DrainParams {
+            l1_latency: self.cfg.l1_latency,
+            zero_copy_latency: self.cfg.zero_copy_latency,
+            interleave: grid.occupancy,
+        };
+        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| {
+            eta_mem::access::drain_l1(&mut sm.queue, &mut sm.l1, &params);
+        });
+
+        // ---- Stage 5: shared L2/DRAM drain (serial, canonical order) ----
+        // and the wave's stage-4 results merged into the launch's.
+        for sm in sms.iter_mut() {
+            let q = &sm.queue;
+            sm.stall += q.stall + drain_l2(q, &mut self.l2, &self.cfg, grid, metrics);
+            metrics.l1_requests += q.l1_requests;
+            metrics.l1.hits += q.l1_hits;
+            metrics.l1.misses += q.l1_requests - q.l1_hits;
+            metrics.mem_stall_cycles += q.stall;
+        }
+        replayed
+    }
+
+    /// The timing model over the launch's SM accumulators: fills the
+    /// cycle/time/occupancy fields of `metrics` and returns when the launch
+    /// retires.
+    fn time_launch(&mut self, grid: &Grid, metrics: &mut KernelMetrics) -> Ns {
+        let hiding = grid.occupancy.min(self.cfg.hiding_cap as u64).max(1);
+        let sm_cycles = self.sms[..grid.used_sms]
+            .iter()
+            .map(|sm| sm.instr + sm.stall / hiding)
+            .max()
+            .unwrap_or(0);
+        let dram_cycles = (metrics.dram_bytes as f64 / self.cfg.dram_bytes_per_cycle()) as u64;
+        let cycles = sm_cycles.max(dram_cycles).max(1);
+        metrics.cycles = cycles;
+        metrics.time_ns = self.cfg.cycles_to_ns(cycles).max(1);
+        metrics.occupancy_warps = grid.occupancy;
+
+        // The kernel occupies the device until both its compute finishes and
+        // its last demand-migrated page has arrived — warps stall in place on
+        // UM faults. `time_ns` stays pure compute (the paper's t_kernel); the
+        // recorded span covers the stall, which is exactly the overlapped
+        // region Fig. 4 plots.
+        let mut end_ns = (grid.start_ns + metrics.time_ns).max(metrics.data_ready_ns);
+
+        // Zero-copy traffic of this launch occupies the PCIe link as one
+        // aggregate ZeroCopyRead span (per-sector latency is already in the
+        // warps' stall cycles; this adds the *bandwidth* bound and makes the
+        // traffic visible to Fig.-4-style overlap accounting). The launch
+        // cannot retire before its host reads have all crossed the link.
+        let zc_bytes = self.mem.zero_copy_bytes - grid.zc_mark;
+        if zc_bytes > 0 {
+            let zc_end = self.mem.charge_zero_copy(zc_bytes, grid.start_ns);
+            end_ns = end_ns.max(zc_end);
+        }
+        end_ns
+    }
+
+    /// Fault injection (eta-fault) over the launch span `start_ns..end_ns`;
+    /// returns the possibly shortened end. Called only with a plan
+    /// installed, so the default path stays byte-identical.
+    fn inject_launch_faults(&mut self, kernel: &'static str, start_ns: Ns, mut end_ns: Ns) -> Ns {
+        // Watchdog: a launch starting inside a hang window that exceeds
+        // its cycle budget is killed at start + budget.
+        if let Some(budget) = self.mem.faults.hang_budget(start_ns) {
+            if end_ns - start_ns > budget {
+                end_ns = start_ns + budget;
+                self.mem.faults.counters.hangs += 1;
+                let device = self.mem.faults.device();
+                self.mem.faults.set_pending(DeviceFault {
+                    kind: FaultKind::KernelHang,
+                    device,
+                    at_ns: end_ns,
+                });
+                self.mem.prof.instant(
+                    Track::Fault,
+                    "kernel_hang",
+                    end_ns,
+                    vec![
+                        ("kernel", kernel.into()),
+                        ("device", device.into()),
+                        ("budget_ns", budget.into()),
+                    ],
+                );
+            }
+        }
+        // One-shot ECC events covered by the (possibly shortened) launch
+        // span fire now: single-bit corrects and continues, double-bit
+        // fails the launch.
+        for e in self.mem.faults.fire_ecc(start_ns, end_ns) {
+            let device = self.mem.faults.device();
+            if e.double_bit {
+                self.mem.faults.set_pending(DeviceFault {
+                    kind: FaultKind::EccDoubleBit,
+                    device,
+                    at_ns: e.at_ns,
+                });
+            }
+            self.mem.prof.instant(
+                Track::Fault,
+                "ecc_error",
+                e.at_ns,
+                vec![
+                    ("kernel", kernel.into()),
+                    ("device", device.into()),
+                    ("addr_start", e.addr_start.into()),
+                    ("addr_words", e.addr_words.into()),
+                    ("double_bit", e.double_bit.into()),
+                ],
+            );
+            if let Some(san) = self.sanitizer.as_mut() {
+                san.note_ecc(kernel, e.addr_start, e.addr_words, e.double_bit, e.at_ns);
+            }
+        }
+        end_ns
+    }
+
+    /// Mirrors the launch onto the profile's kernel track, counters attached.
+    fn profile_launch(
+        &mut self,
+        kernel: &'static str,
+        start_ns: Ns,
+        end_ns: Ns,
+        m: &KernelMetrics,
+    ) {
+        let args: Vec<(&'static str, ArgValue)> = vec![
+            ("cycles", m.cycles.into()),
+            ("instructions", m.instructions.into()),
+            ("ipc", m.ipc().into()),
+            ("time_ns", m.time_ns.into()),
+            ("warps", m.warps.into()),
+            ("occupancy_warps", m.occupancy_warps.into()),
+            ("warp_efficiency", m.warp_execution_efficiency().into()),
+            ("l1_sector_requests", m.l1_requests.into()),
+            ("l1_hit_rate", m.l1_hit_rate().into()),
+            ("l2_sector_requests", m.l2_requests.into()),
+            ("l2_hit_rate", m.l2_hit_rate().into()),
+            ("dram_read_transactions", m.dram_transactions.into()),
+            ("dram_write_transactions", m.dram_write_transactions.into()),
+            ("dram_bytes", m.dram_bytes.into()),
+            ("shared_accesses", m.shared_accesses.into()),
+            ("shared_bank_conflicts", m.shared_bank_conflicts.into()),
+            ("atomics", m.atomics.into()),
+            ("mem_stall_cycles", m.mem_stall_cycles.into()),
+        ];
+        self.mem
+            .prof
+            .record(Track::Kernel, kernel, start_ns, end_ns, args);
     }
 
     /// The profile recorded so far as a single-process [`Profile`].
@@ -551,21 +612,6 @@ impl Device {
     /// (or `mem.prof` was enabled by hand).
     pub fn profile(&self) -> Profile {
         Profile::single("device", self.mem.prof.events().to_vec())
-    }
-
-    /// Clears caches and timelines for a fresh experiment on the same data.
-    pub fn reset_run_state(&mut self) {
-        for sm in &mut self.sms {
-            sm.l1.flush();
-            sm.l1.reset_stats();
-        }
-        self.l2.flush();
-        self.l2.reset_stats();
-        self.compute_timeline.clear();
-        self.mem.pcie.reset();
-        self.mem.um.invalidate_all();
-        self.mem.um.reset_stats();
-        self.mem.prof.clear();
     }
 }
 
@@ -973,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_run_state_clears_everything() {
+    fn l1_starts_every_launch_cold_and_l2_persists() {
         let mut dev = Device::new(GpuConfig::default_preset());
         let n = 2048u32;
         let input = dev.mem.alloc_explicit(n as u64).unwrap();
@@ -984,12 +1030,6 @@ mod tests {
         let warm = dev.launch(&k, grid(n, 256), 0).metrics;
         assert_eq!(warm.l1.hits, 0, "L1 starts every launch invalidated");
         assert_eq!(warm.l2.hits, warm.l2_requests, "L2 persists");
-        dev.reset_run_state();
-        assert!(dev.compute_timeline.spans().is_empty());
-        assert_eq!(dev.mem.pcie.bytes_moved(), 0);
-        let again = dev.launch(&k, grid(n, 256), 0).metrics;
-        assert_eq!((again.l1, again.l2), (cold.l1, cold.l2), "cold again");
-        assert_eq!(again.dram_bytes, cold.dram_bytes);
     }
 
     /// Each warp checks its slice of the block's shared memory is zero,

@@ -70,17 +70,16 @@ impl Burst {
 /// Mutable execution state for one warp.
 ///
 /// Global accesses are *recorded*, not probed: each appends one access to
-/// the owning SM's queue and the SM index to the launch-wide canonical
-/// order, and the staged launch pipeline (see [`eta_mem::access`]) replays
-/// them against residency, L1 and L2. Loads therefore charge their memory
-/// stall in the drain stages; stores, atomics and shared accesses charge
-/// constant costs here.
+/// the owning SM's queue, and the staged launch pipeline (see
+/// [`eta_mem::access`]) replays the wave's queues against residency, L1 and
+/// L2. Loads therefore charge their memory stall in the drain stages;
+/// stores, atomics and shared accesses charge constant costs here.
 pub struct WarpCtx<'a> {
     pub cfg: &'a GpuConfig,
     pub mem: &'a mut MemSystem,
-    sm: u32,
     queue: &'a mut SmQueue,
-    order: &'a mut Vec<u32>,
+    /// `queue.recs.len()` when this warp started.
+    first_rec: usize,
     shared: &'a mut [u32],
     /// Row arena behind [`Burst`] handles, cleared per warp.
     burst_rows: &'a mut Vec<Lanes>,
@@ -102,15 +101,12 @@ pub struct WarpCtx<'a> {
 
 impl<'a> WarpCtx<'a> {
     /// Builds the context of one warp of a launch: global accesses append
-    /// to `queue` (SM `sm`'s arena) and `order` (the launch-wide canonical
-    /// order); `burst_rows` is launch scratch, emptied here.
-    #[allow(clippy::too_many_arguments)]
+    /// to `queue` (its SM's arena); `burst_rows` is launch scratch, emptied
+    /// here.
     pub fn new_recording(
         cfg: &'a GpuConfig,
         mem: &'a mut MemSystem,
-        sm: u32,
         queue: &'a mut SmQueue,
-        order: &'a mut Vec<u32>,
         shared: &'a mut [u32],
         burst_rows: &'a mut Vec<Lanes>,
         id: WarpId,
@@ -120,9 +116,8 @@ impl<'a> WarpCtx<'a> {
         WarpCtx {
             cfg,
             mem,
-            sm,
+            first_rec: queue.recs.len(),
             queue,
-            order,
             shared,
             burst_rows,
             id,
@@ -186,8 +181,9 @@ impl<'a> WarpCtx<'a> {
     }
 
     /// Drains this warp's counters into launch-level accumulators.
-    /// Returns `(instructions, stall_cycles)` for per-SM aggregation.
-    pub fn finish(self, metrics: &mut KernelMetrics) -> (u64, u64) {
+    /// Returns `(instructions, stall_cycles)` for per-SM aggregation and the
+    /// number of accesses the warp recorded.
+    pub fn finish(self, metrics: &mut KernelMetrics) -> (u64, u64, usize) {
         metrics.instructions += self.instructions;
         metrics.mem_stall_cycles += self.stall;
         metrics.shared_accesses += self.shared_accesses;
@@ -196,7 +192,8 @@ impl<'a> WarpCtx<'a> {
         metrics.lane_slots += self.lane_slots;
         metrics.atomics += self.atomics;
         metrics.warps += 1;
-        (self.instructions, self.stall)
+        let recorded = self.queue.recs.len() - self.first_rec;
+        (self.instructions, self.stall, recorded)
     }
 
     // ---- global memory ---------------------------------------------------
@@ -241,7 +238,6 @@ impl<'a> WarpCtx<'a> {
         let charge = matches!(op, AccessOp::Load);
         self.queue
             .commit(s.region, op.pipe(), false, charge, addr_start);
-        self.order.push(self.sm);
         (mask, addrs)
     }
 
@@ -322,7 +318,6 @@ impl<'a> WarpCtx<'a> {
                 // the pipelined issue cost right here.
                 self.queue
                     .commit(s.region, PipeOp::Load, true, first_group, addr_start);
-                self.order.push(self.sm);
                 if first_group {
                     first_group = false;
                 } else {
@@ -544,7 +539,6 @@ mod tests {
         cfg: GpuConfig,
         mem: MemSystem,
         queue: SmQueue,
-        order: Vec<u32>,
         shared: Vec<u32>,
         burst_rows: Vec<Lanes>,
         l1: Cache,
@@ -558,7 +552,6 @@ mod tests {
                 cfg,
                 mem,
                 queue: SmQueue::default(),
-                order: Vec::new(),
                 shared: vec![0; 4096],
                 burst_rows: Vec::new(),
                 l1: Cache::new(cfg.l1),
@@ -569,9 +562,7 @@ mod tests {
             WarpCtx::new_recording(
                 &self.cfg,
                 &mut self.mem,
-                0,
                 &mut self.queue,
-                &mut self.order,
                 &mut self.shared,
                 &mut self.burst_rows,
                 WarpId {
@@ -939,11 +930,11 @@ mod tests {
             assert_eq!(vals, [0u32; WARP_SIZE]);
             w.store(a, &iota(), &[9; WARP_SIZE], 0);
             w.atomic_add(a, &[0; WARP_SIZE], &[1; WARP_SIZE], 0);
-            let (instr, _) = w.finish(&mut metrics);
+            let (instr, _, recorded) = w.finish(&mut metrics);
             assert_eq!(instr, 3, "instructions still issue");
+            assert_eq!(recorded, 0);
         }
         assert!(rig.queue.recs.is_empty(), "nothing recorded to replay");
-        assert!(rig.order.is_empty());
         assert_eq!(metrics.atomics, 0);
         assert_eq!(
             rig.mem.host_read(a, 0, 4),
@@ -961,9 +952,9 @@ mod tests {
             let mut w = rig.warp();
             let rows = w.load_burst(a, &[0; WARP_SIZE], &[4; WARP_SIZE], 0);
             assert_eq!(rows.rows(), 0, "no active lane, no rows");
-            let (instr, stall) = w.finish(&mut metrics);
+            let (instr, stall, recorded) = w.finish(&mut metrics);
             assert_eq!(instr, 0, "a fully-masked burst issues nothing");
-            assert_eq!(stall, 0);
+            assert_eq!((stall, recorded), (0, 0));
         }
         assert!(rig.queue.recs.is_empty());
     }
@@ -1016,8 +1007,9 @@ mod tests {
         let mut w = rig.warp();
         w.load(a, &iota(), FULL_MASK);
         w.alu(3);
-        let (instr, stall) = w.finish(&mut metrics);
+        let (instr, stall, recorded) = w.finish(&mut metrics);
         assert_eq!((instr, stall), (4, 0), "a load's stall is charged at drain");
+        assert_eq!(recorded, 1, "one memory instruction, one record");
         assert_eq!(metrics.instructions, 4);
         assert_eq!(metrics.warps, 1);
         rig.replay(1);

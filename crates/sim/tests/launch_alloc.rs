@@ -1,6 +1,7 @@
 //! The per-launch floor: a warm `Device::launch` allocates nothing, visits
 //! only the SMs its grid runs blocks on, and reads the same at any host
-//! thread count.
+//! thread count. And the memory bound: launch scratch is the size of one
+//! wave (`num_sms` blocks), however many waves the grid has.
 
 use eta_mem::system::DSlice;
 use eta_sim::{Device, GpuConfig, Kernel, LaunchConfig, WarpCtx, WARP_SIZE};
@@ -67,11 +68,14 @@ impl Kernel for NullKernel {
 }
 
 /// Per thread: a coalesced load, a 4-element burst, an atomic on one shared
-/// counter and a store of the burst's sum.
+/// counter and a store of the burst's sum. No word is loaded twice (the
+/// bursts read `data` past `burst_base`, the loads before it), so every
+/// full block records and replays the same amount of work.
 struct MixedKernel {
     data: DSlice,
     out: DSlice,
     counter: DSlice,
+    burst_base: u32,
     n: u32,
 }
 
@@ -87,7 +91,7 @@ impl Kernel for MixedKernel {
             return;
         }
         let vals = w.load(self.data, &tids, mask);
-        let start = tids.map(|t| t * 4);
+        let start = tids.map(|t| self.burst_base + t * 4);
         let burst = w.load_burst(self.data, &start, &[4; WARP_SIZE], mask);
         let mut sum = vals;
         for r in 0..burst.rows() {
@@ -103,14 +107,14 @@ impl Kernel for MixedKernel {
 
 const TPB: u32 = 256;
 
-/// A device with `MixedKernel`'s buffers for up to three blocks.
-fn mixed_rig(host_threads: usize) -> (Device, MixedKernel) {
+/// A device with `MixedKernel`'s buffers for up to `blocks` blocks.
+fn mixed_rig(host_threads: usize, blocks: u32) -> (Device, MixedKernel) {
     let mut dev = Device::new(GpuConfig::default_preset().with_host_threads(host_threads));
-    let n = 3 * TPB;
-    let data = dev.mem.alloc_explicit(4 * n as u64).unwrap();
+    let n = blocks * TPB;
+    let data = dev.mem.alloc_explicit(5 * n as u64).unwrap();
     let out = dev.mem.alloc_explicit(n as u64).unwrap();
     let counter = dev.mem.alloc_explicit(8).unwrap();
-    let init: Vec<u32> = (0..4 * n).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+    let init: Vec<u32> = (0..5 * n).map(|i| i.wrapping_mul(2_654_435_761)).collect();
     dev.mem.host_write(data, 0, &init);
     dev.mem.host_fill(out, 0);
     dev.mem.host_fill(counter, 0);
@@ -118,6 +122,7 @@ fn mixed_rig(host_threads: usize) -> (Device, MixedKernel) {
         data,
         out,
         counter,
+        burst_base: n,
         n,
     };
     (dev, kernel)
@@ -139,7 +144,7 @@ fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
     assert_eq!(allocs, 0, "warm null launches allocated");
 
     // One block of real work (the deep-traversal shape).
-    let (mut dev, mut kernel) = mixed_rig(1);
+    let (mut dev, mut kernel) = mixed_rig(1, 3);
     kernel.n = TPB;
     let allocs = warm_launch_allocations(&mut dev, &kernel, grid(1));
     assert_eq!(allocs, 0, "warm one-block launches allocated");
@@ -160,7 +165,7 @@ fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
     // The same launches read the same at 1 and 4 host threads.
     for blocks in [1, 3] {
         let run = |host_threads| {
-            let (mut dev, mut kernel) = mixed_rig(host_threads);
+            let (mut dev, mut kernel) = mixed_rig(host_threads, 3);
             kernel.n = blocks * TPB;
             let cold = dev.launch(&kernel, grid(blocks), 0);
             let warm = dev.launch(&kernel, grid(blocks), cold.end_ns);
@@ -170,4 +175,65 @@ fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
         };
         assert_eq!(run(1), run(4), "{blocks}-block grid");
     }
+}
+
+/// Capacities of SM `sm`'s six queue arenas.
+fn arena_capacities(dev: &Device, sm: usize) -> [usize; 6] {
+    let q = dev.sm_queue(sm);
+    [
+        q.addrs.capacity(),
+        q.recs.capacity(),
+        q.sectors.capacity(),
+        q.zc.capacity(),
+        q.l2q.capacity(),
+        q.l2q_sectors.capacity(),
+    ]
+}
+
+#[test]
+fn launch_scratch_is_one_wave_however_many_waves_the_grid_has() {
+    let num_sms = GpuConfig::default_preset().num_sms;
+    let wave = num_sms as u32;
+    let (mut dev, mut kernel) = mixed_rig(1, 50 * wave + 5);
+    let capacities = |dev: &Device| -> Vec<[usize; 6]> {
+        (0..num_sms).map(|sm| arena_capacities(dev, sm)).collect()
+    };
+
+    kernel.n = wave * TPB;
+    dev.launch(&kernel, grid(wave), 0);
+    let one_wave = capacities(&dev);
+    assert!(
+        one_wave.iter().flatten().all(|&cap| cap > 0),
+        "{one_wave:?}"
+    );
+
+    // The same per-block work over 3 and 50 waves, and over 50 waves and a
+    // ragged tail of 5 blocks: no arena grew past what one wave needs.
+    for blocks in [3 * wave, 50 * wave, 50 * wave + 5] {
+        kernel.n = blocks * TPB;
+        dev.launch(&kernel, grid(blocks), 0);
+        assert_eq!(capacities(&dev), one_wave, "{blocks} blocks");
+        // The queues show the last wave: all SMs, or only the tail's.
+        let last = match blocks % wave {
+            0 => num_sms,
+            tail => tail as usize,
+        };
+        for sm in 0..num_sms {
+            assert_eq!(dev.sm_queue(sm).recs.is_empty(), sm >= last, "SM {sm}");
+        }
+    }
+
+    // The launch after a ragged one still empties the tail's queues.
+    kernel.n = TPB;
+    dev.launch(&kernel, grid(1), 0);
+    for sm in 0..num_sms {
+        assert_eq!(dev.sm_queue(sm).recs.is_empty(), sm >= 1, "SM {sm}");
+    }
+
+    // Warm multi-wave launches with a ragged tail allocate nothing.
+    let ragged = 3 * wave + 5;
+    kernel.n = ragged * TPB;
+    let allocs = warm_launch_allocations(&mut dev, &kernel, grid(ragged));
+    assert_eq!(allocs, 0, "warm multi-wave launches allocated");
+    assert_eq!(capacities(&dev), one_wave);
 }
