@@ -102,10 +102,11 @@ mv "$PROFILE_OUT/transfer.json" "$PROFILE_OUT/transfer.first.json"
 cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"
 
-echo "==> host-parallelism byte-identity (same run at 1 and 4 host threads;"
-echo "    the web graph is the deep regime: hundreds of one-block launches;"
-echo "    the scale-15 graph is the wide one: launches of many waves with a"
-echo "    ragged tail, where stages 2 and 4 dispatch once per wave)"
+echo "==> host-parallelism byte-identity (same run at 1, 2 and 4 host threads;"
+echo "    the web graph is the deep regime: hundreds of one-block launches,"
+echo "    which run inline; the scale-15 graph is the wide one: launches of"
+echo "    many waves with a ragged tail, where record of later blocks overlaps"
+echo "    the cache drains of earlier ones)"
 hp_start=$SECONDS
 cargo run --release -p eta-cli -- generate rmat --scale 10 --edges 30000 \
     --max-weight 64 --seed 11 --out "$PROFILE_OUT/hp.rmat.etag" >/dev/null
@@ -117,21 +118,23 @@ for graph in rmat web waves; do
     for alg in bfs sssp; do
         for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
             "--transfer prefetch"; do
-            # shellcheck disable=SC2086
-            cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
-                --alg "$alg" --host-threads 1 $extra --json >"$PROFILE_OUT/hp.1.json"
-            # shellcheck disable=SC2086
-            cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
-                --alg "$alg" --host-threads 4 $extra --json >"$PROFILE_OUT/hp.4.json"
+            for threads in 1 2 4; do
+                # shellcheck disable=SC2086
+                cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
+                    --alg "$alg" --host-threads "$threads" $extra --json \
+                    >"$PROFILE_OUT/hp.$threads.json"
+            done
+            cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.2.json"
             cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.4.json"
         done
     done
 done
 echo "    host-parallelism loop: $((SECONDS - hp_start)) s"
-cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
-    --devices 2 --host-threads 1 --json >"$PROFILE_OUT/hp.serve.1.json"
-cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
-    --devices 2 --host-threads 4 --json >"$PROFILE_OUT/hp.serve.4.json"
+for threads in 1 2 4; do
+    cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \
+        --devices 2 --host-threads "$threads" --json >"$PROFILE_OUT/hp.serve.$threads.json"
+done
+cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.2.json"
 cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.4.json"
 
 echo "==> fault parity (one launch path: a hang plan is a typed error under"

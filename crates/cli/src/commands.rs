@@ -229,11 +229,14 @@ fn fault_plan_from(args: &Args) -> Result<Option<eta_fault::FaultPlan>, ArgError
         .map_err(|e| ArgError(format!("fault plan {path}: {e}")))
 }
 
-/// Parses `--host-threads N` (default 1): how many host threads the
-/// simulator may use for its per-SM drain stages. Simulated results are
-/// byte-identical at every setting; only host wall-clock changes.
+/// Parses `--host-threads N` (default: the preset's, 2): at 1 a launch runs
+/// inline; at 2 or more a launch of several waves records later blocks
+/// while a worker drains the caches for earlier ones, and more than 2
+/// behaves as 2. Simulated results are byte-identical at every setting; only host
+/// wall-clock changes.
 fn host_threads_from(args: &Args) -> Result<usize, ArgError> {
-    let n: usize = args.get_parse("host-threads", 1)?;
+    let preset = GpuConfig::default_preset().host_threads;
+    let n: usize = args.get_parse("host-threads", preset)?;
     if n == 0 {
         return Err(ArgError("--host-threads must be at least 1".into()));
     }

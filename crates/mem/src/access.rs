@@ -1,39 +1,39 @@
 //! Per-SM access recording for the staged launch pipeline.
 //!
 //! A launch does not probe the cache hierarchy while its warps execute: so
-//! that the per-SM work can run on several host threads *without changing a
-//! single output byte*, it is split into stages (see DESIGN.md "Host
-//! parallelism"). The unit of the pipeline is the *wave*: `num_sms`
-//! consecutive blocks dealt one per SM from SM 0 (the last wave of a grid is
-//! ragged). A launch runs all five stages over one wave, then the next, so
-//! its scratch — the [`SmQueue`] arenas — is the size of a wave, not of the
-//! grid:
+//! that the cache replay of earlier blocks can overlap the recording of
+//! later ones on a second host thread *without changing a single output
+//! byte*, it is split into stages (see DESIGN.md "Host parallelism"). Every
+//! block runs all five stages in its SM's queue, which held the SM's block
+//! of the previous *wave* (`num_sms` consecutive blocks dealt one per SM
+//! from SM 0; the last wave of a grid is ragged), so launch scratch — the
+//! [`SmQueue`] arenas — is the size of a wave, not of the grid:
 //!
-//! 1. **Record** (serial, block-major order): the wave's warps execute
+//! 1. **Record** (block-major order): the block's warps execute
 //!    functionally and append one [`AccessRec`] per global-memory
 //!    instruction to their SM's [`SmQueue`].
-//! 2. **Coalesce** ([`SmQueue::coalesce`], parallel per SM): raw lane word
+//! 2. **Coalesce** ([`SmQueue::coalesce`], per SM): raw lane word
 //!    addresses become sorted, deduplicated 32-byte sector IDs.
-//! 3. **Residency** (serial, canonical order):
+//! 3. **Residency** (canonical order):
 //!    [`crate::system::MemSystem::resolve_access`] replays UM migrations and
 //!    zero-copy classification access by access.
-//! 4. **L1 drain** ([`drain_l1`], parallel per SM): each SM's private L1 —
+//! 4. **L1 drain** ([`drain_l1`], per SM): each SM's private L1 —
 //!    invalidated at launch start by an O(1) [`Cache::flush`], not cleared,
 //!    and carried from wave to wave — is probed over its own queue; sectors
 //!    that miss are staged as [`L2Work`].
-//! 5. **L2/DRAM drain** (serial, canonical order): the shared L2 is probed
-//!    with each SM's [`L2Work`] in turn.
+//! 5. **L2/DRAM drain** (canonical order): the shared L2 is probed with
+//!    each block's [`L2Work`] in turn.
 //!
-//! Because SM *i* holds exactly block *i* of the wave, the canonical
-//! (block-major) order inside a wave is the SM order: the serial stages walk
-//! the wave's queues in SM-index order and need no order log. Stages
-//! touching only per-SM state (2, 4) parallelize freely; stages touching
-//! shared state (3, 5) see the same global access sequence as a launch that
-//! staged the whole grid, so every counter, span, and sanitizer finding is
-//! byte-identical at any thread count and any grid size.
+//! A queue holds one block at a time and blocks run in index order, which
+//! is the canonical (block-major) order, so no stage needs an order log.
+//! Stages 1–3 touch the memory system and stages 4–5 only the caches, so
+//! the two groups can run on different blocks at once; each group sees the
+//! same access sequence as a launch that staged the whole grid, so every
+//! counter, span, and sanitizer finding is byte-identical at any thread
+//! count and any grid size.
 //!
 //! All buffers are flat arenas (`Vec`s of plain data indexed by ranges),
-//! cleared between waves with their capacity kept, so no stage allocates
+//! cleared between blocks with their capacity kept, so no stage allocates
 //! once a launch's widest wave has warmed them.
 
 use crate::cache::Cache;
@@ -94,8 +94,8 @@ pub struct L1DrainParams {
     pub interleave: u64,
 }
 
-/// One SM's recorded accesses of one wave and the per-SM results of the
-/// parallel stages. Cleared (capacity kept) by the next wave.
+/// One SM's recorded accesses of one block and the per-SM results of the
+/// stages that replay them. Cleared (capacity kept) by the SM's next block.
 #[derive(Debug, Default)]
 pub struct SmQueue {
     /// Raw active-lane word addresses, one range per [`AccessRec`].
@@ -104,7 +104,7 @@ pub struct SmQueue {
     /// Coalesced sector IDs, one range per [`AccessRec`].
     pub sectors: Vec<u64>,
     /// Per-sector zero-copy flags, parallel to `sectors` (filled by the
-    /// serial residency stage).
+    /// residency stage).
     pub zc: Vec<bool>,
     /// Accesses with L2-bound sectors, in record order.
     pub l2q: Vec<L2Work>,
@@ -155,8 +155,7 @@ impl SmQueue {
     /// Stage 2: coalesces every access's raw addresses into sorted,
     /// deduplicated sector IDs — the map of
     /// [`crate::coalesce::sectors_for_warp`], over all of a burst group's
-    /// (lane, row) addresses at once. Per-SM state only, so launches run
-    /// one call per SM concurrently.
+    /// (lane, row) addresses at once. Per-SM state only.
     ///
     /// One pass maps addresses to sectors straight into the arena, dropping
     /// a sector equal to its predecessor (a lane's consecutive words, a dense
@@ -203,8 +202,8 @@ impl SmQueue {
 /// L1 entirely; then the L1 clock advances by the access's insertions
 /// (interleave-multiplied unless burst).
 ///
-/// Accesses with L2-bound sectors defer their stall charge to the serial
-/// L2 drain (the final charge is `max(worst_c, worst_l2_dram)`); accesses
+/// Accesses with L2-bound sectors defer their stall charge to the L2
+/// drain (the final charge is `max(worst_c, worst_l2_dram)`); accesses
 /// fully absorbed here charge `worst_c` into `queue.stall` directly.
 pub fn drain_l1(queue: &mut SmQueue, l1: &mut Cache, p: &L1DrainParams) {
     for i in 0..queue.recs.len() {

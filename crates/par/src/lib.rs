@@ -26,7 +26,9 @@ pub mod sort;
 pub use sort::par_sort_by_key;
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Inputs smaller than this run sequentially on the calling thread.
 pub const PAR_THRESHOLD: usize = 4096;
@@ -147,9 +149,8 @@ where
 /// Parallel in-place transform with an **explicit** worker count and no
 /// small-input fast path: every element runs under the chunked schedule
 /// even for a handful of items. This is the primitive for few-but-heavy
-/// work units — e.g. the simulator's per-SM replay stages, where the item
-/// count (~tens of SMs) never clears [`PAR_THRESHOLD`] but each item is
-/// millions of cache probes. `threads <= 1` runs inline on the caller.
+/// work units, whose count (e.g. ~tens of SMs) never clears
+/// [`PAR_THRESHOLD`]. `threads <= 1` runs inline on the caller.
 pub fn for_each_mut_threads<T, F>(threads: usize, data: &mut [T], body: F)
 where
     T: Send,
@@ -191,6 +192,176 @@ where
         }
     })
     .expect("eta-par worker panicked");
+}
+
+/// A two-stage pipeline over `items` items and a ring of reusable buffers.
+/// `front(i, buf)` fills item `i` into `bufs[i % bufs.len()]` on the
+/// calling thread; `back(i, buf)` then drains it. `back` sees every item
+/// exactly once, in index order, in the buffer `front` filled.
+///
+/// With `threads >= 2` and at least two items, `back` runs on one scoped
+/// worker, so `front` fills later items while `back` drains earlier ones:
+/// `front` may run up to one ring ahead, and refills a buffer only once
+/// `back` has drained the item before in it. The worker is spawned once
+/// per call, and the handoff allocates only its two queues, once per
+/// call. With fewer threads or items both halves run inline:
+/// `front(0), back(0), front(1), back(1), ...`. Each half runs the same
+/// calls in the same order either way, so a result that depends only on
+/// each half's own call sequence is identical at every thread count;
+/// thread counts above 2 behave as 2.
+///
+/// A panic in either half re-raises from `pipeline2` with its payload, once
+/// the worker has exited: a half that returns or unwinds closes its side
+/// of the handoff, and a half waiting on a closed side stops, so a panic
+/// never becomes a hang.
+pub fn pipeline2<T, F, B>(threads: usize, items: usize, bufs: &mut [T], mut front: F, mut back: B)
+where
+    T: Send,
+    F: FnMut(usize, &mut T),
+    B: FnMut(usize, &mut T) + Send,
+{
+    assert!(items == 0 || !bufs.is_empty(), "pipeline2 needs a buffer");
+    if threads <= 1 || items <= 1 {
+        let ring = bufs.len();
+        for i in 0..items {
+            front(i, &mut bufs[i % ring]);
+            back(i, &mut bufs[i % ring]);
+        }
+        return;
+    }
+    let handoff = Handoff::new(bufs);
+    let outcome = crossbeam::scope(|s| {
+        let worker = s.spawn(|_| {
+            let _closed = Closer(&handoff, |s| s.back_done = true);
+            while let Some((i, buf)) = handoff.next_filled() {
+                back(i, &mut *buf);
+                handoff.give_back(buf);
+            }
+        });
+        {
+            let _closed = Closer(&handoff, |s| s.front_done = true);
+            for i in 0..items {
+                // Buffers come back in the order `back` drains them, which
+                // is item order: item `i` gets `bufs[i % bufs.len()]`.
+                let Some(buf) = handoff.take_free() else {
+                    break;
+                };
+                front(i, &mut *buf);
+                if !handoff.hand_over(i, buf) {
+                    break;
+                }
+            }
+        }
+        worker.join()
+    });
+    match outcome {
+        Ok(Ok(())) => {}
+        Ok(Err(payload)) | Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// [`pipeline2`]'s handoff: the free buffers on their way to the front
+/// half, the filled ones on their way to the back half, and whether each
+/// half has finished. Both queues hold at most the ring, so neither grows
+/// after [`Handoff::new`].
+struct Handoff<'b, T> {
+    slots: Mutex<Slots<'b, T>>,
+    moved: Condvar,
+}
+
+struct Slots<'b, T> {
+    free: VecDeque<&'b mut T>,
+    filled: VecDeque<(usize, &'b mut T)>,
+    /// The front half has handed over its last item, or unwound.
+    front_done: bool,
+    /// The back half has returned, or unwound.
+    back_done: bool,
+}
+
+impl<'b, T> Handoff<'b, T> {
+    fn new(bufs: &'b mut [T]) -> Self {
+        let ring = bufs.len();
+        let mut free = VecDeque::with_capacity(ring);
+        free.extend(bufs.iter_mut());
+        Handoff {
+            slots: Mutex::new(Slots {
+                free,
+                filled: VecDeque::with_capacity(ring),
+                front_done: false,
+                back_done: false,
+            }),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Waits until `ready` holds, applies `act` and wakes the other half.
+    /// Neither half runs its own code under the lock, so a poisoned lock
+    /// still guards consistent slots.
+    fn when<R>(
+        &self,
+        ready: fn(&Slots<'b, T>) -> bool,
+        act: impl FnOnce(&mut Slots<'b, T>) -> R,
+    ) -> R {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slots = (self.moved)
+            .wait_while(slots, |s| !ready(s))
+            .unwrap_or_else(PoisonError::into_inner);
+        let out = act(&mut slots);
+        drop(slots);
+        self.moved.notify_all();
+        out
+    }
+
+    /// Front: the next free buffer; `None` once the back half is gone.
+    fn take_free(&self) -> Option<&'b mut T> {
+        self.when(
+            |s| !s.free.is_empty() || s.back_done,
+            |s| s.free.pop_front().filter(|_| !s.back_done),
+        )
+    }
+
+    /// Front: passes item `i` on; `false` once the back half is gone.
+    fn hand_over(&self, i: usize, buf: &'b mut T) -> bool {
+        self.when(
+            |_| true,
+            |s| {
+                if !s.back_done {
+                    s.filled.push_back((i, buf));
+                }
+                !s.back_done
+            },
+        )
+    }
+
+    /// Back: the next filled item; `None` once the front half is done and
+    /// every item it handed over has been taken.
+    fn next_filled(&self) -> Option<(usize, &'b mut T)> {
+        self.when(
+            |s| !s.filled.is_empty() || s.front_done,
+            |s| s.filled.pop_front(),
+        )
+    }
+
+    /// Back: returns a drained buffer, unless the front half needs no more.
+    fn give_back(&self, buf: &'b mut T) {
+        self.when(
+            |_| true,
+            |s| {
+                if !s.front_done {
+                    s.free.push_back(buf);
+                }
+            },
+        );
+    }
+}
+
+/// Marks its half finished when it drops — on return and on unwind.
+struct Closer<'h, 'b, T>(&'h Handoff<'b, T>, fn(&mut Slots<'b, T>));
+
+impl<T> Drop for Closer<'_, '_, T> {
+    fn drop(&mut self) {
+        self.0.when(|_| true, self.1);
+    }
 }
 
 /// Parallel map-reduce over `0..len` with a deterministic fold order.
@@ -397,6 +568,61 @@ mod tests {
         }
         let mut empty: Vec<u8> = Vec::new();
         for_each_mut_threads(4, &mut empty, |_, _| unreachable!());
+    }
+
+    /// Each half's call sequence at `threads` over a ring of three
+    /// buffers: `front` stamps item `i` into its buffer, `back` logs which
+    /// buffer it got and what it held.
+    fn pipeline_log(threads: usize, items: usize) -> Vec<(usize, usize, usize)> {
+        let mut bufs = [(0usize, 0usize), (1, 0), (2, 0)];
+        let mut log = Vec::new();
+        pipeline2(
+            threads,
+            items,
+            &mut bufs,
+            |i, buf| {
+                assert_eq!(buf.0, i % 3, "item {i} fills buffer i % 3");
+                buf.1 = 10 * i + 1;
+            },
+            |i, buf| log.push((i, buf.0, buf.1)),
+        );
+        log
+    }
+
+    #[test]
+    fn pipeline2_drains_every_item_in_order_in_its_buffer() {
+        for items in [0usize, 1, 2, 3, 4, 8, 100] {
+            let want: Vec<_> = (0..items).map(|i| (i, i % 3, 10 * i + 1)).collect();
+            for threads in [1usize, 2, 4] {
+                assert_eq!(pipeline_log(threads, items), want, "{threads}, {items}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "back died at 3")]
+    fn pipeline2_reraises_a_worker_panic() {
+        let mut bufs = [0u8, 0];
+        pipeline2(
+            2,
+            8,
+            &mut bufs,
+            |_, _| {},
+            |i, _| assert!(i != 3, "back died at {i}"),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "front died at 5")]
+    fn pipeline2_reraises_a_front_panic_without_hanging() {
+        let mut bufs = [0u8, 0];
+        pipeline2(
+            2,
+            8,
+            &mut bufs,
+            |i, _| assert!(i != 5, "front died at {i}"),
+            |_, _| {},
+        );
     }
 
     #[test]

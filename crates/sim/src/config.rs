@@ -57,11 +57,13 @@ pub struct GpuConfig {
     /// Whether the device records an `eta-prof` event stream (default off;
     /// disabled profiling is zero-cost).
     pub profiling: bool,
-    /// Host threads used to replay the per-SM stages of a launch (default
-    /// 1). This is a host-speed knob only: every simulated result —
-    /// counters, timings, sanitizer findings, profiler spans — is
-    /// byte-identical across thread counts (see DESIGN.md "Host
-    /// parallelism").
+    /// Host threads a launch may use (default 2). At 1 a launch runs
+    /// inline; at 2 or more a launch of two or more waves records later
+    /// blocks on the calling thread while one worker drains the caches for
+    /// earlier ones, and values above 2 behave as 2. This is a host-speed
+    /// knob only: every simulated result — counters, timings, sanitizer
+    /// findings, profiler spans — is byte-identical across thread counts
+    /// (see DESIGN.md "Host parallelism").
     pub host_threads: usize,
 }
 
@@ -170,7 +172,7 @@ impl GpuConfig {
             hiding_cap: 24,
             sanitizer: SanitizerMode::Off,
             profiling: false,
-            host_threads: 1,
+            host_threads: 2,
         }
     }
 
@@ -186,7 +188,8 @@ impl GpuConfig {
         self
     }
 
-    /// The same preset replaying per-SM launch stages on `n` host threads.
+    /// The same preset with `n` host threads per launch (see
+    /// [`GpuConfig::host_threads`]).
     pub fn with_host_threads(mut self, n: usize) -> Self {
         self.host_threads = n;
         self

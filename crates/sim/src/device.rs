@@ -50,34 +50,33 @@ use eta_prof::{ArgValue, Profile, Track};
 pub struct Device {
     pub cfg: GpuConfig,
     pub mem: MemSystem,
-    sms: Vec<Sm>,
+    /// Each SM's private L1. With `l2` and `drain_stall`, what the back half
+    /// of the launch pipeline owns (see [`Back`]).
+    l1s: Vec<Cache>,
     l2: Cache,
+    /// Each SM's record/replay queue: one wave's scratch, which the launch
+    /// pipeline hands between its halves block by block. Reused across
+    /// waves and launches, so a warm launch allocates nothing.
+    queues: Vec<SmQueue>,
+    /// Leading queues that may hold records: `queues[queued..]` are empty.
+    queued: usize,
+    /// Per-SM accumulators of the running launch: warp instructions, and
+    /// stall cycles — record's, with the drains' folded in at launch end.
+    instr: Vec<u64>,
+    stall: Vec<u64>,
+    /// Per-SM stall cycles the L1 and L2 drains charged this launch.
+    drain_stall: Vec<u64>,
     /// Compute spans recorded by launches (transfer spans live on the link).
     pub compute_timeline: Timeline,
     /// Attached when `cfg.sanitizer` enables any analysis.
     sanitizer: Option<Sanitizer>,
-    /// SMs the last wave ran a block on: `sms[..wave_sms]`. A wave deals
-    /// its blocks from SM 0, so every other SM's queue is empty and no
-    /// stage visits it.
-    wave_sms: usize,
     /// One block's shared memory, zeroed at every block start.
     shared: Vec<u32>,
     /// Row arena of the running warp's [`crate::warp::Burst`]s.
     burst_rows: Vec<Lanes>,
 }
 
-/// One SM: its private L1, its record/replay arena for one wave of the
-/// staged launch pipeline, and the launch's per-SM accumulators. All of it
-/// is reused across waves and launches, so a launch allocates nothing once
-/// warm.
-struct Sm {
-    l1: Cache,
-    queue: SmQueue,
-    instr: u64,
-    stall: u64,
-}
-
-/// What a launch fixes before its first wave.
+/// What a launch fixes before its first block.
 struct Grid {
     launch: LaunchConfig,
     start_ns: Ns,
@@ -85,13 +84,138 @@ struct Grid {
     /// Resident warps per SM: the latency-hiding and L1 interleave factor.
     occupancy: u64,
     l2_interleave: u64,
-    /// SMs the grid runs blocks on: `sms[..used_sms]`.
+    /// SMs the grid runs blocks on: `[..used_sms]` of every per-SM array.
     used_sms: usize,
+    /// Waves of `num_sms` blocks, the last one ragged.
+    waves: usize,
     /// `mem.zero_copy_bytes` at launch start.
     zc_mark: u64,
 }
 
-/// Stage 5 for one SM of a wave: its L2-bound sectors probe the shared L2,
+/// The front half of a launch's pipeline, on the calling thread: stages
+/// 1–3 over the memory system, the sanitizer, the block's shared memory
+/// and the per-SM record accumulators — none of which [`Back`] touches.
+struct Front<'d, K: ?Sized> {
+    kernel: &'d K,
+    grid: &'d Grid,
+    cfg: &'d GpuConfig,
+    mem: &'d mut MemSystem,
+    sanitizer: Option<&'d mut Sanitizer>,
+    shared: &'d mut [u32],
+    burst_rows: &'d mut Vec<Lanes>,
+    instr: &'d mut [u64],
+    stall: &'d mut [u64],
+    metrics: &'d mut KernelMetrics,
+    /// Accesses the warps recorded and stage 3 replayed, and blocks done.
+    recorded: usize,
+    replayed: usize,
+    blocks: usize,
+}
+
+impl<K: Kernel + ?Sized> Front<'_, K> {
+    /// Stages 1–3 for block `block` into its SM's queue, which held the
+    /// SM's block of the previous wave (or launch) until now.
+    ///
+    /// 1. Record: the block's warps execute functionally — real loads,
+    ///    stores, atomics, all sanitizer hooks — appending their global
+    ///    accesses to the queue.
+    /// 2. Coalesce: per-queue state only.
+    /// 3. Residency: UM migrations, PCIe spans, adaptive-policy evolution
+    ///    and fault injection are shared state, replayed here access by
+    ///    access. Blocks arrive in index order, so this is the canonical
+    ///    block-major order; record reads none of what stage 3 writes, so
+    ///    running it before the next block records changes nothing.
+    fn block(&mut self, block: usize, queue: &mut SmQueue) {
+        let sm = block % self.cfg.num_sms;
+        queue.clear();
+        self.shared.fill(0);
+        for warp in 0..self.grid.warps_per_block {
+            let mut ctx = WarpCtx::new_recording(
+                self.cfg,
+                self.mem,
+                queue,
+                self.shared,
+                self.burst_rows,
+                WarpId {
+                    block: block as u32,
+                    warp_in_block: warp,
+                    threads_per_block: self.grid.launch.threads_per_block,
+                    grid_blocks: self.grid.launch.blocks,
+                },
+                self.sanitizer.as_deref_mut(),
+            );
+            self.kernel.run(&mut ctx);
+            let (instr, stall, recs) = ctx.finish(self.metrics);
+            self.instr[sm] += instr;
+            self.stall[sm] += stall;
+            self.recorded += recs;
+        }
+        queue.coalesce();
+        // Stage 4 stages at most one `L2Work` per record and one L2 sector
+        // per sector. Growing its arenas here keeps every allocation on the
+        // calling thread: a worker's would land in an allocator arena of
+        // its own (glibc's per-thread arenas), a second heap of queue
+        // memory beside this thread's.
+        queue.l2q.reserve(queue.recs.len());
+        queue.l2q_sectors.reserve(queue.sectors.len());
+        self.replayed += queue.recs.len();
+        for rec in &queue.recs {
+            let secs = rec.sec_start..rec.sec_start + rec.sec_len;
+            let arrival = self.mem.resolve_access(
+                rec.region,
+                &queue.sectors[secs.clone()],
+                self.grid.start_ns,
+                &mut queue.zc[secs],
+            );
+            self.metrics.data_ready_ns = self.metrics.data_ready_ns.max(arrival);
+        }
+        self.blocks += 1;
+    }
+}
+
+/// The back half of a launch's pipeline, on a worker thread when the
+/// launch has one: stages 4 and 5 over the L1s and the L2 — which nothing
+/// in [`Front`] reads — into counters of its own, merged into the launch's
+/// once at its end.
+struct Back<'d> {
+    grid: &'d Grid,
+    cfg: &'d GpuConfig,
+    l1s: &'d mut [Cache],
+    l2: &'d mut Cache,
+    stall: &'d mut [u64],
+    metrics: KernelMetrics,
+    /// Blocks drained so far: the index the next one must carry.
+    blocks: usize,
+}
+
+impl Back<'_> {
+    /// Stages 4 and 5 for block `block`. Blocks arrive in index order, so
+    /// each L1 — private, invalidated at launch start — sees its own SM's
+    /// blocks in order, and the shared L2 sees every block's `L2Work` in
+    /// block order.
+    fn block(&mut self, block: usize, queue: &mut SmQueue) {
+        debug_assert_eq!(
+            block, self.blocks,
+            "blocks reach the back half in record order"
+        );
+        let sm = block % self.cfg.num_sms;
+        let params = L1DrainParams {
+            l1_latency: self.cfg.l1_latency,
+            zero_copy_latency: self.cfg.zero_copy_latency,
+            interleave: self.grid.occupancy,
+        };
+        eta_mem::access::drain_l1(queue, &mut self.l1s[sm], &params);
+        let l2_stall = drain_l2(queue, self.l2, self.cfg, self.grid, &mut self.metrics);
+        self.stall[sm] += queue.stall + l2_stall;
+        self.metrics.l1_requests += queue.l1_requests;
+        self.metrics.l1.hits += queue.l1_hits;
+        self.metrics.l1.misses += queue.l1_requests - queue.l1_hits;
+        self.metrics.mem_stall_cycles += queue.stall;
+        self.blocks += 1;
+    }
+}
+
+/// Stage 5 for one block: its L2-bound sectors probe the shared L2,
 /// misses go to DRAM, and the L2 clock advances by each access's insertions.
 /// Returns the stall cycles charged to the SM.
 fn drain_l2(
@@ -177,21 +301,19 @@ impl Device {
             None
         };
         mem.prof.set_enabled(cfg.profiling);
+        let num_sms = cfg.num_sms;
         Ok(Device {
             cfg,
             mem,
-            sms: (0..cfg.num_sms)
-                .map(|_| Sm {
-                    l1: Cache::new(cfg.l1),
-                    queue: SmQueue::default(),
-                    instr: 0,
-                    stall: 0,
-                })
-                .collect(),
+            l1s: (0..num_sms).map(|_| Cache::new(cfg.l1)).collect(),
             l2: Cache::new(cfg.l2),
+            queues: (0..num_sms).map(|_| SmQueue::default()).collect(),
+            queued: 0,
+            instr: vec![0; num_sms],
+            stall: vec![0; num_sms],
+            drain_stall: vec![0; num_sms],
             compute_timeline: Timeline::new(),
             sanitizer,
-            wave_sms: 0,
             shared: Vec::new(),
             burst_rows: Vec::new(),
         })
@@ -201,7 +323,7 @@ impl Device {
     /// launch: empty for an SM the grid ran no block on, and after a ragged
     /// launch for the SMs past its tail.
     pub fn sm_queue(&self, sm: usize) -> &SmQueue {
-        &self.sms[sm].queue
+        &self.queues[sm]
     }
 
     /// The sanitizer's findings so far; `None` when no sanitizer is attached.
@@ -265,7 +387,9 @@ impl Device {
     /// The grid streams through the staged pipeline (see
     /// [`eta_mem::access`]) one *wave* at a time — `num_sms` consecutive
     /// blocks, one per SM, the last wave ragged — so launch scratch is the
-    /// size of a wave, not of the grid.
+    /// size of a wave, not of the grid. At `host_threads >= 2` a multi-wave
+    /// launch records later blocks while a worker drains the L1s and the
+    /// L2 for earlier ones.
     pub fn launch<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
@@ -280,13 +404,7 @@ impl Device {
             };
         }
         let grid = self.begin_launch(kernel, launch, start_ns);
-        let (mut recorded, mut replayed) = (0, 0);
-        for first in (0..launch.blocks).step_by(self.cfg.num_sms) {
-            let end = first.saturating_add(self.cfg.num_sms as u32);
-            let wave = first..end.min(launch.blocks);
-            recorded += self.record_wave(kernel, &grid, wave, &mut metrics);
-            replayed += self.replay_wave(&grid, &mut metrics);
-        }
+        let (recorded, replayed) = self.run_waves(kernel, &grid, &mut metrics);
         if let Some(san) = self.sanitizer.as_mut() {
             san.end_launch();
         }
@@ -359,11 +477,15 @@ impl Device {
             occupancy: self.occupancy(&launch, shared_words),
             l2_interleave: (self.cfg.num_sms as u64).min(total_warps).max(1),
             used_sms: (launch.blocks as usize).min(self.cfg.num_sms),
+            waves: (launch.blocks as usize).div_ceil(self.cfg.num_sms),
             zc_mark: self.mem.zero_copy_bytes,
         };
-        for sm in &mut self.sms[..grid.used_sms] {
-            sm.l1.flush();
-            (sm.instr, sm.stall) = (0, 0);
+        let used = grid.used_sms;
+        for l1 in &mut self.l1s[..used] {
+            l1.flush();
+        }
+        for acc in [&mut self.instr, &mut self.stall, &mut self.drain_stall] {
+            acc[..used].fill(0);
         }
         self.shared.resize(shared_words as usize, 0);
         if let Some(san) = self.sanitizer.as_mut() {
@@ -372,109 +494,87 @@ impl Device {
         grid
     }
 
-    /// Stage 1 for one wave: its warps execute functionally — real loads,
-    /// stores, atomics, all sanitizer hooks — in block-major order,
-    /// recording their global accesses into their SM's queue; the
-    /// cache/residency effects are replayed by [`Device::replay_wave`].
-    /// Returns the number of accesses recorded.
+    /// Streams the grid's blocks through the two-stage host pipeline
+    /// ([`eta_par::pipeline2`] over the per-SM queues as a ring): [`Front`]
+    /// records, coalesces and replays residency for a block on the calling
+    /// thread while [`Back`] drains the L1 and the L2 for earlier blocks on
+    /// a worker. Block *b* runs in SM *b* mod `num_sms`'s queue, which the
+    /// front refills only once the back has drained block *b* − `num_sms`,
+    /// so launch scratch stays one wave. A one-wave grid — too short to pay
+    /// for a thread — or `host_threads = 1` runs the same two halves inline
+    /// in turn. Returns the accesses recorded and replayed.
     ///
-    /// A wave starts at a multiple of `num_sms`, so SM *i* runs exactly
-    /// block *i* of the wave and walking the wave's SMs in index order *is*
-    /// the canonical block-major order. The queues the previous wave (or
-    /// launch) filled are emptied first.
-    fn record_wave<K: Kernel + ?Sized>(
+    /// Exact at every thread count: the halves share no state but the
+    /// queue in flight, each sees the blocks in order, and the back half's
+    /// counters and per-SM stalls are sums, merged once here.
+    fn run_waves<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: &Grid,
-        wave: std::ops::Range<u32>,
         metrics: &mut KernelMetrics,
-    ) -> usize {
-        debug_assert_eq!(wave.start as usize % self.cfg.num_sms, 0, "wave start");
-        for sm in &mut self.sms[..self.wave_sms] {
-            sm.queue.clear();
-        }
-        self.wave_sms = wave.len();
-        let mut recorded = 0;
-        for (sm, block) in self.sms.iter_mut().zip(wave) {
-            self.shared.fill(0);
-            for warp in 0..grid.warps_per_block {
-                let mut ctx = WarpCtx::new_recording(
-                    &self.cfg,
-                    &mut self.mem,
-                    &mut sm.queue,
-                    &mut self.shared,
-                    &mut self.burst_rows,
-                    WarpId {
-                        block,
-                        warp_in_block: warp,
-                        threads_per_block: grid.launch.threads_per_block,
-                        grid_blocks: grid.launch.blocks,
-                    },
-                    self.sanitizer.as_mut(),
-                );
-                kernel.run(&mut ctx);
-                let (instr, stall, recs) = ctx.finish(metrics);
-                sm.instr += instr;
-                sm.stall += stall;
-                recorded += recs;
-            }
-        }
-        recorded
-    }
-
-    /// Stages 2–5 over the wave just recorded, then the wave's per-SM L1
-    /// results folded into the launch's accumulators. Returns the number of
-    /// accesses the residency stage replayed.
-    fn replay_wave(&mut self, grid: &Grid, metrics: &mut KernelMetrics) -> usize {
-        let host_threads = self.cfg.host_threads;
-        let sms = &mut self.sms[..self.wave_sms];
-
-        // ---- Stage 2: coalesce (parallel per SM) ------------------------
-        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| sm.queue.coalesce());
-
-        // ---- Stage 3: residency + zero-copy classification (serial) -----
-        // UM migrations, PCIe spans, adaptive-policy evolution and fault
-        // injection are shared state: replay them in the canonical order.
-        let mut replayed = 0;
-        for sm in sms.iter_mut() {
-            let q = &mut sm.queue;
-            replayed += q.recs.len();
-            for rec in &q.recs {
-                let secs = rec.sec_start..rec.sec_start + rec.sec_len;
-                let arrival = self.mem.resolve_access(
-                    rec.region,
-                    &q.sectors[secs.clone()],
-                    grid.start_ns,
-                    &mut q.zc[secs],
-                );
-                metrics.data_ready_ns = metrics.data_ready_ns.max(arrival);
-            }
-        }
-
-        // ---- Stage 4: L1 drain (parallel per SM) ------------------------
-        // Each SM's L1 is private and starts the launch invalidated, so its
-        // probe sequence is fully determined by its own queues, wave after
-        // wave.
-        let params = L1DrainParams {
-            l1_latency: self.cfg.l1_latency,
-            zero_copy_latency: self.cfg.zero_copy_latency,
-            interleave: grid.occupancy,
+    ) -> (usize, usize) {
+        let (num_sms, used) = (self.cfg.num_sms, grid.used_sms);
+        let Device {
+            cfg,
+            mem,
+            l1s,
+            l2,
+            queues,
+            instr,
+            stall,
+            drain_stall,
+            sanitizer,
+            shared,
+            burst_rows,
+            ..
+        } = self;
+        let cfg = &*cfg;
+        let mut front = Front {
+            kernel,
+            grid,
+            cfg,
+            mem,
+            sanitizer: sanitizer.as_mut(),
+            shared,
+            burst_rows,
+            instr: &mut instr[..used],
+            stall: &mut stall[..used],
+            metrics,
+            recorded: 0,
+            replayed: 0,
+            blocks: 0,
         };
-        eta_par::for_each_mut_threads(host_threads, sms, |_, sm| {
-            eta_mem::access::drain_l1(&mut sm.queue, &mut sm.l1, &params);
-        });
-
-        // ---- Stage 5: shared L2/DRAM drain (serial, canonical order) ----
-        // and the wave's stage-4 results merged into the launch's.
-        for sm in sms.iter_mut() {
-            let q = &sm.queue;
-            sm.stall += q.stall + drain_l2(q, &mut self.l2, &self.cfg, grid, metrics);
-            metrics.l1_requests += q.l1_requests;
-            metrics.l1.hits += q.l1_hits;
-            metrics.l1.misses += q.l1_requests - q.l1_hits;
-            metrics.mem_stall_cycles += q.stall;
+        let mut back = Back {
+            grid,
+            cfg,
+            l1s: &mut l1s[..used],
+            l2,
+            stall: &mut drain_stall[..used],
+            metrics: KernelMetrics::default(),
+            blocks: 0,
+        };
+        let threads = if grid.waves > 1 { cfg.host_threads } else { 1 };
+        eta_par::pipeline2(
+            threads,
+            grid.launch.blocks as usize,
+            &mut queues[..used],
+            |block, queue| front.block(block, queue),
+            |block, queue| back.block(block, queue),
+        );
+        debug_assert_eq!(back.blocks, front.blocks, "every block recorded is drained");
+        let counts = (front.recorded, front.replayed);
+        metrics.merge(&back.metrics);
+        for (s, d) in stall[..used].iter_mut().zip(&drain_stall[..used]) {
+            *s += d;
         }
-        replayed
+        // Only the last wave stays visible: empty the queues past its tail
+        // and those an earlier, wider launch filled.
+        let last_wave = grid.launch.blocks as usize - (grid.waves - 1) * num_sms;
+        for q in &mut queues[last_wave..self.queued.max(used)] {
+            q.clear();
+        }
+        self.queued = last_wave;
+        counts
     }
 
     /// The timing model over the launch's SM accumulators: fills the
@@ -482,9 +582,9 @@ impl Device {
     /// retires.
     fn time_launch(&mut self, grid: &Grid, metrics: &mut KernelMetrics) -> Ns {
         let hiding = grid.occupancy.min(self.cfg.hiding_cap as u64).max(1);
-        let sm_cycles = self.sms[..grid.used_sms]
-            .iter()
-            .map(|sm| sm.instr + sm.stall / hiding)
+        let used = grid.used_sms;
+        let sm_cycles = (self.instr[..used].iter().zip(&self.stall[..used]))
+            .map(|(instr, stall)| instr + stall / hiding)
             .max()
             .unwrap_or(0);
         let dram_cycles = (metrics.dram_bytes as f64 / self.cfg.dram_bytes_per_cycle()) as u64;
@@ -812,6 +912,36 @@ mod tests {
             },
             0,
         );
+    }
+
+    /// Loads its thread's word, and panics in the first block of wave 3.
+    struct DiesInWave3 {
+        data: DSlice,
+        wave_blocks: u32,
+    }
+
+    impl Kernel for DiesInWave3 {
+        fn run(&self, w: &mut WarpCtx<'_>) {
+            assert!(
+                w.id().block != 3 * self.wave_blocks,
+                "kernel died in wave 3"
+            );
+            let ids = w.thread_ids();
+            w.load(self.data, &ids, u32::MAX);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel died in wave 3")]
+    fn a_panic_in_a_later_wave_surfaces_from_launch_instead_of_hanging() {
+        let mut dev = Device::new(GpuConfig::default_preset().with_host_threads(2));
+        let wave_blocks = dev.cfg.num_sms as u32;
+        let launch = LaunchConfig {
+            blocks: 6 * wave_blocks,
+            threads_per_block: 64,
+        };
+        let data = dev.mem.alloc_explicit(6 * 64 * wave_blocks as u64).unwrap();
+        dev.launch(&DiesInWave3 { data, wave_blocks }, launch, 0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The per-launch floor: a warm `Device::launch` allocates nothing, visits
 //! only the SMs its grid runs blocks on, and reads the same at any host
 //! thread count. And the memory bound: launch scratch is the size of one
-//! wave (`num_sms` blocks), however many waves the grid has.
+//! wave (`num_sms` blocks), however many waves the grid has — also at two
+//! host threads, where a multi-wave launch hands its per-SM queues block by
+//! block to the worker that drains its caches, spawned once per launch.
 
 use eta_mem::system::DSlice;
 use eta_sim::{Device, GpuConfig, Kernel, LaunchConfig, WarpCtx, WARP_SIZE};
@@ -137,17 +139,28 @@ fn grid(blocks: u32) -> LaunchConfig {
 
 #[test]
 fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
-    // Null kernel over the whole machine: the fixed cost of a launch.
-    let mut dev = Device::new(GpuConfig::default_preset());
-    let whole = grid(dev.cfg.num_sms as u32);
-    let allocs = warm_launch_allocations(&mut dev, &NullKernel, whole);
-    assert_eq!(allocs, 0, "warm null launches allocated");
+    // A one-wave launch runs inline at any host thread count.
+    for host_threads in [1, 2] {
+        // Null kernel over the whole machine: the fixed cost of a launch.
+        let cfg = GpuConfig::default_preset().with_host_threads(host_threads);
+        let mut dev = Device::new(cfg);
+        let whole = grid(dev.cfg.num_sms as u32);
+        let allocs = warm_launch_allocations(&mut dev, &NullKernel, whole);
+        assert_eq!(
+            allocs, 0,
+            "warm null launches allocated, {host_threads} thread(s)"
+        );
 
-    // One block of real work (the deep-traversal shape).
-    let (mut dev, mut kernel) = mixed_rig(1, 3);
-    kernel.n = TPB;
-    let allocs = warm_launch_allocations(&mut dev, &kernel, grid(1));
-    assert_eq!(allocs, 0, "warm one-block launches allocated");
+        // One block of real work (the deep-traversal shape).
+        let (mut dev, mut kernel) = mixed_rig(host_threads, 3);
+        kernel.n = TPB;
+        let allocs = warm_launch_allocations(&mut dev, &kernel, grid(1));
+        assert_eq!(
+            allocs, 0,
+            "warm one-block launches allocated, {host_threads} thread(s)"
+        );
+    }
+    let (mut dev, mut kernel) = mixed_rig(2, 3);
 
     // A grid visits SMs 0..blocks and leaves the rest empty — also the SMs
     // a wider launch filled before it.
@@ -162,7 +175,7 @@ fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
         assert_eq!(dev.sm_queue(sm).recs.is_empty(), sm >= 1, "SM {sm}");
     }
 
-    // The same launches read the same at 1 and 4 host threads.
+    // The same launches read the same at 1, 2 and 4 host threads.
     for blocks in [1, 3] {
         let run = |host_threads| {
             let (mut dev, mut kernel) = mixed_rig(host_threads, 3);
@@ -173,7 +186,9 @@ fn warm_launches_allocate_nothing_and_touch_only_their_sms() {
             let counter = dev.mem.host_read(kernel.counter, 0, 1)[0];
             format!("{cold:?} {warm:?} {out:?} {counter}")
         };
-        assert_eq!(run(1), run(4), "{blocks}-block grid");
+        let serial = run(1);
+        assert_eq!(serial, run(2), "{blocks}-block grid");
+        assert_eq!(serial, run(4), "{blocks}-block grid");
     }
 }
 
@@ -192,9 +207,15 @@ fn arena_capacities(dev: &Device, sm: usize) -> [usize; 6] {
 
 #[test]
 fn launch_scratch_is_one_wave_however_many_waves_the_grid_has() {
+    for host_threads in [1, 2] {
+        scratch_is_one_wave(host_threads);
+    }
+}
+
+fn scratch_is_one_wave(host_threads: usize) {
     let num_sms = GpuConfig::default_preset().num_sms;
     let wave = num_sms as u32;
-    let (mut dev, mut kernel) = mixed_rig(1, 50 * wave + 5);
+    let (mut dev, mut kernel) = mixed_rig(host_threads, 50 * wave + 5);
     let capacities = |dev: &Device| -> Vec<[usize; 6]> {
         (0..num_sms).map(|sm| arena_capacities(dev, sm)).collect()
     };
@@ -230,10 +251,56 @@ fn launch_scratch_is_one_wave_however_many_waves_the_grid_has() {
         assert_eq!(dev.sm_queue(sm).recs.is_empty(), sm >= 1, "SM {sm}");
     }
 
-    // Warm multi-wave launches with a ragged tail allocate nothing.
-    let ragged = 3 * wave + 5;
-    kernel.n = ragged * TPB;
-    let allocs = warm_launch_allocations(&mut dev, &kernel, grid(ragged));
-    assert_eq!(allocs, 0, "warm multi-wave launches allocated");
+    // Warm multi-wave launches with a ragged tail allocate nothing per
+    // block: nothing inline, and at two threads only the worker's spawn and
+    // the handoff's two queues — the same count at 4 waves as at 50.
+    let mut per_launch = Vec::new();
+    for blocks in [3 * wave + 5, 50 * wave] {
+        kernel.n = blocks * TPB;
+        let allocs = warm_launch_allocations(&mut dev, &kernel, grid(blocks));
+        assert_eq!(
+            allocs % 100,
+            0,
+            "{blocks} blocks: {allocs} over 100 launches"
+        );
+        per_launch.push(allocs / 100);
+    }
+    assert_eq!(per_launch[0], per_launch[1], "allocations grow with waves");
+    if host_threads == 1 {
+        assert_eq!(
+            per_launch[0], 0,
+            "warm inline multi-wave launches allocated"
+        );
+    }
     assert_eq!(capacities(&dev), one_wave);
+}
+
+/// Allocations on this thread of one launch of `blocks` on a fresh rig.
+fn cold_launch_allocations(host_threads: usize, blocks: u32) -> u64 {
+    let (mut dev, mut kernel) = mixed_rig(host_threads, blocks);
+    kernel.n = blocks * TPB;
+    let before = ALLOCS.with(Cell::get);
+    dev.launch(&kernel, grid(blocks), 0);
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Every queue arena grows on the calling thread: a cold multi-wave launch
+/// at two threads allocates there what it allocates inline plus what a
+/// warm one spends on the worker's spawn and the handoff, so the worker
+/// allocates nothing. (A worker's allocations would sit in an allocator
+/// arena of its own — glibc gives each thread one — a second heap of queue
+/// memory.)
+#[test]
+fn the_cache_drain_worker_allocates_nothing() {
+    let wave = GpuConfig::default_preset().num_sms as u32;
+    let blocks = 3 * wave + 5;
+    // Also pays this thread's one-time costs of a first spawn.
+    let (mut dev, mut kernel) = mixed_rig(2, blocks);
+    kernel.n = blocks * TPB;
+    let spawn = warm_launch_allocations(&mut dev, &kernel, grid(blocks)) / 100;
+    assert!(spawn > 0, "a warm multi-wave launch at two threads spawns");
+    assert_eq!(
+        cold_launch_allocations(2, blocks),
+        cold_launch_allocations(1, blocks) + spawn
+    );
 }

@@ -15,7 +15,9 @@
 //! a 4-SM machine, so launches span many waves with ragged tails, under
 //! prefetch, demand and adaptive transfer, and pins the UM statistics too.
 //! `um_migrations_follow_block_order` is the black-box check of the
-//! canonical order itself.
+//! canonical order itself. Both run at 1, 2 and 4 host threads, where a
+//! multi-wave launch records later blocks while a worker drains earlier
+//! ones.
 
 use eta_graph::datasets::{self, Dataset};
 use eta_graph::Csr;
@@ -199,36 +201,56 @@ const PINNED_WAVES: [(Algorithm, TransferMode, &str); 6] = [
     ),
 ];
 
+/// Pinned at 1, 2 and 4 host threads: inline, and record of later blocks
+/// overlapping the cache drains of earlier ones (more threads behave as
+/// two).
 #[test]
 fn multi_wave_counters_clocks_and_um_stats_are_pinned() {
     let slashdot = Slashdot::build();
-    let gpu = GpuConfig {
-        num_sms: 4,
-        ..GpuConfig::default_preset()
-    };
-    for (alg, transfer, want) in PINNED_WAVES {
-        let cfg = EtaConfig {
-            transfer,
-            ..EtaConfig::paper()
-        };
-        let r = slashdot.run(gpu, alg, &cfg);
-        let um = &r.um_stats;
-        let digest = um
-            .all_sizes()
-            .iter()
-            .fold(0u64, |h, &b| h.wrapping_mul(0x100_0000_01b3) ^ b);
-        let got = format!(
-            "{}, um: batches {} chunks {} faults {} evicted {} migrated {} prefetched {} digest {digest:#x}",
-            clocks_and_metrics(&r),
-            um.migration_batches.len(),
-            um.prefetch_chunks.len(),
-            um.faults,
-            um.evicted_pages,
-            um.migrated_bytes,
-            um.prefetched_bytes,
-        );
-        assert_eq!(got, want, "{alg:?}, {transfer:?}");
+    for host_threads in [1, 2, 4] {
+        let gpu = GpuConfig {
+            num_sms: 4,
+            ..GpuConfig::default_preset()
+        }
+        .with_host_threads(host_threads);
+        for (alg, transfer, want) in PINNED_WAVES {
+            assert_eq!(
+                pinned_line(&slashdot, gpu, alg, transfer),
+                want,
+                "{alg:?}, {transfer:?}, {host_threads} host thread(s)"
+            );
+        }
     }
+}
+
+/// Clocks, `KernelMetrics` and UM statistics of one multi-wave run, in
+/// `PINNED_WAVES`' form.
+fn pinned_line(
+    slashdot: &Slashdot,
+    gpu: GpuConfig,
+    alg: Algorithm,
+    transfer: TransferMode,
+) -> String {
+    let cfg = EtaConfig {
+        transfer,
+        ..EtaConfig::paper()
+    };
+    let r = slashdot.run(gpu, alg, &cfg);
+    let um = &r.um_stats;
+    let digest = um
+        .all_sizes()
+        .iter()
+        .fold(0u64, |h, &b| h.wrapping_mul(0x100_0000_01b3) ^ b);
+    format!(
+        "{}, um: batches {} chunks {} faults {} evicted {} migrated {} prefetched {} digest {digest:#x}",
+        clocks_and_metrics(&r),
+        um.migration_batches.len(),
+        um.prefetch_chunks.len(),
+        um.faults,
+        um.evicted_pages,
+        um.migrated_bytes,
+        um.prefetched_bytes,
+    )
 }
 
 /// Lane 0 of block `b` reads the first word of `pages[b]`.
@@ -257,7 +279,7 @@ impl Kernel for FirstTouch {
 fn um_migrations_follow_block_order() {
     const BLOCKS: u32 = 3 * 4 + 2;
     let pi = |b: u32| (5 * b + 3) % BLOCKS;
-    for host_threads in [1, 4] {
+    for host_threads in [1, 2, 4] {
         let mut dev = Device::new(
             GpuConfig {
                 num_sms: 4,
