@@ -102,7 +102,8 @@ mv "$PROFILE_OUT/transfer.json" "$PROFILE_OUT/transfer.first.json"
 cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"
 
-echo "==> host-parallelism byte-identity (same run at 1, 2 and 4 host threads;"
+echo "==> host-parallelism byte-identity (same run at 1, 2 and 4 host threads,"
+echo "    under every placement: the default, sanitized, and each --transfer mode;"
 echo "    the web graph is the deep regime: hundreds of one-block launches,"
 echo "    which run inline; the scale-15 graph is the wide one: launches of"
 echo "    many waves with a ragged tail, where record of later blocks overlaps"
@@ -117,7 +118,7 @@ cargo run --release -p eta-cli -- generate rmat --scale 15 --edges 500000 \
 for graph in rmat web waves; do
     for alg in bfs sssp; do
         for extra in "" "--sanitize" "--transfer adaptive" "--transfer demand" \
-            "--transfer prefetch"; do
+            "--transfer prefetch" "--transfer explicit" "--transfer zerocopy"; do
             for threads in 1 2 4; do
                 # shellcheck disable=SC2086
                 cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \

@@ -7,7 +7,7 @@ use eta_mem::access::{PipeOp, SmQueue};
 use eta_mem::cache::{Cache, CacheConfig};
 use eta_mem::coalesce::sectors_for_warp;
 use eta_mem::pcie::PcieLink;
-use eta_mem::system::MemSystem;
+use eta_mem::system::{MemSystem, TransferMode};
 use eta_sim::{GpuConfig, Kernel, Lanes, LaunchConfig, WarpCtx, WarpId, FULL_MASK};
 use std::hint::black_box;
 
@@ -172,10 +172,13 @@ fn bench_primitives(c: &mut Criterion) {
     // MemSystem residency path.
     group.bench_function("um_resident_touch", |b| {
         let mut m = MemSystem::new(1 << 30, PcieLink::new(12.0, 1000));
-        let a = m.alloc_unified(1 << 20);
+        let (a, _) = m
+            .place(&vec![0; 1 << 20], TransferMode::UnifiedPrefetch, 0)
+            .unwrap();
         m.prefetch(a, 0);
         let sector = a.word_off / 8 + 100;
-        b.iter(|| black_box(m.ensure_resident(a.region, &[sector], 0)))
+        let mut zc = [false];
+        b.iter(|| black_box(m.resolve_access(a.region, &[sector], 0, &mut zc)))
     });
     group.finish();
 }

@@ -60,8 +60,8 @@ impl DeviceQueue {
 
     /// Returns the queue's device capacity (registry eviction path).
     pub fn release(self, dev: &mut Device) {
-        dev.mem.free_explicit(self.items);
-        dev.mem.free_explicit(self.count);
+        dev.mem.release(self.items);
+        dev.mem.release(self.count);
     }
 }
 
@@ -96,7 +96,7 @@ impl VirtualQueue {
     /// Returns the queue's device capacity (registry eviction path).
     pub fn release(self, dev: &mut Device) {
         for s in [self.ids, self.starts, self.ends, self.count] {
-            dev.mem.free_explicit(s);
+            dev.mem.release(s);
         }
     }
 }
@@ -120,6 +120,14 @@ impl WorkQueues {
             full: VirtualQueue::alloc(dev, full)?,
             partial: VirtualQueue::alloc(dev, partial)?,
         })
+    }
+
+    /// Explicit device bytes [`WorkQueues::alloc`] takes for the same
+    /// arguments.
+    pub fn footprint_bytes(n: u32, full: u32, partial: u32) -> u64 {
+        let queue = |cap: u32| u64::from(cap.max(1)) + 1; // items + count
+        let vqueue = |cap: u32| 3 * u64::from(cap.max(1)) + 1; // ids/starts/ends + count
+        4 * (2 * queue(n) + vqueue(full) + vqueue(partial))
     }
 
     /// In-core UDC bounds the uniform-K queue by `m / k` shadows (plus the

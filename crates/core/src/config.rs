@@ -62,61 +62,10 @@ impl Algorithm {
 }
 
 /// How graph topology reaches the device (§IV-B and the Fig. 6 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferMode {
-    /// Unified Memory with demand paging ("EtaGraph w/o UMP").
-    Unified,
-    /// Unified Memory plus `cudaMemPrefetchAsync` at start ("EtaGraph").
-    UnifiedPrefetch,
-    /// `cudaMalloc` + upfront `cudaMemcpy` ("w/o UM"); can go out of memory.
-    ExplicitCopy,
-    /// Pinned host memory mapped into the device; every access crosses the
-    /// interconnect (§IV-B discusses this alternative).
-    ZeroCopy,
-    /// HyTGraph-style hybrid: unified allocation whose 64 KiB page groups
-    /// are each served by demand paging, prefetch, or zero-copy, re-decided
-    /// every iteration from observed access density (see
-    /// `eta_mem::adaptive`). Labels are byte-identical to every static mode
-    /// — only timing differs.
-    Adaptive,
-}
-
-impl TransferMode {
-    /// CLI spelling (`--transfer {demand,prefetch,zerocopy,adaptive}`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "demand" => Some(TransferMode::Unified),
-            "prefetch" => Some(TransferMode::UnifiedPrefetch),
-            "explicit" => Some(TransferMode::ExplicitCopy),
-            "zerocopy" => Some(TransferMode::ZeroCopy),
-            "adaptive" => Some(TransferMode::Adaptive),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TransferMode::Unified => "demand",
-            TransferMode::UnifiedPrefetch => "prefetch",
-            TransferMode::ExplicitCopy => "explicit",
-            TransferMode::ZeroCopy => "zerocopy",
-            TransferMode::Adaptive => "adaptive",
-        }
-    }
-
-    /// Whether graph topology lives in explicit device allocations (the
-    /// footprint accounting serve admission keys on). Every other mode keeps
-    /// topology host-backed.
-    pub fn topology_is_explicit(self) -> bool {
-        matches!(self, TransferMode::ExplicitCopy)
-    }
-
-    /// Whether kernels read topology from pinned host memory over the
-    /// interconnect, so it never occupies device memory at all.
-    pub fn topology_is_zero_copy(self) -> bool {
-        matches!(self, TransferMode::ZeroCopy)
-    }
-}
+/// Defined in eta-mem, which is the one place that decides what a mode
+/// does: every region records the mode it was placed under (see
+/// [`eta_mem::system`]).
+pub use eta_mem::TransferMode;
 
 /// Where the Unified Degree Cut transformation runs (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,21 +200,5 @@ mod tests {
         assert_eq!(EtaConfig::adaptive().transfer, TransferMode::Adaptive);
         assert_eq!(EtaConfig::zero_copy().transfer, TransferMode::ZeroCopy);
         assert_eq!(EtaConfig::default().k, 16);
-    }
-
-    #[test]
-    fn transfer_mode_parse_roundtrip() {
-        for m in [
-            TransferMode::Unified,
-            TransferMode::UnifiedPrefetch,
-            TransferMode::ExplicitCopy,
-            TransferMode::ZeroCopy,
-            TransferMode::Adaptive,
-        ] {
-            assert_eq!(TransferMode::parse(m.as_str()), Some(m));
-            assert_eq!(m.topology_is_explicit(), m == TransferMode::ExplicitCopy);
-        }
-        assert_eq!(TransferMode::parse("um"), None);
-        assert_eq!(TransferMode::parse(""), None);
     }
 }

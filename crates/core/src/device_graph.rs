@@ -5,6 +5,10 @@
 //! as the traversal touches them, while the baselines (and the "w/o UM"
 //! ablation) must explicitly allocate and copy everything upfront —
 //! potentially running out of device memory.
+//!
+//! What a mode *does* is eta-mem's decision: each array is placed by
+//! [`eta_mem::MemSystem::place`] and its region records the mode, so
+//! release and prefetch just ask eta-mem to follow the placement.
 
 use crate::config::TransferMode;
 use eta_graph::Csr;
@@ -20,93 +24,78 @@ pub struct DeviceGraph {
     pub row_offsets: DSlice,
     pub col_idx: DSlice,
     pub weights: Option<DSlice>,
-    pub mode: TransferMode,
 }
 
 impl DeviceGraph {
     /// Places `csr` on `dev` under `mode`, starting transfers at `now`.
     ///
     /// Returns the device graph and the time at which *synchronous* setup
-    /// completes. Asynchronous work (UM prefetch) is scheduled but not
-    /// waited for — kernels stall on page arrival instead, which is exactly
-    /// the overlap the paper exploits.
+    /// completes. Asynchronous work (UM prefetch, issued by the engine after
+    /// the label copies — see [`DeviceGraph::prefetch`]) is not waited for:
+    /// kernels stall on page arrival instead, which is exactly the overlap
+    /// the paper exploits.
     pub fn upload(
         dev: &mut Device,
         csr: &Csr,
         mode: TransferMode,
         now: Ns,
     ) -> Result<(DeviceGraph, Ns), MemError> {
-        // One array at a time: allocate by mode, then fill. Explicit
-        // copies chain on the link; host-backed data (unified, zero-copy)
-        // starts on the host at no transfer cost — that is the whole point.
-        // `cudaMemPrefetchAsync` is issued by the engine after the label
-        // initialization copies, matching Procedure 1's statement order
-        // (see [`DeviceGraph::prefetch`]).
         let n = csr.n() as u32;
         let m = csr.m() as u32;
-        let mut end = now;
-        let mut place = |data: &[u32]| -> Result<DSlice, MemError> {
-            let len = data.len().max(1) as u64;
-            if mode.topology_is_explicit() {
-                let slice = dev.mem.alloc_explicit(len)?;
-                end = dev.mem.copy_h2d(slice, 0, data, end);
-                return Ok(slice);
-            }
-            let slice = if mode.topology_is_zero_copy() {
-                dev.mem.alloc_zero_copy(len)
-            } else {
-                dev.mem.alloc_unified(len)
-            };
-            dev.mem.host_write(slice, 0, data);
-            // Adaptive: the per-group policy manager observes the unified
-            // allocation. Every group starts on demand paging; the driver
-            // moves them via `adaptive_tick`.
-            if mode == TransferMode::Adaptive {
-                dev.mem.enable_adaptive(slice);
-            }
-            Ok(slice)
-        };
+        let (row_offsets, now) = dev.mem.place(&csr.row_offsets, mode, now)?;
+        let (col_idx, mut now) = dev.mem.place(&csr.col_idx, mode, now)?;
+        let mut weights = None;
+        if let Some(w) = &csr.weights {
+            let (slice, end) = dev.mem.place(w, mode, now)?;
+            (weights, now) = (Some(slice), end);
+        }
         let graph = DeviceGraph {
             n,
             m,
-            row_offsets: place(&csr.row_offsets)?,
-            col_idx: place(&csr.col_idx)?,
-            weights: csr.weights.as_deref().map(&mut place).transpose()?,
-            mode,
+            row_offsets,
+            col_idx,
+            weights,
         };
-        Ok((graph, end))
+        Ok((graph, now))
     }
 
-    /// Retires the topology from the device: explicit copies return their
-    /// capacity, unified regions drop page residency back to the UM budget,
-    /// zero-copy mappings never held device memory. Used by the serving
-    /// layer's registry eviction.
-    pub fn release(self, dev: &mut Device) {
-        for s in [Some(self.row_offsets), Some(self.col_idx), self.weights]
+    /// Explicit device bytes [`DeviceGraph::upload`] pins for `csr` under
+    /// `mode`: what [`eta_mem::MemSystem::place`] pins for each array.
+    pub fn footprint_bytes(csr: &Csr, mode: TransferMode) -> u64 {
+        [
+            Some(&csr.row_offsets),
+            Some(&csr.col_idx),
+            csr.weights.as_ref(),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|array| mode.pinned_bytes(array.len()))
+        .sum()
+    }
+
+    /// The topology's device arrays: offsets, targets, then weights.
+    pub(crate) fn arrays(&self) -> impl Iterator<Item = DSlice> {
+        [Some(self.row_offsets), Some(self.col_idx), self.weights]
             .into_iter()
             .flatten()
-        {
-            match self.mode {
-                TransferMode::ExplicitCopy => dev.mem.free_explicit(s),
-                TransferMode::Unified | TransferMode::UnifiedPrefetch | TransferMode::Adaptive => {
-                    dev.mem.invalidate_unified(s)
-                }
-                TransferMode::ZeroCopy => {}
-            }
+    }
+
+    /// Retires the topology from the device, each array the way it was
+    /// placed (see [`eta_mem::MemSystem::release`]). Used by the serving
+    /// layer's registry eviction.
+    pub fn release(self, dev: &mut Device) {
+        for s in self.arrays() {
+            dev.mem.release(s);
         }
     }
 
-    /// Issues `cudaMemPrefetchAsync` for the topology arrays (only in
-    /// [`TransferMode::UnifiedPrefetch`]). Asynchronous: the chunks queue on
-    /// the link and pages gain arrival times, but the call returns at `now`.
+    /// Issues `cudaMemPrefetchAsync` for the topology arrays, which streams
+    /// them when they were placed under [`TransferMode::UnifiedPrefetch`]
+    /// and is a no-op otherwise. Asynchronous: the chunks queue on the link
+    /// and pages gain arrival times, but the call returns at `now`.
     pub fn prefetch(&self, dev: &mut Device, now: Ns) {
-        if self.mode != TransferMode::UnifiedPrefetch {
-            return;
-        }
-        dev.mem.prefetch(self.row_offsets, now);
-        dev.mem.prefetch(self.col_idx, now);
-        if let Some(ws) = self.weights {
-            dev.mem.prefetch(ws, now);
+        for s in self.arrays() {
+            dev.mem.prefetch(s, now);
         }
     }
 }
@@ -142,6 +131,29 @@ mod tests {
         let mut tiny = Device::new(GpuConfig::gtx1080ti_scaled(1024));
         let err = DeviceGraph::upload(&mut tiny, &g, TransferMode::ExplicitCopy, 0);
         assert!(matches!(err, Err(MemError::Oom { .. })));
+    }
+
+    #[test]
+    fn upload_pins_exactly_its_footprint() {
+        for g in [
+            small_graph(),
+            Csr::from_edges(1, &[]),
+            rmat(&RmatConfig::paper(6, 200, 1)),
+        ] {
+            for mode in [
+                TransferMode::Unified,
+                TransferMode::UnifiedPrefetch,
+                TransferMode::ExplicitCopy,
+                TransferMode::ZeroCopy,
+                TransferMode::Adaptive,
+            ] {
+                let mut dev = Device::new(GpuConfig::default_preset());
+                let (dg, _) = DeviceGraph::upload(&mut dev, &g, mode, 0).unwrap();
+                let used = dev.mem.explicit_used_bytes();
+                assert_eq!(used, DeviceGraph::footprint_bytes(&g, mode), "{mode:?}");
+                assert_eq!(dev.mem.mode(dg.col_idx.region), mode);
+            }
+        }
     }
 
     #[test]

@@ -60,18 +60,18 @@ impl QueryResources {
     /// Returns every explicit allocation's capacity to the device and drops
     /// unified residency, so another graph can take this one's place (the
     /// serving layer's eviction path). The bump storage itself is not
-    /// reclaimed — see [`eta_mem::system::MemSystem::free_explicit`].
+    /// reclaimed — see [`eta_mem::system::MemSystem::release`].
     pub fn release(self, dev: &mut Device) {
         self.dg.release(dev);
         if let Some(pg) = self.pull {
             pg.release(dev);
         }
-        dev.mem.free_explicit(self.labels);
-        dev.mem.free_explicit(self.tags);
+        dev.mem.release(self.labels);
+        dev.mem.release(self.tags);
         self.queues.release(dev);
         if let Some(t) = self.shadow_table {
             for s in [t.ids, t.starts, t.ends, t.vertex_range] {
-                dev.mem.free_explicit(s);
+                dev.mem.release(s);
             }
         }
     }
@@ -154,6 +154,18 @@ pub fn prepare(
         shadow_table,
     };
     Ok((res, now))
+}
+
+/// Explicit device bytes [`prepare`] allocates for `csr` with in-core UDC
+/// and no pull — the sharded path, which group admission sizes each member
+/// by (pinned exact by `tests/properties.rs`).
+pub fn footprint_bytes(csr: &Csr, cfg: &EtaConfig) -> u64 {
+    // Vertex and edge ids are u32, so the saturations never engage.
+    let n = u32::try_from(csr.n()).unwrap_or(u32::MAX);
+    let full_cap = WorkQueues::full_capacity(u32::try_from(csr.m()).unwrap_or(u32::MAX), cfg.k);
+    DeviceGraph::footprint_bytes(csr, cfg.transfer)
+        + 2 * 4 * u64::from(n)
+        + WorkQueues::footprint_bytes(n, full_cap, n)
 }
 
 /// Runs one traversal on a fresh device state.
@@ -884,22 +896,65 @@ mod tests {
         assert_eq!(r.labels[3], 0);
     }
 
+    /// Touches every sector of `dg`'s arrays, so each paged one holds
+    /// device pages.
+    fn fill(dev: &mut Device, dg: &DeviceGraph) {
+        for s in dg.arrays() {
+            let sectors: Vec<u64> = (s.word_off / 8..=(s.word_off + s.len - 1) / 8).collect();
+            dev.mem.ensure_resident(s.region, &sectors, 0);
+        }
+    }
+
     #[test]
-    fn released_resources_return_their_explicit_capacity() {
-        // The second configuration holds a weighted transposed topology in
-        // explicit memory: all three of its arrays must come back too.
-        let pulling = EtaConfig {
-            transfer: TransferMode::ExplicitCopy,
-            ..EtaConfig::direction_optimizing()
-        };
+    fn released_resources_return_their_capacity_and_residency() {
+        // Under every mode: engine resources holding a weighted transposed
+        // topology and an out-of-core shadow table, batch BFS state beside
+        // a topology of its own, and a PageRank shard — filled, then
+        // released. Explicit capacity and UM residency both come back to
+        // where they were before the first upload.
+        use crate::multi_bfs::MultiBfsResources;
+        use crate::pagerank::RankShard;
         let g = test_graph();
-        for cfg in [EtaConfig::out_of_core(), pulling] {
+        for transfer in [
+            TransferMode::UnifiedPrefetch,
+            TransferMode::Unified,
+            TransferMode::ExplicitCopy,
+            TransferMode::ZeroCopy,
+            TransferMode::Adaptive,
+        ] {
+            let cfg = EtaConfig {
+                transfer,
+                udc: UdcMode::OutOfCore,
+                ..EtaConfig::direction_optimizing()
+            };
             let mut dev = device();
-            let before = dev.mem.explicit_used_bytes();
+            let before = (dev.mem.explicit_used_bytes(), dev.mem.um.resident_bytes());
             let (res, _) = prepare(&mut dev, &g, &cfg, true).unwrap();
-            assert!(dev.mem.explicit_used_bytes() > before);
+            assert!(res.shadow_table.is_some());
+            let pull = res.pull.expect("direction-optimizing BFS pulls");
+            fill(&mut dev, &res.dg);
+            fill(&mut dev, &pull);
+            let (dg, _) = DeviceGraph::upload(&mut dev, &g, transfer, 0).unwrap();
+            let multi = MultiBfsResources::alloc(&mut dev, &g, &cfg).unwrap();
+            fill(&mut dev, &dg);
+            let (shard, _) = RankShard::alloc(&mut dev, &g, &cfg).unwrap();
+            fill(&mut dev, &shard.dg);
+            assert!(dev.mem.explicit_used_bytes() > before.0);
+            let paged = !matches!(
+                transfer,
+                TransferMode::ExplicitCopy | TransferMode::ZeroCopy
+            );
+            assert_eq!(
+                dev.mem.um.resident_bytes() > before.1,
+                paged,
+                "{transfer:?}"
+            );
             res.release(&mut dev);
-            assert_eq!(dev.mem.explicit_used_bytes(), before);
+            dg.release(&mut dev);
+            multi.release(&mut dev);
+            shard.release(&mut dev);
+            let after = (dev.mem.explicit_used_bytes(), dev.mem.um.resident_bytes());
+            assert_eq!(after, before, "{transfer:?}");
         }
     }
 

@@ -75,22 +75,15 @@ impl MultiBfsResources {
     /// kept in sync with it so admission control can test a footprint
     /// before committing device memory.
     pub fn footprint_bytes(csr: &Csr, cfg: &EtaConfig) -> u64 {
-        let n = csr.n() as u64;
-        let queue = |cap: u64| cap.max(1) + 1; // items + count
-        let vqueue = |cap: u64| 3 * cap.max(1) + 1; // ids/starts/ends + count
-        let words = 3 * n
-            + n * MAX_BATCH as u64
-            + queue(n)
-            + queue(n)
-            + vqueue(Self::full_cap(csr, cfg) as u64)
-            + vqueue(n);
-        words * 4
+        let n = u32::try_from(csr.n()).unwrap_or(u32::MAX);
+        let masks_and_levels = 4 * u64::from(n) * (3 + MAX_BATCH as u64);
+        masks_and_levels + WorkQueues::footprint_bytes(n, Self::full_cap(csr, cfg), n)
     }
 
     /// Returns every allocation's capacity to the device (eviction path).
     pub fn release(self, dev: &mut Device) {
         for s in [self.fresh, self.joint, self.next_fresh, self.levels] {
-            dev.mem.free_explicit(s);
+            dev.mem.release(s);
         }
         self.queues.release(dev);
     }

@@ -359,7 +359,7 @@ pub fn run_ckpt(
 /// One group member's device state: its share of the topology, the three
 /// per-vertex arrays (halo rows included) and the static shadow queue.
 pub(crate) struct RankShard {
-    dg: DeviceGraph,
+    pub(crate) dg: DeviceGraph,
     ranks: DSlice,
     next_ranks: DSlice,
     contrib: DSlice,
@@ -388,7 +388,7 @@ impl RankShard {
     pub fn release(self, dev: &mut Device) {
         self.dg.release(dev);
         for s in [self.ranks, self.next_ranks, self.contrib] {
-            dev.mem.free_explicit(s);
+            dev.mem.release(s);
         }
         self.queue.release(dev);
     }

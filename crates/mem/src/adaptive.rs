@@ -190,10 +190,6 @@ impl AdaptiveRegion {
         }
     }
 
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Records one sector touch on `page` (called per coalesced sector).
     #[inline]
     pub fn note_sector(&mut self, page: usize) {
@@ -323,16 +319,6 @@ impl AdaptiveRegion {
         }
         c
     }
-
-    /// The current per-group backend labels, for determinism checks.
-    pub fn choices(&self) -> Vec<TransferChoice> {
-        self.groups.iter().map(|g| g.choice).collect()
-    }
-}
-
-/// Bytes of one page group (the last group of a region may be shorter).
-pub fn group_bytes(first_page: usize, last_page: usize) -> u64 {
-    (last_page - first_page + 1) as u64 * PAGE_BYTES
 }
 
 #[cfg(test)]
@@ -348,7 +334,6 @@ mod tests {
     #[test]
     fn groups_start_on_demand() {
         let r = AdaptiveRegion::new(0, 64);
-        assert_eq!(r.n_groups(), 4);
         assert_eq!(r.group_counts(), (4, 0, 0));
         assert_eq!(r.choice_for_page(0), TransferChoice::Demand);
     }
@@ -506,19 +491,19 @@ mod tests {
                 }
                 r.tick(0);
             }
-            r.choices()
+            let d = r.tick(0);
+            d.iter().map(|g| g.choice).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn short_tail_group_bounds() {
-        let r = AdaptiveRegion::new(0, 20); // 16 + 4 pages
-        assert_eq!(r.n_groups(), 2);
-        let mut r2 = AdaptiveRegion::new(0, 20);
-        let d = r2.tick(0);
-        assert_eq!(d[1].first_page, 16);
-        assert_eq!(d[1].last_page, 19);
-        assert_eq!(group_bytes(d[1].first_page, d[1].last_page), 4 * PAGE_BYTES);
+        let mut r = AdaptiveRegion::new(0, 20); // 16 + 4 pages
+        assert_eq!(r.group_counts(), (2, 0, 0));
+        let d = r.tick(0);
+        assert_eq!(d.len(), 2);
+        assert_eq!((d[0].first_page, d[0].last_page), (0, 15));
+        assert_eq!((d[1].first_page, d[1].last_page), (16, 19));
     }
 }

@@ -6,8 +6,9 @@
 //! This crate models each of those mechanisms explicitly:
 //!
 //! * [`system::MemSystem`] — a single device-visible address space of `u32`
-//!   words with a bump allocator, explicit (cudaMalloc-style) regions,
-//!   unified-memory regions and zero-copy regions.
+//!   words with a bump allocator whose regions each record the
+//!   [`TransferMode`] they were placed under — explicit (cudaMalloc-style),
+//!   unified (demand or prefetch), adaptive or zero-copy — and behave by it.
 //! * [`cache::Cache`] — set-associative cache with LRU replacement and
 //!   *interleave-aware aging* (see the module docs) used for per-SM L1 and
 //!   the device-wide L2.
@@ -53,7 +54,7 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{sectors_for_warp, SECTOR_BYTES, WORD_BYTES};
 pub use pcie::PcieLink;
 pub use peer::{PeerFabric, PeerLink, PeerLinkCfg, PeerTransfer};
-pub use system::{DSlice, MemError, MemSystem, RegionId, RegionKind};
+pub use system::{DSlice, MemError, MemSystem, RegionId, TransferMode};
 pub use timeline::{Span, SpanKind, Timeline};
 pub use um::PAGE_BYTES;
 

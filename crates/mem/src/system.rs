@@ -1,32 +1,87 @@
-//! The device-visible memory system: one word-addressed address space with
-//! explicit, unified and zero-copy regions, plus the PCIe link and UM driver.
+//! The device-visible memory system: one word-addressed address space whose
+//! regions each record the [`TransferMode`] they were placed under (by
+//! [`MemSystem::place`], the one placement path), plus the PCIe link and the
+//! UM driver. Release, prefetch and routing ask the region, not the caller.
 //!
-//! Frameworks allocate through this facade; an explicit allocation that does
-//! not fit in device memory fails with [`MemError::Oom`], which is how the
-//! O.O.M entries of the paper's Table III are reproduced (each baseline's
-//! *actual* footprint is allocated, not estimated). Unified allocations are
-//! host-backed and never fail; their device residency is managed by
-//! [`crate::um::UmDriver`].
+//! An explicit allocation that does not fit fails with [`MemError::Oom`] —
+//! the O.O.M entries of the paper's Table III (each baseline's *actual*
+//! footprint is allocated, not estimated). Host-backed allocations never
+//! fail; their residency is managed by [`crate::um::UmDriver`]. Regions and
+//! allocation live here, residency and routing in `residency`, the
+//! host-side copy paths in `host`.
 
-use crate::adaptive::{AdaptiveRegion, GroupDecision, TransferChoice};
+mod host;
+mod residency;
+
+use crate::adaptive::AdaptiveRegion;
 use crate::pcie::PcieLink;
 use crate::timeline::{Span, SpanKind};
 use crate::um::{UmDriver, UmRegion, PAGE_BYTES, PAGE_WORDS};
 use crate::Ns;
-use eta_fault::{DeviceFault, DeviceFaultState, FaultKind, FaultPlan};
+use eta_fault::{DeviceFaultState, FaultPlan};
 use eta_prof::{ArgValue, Profiler, Track};
-use std::collections::BTreeMap;
+use host::InitShadow;
 
-/// How a region behaves with respect to device residency.
+/// How a region's bytes reach the device (§IV-B and the Fig. 6 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionKind {
-    /// `cudaMalloc`-style: always resident, counts against capacity.
-    Explicit,
-    /// CUDA Unified Memory: host-backed, pages migrate on demand.
-    Unified { um_index: usize },
-    /// Pinned host memory mapped into the device: never resident, every
-    /// access crosses the interconnect.
+pub enum TransferMode {
+    /// Unified Memory with demand paging ("EtaGraph w/o UMP").
+    Unified,
+    /// Unified Memory plus `cudaMemPrefetchAsync` at start ("EtaGraph").
+    UnifiedPrefetch,
+    /// `cudaMalloc` + upfront `cudaMemcpy` ("w/o UM"); can go out of memory.
+    ExplicitCopy,
+    /// Pinned host memory mapped into the device; every access crosses the
+    /// interconnect (§IV-B discusses this alternative).
     ZeroCopy,
+    /// HyTGraph-style hybrid: unified allocation whose 64 KiB page groups
+    /// are each served by demand paging, prefetch, or zero-copy, re-decided
+    /// every iteration from observed access density (see
+    /// [`crate::adaptive`]). Labels are byte-identical to every static mode
+    /// — only timing differs.
+    Adaptive,
+}
+
+impl TransferMode {
+    /// CLI spelling (`--transfer {demand,prefetch,explicit,zerocopy,adaptive}`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "demand" => Some(TransferMode::Unified),
+            "prefetch" => Some(TransferMode::UnifiedPrefetch),
+            "explicit" => Some(TransferMode::ExplicitCopy),
+            "zerocopy" => Some(TransferMode::ZeroCopy),
+            "adaptive" => Some(TransferMode::Adaptive),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TransferMode::Unified => "demand",
+            TransferMode::UnifiedPrefetch => "prefetch",
+            TransferMode::ExplicitCopy => "explicit",
+            TransferMode::ZeroCopy => "zerocopy",
+            TransferMode::Adaptive => "adaptive",
+        }
+    }
+
+    /// Whether data placed under this mode lives in explicit device
+    /// allocations. Every other mode keeps it host-backed.
+    pub fn topology_is_explicit(self) -> bool {
+        matches!(self, TransferMode::ExplicitCopy)
+    }
+
+    /// Device bytes [`MemSystem::place`] pins for `words` words under this
+    /// mode: the explicit allocation, one word at least, or nothing for a
+    /// host-backed mode (paged data competes for the UM budget that is left,
+    /// and a zero-copy mapping never occupies device memory).
+    pub fn pinned_bytes(self, words: usize) -> u64 {
+        if self.topology_is_explicit() {
+            words.max(1) as u64 * 4
+        } else {
+            0
+        }
+    }
 }
 
 /// Identifies a region within a [`MemSystem`].
@@ -105,53 +160,39 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-#[derive(Debug, Clone)]
+/// One allocation: where it sits in the word space and how it was placed.
+#[derive(Debug)]
 struct Region {
-    kind: RegionKind,
     start_word: u64,
     len_words: u64,
+    placed: Placed,
 }
 
-/// Per-word initialization bitmap: the memcheck shadow state.
-///
-/// One bit per device word, grown lazily. A word becomes initialized when
-/// the host writes it (`host_write`/`host_fill`/`copy_h2d`) or a kernel
-/// stores to it (`set_word`); allocation alone does not initialize — the
-/// backing `Vec` is zeroed, but reading that zero is exactly the bug class
-/// `compute-sanitizer --tool initcheck` exists to catch.
-#[derive(Debug, Default)]
-struct InitShadow {
-    bits: Vec<u64>,
+/// A region's [`TransferMode`] together with the state that mode needs.
+#[derive(Debug)]
+enum Placed {
+    /// Device memory: always resident, counts against capacity.
+    Explicit,
+    /// Pinned host memory: never resident, every access crosses the link.
+    ZeroCopy,
+    /// UM driver region `um_index`, demand paged (and streamed by
+    /// [`MemSystem::prefetch`] when placed for `prefetch`).
+    Paged { um_index: usize, prefetch: bool },
+    /// UM pages routed per page group by the region's own policy.
+    Adaptive(AdaptiveRegion),
 }
 
-impl InitShadow {
-    #[inline]
-    fn mark(&mut self, addr: u64) {
-        let w = (addr / 64) as usize;
-        if w >= self.bits.len() {
-            self.bits.resize(w + 1, 0);
+impl Placed {
+    fn mode(&self) -> TransferMode {
+        match self {
+            Placed::Explicit => TransferMode::ExplicitCopy,
+            Placed::ZeroCopy => TransferMode::ZeroCopy,
+            Placed::Paged {
+                prefetch: false, ..
+            } => TransferMode::Unified,
+            Placed::Paged { prefetch: true, .. } => TransferMode::UnifiedPrefetch,
+            Placed::Adaptive(_) => TransferMode::Adaptive,
         }
-        self.bits[w] |= 1 << (addr % 64);
-    }
-
-    fn mark_range(&mut self, start: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let end = start + len - 1;
-        let last_word = (end / 64) as usize;
-        if last_word >= self.bits.len() {
-            self.bits.resize(last_word + 1, 0);
-        }
-        for addr in start..=end {
-            self.bits[(addr / 64) as usize] |= 1 << (addr % 64);
-        }
-    }
-
-    #[inline]
-    fn is_init(&self, addr: u64) -> bool {
-        let w = (addr / 64) as usize;
-        w < self.bits.len() && (self.bits[w] >> (addr % 64)) & 1 == 1
     }
 }
 
@@ -163,18 +204,14 @@ pub struct MemSystem {
     words: Vec<u32>,
     capacity_bytes: u64,
     explicit_used: u64,
+    /// Every allocation in id order — the order every policy walk takes,
+    /// so adaptive decisions are deterministic.
     regions: Vec<Region>,
     pub pcie: PcieLink,
     pub um: UmDriver,
     /// Bytes accessed through zero-copy regions or adaptive zero-copy page
     /// groups (always cross the link).
     pub zero_copy_bytes: u64,
-    /// Per-region adaptive transfer policy state; empty unless
-    /// [`MemSystem::enable_adaptive`] was called, in which case unified
-    /// accesses are partitioned between demand paging and zero-copy per
-    /// page group. A `BTreeMap` so every policy walk is in region order —
-    /// decisions must be deterministic.
-    adaptive: BTreeMap<RegionId, AdaptiveRegion>,
     /// Scratch: the page indices of the warp access being resolved.
     page_scratch: Vec<usize>,
     /// Memcheck shadow state; `None` unless a sanitizer enabled it.
@@ -197,7 +234,6 @@ impl MemSystem {
             pcie,
             um: UmDriver::new(),
             zero_copy_bytes: 0,
-            adaptive: BTreeMap::new(),
             page_scratch: Vec::new(),
             shadow: None,
             prof: Profiler::off(),
@@ -238,28 +274,6 @@ impl MemSystem {
         }
     }
 
-    /// Turns on per-word initialization tracking. Call before any data is
-    /// written: words written earlier are treated as uninitialized.
-    pub fn enable_init_tracking(&mut self) {
-        if self.shadow.is_none() {
-            self.shadow = Some(InitShadow::default());
-        }
-    }
-
-    pub fn init_tracking_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// Whether `addr` has been written since tracking was enabled. Always
-    /// `true` when tracking is off, so callers need no mode check.
-    #[inline]
-    pub fn is_word_init(&self, addr: u64) -> bool {
-        match &self.shadow {
-            Some(s) => s.is_init(addr),
-            None => true,
-        }
-    }
-
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
     }
@@ -268,20 +282,49 @@ impl MemSystem {
         self.explicit_used
     }
 
-    /// Device bytes left for explicit allocations.
+    /// Device bytes no explicit allocation holds: what is left for
+    /// explicit allocations and, as its budget, for UM residency.
     pub fn free_bytes(&self) -> u64 {
         self.capacity_bytes.saturating_sub(self.explicit_used)
     }
 
-    /// Device budget available to UM residency.
-    pub fn um_budget_bytes(&self) -> u64 {
-        self.capacity_bytes.saturating_sub(self.explicit_used)
+    /// The transfer mode `region` was placed under.
+    pub fn mode(&self, region: RegionId) -> TransferMode {
+        self.regions[region].placed.mode()
     }
 
-    fn bump(&mut self, len_words: u64, align_words: u64) -> u64 {
-        let start = (self.words.len() as u64).div_ceil(align_words) * align_words;
-        self.words.resize((start + len_words) as usize, 0);
-        start
+    /// Records a region of `len_words` placed under `mode`, page aligned if
+    /// paged, else sector aligned. [`MemSystem::alloc_explicit`] charges
+    /// explicit capacity first.
+    fn alloc(&mut self, len_words: u64, mode: TransferMode) -> DSlice {
+        let paged = !matches!(mode, TransferMode::ExplicitCopy | TransferMode::ZeroCopy);
+        let align = if paged { PAGE_WORDS } else { 8 };
+        let start_word = (self.words.len() as u64).div_ceil(align) * align;
+        self.words.resize((start_word + len_words) as usize, 0);
+        let placed = match mode {
+            TransferMode::ExplicitCopy => Placed::Explicit,
+            TransferMode::ZeroCopy => Placed::ZeroCopy,
+            TransferMode::Unified | TransferMode::UnifiedPrefetch | TransferMode::Adaptive => {
+                Placed::Paged {
+                    um_index: self.um.add_region(UmRegion::new(start_word, len_words)),
+                    prefetch: mode == TransferMode::UnifiedPrefetch,
+                }
+            }
+        };
+        self.regions.push(Region {
+            start_word,
+            len_words,
+            placed,
+        });
+        let slice = DSlice {
+            region: self.regions.len() - 1,
+            word_off: start_word,
+            len: len_words,
+        };
+        if mode == TransferMode::Adaptive {
+            self.enable_adaptive(slice);
+        }
+        slice
     }
 
     /// `cudaMalloc` analog: fails when the device is full.
@@ -294,418 +337,64 @@ impl MemSystem {
             });
         }
         self.explicit_used += bytes;
-        let start = self.bump(len_words, 8); // sector aligned
-        self.regions.push(Region {
-            kind: RegionKind::Explicit,
-            start_word: start,
-            len_words,
-        });
-        Ok(DSlice {
-            region: self.regions.len() - 1,
-            word_off: start,
-            len: len_words,
-        })
+        Ok(self.alloc(len_words, TransferMode::ExplicitCopy))
     }
 
     /// `cudaMallocManaged` analog: host-backed, page-aligned, never fails.
     pub fn alloc_unified(&mut self, len_words: u64) -> DSlice {
-        let start = self.bump(len_words, PAGE_WORDS);
-        let um_index = self.um.add_region(UmRegion::new(start, len_words));
-        self.regions.push(Region {
-            kind: RegionKind::Unified { um_index },
-            start_word: start,
-            len_words,
-        });
-        DSlice {
-            region: self.regions.len() - 1,
-            word_off: start,
-            len: len_words,
-        }
+        self.alloc(len_words, TransferMode::Unified)
     }
 
-    /// Pinned zero-copy host allocation mapped into the device.
-    pub fn alloc_zero_copy(&mut self, len_words: u64) -> DSlice {
-        let start = self.bump(len_words, 8);
-        self.regions.push(Region {
-            kind: RegionKind::ZeroCopy,
-            start_word: start,
-            len_words,
-        });
-        DSlice {
-            region: self.regions.len() - 1,
-            word_off: start,
-            len: len_words,
-        }
-    }
-
-    pub fn region_kind(&self, id: RegionId) -> RegionKind {
-        self.regions[id].kind
-    }
-
-    /// Frees an explicit region's capacity (bump storage is not reclaimed —
-    /// experiments construct a fresh `MemSystem` per run).
-    pub fn free_explicit(&mut self, slice: DSlice) {
-        if let RegionKind::Explicit = self.regions[slice.region].kind {
-            self.explicit_used = self
-                .explicit_used
-                .saturating_sub(self.regions[slice.region].len_words * 4);
-        }
-    }
-
-    /// Retires a unified region: drops its page residency so the bytes
-    /// return to the UM budget. No-op for explicit and zero-copy regions
-    /// (free those with [`MemSystem::free_explicit`]).
-    pub fn invalidate_unified(&mut self, slice: DSlice) {
-        if let RegionKind::Unified { um_index } = self.regions[slice.region].kind {
-            self.um.invalidate_region(um_index);
-        }
-    }
-
-    // ---- adaptive transfer policy ----------------------------------------
-
-    /// Puts a unified region under the adaptive transfer policy: its page
-    /// groups start on demand paging and migrate between demand, prefetch
-    /// and zero-copy as [`MemSystem::adaptive_tick`] observes their access
-    /// density. No-op for explicit and zero-copy regions.
-    pub fn enable_adaptive(&mut self, slice: DSlice) {
-        if let RegionKind::Unified { um_index } = self.regions[slice.region].kind {
-            let n_pages = self.um.region(um_index).n_pages();
-            self.adaptive
-                .insert(slice.region, AdaptiveRegion::new(um_index, n_pages));
-        }
-    }
-
-    pub fn region_is_adaptive(&self, region: RegionId) -> bool {
-        self.adaptive.contains_key(&region)
-    }
-
-    /// Whether an access to `sector` of `region` is currently served
-    /// zero-copy (the warp model charges per-sector link latency for these
-    /// instead of consulting the cache hierarchy). Only non-resident pages
-    /// of a zero-copy group route over the link: pages migrated before the
-    /// group switched keep serving locally until evicted.
-    pub fn sector_zero_copy(&self, region: RegionId, sector: u64) -> bool {
-        match self.adaptive.get(&region) {
-            Some(ar) => {
-                let start_word = self.regions[region].start_word;
-                let p = ((sector * 8).saturating_sub(start_word) / PAGE_WORDS) as usize;
-                ar.choice_for_page(p) == TransferChoice::ZeroCopy
-                    && !self.um.region(ar.um_index).page_resident(p)
-            }
-            None => false,
-        }
-    }
-
-    /// Group counts `(demand, prefetch, zero_copy)` for an adaptive region,
-    /// or `None` if the region is not adaptive. Read by the transfer report.
-    pub fn adaptive_group_counts(&self, region: RegionId) -> Option<(u64, u64, u64)> {
-        self.adaptive.get(&region).map(|ar| ar.group_counts())
-    }
-
-    /// Device-wide adaptive totals `(demand, prefetch, zero_copy,
-    /// escalated_regions)` summed over every adaptive region; `None` when
-    /// the policy is not in use. The transfer report prints these so the
-    /// decision mix behind each timing is visible.
-    pub fn adaptive_totals(&self) -> Option<(u64, u64, u64, u64)> {
-        if self.adaptive.is_empty() {
-            return None;
-        }
-        let mut t = (0u64, 0u64, 0u64, 0u64);
-        for ar in self.adaptive.values() {
-            let (d, p, z) = ar.group_counts();
-            t.0 += d;
-            t.1 += p;
-            t.2 += z;
-            t.3 += u64::from(ar.is_escalated());
-        }
-        Some(t)
-    }
-
-    /// Iteration boundary for the adaptive policy: folds this iteration's
-    /// density observations into per-group backend decisions (with
-    /// hysteresis) and applies the transitions — prefetch groups are
-    /// (re)streamed, zero-copy groups simply stop acquiring residency (their
-    /// already-migrated pages keep serving locally until the LRU reclaims
-    /// them). `upcoming_bytes` is the engine's announcement of the coming
-    /// iteration's read volume (its frontier's out-edges in bytes, `0` when
-    /// unknown) — a large announcement escalates regions to streaming
-    /// before the wave (see [`crate::adaptive`]). Returns the completion
-    /// time of the latest transfer issued, `now` when nothing moved. With
-    /// no adaptive regions this is a no-op, byte-identical to not calling
-    /// it.
-    pub fn adaptive_tick(&mut self, now: Ns, upcoming_bytes: u64) -> Ns {
-        if self.adaptive.is_empty() {
-            return now;
-        }
-        let budget = self.capacity_bytes.saturating_sub(self.explicit_used);
-        let mut end = now;
-        // Decisions are collected first: applying them borrows `self.um`
-        // and `self.pcie`, which the policy map borrow would otherwise pin.
-        let ticked: Vec<(usize, Vec<GroupDecision>)> = self
-            .adaptive
-            .values_mut()
-            .map(|ar| (ar.um_index, ar.tick(upcoming_bytes)))
-            .collect();
-        for (um_index, decisions) in ticked {
-            // Adjacent prefetch groups coalesce into maximal page runs, so
-            // an escalated region streams like `cudaMemPrefetchAsync`
-            // (2 MiB chunks) instead of one transfer per 64 KiB group.
-            // Demand and zero-copy decisions need no device work: demand
-            // groups fault as before, zero-copy groups stop acquiring
-            // residency from here on.
-            let mut runs: Vec<(usize, usize)> = Vec::new();
-            for d in decisions {
-                if d.choice == TransferChoice::Prefetch {
-                    match runs.last_mut() {
-                        Some((_, last)) if *last + 1 == d.first_page => *last = d.last_page,
-                        _ => runs.push((d.first_page, d.last_page)),
-                    }
-                }
-            }
-            for (first_page, last_page) in runs {
-                // Called every tick: a fully resident run costs nothing
-                // (no span), an evicted group inside it is healed.
-                let mark = self.pcie.timeline.spans().len();
-                let e = self.um.prefetch_range(
-                    um_index,
-                    first_page,
-                    last_page,
-                    now,
-                    budget,
-                    &mut self.pcie,
-                );
-                self.prof_link_spans(mark);
-                end = end.max(e);
-            }
-        }
-        end
-    }
-
-    /// Records one kernel launch's aggregate zero-copy traffic as a
-    /// [`SpanKind::ZeroCopyRead`] span on the link: zero-copy reads are not
-    /// free bandwidth — they occupy the same interconnect as migrations, at
-    /// full wire rate (no pageable staging, no fault service). Returns the
-    /// span's end time; `now` when no bytes moved.
-    pub fn charge_zero_copy(&mut self, bytes: u64, now: Ns) -> Ns {
-        if bytes == 0 {
-            return now;
-        }
-        let mark = self.pcie.timeline.spans().len();
-        let (_, end) = self.pcie.transfer(SpanKind::ZeroCopyRead, bytes, now);
-        self.prof_link_spans(mark);
-        end
-    }
-
-    // ---- host-side data access (no timing) -------------------------------
-
-    /// Host write without transfer cost (dataset construction before timing).
-    pub fn host_write(&mut self, slice: DSlice, offset: u64, data: &[u32]) {
-        assert!(offset + data.len() as u64 <= slice.len, "host_write OOB");
-        let start = (slice.word_off + offset) as usize;
-        self.words[start..start + data.len()].copy_from_slice(data);
-        if let Some(shadow) = &mut self.shadow {
-            shadow.mark_range(slice.word_off + offset, data.len() as u64);
-        }
-    }
-
-    pub fn host_read(&self, slice: DSlice, offset: u64, len: u64) -> &[u32] {
-        assert!(offset + len <= slice.len, "host_read OOB");
-        let start = (slice.word_off + offset) as usize;
-        &self.words[start..start + len as usize]
-    }
-
-    /// Host fill (label initialization etc.), no transfer cost.
-    pub fn host_fill(&mut self, slice: DSlice, value: u32) {
-        let start = slice.word_off as usize;
-        self.words[start..start + slice.len as usize].fill(value);
-        if let Some(shadow) = &mut self.shadow {
-            shadow.mark_range(slice.word_off, slice.len);
-        }
-    }
-
-    // ---- timed transfers ---------------------------------------------------
-
-    /// Explicit host→device copy: writes the data and occupies the link.
-    pub fn copy_h2d(&mut self, slice: DSlice, offset: u64, data: &[u32], now: Ns) -> Ns {
-        self.host_write(slice, offset, data);
-        let mark = self.pcie.timeline.spans().len();
-        let (_, end) = self
-            .pcie
-            .transfer(SpanKind::CopyH2D, data.len() as u64 * 4, now);
-        self.prof_link_spans(mark);
-        end
-    }
-
-    /// Explicit device→host copy of `len` words (results readback).
-    pub fn copy_d2h(&mut self, _slice: DSlice, len: u64, now: Ns) -> Ns {
-        let mark = self.pcie.timeline.spans().len();
-        let (_, end) = self.pcie.transfer(SpanKind::CopyD2H, len * 4, now);
-        self.prof_link_spans(mark);
-        end
-    }
-
-    /// `cudaMemPrefetchAsync` analog for a unified region.
-    pub fn prefetch(&mut self, slice: DSlice, now: Ns) -> Ns {
-        match self.regions[slice.region].kind {
-            RegionKind::Unified { um_index } => {
-                let budget = self.capacity_bytes.saturating_sub(self.explicit_used);
-                let mark = self.pcie.timeline.spans().len();
-                let end = self.um.prefetch(um_index, now, budget, &mut self.pcie);
-                self.prof_link_spans(mark);
-                end
-            }
-            _ => now,
-        }
-    }
-
-    // ---- kernel access path ------------------------------------------------
-
-    /// Raw word load (functional value).
-    #[inline]
-    pub fn word(&self, addr: u64) -> u32 {
-        self.words[addr as usize]
-    }
-
-    /// Raw word store (functional value).
-    #[inline]
-    pub fn set_word(&mut self, addr: u64, value: u32) {
-        self.words[addr as usize] = value;
-        if let Some(shadow) = &mut self.shadow {
-            shadow.mark(addr);
-        }
-    }
-
-    /// Residency handling for a warp access: given the unique sectors the
-    /// coalescer produced for `region`, migrate any missing UM pages and
-    /// return the latest data-arrival time (`now` when all resident).
-    ///
-    /// Zero-copy accesses return `now` but count their traffic; the caller
-    /// charges per-sector link latency instead.
-    pub fn ensure_resident(&mut self, region: RegionId, sectors: &[u64], now: Ns) -> Ns {
-        match self.regions[region].kind {
-            RegionKind::Explicit => now,
-            RegionKind::ZeroCopy => {
-                self.zero_copy_bytes += sectors.len() as u64 * 32;
-                now
-            }
-            RegionKind::Unified { um_index } => {
-                let start_word = self.regions[region].start_word;
-                // sectors are sorted; map to sorted page indices. Under the
-                // adaptive policy, sectors landing in zero-copy groups skip
-                // page migration entirely: they are counted as zero-copy
-                // traffic (the launch charges them as one ZeroCopyRead span)
-                // while every sector still feeds the density estimator.
-                let pages = &mut self.page_scratch;
-                pages.clear();
-                let mut zc_sectors = 0u64;
-                if let Some(ar) = self.adaptive.get_mut(&region) {
-                    let um_region = self.um.region(ar.um_index);
-                    for &s in sectors {
-                        let p = ((s * 8).saturating_sub(start_word) / PAGE_WORDS) as usize;
-                        ar.note_sector(p);
-                        if ar.choice_for_page(p) == TransferChoice::ZeroCopy
-                            && !um_region.page_resident(p)
-                        {
-                            zc_sectors += 1;
-                        } else {
-                            pages.push(p);
-                        }
-                    }
-                    self.zero_copy_bytes += zc_sectors * 32;
-                } else {
-                    pages.extend(
-                        sectors
-                            .iter()
-                            .map(|&s| ((s * 8).saturating_sub(start_word) / PAGE_WORDS) as usize),
-                    );
-                }
-                pages.dedup();
-                if pages.is_empty() && zc_sectors > 0 {
-                    // Whole access served zero-copy: no residency work.
-                    return now;
-                }
-                let budget = self.capacity_bytes.saturating_sub(self.explicit_used);
-                let mark = self.pcie.timeline.spans().len();
-                let mut end = self
-                    .um
-                    .touch_pages(um_index, pages, now, budget, &mut self.pcie);
-                self.prof_link_spans(mark);
-                // Fault injection applies to *demand* migrations only (a
-                // prefetch is driver-paced and retries internally). A touch
-                // that migrated nothing stays untouched, so the no-fault
-                // timing path is byte-identical.
-                if self.faults.active
-                    && self.pcie.timeline.spans()[mark..]
-                        .iter()
-                        .any(|s| s.kind == SpanKind::Migration)
-                {
-                    let extra = self.faults.storm_extra(now);
-                    if extra > 0 {
-                        self.faults.counters.storms += 1;
-                        end += extra;
-                        self.prof.instant(
-                            Track::Fault,
-                            "um_storm",
-                            end,
-                            vec![("extra_ns", extra.into())],
-                        );
-                    }
-                    if self.faults.migration_fail(now).is_some() && !self.faults.has_pending() {
-                        self.faults.counters.um_failures += 1;
-                        let device = self.faults.device();
-                        self.faults.set_pending(DeviceFault {
-                            kind: FaultKind::UmMigrationFail,
-                            device,
-                            at_ns: end,
-                        });
-                        self.prof.instant(
-                            Track::Fault,
-                            "um_migration_fail",
-                            end,
-                            vec![("device", device.into())],
-                        );
-                    }
-                }
-                end
-            }
-        }
-    }
-
-    /// The serial residency stage of the staged launch pipeline (see
-    /// [`crate::access`]): runs [`MemSystem::ensure_resident`] for one
-    /// recorded access and *immediately* classifies each of its sectors as
-    /// zero-copy or cache-bound into `zc`.
-    ///
-    /// The classification must happen right here, between this access's
-    /// residency and the next one's — the adaptive policy's per-page-group
-    /// choices evolve access by access (`note_sector`, residency changes),
-    /// so flags computed after the whole launch's residency would describe
-    /// a later policy state than the access saw.
-    pub fn resolve_access(
+    /// Places `data` under `mode` at `now` in a region of `data.len().max(1)`
+    /// words: an explicit copy chains on the link from `now`, host-backed
+    /// data is written for free, and an adaptive region starts routing.
+    /// Returns the slice and when its data is usable on the device.
+    pub fn place(
         &mut self,
-        region: RegionId,
-        sectors: &[u64],
+        data: &[u32],
+        mode: TransferMode,
         now: Ns,
-        zc: &mut [bool],
-    ) -> Ns {
-        let arrival = self.ensure_resident(region, sectors, now);
-        let all_zero_copy = matches!(self.region_kind(region), RegionKind::ZeroCopy);
-        let adaptive = !all_zero_copy && self.region_is_adaptive(region);
-        if all_zero_copy || adaptive {
-            for (flag, &sec) in zc.iter_mut().zip(sectors) {
-                *flag = all_zero_copy || self.sector_zero_copy(region, sec);
-            }
+    ) -> Result<(DSlice, Ns), MemError> {
+        let len_words = data.len().max(1) as u64;
+        if mode.topology_is_explicit() {
+            let slice = self.alloc_explicit(len_words)?;
+            return Ok((slice, self.copy_h2d(slice, 0, data, now)));
         }
-        arrival
+        let slice = self.alloc(len_words, mode);
+        self.host_write(slice, 0, data);
+        Ok((slice, now))
+    }
+
+    /// Retires a region the way it was placed: an explicit region returns
+    /// its capacity, a paged or adaptive one its page residency, and a
+    /// zero-copy mapping held none. The bump storage is not reclaimed —
+    /// experiments construct a fresh `MemSystem` per run.
+    pub fn release(&mut self, slice: DSlice) {
+        let r = &self.regions[slice.region];
+        match &r.placed {
+            Placed::Explicit => {
+                self.explicit_used = self.explicit_used.saturating_sub(r.len_words * 4);
+            }
+            Placed::ZeroCopy => {}
+            Placed::Paged { um_index, .. } => self.um.invalidate_region(*um_index),
+            Placed::Adaptive(policy) => self.um.invalidate_region(policy.um_index),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::um::PAGE_BYTES;
 
-    fn system(capacity: u64) -> MemSystem {
+    pub(crate) const MODES: [TransferMode; 5] = [
+        TransferMode::Unified,
+        TransferMode::UnifiedPrefetch,
+        TransferMode::ExplicitCopy,
+        TransferMode::ZeroCopy,
+        TransferMode::Adaptive,
+    ];
+
+    pub(crate) fn system(capacity: u64) -> MemSystem {
         MemSystem::new(capacity, PcieLink::new(12.0, 1_000))
     }
 
@@ -728,11 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn free_explicit_returns_capacity() {
+    fn release_returns_explicit_capacity() {
         let mut m = system(1024);
         let a = m.alloc_explicit(256).unwrap();
         assert_eq!(m.free_bytes(), 0);
-        m.free_explicit(a);
+        m.release(a);
         assert_eq!(m.free_bytes(), 1024);
     }
 
@@ -745,143 +434,81 @@ mod tests {
     }
 
     #[test]
-    fn host_roundtrip() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(16).unwrap();
-        m.host_write(a, 4, &[7, 8, 9]);
-        assert_eq!(m.host_read(a, 4, 3), &[7, 8, 9]);
-        assert_eq!(m.word(a.addr(5)), 8);
-        m.set_word(a.addr(5), 42);
-        assert_eq!(m.host_read(a, 5, 1), &[42]);
-    }
-
-    #[test]
-    fn copy_h2d_charges_the_link() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(1024).unwrap();
-        let end = m.copy_h2d(a, 0, &vec![1u32; 1024], 0);
-        assert!(end >= 1_000, "setup latency must be paid");
-        assert_eq!(m.pcie.bytes_moved(), 4096);
-        assert_eq!(m.host_read(a, 0, 1), &[1]);
-    }
-
-    #[test]
-    fn ensure_resident_faults_unified_pages_once() {
-        let mut m = system(1 << 24);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 8); // 8 pages
-        let sector0 = a.word_off / 8;
-        let t1 = m.ensure_resident(a.region, &[sector0], 0);
-        assert!(t1 > 0);
-        let t2 = m.ensure_resident(a.region, &[sector0], t1);
-        assert_eq!(t2, t1, "resident page returns its arrival time");
-    }
-
-    #[test]
-    fn empty_unified_region_prefetches_and_retires_as_a_noop() {
-        // Regression: `prefetch` computed `n_pages - 1` on zero pages.
-        let mut m = system(1 << 20);
-        let a = m.alloc_unified(0);
-        assert_eq!(m.prefetch(a, 42), 42);
-        m.enable_adaptive(a);
-        assert_eq!(m.adaptive_tick(42, 1 << 20), 42);
-        m.invalidate_unified(a);
-        assert!(m.pcie.timeline.spans().is_empty());
-        m.um.check_invariants();
-    }
-
-    #[test]
-    fn explicit_regions_never_fault() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(1024).unwrap();
-        let t = m.ensure_resident(a.region, &[a.word_off / 8], 123);
-        assert_eq!(t, 123);
-        assert_eq!(m.um.stats.faults, 0);
-    }
-
-    #[test]
-    fn zero_copy_counts_traffic() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_zero_copy(1024);
-        m.ensure_resident(a.region, &[a.word_off / 8, a.word_off / 8 + 1], 0);
-        assert_eq!(m.zero_copy_bytes, 64);
-    }
-
-    #[test]
-    fn charge_zero_copy_records_a_link_span() {
-        let mut m = system(1 << 20);
-        m.prof.set_enabled(true);
-        let end = m.charge_zero_copy(12_000, 0);
-        assert!(end > 0, "zero-copy traffic occupies the link");
-        let spans = m.pcie.timeline.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].kind, SpanKind::ZeroCopyRead);
-        assert_eq!(spans[0].bytes, 12_000);
-        // Mirrored 1:1 into the profiler like every other link span.
-        assert_eq!(m.prof.len(), 1);
-        assert_eq!(m.prof.events()[0].name, "zero_copy_read");
-        // Zero bytes: no span, no time.
-        assert_eq!(m.charge_zero_copy(0, end), end);
-        assert_eq!(m.pcie.timeline.spans().len(), 1);
-    }
-
-    #[test]
-    fn adaptive_disabled_map_is_inert() {
-        // Same access stream with and without the (empty) adaptive map code
-        // path: identical timelines.
-        let mut m = system(1 << 24);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 64);
-        let t = m.ensure_resident(a.region, &[a.word_off / 8], 0);
-        assert!(!m.region_is_adaptive(a.region));
-        assert_eq!(m.adaptive_tick(t, 0), t, "no adaptive regions: no-op");
-        assert_eq!(m.zero_copy_bytes, 0);
-    }
-
-    #[test]
-    fn adaptive_sparse_group_goes_zero_copy() {
-        let mut m = system(1 << 24);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 64);
-        m.enable_adaptive(a);
-        assert!(m.region_is_adaptive(a.region));
-        let s0 = a.word_off / 8; // one sector of page 0, every iteration
-        let mut now = 0;
-        for _ in 0..crate::adaptive::HYSTERESIS {
-            now = m.ensure_resident(a.region, &[s0], now);
-            now = m.adaptive_tick(now, 0);
+    fn transfer_mode_parse_roundtrip() {
+        for m in MODES {
+            assert_eq!(TransferMode::parse(m.as_str()), Some(m));
+            assert_eq!(m.topology_is_explicit(), m == TransferMode::ExplicitCopy);
         }
-        // Page 0 was migrated during the demand phase and stays resident:
-        // it keeps serving locally even though its group went zero-copy.
-        assert!(!m.sector_zero_copy(a.region, s0));
-        // A cold page of the same group routes zero-copy: no migration,
-        // no new residency, traffic counted.
-        // Page 15 (same 16-page group): outside page 0's 8-page fault batch.
-        let s1 = s0 + 15 * (PAGE_BYTES / 32);
-        assert!(m.sector_zero_copy(a.region, s1));
-        let resident_before = m.um.resident_bytes();
-        let zc_before = m.zero_copy_bytes;
-        let t = m.ensure_resident(a.region, &[s1], now);
-        assert_eq!(t, now);
-        assert_eq!(m.um.resident_bytes(), resident_before);
-        assert_eq!(m.zero_copy_bytes, zc_before + 32);
+        assert_eq!(TransferMode::parse("um"), None);
+        assert_eq!(TransferMode::parse(""), None);
     }
 
     #[test]
-    fn adaptive_dense_group_gets_prefetched() {
-        let mut m = system(1 << 24);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 32);
-        m.enable_adaptive(a);
-        // Touch 12 distinct pages of group 0 (dense) for HYSTERESIS rounds.
-        let sectors: Vec<u64> = (0..12).map(|p| a.word_off / 8 + p * 128).collect();
-        let mut now = 0;
-        for _ in 0..crate::adaptive::HYSTERESIS {
-            now = m.ensure_resident(a.region, &sectors, now);
-            now = m.adaptive_tick(now, 0);
+    fn place_records_its_mode_and_pins_what_it_says() {
+        let data: Vec<u32> = (0..3000).collect();
+        for mode in MODES {
+            for words in [&data[..], &data[..0]] {
+                let mut m = system(1 << 20);
+                m.alloc_explicit(3).unwrap(); // unaligned bump pointer
+                let before = m.explicit_used_bytes();
+                let (s, ready) = m.place(words, mode, 500).unwrap();
+                assert_eq!(m.mode(s.region), mode);
+                assert_eq!(
+                    m.explicit_used_bytes() - before,
+                    mode.pinned_bytes(words.len())
+                );
+                let align = if mode.topology_is_explicit() || mode == TransferMode::ZeroCopy {
+                    8
+                } else {
+                    PAGE_WORDS
+                };
+                assert_eq!(s.word_off % align, 0, "{mode:?}");
+                assert_eq!(s.len, words.len().max(1) as u64);
+                assert_eq!(m.host_read(s, 0, words.len() as u64), words);
+                // Only the explicit copy occupies the link.
+                if mode.topology_is_explicit() {
+                    assert!(ready > 500);
+                    assert_eq!(m.pcie.bytes_moved(), words.len() as u64 * 4);
+                } else {
+                    assert_eq!(ready, 500);
+                    assert!(m.pcie.timeline.spans().is_empty());
+                }
+            }
         }
-        let (_, prefetch_groups, _) = m.adaptive_group_counts(a.region).unwrap();
-        assert_eq!(prefetch_groups, 1, "dense group promoted to prefetch");
-        // The group is fully resident: 16 pages of group 0 (+ nothing else —
-        // group 1 was never touched and stays on demand).
-        assert_eq!(m.um.region(0).resident_pages(), 16);
-        assert!(!m.sector_zero_copy(a.region, sectors[0]));
+    }
+
+    #[test]
+    fn explicit_place_fails_typed_when_full() {
+        let mut m = system(1024);
+        let err = m
+            .place(&[7; 300], TransferMode::ExplicitCopy, 0)
+            .unwrap_err();
+        assert!(matches!(err, MemError::Oom { .. }));
+        assert_eq!(m.explicit_used_bytes(), 0);
+        // The host-backed modes never fail.
+        for mode in [TransferMode::Unified, TransferMode::ZeroCopy] {
+            assert!(m.place(&[7; 300], mode, 0).is_ok());
+        }
+    }
+
+    #[test]
+    fn release_follows_the_placement() {
+        // A region of each mode, filled, then released: explicit capacity
+        // and UM residency both return to where they were, and a zero-copy
+        // release touches neither.
+        for mode in MODES {
+            let mut m = system(1 << 24);
+            let (used, resident) = (m.explicit_used_bytes(), m.um.resident_bytes());
+            let (s, _) = m.place(&vec![1; 8 * PAGE_WORDS as usize], mode, 0).unwrap();
+            let sectors: Vec<u64> = (s.word_off / 8..(s.word_off + s.len) / 8).collect();
+            m.ensure_resident(s.region, &sectors, 0);
+            let paged = !matches!(mode, TransferMode::ExplicitCopy | TransferMode::ZeroCopy);
+            assert_eq!(m.um.resident_bytes() > resident, paged, "{mode:?}");
+            m.release(s);
+            assert_eq!(m.explicit_used_bytes(), used, "{mode:?}");
+            assert_eq!(m.um.resident_bytes(), resident, "{mode:?}");
+            m.um.check_invariants();
+        }
     }
 
     #[test]
@@ -900,174 +527,5 @@ mod tests {
         let mut m = system(1 << 20);
         let a = m.alloc_explicit(10).unwrap();
         let _ = a.slice(5, 6);
-    }
-
-    #[test]
-    fn init_tracking_off_reports_everything_initialized() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(16).unwrap();
-        assert!(!m.init_tracking_enabled());
-        assert!(m.is_word_init(a.addr(0)), "no tracking: always init");
-    }
-
-    #[test]
-    fn init_tracking_follows_writes() {
-        let mut m = system(1 << 20);
-        m.enable_init_tracking();
-        let a = m.alloc_explicit(256).unwrap();
-        assert!(!m.is_word_init(a.addr(0)), "fresh allocation is uninit");
-        m.host_write(a, 4, &[1, 2, 3]);
-        assert!(!m.is_word_init(a.addr(3)));
-        assert!(m.is_word_init(a.addr(4)));
-        assert!(m.is_word_init(a.addr(6)));
-        assert!(!m.is_word_init(a.addr(7)));
-        m.set_word(a.addr(100), 9);
-        assert!(m.is_word_init(a.addr(100)));
-        m.host_fill(a, 0);
-        assert!(m.is_word_init(a.addr(255)), "fill initializes the slice");
-    }
-
-    #[test]
-    fn init_tracking_copy_h2d_marks_words() {
-        let mut m = system(1 << 20);
-        m.enable_init_tracking();
-        let a = m.alloc_explicit(64).unwrap();
-        m.copy_h2d(a, 8, &[5; 8], 0);
-        assert!(m.is_word_init(a.addr(8)));
-        assert!(m.is_word_init(a.addr(15)));
-        assert!(!m.is_word_init(a.addr(16)));
-    }
-
-    #[test]
-    fn prefetch_noop_on_explicit() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(64).unwrap();
-        assert_eq!(m.prefetch(a, 77), 77);
-    }
-
-    #[test]
-    fn profiler_mirrors_every_timed_transfer() {
-        let mut m = system(1 << 24);
-        m.prof.set_enabled(true);
-        let a = m.alloc_explicit(1024).unwrap();
-        m.copy_h2d(a, 0, &vec![1u32; 1024], 0);
-        m.copy_d2h(a, 1024, 5_000);
-        let u = m.alloc_unified(PAGE_BYTES / 4 * 100);
-        m.prefetch(u, 10_000);
-        m.ensure_resident(u.region, &[u.word_off / 8], 20_000);
-        let names: Vec<&str> = m.prof.events().iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"copy_h2d"));
-        assert!(names.contains(&"copy_d2h"));
-        assert!(names.contains(&"um_prefetch"));
-        // The touched page was already prefetched, so no migration event —
-        // but every recorded event matches a link span one-to-one.
-        assert_eq!(m.prof.len(), m.pcie.timeline.spans().len());
-        let h2d = m
-            .prof
-            .events()
-            .iter()
-            .find(|e| e.name == "copy_h2d")
-            .unwrap();
-        assert_eq!(h2d.track, eta_prof::Track::Transfer);
-        assert!(h2d
-            .args
-            .iter()
-            .any(|(k, v)| *k == "bytes" && matches!(v, eta_prof::ArgValue::U64(4096))));
-        let pf = m
-            .prof
-            .events()
-            .iter()
-            .find(|e| e.name == "um_prefetch")
-            .unwrap();
-        assert_eq!(pf.track, eta_prof::Track::Um);
-        assert!(pf.args.iter().any(|(k, _)| *k == "pages"));
-    }
-
-    #[test]
-    fn disabled_profiler_records_nothing_on_transfers() {
-        let mut m = system(1 << 20);
-        let a = m.alloc_explicit(1024).unwrap();
-        m.copy_h2d(a, 0, &vec![1u32; 1024], 0);
-        assert!(m.prof.is_empty());
-        assert_eq!(m.prof.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn um_migration_fail_window_sets_a_pending_fault() {
-        use eta_fault::{FaultPlan, UmFault, UmFaultKind};
-        let mut m = system(1 << 24);
-        let mut plan = FaultPlan::default();
-        plan.um.push(UmFault {
-            device: 0,
-            start_ns: 0,
-            end_ns: u64::MAX,
-            kind: UmFaultKind::MigrationFail,
-            extra_ns: 0,
-        });
-        m.install_faults(&plan, 0);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 8);
-        let end = m.ensure_resident(a.region, &[a.word_off / 8], 0);
-        let fault = m.faults.take_pending().expect("demand migration failed");
-        assert_eq!(fault.kind, eta_fault::FaultKind::UmMigrationFail);
-        assert_eq!(fault.at_ns, end);
-        assert_eq!(m.faults.counters.um_failures, 1);
-        // Resident re-touch migrates nothing: no new fault.
-        m.ensure_resident(a.region, &[a.word_off / 8], end);
-        assert!(m.faults.take_pending().is_none());
-    }
-
-    #[test]
-    fn um_storm_window_slows_demand_migration() {
-        use eta_fault::{FaultPlan, UmFault, UmFaultKind};
-        let mut baseline = system(1 << 24);
-        let a = baseline.alloc_unified(PAGE_BYTES / 4 * 8);
-        let clean_end = baseline.ensure_resident(a.region, &[a.word_off / 8], 0);
-
-        let mut m = system(1 << 24);
-        let mut plan = FaultPlan::default();
-        plan.um.push(UmFault {
-            device: 0,
-            start_ns: 0,
-            end_ns: u64::MAX,
-            kind: UmFaultKind::Storm,
-            extra_ns: 1234,
-        });
-        m.install_faults(&plan, 0);
-        let b = m.alloc_unified(PAGE_BYTES / 4 * 8);
-        let end = m.ensure_resident(b.region, &[b.word_off / 8], 0);
-        assert_eq!(end, clean_end + 1234);
-        assert_eq!(m.faults.counters.storms, 1);
-        assert!(m.faults.take_pending().is_none(), "storms slow, not fail");
-    }
-
-    #[test]
-    fn installing_an_empty_plan_changes_nothing() {
-        let mut clean = system(1 << 24);
-        let a = clean.alloc_unified(PAGE_BYTES / 4 * 8);
-        let t_clean = clean.ensure_resident(a.region, &[a.word_off / 8], 0);
-
-        let mut m = system(1 << 24);
-        m.install_faults(&eta_fault::FaultPlan::default(), 0);
-        assert!(!m.faults.active);
-        let b = m.alloc_unified(PAGE_BYTES / 4 * 8);
-        let t = m.ensure_resident(b.region, &[b.word_off / 8], 0);
-        assert_eq!(t, t_clean);
-        assert_eq!(
-            m.pcie.timeline.spans(),
-            clean.pcie.timeline.spans(),
-            "empty plan: identical link timeline"
-        );
-    }
-
-    #[test]
-    fn prefetch_unified_makes_pages_resident() {
-        let mut m = system(1 << 24);
-        let a = m.alloc_unified(PAGE_BYTES / 4 * 100);
-        let end = m.prefetch(a, 0);
-        assert!(end > 0);
-        // Subsequent access should not fault.
-        let faults_before = m.um.stats.faults;
-        m.ensure_resident(a.region, &[a.word_off / 8 + 80], end);
-        assert_eq!(m.um.stats.faults, faults_before);
     }
 }

@@ -514,7 +514,7 @@ impl UmDriver {
     /// Drops one region's residency (the allocation is being retired, e.g.
     /// a served graph evicted from the registry). Its device bytes return
     /// to the UM budget; the host-backed storage itself is bump-allocated
-    /// and not reclaimed, like [`crate::system::MemSystem::free_explicit`].
+    /// and not reclaimed, like [`crate::system::MemSystem::release`].
     pub fn invalidate_region(&mut self, region_idx: usize) {
         let region = &mut self.regions[region_idx];
         self.resident_bytes -= region.drop_pages(0..region.pages.len(), true);

@@ -1,7 +1,7 @@
 //! `eta-par` — a minimal, dependency-light data-parallel substrate.
 //!
 //! The EtaGraph reproduction needs a small slice of what `rayon` offers:
-//! chunked parallel-for over index ranges and slices, and deterministic
+//! chunked parallel-for over slices, and deterministic
 //! map-reduce. Rather than pull in a work-stealing scheduler, we build that
 //! slice on `crossbeam::scope`, which is plenty for the regular, statically
 //! partitionable loops that dominate graph generation, analysis and the CPU
@@ -103,31 +103,6 @@ pub fn chunks(len: usize, parts: usize) -> Vec<(usize, usize)> {
     }
     debug_assert_eq!(start, len);
     out
-}
-
-/// Runs `body(start, end)` over disjoint chunks of `0..len` in parallel.
-///
-/// `body` must be safe to run concurrently on disjoint ranges; the usual
-/// pattern is to capture only shared immutable state plus atomics.
-pub fn for_each_chunk<F>(len: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = current_threads();
-    if len < PAR_THRESHOLD || threads <= 1 {
-        if len > 0 {
-            body(0, len);
-        }
-        return;
-    }
-    let parts = chunks(len, threads);
-    crossbeam::scope(|s| {
-        for &(a, b) in &parts {
-            let body = &body;
-            s.spawn(move |_| body(a, b));
-        }
-    })
-    .expect("eta-par worker panicked");
 }
 
 /// Parallel in-place transform of a mutable slice, chunk by chunk.
@@ -449,15 +424,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_visits_everything_once() {
+    fn for_each_mut_visits_everything_once() {
         let n = 10_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        for_each_chunk(n, |a, b| {
-            for h in &hits[a..b] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
+        let _threads = ThreadGuard::set(4);
+        let calls = AtomicU64::new(0);
+        let mut hits = vec![0u32; n];
+        for_each_mut(&mut hits, |_, h| {
+            *h += 1;
+            calls.fetch_add(1, Ordering::Relaxed);
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert!(hits.iter().all(|&h| h == 1));
+        assert_eq!(calls.load(Ordering::Relaxed), n as u64);
     }
 
     #[test]

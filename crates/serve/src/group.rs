@@ -177,11 +177,10 @@ mod tests {
         let cfg = GroupConfig::default();
         let csr = reg.get("g").unwrap().clone();
         let part = GraphPartition::vertex_range(&csr, 2);
-        let explicit = cfg.eta.transfer.topology_is_explicit();
         let max_shard = part
             .shards
             .iter()
-            .map(|s| s.footprint_bytes(cfg.eta.k, explicit))
+            .map(|s| etagraph::engine::footprint_bytes(&s.csr, &cfg.eta))
             .max()
             .unwrap();
         // Regression for halo-blind admission: capacity sits between the

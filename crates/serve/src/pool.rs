@@ -11,7 +11,7 @@
 
 use etagraph::device_graph::DeviceGraph;
 use etagraph::multi_bfs::{self, MultiBfsResources, MultiBfsResult};
-use etagraph::{EtaConfig, QueryError, TransferMode};
+use etagraph::{EtaConfig, QueryError};
 
 use eta_ckpt::{Checkpoint, CkptCtl, CkptSink};
 use eta_fault::FaultPlan;
@@ -24,11 +24,6 @@ use std::collections::BTreeMap;
 struct ResidentGraph {
     dg: DeviceGraph,
     multi: MultiBfsResources,
-    /// Transfer mode the topology was uploaded under. A dispatch asking
-    /// for a different mode (qos brownout re-routes best-effort batches to
-    /// zero-copy) drops this residency and re-uploads under the new mode —
-    /// the resident layout is mode-specific, so the two cannot be mixed.
-    transfer: TransferMode,
     /// Content digest of the uploaded topology (checkpoint epoch guard:
     /// a snapshot taken against this graph only resumes where the digest
     /// matches, so migration can never land on the wrong graph version).
@@ -96,26 +91,14 @@ impl DeviceWorker {
         self.dev.install_faults(plan, self.id as u32);
     }
 
-    /// Explicit device bytes serving `csr` will pin: the reusable batch
-    /// state, plus the topology when the transfer mode copies it into
-    /// device memory upfront. Unified-memory topology is host-backed and
+    /// Explicit device bytes serving `csr` will pin: the topology where
+    /// the transfer mode pins it ([`DeviceGraph::footprint_bytes`]) plus the
+    /// reusable batch state. Unified-memory topology is host-backed and
     /// pages in against the *remaining* budget, so it does not count here —
     /// the UM driver's own LRU handles its oversubscription.
     pub fn footprint_bytes(csr: &Csr, cfg: &EtaConfig) -> u64 {
-        // Upfront memcpy pins the whole topology in device memory. Unified
-        // topology (demand-paged, prefetched, or adaptively routed) pages
-        // in against the remaining budget under the UM driver's own LRU and
-        // zero-copy topology never occupies device memory at all: admission
-        // pins nothing for either.
-        let topo = if cfg.transfer.topology_is_explicit() {
-            let ro = csr.row_offsets.len() as u64;
-            let ci = (csr.col_idx.len() as u64).max(1);
-            let w = if csr.is_weighted() { ci } else { 0 };
-            (ro + ci + w) * 4
-        } else {
-            0
-        };
-        topo + MultiBfsResources::footprint_bytes(csr, cfg)
+        DeviceGraph::footprint_bytes(csr, cfg.transfer)
+            + MultiBfsResources::footprint_bytes(csr, cfg)
     }
 
     /// Number of graphs currently resident on this device.
@@ -140,11 +123,12 @@ impl DeviceWorker {
         self.lru_tick += 1;
         let tick = self.lru_tick;
         if let Some(rg) = self.resident.get_mut(name) {
-            if rg.transfer == cfg.transfer {
+            if self.dev.mem.mode(rg.dg.row_offsets.region) == cfg.transfer {
                 rg.last_used = tick;
                 return Ok(now);
             }
-            // Mode mismatch: the resident layout was built for another
+            // Mode mismatch (qos brownout re-routes best-effort batches to
+            // zero-copy): the resident layout was placed under another
             // transfer mode, so drop it and fall through to a fresh upload.
             // (Unpinned by construction — dispatch pins only for the launch
             // it is about to run, and it asks for residency first.)
@@ -169,7 +153,6 @@ impl DeviceWorker {
             ResidentGraph {
                 dg,
                 multi,
-                transfer: cfg.transfer,
                 digest: csr.digest(),
                 last_used: tick,
                 pins: 0,

@@ -40,7 +40,7 @@
 
 use eta_graph::Csr;
 use eta_mem::Ns;
-use etagraph::EtaConfig;
+use etagraph::{EtaConfig, TransferMode};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -195,7 +195,7 @@ impl CostModel {
     /// over PCIe, so its prior doubles.
     pub fn prior(csr: &Csr, eta: &EtaConfig) -> Ns {
         let base = 30_000 + csr.n() as Ns / 2 + csr.m() as Ns / 4;
-        if eta.transfer.topology_is_zero_copy() {
+        if eta.transfer == TransferMode::ZeroCopy {
             base * 2
         } else {
             base

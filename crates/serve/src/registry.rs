@@ -17,7 +17,7 @@
 
 use eta_graph::Csr;
 use eta_shard::GraphPartition;
-use etagraph::EtaConfig;
+use etagraph::{engine, EtaConfig};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -76,11 +76,10 @@ impl GraphRegistry {
     /// partitions (the group then OOMs mid-flight instead of rejecting
     /// upfront). `None` when the graph is not registered.
     pub fn group_footprint_bytes(&self, name: &str, devices: u32, cfg: &EtaConfig) -> Option<u64> {
-        let explicit = cfg.transfer.topology_is_explicit();
         self.partition(name, devices).map(|p| {
             p.shards
                 .iter()
-                .map(|s| s.footprint_bytes(cfg.k, explicit))
+                .map(|s| engine::footprint_bytes(&s.csr, cfg))
                 .max()
                 .unwrap_or(0)
         })
@@ -133,11 +132,10 @@ mod tests {
         assert!(part.halo_total() > 0, "an rmat cut has cross edges");
         // The admitted size is the max *local* footprint; any shard with a
         // non-empty halo is strictly bigger than its owned range alone.
-        let explicit = cfg.transfer.topology_is_explicit();
         let max_local = part
             .shards
             .iter()
-            .map(|s| s.footprint_bytes(cfg.k, explicit))
+            .map(|s| engine::footprint_bytes(&s.csr, &cfg))
             .max()
             .unwrap();
         assert_eq!(fp, max_local);

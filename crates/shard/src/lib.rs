@@ -90,29 +90,6 @@ impl ShardSpec {
     pub fn digest(&self) -> u64 {
         self.csr.digest()
     }
-
-    /// Exact explicit device bytes a single-source traversal on this shard
-    /// allocates (mirrors `etagraph::engine::prepare` with in-core UDC):
-    /// topology when the transfer mode copies it up front, labels + tags
-    /// sized `local_n` — the replicated halo buffers included — two frontier
-    /// queues, and the two virtual active sets. Pinned exact by a test
-    /// against the allocator's accounting (`tests/properties.rs`).
-    pub fn footprint_bytes(&self, k: u32, explicit_topology: bool) -> u64 {
-        let n = self.local_n() as u64;
-        let m = self.local_m();
-        let topo = if explicit_topology {
-            let w = if self.csr.is_weighted() { m.max(1) } else { 0 };
-            (n + 1) + m.max(1) + w
-        } else {
-            0
-        };
-        let labels_tags = 2 * n;
-        let queue = |cap: u64| cap.max(1) + 1; // DeviceQueue: items + count
-        let vqueue = |cap: u64| 3 * cap.max(1) + 1; // VirtualQueue: 3 arrays + count
-        let full_cap = (m / k as u64).max(1) + 1;
-        let words = topo + labels_tags + 2 * queue(n) + vqueue(full_cap) + vqueue(n);
-        words * 4
-    }
 }
 
 /// A complete vertex-range partition of one global graph.

@@ -31,7 +31,7 @@
 use crate::config::WARP_SIZE;
 use crate::warp::{Lanes, WarpId};
 use eta_mem::coalesce::sectors_for_warp;
-use eta_mem::system::{DSlice, MemSystem, RegionKind};
+use eta_mem::system::{DSlice, MemSystem, TransferMode};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -516,7 +516,7 @@ impl Sanitizer {
         }
         if self.mode.lint()
             && kind != AccessKind::Load
-            && matches!(mem.region_kind(s.region), RegionKind::ZeroCopy)
+            && mem.mode(s.region) == TransferMode::ZeroCopy
         {
             let lane = mask.trailing_zeros();
             self.record(
@@ -1014,7 +1014,7 @@ mod tests {
     fn zero_copy_store_is_a_lint_warning() {
         let mut san = Sanitizer::new(SanitizerMode::Full);
         let mut mem = MemSystem::new(1 << 20, eta_mem::PcieLink::new(12.0, 1000));
-        let zc = mem.alloc_zero_copy(64);
+        let (zc, _) = mem.place(&[0; 64], TransferMode::ZeroCopy, 0).unwrap();
         san.begin_launch("k");
         let idx = [0u32; WARP_SIZE];
         // Loads through zero-copy are the intended pattern: clean.

@@ -606,25 +606,29 @@ proptest! {
         }
     }
 
-    /// `ShardSpec::footprint_bytes` is *exact*: preparing the shard on a
-    /// fresh device moves the allocator's explicit accounting by precisely
-    /// the predicted figure, for every K and both topology transfer modes.
-    /// (Group admission in eta-serve sizes residency off this number, so an
-    /// estimate that drifts would admit partitions that OOM mid-flight.)
+    /// `engine::footprint_bytes` is *exact* on every shard: preparing the
+    /// shard on a fresh device moves the allocator's explicit accounting by
+    /// precisely the predicted figure, for every K and all five transfer
+    /// modes. (Group admission in eta-serve sizes residency off this
+    /// number, so an estimate that drifts would admit partitions that OOM
+    /// mid-flight.)
     #[test]
     fn shard_footprint_bytes_is_exact(
         (g, _) in arb_weighted_with_source(),
         devices in 1u32..5,
         k in 1u32..40,
-        explicit in any::<bool>(),
+        mode in 0usize..5,
     ) {
+        let transfer = [
+            TransferMode::Unified,
+            TransferMode::UnifiedPrefetch,
+            TransferMode::ExplicitCopy,
+            TransferMode::ZeroCopy,
+            TransferMode::Adaptive,
+        ][mode];
         let cfg = EtaConfig {
             k,
-            transfer: if explicit {
-                TransferMode::ExplicitCopy
-            } else {
-                TransferMode::UnifiedPrefetch
-            },
+            transfer,
             ..sharded_cfg()
         };
         let part = eta_shard::GraphPartition::vertex_range(&g, devices);
@@ -633,8 +637,8 @@ proptest! {
             let before = dev.mem.explicit_used_bytes();
             etagraph::engine::prepare(&mut dev, &s.csr, &cfg, false).unwrap();
             let used = dev.mem.explicit_used_bytes() - before;
-            prop_assert_eq!(used, s.footprint_bytes(k, explicit),
-                "shard {}..{} (halo {})", s.lo, s.hi, s.halo.len());
+            prop_assert_eq!(used, etagraph::engine::footprint_bytes(&s.csr, &cfg),
+                "{:?}: shard {}..{} (halo {})", transfer, s.lo, s.hi, s.halo.len());
         }
     }
 }
