@@ -130,6 +130,29 @@ for graph in rmat web waves; do
         done
     done
 done
+# The device-group and batched-BFS paths of `run`, on the same graphs: the
+# JSON, and the group PageRank's trace file, must not depend on the threads.
+for graph in rmat waves; do
+    for program in "--alg bfs --devices 2" \
+        "--alg pagerank --iterations 3 --devices 2 --profile $PROFILE_OUT/hp.trace.json" \
+        "--sources 0,1,7"; do
+        rm -f "$PROFILE_OUT"/hp.*trace.json
+        for threads in 1 2 4; do
+            # shellcheck disable=SC2086
+            cargo run --release -p eta-cli -- run "$PROFILE_OUT/hp.$graph.etag" \
+                $program --host-threads "$threads" --json >"$PROFILE_OUT/hp.$threads.json"
+            if [ -e "$PROFILE_OUT/hp.trace.json" ]; then
+                mv "$PROFILE_OUT/hp.trace.json" "$PROFILE_OUT/hp.$threads.trace.json"
+            fi
+        done
+        cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.2.json"
+        cmp "$PROFILE_OUT/hp.1.json" "$PROFILE_OUT/hp.4.json"
+        if [ -e "$PROFILE_OUT/hp.1.trace.json" ]; then
+            cmp "$PROFILE_OUT/hp.1.trace.json" "$PROFILE_OUT/hp.2.trace.json"
+            cmp "$PROFILE_OUT/hp.1.trace.json" "$PROFILE_OUT/hp.4.trace.json"
+        fi
+    done
+done
 echo "    host-parallelism loop: $((SECONDS - hp_start)) s"
 for threads in 1 2 4; do
     cargo run --release -p eta-cli -- serve --graph rmat10 --requests 20 \

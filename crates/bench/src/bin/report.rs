@@ -58,6 +58,18 @@ fn sweep_dataset(suite: Suite) -> &'static str {
     }
 }
 
+/// A usage or output error: the message on stderr, exit status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// The directory argument that must follow `flag`.
+fn dir_after(flag: &str, next: Option<String>) -> PathBuf {
+    next.map(PathBuf::from)
+        .unwrap_or_else(|| fail(&format!("{flag} needs a directory argument")))
+}
+
 fn main() {
     let known: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,24 +81,13 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => {
-                out_dir = Some(PathBuf::from(
-                    it.next().expect("--out needs a directory argument"),
-                ))
-            }
-            "--check" => {
-                check_dir = Some(PathBuf::from(
-                    it.next().expect("--check needs a directory argument"),
-                ))
-            }
+            "--out" => out_dir = Some(dir_after(&a, it.next())),
+            "--check" => check_dir = Some(dir_after(&a, it.next())),
             "all" => wanted.extend(known.iter().map(|s| s.to_string())),
             other if known.contains(&other) => wanted.push(other.to_string()),
-            other => {
-                eprintln!(
-                    "unknown artifact {other:?}; known: {known:?}, 'all', --quick, --out DIR, --check DIR"
-                );
-                std::process::exit(2);
-            }
+            other => fail(&format!(
+                "unknown artifact {other:?}; known: {known:?}, 'all', --quick, --out DIR, --check DIR"
+            )),
         }
     }
     if wanted.is_empty() {
@@ -113,7 +114,13 @@ fn main() {
         println!("{}", artifact.text);
         println!("[generated in {:.1}s]", sw.elapsed_secs());
         if let Some(dir) = &out_dir {
-            let [txt, json] = artifact.write(dir).expect("write artifact");
+            let [txt, json] = artifact.write(dir).unwrap_or_else(|e| {
+                fail(&format!(
+                    "writing {} to {}: {e}",
+                    artifact.name,
+                    dir.display()
+                ))
+            });
             eprintln!("wrote {} and {}", txt.display(), json.display());
         }
     }

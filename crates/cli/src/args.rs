@@ -15,8 +15,8 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
-    /// Ordered map so "unknown flag(s)" messages list names in a stable
-    /// order regardless of how the user passed them.
+    /// Ordered map so flag errors list names in a stable order regardless
+    /// of how the user passed them.
     flags: BTreeMap<String, String>,
     /// Flags given without a value (`--json`).
     switches: Vec<String>,
@@ -76,7 +76,14 @@ impl Args {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Errors if any flag or switch the user passed was never read.
+    /// Every flag name a command has read so far.
+    #[cfg(test)]
+    pub(crate) fn consumed(&self) -> BTreeSet<String> {
+        self.consumed.borrow().clone()
+    }
+
+    /// Errors if any flag or switch the user passed was never read: it is
+    /// misspelt, or the program it was given to does not honour it.
     pub fn ensure_consumed(&self) -> Result<(), ArgError> {
         let consumed = self.consumed.borrow();
         let mut unknown: Vec<&str> = self
@@ -92,7 +99,7 @@ impl Args {
             Ok(())
         } else {
             Err(ArgError(format!(
-                "unknown flag(s): {}",
+                "unknown or unused flag(s): {}",
                 unknown
                     .iter()
                     .map(|n| format!("--{n}"))
