@@ -50,10 +50,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> committed artifacts are current (full suite, regenerated and compared"
 echo "    byte for byte: the engine, multi-BFS plain/checkpointed/resumed and"
-echo "    PageRank loops; the slower artifacts are the pre-merge"
-echo "    'report all --check reports/' step of .claude/skills/verify/SKILL.md)"
+echo "    PageRank loops; fig7 pins the traversal kernel's SMP counters and"
+echo "    sanitize launches all 18 kernels under the sanitizer; the slower"
+echo "    artifacts are the pre-merge 'report all --check reports/' step of"
+echo "    .claude/skills/verify/SKILL.md)"
 cargo run --release -p eta-bench --bin report -- \
-    profile serve faults chaos extras lint --check reports/
+    profile serve faults chaos extras lint fig7 sanitize --check reports/
 
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"

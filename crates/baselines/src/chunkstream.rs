@@ -24,8 +24,9 @@
 use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::Csr;
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{lanes_where, Device, Kernel, WarpCtx, WARP_SIZE};
 use etagraph::driver::Group;
+use etagraph::kernels::{load_edges, relax_lanes};
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -70,52 +71,12 @@ impl Kernel for ChunkRelaxKernel {
             return;
         }
         let s = w.load(self.src, &tids, mask);
-        let d = w.load(self.dst, &tids, mask);
-        let wt = match self.weights {
-            Some(ws) => w.load(ws, &tids, mask),
-            None => [1; WARP_SIZE],
-        };
+        let (d, wt) = load_edges(w, self.dst, self.weights, &tids, mask);
         let sl = w.load(self.labels, &s, mask);
         w.alu(1);
-        let unvisited = match self.alg {
-            Algorithm::Bfs | Algorithm::Sssp => u32::MAX,
-            Algorithm::Sswp => 0,
-            Algorithm::Cc => unreachable!("rejected at entry"),
-        };
-        let mut new = [0u32; WARP_SIZE];
-        let mut active = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 && sl[lane] != unvisited {
-                new[lane] = match self.alg {
-                    Algorithm::Bfs => sl[lane].saturating_add(1),
-                    Algorithm::Sssp => sl[lane].saturating_add(wt[lane]),
-                    Algorithm::Sswp => sl[lane].min(wt[lane]),
-                    Algorithm::Cc => unreachable!("rejected at entry"),
-                };
-                active |= 1 << lane;
-            }
-        }
-        if active == 0 {
-            return;
-        }
-        let old = if self.alg == Algorithm::Sswp {
-            w.atomic_max(self.labels, &d, &new, active)
-        } else {
-            w.atomic_min(self.labels, &d, &new, active)
-        };
-        let mut improved = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (active >> lane) & 1 == 1 {
-                let better = if self.alg == Algorithm::Sswp {
-                    new[lane] > old[lane]
-                } else {
-                    new[lane] < old[lane]
-                };
-                if better {
-                    improved |= 1 << lane;
-                }
-            }
-        }
+        // Edges whose source is not reached yet offer nothing.
+        let reached = lanes_where(mask, |lane| sl[lane] != self.alg.init_label());
+        let (_, improved) = relax_lanes(w, self.alg, self.labels, &d, &sl, &wt, reached);
         if improved != 0 {
             w.atomic_add(self.flag, &[0; WARP_SIZE], &[1; WARP_SIZE], improved);
         }

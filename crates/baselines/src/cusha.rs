@@ -23,8 +23,9 @@
 use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::{Csr, GShards};
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{lanes_where, row_index, row_lanes, Device, Kernel, Lanes, WarpCtx, WARP_SIZE};
 use etagraph::driver::Group;
+use etagraph::kernels::relax_lanes;
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -45,6 +46,24 @@ impl Default for CushaLike {
     }
 }
 
+/// This warp's entry runs: `EDGES_PER_THREAD` consecutive entries per
+/// thread from `tid * EDGES_PER_THREAD`, clipped to the `m` entries, and
+/// the lanes that have any.
+fn entry_runs(w: &WarpCtx<'_>, m: u32) -> (Lanes, Lanes, u32) {
+    let mut start = [0u32; WARP_SIZE];
+    let mut count = [0u32; WARP_SIZE];
+    let mut mask = 0u32;
+    for (lane, tid) in w.thread_ids().into_iter().enumerate() {
+        let s = tid * EDGES_PER_THREAD;
+        if s < m {
+            mask |= 1 << lane;
+            start[lane] = s;
+            count[lane] = EDGES_PER_THREAD.min(m - s);
+        }
+    }
+    (start, count, mask)
+}
+
 /// Refresh pass: `src_value[e] = labels[src[e]]` for all edges.
 struct RefreshKernel {
     src: DSlice,
@@ -59,36 +78,17 @@ impl Kernel for RefreshKernel {
     }
 
     fn run(&self, w: &mut WarpCtx<'_>) {
-        let tids = w.thread_ids();
-        let first = tids[0] * EDGES_PER_THREAD;
-        if first >= self.m {
+        let (start, count, mask) = entry_runs(w, self.m);
+        if mask == 0 {
             return;
-        }
-        let mut start = [0u32; WARP_SIZE];
-        let mut count = [0u32; WARP_SIZE];
-        let mut mask = 0u32;
-        for lane in 0..WARP_SIZE {
-            let s = tids[lane] * EDGES_PER_THREAD;
-            if s < self.m {
-                mask |= 1 << lane;
-                start[lane] = s;
-                count[lane] = EDGES_PER_THREAD.min(self.m - s);
-            }
         }
         let srcs = w.load_burst(self.src, &start, &count, mask);
         for j in 0..srcs.rows() {
-            let mut row = 0u32;
-            let mut idx = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && j < count[lane] {
-                    row |= 1 << lane;
-                    idx[lane] = start[lane] + j;
-                }
-            }
+            let row = row_lanes(&count, j);
             // Sources within a shard are sorted, so this gather coalesces
             // (the point of the CW layout).
             let vals = w.load(self.labels, &w.burst_row(srcs, j), row);
-            w.store(self.srcval, &idx, &vals, row);
+            w.store(self.srcval, &row_index(&start, j, row), &vals, row);
         }
     }
 }
@@ -111,20 +111,9 @@ impl Kernel for RelaxKernel {
     }
 
     fn run(&self, w: &mut WarpCtx<'_>) {
-        let tids = w.thread_ids();
-        if tids[0] * EDGES_PER_THREAD >= self.m {
+        let (start, count, mask) = entry_runs(w, self.m);
+        if mask == 0 {
             return;
-        }
-        let mut start = [0u32; WARP_SIZE];
-        let mut count = [0u32; WARP_SIZE];
-        let mut mask = 0u32;
-        for lane in 0..WARP_SIZE {
-            let s = tids[lane] * EDGES_PER_THREAD;
-            if s < self.m {
-                mask |= 1 << lane;
-                start[lane] = s;
-                count[lane] = EDGES_PER_THREAD.min(self.m - s);
-            }
         }
         let vals = w.load_burst(self.srcval, &start, &count, mask);
         let dsts = w.load_burst(self.dst, &start, &count, mask);
@@ -134,61 +123,20 @@ impl Kernel for RelaxKernel {
 
         for j in 0..vals.rows() {
             let (val_row, dst_row) = (w.burst_row(vals, j), w.burst_row(dsts, j));
-            let wt_row = wts.map(|rows| w.burst_row(rows, j));
-            let mut row = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && j < count[lane] {
-                    row |= 1 << lane;
-                }
-            }
-            if row == 0 {
-                continue;
-            }
-            let unvisited = match self.alg {
-                Algorithm::Bfs | Algorithm::Sssp => u32::MAX,
-                Algorithm::Sswp => 0,
-                Algorithm::Cc => unreachable!("rejected at entry"),
-            };
-            let mut new = [0u32; WARP_SIZE];
-            let mut active_row = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 {
-                    let sv = val_row[lane];
-                    if sv == unvisited {
-                        continue; // source side not reached yet
-                    }
-                    let wt = wt_row.map_or(1, |row| row[lane]);
-                    new[lane] = match self.alg {
-                        Algorithm::Bfs => sv.saturating_add(1),
-                        Algorithm::Sssp => sv.saturating_add(wt),
-                        Algorithm::Sswp => sv.min(wt),
-                        Algorithm::Cc => unreachable!("rejected at entry"),
-                    };
-                    active_row |= 1 << lane;
-                }
-            }
+            let wt_row = wts.map_or([1; WARP_SIZE], |rows| w.burst_row(rows, j));
+            // Entries whose source side is not reached yet offer nothing.
+            let unvisited = self.alg.init_label();
+            let reached = lanes_where(row_lanes(&count, j), |lane| val_row[lane] != unvisited);
             w.alu(1);
-            if active_row == 0 {
-                continue;
-            }
-            let old = if self.alg == Algorithm::Sswp {
-                w.atomic_max(self.labels, &dst_row, &new, active_row)
-            } else {
-                w.atomic_min(self.labels, &dst_row, &new, active_row)
-            };
-            let mut improved = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (active_row >> lane) & 1 == 1 {
-                    let better = if self.alg == Algorithm::Sswp {
-                        new[lane] > old[lane]
-                    } else {
-                        new[lane] < old[lane]
-                    };
-                    if better {
-                        improved |= 1 << lane;
-                    }
-                }
-            }
+            let (_, improved) = relax_lanes(
+                w,
+                self.alg,
+                self.labels,
+                &dst_row,
+                &val_row,
+                &wt_row,
+                reached,
+            );
             if improved != 0 {
                 w.atomic_add(self.flag, &[0; WARP_SIZE], &[1; WARP_SIZE], improved);
             }

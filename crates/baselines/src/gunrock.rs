@@ -23,9 +23,13 @@
 use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::Csr;
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{
+    active_lanes, lane_degrees, lanes_where, row_index, row_lanes, Device, Kernel, Lanes, WarpCtx,
+    WARP_SIZE,
+};
 use etagraph::active_set::DeviceQueue;
 use etagraph::driver::Group;
+use etagraph::kernels::{claim_and_push, load_edges, relax_lanes};
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -65,16 +69,8 @@ impl Kernel for LbPartitionKernel {
             return;
         }
         let v = w.load(self.frontier, &tids, mask);
-        let lo = w.load(self.row_offsets, &v, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = v[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.row_offsets, &v1, mask);
-        let mut deg = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            deg[lane] = hi[lane].wrapping_sub(lo[lane]);
-        }
+        let (lo, hi) = w.load_bounds(self.row_offsets, &v, mask);
+        let (deg, _) = lane_degrees(&lo, &hi, mask);
         w.alu(2); // degree + scan step
         w.store(self.scan_temp, &tids, &deg, mask);
     }
@@ -96,76 +92,17 @@ struct AdvanceKernel {
 impl AdvanceKernel {
     /// Relax `dst` lanes and append newly improved vertices to the raw
     /// (pre-filter) queue.
-    fn relax(
-        &self,
-        w: &mut WarpCtx<'_>,
-        dst: &[u32; WARP_SIZE],
-        wt: &[u32; WARP_SIZE],
-        my: &[u32; WARP_SIZE],
-        row: u32,
-    ) {
-        let mut new = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (row >> lane) & 1 == 1 {
-                new[lane] = match self.alg {
-                    Algorithm::Bfs => my[lane].saturating_add(1),
-                    Algorithm::Sssp => my[lane].saturating_add(wt[lane]),
-                    Algorithm::Sswp => my[lane].min(wt[lane]),
-                    Algorithm::Cc => unreachable!("rejected at entry"),
-                };
-            }
-        }
+    fn relax(&self, w: &mut WarpCtx<'_>, dst: &Lanes, wt: &Lanes, my: &Lanes, row: u32) {
         w.alu(1);
-        let old = if self.alg == Algorithm::Sswp {
-            w.atomic_max(self.labels, dst, &new, row)
-        } else {
-            w.atomic_min(self.labels, dst, &new, row)
-        };
-        let mut improved = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (row >> lane) & 1 == 1 {
-                let better = if self.alg == Algorithm::Sswp {
-                    new[lane] > old[lane]
-                } else {
-                    new[lane] < old[lane]
-                };
-                if better {
-                    improved |= 1 << lane;
-                }
-            }
-        }
-        if improved == 0 {
-            return;
-        }
-        let push = match self.alg {
+        let (old, improved) = relax_lanes(w, self.alg, self.labels, dst, my, wt, row);
+        if self.alg == Algorithm::Bfs {
             // BFS advance is idempotent: exactly the first improver sees INF.
-            Algorithm::Bfs => {
-                let mut p = 0u32;
-                for lane in 0..WARP_SIZE {
-                    if (improved >> lane) & 1 == 1 && old[lane] == u32::MAX {
-                        p |= 1 << lane;
-                    }
-                }
-                p
-            }
+            let first = lanes_where(improved, |lane| old[lane] == u32::MAX);
+            self.raw_out.push(w, dst, first);
+        } else {
             // Non-idempotent ops deduplicate with the iteration-tag trick.
-            _ => {
-                let iters = [self.iter; WARP_SIZE];
-                let old_tag = w.atomic_max(self.tags, dst, &iters, improved);
-                let mut p = 0u32;
-                for lane in 0..WARP_SIZE {
-                    if (improved >> lane) & 1 == 1 && old_tag[lane] < self.iter {
-                        p |= 1 << lane;
-                    }
-                }
-                p
-            }
-        };
-        if push == 0 {
-            return;
+            claim_and_push(w, self.tags, &self.raw_out, dst, improved, self.iter);
         }
-        let pos = w.atomic_add(self.raw_out.count, &[0; WARP_SIZE], &[1; WARP_SIZE], push);
-        w.store(self.raw_out.items, &pos, dst, push);
     }
 }
 
@@ -181,85 +118,35 @@ impl Kernel for AdvanceKernel {
             return;
         }
         let v = w.load(self.frontier, &tids, mask);
-        let lo = w.load(self.row_offsets, &v, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = v[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.row_offsets, &v1, mask);
+        let (lo, hi) = w.load_bounds(self.row_offsets, &v, mask);
         let my = w.load(self.labels, &v, mask);
         w.alu(1);
-
-        let mut deg = [0u32; WARP_SIZE];
-        let mut small = 0u32;
-        let mut big = 0u32;
-        let mut max_small = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                deg[lane] = hi[lane] - lo[lane];
-                if deg[lane] == 0 {
-                    continue;
-                }
-                if deg[lane] < WARP_DEGREE_THRESHOLD {
-                    small |= 1 << lane;
-                    max_small = max_small.max(deg[lane]);
-                } else {
-                    big |= 1 << lane;
-                }
-            }
-        }
+        let (deg, _) = lane_degrees(&lo, &hi, mask);
+        let small = lanes_where(mask, |lane| {
+            deg[lane] > 0 && deg[lane] < WARP_DEGREE_THRESHOLD
+        });
+        let big = lanes_where(mask, |lane| deg[lane] >= WARP_DEGREE_THRESHOLD);
+        let max_small = active_lanes(small).map(|lane| deg[lane]).max().unwrap_or(0);
 
         // Per-thread mapping: each lane walks its own (short) edge list —
         // divergent scattered loads, the pattern UDC exists to avoid.
         for j in 0..max_small {
-            let mut row = 0u32;
-            let mut idx = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (small >> lane) & 1 == 1 && j < deg[lane] {
-                    row |= 1 << lane;
-                    idx[lane] = lo[lane] + j;
-                }
-            }
-            if row == 0 {
-                continue;
-            }
-            let dst = w.load(self.col_idx, &idx, row);
-            let wt = match self.weights {
-                Some(ws) => w.load(ws, &idx, row),
-                None => [1; WARP_SIZE],
-            };
+            let row = row_lanes(&deg, j) & small;
+            let idx = row_index(&lo, j, row);
+            let (dst, wt) = load_edges(w, self.col_idx, self.weights, &idx, row);
             self.relax(w, &dst, &wt, &my, row);
         }
 
         // Warp-cooperative mapping: the whole warp strides one high-degree
         // vertex's edges with coalesced loads, one vertex at a time.
-        for owner in 0..WARP_SIZE {
-            if (big >> owner) & 1 != 1 {
-                continue;
-            }
+        for owner in active_lanes(big) {
             w.alu(1); // broadcast of (start, deg) via shuffle
-            let start = lo[owner];
-            let d = deg[owner];
+            let (start, d) = (lo[owner], deg[owner]);
             let my_b = [my[owner]; WARP_SIZE];
-            let steps = d.div_ceil(32);
-            for s in 0..steps {
-                let base = start + s * 32;
-                let remaining = d - s * 32;
-                let lanes = remaining.min(32);
-                let row = if lanes == 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << lanes) - 1
-                };
-                let mut idx = [0u32; WARP_SIZE];
-                for lane in 0..lanes as usize {
-                    idx[lane] = base + lane as u32;
-                }
-                let dst = w.load(self.col_idx, &idx, row);
-                let wt = match self.weights {
-                    Some(ws) => w.load(ws, &idx, row),
-                    None => [1; WARP_SIZE],
-                };
+            for s in 0..d.div_ceil(32) {
+                let row = u32::MAX >> (32 - (d - s * 32).min(32));
+                let idx = std::array::from_fn(|lane| start + s * 32 + lane as u32);
+                let (dst, wt) = load_edges(w, self.col_idx, self.weights, &idx, row);
                 self.relax(w, &dst, &wt, &my_b, row);
             }
         }
@@ -291,8 +178,7 @@ impl Kernel for FilterKernel {
         let _lbl = w.load(self.labels, &v, mask); // validity check
         w.alu(1);
         if self.compact {
-            let pos = w.atomic_add(self.next.count, &[0; WARP_SIZE], &[1; WARP_SIZE], mask);
-            w.store(self.next.items, &pos, &v, mask);
+            self.next.push(w, &v, mask);
         }
     }
 }

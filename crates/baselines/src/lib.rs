@@ -25,10 +25,6 @@
 //! `--framework` alike. Labels are validated against the CPU references in
 //! the test suite.
 
-// Kernels address per-lane register arrays by explicit lane index under an
-// active mask — the SIMT idiom this simulator exists to model. Iterator
-// rewrites of those loops obscure the lane structure.
-#![allow(clippy::needless_range_loop)]
 pub mod chunkstream;
 pub mod cusha;
 pub mod framework;

@@ -21,9 +21,10 @@
 use crate::framework::{check_supported, init_labels, Framework, FrameworkError};
 use eta_graph::{Csr, Vst};
 use eta_mem::system::DSlice;
-use eta_sim::{Device, Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{lane_degrees, row_index, row_lanes, Device, Kernel, WarpCtx};
 use etagraph::active_set::DeviceQueue;
 use etagraph::driver::Group;
+use etagraph::kernels::{claim_and_push, load_edges, relax_lanes};
 use etagraph::result::{IterationStats, RunResult};
 use etagraph::Algorithm;
 
@@ -64,43 +65,13 @@ impl Kernel for ExpandKernel {
             return;
         }
         let v = w.load(self.act_items, &tids, mask);
-        let lo = w.load(self.real_virt_start, &v, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = v[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.real_virt_start, &v1, mask);
+        let (lo, hi) = w.load_bounds(self.real_virt_start, &v, mask);
         w.alu(1);
-        let mut count = [0u32; WARP_SIZE];
-        let mut any = 0u32;
-        let mut max_c = 0;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                count[lane] = hi[lane] - lo[lane];
-                if count[lane] > 0 {
-                    any |= 1 << lane;
-                    max_c = max_c.max(count[lane]);
-                }
-            }
-        }
-        if any == 0 {
-            return;
-        }
-        let base = w.atomic_add(self.virt_frontier.count, &[0; WARP_SIZE], &count, any);
-        for p in 0..max_c {
-            let mut row = 0u32;
-            let mut pos = [0u32; WARP_SIZE];
-            let mut val = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (any >> lane) & 1 == 1 && p < count[lane] {
-                    row |= 1 << lane;
-                    pos[lane] = base[lane] + p;
-                    val[lane] = lo[lane] + p;
-                }
-            }
+        let (count, _) = lane_degrees(&lo, &hi, mask);
+        w.append(self.virt_frontier.count, &count, |w, row, pos, p| {
             w.alu(1);
-            w.store(self.virt_frontier.items, &pos, &val, row);
-        }
+            w.store(self.virt_frontier.items, pos, &row_index(&lo, p, row), row);
+        });
     }
 }
 
@@ -131,87 +102,19 @@ impl Kernel for TigrTraverse {
             return;
         }
         let u = w.load(self.virt_frontier, &tids, mask);
-        let start = w.load(self.virt_offsets, &u, mask);
-        let mut u1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            u1[lane] = u[lane].wrapping_add(1);
-        }
-        let end = w.load(self.virt_offsets, &u1, mask);
+        let (start, end) = w.load_bounds(self.virt_offsets, &u, mask);
         let real = w.load(self.virt_real, &u, mask);
         let my = w.load(self.labels, &real, mask);
         w.alu(1);
 
-        let mut deg = [0u32; WARP_SIZE];
-        let mut max_deg = 0;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                deg[lane] = end[lane] - start[lane];
-                max_deg = max_deg.max(deg[lane]);
-            }
-        }
+        let (deg, max_deg) = lane_degrees(&start, &end, mask);
         for j in 0..max_deg {
-            let mut row = 0u32;
-            let mut idx = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                    row |= 1 << lane;
-                    idx[lane] = start[lane] + j;
-                }
-            }
-            if row == 0 {
-                continue;
-            }
-            let dst = w.load(self.col_idx, &idx, row);
-            let wt = match self.weights {
-                Some(ws) => w.load(ws, &idx, row),
-                None => [1; WARP_SIZE],
-            };
-            let mut new = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 {
-                    new[lane] = match self.alg {
-                        Algorithm::Bfs => my[lane].saturating_add(1),
-                        Algorithm::Sssp => my[lane].saturating_add(wt[lane]),
-                        Algorithm::Sswp => my[lane].min(wt[lane]),
-                        Algorithm::Cc => unreachable!("rejected at entry"),
-                    };
-                }
-            }
+            let row = row_lanes(&deg, j);
+            let idx = row_index(&start, j, row);
+            let (dst, wt) = load_edges(w, self.col_idx, self.weights, &idx, row);
             w.alu(1);
-            let old = if self.alg == Algorithm::Sswp {
-                w.atomic_max(self.labels, &dst, &new, row)
-            } else {
-                w.atomic_min(self.labels, &dst, &new, row)
-            };
-            let mut improved = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 {
-                    let better = if self.alg == Algorithm::Sswp {
-                        new[lane] > old[lane]
-                    } else {
-                        new[lane] < old[lane]
-                    };
-                    if better {
-                        improved |= 1 << lane;
-                    }
-                }
-            }
-            if improved == 0 {
-                continue;
-            }
-            let iters = [self.iter; WARP_SIZE];
-            let old_tag = w.atomic_max(self.tags, &dst, &iters, improved);
-            let mut push = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (improved >> lane) & 1 == 1 && old_tag[lane] < self.iter {
-                    push |= 1 << lane;
-                }
-            }
-            if push == 0 {
-                continue;
-            }
-            let pos = w.atomic_add(self.next.count, &[0; WARP_SIZE], &[1; WARP_SIZE], push);
-            w.store(self.next.items, &pos, &dst, push);
+            let (_, improved) = relax_lanes(w, self.alg, self.labels, &dst, &my, &wt, row);
+            claim_and_push(w, self.tags, &self.next, &dst, improved, self.iter);
         }
     }
 }

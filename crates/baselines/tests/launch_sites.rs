@@ -77,3 +77,22 @@ fn the_driver_is_the_only_launch_path() {
         assert_eq!(sites, ["core/src/driver.rs"], "files holding {what}");
     }
 }
+
+/// One relax rule: `Algorithm::relax` is the only place an execution model
+/// spells out the relaxed label. The needle is SSSP's label-plus-weight sum
+/// (a weight operand, so the token bucket's `saturating_add(add)` in
+/// eta-serve is no hit); before the rule moved onto `Algorithm`, EtaGraph's
+/// kernel and all four baselines each held a copy.
+#[test]
+fn the_relax_rule_is_written_once() {
+    let sites: Vec<String> = sources()
+        .into_iter()
+        .filter(|(_, code)| code.iter().any(|l| l.contains("saturating_add(w")))
+        .map(|(file, _)| file)
+        .collect();
+    assert_eq!(
+        sites,
+        ["core/src/config.rs"],
+        "files holding the relax rule"
+    );
+}

@@ -2,7 +2,7 @@
 
 use crate::suite::{self, dataset, frameworks, run_cell, weighted, CellOutcome, Suite};
 use crate::text;
-use eta_graph::{analysis, datasets, EdgeList, GShards, Vst};
+use eta_graph::{analysis, EdgeList, GShards, Vst};
 use eta_sim::GpuConfig;
 use etagraph::{Algorithm, EtaConfig};
 use serde_json::{json, Value};
@@ -307,16 +307,6 @@ pub fn table5(suite: Suite) -> Artifact {
         ),
         json: Value::Array(jrows),
     }
-}
-
-/// Sanity: Table II's analogs should land near the paper's structural
-/// targets; referenced from EXPERIMENTS.md.
-pub fn paper_table2_targets() -> Vec<(&'static str, f64)> {
-    datasets::ALL
-        .iter()
-        .zip([98.0, 99.0, 99.0, 81.0, 65.2, 70.8, 71.0])
-        .map(|(&n, p)| (n, p))
-        .collect()
 }
 
 #[cfg(test)]

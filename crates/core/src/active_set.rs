@@ -10,7 +10,7 @@
 
 use eta_mem::system::{DSlice, MemError};
 use eta_mem::Ns;
-use eta_sim::Device;
+use eta_sim::{Device, Lanes, WarpCtx, WARP_SIZE};
 
 /// A device array with an atomic append counter.
 #[derive(Debug, Clone, Copy)]
@@ -35,6 +35,17 @@ impl DeviceQueue {
     pub fn read_count(&self, dev: &mut Device, now: Ns) -> (u32, Ns) {
         let end = dev.mem.copy_d2h(self.count, 1, now);
         (dev.mem.host_read(self.count, 0, 1)[0], end)
+    }
+
+    /// Device-side push of each `mask` lane's value: one atomic add on the
+    /// count reserves the lanes' slots, one store fills them. An empty mask
+    /// issues nothing.
+    #[inline]
+    pub fn push(&self, w: &mut WarpCtx<'_>, vals: &Lanes, mask: u32) {
+        if mask != 0 {
+            let pos = w.atomic_add(self.count, &[0; WARP_SIZE], &[1; WARP_SIZE], mask);
+            w.store(self.items, &pos, vals, mask);
+        }
     }
 
     /// Host-side push during setup (seeding the source), free of charge —
@@ -91,6 +102,23 @@ impl VirtualQueue {
     pub fn read_count(&self, dev: &mut Device, now: Ns) -> (u32, Ns) {
         let end = dev.mem.copy_d2h(self.count, 1, now);
         (dev.mem.host_read(self.count, 0, 1)[0], end)
+    }
+
+    /// Device-side store of the `mask` lanes' tuples at slots `pos`: three
+    /// warp stores, ids then starts then ends.
+    #[inline]
+    pub(crate) fn store(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pos: &Lanes,
+        ids: &Lanes,
+        starts: &Lanes,
+        ends: &Lanes,
+        mask: u32,
+    ) {
+        w.store(self.ids, pos, ids, mask);
+        w.store(self.starts, pos, starts, mask);
+        w.store(self.ends, pos, ends, mask);
     }
 
     /// Returns the queue's device capacity (registry eviction path).

@@ -48,6 +48,31 @@ impl Algorithm {
         }
     }
 
+    /// The label an edge of weight `weight` offers its destination from a
+    /// source labelled `label`: BFS counts hops, SSSP sums weights, SSWP
+    /// keeps the bottleneck, CC propagates the label itself. The one relax
+    /// rule every execution model applies.
+    #[inline]
+    pub fn relax(self, label: u32, weight: u32) -> u32 {
+        match self {
+            Algorithm::Bfs => label.saturating_add(1),
+            Algorithm::Sssp => label.saturating_add(weight),
+            Algorithm::Sswp => label.min(weight),
+            Algorithm::Cc => label,
+        }
+    }
+
+    /// Whether label `new` beats `old` under the merge order: larger for
+    /// SSWP, smaller otherwise.
+    #[inline]
+    pub fn improves(self, new: u32, old: u32) -> bool {
+        if self == Algorithm::Sswp {
+            new > old
+        } else {
+            new < old
+        }
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Bfs => "BFS",
@@ -189,6 +214,24 @@ mod tests {
         assert!(!Algorithm::Bfs.needs_weights());
         assert!(Algorithm::Sssp.needs_weights());
         assert!(Algorithm::Sswp.needs_weights());
+    }
+
+    #[test]
+    fn relax_rule_and_merge_order() {
+        assert_eq!(Algorithm::Bfs.relax(3, 9), 4);
+        assert_eq!(Algorithm::Sssp.relax(3, 9), 12);
+        assert_eq!(Algorithm::Sssp.relax(u32::MAX - 1, 9), u32::MAX);
+        assert_eq!(Algorithm::Sswp.relax(3, 9), 3);
+        assert_eq!(Algorithm::Sswp.relax(u32::MAX, 9), 9);
+        assert_eq!(Algorithm::Cc.relax(3, 9), 3);
+        for alg in [Algorithm::Bfs, Algorithm::Sssp, Algorithm::Cc] {
+            assert!(alg.improves(1, 2) && !alg.improves(2, 2) && !alg.improves(3, 2));
+        }
+        assert!(Algorithm::Sswp.improves(3, 2) && !Algorithm::Sswp.improves(2, 2));
+        // An offer from a source's label never loses to the initial label.
+        for alg in [Algorithm::Bfs, Algorithm::Sssp, Algorithm::Sswp] {
+            assert!(alg.improves(alg.relax(alg.source_label(), 5), alg.init_label()));
+        }
     }
 
     #[test]

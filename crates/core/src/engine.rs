@@ -232,15 +232,6 @@ fn global_init_label(alg: Algorithm, source: u32, v: u32) -> u32 {
     }
 }
 
-/// Whether `new` beats `old` under the algorithm's merge order.
-fn improves(alg: Algorithm, new: u32, old: u32) -> bool {
-    if alg == Algorithm::Sswp {
-        new > old
-    } else {
-        new < old
-    }
-}
-
 /// One group member of a label traversal.
 struct Member<'a> {
     view: ShardView<'a>,
@@ -496,7 +487,7 @@ impl Program for Traversal<'_> {
             let labels = g.devs[s].mem.host_read(m.res.labels, 0, m.res.dg.n as u64);
             let replicas = &labels[m.view.own_len() as usize..];
             for ((&gv, &cur), sent) in m.view.halo.iter().zip(replicas).zip(&mut m.last_sent) {
-                if improves(alg, cur, *sent) {
+                if alg.improves(cur, *sent) {
                     *sent = cur;
                     m.outbox.push((gv, cur));
                 }
@@ -532,7 +523,7 @@ impl Program for Traversal<'_> {
             let mut improved: Vec<u32> = Vec::new();
             for &(gv, label) in inbox {
                 let local = gv - view.lo;
-                if improves(self.alg, label, labels[local as usize]) {
+                if self.alg.improves(label, labels[local as usize]) {
                     labels[local as usize] = label;
                     improved.push(local);
                 }

@@ -1,5 +1,7 @@
-//! The traversal kernel (Procedure 1's `Kernel BFS()` generalized to the
-//! three algorithms), with and without Shared Memory Prefetch.
+//! The traversal kernels (Procedure 1's `Kernel BFS()` generalized to the
+//! label algorithms, push with and without Shared Memory Prefetch, and the
+//! pull BFS of the direction-optimizing extension), plus the warp-level
+//! relax every push model shares.
 //!
 //! One thread processes one shadow vertex: load its `(ID, Start, End)`
 //! tuple, load its source label, then relax each of its ≤K out-edges into
@@ -16,11 +18,91 @@
 //! better ILP (the paper's Fig. 7). The uniform-K queue even skips the
 //! degree check: every lane loads exactly K values, which is what lets the
 //! compiler (here: the code) fully unroll.
+//!
+//! [`relax_lanes`] (the atomic relax and its improved mask, by
+//! [`Algorithm::relax`] and [`Algorithm::improves`]) and [`claim_and_push`]
+//! (the iteration-tag claim and the push) are written once here; EtaGraph's
+//! kernel and the Gunrock, Tigr, CuSha and ChunkStream models all call them.
+//! What each model keeps is its own: work mapping, data layout, staging,
+//! and what an improvement triggers (a tagged push, Gunrock's untagged
+//! first-improver push for BFS, or CuSha's and ChunkStream's change flag).
+//! Like the lane idioms of [`eta_sim::warp`], they charge no ALU work: each
+//! model charges its relax arithmetic at its own call site.
 
 use crate::active_set::{DeviceQueue, VirtualQueue};
 use crate::config::Algorithm;
 use eta_mem::system::DSlice;
-use eta_sim::{active_lanes, Kernel, Lanes, WarpCtx, WARP_SIZE};
+use eta_sim::{
+    active_lanes, lane_degrees, lanes_where, row_index, row_lanes, Kernel, Lanes, WarpCtx,
+    WARP_SIZE,
+};
+
+/// The warp-level relax: each `row` lane offers `alg.relax(label, weight)`
+/// to `labels[dst]` with one atomic min (max for SSWP). Returns the old
+/// labels and the lanes whose label improved. An empty `row` issues
+/// nothing.
+#[inline]
+pub fn relax_lanes(
+    w: &mut WarpCtx<'_>,
+    alg: Algorithm,
+    labels: DSlice,
+    dst: &Lanes,
+    label: &Lanes,
+    weight: &Lanes,
+    row: u32,
+) -> (Lanes, u32) {
+    if row == 0 {
+        return ([0; WARP_SIZE], 0);
+    }
+    let mut new = [0u32; WARP_SIZE];
+    for lane in active_lanes(row) {
+        new[lane] = alg.relax(label[lane], weight[lane]);
+    }
+    let old = if alg == Algorithm::Sswp {
+        w.atomic_max(labels, dst, &new, row)
+    } else {
+        w.atomic_min(labels, dst, &new, row)
+    };
+    let improved = lanes_where(row, |lane| alg.improves(new[lane], old[lane]));
+    (old, improved)
+}
+
+/// Loads edge `idx`'s destinations from `col_idx`, then its weights (1 on
+/// an unweighted graph): one or two warp loads over `row`.
+#[inline]
+pub fn load_edges(
+    w: &mut WarpCtx<'_>,
+    col_idx: DSlice,
+    weights: Option<DSlice>,
+    idx: &Lanes,
+    row: u32,
+) -> (Lanes, Lanes) {
+    let dst = w.load(col_idx, idx, row);
+    let wt = match weights {
+        Some(ws) => w.load(ws, idx, row),
+        None => [1; WARP_SIZE],
+    };
+    (dst, wt)
+}
+
+/// Pushes each `improved` lane's destination onto `next` at most once per
+/// iteration: an atomic max of `iter` into `tags[dst]` claims the vertex,
+/// and only the lanes that saw an older tag push it. An empty `improved`
+/// issues nothing.
+#[inline]
+pub fn claim_and_push(
+    w: &mut WarpCtx<'_>,
+    tags: DSlice,
+    next: &DeviceQueue,
+    dst: &Lanes,
+    improved: u32,
+    iter: u32,
+) {
+    if improved != 0 {
+        let old_tag = w.atomic_max(tags, dst, &[iter; WARP_SIZE], improved);
+        next.push(w, dst, lanes_where(improved, |lane| old_tag[lane] < iter));
+    }
+}
 
 /// Parameters of one traversal launch over one virtual active set.
 pub struct TraversalKernel {
@@ -45,70 +127,6 @@ pub struct TraversalKernel {
     pub threads_per_block: u32,
 }
 
-/// The lanes of row `j`: those with more than `j` neighbors left (an
-/// inactive lane's degree is 0).
-fn row_lanes(deg: &Lanes, j: u32) -> u32 {
-    (0..WARP_SIZE).fold(0, |row, lane| row | u32::from(j < deg[lane]) << lane)
-}
-
-impl TraversalKernel {
-    fn weighted(&self) -> bool {
-        self.alg.needs_weights()
-    }
-
-    /// Relaxed label for a lane: BFS counts hops, SSSP sums weights, SSWP
-    /// takes the bottleneck min.
-    #[inline]
-    fn relax_value(&self, my: u32, w: u32) -> u32 {
-        match self.alg {
-            Algorithm::Bfs => my.saturating_add(1),
-            Algorithm::Sssp => my.saturating_add(w),
-            Algorithm::Sswp => my.min(w),
-            // Connected components: propagate the component's min label.
-            Algorithm::Cc => my,
-        }
-    }
-
-    /// Processes one batch of per-lane neighbors (and weights), relaxing
-    /// labels and pushing improved vertices.
-    fn relax_row(&self, w: &mut WarpCtx<'_>, dst: &Lanes, wt: &Lanes, my: &Lanes, row_mask: u32) {
-        let mut new = [0u32; WARP_SIZE];
-        for lane in active_lanes(row_mask) {
-            new[lane] = self.relax_value(my[lane], wt[lane]);
-        }
-        w.alu(1);
-        let old = if self.alg == Algorithm::Sswp {
-            w.atomic_max(self.labels, dst, &new, row_mask)
-        } else {
-            w.atomic_min(self.labels, dst, &new, row_mask)
-        };
-        let mut improved = 0u32;
-        for lane in active_lanes(row_mask) {
-            let better = if self.alg == Algorithm::Sswp {
-                new[lane] > old[lane]
-            } else {
-                new[lane] < old[lane]
-            };
-            improved |= u32::from(better) << lane;
-        }
-        if improved == 0 {
-            return;
-        }
-        // Claim the per-iteration tag; only the first improver enqueues.
-        let iters = [self.iter; WARP_SIZE];
-        let old_tag = w.atomic_max(self.tags, dst, &iters, improved);
-        let mut push = 0u32;
-        for lane in active_lanes(improved) {
-            push |= u32::from(old_tag[lane] < self.iter) << lane;
-        }
-        if push == 0 {
-            return;
-        }
-        let pos = w.atomic_add(self.next.count, &[0; WARP_SIZE], &[1; WARP_SIZE], push);
-        w.store(self.next.items, &pos, dst, push);
-    }
-}
-
 impl Kernel for TraversalKernel {
     fn name(&self) -> &'static str {
         match self.alg {
@@ -123,7 +141,7 @@ impl Kernel for TraversalKernel {
         if !self.smp {
             return 0;
         }
-        let per_thread = self.k as u64 * if self.weighted() { 2 } else { 1 };
+        let per_thread = self.k as u64 * if self.alg.needs_weights() { 2 } else { 1 };
         threads_per_block as u64 * per_thread
     }
 
@@ -138,92 +156,43 @@ impl Kernel for TraversalKernel {
         let end = w.load(self.queue.ends, &tids, mask);
         let my = w.load(self.labels, &vid, mask);
         w.alu(1);
-
-        let mut deg = [0u32; WARP_SIZE];
-        let mut max_deg = 0u32;
-        for lane in active_lanes(mask) {
-            deg[lane] = end[lane] - start[lane];
-            max_deg = max_deg.max(deg[lane]);
-        }
+        let (deg, max_deg) = lane_degrees(&start, &end, mask);
         if max_deg == 0 {
             return;
         }
 
+        // SMP: each thread's K neighbor slots, then its K weight slots
+        // after the whole block's neighbors.
+        let (mut slot, mut weight_slot) = ([0; WARP_SIZE], [0; WARP_SIZE]);
         if self.smp {
-            // --- SMP: burst all neighbors (and weights) into shared memory.
+            // --- burst all neighbors (and weights) into shared memory.
             let tpb = self.threads_per_block;
-            let per_thread = self.k;
-            let mut slot_base = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                let tid_in_block = tids[lane] % tpb;
-                slot_base[lane] = tid_in_block * per_thread;
-            }
-
-            let rows = w.load_burst(self.col_idx, &start, &deg, mask);
-            for j in 0..rows.rows() {
-                let row_mask = row_lanes(&deg, j);
-                let mut slots = [0u32; WARP_SIZE];
-                for lane in active_lanes(row_mask) {
-                    slots[lane] = slot_base[lane] + j;
-                }
-                let row = w.burst_row(rows, j);
-                w.store_shared(&slots, &row, row_mask);
-            }
-            let weight_shared_off = tpb * per_thread;
+            slot = tids.map(|tid| tid % tpb * self.k);
+            weight_slot = slot.map(|s| tpb * self.k + s);
+            w.stage_burst(self.col_idx, &start, &deg, mask, &slot);
             if let Some(ws) = self.weights {
-                let wrows = w.load_burst(ws, &start, &deg, mask);
-                for j in 0..wrows.rows() {
-                    let row_mask = row_lanes(&deg, j);
-                    let mut slots = [0u32; WARP_SIZE];
-                    for lane in active_lanes(row_mask) {
-                        slots[lane] = weight_shared_off + slot_base[lane] + j;
-                    }
-                    let row = w.burst_row(wrows, j);
-                    w.store_shared(&slots, &row, row_mask);
-                }
+                w.stage_burst(ws, &start, &deg, mask, &weight_slot);
             }
-
-            // --- process from shared memory.
-            for j in 0..max_deg {
-                let row_mask = row_lanes(&deg, j);
-                let mut slots = [0u32; WARP_SIZE];
-                for lane in active_lanes(row_mask) {
-                    slots[lane] = slot_base[lane] + j;
-                }
-                if row_mask == 0 {
-                    continue;
-                }
-                let dst = w.load_shared(&slots, row_mask);
-                let wt = if self.weights.is_some() {
-                    let mut wslots = slots;
-                    for s in wslots.iter_mut() {
-                        *s += weight_shared_off;
-                    }
-                    w.load_shared(&wslots, row_mask)
-                } else {
-                    [1; WARP_SIZE]
-                };
-                self.relax_row(w, &dst, &wt, &my, row_mask);
-            }
-        } else {
-            // --- no SMP: one global load per neighbor step, the classic
-            // "load and process neighbor vertices one by one" pattern.
-            for j in 0..max_deg {
-                let row_mask = row_lanes(&deg, j);
-                let mut idx = [0u32; WARP_SIZE];
-                for lane in active_lanes(row_mask) {
-                    idx[lane] = start[lane] + j;
-                }
-                if row_mask == 0 {
-                    continue;
-                }
-                let dst = w.load(self.col_idx, &idx, row_mask);
+        }
+        for j in 0..max_deg {
+            let row = row_lanes(&deg, j);
+            let (dst, wt) = if self.smp {
+                // --- process from shared memory.
+                let dst = w.load_shared(&row_index(&slot, j, row), row);
                 let wt = match self.weights {
-                    Some(ws) => w.load(ws, &idx, row_mask),
+                    Some(_) => w.load_shared(&row_index(&weight_slot, j, row), row),
                     None => [1; WARP_SIZE],
                 };
-                self.relax_row(w, &dst, &wt, &my, row_mask);
-            }
+                (dst, wt)
+            } else {
+                // --- no SMP: one global load per neighbor step, the classic
+                // "load and process neighbor vertices one by one" pattern.
+                let idx = row_index(&start, j, row);
+                load_edges(w, self.col_idx, self.weights, &idx, row)
+            };
+            w.alu(1);
+            let (_, improved) = relax_lanes(w, self.alg, self.labels, &dst, &my, &wt, row);
+            claim_and_push(w, self.tags, &self.next, &dst, improved, self.iter);
         }
     }
 }
@@ -261,43 +230,24 @@ impl Kernel for PullBfsKernel {
         }
         let my = w.load(self.labels, &tids, mask);
         w.alu(1);
-        let mut unvisited = 0u32;
-        for lane in active_lanes(mask) {
-            unvisited |= u32::from(my[lane] == u32::MAX) << lane;
-        }
+        let unvisited = lanes_where(mask, |lane| my[lane] == u32::MAX);
         if unvisited == 0 {
             return;
         }
-        let lo = w.load(self.t_row_offsets, &tids, unvisited);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = tids[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.t_row_offsets, &v1, unvisited);
-        let mut deg = [0u32; WARP_SIZE];
-        for lane in active_lanes(unvisited) {
-            deg[lane] = hi[lane] - lo[lane];
-        }
+        let (lo, hi) = w.load_bounds(self.t_row_offsets, &tids, unvisited);
+        let (deg, _) = lane_degrees(&lo, &hi, unvisited);
 
         let parent_level = self.iter - 1;
         let mut found = 0u32;
-        let mut j = 0u32;
-        loop {
+        for j in 0.. {
             let row = row_lanes(&deg, j) & !found;
-            let mut idx = [0u32; WARP_SIZE];
-            for lane in active_lanes(row) {
-                idx[lane] = lo[lane] + j;
-            }
             if row == 0 {
                 break; // every lane found a parent or exhausted its in-edges
             }
-            let parent = w.load(self.t_col_idx, &idx, row);
+            let parent = w.load(self.t_col_idx, &row_index(&lo, j, row), row);
             let pl = w.load(self.labels, &parent, row);
             w.alu(1);
-            for lane in active_lanes(row) {
-                found |= u32::from(pl[lane] == parent_level) << lane;
-            }
-            j += 1;
+            found |= lanes_where(row, |lane| pl[lane] == parent_level);
         }
         if found == 0 {
             return;
@@ -308,8 +258,7 @@ impl Kernel for PullBfsKernel {
         // identity store here: a found lane's label is still u32::MAX, and
         // no other writer touches it this iteration (tids are disjoint).
         w.atomic_min(self.labels, &tids, &levels, found);
-        let pos = w.atomic_add(self.next.count, &[0; WARP_SIZE], &[1; WARP_SIZE], found);
-        w.store(self.next.items, &pos, &tids, found);
+        self.next.push(w, &tids, found);
     }
 }
 

@@ -28,10 +28,6 @@
 //! the push/pull decision — alongside the simulator's kernel and transfer
 //! events; see PROFILING.md and [`session::Session::profile`].
 
-// Kernels address per-lane register arrays by explicit lane index under an
-// active mask — the SIMT idiom this simulator exists to model. Iterator
-// rewrites of those loops obscure the lane structure.
-#![allow(clippy::needless_range_loop)]
 pub mod active_set;
 pub mod config;
 pub mod device_graph;

@@ -23,7 +23,10 @@ use eta_graph::Csr;
 use eta_mem::system::{DSlice, MemError};
 use eta_mem::Ns;
 use eta_prof::Track;
-use eta_sim::{Device, Kernel, KernelMetrics, WarpCtx, WARP_SIZE};
+use eta_sim::{
+    active_lanes, lane_degrees, lanes_where, row_index, row_lanes, Device, Kernel, KernelMetrics,
+    WarpCtx, WARP_SIZE,
+};
 
 /// Maximum concurrent sources per batch (one bit per source in a word).
 pub const MAX_BATCH: usize = 32;
@@ -139,40 +142,22 @@ impl Kernel for MultiPropagateKernel {
         let my_fresh = w.load(self.fresh, &vid, mask);
         w.alu(1);
 
-        let mut deg = [0u32; WARP_SIZE];
-        let mut max_deg = 0;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                deg[lane] = end[lane] - start[lane];
-                max_deg = max_deg.max(deg[lane]);
-            }
-        }
+        let (deg, max_deg) = lane_degrees(&start, &end, mask);
+        let fresh = lanes_where(mask, |lane| my_fresh[lane] != 0);
         for j in 0..max_deg {
-            let mut row = 0u32;
-            let mut idx = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (mask >> lane) & 1 == 1 && j < deg[lane] && my_fresh[lane] != 0 {
-                    row |= 1 << lane;
-                    idx[lane] = start[lane] + j;
-                }
-            }
+            let row = row_lanes(&deg, j) & fresh;
             if row == 0 {
                 continue;
             }
-            let dst = w.load(self.col_idx, &idx, row);
+            let dst = w.load(self.col_idx, &row_index(&start, j, row), row);
             // Merge our fresh bits into the neighbor's joint mask; the old
             // value tells us which bits are genuinely new there.
             let old_joint = w.atomic_or(self.joint, &dst, &my_fresh, row);
-            let mut grew = 0u32;
             let mut new_bits = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 {
-                    new_bits[lane] = my_fresh[lane] & !old_joint[lane];
-                    if new_bits[lane] != 0 {
-                        grew |= 1 << lane;
-                    }
-                }
+            for lane in active_lanes(row) {
+                new_bits[lane] = my_fresh[lane] & !old_joint[lane];
             }
+            let grew = lanes_where(row, |lane| new_bits[lane] != 0);
             w.alu(1);
             if grew == 0 {
                 continue;
@@ -180,31 +165,20 @@ impl Kernel for MultiPropagateKernel {
             // Stage the new bits for the next iteration; first grower of a
             // vertex (old next_fresh == 0 under this OR) enqueues it.
             let old_nf = w.atomic_or(self.next_fresh, &dst, &new_bits, grew);
-            let mut push = 0u32;
-            for lane in 0..WARP_SIZE {
-                if (grew >> lane) & 1 == 1 && old_nf[lane] == 0 {
-                    push |= 1 << lane;
-                }
-            }
+            let push = lanes_where(grew, |lane| old_nf[lane] == 0);
             // Record levels for each newly-set bit (divergent over bits —
             // bounded by the batch width).
             for s in 0..MAX_BATCH as u32 {
-                let mut bit_row = 0u32;
+                let bit_row = lanes_where(grew, |lane| (new_bits[lane] >> s) & 1 == 1);
                 let mut slot = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (grew >> lane) & 1 == 1 && (new_bits[lane] >> s) & 1 == 1 {
-                        bit_row |= 1 << lane;
-                        slot[lane] = s * self.n + dst[lane];
-                    }
+                for lane in active_lanes(bit_row) {
+                    slot[lane] = s * self.n + dst[lane];
                 }
                 if bit_row != 0 {
                     w.store(self.levels, &slot, &[self.iter; WARP_SIZE], bit_row);
                 }
             }
-            if push != 0 {
-                let pos = w.atomic_add(self.next.count, &[0; WARP_SIZE], &[1; WARP_SIZE], push);
-                w.store(self.next.items, &pos, &dst, push);
-            }
+            self.next.push(w, &dst, push);
         }
     }
 }

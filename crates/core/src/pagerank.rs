@@ -29,7 +29,10 @@ use eta_graph::Csr;
 use eta_mem::system::{DSlice, MemError};
 use eta_mem::Ns;
 use eta_prof::Track;
-use eta_sim::{Device, Kernel, KernelMetrics, WarpCtx, WARP_SIZE};
+use eta_sim::{
+    active_lanes, lane_degrees, row_index, row_lanes, Device, Kernel, KernelMetrics, WarpCtx,
+    WARP_SIZE,
+};
 
 /// PageRank configuration.
 #[derive(Debug, Clone, Copy)]
@@ -82,48 +85,19 @@ impl Kernel for StaticUdcKernel {
         if mask == 0 {
             return;
         }
-        let start = w.load(self.row_offsets, &tids, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = tids[lane].wrapping_add(1);
-        }
-        let end = w.load(self.row_offsets, &v1, mask);
+        let (start, end) = w.load_bounds(self.row_offsets, &tids, mask);
         w.alu(2);
-        let mut parts = [0u32; WARP_SIZE];
-        let mut any = 0u32;
-        let mut max_p = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let deg = end[lane] - start[lane];
-                parts[lane] = deg.div_ceil(self.k);
-                if parts[lane] > 0 {
-                    any |= 1 << lane;
-                    max_p = max_p.max(parts[lane]);
-                }
-            }
-        }
-        if any == 0 {
-            return;
-        }
-        let base = w.atomic_add(self.out.count, &[0; WARP_SIZE], &parts, any);
-        for p in 0..max_p {
-            let mut row = 0u32;
-            let mut pos = [0u32; WARP_SIZE];
-            let mut s = [0u32; WARP_SIZE];
-            let mut e = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (any >> lane) & 1 == 1 && p < parts[lane] {
-                    row |= 1 << lane;
-                    pos[lane] = base[lane] + p;
-                    s[lane] = start[lane] + p * self.k;
-                    e[lane] = (s[lane] + self.k).min(end[lane]);
-                }
+        let (deg, _) = lane_degrees(&start, &end, mask);
+        let parts = deg.map(|d| d.div_ceil(self.k));
+        w.append(self.out.count, &parts, |w, row, pos, p| {
+            let s = row_index(&start, p * self.k, row);
+            let mut e = row_index(&s, self.k, row);
+            for lane in active_lanes(row) {
+                e[lane] = e[lane].min(end[lane]);
             }
             w.alu(1);
-            w.store(self.out.ids, &pos, &tids, row);
-            w.store(self.out.starts, &pos, &s, row);
-            w.store(self.out.ends, &pos, &e, row);
-        }
+            self.out.store(w, pos, &tids, &s, &e, row);
+        });
     }
 }
 
@@ -148,25 +122,18 @@ impl Kernel for ContribKernel {
         if mask == 0 {
             return;
         }
-        let lo = w.load(self.row_offsets, &tids, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = tids[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.row_offsets, &v1, mask);
+        let (lo, hi) = w.load_bounds(self.row_offsets, &tids, mask);
         let rank = w.load(self.ranks, &tids, mask);
         w.alu(2);
+        let (deg, _) = lane_degrees(&lo, &hi, mask);
         let mut out = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let deg = hi[lane] - lo[lane];
-                let share = if deg == 0 {
-                    0.0
-                } else {
-                    f32::from_bits(rank[lane]) / deg as f32
-                };
-                out[lane] = share.to_bits();
-            }
+        for lane in active_lanes(mask) {
+            let share = if deg[lane] == 0 {
+                0.0
+            } else {
+                f32::from_bits(rank[lane]) / deg[lane] as f32
+            };
+            out[lane] = share.to_bits();
         }
         w.store(self.contrib, &tids, &out, mask);
     }
@@ -210,78 +177,28 @@ impl Kernel for ScatterKernel {
         let end = w.load(self.queue.ends, &tids, mask);
         let share_bits = w.load(self.contrib, &vid, mask);
         w.alu(1);
-        let mut deg = [0u32; WARP_SIZE];
-        let mut max_deg = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                deg[lane] = end[lane] - start[lane];
-                max_deg = max_deg.max(deg[lane]);
-            }
-        }
+        let (deg, max_deg) = lane_degrees(&start, &end, mask);
         if max_deg == 0 {
             return;
         }
 
-        let scatter = |w: &mut WarpCtx<'_>, dst: &[u32; WARP_SIZE], row: u32| {
-            let mut val = [0f32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (row >> lane) & 1 == 1 {
-                    val[lane] = f32::from_bits(share_bits[lane]);
-                }
-            }
-            w.atomic_add_f32(self.next_ranks, dst, &val, row);
-        };
-
+        let mut slot = [0u32; WARP_SIZE];
         if self.smp {
-            let tpb = self.threads_per_block;
-            let mut slot_base = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                slot_base[lane] = (tids[lane] % tpb) * self.k;
+            slot = tids.map(|tid| tid % self.threads_per_block * self.k);
+            w.stage_burst(self.col_idx, &start, &deg, mask, &slot);
+        }
+        for j in 0..max_deg {
+            let row = row_lanes(&deg, j);
+            let dst = if self.smp {
+                w.load_shared(&row_index(&slot, j, row), row)
+            } else {
+                w.load(self.col_idx, &row_index(&start, j, row), row)
+            };
+            let mut val = [0f32; WARP_SIZE];
+            for lane in active_lanes(row) {
+                val[lane] = f32::from_bits(share_bits[lane]);
             }
-            let rows = w.load_burst(self.col_idx, &start, &deg, mask);
-            for j in 0..rows.rows() {
-                let mut row = 0u32;
-                let mut slots = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j;
-                    }
-                }
-                let row_vals = w.burst_row(rows, j);
-                w.store_shared(&slots, &row_vals, row);
-            }
-            for j in 0..max_deg {
-                let mut row = 0u32;
-                let mut slots = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row |= 1 << lane;
-                        slots[lane] = slot_base[lane] + j;
-                    }
-                }
-                if row == 0 {
-                    continue;
-                }
-                let dst = w.load_shared(&slots, row);
-                scatter(w, &dst, row);
-            }
-        } else {
-            for j in 0..max_deg {
-                let mut row = 0u32;
-                let mut idx = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (mask >> lane) & 1 == 1 && j < deg[lane] {
-                        row |= 1 << lane;
-                        idx[lane] = start[lane] + j;
-                    }
-                }
-                if row == 0 {
-                    continue;
-                }
-                let dst = w.load(self.col_idx, &idx, row);
-                scatter(w, &dst, row);
-            }
+            w.atomic_add_f32(self.next_ranks, &dst, &val, row);
         }
     }
 }
@@ -309,10 +226,8 @@ impl Kernel for ApplyKernel {
         let nx = w.load(self.next_ranks, &tids, mask);
         w.alu(2);
         let mut new = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                new[lane] = (self.base + self.damping * f32::from_bits(nx[lane])).to_bits();
-            }
+        for lane in active_lanes(mask) {
+            new[lane] = (self.base + self.damping * f32::from_bits(nx[lane])).to_bits();
         }
         w.store(self.ranks, &tids, &new, mask);
         w.store(self.next_ranks, &tids, &[0f32.to_bits(); WARP_SIZE], mask);

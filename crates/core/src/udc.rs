@@ -13,7 +13,7 @@
 
 use crate::active_set::{DeviceQueue, VirtualQueue};
 use eta_mem::system::DSlice;
-use eta_sim::{Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{active_lanes, lane_degrees, row_index, Kernel, WarpCtx, WARP_SIZE};
 
 /// Host-side UDC of a single vertex: the `(start, end)` edge slices of its
 /// shadow vertices. Pure function used by tests and Table I accounting.
@@ -130,50 +130,16 @@ impl Kernel for ExpandFromTableKernel {
             return;
         }
         let v = w.load(self.act_items, &tids, mask);
-        let lo = w.load(self.vertex_range, &v, mask);
-        let mut v1 = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v1[lane] = v[lane].wrapping_add(1);
-        }
-        let hi = w.load(self.vertex_range, &v1, mask);
+        let (lo, hi) = w.load_bounds(self.vertex_range, &v, mask);
         w.alu(1);
-        let mut count = [0u32; WARP_SIZE];
-        let mut any = 0u32;
-        let mut max_c = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                count[lane] = hi[lane] - lo[lane];
-                if count[lane] > 0 {
-                    any |= 1 << lane;
-                    max_c = max_c.max(count[lane]);
-                }
-            }
-        }
-        if any == 0 {
-            return;
-        }
-        let base = w.atomic_add(self.out.count, &[0; WARP_SIZE], &count, any);
-        for p in 0..max_c {
-            let mut row = 0u32;
-            let mut src = [0u32; WARP_SIZE];
-            let mut dst = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (any >> lane) & 1 == 1 && p < count[lane] {
-                    row |= 1 << lane;
-                    src[lane] = lo[lane] + p;
-                    dst[lane] = base[lane] + p;
-                }
-            }
-            if row == 0 {
-                continue;
-            }
+        let (count, _) = lane_degrees(&lo, &hi, mask);
+        w.append(self.out.count, &count, |w, row, pos, p| {
+            let src = row_index(&lo, p, row);
             let ids = w.load(self.table_ids, &src, row);
             let starts = w.load(self.table_starts, &src, row);
             let ends = w.load(self.table_ends, &src, row);
-            w.store(self.out.ids, &dst, &ids, row);
-            w.store(self.out.starts, &dst, &starts, row);
-            w.store(self.out.ends, &dst, &ends, row);
-        }
+            self.out.store(w, pos, &ids, &starts, &ends, row);
+        });
     }
 }
 
@@ -223,81 +189,29 @@ impl Kernel for ActToVirtKernel {
             return;
         }
         let v = w.load(self.act_items, &tids, mask);
-        let start = w.load(self.row_offsets, &v, mask);
-        let mut v_plus = [0u32; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            v_plus[lane] = v[lane].wrapping_add(1);
-        }
-        let end = w.load(self.row_offsets, &v_plus, mask);
+        let (start, end) = w.load_bounds(self.row_offsets, &v, mask);
         w.alu(2); // degree math
-
-        let mut full_parts = [0u32; WARP_SIZE];
-        let mut tail = [0u32; WARP_SIZE];
-        let mut full_mask = 0u32;
-        let mut tail_mask = 0u32;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 {
-                let deg = end[lane] - start[lane];
-                full_parts[lane] = deg / self.k;
-                tail[lane] = deg % self.k;
-                if full_parts[lane] > 0 {
-                    full_mask |= 1 << lane;
-                }
-                if tail[lane] > 0 {
-                    tail_mask |= 1 << lane;
-                }
-            }
-        }
+        let (deg, _) = lane_degrees(&start, &end, mask);
+        let full_parts = deg.map(|d| d / self.k);
 
         // Reserve slots in the uniform-K queue and emit the full slices.
-        if full_mask != 0 {
-            let base = w.atomic_add(self.full.count, &[0; WARP_SIZE], &full_parts, full_mask);
-            let max_parts = (0..WARP_SIZE)
-                .filter(|&l| (full_mask >> l) & 1 == 1)
-                .map(|l| full_parts[l])
-                .max()
-                .unwrap_or(0);
-            for p in 0..max_parts {
-                let mut row_mask = 0u32;
-                let mut pos = [0u32; WARP_SIZE];
-                let mut s = [0u32; WARP_SIZE];
-                let mut e = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if (full_mask >> lane) & 1 == 1 && p < full_parts[lane] {
-                        row_mask |= 1 << lane;
-                        pos[lane] = base[lane] + p;
-                        s[lane] = start[lane] + p * self.k;
-                        e[lane] = s[lane] + self.k;
-                    }
-                }
-                w.alu(1);
-                w.store(self.full.ids, &pos, &v, row_mask);
-                w.store(self.full.starts, &pos, &s, row_mask);
-                w.store(self.full.ends, &pos, &e, row_mask);
-            }
-        }
+        w.append(self.full.count, &full_parts, |w, row, pos, p| {
+            let s = row_index(&start, p * self.k, row);
+            let e = row_index(&s, self.k, row);
+            w.alu(1);
+            self.full.store(w, pos, &v, &s, &e, row);
+        });
 
-        // Tail slices (< K edges) go to the partial queue.
-        if tail_mask != 0 {
-            let pos = w.atomic_add(
-                self.partial.count,
-                &[0; WARP_SIZE],
-                &[1; WARP_SIZE],
-                tail_mask,
-            );
+        // Tail slices (< K edges) go to the partial queue, one per lane.
+        let tails = deg.map(|d| u32::from(d % self.k > 0));
+        w.append(self.partial.count, &tails, |w, row, pos, _| {
             let mut s = [0u32; WARP_SIZE];
-            let mut e = [0u32; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                if (tail_mask >> lane) & 1 == 1 {
-                    s[lane] = start[lane] + full_parts[lane] * self.k;
-                    e[lane] = end[lane];
-                }
+            for lane in active_lanes(row) {
+                s[lane] = start[lane] + full_parts[lane] * self.k;
             }
             w.alu(1);
-            w.store(self.partial.ids, &pos, &v, tail_mask);
-            w.store(self.partial.starts, &pos, &s, tail_mask);
-            w.store(self.partial.ends, &pos, &e, tail_mask);
-        }
+            self.partial.store(w, pos, &v, &s, &end, row);
+        });
     }
 }
 
@@ -376,10 +290,10 @@ mod tests {
                 covered[ids[i] as usize].push((ss[i], es[i]));
             }
         }
-        for v in 0..g.n() {
-            covered[v].sort_unstable();
+        for (v, slices) in covered.iter_mut().enumerate() {
+            slices.sort_unstable();
             let mut cursor = g.row_offsets[v];
-            for &(s, e) in &covered[v] {
+            for &(s, e) in slices.iter() {
                 assert_eq!(s, cursor, "vertex {v}: slices must tile the range");
                 cursor = e;
             }

@@ -108,11 +108,6 @@ pub fn build(name: &str) -> Dataset {
     }
 }
 
-/// Builds the whole suite (expensive; ~50 M edges of generation).
-pub fn build_all() -> Vec<Dataset> {
-    ALL.iter().map(|n| build(n)).collect()
-}
-
 fn social(
     name: &'static str,
     analog_of: &'static str,

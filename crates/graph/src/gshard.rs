@@ -23,12 +23,6 @@ pub struct Shard {
     pub weights: Option<Vec<u32>>,
 }
 
-impl Shard {
-    pub fn window_size(&self) -> u32 {
-        self.dst_end - self.dst_start
-    }
-}
-
 /// A G-Shards decomposition of a graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GShards {

@@ -145,12 +145,6 @@ impl UmRegion {
         self.pages[page].resident
     }
 
-    /// Page index containing a global word address.
-    pub fn page_of_word(&self, word_addr: u64) -> usize {
-        debug_assert!(word_addr >= self.start_word);
-        ((word_addr - self.start_word) / PAGE_WORDS) as usize
-    }
-
     fn bytes_of_page(&self, page: usize) -> u64 {
         let start_w = page as u64 * PAGE_WORDS;
         let end_w = (start_w + PAGE_WORDS).min(self.len_words);

@@ -152,18 +152,6 @@ impl GraphPartition {
     pub fn halo_total(&self) -> u64 {
         self.shards.iter().map(|s| s.halo.len() as u64).sum()
     }
-
-    /// Assembles global per-vertex values from per-shard *owned* slices
-    /// (shard `d` contributes `owned[d][0..own_len]`), in range order.
-    pub fn merge_owned(&self, owned: &[Vec<u32>]) -> Vec<u32> {
-        assert_eq!(owned.len(), self.shards.len());
-        let mut out = Vec::with_capacity(self.n as usize);
-        for (s, vals) in self.shards.iter().zip(owned) {
-            assert!(vals.len() >= s.own_len() as usize);
-            out.extend_from_slice(&vals[..s.own_len() as usize]);
-        }
-        out
-    }
 }
 
 fn build_shard(csr: &Csr, device: u32, lo: u32, hi: u32) -> ShardSpec {

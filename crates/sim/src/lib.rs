@@ -31,4 +31,7 @@ pub use metrics::KernelMetrics;
 pub use sanitizer::{
     Finding, FindingKind, KernelLintStats, Sanitizer, SanitizerMode, SanitizerReport, Severity,
 };
-pub use warp::{active_lanes, Burst, Lanes, WarpCtx, WarpId, FULL_MASK};
+pub use warp::{
+    active_lanes, lane_degrees, lanes_where, row_index, row_lanes, Burst, Lanes, WarpCtx, WarpId,
+    FULL_MASK,
+};

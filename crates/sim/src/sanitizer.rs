@@ -776,13 +776,6 @@ impl Sanitizer {
 
     // ---- reporting -------------------------------------------------------
 
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count()
-    }
-
     pub fn report(&self) -> SanitizerReport {
         let mut errors = Vec::new();
         let mut warnings = Vec::new();

@@ -18,6 +18,17 @@
 //!   relaxation.
 //! * [`WarpCtx::load_shared`] / [`WarpCtx::store_shared`] — block-shared
 //!   scratchpad at L1 speed with no global traffic.
+//!
+//! Every kernel builds from the same few lane idioms, written once here:
+//! [`row_lanes`] and [`row_index`] walk each lane's run of items one row
+//! at a time, [`lane_degrees`] sizes the runs, [`lanes_where`] narrows a
+//! mask; [`WarpCtx::load_bounds`] loads a CSR-style `(offsets[v],
+//! offsets[v + 1])` pair, [`WarpCtx::append`] reserves and fills a
+//! per-lane run of queue slots, and [`WarpCtx::stage_burst`] is Shared
+//! Memory Prefetch's burst-to-shared staging. Each issues exactly the warp
+//! instructions its callers used to spell out, in the same order and under
+//! the same masks, and none charges ALU work: that stays at the call site,
+//! where each execution model charges it.
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::metrics::KernelMetrics;
@@ -41,6 +52,41 @@ pub fn active_lanes(mut mask: u32) -> impl Iterator<Item = usize> {
             lane
         })
     })
+}
+
+/// The lanes of `mask` for which `pred(lane)` holds.
+#[inline]
+pub fn lanes_where(mask: u32, mut pred: impl FnMut(usize) -> bool) -> u32 {
+    active_lanes(mask).fold(0, |m, lane| m | u32::from(pred(lane)) << lane)
+}
+
+/// The lanes of row `j` of a per-lane walk: those with more than `j` items
+/// (a lane outside the walk has a count of 0).
+#[inline]
+pub fn row_lanes(count: &Lanes, j: u32) -> u32 {
+    (0..WARP_SIZE).fold(0, |row, lane| row | u32::from(j < count[lane]) << lane)
+}
+
+/// Row `j`'s index into each `row` lane's run starting at `base[lane]`:
+/// `base[lane] + j`, and 0 on the other lanes.
+#[inline]
+pub fn row_index(base: &Lanes, j: u32, row: u32) -> Lanes {
+    let mut idx = [0u32; WARP_SIZE];
+    for lane in active_lanes(row) {
+        idx[lane] = base[lane] + j;
+    }
+    idx
+}
+
+/// Each `mask` lane's run length `end - start` (0 on the other lanes) and
+/// the longest run.
+#[inline]
+pub fn lane_degrees(start: &Lanes, end: &Lanes, mask: u32) -> (Lanes, u32) {
+    let mut deg = [0u32; WARP_SIZE];
+    for lane in active_lanes(mask) {
+        deg[lane] = end[lane].wrapping_sub(start[lane]);
+    }
+    (deg, deg.iter().copied().max().unwrap_or(0))
 }
 
 /// Identity of a warp within a launch.
@@ -252,6 +298,15 @@ impl<'a> WarpCtx<'a> {
         out
     }
 
+    /// Two warp loads, `s[idx[lane]]` then `s[idx[lane] + 1]`: the bounds
+    /// of each lane's row in a CSR-style offsets array.
+    #[inline]
+    pub fn load_bounds(&mut self, s: DSlice, idx: &Lanes, mask: u32) -> (Lanes, Lanes) {
+        let lo = self.load(s, idx, mask);
+        let hi = self.load(s, &idx.map(|i| i.wrapping_add(1)), mask);
+        (lo, hi)
+    }
+
     /// One warp store instruction: `s[idx[lane]] = vals[lane]`.
     pub fn store(&mut self, s: DSlice, idx: &Lanes, vals: &Lanes, mask: u32) {
         self.instructions += 1;
@@ -339,9 +394,64 @@ impl<'a> WarpCtx<'a> {
         self.burst_rows[burst.first + r as usize]
     }
 
-    /// Lane-serialized atomic add at L2: returns each lane's old value.
-    /// Lanes apply in lane order, so same-address adds see prior lanes.
-    pub fn atomic_add(&mut self, s: DSlice, idx: &Lanes, delta: &Lanes, mask: u32) -> Lanes {
+    /// Shared Memory Prefetch's staging: bursts each `mask` lane's
+    /// `count[lane]` elements of `s` from `start[lane]`
+    /// ([`WarpCtx::load_burst`]), then stores row `j` to shared words
+    /// `slot[lane] + j`, one shared store per row. `count` is 0 outside
+    /// `mask`.
+    #[inline]
+    pub fn stage_burst(
+        &mut self,
+        s: DSlice,
+        start: &Lanes,
+        count: &Lanes,
+        mask: u32,
+        slot: &Lanes,
+    ) {
+        let rows = self.load_burst(s, start, count, mask);
+        for j in 0..rows.rows() {
+            let row = row_lanes(count, j);
+            let vals = self.burst_row(rows, j);
+            self.store_shared(&row_index(slot, j, row), &vals, row);
+        }
+    }
+
+    /// Per-lane reserve-and-emit: one atomic add on `counter` reserves
+    /// `count[lane]` consecutive slots for every lane with a nonzero count,
+    /// then `emit(w, row, pos, p)` fills row `p` of the runs for each `p`
+    /// below the longest, where `row` holds the lanes with more than `p`
+    /// items and `pos` their `p`-th slot. A warp with nothing to append
+    /// issues nothing.
+    #[inline]
+    pub fn append(
+        &mut self,
+        counter: DSlice,
+        count: &Lanes,
+        mut emit: impl FnMut(&mut Self, u32, &Lanes, u32),
+    ) {
+        let any = row_lanes(count, 0);
+        if any == 0 {
+            return;
+        }
+        let base = self.atomic_add(counter, &[0; WARP_SIZE], count, any);
+        let rows = count.iter().copied().max().unwrap_or(0);
+        for p in 0..rows {
+            let row = row_lanes(count, p);
+            emit(self, row, &row_index(&base, p, row), p);
+        }
+    }
+
+    /// One lane-serialized read-modify-write at L2: each active lane reads
+    /// its old word, in lane order, and writes back `op(lane, old)` when that
+    /// is `Some`. Returns the old words.
+    #[inline]
+    fn atomic(
+        &mut self,
+        s: DSlice,
+        idx: &Lanes,
+        mask: u32,
+        mut op: impl FnMut(usize, u32) -> Option<u32>,
+    ) -> Lanes {
         self.instructions += 1;
         let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
         let active = mask.count_ones() as u64;
@@ -351,45 +461,33 @@ impl<'a> WarpCtx<'a> {
         for (lane, &addr) in active_lanes(mask).zip(&addrs) {
             let old = self.mem.word(addr);
             out[lane] = old;
-            self.mem.set_word(addr, old.wrapping_add(delta[lane]));
+            if let Some(new) = op(lane, old) {
+                self.mem.set_word(addr, new);
+            }
         }
         out
     }
 
+    /// Lane-serialized atomic add at L2: returns each lane's old value.
+    /// Lanes apply in lane order, so same-address adds see prior lanes.
+    pub fn atomic_add(&mut self, s: DSlice, idx: &Lanes, delta: &Lanes, mask: u32) -> Lanes {
+        self.atomic(s, idx, mask, |lane, old| {
+            Some(old.wrapping_add(delta[lane]))
+        })
+    }
+
     /// Lane-serialized atomic min at L2: returns each lane's old value.
     pub fn atomic_min(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
-        self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
-        let active = mask.count_ones() as u64;
-        self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
-        self.atomics += active;
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
-            let old = self.mem.word(addr);
-            out[lane] = old;
-            if val[lane] < old {
-                self.mem.set_word(addr, val[lane]);
-            }
-        }
-        out
+        self.atomic(s, idx, mask, |lane, old| {
+            (val[lane] < old).then_some(val[lane])
+        })
     }
 
     /// Lane-serialized atomic OR at L2 (`atomicOr`) — the primitive behind
     /// bitmask frontiers (iBFS-style concurrent traversals). Returns old
     /// values; lanes apply in lane order.
     pub fn atomic_or(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
-        self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
-        let active = mask.count_ones() as u64;
-        self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
-        self.atomics += active;
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
-            let old = self.mem.word(addr);
-            out[lane] = old;
-            self.mem.set_word(addr, old | val[lane]);
-        }
-        out
+        self.atomic(s, idx, mask, |lane, old| Some(old | val[lane]))
     }
 
     /// Lane-serialized atomic float add at L2 (`atomicAdd(float*)`),
@@ -402,36 +500,17 @@ impl<'a> WarpCtx<'a> {
         val: &[f32; WARP_SIZE],
         mask: u32,
     ) -> [f32; WARP_SIZE] {
-        self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
-        let active = mask.count_ones() as u64;
-        self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
-        self.atomics += active;
-        let mut out = [0f32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
-            let old = f32::from_bits(self.mem.word(addr));
-            out[lane] = old;
-            self.mem.set_word(addr, (old + val[lane]).to_bits());
-        }
-        out
+        self.atomic(s, idx, mask, |lane, old| {
+            Some((f32::from_bits(old) + val[lane]).to_bits())
+        })
+        .map(f32::from_bits)
     }
 
     /// Lane-serialized atomic max at L2 (SSWP's widest-path update).
     pub fn atomic_max(&mut self, s: DSlice, idx: &Lanes, val: &Lanes, mask: u32) -> Lanes {
-        self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
-        let active = mask.count_ones() as u64;
-        self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
-        self.atomics += active;
-        let mut out = [0u32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
-            let old = self.mem.word(addr);
-            out[lane] = old;
-            if val[lane] > old {
-                self.mem.set_word(addr, val[lane]);
-            }
-        }
-        out
+        self.atomic(s, idx, mask, |lane, old| {
+            (val[lane] > old).then_some(val[lane])
+        })
     }
 
     // ---- shared memory -----------------------------------------------------
@@ -1015,5 +1094,75 @@ mod tests {
         rig.replay(1);
         assert_eq!(rig.queue.l2q.len(), 1, "the cold load goes on to L2");
         assert!(rig.queue.l2q[0].worst_c > 0);
+    }
+
+    #[test]
+    fn lane_walk_helpers() {
+        let mut count = [0u32; WARP_SIZE];
+        count[..4].copy_from_slice(&[2, 0, 3, 1]);
+        assert_eq!(row_lanes(&count, 0), 0b1101);
+        assert_eq!(row_lanes(&count, 1), 0b0101);
+        assert_eq!(row_lanes(&count, 2), 0b0100);
+        assert_eq!(row_lanes(&count, 3), 0);
+        let idx = row_index(&iota(), 10, 0b0101);
+        assert_eq!((idx[0], idx[1], idx[2], idx[3]), (10, 0, 12, 0));
+        let (deg, max) = lane_degrees(&iota(), &iota().map(|i| 3 * i), 0b1110);
+        assert_eq!((&deg[..5], max), (&[0, 2, 4, 6, 0][..], 6));
+        assert_eq!(lanes_where(0b1111, |lane| lane % 2 == 1), 0b1010);
+    }
+
+    #[test]
+    fn load_bounds_is_two_loads_in_order() {
+        let mut rig = Rig::new();
+        let a = rig.mem.alloc_explicit(64).unwrap();
+        rig.mem
+            .host_write(a, 0, &(0..64).map(|i| i * i).collect::<Vec<u32>>());
+        let mut metrics = KernelMetrics::default();
+        let mut w = rig.warp();
+        let (lo, hi) = w.load_bounds(a, &iota(), 0b110);
+        assert_eq!((&lo[..3], &hi[..3]), (&[0, 1, 4][..], &[0, 4, 9][..]));
+        assert_eq!(w.finish(&mut metrics), (2, 0, 2), "two loads, two records");
+    }
+
+    #[test]
+    fn append_reserves_runs_and_emits_rows() {
+        let mut rig = Rig::new();
+        let counter = rig.mem.alloc_explicit(1).unwrap();
+        rig.mem.host_write(counter, 0, &[5]);
+        let mut count = [0u32; WARP_SIZE];
+        count[..3].copy_from_slice(&[2, 0, 3]);
+        let mut w = rig.warp();
+        let mut rows = Vec::new();
+        w.append(counter, &count, |_, row, pos, p| {
+            rows.push((p, row, pos[0], pos[2]));
+        });
+        // Lane 0 reserves slots 5..7, lane 2 slots 7..10.
+        assert_eq!(rows, [(0, 0b101, 5, 7), (1, 0b101, 6, 8), (2, 0b100, 0, 9)]);
+        assert_eq!(rig.mem.host_read(counter, 0, 1), &[10]);
+        let mut w = rig.warp();
+        w.append(counter, &[0; WARP_SIZE], |_, _, _, _| unreachable!());
+        assert_eq!(
+            w.finish(&mut KernelMetrics::default()).0,
+            0,
+            "nothing issued"
+        );
+    }
+
+    #[test]
+    fn stage_burst_stores_each_row_at_its_slot() {
+        let mut rig = Rig::new();
+        let a = rig.mem.alloc_explicit(64).unwrap();
+        rig.mem.host_write(a, 0, &(100..164).collect::<Vec<u32>>());
+        let mut start = [0u32; WARP_SIZE];
+        let mut count = [0u32; WARP_SIZE];
+        start[..2].copy_from_slice(&[4, 20]);
+        count[..2].copy_from_slice(&[3, 1]);
+        let slot = iota().map(|lane| 8 * lane);
+        let mut w = rig.warp();
+        w.stage_burst(a, &start, &count, 0b11, &slot);
+        let mut words = [0u32; WARP_SIZE];
+        words[..5].copy_from_slice(&[0, 1, 2, 8, 9]);
+        let back = w.load_shared(&words, 0b11111);
+        assert_eq!(&back[..5], &[104, 105, 106, 120, 0], "lane 1 has one row");
     }
 }
