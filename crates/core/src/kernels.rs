@@ -19,15 +19,17 @@
 //! degree check: every lane loads exactly K values, which is what lets the
 //! compiler (here: the code) fully unroll.
 //!
+//! The relax step every execution model shares is written once here:
 //! [`relax_lanes`] (the atomic relax and its improved mask, by
-//! [`Algorithm::relax`] and [`Algorithm::improves`]) and [`claim_and_push`]
-//! (the iteration-tag claim and the push) are written once here; EtaGraph's
-//! kernel and the Gunrock, Tigr, CuSha and ChunkStream models all call them.
-//! What each model keeps is its own: work mapping, data layout, staging,
-//! and what an improvement triggers (a tagged push, Gunrock's untagged
-//! first-improver push for BFS, or CuSha's and ChunkStream's change flag).
-//! Like the lane idioms of [`eta_sim::warp`], they charge no ALU work: each
-//! model charges its relax arithmetic at its own call site.
+//! [`Algorithm::relax`] and [`Algorithm::improves`]), which EtaGraph's
+//! kernel and the Gunrock, Tigr, CuSha and ChunkStream models all call;
+//! [`claim_and_push`] (the iteration-tag claim and the push), which the
+//! pushing models call; and [`load_edges`]. What each model keeps is its
+//! own: work mapping, data layout, staging, and what an improvement
+//! triggers (a tagged push, Gunrock's untagged first-improver push for BFS,
+//! or CuSha's and ChunkStream's change flag). Like the lane idioms of
+//! [`eta_sim::warp`], they charge no ALU work: each model charges its relax
+//! arithmetic at its own call site.
 
 use crate::active_set::{DeviceQueue, VirtualQueue};
 use crate::config::Algorithm;
@@ -168,9 +170,9 @@ impl Kernel for TraversalKernel {
             // --- burst all neighbors (and weights) into shared memory.
             let tpb = self.threads_per_block;
             slot = tids.map(|tid| tid % tpb * self.k);
-            weight_slot = slot.map(|s| tpb * self.k + s);
             w.stage_burst(self.col_idx, &start, &deg, mask, &slot);
             if let Some(ws) = self.weights {
+                weight_slot = slot.map(|s| tpb * self.k + s);
                 w.stage_burst(ws, &start, &deg, mask, &weight_slot);
             }
         }

@@ -88,7 +88,10 @@ impl Kernel for StaticUdcKernel {
         let (start, end) = w.load_bounds(self.row_offsets, &tids, mask);
         w.alu(2);
         let (deg, _) = lane_degrees(&start, &end, mask);
-        let parts = deg.map(|d| d.div_ceil(self.k));
+        let mut parts = [0u32; WARP_SIZE];
+        for lane in active_lanes(mask) {
+            parts[lane] = deg[lane].div_ceil(self.k);
+        }
         w.append(self.out.count, &parts, |w, row, pos, p| {
             let s = row_index(&start, p * self.k, row);
             let mut e = row_index(&s, self.k, row);

@@ -13,7 +13,7 @@
 
 use crate::active_set::{DeviceQueue, VirtualQueue};
 use eta_mem::system::DSlice;
-use eta_sim::{active_lanes, lane_degrees, row_index, Kernel, WarpCtx, WARP_SIZE};
+use eta_sim::{active_lanes, lane_degrees, lanes_where, row_index, Kernel, WarpCtx, WARP_SIZE};
 
 /// Host-side UDC of a single vertex: the `(start, end)` edge slices of its
 /// shadow vertices. Pure function used by tests and Table I accounting.
@@ -192,7 +192,10 @@ impl Kernel for ActToVirtKernel {
         let (start, end) = w.load_bounds(self.row_offsets, &v, mask);
         w.alu(2); // degree math
         let (deg, _) = lane_degrees(&start, &end, mask);
-        let full_parts = deg.map(|d| d / self.k);
+        let mut full_parts = [0u32; WARP_SIZE];
+        for lane in active_lanes(mask) {
+            full_parts[lane] = deg[lane] / self.k;
+        }
 
         // Reserve slots in the uniform-K queue and emit the full slices.
         w.append(self.full.count, &full_parts, |w, row, pos, p| {
@@ -203,15 +206,16 @@ impl Kernel for ActToVirtKernel {
         });
 
         // Tail slices (< K edges) go to the partial queue, one per lane.
-        let tails = deg.map(|d| u32::from(d % self.k > 0));
-        w.append(self.partial.count, &tails, |w, row, pos, _| {
+        let tails = lanes_where(mask, |lane| deg[lane] % self.k > 0);
+        if tails != 0 {
+            let pos = w.atomic_add(self.partial.count, &[0; WARP_SIZE], &[1; WARP_SIZE], tails);
             let mut s = [0u32; WARP_SIZE];
-            for lane in active_lanes(row) {
+            for lane in active_lanes(tails) {
                 s[lane] = start[lane] + full_parts[lane] * self.k;
             }
             w.alu(1);
-            self.partial.store(w, pos, &v, &s, &end, row);
-        });
+            self.partial.store(w, &pos, &v, &s, &end, tails);
+        }
     }
 }
 

@@ -26,9 +26,9 @@
 //! offsets[v + 1])` pair, [`WarpCtx::append`] reserves and fills a
 //! per-lane run of queue slots, and [`WarpCtx::stage_burst`] is Shared
 //! Memory Prefetch's burst-to-shared staging. Each issues exactly the warp
-//! instructions its callers used to spell out, in the same order and under
-//! the same masks, and none charges ALU work: that stays at the call site,
-//! where each execution model charges it.
+//! instructions a kernel would otherwise spell out by hand, in that order
+//! and under those masks, and none charges ALU work: that stays at the call
+//! site, where each execution model charges it.
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::metrics::KernelMetrics;
@@ -82,11 +82,12 @@ pub fn row_index(base: &Lanes, j: u32, row: u32) -> Lanes {
 /// the longest run.
 #[inline]
 pub fn lane_degrees(start: &Lanes, end: &Lanes, mask: u32) -> (Lanes, u32) {
-    let mut deg = [0u32; WARP_SIZE];
+    let (mut deg, mut max) = ([0u32; WARP_SIZE], 0);
     for lane in active_lanes(mask) {
         deg[lane] = end[lane].wrapping_sub(start[lane]);
+        max = max.max(deg[lane]);
     }
-    (deg, deg.iter().copied().max().unwrap_or(0))
+    (deg, max)
 }
 
 /// Identity of a warp within a launch.
