@@ -9,13 +9,19 @@
 //! wave per launch), in `replay_exact.rs`'s form. A kernel refactor keeps
 //! every line byte-identical; a change that moves one on purpose is a model
 //! change and re-pins it together with the reports.
+//!
+//! Device groups get the same treatment: sharded BFS, SSSP and PageRank on
+//! slashdot split by vertex range, each line adding the supersteps and the
+//! halo exchange's bytes to the summed counters of every member.
 
 use eta_baselines::{ChunkStream, CushaLike, Framework, GunrockLike, TigrLike};
 use eta_graph::datasets::{self, Dataset};
 use eta_graph::Csr;
-use eta_mem::Ns;
+use eta_mem::{Ns, PeerFabric};
+use eta_shard::GraphPartition;
 use eta_sim::{Device, GpuConfig, KernelMetrics};
 use etagraph::pagerank::{self, PageRankConfig};
+use etagraph::sharded::{run_sharded, run_sharded_pagerank};
 use etagraph::{engine, multi_bfs, Algorithm, EtaConfig, RunResult};
 
 /// Both clocks and the whole `KernelMetrics` of one run.
@@ -137,6 +143,100 @@ fn baseline_models_are_pinned() {
     }
     assert!(want.next().is_none(), "every pinned line runs");
 }
+
+/// A device group's line: both clocks, the supersteps (or iterations), the
+/// bytes the halo exchange moved and the kernel counters of every member.
+fn group_line(kernel_ns: Ns, total_ns: Ns, steps: u32, bytes: u64, m: &KernelMetrics) -> String {
+    let counters = line(kernel_ns, total_ns, m);
+    format!("{counters}, supersteps: {steps}, exchanged_bytes: {bytes}")
+}
+
+#[test]
+fn device_groups_are_pinned() {
+    let s = Slashdot::build();
+    let group = |csr: &Csr, n: u32| -> (Vec<Device>, PeerFabric, GraphPartition) {
+        let devs = (0..n).map(|_| Device::new(GpuConfig::default_preset()));
+        let part = GraphPartition::vertex_range(csr, n);
+        (devs.collect(), PeerFabric::nvlink(n), part)
+    };
+    let traverse = |alg: Algorithm, n: u32| {
+        let (mut devs, mut fabric, part) = group(s.graph(alg), n);
+        let cfg = EtaConfig::paper();
+        let r = run_sharded(&mut devs, &mut fabric, &part, s.d.source, alg, &cfg)
+            .expect("slashdot fits the group");
+        group_line(
+            r.kernel_ns,
+            r.total_ns,
+            r.supersteps,
+            r.exchanged_bytes,
+            &r.metrics,
+        )
+    };
+    let rank = {
+        let (mut devs, mut fabric, part) = group(&s.d.csr, 2);
+        let cfg = PageRankConfig {
+            iterations: 3,
+            ..PageRankConfig::default()
+        };
+        let r = run_sharded_pagerank(&mut devs, &mut fabric, &part, &s.d.csr, &cfg)
+            .expect("slashdot fits the group");
+        group_line(
+            r.kernel_ns,
+            r.total_ns,
+            r.iterations,
+            r.exchanged_bytes,
+            &r.metrics,
+        )
+    };
+    let got = [
+        ("BFS on 2", traverse(Algorithm::Bfs, 2)),
+        ("BFS on 4", traverse(Algorithm::Bfs, 4)),
+        ("SSSP on 2", traverse(Algorithm::Sssp, 2)),
+        ("PageRank on 2", rank),
+    ];
+    for ((what, got), want) in got.iter().zip(PINNED_GROUPS) {
+        assert_eq!(got, want, "{what}");
+    }
+}
+
+const PINNED_GROUPS: [&str; 4] = [
+    // BFS on 2
+    "kernel_ns: 554559, total_ns: 401056, KernelMetrics { instructions: 38074, cycles: \
+     820729, time_ns: 554559, l1_requests: 71450, l1: CacheStats { hits: 29202, \
+     misses: 42248 }, l2_requests: 42248, l2: CacheStats { hits: 11520, misses: 30728 \
+     }, dram_transactions: 30728, dram_write_transactions: 28095, dram_bytes: 1882336, \
+     shared_accesses: 9174, shared_bank_conflicts: 166668, lane_ops: 686453, \
+     lane_slots: 1218368, atomics: 123509, mem_stall_cycles: 4028438, warps: 872, \
+     occupancy_warps: 5, data_ready_ns: 393527 }, supersteps: 6, exchanged_bytes: \
+     52616",
+    // BFS on 4
+    "kernel_ns: 1110028, total_ns: 433520, KernelMetrics { instructions: 44751, \
+     cycles: 1642809, time_ns: 1110028, l1_requests: 86927, l1: CacheStats { hits: \
+     38275, misses: 48652 }, l2_requests: 48652, l2: CacheStats { hits: 15873, misses: \
+     32779 }, dram_transactions: 32779, dram_write_transactions: 30949, dram_bytes: \
+     2039296, shared_accesses: 9338, shared_bank_conflicts: 166344, lane_ops: 777283, \
+     lane_slots: 1432032, atomics: 139235, mem_stall_cycles: 4849250, warps: 1304, \
+     occupancy_warps: 4, data_ready_ns: 427128 }, supersteps: 6, exchanged_bytes: \
+     130208",
+    // SSSP on 2
+    "kernel_ns: 1649809, total_ns: 1099723, KernelMetrics { instructions: 138793, \
+     cycles: 2441667, time_ns: 1649809, l1_requests: 279187, l1: CacheStats { hits: \
+     116480, misses: 162707 }, l2_requests: 162707, l2: CacheStats { hits: 32053, \
+     misses: 130654 }, dram_transactions: 130654, dram_write_transactions: 80681, \
+     dram_bytes: 6762720, shared_accesses: 50432, shared_bank_conflicts: 887204, \
+     lane_ops: 2425990, lane_slots: 4441376, atomics: 335813, mem_stall_cycles: \
+     12513710, warps: 2320, occupancy_warps: 8, data_ready_ns: 1092845 }, supersteps: \
+     13, exchanged_bytes: 135112",
+    // PageRank on 2
+    "kernel_ns: 50607, total_ns: 100166, KernelMetrics { instructions: 75320, cycles: \
+     74885, time_ns: 50607, l1_requests: 133155, l1: CacheStats { hits: 64505, misses: \
+     68650 }, l2_requests: 68650, l2: CacheStats { hits: 1898, misses: 66752 }, \
+     dram_transactions: 66752, dram_write_transactions: 59021, dram_bytes: 4024736, \
+     shared_accesses: 30324, shared_bank_conflicts: 499152, lane_ops: 1688168, \
+     lane_slots: 2410240, atomics: 286203, mem_stall_cycles: 9253818, warps: 4312, \
+     occupancy_warps: 10, data_ready_ns: 97739 }, supersteps: 3, exchanged_bytes: \
+     1114632",
+];
 
 const PINNED_ETA: [&str; 4] = [
     // SSWP
