@@ -134,8 +134,9 @@ for graph in rmat web waves; do
 done
 # The device-group and batched-BFS paths of `run`, on the same graphs: the
 # JSON, and the group PageRank's trace file, must not depend on the threads.
+# SSSP on 4 devices folds four members' counters after a weighted relax.
 for graph in rmat waves; do
-    for program in "--alg bfs --devices 2" \
+    for program in "--alg bfs --devices 2" "--alg sssp --devices 4" \
         "--alg pagerank --iterations 3 --devices 2 --profile $PROFILE_OUT/hp.trace.json" \
         "--sources 0,1,7"; do
         rm -f "$PROFILE_OUT"/hp.*trace.json

@@ -47,6 +47,7 @@ impl From<QueryError> for FrameworkError {
             QueryError::SourceOutOfRange { .. } => {
                 FrameworkError::Unsupported("source out of range")
             }
+            QueryError::BatchSize { .. } => FrameworkError::Unsupported("batch size out of range"),
             // Frameworks run without checkpoint hooks, so a checkpoint
             // error can only mean misconfiguration upstream.
             QueryError::Checkpoint(_) => {

@@ -64,14 +64,12 @@ pub(crate) fn owner(views: &[ShardView<'_>], gv: u32) -> usize {
     views.partition_point(|v| v.hi <= gv)
 }
 
-/// The device group a run executes on: one device and one simulated clock
-/// per member, plus the kernel counters summed over every launch.
+/// The device group a run executes on: one device, one simulated clock and
+/// one `Tally` per member.
 pub struct Group<'a> {
     pub(crate) devs: &'a mut [Device],
     pub(crate) clocks: Vec<Ns>,
-    visited: Vec<Visited>,
-    metrics: KernelMetrics,
-    kernel_ns: Ns,
+    tallies: Vec<Tally>,
     threads_per_block: u32,
     adaptive: bool,
 }
@@ -99,11 +97,9 @@ impl<'a> Group<'a> {
     ) -> Self {
         assert!(!devs.is_empty() && devs.len() == clocks.len());
         Group {
-            visited: devs.iter().map(|_| Visited::default()).collect(),
+            tallies: devs.iter().map(|_| Tally::default()).collect(),
             devs,
             clocks,
-            metrics: KernelMetrics::default(),
-            kernel_ns: 0,
             threads_per_block,
             adaptive,
         }
@@ -114,17 +110,41 @@ impl<'a> Group<'a> {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
+    /// Every member's lane at once, in index order.
+    pub(crate) fn lanes(&mut self) -> impl Iterator<Item = Lane<'_>> {
+        let threads_per_block = self.threads_per_block;
+        let (devs, clocks) = (self.devs.iter_mut(), self.clocks.iter_mut());
+        let members = devs.zip(clocks).zip(&mut self.tallies).enumerate();
+        members.map(move |(member, ((dev, clock), tally))| Lane {
+            member,
+            dev,
+            clock,
+            tally,
+            threads_per_block,
+        })
+    }
+
     /// Member `s`, to run charged work on its device and clock.
     pub fn lane(&mut self, s: usize) -> Lane<'_> {
+        let (dev, clock, tally) = (&mut self.devs[s], &mut self.clocks[s], &mut self.tallies[s]);
+        let threads_per_block = self.threads_per_block;
         Lane {
             member: s,
-            dev: &mut self.devs[s],
-            clock: &mut self.clocks[s],
-            visited: &mut self.visited[s],
-            metrics: &mut self.metrics,
-            kernel_ns: &mut self.kernel_ns,
-            threads_per_block: self.threads_per_block,
+            dev,
+            clock,
+            tally,
+            threads_per_block,
         }
+    }
+
+    /// Kernel time and counters of every member's launches, folded in index
+    /// order (sums and maxima: the same as accumulating in launch order).
+    fn totals(&self) -> Tally {
+        let mut total = Tally::default();
+        for t in &self.tallies {
+            total.add(&t.metrics, t.kernel_ns);
+        }
+        total
     }
 
     /// Assembles what a finished run on a group of one measured: `labels`
@@ -144,20 +164,20 @@ impl<'a> Group<'a> {
         let spans = dev.merged_timeline();
         let mine = spans.spans().iter().filter(|s| s.start >= query_start);
         mine.for_each(|s| timeline.push(*s));
-        let total_ns = self.end_ns() - query_start;
+        let (total_ns, total) = (self.end_ns() - query_start, self.totals());
         debug_assert!(
-            total_ns >= self.kernel_ns,
+            total_ns >= total.kernel_ns,
             "kernels serialize on one device: total {total_ns} < kernel {}",
-            self.kernel_ns
+            total.kernel_ns
         );
         RunResult {
             algorithm,
             labels,
             iterations,
-            kernel_ns: self.kernel_ns,
+            kernel_ns: total.kernel_ns,
             total_ns,
             per_iteration,
-            metrics: self.metrics,
+            metrics: total.metrics,
             um_stats: dev.mem.um.stats.clone(),
             overlap_fraction: timeline.overlap_fraction(),
             timeline,
@@ -165,26 +185,35 @@ impl<'a> Group<'a> {
     }
 }
 
-/// Observer state behind `visited_total`: which of a member's labels have
+/// One member's own counters, written only by its lane: what its launches
+/// measured, and the `visited_total` observer — which of its labels have
 /// left `init_label`, and how many.
 #[derive(Default)]
-struct Visited {
+struct Tally {
+    metrics: KernelMetrics,
+    kernel_ns: Ns,
     init_label: u32,
     seen: Vec<bool>,
-    count: u64,
+    visited: u64,
 }
 
-/// One group member: its device and its clock. Every launch and every
-/// polled copy of every program and every baseline model goes through here:
-/// the clock follows one rule, the counters sum in one place, and a device
-/// fault comes back as an error bound to the member that raised it.
+impl Tally {
+    /// Counts launches: one, from its lane, or a member's all, in a fold.
+    fn add(&mut self, metrics: &KernelMetrics, kernel_ns: Ns) {
+        self.metrics.merge(metrics);
+        self.kernel_ns += kernel_ns;
+    }
+}
+
+/// One group member: its device, its clock and its tally. Every launch and
+/// every polled copy of every program and every baseline model goes through
+/// here: the clock follows one rule, the counters sum in one place, and a
+/// device fault comes back as an error bound to the member that raised it.
 pub struct Lane<'a> {
-    pub member: usize,
+    pub(crate) member: usize,
     pub dev: &'a mut Device,
     clock: &'a mut Ns,
-    visited: &'a mut Visited,
-    metrics: &'a mut KernelMetrics,
-    kernel_ns: &'a mut Ns,
+    tally: &'a mut Tally,
     threads_per_block: u32,
 }
 
@@ -199,8 +228,7 @@ impl Lane<'_> {
     pub fn launch(&mut self, kern: &dyn Kernel, items: u32) -> Sharded<()> {
         let cfg = LaunchConfig::for_items(items, self.threads_per_block);
         let r = self.dev.launch(kern, cfg, *self.clock);
-        self.metrics.merge(&r.metrics);
-        *self.kernel_ns += r.metrics.time_ns;
+        self.tally.add(&r.metrics, r.metrics.time_ns);
         *self.clock = r.end_ns.max(r.metrics.data_ready_ns);
         self.poll()
     }
@@ -247,13 +275,10 @@ impl Lane<'_> {
     /// Starts the `visited_total` observer (no simulated cost) from the
     /// labels this member was initialized with.
     pub fn watch(&mut self, labels: &[u32], init_label: u32) {
-        let seen: Vec<bool> = labels.iter().map(|&l| l != init_label).collect();
-        let count = seen.iter().filter(|&&s| s).count() as u64;
-        *self.visited = Visited {
-            init_label,
-            seen,
-            count,
-        };
+        let t = &mut *self.tally;
+        t.seen = labels.iter().map(|&l| l != init_label).collect();
+        t.visited = t.seen.iter().filter(|&&s| s).count() as u64;
+        t.init_label = init_label;
     }
 
     /// `visited_total` after a superstep of a frontier model. A label
@@ -263,17 +288,17 @@ impl Lane<'_> {
     /// is rescanned.
     pub fn visited(&mut self, next: DeviceQueue, labels: DSlice) -> u64 {
         let appended = self.read(next.count, 1)[0];
+        let t = &mut *self.tally;
         for &v in self.dev.mem.host_read(next.items, 0, appended as u64) {
-            if !std::mem::replace(&mut self.visited.seen[v as usize], true) {
-                self.visited.count += 1;
-            }
+            t.visited += u64::from(!std::mem::replace(&mut t.seen[v as usize], true));
         }
+        let (visited, init_label) = (t.visited, t.init_label);
         debug_assert_eq!(
-            self.visited.count,
-            self.visited_scan(labels, self.visited.init_label),
+            visited,
+            self.visited_scan(labels, init_label),
             "incremental visited_total diverged from the label scan"
         );
-        self.visited.count
+        visited
     }
 
     /// `visited_total` by scanning every label: the form for frontier-less
@@ -307,9 +332,10 @@ pub(crate) struct Frontier {
 }
 
 impl Frontier {
-    /// Replaces the frontier with host `items` (one charged count update).
-    pub fn seed(&mut self, lane: &mut Lane<'_>, items: &[u32]) {
-        self.len = lane.timed(|dev, now| self.q.act.seed(dev, items, now));
+    /// A frontier on queues `q` holding host `items` (one charged update).
+    pub fn seeded(q: WorkQueues, lane: &mut Lane<'_>, items: &[u32]) -> Self {
+        let len = lane.timed(|dev, now| q.act.seed(dev, items, now));
+        Frontier { q, len }
     }
 
     /// The frontier's vertices, observer-side.
@@ -331,12 +357,7 @@ impl Frontier {
         table: Option<&DeviceShadowTable>,
         edge: impl Fn(VirtualQueue, u32) -> K,
     ) -> Sharded<(u32, u32)> {
-        let WorkQueues {
-            act,
-            next,
-            full,
-            partial,
-        } = self.q;
+        let (act, next, full, partial) = (self.q.act, self.q.next, self.q.full, self.q.partial);
         lane.h2d(next.count, &[0]);
         lane.h2d(full.count, &[0]);
         if let Some(t) = table {
@@ -375,10 +396,16 @@ impl Frontier {
     }
 }
 
-/// What an algorithm hands the driver. Hooks taking a [`Lane`] run on one
-/// member; hooks taking the [`Group`] see all of them and must visit
-/// members in index order (the exchange's fixed total order).
+/// How [`Program::collect`] reports one `(from, to, messages)` halo batch.
+pub(crate) type SendFn<'s> = &'s mut dyn FnMut(usize, usize, u64);
+
+/// What an algorithm hands the driver: shared read-only state in `self`, one
+/// [`Program::Member`] per device. Hooks taking a [`Lane`] run on one member;
+/// hooks taking the [`Group`] see all of them and must visit members in index
+/// order (the exchange's fixed total order).
 pub(crate) trait Program {
+    /// One member's per-query state.
+    type Member;
     /// What [`Program::finish`] reads back.
     type Output;
 
@@ -387,38 +414,38 @@ pub(crate) trait Program {
 
     /// Initializes every member's per-query state at its clock — or, given
     /// a snapshot (already validated against this graph), restores that.
-    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()>;
+    fn init(&self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<Vec<Self::Member>>;
 
-    /// Frontier entries member `s` brings into the superstep after `done`
+    /// Frontier entries `m` brings into the superstep after `done`
     /// completed ones; `None` when it sits that superstep out. The run ends
     /// when every member returns `None`.
-    fn active(&self, s: usize, done: u32) -> Option<u32>;
+    fn active(&self, m: &Self::Member, done: u32) -> Option<u32>;
 
-    /// Bytes of edge data member `s`'s coming superstep will sweep, for
-    /// the adaptive transfer policy; `None` keeps the policy unticked.
-    fn announce(&self, _dev: &Device, _s: usize) -> Option<u64> {
+    /// Bytes of edge data `m`'s coming superstep will sweep, for the
+    /// adaptive transfer policy; `None` keeps the policy unticked.
+    fn announce(&self, _m: &Self::Member, _dev: &Device) -> Option<u64> {
         None
     }
 
-    /// Superstep `step`'s local work on the lane's member.
-    fn compute(&mut self, lane: &mut Lane<'_>, step: u32) -> Sharded<()>;
+    /// Superstep `step`'s local work on member `m`, on its lane.
+    fn compute(&self, m: &mut Self::Member, lane: &mut Lane<'_>, step: u32) -> Sharded<()>;
 
     /// Reports this superstep's halo batches as `send(from, to, messages)`,
-    /// ascending in `(from, to)`; payloads stay with the program.
-    fn collect(&mut self, _g: &Group<'_>, _send: &mut dyn FnMut(usize, usize, u64)) {}
+    /// ascending in `(from, to)`; payloads stay with the members.
+    fn collect(&self, _members: &mut [Self::Member], _g: &Group<'_>, _send: SendFn<'_>) {}
 
     /// Post-exchange work: clocks already stand at `max(barrier, last
     /// incoming transfer)`.
-    fn commit(&mut self, _g: &mut Group<'_>) -> Sharded<()> {
+    fn commit(&self, _members: &mut [Self::Member], _g: &mut Group<'_>) -> Sharded<()> {
         Ok(())
     }
 
     /// Copies the complete state at a superstep boundary back to the host
     /// (charged), merged over the global vertex space.
-    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState>;
+    fn snapshot(&self, members: &[Self::Member], g: &mut Group<'_>) -> Sharded<CkptState>;
 
     /// Reads the results back (charged) and assembles them.
-    fn finish(self, g: &mut Group<'_>) -> Sharded<Self::Output>;
+    fn finish(self, members: Vec<Self::Member>, g: &mut Group<'_>) -> Sharded<Self::Output>;
 }
 
 /// Driver-side measurements of one run.
@@ -440,24 +467,24 @@ pub(crate) struct Run {
 pub(crate) fn drive<P: Program>(
     g: &mut Group<'_>,
     mut fabric: Option<&mut PeerFabric>,
-    mut prog: P,
+    prog: P,
     mut ckpt: CkptCtl<'_>,
 ) -> Sharded<(Run, P::Output)> {
-    let members = g.devs.len();
-    let running = |prog: &P, done: u32| (0..members).any(|s| prog.active(s, done).is_some());
+    let running =
+        |members: &[P::Member], done| members.iter().any(|m| prog.active(m, done).is_some());
     // A stale or mismatched snapshot is a typed error the serving layer
     // downgrades to restart-from-scratch.
     if let Some(ck) = ckpt.resume {
         ck.validate(ckpt.graph_digest, prog.vertices())?;
     }
-    prog.init(g, ckpt.resume)?;
+    let mut members = prog.init(g, ckpt.resume)?;
     let resumed = ckpt.resume.map_or(0, |ck| ck.iteration);
     let mut step = resumed;
     let mut per_superstep = Vec::new();
     let mut exchanged_bytes = 0u64;
 
-    while running(&prog, step) {
-        let entering: Vec<Option<u32>> = (0..members).map(|s| prog.active(s, step)).collect();
+    while running(&members, step) {
+        let entering: Vec<Option<u32>> = members.iter().map(|m| prog.active(m, step)).collect();
         let clocks = g.clocks.iter().zip(&entering);
         let start_ns = clocks.filter_map(|(&t, a)| a.map(|_| t)).min().unwrap_or(0);
         step += 1;
@@ -467,13 +494,14 @@ pub(crate) fn drive<P: Program>(
         //    coming edge volume so a dense wave escalates to streaming
         //    *before* it breaks. Fire-and-forget like the prefetch:
         //    transitions queue on the member's link and its kernels stall on
-        //    page arrival.
-        for s in (0..members).filter(|&s| entering[s].is_some()) {
-            let upcoming = g.adaptive.then(|| prog.announce(&g.devs[s], s)).flatten();
-            if let Some(bytes) = upcoming {
-                g.devs[s].mem.adaptive_tick(g.clocks[s], bytes);
+        //    page arrival. A member sees only its own state and lane.
+        let adaptive = g.adaptive;
+        let work = members.iter_mut().zip(g.lanes()).zip(&entering);
+        for ((m, mut lane), _) in work.filter(|(_, active)| active.is_some()) {
+            if let Some(bytes) = adaptive.then(|| prog.announce(m, lane.dev)).flatten() {
+                lane.dev.mem.adaptive_tick(lane.now(), bytes);
             }
-            prog.compute(&mut g.lane(s), step)?;
+            prog.compute(m, &mut lane, step)?;
         }
 
         // 2. Barrier, then each sender->owner batch is charged to the pair's
@@ -483,8 +511,8 @@ pub(crate) fn drive<P: Program>(
         let mut messages = 0u64;
         if let Some(fabric) = fabric.as_deref_mut() {
             let mark = fabric.log().len();
-            let mut ready = vec![barrier; members];
-            prog.collect(g, &mut |from, to, count| {
+            let mut ready = vec![barrier; members.len()];
+            prog.collect(&mut members, g, &mut |from, to, count| {
                 let (_, end) = fabric.transfer(from as u32, to as u32, count * MSG_BYTES, barrier);
                 ready[to] = ready[to].max(end);
                 messages += count;
@@ -495,7 +523,7 @@ pub(crate) fn drive<P: Program>(
         exchanged_bytes += messages * MSG_BYTES;
 
         // 3. Deliveries merge (or the update applies) at the owners.
-        prog.commit(g)?;
+        prog.commit(&mut members, g)?;
         per_superstep.push(SuperstepStats {
             superstep: step,
             active: entering.iter().flatten().sum(),
@@ -507,20 +535,21 @@ pub(crate) fn drive<P: Program>(
 
         // 4. Superstep boundary: the one place a snapshot is taken.
         if let Some(sink) = ckpt.sink.as_deref_mut() {
-            if sink.policy.due(step) && running(&prog, step) {
-                sink.store(checkpoint(g, &mut prog, step, ckpt.graph_digest)?);
+            if sink.policy.due(step) && running(&members, step) {
+                sink.store(checkpoint(g, &prog, &members, step, ckpt.graph_digest)?);
             }
         }
     }
 
-    let output = prog.finish(g)?;
+    let output = prog.finish(members, g)?;
+    let total = g.totals();
     let run = Run {
         resumed,
         steps: step,
-        kernel_ns: g.kernel_ns,
+        kernel_ns: total.kernel_ns,
         end_ns: g.end_ns(),
         exchanged_bytes,
-        metrics: g.metrics,
+        metrics: total.metrics,
         per_superstep,
     };
     Ok((run, output))
@@ -530,12 +559,13 @@ pub(crate) fn drive<P: Program>(
 /// member's share of the copy-back on [`Track::Ckpt`].
 fn checkpoint<P: Program>(
     g: &mut Group<'_>,
-    prog: &mut P,
+    prog: &P,
+    members: &[P::Member],
     step: u32,
     graph_digest: u64,
 ) -> Sharded<Checkpoint> {
     let starts = g.clocks.clone();
-    let state = prog.snapshot(g)?;
+    let state = prog.snapshot(members, g)?;
     let frontier = state.frontier().map(<[u32]>::len);
     let solo = g.devs.len() == 1;
     for (s, &start) in starts.iter().enumerate() {

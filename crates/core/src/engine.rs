@@ -13,7 +13,7 @@
 use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
 use crate::config::{Algorithm, EtaConfig, UdcMode};
 use crate::device_graph::DeviceGraph;
-use crate::driver::{drive, owner, Frontier, Group, Lane, Program, ShardView};
+use crate::driver::{drive, owner, Frontier, Group, Lane, Program, SendFn, ShardView};
 use crate::error::{check_source, QueryError};
 use crate::kernels::{PullBfsKernel, TraversalKernel};
 use crate::result::{IterationStats, RunResult};
@@ -233,7 +233,7 @@ fn global_init_label(alg: Algorithm, source: u32, v: u32) -> u32 {
 }
 
 /// One group member of a label traversal.
-struct Member<'a> {
+pub(crate) struct Member<'a> {
     view: ShardView<'a>,
     res: &'a QueryResources,
     frontier: Frontier,
@@ -243,6 +243,8 @@ struct Member<'a> {
     /// Halo ids ascend and owners hold contiguous ranges, so every owner's
     /// batch is one contiguous run of it.
     outbox: Vec<(u32, u32)>,
+    /// Filled for a group of one only (it is part of that event shape).
+    per_iteration: Vec<IterationStats>,
 }
 
 impl Member<'_> {
@@ -272,13 +274,11 @@ pub(crate) struct Traversal<'a> {
     source: u32,
     cfg: &'a EtaConfig,
     views: &'a [ShardView<'a>],
-    members: Vec<Member<'a>>,
-    /// Filled for a group of one only (it is part of that event shape).
-    per_iteration: Vec<IterationStats>,
+    /// `resources[s]` was prepared for `views[s].csr`.
+    resources: &'a [QueryResources],
 }
 
 impl<'a> Traversal<'a> {
-    /// `resources[s]` must have been prepared for `views[s].csr`.
     pub fn new(
         alg: Algorithm,
         source: u32,
@@ -291,32 +291,18 @@ impl<'a> Traversal<'a> {
             "{} needs an edge-weighted graph",
             alg.name()
         );
-        let member = |(&view, res): (&ShardView<'a>, &'a QueryResources)| Member {
-            view,
-            res,
-            frontier: Frontier {
-                q: res.queues,
-                len: 0,
-            },
-            last_sent: Vec::new(),
-            outbox: Vec::new(),
-        };
         Traversal {
             alg,
             source,
             cfg,
             views,
-            members: views.iter().zip(resources).map(member).collect(),
-            per_iteration: Vec::new(),
+            resources,
         }
-    }
-
-    fn solo(&self) -> bool {
-        self.views.len() == 1
     }
 }
 
-impl Program for Traversal<'_> {
+impl<'a> Program for Traversal<'a> {
+    type Member = Member<'a>;
     /// Global per-vertex labels (the owned ranges, concatenated) and the
     /// per-iteration statistics.
     type Output = (Vec<u32>, Vec<IterationStats>);
@@ -325,8 +311,9 @@ impl Program for Traversal<'_> {
         self.views.last().map_or(0, |v| v.hi)
     }
 
-    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
-        let (alg, source, solo, n) = (self.alg, self.source, self.solo(), self.vertices());
+    fn init(&self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<Vec<Member<'a>>> {
+        let (alg, source, n) = (self.alg, self.source, self.vertices());
+        let solo = self.views.len() == 1;
         let restored = match resume.map(|ck| &ck.state) {
             None => None,
             Some(CkptState::SingleSource {
@@ -339,8 +326,9 @@ impl Program for Traversal<'_> {
             }
             Some(_) => return Err(CkptError::StateShape.into()),
         };
-        for (s, m) in self.members.iter_mut().enumerate() {
-            let (view, owned) = (m.view, m.view.lo..m.view.hi);
+        let mut members = Vec::with_capacity(self.views.len());
+        for ((&view, res), mut lane) in self.views.iter().zip(self.resources).zip(g.lanes()) {
+            let owned = view.lo..view.hi;
             // "Init label and transfer to GPU": one local-size copy each for
             // labels and tags, halo replicas included. Fresh, the source
             // seeds its owner's frontier — and connected components is
@@ -366,46 +354,52 @@ impl Program for Traversal<'_> {
                 }
             };
 
-            let lane = &mut g.lane(s);
-            let start = lane.now();
-            lane.h2d(m.res.labels, &local);
-            lane.h2d(m.res.tags, &local_tags);
-            m.frontier.seed(lane, &seeds);
+            let (start, lane) = (lane.now(), &mut lane);
+            lane.h2d(res.labels, &local);
+            lane.h2d(res.tags, &local_tags);
+            let frontier = Frontier::seeded(res.queues, lane, &seeds);
             // Procedure 1: `cudaMemPrefetchAsync(CSR)` after the label
             // transfer. Idempotent on warm sessions.
-            m.res.dg.prefetch(lane.dev, lane.now());
+            res.dg.prefetch(lane.dev, lane.now());
             if let Some(ck) = resume {
+                let shard = lane.member as u32;
                 lane.event(Track::Ckpt, "resume", start, || {
                     let mut args = vec![("iteration", ck.iteration.into())];
                     if solo {
                         args.push(("words", ck.payload_words().into()));
                         args.push(("kind", ck.state.kind().into()));
                     } else {
-                        args.push(("shard", (s as u32).into()));
-                        args.push(("frontier", m.frontier.len.into()));
+                        args.push(("shard", shard.into()));
+                        args.push(("frontier", frontier.len.into()));
                     }
                     args
                 });
             }
-            m.last_sent = local[view.own_len() as usize..].to_vec();
             if solo {
                 lane.watch(&local, alg.init_label());
             }
+            members.push(Member {
+                view,
+                res,
+                frontier,
+                last_sent: local[view.own_len() as usize..].to_vec(),
+                outbox: Vec::new(),
+                per_iteration: Vec::new(),
+            });
         }
-        Ok(())
+        Ok(members)
     }
 
-    fn active(&self, s: usize, _done: u32) -> Option<u32> {
-        Some(self.members[s].frontier.len).filter(|&len| len > 0)
+    fn active(&self, m: &Member<'a>, _done: u32) -> Option<u32> {
+        Some(m.frontier.len).filter(|&len| len > 0)
     }
 
-    fn announce(&self, dev: &Device, s: usize) -> Option<u64> {
-        Some(self.members[s].frontier_edges(dev) * 4)
+    fn announce(&self, m: &Member<'a>, dev: &Device) -> Option<u64> {
+        Some(m.frontier_edges(dev) * 4)
     }
 
-    fn compute(&mut self, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
-        let (alg, cfg, solo) = (self.alg, self.cfg, self.solo());
-        let m = &mut self.members[lane.member];
+    fn compute(&self, m: &mut Member<'a>, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
+        let (alg, cfg, solo) = (self.alg, self.cfg, self.views.len() == 1);
         let (res, active, start_ns) = (m.res, m.frontier.len, lane.now());
         let next = m.frontier.q.next;
         let pull = res.pull.as_ref().filter(|_| {
@@ -463,7 +457,7 @@ impl Program for Traversal<'_> {
             args
         });
         if let Some(visited_total) = visited_total {
-            self.per_iteration.push(IterationStats {
+            m.per_iteration.push(IterationStats {
                 iteration: step,
                 active,
                 shadow_full: nf,
@@ -480,11 +474,11 @@ impl Program for Traversal<'_> {
 
     /// Host-observer work over the pre-merge state of every member (BSP:
     /// messages reflect the superstep just run).
-    fn collect(&mut self, g: &Group<'_>, send: &mut dyn FnMut(usize, usize, u64)) {
+    fn collect(&self, members: &mut [Member<'a>], g: &Group<'_>, send: SendFn<'_>) {
         let (alg, views) = (self.alg, self.views);
-        for (s, m) in self.members.iter_mut().enumerate() {
+        for (s, (m, dev)) in members.iter_mut().zip(&*g.devs).enumerate() {
             m.outbox.clear();
-            let labels = g.devs[s].mem.host_read(m.res.labels, 0, m.res.dg.n as u64);
+            let labels = dev.mem.host_read(m.res.labels, 0, m.res.dg.n as u64);
             let replicas = &labels[m.view.own_len() as usize..];
             for ((&gv, &cur), sent) in m.view.halo.iter().zip(replicas).zip(&mut m.last_sent) {
                 if alg.improves(cur, *sent) {
@@ -505,21 +499,14 @@ impl Program for Traversal<'_> {
     /// order and appends newly improved owned vertices to the owner's
     /// frontier. Host-observer work, free except for the rebuilt frontier's
     /// 4-byte count update — the same charging as a resume.
-    fn commit(&mut self, g: &mut Group<'_>) -> Sharded<()> {
+    fn commit(&self, members: &mut [Member<'a>], g: &mut Group<'_>) -> Sharded<()> {
         for (o, view) in self.views.iter().enumerate() {
-            let mut inbox = self
-                .members
-                .iter()
-                .flat_map(|m| m.batch_for(view))
-                .peekable();
+            let mut inbox = members.iter().flat_map(|m| m.batch_for(view)).peekable();
             if inbox.peek().is_none() {
                 continue;
             }
-            let res = self.members[o].res;
-            let mut labels = g.devs[o]
-                .mem
-                .host_read(res.labels, 0, res.dg.n as u64)
-                .to_vec();
+            let (res, dev) = (&self.resources[o], &mut g.devs[o]);
+            let mut labels = dev.mem.host_read(res.labels, 0, res.dg.n as u64).to_vec();
             let mut improved: Vec<u32> = Vec::new();
             for &(gv, label) in inbox {
                 let local = gv - view.lo;
@@ -531,11 +518,11 @@ impl Program for Traversal<'_> {
             if improved.is_empty() {
                 continue;
             }
-            g.devs[o].mem.host_write(res.labels, 0, &labels);
+            dev.mem.host_write(res.labels, 0, &labels);
             improved.sort_unstable();
             improved.dedup();
-            let frontier = &mut self.members[o].frontier;
-            let mut items = frontier.items(&g.devs[o]).to_vec();
+            let frontier = &mut members[o].frontier;
+            let mut items = frontier.items(dev).to_vec();
             let mut queued = vec![false; labels.len()];
             for &v in &items {
                 queued[v as usize] = true;
@@ -543,7 +530,7 @@ impl Program for Traversal<'_> {
             let before = items.len();
             items.extend(improved.into_iter().filter(|&v| !queued[v as usize]));
             if items.len() > before {
-                frontier.seed(&mut g.lane(o), &items);
+                *frontier = Frontier::seeded(frontier.q, &mut g.lane(o), &items);
             }
         }
         Ok(())
@@ -553,10 +540,10 @@ impl Program for Traversal<'_> {
     /// frontier. Halo frontier entries are dropped — their deliveries were
     /// merged into the owners before this runs, so the owned entries are
     /// the complete active set.
-    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
+    fn snapshot(&self, members: &[Member<'a>], g: &mut Group<'_>) -> Sharded<CkptState> {
         let (mut labels, mut tags, mut frontier) = (Vec::new(), Vec::new(), Vec::new());
-        for (s, m) in self.members.iter().enumerate() {
-            let (own, items, lane) = (m.view.own_len(), m.frontier.q.act.items, &mut g.lane(s));
+        for (m, mut lane) in members.iter().zip(g.lanes()) {
+            let (own, items, lane) = (m.view.own_len(), m.frontier.q.act.items, &mut lane);
             lane.d2h(m.res.labels, own as u64);
             lane.d2h(m.res.tags, own as u64);
             lane.d2h(items, m.frontier.len as u64);
@@ -574,13 +561,14 @@ impl Program for Traversal<'_> {
         })
     }
 
-    fn finish(self, g: &mut Group<'_>) -> Sharded<Self::Output> {
+    fn finish(self, members: Vec<Member<'a>>, g: &mut Group<'_>) -> Sharded<Self::Output> {
         let mut labels = Vec::with_capacity(self.vertices() as usize);
-        for (s, m) in self.members.iter().enumerate() {
-            let (own, lane) = (m.view.own_len() as u64, &mut g.lane(s));
-            labels.extend_from_slice(lane.readback(m.res.labels, own)?);
+        for (m, mut lane) in members.iter().zip(g.lanes()) {
+            labels.extend_from_slice(lane.readback(m.res.labels, m.view.own_len() as u64)?);
         }
-        Ok((labels, self.per_iteration))
+        // Only a group of one records per-iteration statistics.
+        let per_iteration = members.into_iter().flat_map(|m| m.per_iteration);
+        Ok((labels, per_iteration.collect()))
     }
 }
 

@@ -15,6 +15,8 @@ use eta_mem::system::MemError;
 pub enum QueryError {
     /// The requested source vertex id is not a vertex of the graph.
     SourceOutOfRange { source: u32, vertices: usize },
+    /// A batched query named no source, or more than one batch holds.
+    BatchSize { sources: usize, max: usize },
     /// Device memory management failed (the paper's "O.O.M").
     Mem(MemError),
     /// The device failed mid-query (injected ECC error, kernel hang, UM
@@ -35,6 +37,9 @@ impl std::fmt::Display for QueryError {
                 f,
                 "source {source} out of range (graph has {vertices} vertices)"
             ),
+            QueryError::BatchSize { sources, max } => {
+                write!(f, "batch of {sources} sources (a batch holds 1..={max})")
+            }
             QueryError::Mem(e) => write!(f, "{e}"),
             QueryError::DeviceFault(fault) => write!(f, "{fault}"),
             QueryError::Checkpoint(e) => write!(f, "{e}"),
@@ -68,6 +73,15 @@ pub fn check_source(source: u32, vertices: usize) -> Result<(), QueryError> {
         Ok(())
     } else {
         Err(QueryError::SourceOutOfRange { source, vertices })
+    }
+}
+
+/// Validates a batch of `sources` queries against the batch width `max`.
+pub(crate) fn check_batch(sources: usize, max: usize) -> Result<(), QueryError> {
+    if (1..=max).contains(&sources) {
+        Ok(())
+    } else {
+        Err(QueryError::BatchSize { sources, max })
     }
 }
 

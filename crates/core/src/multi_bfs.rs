@@ -16,7 +16,7 @@ use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
 use crate::config::EtaConfig;
 use crate::device_graph::DeviceGraph;
 use crate::driver::{drive, Frontier, Group, Lane, Program};
-use crate::error::{check_source, QueryError};
+use crate::error::{check_batch, check_source, QueryError};
 use crate::sharded::Sharded;
 use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
 use eta_graph::Csr;
@@ -211,13 +211,15 @@ impl Kernel for SwapFreshKernel {
 }
 
 /// Runs up to 32 BFS queries in one batched traversal on a fresh device
-/// (upload + allocate + traverse; total time includes the upload).
+/// (upload + allocate + traverse; total time includes the upload). A batch
+/// size outside `1..=MAX_BATCH` is refused before the upload.
 pub fn run(
     dev: &mut Device,
     csr: &Csr,
     sources: &[u32],
     cfg: &EtaConfig,
 ) -> Result<MultiBfsResult, QueryError> {
+    check_batch(sources.len(), MAX_BATCH)?;
     let (dg, t_up) = DeviceGraph::upload(dev, csr, cfg.transfer, 0)?;
     let res = MultiBfsResources::alloc(dev, csr, cfg)?;
     let mut r = run_on_ckpt(dev, &dg, &res, sources, cfg, t_up, CkptCtl::off())?;
@@ -246,10 +248,7 @@ pub fn run_on_ckpt(
     start: Ns,
     ckpt: CkptCtl<'_>,
 ) -> Result<MultiBfsResult, QueryError> {
-    assert!(
-        !sources.is_empty() && sources.len() <= MAX_BATCH,
-        "1..={MAX_BATCH} sources per batch"
-    );
+    check_batch(sources.len(), MAX_BATCH)?;
     for &s in sources {
         check_source(s, res.n as usize)?;
     }
@@ -259,10 +258,6 @@ pub fn run_on_ckpt(
         sources,
         k: cfg.k,
         levels: res.levels.slice(0, res.n as u64 * sources.len() as u64),
-        frontier: Frontier {
-            q: res.queues,
-            len: 0,
-        },
     };
     let group = &mut Group::new(std::slice::from_mut(dev), vec![start], cfg);
     let (run, levels) = drive(group, None, prog, ckpt).map_err(|e| e.error)?;
@@ -275,8 +270,8 @@ pub fn run_on_ckpt(
     })
 }
 
-/// One batch as a driver program. It announces no edge volume, so the
-/// adaptive transfer policy is never ticked by a batch.
+/// One batch as a driver program; its one member is the joint frontier. It
+/// announces no edge volume, so the adaptive policy is never ticked by it.
 struct Batch<'a> {
     dg: &'a DeviceGraph,
     res: &'a MultiBfsResources,
@@ -284,17 +279,17 @@ struct Batch<'a> {
     k: u32,
     /// The first `n * sources.len()` words of the resources' level block.
     levels: DSlice,
-    frontier: Frontier,
 }
 
 impl Program for Batch<'_> {
+    type Member = Frontier;
     type Output = Vec<Vec<u32>>;
 
     fn vertices(&self) -> u32 {
         self.res.n
     }
 
-    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
+    fn init(&self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<Vec<Frontier>> {
         assert_eq!(g.devs.len(), 1, "a batch runs on a group of one");
         let (res, n) = (self.res, self.res.n as usize);
         let init;
@@ -336,7 +331,7 @@ impl Program for Batch<'_> {
         lane.h2d(res.joint, joint);
         lane.h2d(res.next_fresh, &vec![0u32; n]);
         lane.h2d(self.levels, levels);
-        self.frontier.seed(lane, seeds);
+        let frontier = Frontier::seeded(res.queues, lane, seeds);
         self.dg.prefetch(lane.dev, lane.now());
         if let Some(ck) = resume {
             lane.event(Track::Ckpt, "resume", start, || {
@@ -347,15 +342,15 @@ impl Program for Batch<'_> {
                 ]
             });
         }
-        Ok(())
+        Ok(vec![frontier])
     }
 
-    fn active(&self, _s: usize, _done: u32) -> Option<u32> {
-        Some(self.frontier.len).filter(|&len| len > 0)
+    fn active(&self, frontier: &Frontier, _done: u32) -> Option<u32> {
+        Some(frontier.len).filter(|&len| len > 0)
     }
 
-    fn compute(&mut self, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
-        let (dg, res, levels, next) = (self.dg, self.res, self.levels, self.frontier.q.next);
+    fn compute(&self, frontier: &mut Frontier, lane: &mut Lane<'_>, step: u32) -> Sharded<()> {
+        let (dg, res, levels, next) = (self.dg, self.res, self.levels, frontier.q.next);
         let propagate = |queue, len| MultiPropagateKernel {
             queue,
             len,
@@ -368,27 +363,26 @@ impl Program for Batch<'_> {
             n: res.n,
             iter: step,
         };
-        self.frontier
-            .step(lane, dg.row_offsets, self.k, None, propagate)?;
+        frontier.step(lane, dg.row_offsets, self.k, None, propagate)?;
         // New frontier: swap its fresh masks in (an empty one launches
         // nothing), then continue.
-        self.frontier.swap_and_count(lane);
+        frontier.swap_and_count(lane);
         let swap = SwapFreshKernel {
-            frontier: self.frontier.q.act.items,
-            len: self.frontier.len,
+            frontier: frontier.q.act.items,
+            len: frontier.len,
             fresh: res.fresh,
             next_fresh: res.next_fresh,
         };
-        lane.launch(&swap, self.frontier.len)
+        lane.launch(&swap, frontier.len)
     }
 
     /// SwapFresh zeroed `next_fresh` for exactly the vertices that were
     /// enqueued (each was pushed once, on its first grower), so it is
     /// globally zero again at the boundary and fresh + joint + levels + the
     /// frontier *in queue order* are the complete state.
-    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
+    fn snapshot(&self, frontier: &[Frontier], g: &mut Group<'_>) -> Sharded<CkptState> {
         let (res, n, levels) = (self.res, self.res.n as u64, self.levels);
-        let (items, len) = (self.frontier.q.act.items, self.frontier.len as u64);
+        let (items, len) = (frontier[0].q.act.items, frontier[0].len as u64);
         let lane = &mut g.lane(0);
         lane.d2h(res.fresh, n);
         lane.d2h(res.joint, n);
@@ -404,12 +398,13 @@ impl Program for Batch<'_> {
         })
     }
 
-    fn finish(self, g: &mut Group<'_>) -> Sharded<Vec<Vec<u32>>> {
+    fn finish(self, _: Vec<Frontier>, g: &mut Group<'_>) -> Sharded<Vec<Vec<u32>>> {
         let (levels, lane) = (self.levels, &mut g.lane(0));
-        let per_source = lane
-            .readback(levels, levels.len)?
-            .chunks(self.res.n as usize);
-        Ok(per_source.map(<[u32]>::to_vec).collect())
+        let words = lane.readback(levels, levels.len)?;
+        Ok(words
+            .chunks(self.res.n as usize)
+            .map(<[u32]>::to_vec)
+            .collect())
     }
 }
 
@@ -630,11 +625,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sources per batch")]
     fn oversized_batch_is_rejected() {
         let g = graph();
         let sources: Vec<u32> = (0..33u32).collect();
         let mut dev = device();
-        let _ = run(&mut dev, &g, &sources, &EtaConfig::paper());
+        let err = run(&mut dev, &g, &sources, &EtaConfig::paper()).unwrap_err();
+        let max = MAX_BATCH;
+        assert_eq!(err, QueryError::BatchSize { sources: 33, max });
+        assert_eq!(dev.mem.explicit_used_bytes(), 0, "refused before upload");
     }
 }

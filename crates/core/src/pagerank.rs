@@ -20,7 +20,7 @@
 use crate::active_set::VirtualQueue;
 use crate::config::EtaConfig;
 use crate::device_graph::DeviceGraph;
-use crate::driver::{drive, owner, Group, Lane, Program, ShardView};
+use crate::driver::{drive, owner, Group, Lane, Program, SendFn, ShardView};
 use crate::error::QueryError;
 use crate::sharded::Sharded;
 use crate::udc::shadow_count_graph;
@@ -360,9 +360,33 @@ fn plan_exchange(
     (inedges.collect(), batches.collect())
 }
 
+/// One PageRank member: its share of the graph and its device state.
+type Member<'a> = (ShardView<'a>, &'a RankShard);
+
+/// Every member's owned words of one per-vertex array, concatenated into
+/// global vertex order (observer-side).
+fn owned(members: &[Member<'_>], g: &Group<'_>, array: fn(&RankShard) -> DSlice) -> Vec<u32> {
+    let mut words = Vec::new();
+    for ((view, shard), dev) in members.iter().zip(&*g.devs) {
+        words.extend_from_slice(dev.mem.host_read(array(shard), 0, view.own_len() as u64));
+    }
+    words
+}
+
+/// Charged readback of every member's owned ranks, in global order — a
+/// snapshot and the final result are the same copy.
+fn read_ranks(members: &[Member<'_>], g: &mut Group<'_>) -> Sharded<Vec<u32>> {
+    for ((view, shard), mut lane) in members.iter().zip(g.lanes()) {
+        lane.d2h(shard.ranks, view.own_len() as u64);
+        lane.poll()?;
+    }
+    Ok(owned(members, g, |shard| shard.ranks))
+}
+
 /// PageRank as a driver program over a group of >= 1.
 pub(crate) struct Ranking<'a> {
     cfg: &'a PageRankConfig,
+    csr: &'a Csr,
     views: &'a [ShardView<'a>],
     shards: &'a [RankShard],
     /// Both empty for a group of one: its device scatter order *is* the
@@ -376,7 +400,7 @@ impl<'a> Ranking<'a> {
     /// views must partition `csr`.
     pub fn new(
         cfg: &'a PageRankConfig,
-        csr: &Csr,
+        csr: &'a Csr,
         views: &'a [ShardView<'a>],
         shards: &'a [RankShard],
     ) -> Self {
@@ -386,49 +410,24 @@ impl<'a> Ranking<'a> {
         };
         Ranking {
             cfg,
+            csr,
             views,
             shards,
             inedges,
             cross,
         }
     }
-
-    /// Every member's owned words of one per-vertex array, concatenated
-    /// into global vertex order (observer-side).
-    fn owned<'g>(
-        &'g self,
-        g: &'g Group<'_>,
-        array: impl Fn(&RankShard) -> DSlice + 'g,
-    ) -> impl Iterator<Item = u32> + 'g {
-        let members = self.views.iter().zip(self.shards).enumerate();
-        members.flat_map(move |(s, (view, shard))| {
-            let words = g.devs[s]
-                .mem
-                .host_read(array(shard), 0, view.own_len() as u64);
-            words.iter().copied()
-        })
-    }
-
-    /// Charged readback of every member's owned ranks, in global order —
-    /// a snapshot and the final result are the same copy.
-    fn read_ranks(&self, g: &mut Group<'_>) -> Sharded<Vec<u32>> {
-        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
-            let lane = &mut g.lane(s);
-            lane.d2h(shard.ranks, view.own_len() as u64);
-            lane.poll()?;
-        }
-        Ok(self.owned(g, |shard| shard.ranks).collect())
-    }
 }
 
-impl Program for Ranking<'_> {
+impl<'a> Program for Ranking<'a> {
+    type Member = Member<'a>;
     type Output = Vec<f32>;
 
     fn vertices(&self) -> u32 {
         self.views.last().map_or(0, |v| v.hi)
     }
 
-    fn init(&mut self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<()> {
+    fn init(&self, g: &mut Group<'_>, resume: Option<&Checkpoint>) -> Sharded<Vec<Member<'a>>> {
         let (n, k) = (self.vertices(), self.cfg.eta.k);
         let restored = match resume.map(|ck| (ck, &ck.state)) {
             None => None,
@@ -440,8 +439,9 @@ impl Program for Ranking<'_> {
             Some(_) => return Err(CkptError::StateShape.into()),
         };
         let uniform = (1.0f32 / n as f32).to_bits();
-        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
-            let (local_n, lane) = (shard.dg.n, &mut g.lane(s));
+        let members: Vec<Member<'a>> = self.views.iter().copied().zip(self.shards).collect();
+        for (&(view, shard), mut lane) in members.iter().zip(g.lanes()) {
+            let (local_n, lane) = (shard.dg.n, &mut lane);
             match restored {
                 None => lane.h2d(shard.ranks, &vec![uniform; local_n as usize]),
                 Some((ck, bits)) => {
@@ -476,22 +476,22 @@ impl Program for Ranking<'_> {
                 debug_assert_eq!(len, shard.shadows, "queue holds every owned shadow");
             }
         }
-        Ok(())
+        Ok(members)
     }
 
     /// All-active: every member sweeps every owned vertex each iteration.
-    fn active(&self, s: usize, done: u32) -> Option<u32> {
-        (done < self.cfg.iterations).then(|| self.views[s].own_len())
+    fn active(&self, (view, _): &Member<'a>, done: u32) -> Option<u32> {
+        (done < self.cfg.iterations).then(|| view.own_len())
     }
 
     /// The full local edge array, so regions escalate to streaming from the
     /// first boundary (prefetch is provably right for a dense sweep).
-    fn announce(&self, _dev: &Device, s: usize) -> Option<u64> {
-        Some(self.shards[s].dg.m as u64 * 4)
+    fn announce(&self, (_, shard): &Member<'a>, _dev: &Device) -> Option<u64> {
+        Some(shard.dg.m as u64 * 4)
     }
 
-    fn compute(&mut self, lane: &mut Lane<'_>, _step: u32) -> Sharded<()> {
-        let (shard, eta) = (&self.shards[lane.member], &self.cfg.eta);
+    fn compute(&self, (_, shard): &mut Member<'a>, lane: &mut Lane<'_>, _: u32) -> Sharded<()> {
+        let (shard, eta) = (*shard, &self.cfg.eta);
         if shard.dg.n == 0 {
             return Ok(());
         }
@@ -515,26 +515,22 @@ impl Program for Ranking<'_> {
         lane.launch(&scatter, shard.shadows)
     }
 
-    fn collect(&mut self, _g: &Group<'_>, send: &mut dyn FnMut(usize, usize, u64)) {
+    fn collect(&self, _: &mut [Member<'a>], _: &Group<'_>, send: SendFn<'_>) {
         for &(from, to, messages) in &self.cross {
             send(from, to, messages);
         }
     }
 
-    fn commit(&mut self, g: &mut Group<'_>) -> Sharded<()> {
+    fn commit(&self, members: &mut [Member<'a>], g: &mut Group<'_>) -> Sharded<()> {
         let (n, damping) = (self.vertices() as f32, self.cfg.damping);
         // Dangling mass and base term, folded host-side in ascending global
         // vertex order from the rank snapshot (observer arithmetic: the
         // scalar a real implementation computes with a tiny reduction).
         let mut dangling = 0f32;
-        for (s, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
-            let ranks = g.devs[s]
-                .mem
-                .host_read(shard.ranks, 0, view.own_len() as u64);
-            for (row, &bits) in view.csr.row_offsets.windows(2).zip(ranks) {
-                if row[0] == row[1] {
-                    dangling += f32::from_bits(bits);
-                }
+        let rows = self.csr.row_offsets.windows(2);
+        for (row, bits) in rows.zip(owned(members, g, |shard| shard.ranks)) {
+            if row[0] == row[1] {
+                dangling += f32::from_bits(bits);
             }
         }
         let base = (1.0 - damping) / n + damping * dangling / n;
@@ -544,42 +540,41 @@ impl Program for Ranking<'_> {
         // equivalent of shipping `(dst, contrib)` pairs over the fabric and
         // merging them in a canonical order.
         if !self.inedges.is_empty() {
-            let contrib: Vec<u32> = self.owned(g, |shard| shard.contrib).collect();
-            for (o, (view, shard)) in self.views.iter().zip(self.shards).enumerate() {
+            let contrib = owned(members, g, |shard| shard.contrib);
+            for ((view, shard), dev) in members.iter().zip(g.devs.iter_mut()) {
                 let sum = |sources: &Vec<u32>| {
                     let shares = sources.iter().map(|&u| f32::from_bits(contrib[u as usize]));
                     shares.fold(0f32, |acc, share| acc + share).to_bits()
                 };
                 let owned = &self.inedges[view.lo as usize..view.hi as usize];
                 let sums: Vec<u32> = owned.iter().map(sum).collect();
-                g.devs[o].mem.host_write(shard.next_ranks, 0, &sums);
+                dev.mem.host_write(shard.next_ranks, 0, &sums);
             }
         }
 
-        for (s, shard) in self.shards.iter().enumerate().filter(|(_, sh)| sh.dg.n > 0) {
-            let apply = ApplyKernel {
-                n: shard.dg.n,
-                ranks: shard.ranks,
-                next_ranks: shard.next_ranks,
-                base,
-                damping,
-            };
-            g.lane(s).launch(&apply, shard.dg.n)?;
+        for ((_, shard), mut lane) in members.iter().zip(g.lanes()) {
+            if shard.dg.n > 0 {
+                let apply = ApplyKernel {
+                    n: shard.dg.n,
+                    ranks: shard.ranks,
+                    next_ranks: shard.next_ranks,
+                    base,
+                    damping,
+                };
+                lane.launch(&apply, shard.dg.n)?;
+            }
         }
         Ok(())
     }
 
-    fn snapshot(&mut self, g: &mut Group<'_>) -> Sharded<CkptState> {
-        let ranks_bits = self.read_ranks(g)?;
+    fn snapshot(&self, members: &[Member<'a>], g: &mut Group<'_>) -> Sharded<CkptState> {
+        let ranks_bits = read_ranks(members, g)?;
         Ok(CkptState::PageRank { ranks_bits })
     }
 
-    fn finish(self, g: &mut Group<'_>) -> Sharded<Vec<f32>> {
-        Ok(self
-            .read_ranks(g)?
-            .into_iter()
-            .map(f32::from_bits)
-            .collect())
+    fn finish(self, members: Vec<Member<'a>>, g: &mut Group<'_>) -> Sharded<Vec<f32>> {
+        let ranks = read_ranks(&members, g)?;
+        Ok(ranks.into_iter().map(f32::from_bits).collect())
     }
 }
 

@@ -21,8 +21,8 @@
 
 use crate::config::{Algorithm, EtaConfig};
 use crate::engine::{self, QueryResources};
-use crate::error::QueryError;
-use crate::multi_bfs::{self, MultiBfsResources, MultiBfsResult};
+use crate::error::{check_batch, QueryError};
+use crate::multi_bfs::{self, MultiBfsResources, MultiBfsResult, MAX_BATCH};
 use crate::result::RunResult;
 use eta_ckpt::CkptCtl;
 use eta_graph::Csr;
@@ -92,8 +92,11 @@ impl<'g> Session<'g> {
     /// Answers up to 32 BFS queries in one batched traversal (the iBFS
     /// sharing of [`crate::multi_bfs`]): one topology read serves every
     /// source in the batch. Batch state is allocated lazily on first use
-    /// and reused afterwards; each source counts as one query.
+    /// and reused afterwards; each source counts as one query. A batch of
+    /// no sources or more than 32 is [`QueryError::BatchSize`], refused
+    /// before the batch state is allocated.
     pub fn query_batch(&mut self, sources: &[u32]) -> Result<MultiBfsResult, QueryError> {
+        check_batch(sources.len(), MAX_BATCH)?;
         let res = match &self.multi {
             Some(res) => res,
             None => self.multi.insert(MultiBfsResources::alloc(
@@ -249,6 +252,48 @@ mod tests {
         // The session stays usable after a rejected request.
         let r = s.query(Algorithm::Bfs, 0).unwrap();
         assert_eq!(r.labels, reference::bfs(&g, 0));
+    }
+
+    #[test]
+    fn an_empty_batch_is_a_typed_error_that_charges_nothing() {
+        let g = graph();
+        let mut s = Session::new(&g, EtaConfig::paper()).unwrap();
+        let (used, clock) = (s.dev.mem.explicit_used_bytes(), s.elapsed_ns());
+        let err = s.query_batch(&[]).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::BatchSize {
+                sources: 0,
+                max: 32
+            }
+        );
+        assert_eq!(s.dev.mem.explicit_used_bytes(), used, "nothing allocated");
+        assert_eq!((s.elapsed_ns(), s.queries_run()), (clock, 0));
+        assert_eq!(
+            s.query_batch(&[0]).unwrap().levels[0],
+            reference::bfs(&g, 0)
+        );
+    }
+
+    #[test]
+    fn a_batch_of_33_sources_is_a_typed_error_that_charges_nothing() {
+        let g = graph();
+        let mut s = Session::new(&g, EtaConfig::paper()).unwrap();
+        let (used, clock) = (s.dev.mem.explicit_used_bytes(), s.elapsed_ns());
+        let sources: Vec<u32> = (0..33).collect();
+        let err = s.query_batch(&sources).unwrap_err();
+        assert_eq!(
+            err,
+            QueryError::BatchSize {
+                sources: 33,
+                max: 32
+            }
+        );
+        assert!(err.to_string().contains("batch of 33 sources"));
+        assert_eq!(s.dev.mem.explicit_used_bytes(), used, "nothing allocated");
+        assert_eq!((s.elapsed_ns(), s.queries_run()), (clock, 0));
+        let full = s.query_batch(&sources[..32]).unwrap();
+        assert_eq!(full.levels[31], reference::bfs(&g, 31));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use eta_ckpt::CkptCtl;
 use eta_graph::Csr;
 use eta_mem::system::MemError;
 use eta_mem::{Ns, PeerFabric};
-use eta_shard::{GraphPartition, ShardSpec};
+use eta_shard::GraphPartition;
 use eta_sim::{Device, KernelMetrics};
 
 /// Wire bytes per halo message: a global vertex id plus a label word.
@@ -109,27 +109,13 @@ impl ShardedRunResult {
 fn per_member<R>(
     devs: &mut [Device],
     part: &GraphPartition,
-    alloc: impl Fn(&mut Device, &ShardSpec) -> Result<(R, Ns), MemError>,
+    alloc: impl Fn(&mut Device, &Csr) -> Result<(R, Ns), MemError>,
 ) -> Sharded<(Vec<R>, Vec<Ns>)> {
     assert_eq!(devs.len(), part.shards.len(), "one device per shard");
-    let (mut resources, mut ready) = (Vec::new(), Vec::new());
-    for (s, (dev, shard)) in devs.iter_mut().zip(&part.shards).enumerate() {
-        let (res, t) = alloc(dev, shard).map_err(|e| fail(s, e.into()))?;
-        resources.push(res);
-        ready.push(t);
-    }
-    Ok((resources, ready))
-}
-
-/// Pull needs the global transpose; out-of-core UDC would ship one table
-/// per shard. Both are single-device experiments — a group normalizes them
-/// away.
-fn group_config(cfg: &EtaConfig) -> EtaConfig {
-    EtaConfig {
-        udc: UdcMode::InCore,
-        direction_optimizing: false,
-        ..*cfg
-    }
+    let members = devs.iter_mut().zip(&part.shards).enumerate();
+    let placed =
+        members.map(|(s, (dev, shard))| alloc(dev, &shard.csr).map_err(|e| fail(s, e.into())));
+    Ok(placed.collect::<Sharded<Vec<_>>>()?.into_iter().unzip())
 }
 
 /// Runs one traversal across the whole device group.
@@ -162,10 +148,15 @@ pub fn run_sharded_ckpt(
         "fabric must span the group"
     );
     check_source(source, part.n as usize).map_err(|e| fail(0, e))?;
-    let cfg = group_config(cfg);
+    // Pull needs the global transpose; out-of-core UDC would ship one table
+    // per shard. Both are single-device experiments a group normalizes away.
+    let cfg = EtaConfig {
+        udc: UdcMode::InCore,
+        direction_optimizing: false,
+        ..*cfg
+    };
     let views: Vec<ShardView<'_>> = part.shards.iter().map(ShardView::of).collect();
-    let prepare =
-        |dev: &mut Device, shard: &ShardSpec| engine::prepare(dev, &shard.csr, &cfg, false);
+    let prepare = |dev: &mut Device, csr: &Csr| engine::prepare(dev, csr, &cfg, false);
     let (resources, ready) = per_member(devs, part, prepare)?;
     let prog = Traversal::new(alg, source, &cfg, &views, &resources);
     let result = drive(&mut Group::new(devs, ready, &cfg), Some(fabric), prog, ckpt);
@@ -215,8 +206,7 @@ pub fn run_sharded_pagerank(
         return Ok(ShardedPageRankResult::default());
     }
     let views: Vec<ShardView<'_>> = part.shards.iter().map(ShardView::of).collect();
-    let alloc = |dev: &mut Device, shard: &ShardSpec| RankShard::alloc(dev, &shard.csr, &cfg.eta);
-    let (shards, ready) = per_member(devs, part, alloc)?;
+    let (shards, ready) = per_member(devs, part, |dev, csr| RankShard::alloc(dev, csr, &cfg.eta))?;
     let prog = Ranking::new(cfg, csr, &views, &shards);
     let group = &mut Group::new(devs, ready, &cfg.eta);
     let result = drive(group, Some(fabric), prog, CkptCtl::off());

@@ -30,7 +30,7 @@ pub fn shadow_slices(start: u32, end: u32, k: u32) -> Vec<(u32, u32)> {
 }
 
 /// Number of shadow vertices a degree-`deg` vertex produces.
-pub fn shadow_count(deg: u32, k: u32) -> u32 {
+fn shadow_count(deg: u32, k: u32) -> u32 {
     deg.div_ceil(k)
 }
 

@@ -83,6 +83,9 @@ impl Launch {
             QueryError::Mem(_) => Launch::Refused,
             QueryError::Checkpoint(_) => Launch::Stale,
             QueryError::SourceOutOfRange { .. } => unreachable!("sources validated at admission"),
+            QueryError::BatchSize { .. } => {
+                unreachable!("the scheduler chunks batches to 1..=MAX_BATCH")
+            }
         }
     }
 }
