@@ -100,6 +100,7 @@ grep -q "adaptive beats every static mode" "$PROFILE_OUT/transfer.txt"
 grep -q '"crossover_observed": true' "$PROFILE_OUT/transfer.json"
 grep -q '"adaptive_within_tolerance": true' "$PROFILE_OUT/transfer.json"
 grep -q '"adaptive_beats_every_static": true' "$PROFILE_OUT/transfer.json"
+grep -q '"adaptive_beats_every_static_oversubscribed": true' "$PROFILE_OUT/transfer.json"
 mv "$PROFILE_OUT/transfer.json" "$PROFILE_OUT/transfer.first.json"
 cargo run --release -p eta-bench --bin report -- transfer --quick --out "$PROFILE_OUT" >/dev/null
 cmp "$PROFILE_OUT/transfer.first.json" "$PROFILE_OUT/transfer.json"

@@ -312,9 +312,25 @@ impl RankShard {
     }
 }
 
-/// Per-destination replay entries: for global vertex `v`, the source of
-/// every in-edge in the order the single-device scatter applies them.
-type Inedges = Vec<Vec<u32>>;
+/// Per-destination replay lists, flat: the sources of global vertex `v`'s
+/// in-edges are `sources[offsets[v]..offsets[v + 1]]`, in the order the
+/// single-device scatter applies them. Empty for a group of one.
+#[derive(Default)]
+struct Inedges {
+    offsets: Vec<u32>,
+    sources: Vec<u32>,
+}
+
+impl Inedges {
+    fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    fn of(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.sources[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
 
 /// What a group of more than one exchanges. The single-device scatter
 /// applies `next[dst] += contrib[src]` in a total order fixed by the
@@ -325,6 +341,9 @@ type Inedges = Vec<Vec<u32>>;
 /// zero shadows, each shard's local queue is a contiguous slice of the
 /// global one — so every message can carry its global key, and the owner
 /// can re-apply all of them (local and remote) in the exact global order.
+/// A counting pass sizes each destination's list; a second pass visits the
+/// shadows in key order and appends each edge's source to its
+/// destination's list, so every list comes out already in that order.
 ///
 /// Also returns the `(from, to, messages)` batches of one superstep,
 /// ascending: every edge into another member's range ships one message.
@@ -333,23 +352,38 @@ fn plan_exchange(
     k: u32,
     views: &[ShardView<'_>],
 ) -> (Inedges, Vec<(usize, usize, u64)>) {
-    let mut keyed: Vec<Vec<(u32, u32, u32, u32)>> = vec![Vec::new(); csr.n()];
+    let k = k as usize;
+    let mut offsets = vec![0u32; csr.n() + 1];
     let mut counts = vec![vec![0u64; views.len()]; views.len()];
-    let mut g = 0u32;
+    // The queue's shadows in slot order: (source, first edge, end edge).
+    let mut shadows: Vec<(u32, usize, usize)> = Vec::new();
     for (u, row) in csr.row_offsets.windows(2).enumerate() {
+        let (start, end) = (row[0] as usize, row[1] as usize);
         let from = owner(views, u as u32);
-        for shadow in csr.col_idx[row[0] as usize..row[1] as usize].chunks(k as usize) {
-            for (j, &dst) in shadow.iter().enumerate() {
-                keyed[dst as usize].push((g / 32, j as u32, g % 32, u as u32));
-                counts[from][owner(views, dst)] += 1;
+        for &dst in &csr.col_idx[start..end] {
+            offsets[dst as usize + 1] += 1;
+            counts[from][owner(views, dst)] += 1;
+        }
+        let cut = (start..end).step_by(k);
+        shadows.extend(cut.map(|first| (u as u32, first, (first + k).min(end))));
+    }
+    for v in 0..csr.n() {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut next = offsets.clone();
+    let mut sources = vec![0u32; csr.m()];
+    for warp in shadows.chunks(32) {
+        let steps = warp.iter().map(|&(_, first, end)| end - first).max();
+        for j in 0..steps.unwrap_or(0) {
+            for &(u, first, end) in warp {
+                if first + j < end {
+                    let slot = &mut next[csr.col_idx[first + j] as usize];
+                    sources[*slot as usize] = u;
+                    *slot += 1;
+                }
             }
-            g += 1;
         }
     }
-    let inedges = keyed.into_iter().map(|mut list| {
-        list.sort_unstable_by_key(|&(w, j, l, _)| (w, j, l));
-        list.into_iter().map(|(.., u)| u).collect()
-    });
     let batches = counts.iter().enumerate().flat_map(|(from, row)| {
         let remote = row
             .iter()
@@ -357,7 +391,7 @@ fn plan_exchange(
             .filter(move |&(to, &c)| to != from && c > 0);
         remote.map(move |(to, &c)| (from, to, c))
     });
-    (inedges.collect(), batches.collect())
+    (Inedges { offsets, sources }, batches.collect())
 }
 
 /// One PageRank member: its share of the graph and its device state.
@@ -542,12 +576,12 @@ impl<'a> Program for Ranking<'a> {
         if !self.inedges.is_empty() {
             let contrib = owned(members, g, |shard| shard.contrib);
             for ((view, shard), dev) in members.iter().zip(g.devs.iter_mut()) {
-                let sum = |sources: &Vec<u32>| {
-                    let shares = sources.iter().map(|&u| f32::from_bits(contrib[u as usize]));
+                let sum = |v: u32| {
+                    let sources = self.inedges.of(v).iter();
+                    let shares = sources.map(|&u| f32::from_bits(contrib[u as usize]));
                     shares.fold(0f32, |acc, share| acc + share).to_bits()
                 };
-                let owned = &self.inedges[view.lo as usize..view.hi as usize];
-                let sums: Vec<u32> = owned.iter().map(sum).collect();
+                let sums: Vec<u32> = (view.lo..view.hi).map(sum).collect();
                 dev.mem.host_write(shard.next_ranks, 0, &sums);
             }
         }

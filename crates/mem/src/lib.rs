@@ -49,7 +49,9 @@ pub mod timeline;
 pub mod um;
 
 pub use access::{drain_l1, AccessRec, L1DrainParams, L2Work, PipeOp, SmQueue};
-pub use adaptive::{AdaptiveRegion, GroupDecision, TransferChoice};
+pub use adaptive::{
+    AdaptiveRegion, AdaptiveTotals, Escalation, GroupDecision, Route, TransferChoice, Trigger,
+};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{sectors_for_warp, SECTOR_BYTES, WORD_BYTES};
 pub use pcie::PcieLink;

@@ -366,18 +366,24 @@ impl MemSystem {
     }
 
     /// Retires a region the way it was placed: an explicit region returns
-    /// its capacity, a paged or adaptive one its page residency, and a
-    /// zero-copy mapping held none. The bump storage is not reclaimed —
+    /// its capacity, a paged or adaptive one its page residency (an
+    /// adaptive one its claim on the budget too), and a zero-copy mapping
+    /// held none. The bump storage is not reclaimed —
     /// experiments construct a fresh `MemSystem` per run.
     pub fn release(&mut self, slice: DSlice) {
-        let r = &self.regions[slice.region];
-        match &r.placed {
+        let r = &mut self.regions[slice.region];
+        match &mut r.placed {
             Placed::Explicit => {
                 self.explicit_used = self.explicit_used.saturating_sub(r.len_words * 4);
             }
             Placed::ZeroCopy => {}
             Placed::Paged { um_index, .. } => self.um.invalidate_region(*um_index),
-            Placed::Adaptive(policy) => self.um.invalidate_region(policy.um_index),
+            Placed::Adaptive(policy) => {
+                // A retired region drops its claim and is never streamed
+                // back in by a later tick.
+                policy.release();
+                self.um.invalidate_region(policy.um_index);
+            }
         }
     }
 }

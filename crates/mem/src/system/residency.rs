@@ -3,7 +3,9 @@
 //! their own policy, zero-copy regions route every sector over the link.
 
 use super::{DSlice, MemSystem, Placed, Region, RegionId};
-use crate::adaptive::{AdaptiveRegion, GroupDecision, TransferChoice};
+use crate::adaptive::{
+    AdaptiveRegion, AdaptiveTotals, Escalation, GroupDecision, Route, TransferChoice,
+};
 use crate::timeline::SpanKind;
 use crate::um::{UmRegion, PAGE_WORDS};
 use crate::Ns;
@@ -39,20 +41,25 @@ impl MemSystem {
         }
     }
 
-    /// Device-wide adaptive totals `(demand, prefetch, zero_copy,
-    /// escalated_regions)` summed over every adaptive region; `None` when
-    /// the policy is not in use (the transfer report's decision mix).
-    pub fn adaptive_totals(&self) -> Option<(u64, u64, u64, u64)> {
+    /// Device-wide adaptive decision mix summed over every adaptive
+    /// region; `None` when the policy is not in use (the transfer report's
+    /// decision mix).
+    pub fn adaptive_totals(&self) -> Option<AdaptiveTotals> {
         let policies = self.regions.iter().filter_map(|r| match &r.placed {
             Placed::Adaptive(policy) => Some(policy),
             _ => None,
         });
-        policies
-            .map(|p| {
-                let (d, pf, z) = p.group_counts();
-                (d, pf, z, u64::from(p.is_escalated()))
-            })
-            .reduce(|a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3))
+        policies.fold(None, |acc, p| {
+            let mut t = acc.unwrap_or_default();
+            let (demand, prefetch, zero_copy) = p.group_counts();
+            t.demand += demand;
+            t.prefetch += prefetch;
+            t.zero_copy += zero_copy;
+            let route = p.escalation().map(|e| e.route);
+            t.escalated += u64::from(route == Some(Route::Stream));
+            t.linked += u64::from(route == Some(Route::Link));
+            Some(t)
+        })
     }
 
     /// Iteration boundary for the adaptive policy: folds this iteration's
@@ -60,26 +67,63 @@ impl MemSystem {
     /// hysteresis) and applies the transitions — prefetch groups are
     /// (re)streamed, zero-copy groups simply stop acquiring residency (their
     /// already-migrated pages keep serving locally until the LRU reclaims
-    /// them). Regions are walked in id order. `upcoming_bytes` is the
-    /// engine's announcement of the coming iteration's read volume (its
-    /// frontier's out-edges in bytes, `0` when unknown) — a large
-    /// announcement escalates regions to streaming before the wave (see
-    /// [`crate::adaptive`]). Returns the completion time of the latest
-    /// transfer issued, `now` when nothing moved. With no adaptive regions
-    /// this is a no-op, byte-identical to not calling it.
+    /// them). `upcoming_bytes` is the engine's announcement of the coming
+    /// iteration's read volume (its frontier's out-edges in bytes, `0` when
+    /// unknown) — a large announcement escalates regions before the wave
+    /// (see [`crate::adaptive`]).
+    ///
+    /// Regions are walked in id order against one budget: a region may
+    /// claim the free bytes ([`MemSystem::free_bytes`]) minus what every
+    /// other adaptive region claims by decision, counting the claims made
+    /// earlier in this walk, so an escalation streams only a region that
+    /// fits beside the others and routes the rest over the link. Each
+    /// terminal decision records an `adaptive_route` instant on the UM
+    /// track when profiling is on. Returns the completion time of the
+    /// latest transfer issued, `now` when nothing moved. With no adaptive
+    /// regions this is a no-op, byte-identical to not calling it.
     pub fn adaptive_tick(&mut self, now: Ns, upcoming_bytes: u64) -> Ns {
-        let budget = self.free_bytes();
+        let free = self.free_bytes();
+        let mut claimed: u64 = self
+            .regions
+            .iter()
+            .filter_map(|r| match &r.placed {
+                Placed::Adaptive(policy) => Some(policy.claimed_bytes()),
+                _ => None,
+            })
+            .sum();
         let mut end = now;
         // Decisions are collected first: applying them borrows `self.um`
         // and `self.pcie`, which the region walk would otherwise pin.
-        let ticked: Vec<(usize, Vec<GroupDecision>)> = self
-            .regions
-            .iter_mut()
-            .filter_map(|r| match &mut r.placed {
-                Placed::Adaptive(policy) => Some((policy.um_index, policy.tick(upcoming_bytes))),
-                _ => None,
-            })
-            .collect();
+        let mut ticked: Vec<(usize, Vec<GroupDecision>)> = Vec::new();
+        let mut routed: Vec<(RegionId, Escalation)> = Vec::new();
+        for (id, r) in self.regions.iter_mut().enumerate() {
+            let Placed::Adaptive(policy) = &mut r.placed else {
+                continue;
+            };
+            let own = policy.claimed_bytes();
+            let others = claimed - own;
+            let undecided = policy.escalation().is_none();
+            let decisions = policy.tick(upcoming_bytes, free.saturating_sub(others));
+            claimed = others + policy.claimed_bytes();
+            if let Some(e) = policy.escalation().filter(|_| undecided) {
+                routed.push((id, e));
+            }
+            ticked.push((policy.um_index, decisions));
+        }
+        for (region, e) in routed {
+            self.prof.instant(
+                Track::Um,
+                "adaptive_route",
+                now,
+                vec![
+                    ("region", region.into()),
+                    ("trigger", e.trigger.name().into()),
+                    ("region_bytes", e.region_bytes.into()),
+                    ("budget", e.budget.into()),
+                    ("route", e.route.name().into()),
+                ],
+            );
+        }
         for (um_index, decisions) in ticked {
             // Adjacent prefetch groups coalesce into maximal page runs, so
             // an escalated region streams like `cudaMemPrefetchAsync`
@@ -105,7 +149,7 @@ impl MemSystem {
                     first_page,
                     last_page,
                     now,
-                    budget,
+                    free,
                     &mut self.pcie,
                 );
                 self.prof_link_spans(mark);
@@ -277,7 +321,7 @@ impl MemSystem {
 
 #[cfg(test)]
 mod tests {
-    use crate::adaptive::HYSTERESIS;
+    use crate::adaptive::{AdaptiveTotals, HYSTERESIS};
     use crate::system::tests::system;
     use crate::system::{MemSystem, TransferMode};
     use crate::timeline::SpanKind;
@@ -374,7 +418,14 @@ mod tests {
             now = m.ensure_resident(a.region, &[s0], now);
             now = m.adaptive_tick(now, 0);
         }
-        assert_eq!(m.adaptive_totals(), Some((3, 0, 1, 0)));
+        assert_eq!(
+            m.adaptive_totals(),
+            Some(AdaptiveTotals {
+                demand: 3,
+                zero_copy: 1,
+                ..Default::default()
+            })
+        );
         // Page 0 was migrated during the demand phase and stays resident:
         // it keeps serving locally even though its group went zero-copy.
         let (_, zc) = resolve(&mut m, a.region, &[s0], now);
@@ -404,14 +455,70 @@ mod tests {
             now = m.ensure_resident(a.region, &sectors, now);
             now = m.adaptive_tick(now, 0);
         }
-        let (_, prefetch_groups, _, escalated) = m.adaptive_totals().unwrap();
-        assert_eq!(prefetch_groups, 1, "dense group promoted to prefetch");
-        assert_eq!(escalated, 0);
+        let totals = m.adaptive_totals().unwrap();
+        assert_eq!(totals.prefetch, 1, "dense group promoted to prefetch");
+        assert_eq!(totals.escalated, 0);
         // The group is fully resident: 16 pages of group 0 (+ nothing else —
         // group 1 was never touched and stays on demand).
         assert_eq!(m.um.region(0).resident_pages(), 16);
         let (_, zc) = resolve(&mut m, a.region, &sectors[..1], now);
         assert_eq!(zc, [false]);
+    }
+
+    #[test]
+    fn each_terminal_route_records_its_inputs_when_profiling() {
+        use eta_prof::ArgValue;
+        let region_bytes = 64 * PAGE_BYTES;
+        let mut m = system(region_bytes * 3 / 2);
+        let a = m.alloc_unified(64 * PAGE_WORDS);
+        let b = m.alloc_unified(64 * PAGE_WORDS);
+        m.enable_adaptive(a);
+        m.enable_adaptive(b);
+        // Profiling off: the same decisions, no event.
+        let mut quiet = system(region_bytes * 3 / 2);
+        for s in [a, b] {
+            let q = quiet.alloc_unified(64 * PAGE_WORDS);
+            quiet.enable_adaptive(q);
+            assert_eq!(q, s);
+        }
+        quiet.adaptive_tick(0, region_bytes);
+        assert_eq!(quiet.prof.len(), 0);
+
+        m.prof.set_enabled(true);
+        let end = m.adaptive_tick(0, region_bytes);
+        m.adaptive_tick(end, region_bytes); // terminal: nothing new to record
+        let routes: Vec<_> = m
+            .prof
+            .events()
+            .iter()
+            .filter(|e| e.name == "adaptive_route")
+            .collect();
+        assert_eq!(routes.len(), 2, "one per region, once");
+        let args = |i: usize| -> Vec<(&str, ArgValue)> {
+            routes[i]
+                .args
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect()
+        };
+        let free = region_bytes * 3 / 2;
+        for (i, region, budget, route) in [
+            (0, a.region, free, "stream"),
+            (1, b.region, free - region_bytes, "link"),
+        ] {
+            assert_eq!(routes[i].track, eta_prof::Track::Um);
+            assert_eq!((routes[i].start, routes[i].end), (0, 0), "an instant");
+            assert_eq!(
+                args(i),
+                [
+                    ("region", ArgValue::U64(region as u64)),
+                    ("trigger", ArgValue::Str("announced".into())),
+                    ("region_bytes", ArgValue::U64(region_bytes)),
+                    ("budget", ArgValue::U64(budget)),
+                    ("route", ArgValue::Str(route.into())),
+                ]
+            );
+        }
     }
 
     #[test]
@@ -432,7 +539,14 @@ mod tests {
             now = m.ensure_resident(a.region, &[sector(63)], now);
             now = m.adaptive_tick(now, 0);
         }
-        assert_eq!(m.adaptive_totals(), Some((3, 0, 1, 0)));
+        assert_eq!(
+            m.adaptive_totals(),
+            Some(AdaptiveTotals {
+                demand: 3,
+                zero_copy: 1,
+                ..Default::default()
+            })
+        );
         // A streaming streak doubles the fault batch: 8, 16, then 32 pages.
         for page in [0, 8, 16] {
             now = m.ensure_resident(a.region, &[sector(page)], now);
