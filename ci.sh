@@ -34,6 +34,10 @@ echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
 echo "    release mode: the gate that keeps every UM artifact byte-stable)"
 cargo test --release -p eta-mem --lib -q -- um::tests::differential um::tests::lazy_index
 
+echo "==> dataset digest pins (all seven Table II analogs, topology and weighted"
+echo "    copy, release mode: graph construction must not change one byte)"
+cargo test --release -p eta-graph --lib -q -- --ignored datasets::tests::all_dataset_digests_are_pinned
+
 echo "==> per-access differentials (release mode: recency-key cache vs the"
 echo "    valid-bit oracle, one-pass coalesce vs per-access sort + dedup,"
 echo "    closed-form bank conflicts vs the sort-based definition)"

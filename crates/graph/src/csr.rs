@@ -11,6 +11,10 @@ use serde::Serialize;
 /// Label value for "not reached" (`∞`).
 pub const INF: u32 = u32::MAX;
 
+/// Largest vertex count a [`Csr`] holds: every id and the count itself
+/// stay below [`INF`].
+pub const MAX_VERTICES: usize = INF as usize - 1;
+
 /// A directed graph in CSR form, optionally edge-weighted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
@@ -89,47 +93,36 @@ impl Csr {
     /// Builds from an edge list; edges are sorted and deduplicated
     /// (the paper assumes graphs without duplicate edges).
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Csr {
-        Self::from_weighted_edges_impl(n, edges, None)
+        let (mut row_offsets, mut col_idx) =
+            bucket_by_source(n, edges.len(), |i| edges[i], |_, dst| dst);
+        compact_rows(&mut col_idx, &mut row_offsets, |&dst| dst);
+        col_idx.shrink_to_fit();
+        Self::built(row_offsets, col_idx, None)
     }
 
-    /// Builds a weighted CSR; duplicate `(src, dst)` pairs keep the first
-    /// weight encountered after sorting.
+    /// Builds a weighted CSR; duplicate `(src, dst)` pairs keep the weight
+    /// of the first such edge in `edges`.
     pub fn from_weighted_edges(n: usize, edges: &[(u32, u32, u32)]) -> Csr {
-        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-        let weights: Vec<u32> = edges.iter().map(|&(_, _, w)| w).collect();
-        Self::from_weighted_edges_impl(n, &pairs, Some(&weights))
+        // A bucket entry packs `dst` above the edge's input index, so a
+        // sorted row runs by destination and, within one, in input order:
+        // the duplicate that survives is the first one in `edges`.
+        let (mut row_offsets, mut keys) = bucket_by_source(
+            n,
+            edges.len(),
+            |i| (edges[i].0, edges[i].1),
+            |i, dst| u64::from(dst) << 32 | i as u64,
+        );
+        compact_rows(&mut keys, &mut row_offsets, |&k| (k >> 32) as u32);
+        let col_idx = keys.iter().map(|&k| (k >> 32) as u32).collect();
+        let weights = keys.iter().map(|&k| edges[k as u32 as usize].2).collect();
+        Self::built(row_offsets, col_idx, Some(weights))
     }
 
-    fn from_weighted_edges_impl(n: usize, edges: &[(u32, u32)], weights: Option<&[u32]>) -> Csr {
-        assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
-        for &(s, d) in edges {
-            assert!(
-                (s as usize) < n && (d as usize) < n,
-                "edge endpoint out of range"
-            );
-        }
-        // Sort edge indices by (src, dst) — in parallel, this dominates
-        // construction for multi-million-edge graphs — then dedup. The
-        // index tiebreak keeps duplicate selection (and therefore the
-        // surviving weight) deterministic across thread counts.
-        let mut order: Vec<u32> = (0..edges.len() as u32).collect();
-        eta_par::par_sort_by_key(&mut order, |&i| (edges[i as usize], i));
-        order.dedup_by_key(|i| edges[*i as usize]);
-
-        let mut row_offsets = vec![0u32; n + 1];
-        for &i in &order {
-            row_offsets[edges[i as usize].0 as usize + 1] += 1;
-        }
-        for v in 0..n {
-            row_offsets[v + 1] += row_offsets[v];
-        }
-        let col_idx: Vec<u32> = order.iter().map(|&i| edges[i as usize].1).collect();
-        let out_weights =
-            weights.map(|w| order.iter().map(|&i| w[i as usize]).collect::<Vec<u32>>());
+    fn built(row_offsets: Vec<u32>, col_idx: Vec<u32>, weights: Option<Vec<u32>>) -> Csr {
         let csr = Csr {
             row_offsets,
             col_idx,
-            weights: out_weights,
+            weights,
         };
         debug_assert!(csr.validate().is_ok());
         csr
@@ -267,6 +260,70 @@ impl Csr {
     }
 }
 
+/// The counting pass of the CSR builders: scatters edge `i` (endpoints
+/// `edge(i)`) into its source's bucket as `entry(i, dst)`, buckets in
+/// source order and each bucket in input order. Returns the bucket ends
+/// (`ends[v]` is one past bucket `v`, which starts at `ends[v - 1]` or 0;
+/// `ends[n] == m`) and the buckets.
+fn bucket_by_source<T: Copy + Default>(
+    n: usize,
+    m: usize,
+    edge: impl Fn(usize) -> (u32, u32),
+    entry: impl Fn(usize, u32) -> T,
+) -> (Vec<u32>, Vec<T>) {
+    assert!(n <= MAX_VERTICES, "vertex ids must fit in u32");
+    assert!(m <= u32::MAX as usize, "edge count must fit in u32");
+    let mut ends = vec![0u32; n + 1];
+    for i in 0..m {
+        let (s, d) = edge(i);
+        assert!(
+            (s as usize) < n && (d as usize) < n,
+            "edge endpoint out of range"
+        );
+        ends[s as usize + 1] += 1;
+    }
+    for v in 0..n {
+        ends[v + 1] += ends[v];
+    }
+    // `ends[v]` starts as bucket v's first slot and advances past each
+    // entry placed, so it finishes as the bucket's end.
+    let mut buckets = vec![T::default(); m];
+    for i in 0..m {
+        let (s, d) = edge(i);
+        let slot = &mut ends[s as usize];
+        buckets[*slot as usize] = entry(i, d);
+        *slot += 1;
+    }
+    (ends, buckets)
+}
+
+/// Sorts each bucket, keeps the first entry of every run with one
+/// `dst(entry)`, and packs the rows to the front of `buckets`, which is
+/// then truncated. `offsets` comes in as [`bucket_by_source`]'s ends and
+/// leaves as the CSR row offsets.
+fn compact_rows<T: Copy + Ord>(buckets: &mut Vec<T>, offsets: &mut [u32], dst: impl Fn(&T) -> u32) {
+    let (rows, total) = offsets.split_at_mut(offsets.len() - 1);
+    let (mut start, mut kept) = (0usize, 0usize);
+    for offset in rows {
+        let end = *offset as usize;
+        *offset = kept as u32;
+        buckets[start..end].sort_unstable();
+        let mut last = None;
+        for r in start..end {
+            let e = buckets[r];
+            if last != Some(dst(&e)) {
+                last = Some(dst(&e));
+                // kept <= r: the packed prefix never overtakes the reads.
+                buckets[kept] = e;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    total[0] = kept as u32;
+    buckets.truncate(kept);
+}
+
 /// Summary statistics of a graph (Table II columns).
 #[derive(Debug, Clone, Serialize)]
 pub struct GraphStats {
@@ -292,6 +349,86 @@ impl GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate::splitmix;
+    use proptest::prelude::*;
+
+    /// The sort-based builder the counting build replaced: edge indices
+    /// sorted on `(edge, index)`, then deduplicated on the edge, so a
+    /// duplicate keeps its first weight.
+    fn from_edges_by_sort(n: usize, edges: &[(u32, u32)], weights: Option<&[u32]>) -> Csr {
+        let mut order: Vec<u32> = (0..edges.len() as u32).collect();
+        eta_par::par_sort_by_key(&mut order, |&i| (edges[i as usize], i));
+        order.dedup_by_key(|i| edges[*i as usize]);
+        let mut row_offsets = vec![0u32; n + 1];
+        for &i in &order {
+            row_offsets[edges[i as usize].0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            row_offsets[v + 1] += row_offsets[v];
+        }
+        Csr {
+            row_offsets,
+            col_idx: order.iter().map(|&i| edges[i as usize].1).collect(),
+            weights: weights.map(|w| order.iter().map(|&i| w[i as usize]).collect()),
+        }
+    }
+
+    /// Both builders against the oracle, at one and two host threads.
+    fn assert_matches_sort_oracle(n: usize, edges: &[(u32, u32, u32)]) {
+        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
+        let weights: Vec<u32> = edges.iter().map(|&(_, _, w)| w).collect();
+        for threads in [1, 2] {
+            let _threads = eta_par::ThreadGuard::set(threads);
+            assert_eq!(
+                Csr::from_edges(n, &pairs),
+                from_edges_by_sort(n, &pairs, None),
+                "unweighted, {threads} thread(s)"
+            );
+            assert_eq!(
+                Csr::from_weighted_edges(n, edges),
+                from_edges_by_sort(n, &pairs, Some(&weights)),
+                "weighted, {threads} thread(s)"
+            );
+        }
+    }
+
+    /// A random edge list over `n < 48` vertices whose endpoints stay below
+    /// `n - trailing` (the rest are trailing isolated vertices); small
+    /// enough that duplicates and self loops are common, with weights in
+    /// `1..4` so duplicates often disagree on theirs. `n = 0` has no edges.
+    fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
+        (0usize..48, 0usize..6).prop_flat_map(|(n, trailing)| {
+            let span = n.saturating_sub(trailing).max(1) as u32;
+            let len = if n == 0 { 0..1 } else { 0..300 };
+            proptest::collection::vec((0..span, 0..span, 1u32..4), len).prop_map(move |e| (n, e))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counting_build_matches_the_sort_oracle((n, edges) in arb_edge_list()) {
+            assert_matches_sort_oracle(n, &edges);
+        }
+    }
+
+    #[test]
+    fn counting_build_matches_the_sort_oracle_above_the_parallel_threshold() {
+        // 20k edges on 400 of 410 vertices: the oracle's sort runs chunked
+        // at two threads, and every row holds duplicates.
+        let edges: Vec<(u32, u32, u32)> = (0..20_000u64)
+            .map(|i| {
+                let r = splitmix(17, i);
+                (
+                    (r % 400) as u32,
+                    (r >> 20) as u32 % 400,
+                    (r >> 40) as u32 % 5,
+                )
+            })
+            .collect();
+        assert_matches_sort_oracle(410, &edges);
+    }
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3

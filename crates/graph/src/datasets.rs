@@ -170,6 +170,40 @@ mod tests {
         assert_eq!(a.weighted().weights, b.weighted().weights);
     }
 
+    /// Topology and weighted-copy digests of every dataset, as the
+    /// sort-based builder produced them: construction may get faster, but
+    /// it must not change one byte of any graph.
+    const DIGESTS: [(&str, u64, u64); 7] = [
+        ("slashdot", 0xb32a_26d9_ddd6_998c, 0x8a1d_baa1_e8f5_c258),
+        ("livejournal", 0x6c00_63a3_6f17_9e57, 0xeef8_8cfa_944d_3b21),
+        ("orkut", 0x5caf_d15a_aa24_79d7, 0x29ae_6c4e_8f5a_dfea),
+        ("rmat22", 0x03f9_4ab5_31d7_656a, 0xb96d_32d5_344d_27d0),
+        ("uk2005", 0x73d7_3b7c_fa6c_768a, 0x09d3_b61f_b2b6_1750),
+        ("sk2005", 0xaca8_6fbe_4216_6bea, 0x209c_3a97_7c88_02dd),
+        ("uk2006", 0x637e_947e_a709_6b06, 0x88ec_289d_7653_301e),
+    ];
+
+    fn assert_digests(name: &str, topology: u64, weighted: u64) {
+        let d = build(name);
+        assert_eq!(d.csr.digest(), topology, "{name} topology");
+        assert_eq!(d.weighted().digest(), weighted, "{name} weighted copy");
+    }
+
+    #[test]
+    fn slashdot_digests_are_pinned() {
+        let (name, topology, weighted) = DIGESTS[0];
+        assert_digests(name, topology, weighted);
+    }
+
+    /// All seven datasets, ~4 s in release; run by name in `ci.sh`.
+    #[test]
+    #[ignore = "builds the full suite; run with --ignored in release"]
+    fn all_dataset_digests_are_pinned() {
+        for (name, topology, weighted) in DIGESTS {
+            assert_digests(name, topology, weighted);
+        }
+    }
+
     #[test]
     fn weighted_copy_preserves_topology() {
         let d = build("slashdot");

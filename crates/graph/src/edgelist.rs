@@ -4,13 +4,14 @@
 //! store graphs as `(src, dst)` tuples — `2|E|` words of topology, the 1.87×
 //! CSR overhead the paper's Table I reports for LiveJournal.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, MAX_VERTICES};
 use std::fmt;
 
 /// Why an [`EdgeList`] could not be converted to CSR: the parallel arrays
-/// disagree on length, or an endpoint lies outside the declared vertex
-/// count. Externally-built edge lists (loaders, FFI) hit these on corrupt
-/// input; `try_to_csr` turns them into typed errors instead of panics.
+/// disagree on length, the declared vertex count does not fit a CSR, or an
+/// endpoint lies outside it. Externally-built edge lists (loaders, FFI) hit
+/// these on corrupt input; `try_to_csr` turns them into typed errors
+/// instead of panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EdgeListError {
     /// `src`, `dst`, and (when present) `weights` must be equally long.
@@ -19,6 +20,9 @@ pub enum EdgeListError {
         dst: usize,
         weights: Option<usize>,
     },
+    /// The list declares `n` vertices, more than a CSR holds
+    /// ([`MAX_VERTICES`]).
+    TooManyVertices { n: usize },
     /// Edge `index` references `vertex`, but the list declares only `n`
     /// vertices.
     VertexOutOfRange { index: usize, vertex: u32, n: usize },
@@ -34,6 +38,10 @@ impl fmt::Display for EdgeListError {
                 }
                 Ok(())
             }
+            EdgeListError::TooManyVertices { n } => write!(
+                f,
+                "the list declares {n} vertices, but a CSR holds at most {MAX_VERTICES}"
+            ),
             EdgeListError::VertexOutOfRange { index, vertex, n } => write!(
                 f,
                 "edge {index} references vertex {vertex}, but the list declares {n} vertices"
@@ -95,8 +103,8 @@ impl EdgeList {
     }
 
     /// Validated conversion to CSR: checks the parallel arrays agree on
-    /// length and every endpoint is inside `[0, n)` before handing the
-    /// edges to the (panicking) CSR builder.
+    /// length, `n` fits a CSR and every endpoint is inside `[0, n)` before
+    /// handing the edges to the (panicking) CSR builder.
     pub fn try_to_csr(&self) -> Result<Csr, EdgeListError> {
         if self.src.len() != self.dst.len()
             || self
@@ -109,6 +117,9 @@ impl EdgeList {
                 dst: self.dst.len(),
                 weights: self.weights.as_ref().map(Vec::len),
             });
+        }
+        if self.n > MAX_VERTICES {
+            return Err(EdgeListError::TooManyVertices { n: self.n });
         }
         for (index, (&s, &d)) in self.src.iter().zip(&self.dst).enumerate() {
             let vertex = s.max(d);
@@ -215,6 +226,21 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("edge 1"), "{err}");
+        // A vertex count no CSR can hold.
+        let el = EdgeList {
+            src: vec![0],
+            dst: vec![1],
+            weights: None,
+            n: u32::MAX as usize,
+        };
+        let err = el.try_to_csr().unwrap_err();
+        assert_eq!(
+            err,
+            EdgeListError::TooManyVertices {
+                n: u32::MAX as usize
+            }
+        );
+        assert!(err.to_string().contains("at most 4294967294"), "{err}");
         // A well-formed list still converts.
         let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         assert_eq!(EdgeList::from_csr(&g).try_to_csr().unwrap(), g);

@@ -67,34 +67,36 @@ pub fn rmat(cfg: &RmatConfig) -> Csr {
     let n = 1usize << cfg.scale;
     let d = 1.0 - cfg.a - cfg.b - cfg.c;
     assert!(d >= -1e-9, "a+b+c must be <= 1");
-    let edges: Vec<(u32, u32)> = eta_par::build_vec(cfg.edges, |i| {
-        let mut src = 0u32;
-        let mut dst = 0u32;
-        for bit in 0..cfg.scale {
-            let r = unit(cfg.seed, (i as u64) << 8 | bit as u64);
-            // Quadrant probabilities with a small per-level perturbation so
-            // the degree distribution is not perfectly self-similar (PaRMAT's
-            // noise option).
-            let noise = 0.05 * (unit(cfg.seed ^ 0xABCD, (i as u64) << 8 | bit as u64) - 0.5);
-            let a = (cfg.a + noise).clamp(0.0, 1.0);
-            let ab = a + cfg.b;
-            let abc = ab + cfg.c;
-            src <<= 1;
-            dst <<= 1;
-            if r < a {
-                // top-left: neither bit set
-            } else if r < ab {
-                dst |= 1;
-            } else if r < abc {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
-        }
-        (src, dst)
-    });
+    let edges: Vec<(u32, u32)> = eta_par::build_vec(cfg.edges, |i| rmat_edge(cfg, i as u64));
     Csr::from_edges(n, &edges)
+}
+
+/// Sample `i` of an R-MAT graph: one quadrant draw per bit level, most
+/// significant first.
+#[inline]
+fn rmat_edge(cfg: &RmatConfig, i: u64) -> (u32, u32) {
+    let mut src = 0u32;
+    let mut dst = 0u32;
+    for bit in 0..cfg.scale {
+        let r = unit(cfg.seed, i << 8 | bit as u64);
+        // Quadrant probabilities with a small per-level perturbation so
+        // the degree distribution is not perfectly self-similar (PaRMAT's
+        // noise option).
+        let noise = 0.05 * (unit(cfg.seed ^ 0xABCD, i << 8 | bit as u64) - 0.5);
+        let a = (cfg.a + noise).clamp(0.0, 1.0);
+        let ab = a + cfg.b;
+        let abc = ab + cfg.c;
+        // The first of `r < a`, `r < ab`, `r < abc` that holds picks the
+        // quadrant (top-left, top-right, bottom-left; none: bottom-right),
+        // computed without a branch the draw would mispredict.
+        let q0 = r < a;
+        let q1 = !q0 & (r < ab);
+        let q2 = !q0 & !q1 & (r < abc);
+        let q3 = !(q0 | q1 | q2);
+        src = src << 1 | u32::from(q2 | q3);
+        dst = dst << 1 | u32::from(q1 | q3);
+    }
+    (src, dst)
 }
 
 /// Configuration of the web-like generator.
@@ -199,6 +201,89 @@ pub fn web(cfg: &WebConfig) -> (Csr, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sampler as a branch chain: the definition `rmat_edge` keeps.
+    fn rmat_edge_branchy(cfg: &RmatConfig, i: u64) -> (u32, u32) {
+        let mut src = 0u32;
+        let mut dst = 0u32;
+        for bit in 0..cfg.scale {
+            let r = unit(cfg.seed, i << 8 | bit as u64);
+            let noise = 0.05 * (unit(cfg.seed ^ 0xABCD, i << 8 | bit as u64) - 0.5);
+            let a = (cfg.a + noise).clamp(0.0, 1.0);
+            let ab = a + cfg.b;
+            let abc = ab + cfg.c;
+            src <<= 1;
+            dst <<= 1;
+            if r < a {
+                // top-left: neither bit set
+            } else if r < ab {
+                dst |= 1;
+            } else if r < abc {
+                src |= 1;
+            } else {
+                src |= 1;
+                dst |= 1;
+            }
+        }
+        (src, dst)
+    }
+
+    #[test]
+    fn branch_free_sampler_matches_the_branch_chain() {
+        // Random configs, the paper's, zero b or c, and out-of-range
+        // values (negative b or c, a + b + c above 1): the rule is exact
+        // for any parameters, not only for valid ones.
+        let mut cfgs = vec![
+            RmatConfig::paper(12, 0, 1),
+            RmatConfig {
+                b: 0.0,
+                ..RmatConfig::paper(10, 0, 2)
+            },
+            RmatConfig {
+                c: 0.0,
+                ..RmatConfig::paper(10, 0, 3)
+            },
+            RmatConfig {
+                b: 0.0,
+                c: 0.0,
+                ..RmatConfig::paper(10, 0, 4)
+            },
+            RmatConfig {
+                b: -0.1,
+                ..RmatConfig::paper(10, 0, 5)
+            },
+            RmatConfig {
+                c: -0.2,
+                ..RmatConfig::paper(10, 0, 6)
+            },
+            RmatConfig {
+                a: 0.9,
+                b: 0.3,
+                c: 0.3,
+                ..RmatConfig::paper(10, 0, 7)
+            },
+        ];
+        for k in 0..40u64 {
+            let p = |j: u64| unit(0x5EED, k << 4 | j);
+            cfgs.push(RmatConfig {
+                scale: 1 + (splitmix(0x5CA1E, k) % 20) as u32,
+                edges: 0,
+                a: p(0),
+                b: p(1) * (1.0 - p(0)),
+                c: p(2) * (1.0 - p(0)) * (1.0 - p(1)),
+                seed: k,
+            });
+        }
+        for cfg in &cfgs {
+            for i in 0..2_000u64 {
+                assert_eq!(
+                    rmat_edge(cfg, i),
+                    rmat_edge_branchy(cfg, i),
+                    "sample {i} of {cfg:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn rmat_is_deterministic() {

@@ -14,7 +14,7 @@
 //! weights       m    × u32  (iff weighted)
 //! ```
 
-use crate::csr::Csr;
+use crate::csr::{Csr, MAX_VERTICES};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -94,6 +94,11 @@ pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
 /// unweighted arity mid-file (a weight silently defaulting to 1 on *some*
 /// edges is a corrupt dataset, not a convenience).
 pub fn parse_edge_list(text: &str, n_hint: Option<usize>) -> Result<Csr, String> {
+    if let Some(n) = n_hint.filter(|&n| n > MAX_VERTICES) {
+        return Err(format!(
+            "graph declared {n} vertices, but a CSR holds at most {MAX_VERTICES}"
+        ));
+    }
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut weighted: Option<bool> = None;
     let mut max_v = 0u32;
@@ -101,15 +106,19 @@ pub fn parse_edge_list(text: &str, n_hint: Option<usize>) -> Result<Csr, String>
         let v: u32 = tok
             .parse()
             .map_err(|_| format!("line {}: {what} vertex id {tok:?} is not a u32", lineno + 1))?;
-        if let Some(n) = n_hint {
-            if v as usize >= n {
-                return Err(format!(
-                    "line {}: {what} vertex {v} out of range (graph declared {n} vertices)",
-                    lineno + 1
-                ));
-            }
+        match n_hint {
+            Some(n) if v as usize >= n => Err(format!(
+                "line {}: {what} vertex {v} out of range (graph declared {n} vertices)",
+                lineno + 1
+            )),
+            // Without a declared count the graph gets ids 0..=max id.
+            None if v as usize >= MAX_VERTICES => Err(format!(
+                "line {}: {what} vertex id {v} is too large (a CSR holds at most \
+                 {MAX_VERTICES} vertices)",
+                lineno + 1
+            )),
+            _ => Ok(v),
         }
-        Ok(v)
     };
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -324,6 +333,15 @@ mod tests {
         assert!(err.contains("unweighted edge in a weighted list"), "{err}");
         let err = parse_edge_list("0 1\n1 2 5\n", None).unwrap_err();
         assert!(err.contains("weighted edge in an unweighted list"), "{err}");
+        // The largest u32 ids parse but leave no room for the vertex
+        // count: an error, not a panic in the CSR builder.
+        let err = parse_edge_list("0 4294967295\n", None).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+        assert!(err.contains("too large"), "{err}");
+        let err = parse_edge_list("0 1\n4294967294 0 3\n", None).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        let err = parse_edge_list("0 1\n", Some(u32::MAX as usize)).unwrap_err();
+        assert!(err.contains("at most 4294967294"), "{err}");
     }
 
     #[test]

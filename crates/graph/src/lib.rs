@@ -25,7 +25,7 @@ pub mod io;
 pub mod reference;
 pub mod vst;
 
-pub use csr::{Csr, GraphStats, INF};
+pub use csr::{Csr, GraphStats, INF, MAX_VERTICES};
 pub use datasets::Dataset;
 pub use edgelist::{EdgeList, EdgeListError};
 pub use gshard::GShards;

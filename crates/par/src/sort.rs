@@ -6,8 +6,9 @@
 //! Stable across thread counts (ties keep chunk order within each merge),
 //! and falls back to the standard sort below [`crate::PAR_THRESHOLD`].
 //!
-//! Built for the graph builders: sorting tens of millions of edge indices
-//! dominates dataset construction, and this cuts it by ~the worker count.
+//! The graph builders it was written for now bucket edges by source in one
+//! counting pass instead of sorting them, so no product code calls it; the
+//! repository benchmark's `par.sort_mkeys_per_s` probe is its one caller.
 
 use crate::{chunks, current_threads, PAR_THRESHOLD};
 

@@ -128,8 +128,9 @@ impl GraphPartition {
             cuts.push(v.clamp(*cuts.last().expect("non-empty"), n));
         }
         cuts.push(n);
+        let mut local_of = vec![UNMARKED; n as usize];
         let shards = (0..devices as usize)
-            .map(|d| build_shard(csr, d as u32, cuts[d], cuts[d + 1]))
+            .map(|d| build_shard(csr, d as u32, cuts[d], cuts[d + 1], &mut local_of))
             .collect();
         GraphPartition { n, m, cuts, shards }
     }
@@ -154,46 +155,58 @@ impl GraphPartition {
     }
 }
 
-fn build_shard(csr: &Csr, device: u32, lo: u32, hi: u32) -> ShardSpec {
-    let own = (hi - lo) as usize;
+/// A [`build_shard`] map slot that holds no halo vertex.
+const UNMARKED: u32 = u32::MAX;
+
+/// Builds shard `device` over `lo..hi`. `local_of` is an `n`-word scratch
+/// map, all [`UNMARKED`] on entry and on return: while the shard is built,
+/// each halo vertex's slot holds its local id.
+fn build_shard(csr: &Csr, device: u32, lo: u32, hi: u32, local_of: &mut [u32]) -> ShardSpec {
+    let own = hi - lo;
     let e_lo = csr.row_offsets[lo as usize] as usize;
     let e_hi = csr.row_offsets[hi as usize] as usize;
+    let owned_edges = &csr.col_idx[e_lo..e_hi];
 
     // Halo: every distinct out-of-range destination of an owned edge.
-    let mut halo: Vec<u32> = csr.col_idx[e_lo..e_hi]
-        .iter()
-        .copied()
-        .filter(|&dst| !(lo..hi).contains(&dst))
-        .collect();
-    halo.sort_unstable();
-    halo.dedup();
+    // Mark them, then number them in ascending global order (local id
+    // `own + rank`), which is also the order `halo` lists them in.
+    for &dst in owned_edges {
+        if !(lo..hi).contains(&dst) {
+            local_of[dst as usize] = 0;
+        }
+    }
+    let mut halo = Vec::new();
+    for (v, slot) in (0u32..).zip(local_of.iter_mut()) {
+        if *slot != UNMARKED {
+            // lint: allow(L-CAST-TRUNC): the halo is a subset of the u32 vertex ids
+            *slot = own + halo.len() as u32;
+            halo.push(v);
+        }
+    }
 
-    let local_n = own + halo.len();
-    let mut row_offsets = Vec::with_capacity(local_n + 1);
-    let mut col_idx = Vec::with_capacity(e_hi - e_lo);
-    row_offsets.push(0u32);
-    for v in lo..hi {
-        let (s, e) = (
-            csr.row_offsets[v as usize] as usize,
-            csr.row_offsets[v as usize + 1] as usize,
-        );
-        for &dst in &csr.col_idx[s..e] {
-            let local = if (lo..hi).contains(&dst) {
+    // Owned rows keep their offsets (shifted to start at 0); targets map
+    // to local ids. Halo rows have zero out-degree ("it naturally filters
+    // active vertices with outdegree equals to 0" — the UDC kernel skips
+    // them for free).
+    let base = csr.row_offsets[lo as usize];
+    let mut row_offsets: Vec<u32> = csr.row_offsets[lo as usize..=hi as usize]
+        .iter()
+        .map(|&off| off - base)
+        .collect();
+    // lint: allow(L-CAST-TRUNC): per-shard edge counts fit the u32 CSR offset space
+    row_offsets.resize(row_offsets.len() + halo.len(), owned_edges.len() as u32);
+    let col_idx = owned_edges
+        .iter()
+        .map(|&dst| {
+            if (lo..hi).contains(&dst) {
                 dst - lo
             } else {
-                // lint: allow(L-PANIC): halo was built from exactly these cross-shard destinations
-                own as u32 + halo.binary_search(&dst).expect("collected above") as u32
-            };
-            col_idx.push(local);
-        }
-        // lint: allow(L-CAST-TRUNC): per-shard edge counts fit the u32 CSR offset space
-        row_offsets.push(col_idx.len() as u32);
-    }
-    // Halo rows: zero out-degree ("it naturally filters active vertices
-    // with outdegree equals to 0" — the UDC kernel skips them for free).
-    for _ in 0..halo.len() {
-        // lint: allow(L-CAST-TRUNC): per-shard edge counts fit the u32 CSR offset space
-        row_offsets.push(col_idx.len() as u32);
+                local_of[dst as usize]
+            }
+        })
+        .collect();
+    for &h in &halo {
+        local_of[h as usize] = UNMARKED;
     }
     let weights = csr.weights.as_ref().map(|w| w[e_lo..e_hi].to_vec());
     let local = Csr {
@@ -218,6 +231,66 @@ mod tests {
     fn diamond() -> Csr {
         // 0→{1,2,3}, 1→3, 2→3, 3→0 (a cycle through a diamond).
         Csr::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 0)])
+    }
+
+    /// The halo by sort and dedup and each cross edge by binary search:
+    /// the definition the map-based `build_shard` keeps.
+    fn build_shard_by_search(csr: &Csr, device: u32, lo: u32, hi: u32) -> ShardSpec {
+        let own = hi - lo;
+        let (e_lo, e_hi) = (
+            csr.row_offsets[lo as usize] as usize,
+            csr.row_offsets[hi as usize] as usize,
+        );
+        let mut halo: Vec<u32> = csr.col_idx[e_lo..e_hi]
+            .iter()
+            .copied()
+            .filter(|&dst| !(lo..hi).contains(&dst))
+            .collect();
+        halo.sort_unstable();
+        halo.dedup();
+        let mut row_offsets = vec![0u32];
+        let mut col_idx = Vec::new();
+        for v in lo..hi {
+            for &dst in csr.neighbors(v) {
+                col_idx.push(if (lo..hi).contains(&dst) {
+                    dst - lo
+                } else {
+                    own + halo.binary_search(&dst).unwrap() as u32
+                });
+            }
+            row_offsets.push(col_idx.len() as u32);
+        }
+        row_offsets.resize(row_offsets.len() + halo.len(), col_idx.len() as u32);
+        ShardSpec {
+            device,
+            lo,
+            hi,
+            csr: Csr {
+                row_offsets,
+                col_idx,
+                weights: csr.weights.as_ref().map(|w| w[e_lo..e_hi].to_vec()),
+            },
+            halo,
+        }
+    }
+
+    #[test]
+    fn map_based_shards_match_the_binary_search_build() {
+        let g = eta_graph::generate::rmat(&eta_graph::generate::RmatConfig::paper(12, 60_000, 9));
+        for (g, devices) in [
+            (g.clone(), 2),
+            (g.clone(), 3),
+            (g.clone(), 4),
+            (g.with_random_weights(3, 16), 2),
+        ] {
+            let p = GraphPartition::vertex_range(&g, devices);
+            for (d, s) in p.shards.iter().enumerate() {
+                let expect = build_shard_by_search(&g, d as u32, p.cuts[d], p.cuts[d + 1]);
+                assert_eq!(s.halo, expect.halo, "halo of shard {d} of {devices}");
+                assert_eq!(s.csr, expect.csr, "CSR of shard {d} of {devices}");
+                assert!(!s.halo.is_empty() || devices == 1);
+            }
+        }
     }
 
     #[test]
