@@ -55,11 +55,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> committed artifacts are current (full suite, regenerated and compared"
 echo "    byte for byte: the engine, multi-BFS plain/checkpointed/resumed and"
 echo "    PageRank loops; fig7 pins the traversal kernel's SMP counters and"
-echo "    sanitize launches all 18 kernels under the sanitizer; the slower"
-echo "    artifacts are the pre-merge 'report all --check reports/' step of"
-echo "    .claude/skills/verify/SKILL.md)"
+echo "    sanitize launches all 18 kernels under the sanitizer; table1, table2,"
+echo "    fig2, fig5 and table4 pin the representation overheads, the dataset"
+echo "    inventory, the per-iteration frontiers and the BFS activation; the"
+echo "    slower artifacts are the pre-merge 'report all --check reports/' step"
+echo "    of .claude/skills/verify/SKILL.md)"
 cargo run --release -p eta-bench --bin report -- \
-    profile serve faults chaos extras lint fig7 sanitize --check reports/
+    profile serve faults chaos extras lint fig7 sanitize \
+    table1 table2 fig2 fig5 table4 --check reports/
 
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"

@@ -3,7 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation section:
 //! run `cargo run --release -p eta-bench --bin report -- all` (or a single
 //! artifact name such as `table3` or `fig7`; add `--quick` to restrict to
-//! the small datasets). Criterion micro-benches live under `benches/`.
+//! the small datasets). Host-time measurement lives in the repository's
+//! `benchmark/` harness.
 //!
 //! The mapping from paper artifact to generator function is in DESIGN.md's
 //! per-experiment index; EXPERIMENTS.md records paper-vs-measured values.

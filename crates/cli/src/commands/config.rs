@@ -3,6 +3,7 @@
 use super::Output;
 use crate::args::{ArgError, Args};
 use eta_sim::{Device, GpuConfig, SanitizerMode};
+use etagraph::kernels::smp_shared_words;
 use etagraph::{EtaConfig, TransferMode, UdcMode};
 use serde_json::json;
 use std::fmt::Write as _;
@@ -46,17 +47,37 @@ pub(crate) fn eta_config(args: &Args) -> Result<EtaConfig, ArgError> {
 }
 
 /// [`eta_config`] plus `--no-smp`: traversal and PageRank (multi-BFS has no
-/// SMP path).
-pub(crate) fn smp_config(args: &Args) -> Result<EtaConfig, ArgError> {
+/// SMP path). With SMP on, a `--k` whose staging — neighbour ids, and their
+/// weights when `weighted` — overflows one SM of `gpu` is refused here,
+/// before any launch.
+pub(crate) fn smp_config(
+    args: &Args,
+    weighted: bool,
+    gpu: &GpuConfig,
+) -> Result<EtaConfig, ArgError> {
     let mut cfg = eta_config(args)?;
     cfg.smp &= !args.switch("no-smp");
+    let words = smp_shared_words(cfg.smp, cfg.k, cfg.threads_per_block, weighted);
+    if words * 4 > gpu.shared_mem_per_sm {
+        return Err(ArgError(format!(
+            "--k {} needs {} B of shared memory per block for Shared Memory Prefetch; \
+             the SM has {} B (lower --k or pass --no-smp)",
+            cfg.k,
+            words * 4,
+            gpu.shared_mem_per_sm
+        )));
+    }
     Ok(cfg)
 }
 
 /// [`smp_config`] plus `--out-of-core` and `--pull`: a one-device traversal
 /// only (a group normalises both away).
-pub(crate) fn traversal_config(args: &Args) -> Result<EtaConfig, ArgError> {
-    let mut cfg = smp_config(args)?;
+pub(crate) fn traversal_config(
+    args: &Args,
+    weighted: bool,
+    gpu: &GpuConfig,
+) -> Result<EtaConfig, ArgError> {
+    let mut cfg = smp_config(args, weighted, gpu)?;
     if args.switch("out-of-core") {
         cfg.udc = UdcMode::OutOfCore;
     }

@@ -84,6 +84,7 @@ pub fn usage() -> String {
 mod tests {
     use super::config::{eta_config, traversal_config};
     use super::*;
+    use eta_sim::GpuConfig;
     use etagraph::{TransferMode, UdcMode};
 
     fn argv(s: &str) -> Vec<String> {
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn run_flags_map_to_config() {
         let a = Args::parse(argv("run g --no-smp --no-ump --out-of-core --pull --k 8"));
-        let cfg = traversal_config(&a).unwrap();
+        let cfg = traversal_config(&a, true, &GpuConfig::default_preset()).unwrap();
         assert!(!cfg.smp);
         assert_eq!(cfg.transfer, TransferMode::Unified);
         assert_eq!(cfg.udc, UdcMode::OutOfCore);
@@ -688,6 +689,39 @@ mod tests {
         for valid in [pagerank, sources] {
             dispatch(argv(&format!("{valid} --framework eta"))).unwrap();
         }
+        std::fs::remove_file(&f).ok();
+    }
+
+    #[test]
+    fn a_k_beyond_shared_memory_is_refused_while_smp_is_on() {
+        let f = graph_file("smp_k.etag", 8);
+        // A block's 256 threads stage K words each (SSSP: 2K) into 96 KiB.
+        for (bad, needed) in [
+            ("--alg bfs --k 97", "99328 B"),
+            ("--alg pagerank --iterations 2 --k 97", "99328 B"),
+            ("--alg sssp --k 49", "100352 B"),
+            ("--alg bfs --k 97 --devices 2", "99328 B"),
+            (
+                "--alg pagerank --iterations 2 --k 97 --devices 2",
+                "99328 B",
+            ),
+            ("--alg sssp --k 49 --devices 2", "100352 B"),
+        ] {
+            let err = dispatch(argv(&format!("run {f} {bad}"))).unwrap_err();
+            for named in ["--k", needed, "98304 B", "--no-smp"] {
+                assert!(err.0.contains(named), "{bad}: {err}");
+            }
+        }
+        for good in [
+            "--alg bfs --k 96",
+            "--alg sssp --k 48",
+            "--alg bfs --k 97 --no-smp",
+            "--alg sssp --k 200 --no-smp --devices 2",
+            "--sources 0,1 --k 200",
+        ] {
+            dispatch(argv(&format!("run {f} {good}"))).unwrap_or_else(|e| panic!("{good}: {e}"));
+        }
+        dispatch(argv(&format!("serve --graph {f} --requests 2 --k 200"))).unwrap();
         std::fs::remove_file(&f).ok();
     }
 

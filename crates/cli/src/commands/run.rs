@@ -96,8 +96,11 @@ fn traversal(
     let mut text = String::new();
     let (digest, json) = if let [dev] = devs {
         let result = match framework {
-            "eta" => etagraph::engine::run(dev, g, source, alg, &traversal_config(args)?)
-                .map_err(|e| ArgError(format!("run failed: {e}")))?,
+            "eta" => {
+                let cfg = traversal_config(args, alg.needs_weights(), &dev.cfg)?;
+                etagraph::engine::run(dev, g, source, alg, &cfg)
+                    .map_err(|e| ArgError(format!("run failed: {e}")))?
+            }
             name => {
                 let fw: Box<dyn Framework> = match name {
                     "tigr" => Box::new(TigrLike::default()),
@@ -155,7 +158,8 @@ fn traversal(
         });
         (digest, json)
     } else {
-        let ((part, mut fabric), cfg) = (group(g, devs), smp_config(args)?);
+        let cfg = smp_config(args, alg.needs_weights(), &devs[0].cfg)?;
+        let (part, mut fabric) = group(g, devs);
         let r = etagraph::sharded::run_sharded(devs, &mut fabric, &part, source, alg, &cfg)
             .map_err(|e| ArgError(format!("sharded run failed: {e}")))?;
         let init = alg.init_label();
@@ -204,7 +208,7 @@ fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgErro
     let cfg = etagraph::pagerank::PageRankConfig {
         damping: args.get_parse("damping", 0.85f32)?,
         iterations: args.get_parse("iterations", 20)?,
-        eta: smp_config(args)?,
+        eta: smp_config(args, false, &devs[0].cfg)?,
     };
     let mut text = String::new();
     let (digest, json) = if let [dev] = devs {

@@ -106,6 +106,17 @@ pub fn claim_and_push(
     }
 }
 
+/// Shared words one block of an SMP launch stages: each thread's `k`
+/// neighbour slots, plus `k` weight slots when `weighted` (SSSP, SSWP).
+/// None with SMP off. A launch fits only while `4 ×` this is at most
+/// [`eta_sim::GpuConfig::shared_mem_per_sm`].
+pub fn smp_shared_words(smp: bool, k: u32, threads_per_block: u32, weighted: bool) -> u64 {
+    if !smp {
+        return 0;
+    }
+    threads_per_block as u64 * k as u64 * if weighted { 2 } else { 1 }
+}
+
 /// Parameters of one traversal launch over one virtual active set.
 pub struct TraversalKernel {
     pub alg: Algorithm,
@@ -140,11 +151,12 @@ impl Kernel for TraversalKernel {
     }
 
     fn shared_words_per_block(&self, threads_per_block: u32) -> u64 {
-        if !self.smp {
-            return 0;
-        }
-        let per_thread = self.k as u64 * if self.alg.needs_weights() { 2 } else { 1 };
-        threads_per_block as u64 * per_thread
+        smp_shared_words(
+            self.smp,
+            self.k,
+            threads_per_block,
+            self.alg.needs_weights(),
+        )
     }
 
     fn run(&self, w: &mut WarpCtx<'_>) {

@@ -22,6 +22,7 @@ use crate::config::EtaConfig;
 use crate::device_graph::DeviceGraph;
 use crate::driver::{drive, owner, Group, Lane, Program, SendFn, ShardView};
 use crate::error::QueryError;
+use crate::kernels::smp_shared_words;
 use crate::sharded::Sharded;
 use crate::udc::shadow_count_graph;
 use eta_ckpt::{Checkpoint, CkptCtl, CkptError, CkptState};
@@ -162,11 +163,7 @@ impl Kernel for ScatterKernel {
     }
 
     fn shared_words_per_block(&self, threads_per_block: u32) -> u64 {
-        if self.smp {
-            threads_per_block as u64 * self.k as u64
-        } else {
-            0
-        }
+        smp_shared_words(self.smp, self.k, threads_per_block, false)
     }
 
     fn run(&self, w: &mut WarpCtx<'_>) {

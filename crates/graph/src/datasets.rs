@@ -56,7 +56,7 @@ pub const ALL: [&str; 7] = [
     "uk2006",
 ];
 
-/// Names of the small suite (fast enough for unit tests and Criterion).
+/// Names of the small suite (fast enough for unit tests and `--quick`).
 pub const SMALL: [&str; 3] = ["slashdot", "livejournal", "orkut"];
 
 /// Builds one dataset by name. Panics on unknown names (the name list is a

@@ -214,7 +214,7 @@ pub struct MemSystem {
     pub zero_copy_bytes: u64,
     /// Scratch: the page indices of the warp access being resolved.
     page_scratch: Vec<usize>,
-    /// Memcheck shadow state; `None` unless a sanitizer enabled it.
+    /// The memcheck shadow state; `None` unless a sanitizer enabled it.
     shadow: Option<InitShadow>,
     /// Event recorder shared by every layer above (disabled by default —
     /// `eta_sim::Device` enables it when its config asks for profiling).

@@ -52,7 +52,7 @@ pub struct GpuConfig {
     pub pcie_latency_ns: u64,
     /// Cap on the memory-latency-hiding factor from warp switching.
     pub hiding_cap: usize,
-    /// Which sanitizer analyses instrument kernel accesses (default off).
+    /// Whether a sanitizer instruments kernel accesses (default off).
     pub sanitizer: SanitizerMode,
     /// Whether the device records an `eta-prof` event stream (default off;
     /// disabled profiling is zero-cost).

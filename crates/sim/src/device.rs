@@ -68,7 +68,7 @@ pub struct Device {
     drain_stall: Vec<u64>,
     /// Compute spans recorded by launches (transfer spans live on the link).
     pub compute_timeline: Timeline,
-    /// Attached when `cfg.sanitizer` enables any analysis.
+    /// Attached when `cfg.sanitizer` is `Full`.
     sanitizer: Option<Sanitizer>,
     /// One block's shared memory, zeroed at every block start.
     shared: Vec<u32>,
@@ -292,14 +292,10 @@ impl Device {
         cfg.validate()?;
         let pcie = PcieLink::new(cfg.pcie_bandwidth_gb_s, cfg.pcie_latency_ns);
         let mut mem = MemSystem::new(cfg.device_mem_bytes, pcie);
-        let sanitizer = if cfg.sanitizer.enabled() {
-            if cfg.sanitizer.memcheck() {
-                mem.enable_init_tracking();
-            }
-            Some(Sanitizer::new(cfg.sanitizer))
-        } else {
-            None
-        };
+        let sanitizer = cfg.sanitizer.enabled().then(|| {
+            mem.enable_init_tracking();
+            Sanitizer::default()
+        });
         mem.prof.set_enabled(cfg.profiling);
         let num_sms = cfg.num_sms;
         Ok(Device {
@@ -1105,7 +1101,7 @@ mod tests {
             double_bit: false,
         });
         let mut cfg = GpuConfig::default_preset();
-        cfg.sanitizer = SanitizerMode::Memcheck;
+        cfg.sanitizer = SanitizerMode::Full;
         let mut dev = Device::new(cfg);
         dev.install_faults(&plan, 0);
         let n = 4096u32;

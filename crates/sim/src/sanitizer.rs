@@ -25,73 +25,33 @@
 //!   irregular graph traversal some are expected and they are therefore
 //!   [`Severity::Warning`], never errors.
 //!
-//! The sanitizer is opt-in via [`crate::GpuConfig::sanitizer`]; when off, the
-//! hot paths in [`crate::warp::WarpCtx`] skip every hook.
+//! [`crate::warp::WarpCtx`] calls one hook per memory space:
+//! [`Sanitizer::global`] for every global instruction — a plain one is a
+//! burst of one row per lane — and [`Sanitizer::shared`]. The sanitizer is
+//! opt-in via [`crate::GpuConfig::sanitizer`]; attached, it runs all three
+//! analyses, and when off the hot paths skip every hook.
 
 use crate::config::WARP_SIZE;
-use crate::warp::{Lanes, WarpId};
+use crate::warp::{active_lanes, Lanes, WarpId};
+use eta_mem::access::PipeOp;
 use eta_mem::coalesce::sectors_for_warp;
 use eta_mem::system::{DSlice, MemSystem, TransferMode};
 use serde::Serialize;
 use std::collections::HashMap;
 
-/// Which analyses run. `Full` is what `--sanitize` selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+/// Whether a sanitizer is attached: `Full` (what `--sanitize` selects)
+/// runs memcheck, racecheck and lint together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SanitizerMode {
     #[default]
     Off,
-    Memcheck,
-    Racecheck,
-    Lint,
     Full,
 }
 
 impl SanitizerMode {
     pub fn enabled(self) -> bool {
-        self != SanitizerMode::Off
+        self == SanitizerMode::Full
     }
-
-    pub fn memcheck(self) -> bool {
-        matches!(self, SanitizerMode::Memcheck | SanitizerMode::Full)
-    }
-
-    pub fn racecheck(self) -> bool {
-        matches!(self, SanitizerMode::Racecheck | SanitizerMode::Full)
-    }
-
-    pub fn lint(self) -> bool {
-        matches!(self, SanitizerMode::Lint | SanitizerMode::Full)
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "off" => Some(SanitizerMode::Off),
-            "memcheck" => Some(SanitizerMode::Memcheck),
-            "racecheck" => Some(SanitizerMode::Racecheck),
-            "lint" => Some(SanitizerMode::Lint),
-            "full" => Some(SanitizerMode::Full),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SanitizerMode::Off => "off",
-            SanitizerMode::Memcheck => "memcheck",
-            SanitizerMode::Racecheck => "racecheck",
-            SanitizerMode::Lint => "lint",
-            SanitizerMode::Full => "full",
-        }
-    }
-}
-
-/// The access kinds the hooks distinguish (mirror of the private coalescer
-/// op, plus shared-memory traffic which never reaches the coalescer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    Load,
-    Store,
-    Atomic,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -261,7 +221,7 @@ impl SanitizerReport {
     }
 }
 
-/// Racecheck state for one word within one launch: the first two distinct
+/// The racecheck state of one word within one launch: the first two distinct
 /// warps seen and the first warp that did a non-atomic store. A race exists
 /// as soon as a storing warp and any *other* warp have both touched the word
 /// — the store warp is one of the (≤2) recorded warps, so two distinct warps
@@ -315,51 +275,43 @@ const SHARED_REGION: u64 = u64::MAX;
 /// range, not a specific slice).
 const ECC_REGION: u64 = u64::MAX - 1;
 
+/// One hazard a hook saw, before [`Sanitizer::record`] folds it into a
+/// [`Finding`] of the current kernel. Only a zero-copy store is a warning.
+struct Site {
+    kind: FindingKind,
+    id: WarpId,
+    lane: usize,
+    region: u64,
+    addr: u64,
+    index: u64,
+    slice_len: u64,
+    detail: String,
+}
+
 /// The streaming analysis sink. Owned by [`crate::Device`]; a mutable
 /// reference is threaded through every [`crate::warp::WarpCtx`].
+#[derive(Default)]
 pub struct Sanitizer {
-    mode: SanitizerMode,
-    kernel: String,
     launches: u64,
     findings: Vec<Finding>,
-    dedup: HashMap<(FindingKind, String, u64), usize>,
+    /// Folded sites: (kind, the kernel's index in `lint`, region) to the
+    /// finding's index in `findings`.
+    dedup: HashMap<(FindingKind, usize, u64), usize>,
     /// Per-launch racecheck state, keyed by global word address.
     global_words: HashMap<u64, WordState>,
     /// Per-launch shared racecheck state, keyed by (block, shared index).
     shared_words: HashMap<(u32, u32), WordState>,
     lint: Vec<KernelLintStats>,
     lint_index: HashMap<String, usize>,
+    /// The launching kernel's index in `lint`.
     cur_lint: usize,
     /// Coalescing scratch for the lint transaction count.
     sector_scratch: Vec<u64>,
 }
 
 impl Sanitizer {
-    pub fn new(mode: SanitizerMode) -> Self {
-        Sanitizer {
-            mode,
-            kernel: String::new(),
-            launches: 0,
-            findings: Vec::new(),
-            dedup: HashMap::new(),
-            global_words: HashMap::new(),
-            shared_words: HashMap::new(),
-            lint: Vec::new(),
-            lint_index: HashMap::new(),
-            cur_lint: 0,
-            sector_scratch: Vec::new(),
-        }
-    }
-
-    pub fn mode(&self) -> SanitizerMode {
-        self.mode
-    }
-
     pub fn begin_launch(&mut self, kernel: &str) {
         self.launches += 1;
-        if self.kernel != kernel {
-            self.kernel = kernel.to_string();
-        }
         self.cur_lint = match self.lint_index.get(kernel) {
             Some(&i) => i,
             None => {
@@ -374,54 +326,43 @@ impl Sanitizer {
         self.lint[self.cur_lint].launches += 1;
     }
 
-    /// Racecheck scope is one launch: kernels in one grid run concurrently,
+    /// The racecheck scope is one launch: kernels in one grid run concurrently,
     /// successive launches are ordered by the stream.
     pub fn end_launch(&mut self) {
         self.global_words.clear();
         self.shared_words.clear();
     }
 
-    #[allow(clippy::too_many_arguments)] // a finding site is irreducibly wide
-    fn record(
-        &mut self,
-        kind: FindingKind,
-        severity: Severity,
-        id: WarpId,
-        lane: u32,
-        region: u64,
-        addr: u64,
-        index: u64,
-        slice_len: u64,
-        detail: String,
-    ) {
-        let key = (kind, self.kernel.clone(), region);
+    fn record(&mut self, site: Site) {
+        let key = (site.kind, self.cur_lint, site.region);
         if let Some(&i) = self.dedup.get(&key) {
             self.findings[i].occurrences += 1;
             return;
         }
         self.dedup.insert(key, self.findings.len());
         self.findings.push(Finding {
-            kind,
-            severity,
-            kernel: self.kernel.clone(),
-            block: id.block,
-            warp: id.warp_in_block,
-            lane,
-            region,
-            addr,
-            index,
-            slice_len,
+            kind: site.kind,
+            severity: match site.kind {
+                FindingKind::ZeroCopyStore => Severity::Warning,
+                _ => Severity::Error,
+            },
+            kernel: self.lint[self.cur_lint].name.clone(),
+            block: site.id.block,
+            warp: site.id.warp_in_block,
+            lane: site.lane as u32,
+            region: site.region,
+            addr: site.addr,
+            index: site.index,
+            slice_len: site.slice_len,
             occurrences: 1,
-            detail,
+            detail: site.detail,
         });
     }
 
-    // ---- hooks called from Device ----------------------------------------
-
     /// Records an injected ECC event (eta-fault) detected during `kernel`'s
-    /// launch span. ECC detection is hardware-side, so it reports regardless
-    /// of which analyses are enabled; each event is its own finding (no
-    /// site folding — every ECC hit is a distinct physical event).
+    /// launch span. ECC detection is hardware-side, so it is no access
+    /// hook's finding; each event is its own finding (no site folding —
+    /// every ECC hit is a distinct physical event).
     pub fn note_ecc(
         &mut self,
         kernel: &str,
@@ -454,401 +395,226 @@ impl Sanitizer {
         });
     }
 
-    // ---- hooks called from WarpCtx ---------------------------------------
-
-    /// Bounds pre-check for one global instruction: drops out-of-bounds
-    /// lanes from the mask (report-and-continue; `DSlice::addr` would
-    /// panic), recording one finding per offending slice.
-    pub fn pre_access(&mut self, id: WarpId, s: DSlice, idx: &Lanes, mask: u32) -> u32 {
-        let mut ok = mask;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 && idx[lane] as u64 >= s.len {
-                ok &= !(1u32 << lane);
-                self.record(
-                    FindingKind::OutOfBounds,
-                    Severity::Error,
-                    id,
-                    lane as u32,
-                    s.region as u64,
-                    s.word_off + idx[lane] as u64,
-                    idx[lane] as u64,
-                    s.len,
-                    format!(
-                        "global index {} out of bounds for slice of {} words",
-                        idx[lane], s.len
-                    ),
-                );
-            }
-        }
-        ok
-    }
-
-    /// Hook for one global instruction, after [`Sanitizer::pre_access`]:
-    /// uninitialized-read checks, race tracking and lint accounting (the
-    /// instruction's coalesced transaction count) over the effective mask.
-    pub fn global_access(
+    /// The global-memory hook, called once per warp instruction before any
+    /// address resolves. Each `mask` lane touches the `count[lane]`
+    /// consecutive words of `s` from `start[lane]` — an SMP burst — or,
+    /// with no `count`, the one word `start[lane]`: a plain instruction is
+    /// a one-row burst. Checks bounds, then per lane and row in ascending
+    /// order initialization (loads and atomics) and races, and accounts the
+    /// lint of the shape. Returns `mask` without the out-of-bounds lanes
+    /// (report-and-continue, where `DSlice::addr` would panic).
+    #[allow(clippy::too_many_arguments)] // an instruction is irreducibly wide
+    pub fn global(
         &mut self,
         id: WarpId,
-        kind: AccessKind,
+        op: PipeOp,
         s: DSlice,
-        idx: &Lanes,
+        start: &Lanes,
+        count: Option<&Lanes>,
         mask: u32,
         mem: &MemSystem,
-    ) {
-        let active = mask.count_ones() as u64;
-        if self.mode.lint() {
-            let mut addrs = [0u64; WARP_SIZE];
-            for lane in 0..WARP_SIZE {
-                addrs[lane] = s.word_off + idx[lane] as u64;
+    ) -> u32 {
+        let rows = |lane: usize| count.map_or(1, |count| count[lane] as u64);
+        let site = |kind, lane, addr, index, detail| Site {
+            kind,
+            id,
+            lane,
+            region: s.region as u64,
+            addr,
+            index,
+            slice_len: s.len,
+            detail,
+        };
+        let burst = count.is_some();
+        let mut ok = mask;
+        for lane in active_lanes(mask) {
+            let (first, n) = (start[lane] as u64, rows(lane));
+            if n > 0 && first + n > s.len {
+                ok &= !(1 << lane);
+                let what = if burst {
+                    format!("burst [{first}..{})", first + n)
+                } else {
+                    format!("global index {first}")
+                };
+                let detail = format!("{what} out of bounds for slice of {} words", s.len);
+                let (addr, last) = (s.word_off + first, first + n - 1);
+                self.record(site(FindingKind::OutOfBounds, lane, addr, last, detail));
             }
-            sectors_for_warp(&addrs, mask, &mut self.sector_scratch);
-            let sectors = self.sector_scratch.len() as u64;
-            let l = &mut self.lint[self.cur_lint];
+        }
+        let l = &mut self.lint[self.cur_lint];
+        if burst {
+            l.bursts += 1;
+            l.degenerate_bursts += u64::from(active_lanes(ok).all(|lane| rows(lane) <= 1));
+        } else {
+            let addrs = start.map(|i| s.word_off + i as u64);
+            sectors_for_warp(&addrs, ok, &mut self.sector_scratch);
+            let (active, sectors) = (ok.count_ones() as u64, self.sector_scratch.len() as u64);
             l.mem_instructions += 1;
             l.active_lanes += active;
             l.sectors += sectors;
-            if active >= 8 && sectors >= active {
-                l.uncoalesced_sites += 1;
+            l.uncoalesced_sites += u64::from(active >= 8 && sectors >= active);
+            if ok != 0 && op != PipeOp::Load && mem.mode(s.region) == TransferMode::ZeroCopy {
+                let lane = ok.trailing_zeros() as usize;
+                let (addr, index) = (addrs[lane], start[lane] as u64);
+                let detail = "store/atomic to a zero-copy mapping: uncached host writes serialize on the link";
+                self.record(site(
+                    FindingKind::ZeroCopyStore,
+                    lane,
+                    addr,
+                    index,
+                    detail.into(),
+                ));
             }
         }
-        if active == 0 {
-            return;
-        }
-        if self.mode.lint()
-            && kind != AccessKind::Load
-            && mem.mode(s.region) == TransferMode::ZeroCopy
-        {
-            let lane = mask.trailing_zeros();
-            self.record(
-                FindingKind::ZeroCopyStore,
-                Severity::Warning,
-                id,
-                lane,
-                s.region as u64,
-                s.word_off + idx[lane as usize] as u64,
-                idx[lane as usize] as u64,
-                s.len,
-                "store/atomic to a zero-copy mapping: uncached host writes serialize on the link"
-                    .to_string(),
-            );
-        }
-        // Atomics read-modify-write, so they join loads for the init check.
-        let init_check = self.mode.memcheck() && kind != AccessKind::Store;
-        let racecheck = self.mode.racecheck();
-        if !init_check && !racecheck {
-            return;
-        }
+        let read = if burst { "burst read" } else { "read" };
+        let plain_store = op == PipeOp::Store;
         let warp = (id.block, id.warp_in_block);
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 != 1 {
-                continue;
-            }
-            let addr = s.word_off + idx[lane] as u64;
-            if init_check && !mem.is_word_init(addr) {
-                self.record(
-                    FindingKind::UninitRead,
-                    Severity::Error,
-                    id,
-                    lane as u32,
-                    s.region as u64,
-                    addr,
-                    idx[lane] as u64,
-                    s.len,
-                    format!("read of never-written device word (index {})", idx[lane]),
-                );
-            }
-            if racecheck {
-                if let Some((sw, other)) = track(
-                    &mut self.global_words,
-                    addr,
-                    warp,
-                    kind == AccessKind::Store,
-                ) {
-                    self.record(
-                        FindingKind::GlobalRace,
-                        Severity::Error,
-                        id,
-                        lane as u32,
-                        s.region as u64,
-                        addr,
-                        idx[lane] as u64,
-                        s.len,
-                        format!(
-                            "non-atomic store by warp ({},{}) races warp ({},{}) on the same word",
-                            sw.0, sw.1, other.0, other.1
-                        ),
-                    );
+        for lane in active_lanes(ok) {
+            let first = start[lane] as u64;
+            for index in first..first + rows(lane) {
+                let addr = s.word_off + index;
+                // Atomics read-modify-write, so they join loads here.
+                if !plain_store && !mem.is_word_init(addr) {
+                    let detail = format!("{read} of never-written device word (index {index})");
+                    self.record(site(FindingKind::UninitRead, lane, addr, index, detail));
                 }
-            }
-        }
-    }
-
-    /// Bounds pre-check for a burst: a lane whose `start + count` overruns
-    /// the slice is dropped entirely and reported.
-    pub fn pre_burst(
-        &mut self,
-        id: WarpId,
-        s: DSlice,
-        start: &Lanes,
-        count: &Lanes,
-        mask: u32,
-    ) -> u32 {
-        let mut ok = mask;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1
-                && count[lane] > 0
-                && start[lane] as u64 + count[lane] as u64 > s.len
-            {
-                ok &= !(1u32 << lane);
-                self.record(
-                    FindingKind::OutOfBounds,
-                    Severity::Error,
-                    id,
-                    lane as u32,
-                    s.region as u64,
-                    s.word_off + start[lane] as u64,
-                    start[lane] as u64 + count[lane] as u64 - 1,
-                    s.len,
-                    format!(
-                        "burst [{}..{}) out of bounds for slice of {} words",
-                        start[lane],
-                        start[lane] as u64 + count[lane] as u64,
-                        s.len
-                    ),
-                );
+                if let Some((sw, other)) = track(&mut self.global_words, addr, warp, plain_store) {
+                    let detail = format!(
+                        "non-atomic store by warp ({},{}) races warp ({},{}) on the same word",
+                        sw.0, sw.1, other.0, other.1
+                    );
+                    self.record(site(FindingKind::GlobalRace, lane, addr, index, detail));
+                }
             }
         }
         ok
     }
 
-    /// Full-burst hook (all rows of all lanes): init/race checks per element
-    /// plus burst-shape lint.
-    pub fn burst_access(
+    /// The shared-memory hook: bounds (returning the filtered mask),
+    /// bank-conflict lint, and inter-warp race tracking within the block.
+    pub fn shared(
         &mut self,
         id: WarpId,
-        s: DSlice,
-        start: &Lanes,
-        count: &Lanes,
-        mask: u32,
-        mem: &MemSystem,
-    ) {
-        if self.mode.lint() {
-            let rows = (0..WARP_SIZE)
-                .filter(|&l| (mask >> l) & 1 == 1)
-                .map(|l| count[l])
-                .max()
-                .unwrap_or(0);
-            let l = &mut self.lint[self.cur_lint];
-            l.bursts += 1;
-            if rows <= 1 {
-                l.degenerate_bursts += 1;
-            }
-        }
-        let init_check = self.mode.memcheck();
-        let racecheck = self.mode.racecheck();
-        if !init_check && !racecheck {
-            return;
-        }
-        let warp = (id.block, id.warp_in_block);
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 != 1 {
-                continue;
-            }
-            for r in 0..count[lane] {
-                let index = (start[lane] + r) as u64;
-                let addr = s.word_off + index;
-                if init_check && !mem.is_word_init(addr) {
-                    self.record(
-                        FindingKind::UninitRead,
-                        Severity::Error,
-                        id,
-                        lane as u32,
-                        s.region as u64,
-                        addr,
-                        index,
-                        s.len,
-                        format!("burst read of never-written device word (index {index})"),
-                    );
-                }
-                if racecheck {
-                    if let Some((sw, other)) = track(&mut self.global_words, addr, warp, false) {
-                        self.record(
-                            FindingKind::GlobalRace,
-                            Severity::Error,
-                            id,
-                            lane as u32,
-                            s.region as u64,
-                            addr,
-                            index,
-                            s.len,
-                            format!(
-                                "non-atomic store by warp ({},{}) races warp ({},{}) on the same word",
-                                sw.0, sw.1, other.0, other.1
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shared-memory hook: bounds (returning the filtered mask), inter-warp
-    /// race tracking within the block, and bank-conflict lint.
-    pub fn shared_access(
-        &mut self,
-        id: WarpId,
-        kind: AccessKind,
+        op: PipeOp,
         shared_len: usize,
         idx: &Lanes,
         mask: u32,
     ) -> u32 {
+        let site = |kind, lane: usize, detail| Site {
+            kind,
+            id,
+            lane,
+            region: SHARED_REGION,
+            addr: idx[lane] as u64,
+            index: idx[lane] as u64,
+            slice_len: shared_len as u64,
+            detail,
+        };
         let mut ok = mask;
-        for lane in 0..WARP_SIZE {
-            if (mask >> lane) & 1 == 1 && idx[lane] as usize >= shared_len {
-                ok &= !(1u32 << lane);
-                self.record(
-                    FindingKind::SharedOutOfBounds,
-                    Severity::Error,
-                    id,
-                    lane as u32,
-                    SHARED_REGION,
-                    idx[lane] as u64,
-                    idx[lane] as u64,
-                    shared_len as u64,
-                    format!(
-                        "shared index {} out of bounds for {} shared words",
-                        idx[lane], shared_len
-                    ),
+        for lane in active_lanes(mask) {
+            if idx[lane] as usize >= shared_len {
+                ok &= !(1 << lane);
+                let detail = format!(
+                    "shared index {} out of bounds for {shared_len} shared words",
+                    idx[lane]
                 );
+                self.record(site(FindingKind::SharedOutOfBounds, lane, detail));
             }
         }
-        if self.mode.lint() {
-            let l = &mut self.lint[self.cur_lint];
-            l.shared_instructions += 1;
-            // Bank multiplicity over *distinct* addresses: same-word access
-            // broadcasts on hardware and does not serialize.
-            let mut distinct: Vec<u32> = (0..WARP_SIZE)
-                .filter(|&lane| (ok >> lane) & 1 == 1)
-                .map(|lane| idx[lane])
-                .collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let mut banks = [0u32; 32];
-            for a in distinct {
-                banks[(a % 32) as usize] += 1;
-            }
-            let ways = banks.iter().copied().max().unwrap_or(0);
-            if ways > 1 {
-                l.bank_conflict_excess += (ways - 1) as u64;
-            }
+        // Bank multiplicity over *distinct* addresses: same-word access
+        // broadcasts on hardware and does not serialize.
+        let mut distinct: Vec<u32> = active_lanes(ok).map(|lane| idx[lane]).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut banks = [0u64; 32];
+        for a in distinct {
+            banks[(a % 32) as usize] += 1;
         }
-        if self.mode.racecheck() {
-            let warp = (id.block, id.warp_in_block);
-            for lane in 0..WARP_SIZE {
-                if (ok >> lane) & 1 != 1 {
-                    continue;
-                }
-                if let Some((sw, other)) = track(
-                    &mut self.shared_words,
-                    (id.block, idx[lane]),
-                    warp,
-                    kind == AccessKind::Store,
-                ) {
-                    self.record(
-                        FindingKind::SharedRace,
-                        Severity::Error,
-                        id,
-                        lane as u32,
-                        SHARED_REGION,
-                        idx[lane] as u64,
-                        idx[lane] as u64,
-                        shared_len as u64,
-                        format!(
-                            "warps ({},{}) and ({},{}) of block {} conflict on shared word {} with no barrier",
-                            sw.0, sw.1, other.0, other.1, id.block, idx[lane]
-                        ),
-                    );
-                }
+        let l = &mut self.lint[self.cur_lint];
+        l.shared_instructions += 1;
+        l.bank_conflict_excess += banks.into_iter().max().unwrap_or(0).saturating_sub(1);
+        let (warp, plain_store) = ((id.block, id.warp_in_block), op == PipeOp::Store);
+        for lane in active_lanes(ok) {
+            let key = (id.block, idx[lane]);
+            if let Some((sw, other)) = track(&mut self.shared_words, key, warp, plain_store) {
+                let detail = format!(
+                    "warps ({},{}) and ({},{}) of block {} conflict on shared word {} with no barrier",
+                    sw.0, sw.1, other.0, other.1, id.block, idx[lane]
+                );
+                self.record(site(FindingKind::SharedRace, lane, detail));
             }
         }
         ok
     }
 
-    // ---- reporting -------------------------------------------------------
-
     pub fn report(&self) -> SanitizerReport {
-        let mut errors = Vec::new();
-        let mut warnings = Vec::new();
-        for f in &self.findings {
-            match f.severity {
-                Severity::Error => errors.push(f.clone()),
-                Severity::Warning => warnings.push(f.clone()),
+        let (errors, mut warnings): (Vec<Finding>, Vec<Finding>) = self
+            .findings
+            .iter()
+            .cloned()
+            .partition(|f| f.severity == Severity::Error);
+        for l in &self.lint {
+            let site = |kind, detail| Finding {
+                kind,
+                severity: Severity::Warning,
+                kernel: l.name.clone(),
+                block: 0,
+                warp: 0,
+                lane: 0,
+                region: 0,
+                addr: 0,
+                index: 0,
+                slice_len: 0,
+                occurrences: 1,
+                detail,
+            };
+            if l.mem_instructions >= LINT_MIN_INSTRUCTIONS
+                && l.uncoalesced_fraction() > LINT_UNCOALESCED_FRACTION
+                && l.sectors_per_instruction() > LINT_UNCOALESCED_SECTORS_PER_INSTR
+            {
+                warnings.push(site(
+                    FindingKind::UncoalescedAccess,
+                    format!(
+                        "{:.0}% of global instructions coalesce nothing ({:.1} sectors/instr)",
+                        l.uncoalesced_fraction() * 100.0,
+                        l.sectors_per_instruction()
+                    ),
+                ));
             }
-        }
-        if self.mode.lint() {
-            for l in &self.lint {
-                let site = |kind, detail| Finding {
-                    kind,
-                    severity: Severity::Warning,
-                    kernel: l.name.clone(),
-                    block: 0,
-                    warp: 0,
-                    lane: 0,
-                    region: 0,
-                    addr: 0,
-                    index: 0,
-                    slice_len: 0,
-                    occurrences: 1,
-                    detail,
-                };
-                if l.mem_instructions >= LINT_MIN_INSTRUCTIONS
-                    && l.uncoalesced_fraction() > LINT_UNCOALESCED_FRACTION
-                    && l.sectors_per_instruction() > LINT_UNCOALESCED_SECTORS_PER_INSTR
-                {
-                    warnings.push(site(
-                        FindingKind::UncoalescedAccess,
-                        format!(
-                            "{:.0}% of global instructions coalesce nothing ({:.1} sectors/instr)",
-                            l.uncoalesced_fraction() * 100.0,
-                            l.sectors_per_instruction()
-                        ),
-                    ));
-                }
-                if l.mem_instructions >= LINT_MIN_INSTRUCTIONS
-                    && l.divergence_ratio() < LINT_DIVERGENCE_RATIO
-                {
-                    warnings.push(site(
-                        FindingKind::HighDivergence,
-                        format!(
-                            "mean active-lane fraction {:.2} below {LINT_DIVERGENCE_RATIO}",
-                            l.divergence_ratio()
-                        ),
-                    ));
-                }
-                if l.bursts >= LINT_MIN_BURSTS && l.degenerate_bursts * 2 > l.bursts {
-                    warnings.push(site(
-                        FindingKind::DegenerateBurst,
-                        format!(
-                            "{} of {} SMP bursts cover ≤1 row",
-                            l.degenerate_bursts, l.bursts
-                        ),
-                    ));
-                }
-                if l.shared_instructions >= LINT_MIN_INSTRUCTIONS
-                    && l.avg_bank_conflict_ways() > LINT_BANK_CONFLICT_WAYS
-                {
-                    warnings.push(site(
-                        FindingKind::SharedBankConflicts,
-                        format!(
-                            "estimated {:.1}-way shared-memory bank serialization",
-                            l.avg_bank_conflict_ways()
-                        ),
-                    ));
-                }
+            if l.mem_instructions >= LINT_MIN_INSTRUCTIONS
+                && l.divergence_ratio() < LINT_DIVERGENCE_RATIO
+            {
+                warnings.push(site(
+                    FindingKind::HighDivergence,
+                    format!(
+                        "mean active-lane fraction {:.2} below {LINT_DIVERGENCE_RATIO}",
+                        l.divergence_ratio()
+                    ),
+                ));
+            }
+            if l.bursts >= LINT_MIN_BURSTS && l.degenerate_bursts * 2 > l.bursts {
+                warnings.push(site(
+                    FindingKind::DegenerateBurst,
+                    format!(
+                        "{} of {} SMP bursts cover ≤1 row",
+                        l.degenerate_bursts, l.bursts
+                    ),
+                ));
+            }
+            if l.shared_instructions >= LINT_MIN_INSTRUCTIONS
+                && l.avg_bank_conflict_ways() > LINT_BANK_CONFLICT_WAYS
+            {
+                warnings.push(site(
+                    FindingKind::SharedBankConflicts,
+                    format!(
+                        "estimated {:.1}-way shared-memory bank serialization",
+                        l.avg_bank_conflict_ways()
+                    ),
+                ));
             }
         }
         SanitizerReport {
-            mode: self.mode.as_str(),
+            mode: "full",
             launches: self.launches,
             errors,
             warnings,
@@ -878,29 +644,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mode_flags_and_parse() {
-        assert!(!SanitizerMode::Off.enabled());
-        assert!(SanitizerMode::Full.memcheck());
-        assert!(SanitizerMode::Full.racecheck());
-        assert!(SanitizerMode::Full.lint());
-        assert!(SanitizerMode::Memcheck.memcheck());
-        assert!(!SanitizerMode::Memcheck.racecheck());
-        assert_eq!(
-            SanitizerMode::parse("racecheck"),
-            Some(SanitizerMode::Racecheck)
-        );
-        assert_eq!(SanitizerMode::parse("bogus"), None);
-        assert_eq!(SanitizerMode::Full.as_str(), "full");
+    fn mem() -> MemSystem {
+        MemSystem::new(1 << 20, eta_mem::PcieLink::new(12.0, 1000))
     }
 
     #[test]
-    fn pre_access_masks_and_reports_oob() {
-        let mut san = Sanitizer::new(SanitizerMode::Full);
+    fn mode_is_off_or_full() {
+        assert!(!SanitizerMode::Off.enabled());
+        assert!(SanitizerMode::Full.enabled());
+        assert_eq!(SanitizerMode::default(), SanitizerMode::Off);
+        assert_eq!(Sanitizer::default().report().mode, "full");
+    }
+
+    #[test]
+    fn global_masks_and_reports_oob() {
+        let mut san = Sanitizer::default();
         san.begin_launch("k");
         let mut idx = [0u32; WARP_SIZE];
         idx[3] = 100; // past the slice
-        let ok = san.pre_access(wid(0, 0), dslice(10), &idx, 0b1111);
+        let ok = san.global(
+            wid(0, 0),
+            PipeOp::Load,
+            dslice(10),
+            &idx,
+            None,
+            0b1111,
+            &mem(),
+        );
         assert_eq!(ok, 0b0111, "offending lane dropped");
         let rep = san.report();
         assert_eq!(rep.errors.len(), 1);
@@ -912,12 +682,12 @@ mod tests {
 
     #[test]
     fn repeats_fold_into_occurrences() {
-        let mut san = Sanitizer::new(SanitizerMode::Full);
+        let mut san = Sanitizer::default();
         san.begin_launch("k");
         let mut idx = [0u32; WARP_SIZE];
         idx[0] = 50;
         for _ in 0..5 {
-            san.pre_access(wid(0, 0), dslice(10), &idx, 1);
+            san.global(wid(0, 0), PipeOp::Load, dslice(10), &idx, None, 1, &mem());
         }
         let rep = san.report();
         assert_eq!(rep.errors.len(), 1);
@@ -946,16 +716,16 @@ mod tests {
 
     #[test]
     fn end_launch_clears_race_scope() {
-        let mut san = Sanitizer::new(SanitizerMode::Racecheck);
-        let mem = MemSystem::new(1 << 20, eta_mem::PcieLink::new(12.0, 1000));
-        let s = dslice(64);
+        let mut san = Sanitizer::default();
+        let mut mem = mem();
+        let s = mem.alloc_explicit(64).unwrap();
         let idx = [0u32; WARP_SIZE];
         san.begin_launch("a");
-        san.global_access(wid(0, 0), AccessKind::Store, s, &idx, 1, &mem);
+        san.global(wid(0, 0), PipeOp::Store, s, &idx, None, 1, &mem);
         san.end_launch();
         // A different launch touching the same word is stream-ordered.
         san.begin_launch("b");
-        san.global_access(wid(1, 0), AccessKind::Load, s, &idx, 1, &mem);
+        san.global(wid(1, 0), PipeOp::Load, s, &idx, None, 1, &mem);
         san.end_launch();
         assert!(san.report().is_clean());
     }
@@ -983,39 +753,33 @@ mod tests {
 
     #[test]
     fn shared_bank_conflict_estimate_counts_strided_access() {
-        let mut san = Sanitizer::new(SanitizerMode::Lint);
+        let mut san = Sanitizer::default();
         san.begin_launch("k");
         // Stride 16 over 32 lanes → addresses hit 2 banks, 16 deep.
         let mut idx = [0u32; WARP_SIZE];
         for (lane, slot) in idx.iter_mut().enumerate() {
             *slot = (lane as u32) * 16;
         }
-        san.shared_access(wid(0, 0), AccessKind::Load, 1 << 10, &idx, u32::MAX);
+        san.shared(wid(0, 0), PipeOp::Load, 1 << 10, &idx, u32::MAX);
         assert_eq!(san.lint[0].bank_conflict_excess, 15);
         // Broadcast (same word) is conflict-free.
-        san.shared_access(
-            wid(0, 0),
-            AccessKind::Load,
-            1 << 10,
-            &[5; WARP_SIZE],
-            u32::MAX,
-        );
+        san.shared(wid(0, 0), PipeOp::Load, 1 << 10, &[5; WARP_SIZE], u32::MAX);
         assert_eq!(san.lint[0].bank_conflict_excess, 15);
     }
 
     #[test]
     fn zero_copy_store_is_a_lint_warning() {
-        let mut san = Sanitizer::new(SanitizerMode::Full);
-        let mut mem = MemSystem::new(1 << 20, eta_mem::PcieLink::new(12.0, 1000));
+        let mut san = Sanitizer::default();
+        let mut mem = mem();
         let (zc, _) = mem.place(&[0; 64], TransferMode::ZeroCopy, 0).unwrap();
         san.begin_launch("k");
         let idx = [0u32; WARP_SIZE];
         // Loads through zero-copy are the intended pattern: clean.
-        san.global_access(wid(0, 0), AccessKind::Load, zc, &idx, 1, &mem);
+        san.global(wid(0, 0), PipeOp::Load, zc, &idx, None, 1, &mem);
         assert!(san.report().warnings.is_empty());
         // A store is flagged — as a warning, so gates stay green.
-        san.global_access(wid(0, 0), AccessKind::Store, zc, &idx, 1, &mem);
-        san.global_access(wid(0, 0), AccessKind::Atomic, zc, &idx, 1, &mem);
+        san.global(wid(0, 0), PipeOp::Store, zc, &idx, None, 1, &mem);
+        san.global(wid(0, 0), PipeOp::Atomic, zc, &idx, None, 1, &mem);
         let rep = san.report();
         assert!(rep.is_clean(), "warnings never break is_clean");
         assert_eq!(rep.warnings.len(), 1, "site-folded");
@@ -1023,17 +787,17 @@ mod tests {
         assert_eq!(rep.warnings[0].occurrences, 2);
         // Stores to a normal explicit region are not flagged.
         let ex = mem.alloc_explicit(64).unwrap();
-        san.global_access(wid(0, 0), AccessKind::Store, ex, &idx, 1, &mem);
+        san.global(wid(0, 0), PipeOp::Store, ex, &idx, None, 1, &mem);
         assert_eq!(san.report().warnings.len(), 1);
     }
 
     #[test]
     fn report_serializes_to_json() {
-        let mut san = Sanitizer::new(SanitizerMode::Full);
+        let mut san = Sanitizer::default();
         san.begin_launch("k");
         let mut idx = [0u32; WARP_SIZE];
         idx[0] = 99;
-        san.pre_access(wid(2, 1), dslice(4), &idx, 1);
+        san.global(wid(2, 1), PipeOp::Load, dslice(4), &idx, None, 1, &mem());
         let rep = san.report();
         assert!(!rep.is_clean());
         let text = rep.summarize();

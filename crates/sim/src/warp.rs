@@ -32,7 +32,7 @@
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::metrics::KernelMetrics;
-use crate::sanitizer::{AccessKind, Sanitizer};
+use crate::sanitizer::Sanitizer;
 use eta_mem::access::{PipeOp, SmQueue};
 use eta_mem::system::{DSlice, MemSystem};
 
@@ -150,7 +150,7 @@ impl<'a> WarpCtx<'a> {
     /// Builds the context of one warp of a launch: global accesses append
     /// to `queue` (its SM's arena); `burst_rows` is launch scratch, emptied
     /// here.
-    pub fn new_recording(
+    pub(crate) fn new_recording(
         cfg: &'a GpuConfig,
         mem: &'a mut MemSystem,
         queue: &'a mut SmQueue,
@@ -250,21 +250,12 @@ impl<'a> WarpCtx<'a> {
     /// lane mask (the sanitizer drops out-of-bounds lanes, report-and-
     /// continue, where `DSlice::addr` would otherwise panic) and its lanes'
     /// addresses, in lane order at the front of the array.
-    fn access(
-        &mut self,
-        s: DSlice,
-        idx: &Lanes,
-        mask: u32,
-        op: AccessOp,
-    ) -> (u32, [u64; WARP_SIZE]) {
+    fn access(&mut self, s: DSlice, idx: &Lanes, mask: u32, op: PipeOp) -> (u32, [u64; WARP_SIZE]) {
         let mask = match self.san.as_deref_mut() {
-            Some(san) => san.pre_access(self.id, s, idx, mask),
+            Some(san) => san.global(self.id, op, s, idx, None, mask, self.mem),
             None => mask,
         };
         self.count_lanes(mask.count_ones());
-        if let Some(san) = self.san.as_deref_mut() {
-            san.global_access(self.id, op.kind(), s, idx, mask, self.mem);
-        }
         // No active lane coalesces to no sectors: nothing to record. The
         // raw addresses are coalesced by stage 2 of the pipeline, off the
         // serial critical path.
@@ -282,16 +273,15 @@ impl<'a> WarpCtx<'a> {
         // Loads charge their worst sector latency once it is known (the
         // L1/L2 drain stages); stores and atomics charge constant costs at
         // the call sites below, so their records charge nothing.
-        let charge = matches!(op, AccessOp::Load);
-        self.queue
-            .commit(s.region, op.pipe(), false, charge, addr_start);
+        let charge = op == PipeOp::Load;
+        self.queue.commit(s.region, op, false, charge, addr_start);
         (mask, addrs)
     }
 
     /// One warp load instruction: `out[lane] = s[idx[lane]]` for active lanes.
     pub fn load(&mut self, s: DSlice, idx: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Load);
+        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Load);
         let mut out = [0u32; WARP_SIZE];
         for (lane, &addr) in active_lanes(mask).zip(&addrs) {
             out[lane] = self.mem.word(addr);
@@ -311,7 +301,7 @@ impl<'a> WarpCtx<'a> {
     /// One warp store instruction: `s[idx[lane]] = vals[lane]`.
     pub fn store(&mut self, s: DSlice, idx: &Lanes, vals: &Lanes, mask: u32) {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Store);
+        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Store);
         // Stores retire through the write queue; charge issue cost only.
         self.stall += self.cfg.burst_issue;
         for (lane, &addr) in active_lanes(mask).zip(&addrs) {
@@ -339,11 +329,7 @@ impl<'a> WarpCtx<'a> {
     /// sector reuse inside the burst survives.
     pub fn load_burst(&mut self, s: DSlice, start: &Lanes, count: &Lanes, mask: u32) -> Burst {
         let mask = match self.san.as_deref_mut() {
-            Some(san) => {
-                let ok = san.pre_burst(self.id, s, start, count, mask);
-                san.burst_access(self.id, s, start, count, ok, self.mem);
-                ok
-            }
+            Some(san) => san.global(self.id, PipeOp::Load, s, start, Some(count), mask, self.mem),
             None => mask,
         };
         let rows = active_lanes(mask).map(|l| count[l]).max().unwrap_or(0);
@@ -454,7 +440,7 @@ impl<'a> WarpCtx<'a> {
         mut op: impl FnMut(usize, u32) -> Option<u32>,
     ) -> Lanes {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, AccessOp::Atomic);
+        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
@@ -516,17 +502,24 @@ impl<'a> WarpCtx<'a> {
 
     // ---- shared memory -----------------------------------------------------
 
-    /// Shared-memory load: `out[lane] = shared[idx[lane]]`.
-    pub fn load_shared(&mut self, idx: &Lanes, mask: u32) -> Lanes {
+    /// Charges one shared-memory instruction and returns its effective lane
+    /// mask (the sanitizer drops out-of-bounds lanes).
+    fn shared_access(&mut self, op: PipeOp, idx: &Lanes, mask: u32) -> u32 {
         self.instructions += 1;
         self.shared_accesses += 1;
         self.stall += self.cfg.shared_latency;
         let mask = match self.san.as_deref_mut() {
-            Some(san) => san.shared_access(self.id, AccessKind::Load, self.shared.len(), idx, mask),
+            Some(san) => san.shared(self.id, op, self.shared.len(), idx, mask),
             None => mask,
         };
         self.count_lanes(mask.count_ones());
         self.shared_bank_conflicts += bank_conflicts(idx, mask);
+        mask
+    }
+
+    /// Shared-memory load: `out[lane] = shared[idx[lane]]`.
+    pub fn load_shared(&mut self, idx: &Lanes, mask: u32) -> Lanes {
+        let mask = self.shared_access(PipeOp::Load, idx, mask);
         let mut out = [0u32; WARP_SIZE];
         for lane in active_lanes(mask) {
             out[lane] = self.shared[idx[lane] as usize];
@@ -536,17 +529,7 @@ impl<'a> WarpCtx<'a> {
 
     /// Shared-memory store: `shared[idx[lane]] = vals[lane]`.
     pub fn store_shared(&mut self, idx: &Lanes, vals: &Lanes, mask: u32) {
-        self.instructions += 1;
-        self.shared_accesses += 1;
-        self.stall += self.cfg.shared_latency;
-        let mask = match self.san.as_deref_mut() {
-            Some(san) => {
-                san.shared_access(self.id, AccessKind::Store, self.shared.len(), idx, mask)
-            }
-            None => mask,
-        };
-        self.count_lanes(mask.count_ones());
-        self.shared_bank_conflicts += bank_conflicts(idx, mask);
+        let mask = self.shared_access(PipeOp::Store, idx, mask);
         for lane in active_lanes(mask) {
             self.shared[idx[lane] as usize] = vals[lane];
         }
@@ -578,31 +561,6 @@ fn bank_conflicts(idx: &Lanes, mask: u32) -> u64 {
         distinct -= words.windows(2).filter(|w| w[0] == w[1]).count();
     }
     (distinct - banks.count_ones() as usize) as u64
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AccessOp {
-    Load,
-    Store,
-    Atomic,
-}
-
-impl AccessOp {
-    fn kind(self) -> AccessKind {
-        match self {
-            AccessOp::Load => AccessKind::Load,
-            AccessOp::Store => AccessKind::Store,
-            AccessOp::Atomic => AccessKind::Atomic,
-        }
-    }
-
-    fn pipe(self) -> PipeOp {
-        match self {
-            AccessOp::Load => PipeOp::Load,
-            AccessOp::Store => PipeOp::Store,
-            AccessOp::Atomic => PipeOp::Atomic,
-        }
-    }
 }
 
 #[cfg(test)]

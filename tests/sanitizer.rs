@@ -387,3 +387,147 @@ fn detects_shared_memory_race_between_warps_of_a_block() {
     assert_eq!(f.kernel, "shared_race");
     assert_eq!(f.addr, 0, "the raced shared word");
 }
+
+// ---------------------------------------------------------------------------
+// Bursts: the Shared-Memory-Prefetch access shape goes through the same
+// global hook as a plain instruction, so each memcheck/racecheck finding
+// has a burst fixture too.
+// ---------------------------------------------------------------------------
+
+/// One warp; lane `l` bursts the `count` words from `2l` and stores its
+/// first row to `out`. Lane 31's `[62..66)` overruns a 64-word slice.
+struct BurstOverrunKernel {
+    data: DSlice,
+    out: DSlice,
+    count: u32,
+}
+
+impl Kernel for BurstOverrunKernel {
+    fn name(&self) -> &'static str {
+        "burst_overrun"
+    }
+
+    fn run(&self, w: &mut WarpCtx<'_>) {
+        let ids = w.thread_ids();
+        let start = ids.map(|t| 2 * t);
+        let rows = w.load_burst(self.data, &start, &[self.count; 32], u32::MAX);
+        let first = w.burst_row(rows, 0);
+        w.store(self.out, &ids, &first, u32::MAX);
+    }
+}
+
+#[test]
+fn detects_a_burst_that_overruns_its_slice() {
+    let mut dev = sanitized_dev();
+    let data = dev.mem.alloc_explicit(64).unwrap();
+    dev.mem.host_write(data, 0, &(1..=64).collect::<Vec<u32>>());
+    let out = dev.mem.alloc_explicit(32).unwrap();
+    let k = BurstOverrunKernel {
+        data,
+        out,
+        count: 4,
+    };
+    dev.launch(&k, LaunchConfig::for_items(32, 32), 0);
+    let rep = report(&dev);
+    let f = expect_error(&rep, FindingKind::OutOfBounds);
+    assert_eq!(
+        (f.kernel.as_str(), f.lane, f.occurrences),
+        ("burst_overrun", 31, 1)
+    );
+    assert_eq!(f.index, 62 + 4 - 1, "the burst's last word");
+    assert_eq!(f.addr, data.word_off + 62, "the burst's first word");
+    assert_eq!(f.slice_len, 64);
+    assert_eq!(
+        f.detail,
+        "burst [62..66) out of bounds for slice of 64 words"
+    );
+    // The overrunning lane is dropped whole; lane 30's [60..64) still reads.
+    let first = dev.mem.host_read(out, 0, 32);
+    assert_eq!((first[30], first[31]), (61, 0));
+}
+
+/// Lane `l` bursts the 4 words from `4l` of a slice the host wrote only
+/// word 0 of.
+struct BurstUninitKernel {
+    data: DSlice,
+}
+
+impl Kernel for BurstUninitKernel {
+    fn name(&self) -> &'static str {
+        "burst_uninit"
+    }
+
+    fn run(&self, w: &mut WarpCtx<'_>) {
+        let start = w.thread_ids().map(|t| 4 * t);
+        w.load_burst(self.data, &start, &[4; 32], u32::MAX);
+    }
+}
+
+#[test]
+fn detects_a_burst_over_never_written_words() {
+    let mut dev = sanitized_dev();
+    let data = dev.mem.alloc_explicit(128).unwrap();
+    dev.mem.host_write(data, 0, &[7]);
+    dev.launch(
+        &BurstUninitKernel { data },
+        LaunchConfig::for_items(32, 32),
+        0,
+    );
+    let rep = report(&dev);
+    let f = expect_error(&rep, FindingKind::UninitRead);
+    assert_eq!(f.kernel, "burst_uninit");
+    // Lanes ascending, then each lane's rows ascending: lane 0's second
+    // word comes before lane 1's first, and the other 126 fold into it.
+    assert_eq!((f.lane, f.index, f.occurrences), (0, 1, 127));
+    assert_eq!(
+        f.detail,
+        "burst read of never-written device word (index 1)"
+    );
+}
+
+/// Warp 0 plainly stores words 0..32; warp 1's lanes 0..8 then burst them
+/// back, 4 words each, in the same launch.
+struct BurstRaceKernel {
+    data: DSlice,
+}
+
+impl Kernel for BurstRaceKernel {
+    fn name(&self) -> &'static str {
+        "burst_race"
+    }
+
+    fn run(&self, w: &mut WarpCtx<'_>) {
+        let lanes: [u32; 32] = std::array::from_fn(|l| l as u32);
+        if w.id().warp_in_block == 0 {
+            w.store(self.data, &lanes, &lanes, u32::MAX);
+        } else {
+            let start = lanes.map(|l| 4 * l);
+            w.load_burst(self.data, &start, &[4; 32], 0xFF);
+        }
+    }
+}
+
+#[test]
+fn detects_a_burst_racing_a_plain_store() {
+    let mut dev = sanitized_dev();
+    let data = dev.mem.alloc_explicit(32).unwrap();
+    dev.mem.host_fill(data, 0);
+    dev.launch(
+        &BurstRaceKernel { data },
+        LaunchConfig::for_items(64, 64),
+        0,
+    );
+    let rep = report(&dev);
+    let f = expect_error(&rep, FindingKind::GlobalRace);
+    assert_eq!(f.kernel, "burst_race");
+    assert_eq!(
+        (f.warp, f.lane, f.index),
+        (1, 0, 0),
+        "the burst's first word"
+    );
+    assert_eq!(
+        f.detail,
+        "non-atomic store by warp (0,0) races warp (0,1) on the same word"
+    );
+    assert_eq!(f.occurrences, 32, "every stored word races once");
+}
