@@ -57,12 +57,13 @@ echo "    byte for byte: the engine, multi-BFS plain/checkpointed/resumed and"
 echo "    PageRank loops; fig7 pins the traversal kernel's SMP counters and"
 echo "    sanitize launches all 18 kernels under the sanitizer; table1, table2,"
 echo "    fig2, fig5 and table4 pin the representation overheads, the dataset"
-echo "    inventory, the per-iteration frontiers and the BFS activation; the"
+echo "    inventory, the per-iteration frontiers and the BFS activation; fig4"
+echo "    and fig6 pin the SSSP transfer/compute overlap and the ablations; the"
 echo "    slower artifacts are the pre-merge 'report all --check reports/' step"
 echo "    of .claude/skills/verify/SKILL.md)"
 cargo run --release -p eta-bench --bin report -- \
     profile serve faults chaos extras lint fig7 sanitize \
-    table1 table2 fig2 fig5 table4 --check reports/
+    table1 table2 fig2 fig5 table4 fig4 fig6 --check reports/
 
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"

@@ -9,7 +9,7 @@
 //! differentially verified against the CPU reference via its full level
 //! digest, and every trace id must be accounted for exactly once across
 //! records and rejections. A failing cell is shrunk to a minimal
-//! reproducing plan with [`shrink_plan`] before it is reported.
+//! reproducing plan with `shrink_plan` before it is reported.
 //!
 //! Everything is simulated and seeded, so the artifact — including the
 //! checkpoint-interval vs makespan tradeoff curve — is byte-identical
@@ -117,7 +117,7 @@ fn drop_one(plan: &FaultPlan, section: usize, idx: usize) -> FaultPlan {
 /// failure. The result is 1-minimal — removing any one remaining event
 /// makes the failure disappear — which is what a human debugging a chaos
 /// finding wants to start from.
-pub fn shrink_plan<F: Fn(&FaultPlan) -> bool>(plan: &FaultPlan, still_fails: F) -> FaultPlan {
+fn shrink_plan<F: Fn(&FaultPlan) -> bool>(plan: &FaultPlan, still_fails: F) -> FaultPlan {
     let mut cur = plan.clone();
     let mut progressed = true;
     while progressed {

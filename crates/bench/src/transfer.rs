@@ -55,7 +55,7 @@ pub const MODES: [TransferMode; 4] = [
 /// The sparse web analog: an island source in a low-connectivity web graph,
 /// so the traversal reaches only the island community and the topology is
 /// touched at a few sectors per page — zero-copy territory.
-pub fn sparse_web() -> (Csr, u32) {
+fn sparse_web() -> (Csr, u32) {
     web(&WebConfig {
         vertices: 60_000,
         edges: 1_200_000,

@@ -1,6 +1,6 @@
 //! The `report` binary answers bad arguments with a message and exit
 //! status 2, the way it already answers an unknown artifact name, instead
-//! of panicking.
+//! of panicking, and runs each named artifact once.
 
 use std::process::{Command, Output};
 
@@ -40,4 +40,22 @@ fn an_unwritable_out_directory_is_an_error() {
 #[test]
 fn an_unknown_artifact_is_a_usage_error() {
     assert_usage_error(&report(&["table9"]), "unknown artifact \"table9\"");
+}
+
+#[test]
+fn a_repeated_artifact_runs_once() {
+    let dir = std::env::temp_dir().join(format!("report-repeat-{}", std::process::id()));
+    let dir_arg = dir.to_str().unwrap();
+    assert!(report(&["lint", "table1", "--quick", "--out", dir_arg])
+        .status
+        .success());
+    // Not adjacent: a plain `dedup` would keep both `lint`s.
+    let out = report(&["lint", "table1", "lint", "--quick", "--check", dir_arg]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let verdicts: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split(" [").next().unwrap())
+        .collect();
+    assert_eq!(verdicts, ["same lint", "same table1"], "{stdout}");
 }

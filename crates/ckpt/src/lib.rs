@@ -10,8 +10,8 @@
 //!
 //! The crate is deliberately engine-agnostic: it defines *what a checkpoint
 //! is* ([`Checkpoint`], [`CkptState`]), *when to take one* ([`CkptPolicy`]),
-//! *where in-flight snapshots live* ([`CkptSink`] per run, [`CkptStore`]
-//! across runs), and *how a resume is validated* ([`Checkpoint::validate`]
+//! *where a run's snapshot lives* ([`CkptSink`]; a parked serving job owns
+//! its own), and *how a resume is validated* ([`Checkpoint::validate`]
 //! against a graph-content digest). The engine hooks that fill these types
 //! in live in `eta-core`; the ladder that consumes them lives in
 //! `eta-serve`.
@@ -188,7 +188,7 @@ impl CkptPolicy {
         CkptPolicy { interval }
     }
 
-    pub fn disabled() -> Self {
+    fn disabled() -> Self {
         CkptPolicy { interval: 0 }
     }
 
@@ -247,60 +247,6 @@ impl CkptSink {
     /// Takes the most recent snapshot out of the sink.
     pub fn take(&mut self) -> Option<Checkpoint> {
         self.last.take()
-    }
-}
-
-/// Cross-run checkpoint store, keyed by opaque handle. The serving layer
-/// parks the last good snapshot of a faulted batch here until the resume
-/// dispatches (or the riders exhaust their retry budget).
-#[derive(Debug, Default)]
-pub struct CkptStore {
-    items: std::collections::BTreeMap<u64, Checkpoint>,
-    next_key: u64,
-    /// Lifetime counters for reports.
-    pub stored: u64,
-    pub resumed: u64,
-}
-
-impl CkptStore {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Parks a snapshot; returns its handle.
-    pub fn put(&mut self, ck: Checkpoint) -> u64 {
-        let key = self.next_key;
-        self.next_key += 1;
-        self.stored += 1;
-        self.items.insert(key, ck);
-        key
-    }
-
-    /// Non-consuming view of a parked snapshot.
-    pub fn get(&self, key: u64) -> Option<&Checkpoint> {
-        self.items.get(&key)
-    }
-
-    /// Removes a parked snapshot for resume (or for abandonment).
-    pub fn take(&mut self, key: u64) -> Option<Checkpoint> {
-        let ck = self.items.remove(&key);
-        if ck.is_some() {
-            self.resumed += 1;
-        }
-        ck
-    }
-
-    /// Drops a parked snapshot without counting it as resumed.
-    pub fn discard(&mut self, key: u64) -> Option<Checkpoint> {
-        self.items.remove(&key)
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -434,22 +380,6 @@ mod tests {
         let got = sink.take().unwrap();
         assert_eq!(got.iteration, 4);
         assert!(sink.take().is_none(), "take drains the sink");
-    }
-
-    #[test]
-    fn store_handles_are_distinct_and_take_counts_resumes() {
-        let mut store = CkptStore::new();
-        let a = store.put(sample(1));
-        let b = store.put(sample(2));
-        assert_ne!(a, b);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.take(a).unwrap().iteration, 1);
-        assert_eq!(store.resumed, 1);
-        assert!(store.take(a).is_none(), "a handle is single-use");
-        assert_eq!(store.resumed, 1, "missing handles do not count as resumes");
-        assert_eq!(store.discard(b).unwrap().iteration, 2);
-        assert_eq!(store.resumed, 1, "discard is not a resume");
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn execute(args: &Args) -> Result<Output, ArgError> {
     }
 }
 
-pub fn usage() -> String {
+fn usage() -> String {
     "usage:\n\
      etagraph generate rmat --scale S [--edges M] [--seed N] [--max-weight W] --out FILE\n\
      etagraph generate web --vertices V --edges M [--communities C] [--lcc F]\n\

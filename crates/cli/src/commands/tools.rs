@@ -176,7 +176,7 @@ fn drill(
     Ok(Output { json: a.json, text })
 }
 
-/// Runs the workspace static invariant checker (`crates/lint`): seven
+/// Runs the workspace static invariant checker (`crates/lint`): eight
 /// token-pattern rules over every library source, minus the committed
 /// `lint.allow` baseline. Any non-baselined finding — or any stale baseline
 /// entry — fails the command, which is exactly what the ci.sh gate needs.

@@ -595,6 +595,13 @@ fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
     }
 }
 
+/// A device id: a non-negative integer that fits a `u32`. A wider id
+/// would wrap onto a real device, so it is an error, not a truncation.
+fn as_device(v: &Json, what: &str) -> Result<u32, String> {
+    let id = as_u64(v, what)?;
+    u32::try_from(id).map_err(|_| format!("fault plan: `{what}` {id} does not fit a u32 device id"))
+}
+
 fn as_f64(v: &Json, what: &str) -> Result<f64, String> {
     match v {
         Json::Num(n) => Ok(*n),
@@ -680,7 +687,7 @@ impl FaultPlan {
         if let Some(v) = top.take_opt("ecc") {
             for item in as_arr(v, "ecc")? {
                 let mut f = Fields::new(item, "ecc entry")?;
-                let device = as_u64(f.take("device")?, "ecc.device")? as u32;
+                let device = as_device(f.take("device")?, "ecc.device")?;
                 let at_ns = as_u64(f.take("at_ns")?, "ecc.at_ns")?;
                 let addr_start = as_u64(f.take("addr_start")?, "ecc.addr_start")?;
                 let addr_words = as_u64(f.take("addr_words")?, "ecc.addr_words")?;
@@ -717,7 +724,7 @@ impl FaultPlan {
                 let end_ns = as_u64(f.take("end_ns")?, "um.end_ns")?;
                 check_window("um", start_ns, end_ns)?;
                 plan.um.push(UmFault {
-                    device: as_u64(f.take("device")?, "um.device")? as u32,
+                    device: as_device(f.take("device")?, "um.device")?,
                     start_ns,
                     end_ns,
                     kind,
@@ -736,7 +743,7 @@ impl FaultPlan {
                 let end_ns = as_u64(f.take("end_ns")?, "hangs.end_ns")?;
                 check_window("hangs", start_ns, end_ns)?;
                 plan.hangs.push(HangFault {
-                    device: as_u64(f.take("device")?, "hangs.device")? as u32,
+                    device: as_device(f.take("device")?, "hangs.device")?,
                     start_ns,
                     end_ns,
                     budget_ns: as_u64(f.take("budget_ns")?, "hangs.budget_ns")?,
@@ -755,7 +762,7 @@ impl FaultPlan {
                 let end_ns = as_u64(f.take("end_ns")?, "pcie.end_ns")?;
                 check_window("pcie", start_ns, end_ns)?;
                 plan.pcie.push(PcieDegradation {
-                    device: as_u64(f.take("device")?, "pcie.device")? as u32,
+                    device: as_device(f.take("device")?, "pcie.device")?,
                     start_ns,
                     end_ns,
                     factor,
@@ -965,6 +972,22 @@ mod tests {
                 ">= 1.0",
             ),
             (r#"{"seed": -4}"#, "non-negative"),
+            (
+                r#"{"ecc": [{"device":4294967297,"at_ns":0,"addr_start":0,"addr_words":1,"double_bit":false}]}"#,
+                "`ecc.device` 4294967297 does not fit",
+            ),
+            (
+                r#"{"um": [{"device":4294967296,"start_ns":0,"end_ns":1,"kind":"Storm"}]}"#,
+                "`um.device` 4294967296 does not fit",
+            ),
+            (
+                r#"{"hangs": [{"device":4294967296,"start_ns":0,"end_ns":1,"budget_ns":1}]}"#,
+                "`hangs.device` 4294967296 does not fit",
+            ),
+            (
+                r#"{"pcie": [{"device":4294967296,"start_ns":0,"end_ns":1,"factor":2.0}]}"#,
+                "`pcie.device` 4294967296 does not fit",
+            ),
             ("{} x", "trailing"),
         ] {
             let err = FaultPlan::from_json_str(text).expect_err(text);

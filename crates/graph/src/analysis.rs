@@ -44,12 +44,6 @@ impl UnionFind {
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
     }
-
-    /// Size of the component containing `x`.
-    pub fn component_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 /// Connected-component summary of a graph (undirected sense).
@@ -111,6 +105,14 @@ pub fn activation_fraction(g: &Csr, src: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl UnionFind {
+        /// Size of the component containing `x`.
+        fn component_size(&mut self, x: u32) -> u32 {
+            let r = self.find(x);
+            self.size[r as usize]
+        }
+    }
 
     #[test]
     fn union_find_basics() {

@@ -14,7 +14,7 @@
 //! weights       m    × u32  (iff weighted)
 //! ```
 
-use crate::csr::{Csr, MAX_VERTICES};
+use crate::csr::Csr;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -82,106 +82,6 @@ pub fn save<P: AsRef<Path>>(g: &Csr, path: P) -> io::Result<()> {
 pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     read_csr(&mut r)
-}
-
-/// Parses a whitespace-separated edge-list text (`src dst [weight]` per
-/// line, `#`-prefixed comments allowed) — the "human-readable edge lists
-/// format" the paper sizes its datasets in.
-///
-/// Strict: every malformed line is a line-numbered error — vertex ids that
-/// overflow `u32`, endpoints outside a declared `n_hint`, trailing garbage
-/// after the weight, and lines that switch between the weighted and
-/// unweighted arity mid-file (a weight silently defaulting to 1 on *some*
-/// edges is a corrupt dataset, not a convenience).
-pub fn parse_edge_list(text: &str, n_hint: Option<usize>) -> Result<Csr, String> {
-    if let Some(n) = n_hint.filter(|&n| n > MAX_VERTICES) {
-        return Err(format!(
-            "graph declared {n} vertices, but a CSR holds at most {MAX_VERTICES}"
-        ));
-    }
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    let mut weighted: Option<bool> = None;
-    let mut max_v = 0u32;
-    let parse_vertex = |tok: &str, what: &str, lineno: usize| -> Result<u32, String> {
-        let v: u32 = tok
-            .parse()
-            .map_err(|_| format!("line {}: {what} vertex id {tok:?} is not a u32", lineno + 1))?;
-        match n_hint {
-            Some(n) if v as usize >= n => Err(format!(
-                "line {}: {what} vertex {v} out of range (graph declared {n} vertices)",
-                lineno + 1
-            )),
-            // Without a declared count the graph gets ids 0..=max id.
-            None if v as usize >= MAX_VERTICES => Err(format!(
-                "line {}: {what} vertex id {v} is too large (a CSR holds at most \
-                 {MAX_VERTICES} vertices)",
-                lineno + 1
-            )),
-            _ => Ok(v),
-        }
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let s = parse_vertex(
-            it.next()
-                .ok_or_else(|| format!("line {}: missing src", lineno + 1))?,
-            "src",
-            lineno,
-        )?;
-        let d = parse_vertex(
-            it.next()
-                .ok_or_else(|| format!("line {}: missing dst", lineno + 1))?,
-            "dst",
-            lineno,
-        )?;
-        let w = match it.next() {
-            Some(tok) => {
-                if weighted == Some(false) {
-                    return Err(format!(
-                        "line {}: weighted edge in an unweighted list",
-                        lineno + 1
-                    ));
-                }
-                weighted = Some(true);
-                tok.parse::<u32>()
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?
-            }
-            None => {
-                if weighted == Some(true) {
-                    return Err(format!(
-                        "line {}: unweighted edge in a weighted list",
-                        lineno + 1
-                    ));
-                }
-                weighted = Some(false);
-                1
-            }
-        };
-        if let Some(extra) = it.next() {
-            return Err(format!(
-                "line {}: trailing token {extra:?} after the edge",
-                lineno + 1
-            ));
-        }
-        max_v = max_v.max(s).max(d);
-        edges.push((s, d, w));
-    }
-    let weighted = weighted == Some(true);
-    let n = n_hint.unwrap_or(if edges.is_empty() {
-        0
-    } else {
-        max_v as usize + 1
-    });
-    if weighted {
-        Ok(Csr::from_weighted_edges(n, &edges))
-    } else {
-        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-        Ok(Csr::from_edges(n, &pairs))
-    }
 }
 
 fn invalid<E: ToString>(msg: E) -> io::Error {
@@ -297,51 +197,6 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(g, back);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn edge_list_text_parsing() {
-        let text = "# comment\n0 1\n1 2\n\n2 0\n";
-        let g = parse_edge_list(text, None).unwrap();
-        assert_eq!(g.n(), 3);
-        assert_eq!(g.m(), 3);
-        let weighted = parse_edge_list("0 1 9\n1 0 4\n", Some(4)).unwrap();
-        assert_eq!(weighted.n(), 4);
-        assert_eq!(weighted.edge_weights(0), &[9]);
-        assert!(parse_edge_list("0 x\n", None).is_err());
-    }
-
-    #[test]
-    fn edge_list_errors_carry_line_numbers() {
-        // Vertex-id overflow: 2^32 does not fit in u32.
-        let err = parse_edge_list("0 1\n2 4294967296\n", None).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-        assert!(err.contains("not a u32"), "{err}");
-        // An endpoint past the declared vertex count is an error, not a
-        // panic inside CSR construction.
-        let err = parse_edge_list("# header\n0 1\n1 7\n", Some(4)).unwrap_err();
-        assert!(err.starts_with("line 3:"), "{err}");
-        assert!(err.contains("out of range"), "{err}");
-        assert!(err.contains("4 vertices"), "{err}");
-        // Trailing garbage after the weight column.
-        let err = parse_edge_list("0 1 9 junk\n", None).unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
-        assert!(err.contains("trailing token"), "{err}");
-        // Mixed arity, both directions.
-        let err = parse_edge_list("0 1 9\n1 2\n", None).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        assert!(err.contains("unweighted edge in a weighted list"), "{err}");
-        let err = parse_edge_list("0 1\n1 2 5\n", None).unwrap_err();
-        assert!(err.contains("weighted edge in an unweighted list"), "{err}");
-        // The largest u32 ids parse but leave no room for the vertex
-        // count: an error, not a panic in the CSR builder.
-        let err = parse_edge_list("0 4294967295\n", None).unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
-        assert!(err.contains("too large"), "{err}");
-        let err = parse_edge_list("0 1\n4294967294 0 3\n", None).unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-        let err = parse_edge_list("0 1\n", Some(u32::MAX as usize)).unwrap_err();
-        assert!(err.contains("at most 4294967294"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`generate`] — deterministic R-MAT (PaRMAT parameters) and web-like
 //!   generators.
 //! * [`datasets`] — the seven scaled analogs of Table II.
-//! * [`io`] — Galois-style binary CSR container and edge-list text parsing.
+//! * [`io`] — Galois-style binary CSR container.
 //! * [`analysis`] — connected components / %LCC / activation fractions.
 //! * [`mod@reference`] — CPU oracles used to validate
 //!   every GPU framework in the test suite.
@@ -27,6 +27,6 @@ pub mod vst;
 
 pub use csr::{Csr, GraphStats, INF, MAX_VERTICES};
 pub use datasets::Dataset;
-pub use edgelist::{EdgeList, EdgeListError};
+pub use edgelist::EdgeList;
 pub use gshard::GShards;
 pub use vst::Vst;

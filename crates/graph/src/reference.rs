@@ -1,9 +1,8 @@
 //! CPU reference implementations of the three traversal algorithms.
 //!
 //! These are the correctness oracles: every GPU framework result in the test
-//! suite is compared against them. BFS additionally has a parallel
-//! level-synchronous variant (built on `eta-par`) used for large graphs and
-//! as a determinism check of the parallel substrate.
+//! suite is compared against them. Each is the plain sequential textbook
+//! algorithm, so an oracle shares no code with what it checks.
 //!
 //! Label conventions (shared with the GPU kernels):
 //! * BFS — `label[v]` = hop count from the source, [`INF`] if unreachable.
@@ -14,7 +13,6 @@
 use crate::csr::{Csr, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Breadth-first search levels from `src`.
 pub fn bfs(g: &Csr, src: u32) -> Vec<u32> {
@@ -36,42 +34,6 @@ pub fn bfs(g: &Csr, src: u32) -> Vec<u32> {
         frontier = next;
     }
     label
-}
-
-/// Parallel level-synchronous BFS on the `eta-par` substrate.
-///
-/// Produces exactly the same labels as [`bfs`] (levels are unique), while
-/// exercising concurrent atomic claiming of vertices.
-pub fn bfs_parallel(g: &Csr, src: u32) -> Vec<u32> {
-    let labels: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(INF)).collect();
-    labels[src as usize].store(0, Ordering::Relaxed);
-    let mut frontier = vec![src];
-    let mut depth = 0u32;
-    while !frontier.is_empty() {
-        depth += 1;
-        let next = eta_par::map_reduce(
-            frontier.len(),
-            Vec::new,
-            |mut acc: Vec<u32>, i| {
-                let v = frontier[i];
-                for &d in g.neighbors(v) {
-                    if labels[d as usize]
-                        .compare_exchange(INF, depth, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        acc.push(d);
-                    }
-                }
-                acc
-            },
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-        );
-        frontier = next;
-    }
-    labels.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// Dijkstra single-source shortest paths (weights required).
@@ -213,14 +175,6 @@ mod tests {
         let g = Csr::from_weighted_edges(3, &[(0, 1, 5)]);
         let w = sswp(&g, 0);
         assert_eq!(w[2], 0);
-    }
-
-    #[test]
-    fn parallel_bfs_matches_sequential() {
-        let g = rmat(&RmatConfig::paper(13, 80_000, 21));
-        for src in [0u32, 1, 100] {
-            assert_eq!(bfs(&g, src), bfs_parallel(&g, src), "src {src}");
-        }
     }
 
     #[test]

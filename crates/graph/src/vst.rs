@@ -72,16 +72,6 @@ impl Vst {
         self.col_idx.len()
     }
 
-    /// Virtual vertices belonging to real vertex `v`.
-    pub fn virtuals_of(&self, v: u32) -> std::ops::Range<u32> {
-        self.real_virt_start[v as usize]..self.real_virt_start[v as usize + 1]
-    }
-
-    /// Edge range of virtual vertex `u`.
-    pub fn edges_of(&self, u: u32) -> std::ops::Range<usize> {
-        self.virt_offsets[u as usize] as usize..self.virt_offsets[u as usize + 1] as usize
-    }
-
     /// Topology bytes: `|E| + 2|N| + 2|V|` words (Table I's VST row), plus
     /// weights when present.
     pub fn topology_bytes(&self) -> u64 {
@@ -99,6 +89,18 @@ impl Vst {
 mod tests {
     use super::*;
     use crate::generate::{rmat, RmatConfig};
+
+    impl Vst {
+        /// Virtual vertices belonging to real vertex `v`.
+        fn virtuals_of(&self, v: u32) -> std::ops::Range<u32> {
+            self.real_virt_start[v as usize]..self.real_virt_start[v as usize + 1]
+        }
+
+        /// Edge range of virtual vertex `u`.
+        fn edges_of(&self, u: u32) -> std::ops::Range<usize> {
+            self.virt_offsets[u as usize] as usize..self.virt_offsets[u as usize + 1] as usize
+        }
+    }
 
     fn star() -> Csr {
         // vertex 0 has out-degree 7.

@@ -9,9 +9,10 @@
 //!
 //! The pipeline: a comment/string/raw-string-aware [`lexer`], structural
 //! [`regions`] (test items, function bodies, `WarpCtx` kernel scopes), a
-//! token-pattern rule engine ([`rules`], seven rules — see
-//! [`rules::RULES`]), the committed suppression [`baseline`]
-//! (`lint.allow`), and deterministic text/JSON [`report`] sinks.
+//! token-pattern rule engine ([`rules`], eight rules — seven per file and
+//! the workspace-wide `L-ORPHAN`; see [`rules::RULES`]), the committed
+//! suppression [`baseline`] (`lint.allow`), and deterministic text/JSON
+//! [`report`] sinks.
 //!
 //! Run it as `etagraph lint`, or regenerate the committed artifact with
 //! `cargo run --release -p eta-bench --bin report -- lint --out reports`.
@@ -46,52 +47,106 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Lints a single source text as if it lived at `path` (workspace-relative,
-/// forward slashes). Inline `lint: allow` directives are applied; the
-/// baseline is not. Returns findings paired with their trimmed source
-/// lines. This is the entry point fixtures and tests use.
-pub fn lint_source(path: &str, text: &str) -> Vec<(Finding, String)> {
-    let lexed = lexer::lex(text);
-    let regs = regions::compute(&lexed.toks);
-    let class = FileClass::of(path);
-    let raw = rules::scan(path, class, &lexed.toks, &regs);
-    let lines: Vec<&str> = text.lines().collect();
-    let source_of = |line: u32| -> String {
-        lines
-            .get(line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    };
-    let mut out = Vec::new();
-    for f in raw {
-        // A justified inline directive on the finding's line (or the line
-        // above it) suppresses; an unjustified one does not.
-        let allowed = lexed
-            .allows
-            .iter()
-            .any(|a| a.justified && a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line));
-        if !allowed {
-            let src = source_of(f.line);
-            out.push((f, src));
-        }
-    }
-    out
+/// One source file, lexed once.
+struct Source {
+    /// Workspace-relative, forward slashes.
+    path: String,
+    text: String,
+    lexed: lexer::LexOutput,
+    regions: regions::Regions,
 }
 
-/// Counts how many findings in `text` were suppressed by justified inline
-/// directives (for report accounting).
-fn inline_allowed_count(path: &str, text: &str) -> usize {
-    let lexed = lexer::lex(text);
-    let regs = regions::compute(&lexed.toks);
-    let class = FileClass::of(path);
-    let raw = rules::scan(path, class, &lexed.toks, &regs);
-    raw.iter()
-        .filter(|f| {
-            lexed.allows.iter().any(|a| {
-                a.justified && a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line)
-            })
+impl Source {
+    fn new(path: String, text: String) -> Source {
+        let lexed = lexer::lex(&text);
+        let regions = regions::compute(&lexed.toks);
+        Source {
+            path,
+            text,
+            lexed,
+            regions,
+        }
+    }
+
+    /// This file's findings under the per-file rules (all but L-ORPHAN).
+    fn scan(&self) -> Vec<Finding> {
+        let class = FileClass::of(&self.path);
+        rules::scan(&self.path, class, &self.lexed.toks, &self.regions)
+    }
+
+    /// A justified inline directive on the finding's line (or the line
+    /// above it) suppresses it; an unjustified one does not.
+    fn allows(&self, f: &Finding) -> bool {
+        self.lexed
+            .allows
+            .iter()
+            .any(|a| a.justified && a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line))
+    }
+
+    /// The trimmed text of 1-based `line`.
+    fn source_line(&self, line: u32) -> String {
+        self.text
+            .lines()
+            .nth(line as usize - 1)
+            .map(|l| l.trim().to_string())
+            .unwrap_or_default()
+    }
+}
+
+/// Lints a single source text as if it lived at `path` (workspace-relative,
+/// forward slashes) under the per-file rules. Inline `lint: allow`
+/// directives are applied; the baseline is not. Returns findings paired
+/// with their trimmed source lines. This is the entry point fixtures and
+/// tests use.
+pub fn lint_source(path: &str, text: &str) -> Vec<(Finding, String)> {
+    let src = Source::new(path.to_string(), text.to_string());
+    src.scan()
+        .into_iter()
+        .filter(|f| !src.allows(f))
+        .map(|f| {
+            let line = src.source_line(f.line);
+            (f, line)
         })
-        .count()
+        .collect()
+}
+
+/// Lints `files` (workspace-relative path, text) as one workspace: every
+/// scannable file under the per-file rules, and L-ORPHAN across all of
+/// them; a file that is not scannable (tests, examples, the benchmark)
+/// only counts as a place that names functions. Inline directives are
+/// applied, the baseline is not. Returns the findings left, each with its
+/// trimmed source line, and how many inline directives suppressed.
+pub fn lint_files(files: Vec<(String, String)>) -> (Vec<(Finding, String)>, usize) {
+    let sources: Vec<Source> = files
+        .into_iter()
+        .map(|(path, text)| Source::new(path, text))
+        .collect();
+    let by_path: std::collections::BTreeMap<&str, &Source> =
+        sources.iter().map(|s| (s.path.as_str(), s)).collect();
+    let mut raw: Vec<Finding> = sources
+        .iter()
+        .filter(|s| scannable(&s.path))
+        .flat_map(Source::scan)
+        .collect();
+    let all: Vec<_> = sources
+        .iter()
+        .map(|s| (s.path.as_str(), s.lexed.toks.as_slice(), &s.regions))
+        .collect();
+    raw.extend(rules::scan_orphans(&all));
+    let mut kept = Vec::new();
+    let mut allowed = 0;
+    for f in raw {
+        let Some(src) = by_path.get(f.path.as_str()) else {
+            continue;
+        };
+        if src.allows(&f) {
+            allowed += 1;
+        } else {
+            let line = src.source_line(f.line);
+            kept.push((f, line));
+        }
+    }
+    (kept, allowed)
 }
 
 /// True for paths the workspace scan covers: Rust sources of the member
@@ -108,11 +163,16 @@ fn scannable(rel: &str) -> bool {
     rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
 }
 
-/// Recursively collects scannable sources under `root`, sorted by relative
-/// path so the report is deterministic.
+/// Recursively collects every Rust source under `root`'s `crates`, `src`,
+/// `tests`, `examples` and `benchmark/src`, sorted by relative path so the
+/// report is deterministic. The scannable ones are linted; the rest only
+/// count as places that name functions (L-ORPHAN).
 fn collect_files(root: &Path) -> Result<Vec<(String, PathBuf)>, LintError> {
     let mut out = Vec::new();
-    let mut stack = vec![root.join("crates"), root.join("src")];
+    let mut stack: Vec<PathBuf> = ["crates", "src", "tests", "examples", "benchmark/src"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
     while let Some(dir) = stack.pop() {
         let entries = match std::fs::read_dir(&dir) {
             Ok(e) => e,
@@ -126,7 +186,7 @@ fn collect_files(root: &Path) -> Result<Vec<(String, PathBuf)>, LintError> {
                 stack.push(p);
             } else if let Ok(rel) = p.strip_prefix(root) {
                 let rel = rel.to_string_lossy().replace('\\', "/");
-                if scannable(&rel) {
+                if rel.ends_with(".rs") {
                     out.push((rel, p));
                 }
             }
@@ -149,8 +209,14 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
         Vec::new()
     };
 
-    let files = collect_files(root)?;
-    if files.is_empty() {
+    let mut files = Vec::new();
+    for (rel, abs) in collect_files(root)? {
+        let text =
+            std::fs::read_to_string(&abs).map_err(|e| LintError(format!("reading {rel}: {e}")))?;
+        files.push((rel, text));
+    }
+    let files_scanned = files.iter().filter(|(rel, _)| scannable(rel)).count();
+    if files_scanned == 0 {
         // A gate that scanned nothing would pass vacuously — treat it as a
         // misconfigured root instead.
         return Err(LintError(format!(
@@ -158,15 +224,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
             root.display()
         )));
     }
-    let mut all: Vec<(Finding, String)> = Vec::new();
-    let mut inline_allowed = 0usize;
-    for (rel, abs) in &files {
-        let text =
-            std::fs::read_to_string(abs).map_err(|e| LintError(format!("reading {rel}: {e}")))?;
-        inline_allowed += inline_allowed_count(rel, &text);
-        all.extend(lint_source(rel, &text));
-    }
-
+    let (all, inline_allowed) = lint_files(files);
     // Baseline application keys on the finding's trimmed source line.
     let sources: std::collections::BTreeMap<(String, u32, String), String> = all
         .iter()
@@ -191,7 +249,7 @@ pub fn lint_workspace(root: &Path) -> Result<LintReport, LintError> {
         })
         .collect();
     let mut report = LintReport {
-        files_scanned: files.len(),
+        files_scanned,
         findings: applied.new,
         baselined: applied.suppressed,
         inline_allowed,

@@ -32,17 +32,6 @@ impl Regions {
         self.test_ranges.iter().any(|&(a, b)| a <= idx && idx < b)
     }
 
-    /// The innermost function body containing `idx`, if any.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<&FnInfo> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= idx && idx < b))
-            .min_by_key(|f| {
-                let (a, b) = f.body.unwrap_or((0, usize::MAX));
-                b - a
-            })
-    }
-
     /// True when `idx` sits inside any function whose parameters mention
     /// `WarpCtx` (including helpers called with the warp context).
     pub fn in_kernel_fn(&self, idx: usize) -> bool {
@@ -220,6 +209,19 @@ fn collect_fns(toks: &[Tok], r: &mut Regions) {
 mod tests {
     use super::*;
     use crate::lexer::lex;
+
+    impl Regions {
+        /// The innermost function body containing `idx`, if any.
+        fn enclosing_fn(&self, idx: usize) -> Option<&FnInfo> {
+            self.fns
+                .iter()
+                .filter(|f| f.body.is_some_and(|(a, b)| a <= idx && idx < b))
+                .min_by_key(|f| {
+                    let (a, b) = f.body.unwrap_or((0, usize::MAX));
+                    b - a
+                })
+        }
+    }
 
     fn regions(src: &str) -> (Vec<Tok>, Regions) {
         let toks = lex(src).toks;

@@ -142,7 +142,7 @@ impl LintReport {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,4 +1,5 @@
-//! The invariant catalogue: seven token-pattern rules over one file.
+//! The invariant catalogue: seven token-pattern rules over one file, and
+//! one rule, `L-ORPHAN`, over the whole workspace.
 //!
 //! Each rule protects a CI gate that is otherwise enforced only by
 //! convention or by dynamic checks (see DESIGN.md's invariant catalogue for
@@ -7,6 +8,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::regions::Regions;
+use std::collections::{HashMap, HashSet};
 
 /// One rule's identity, for reports and the catalogue.
 #[derive(Debug, Clone, Copy)]
@@ -16,7 +18,7 @@ pub struct RuleMeta {
 }
 
 /// Every rule the engine knows, in report order.
-pub const RULES: [RuleMeta; 7] = [
+pub const RULES: [RuleMeta; 8] = [
     RuleMeta {
         id: "L-DET-HASH",
         summary: "HashMap/HashSet in a report/sink/serve-output crate: iteration order is \
@@ -35,7 +37,7 @@ pub const RULES: [RuleMeta; 7] = [
     RuleMeta {
         id: "L-PANIC",
         summary: "unwrap/expect/panic! in non-test library code: route through the typed \
-                  error ladders (QueryError/CkptError/EdgeListError/...) or justify inline",
+                  error ladders (QueryError/CkptError/MemError/...) or justify inline",
     },
     RuleMeta {
         id: "L-KERNEL-RAW",
@@ -51,6 +53,12 @@ pub const RULES: [RuleMeta; 7] = [
         id: "L-PROF-SPAN",
         summary: "profiler span begun but not ended on every path out of the function: \
                   unbalanced spans corrupt every downstream trace sink",
+    },
+    RuleMeta {
+        id: "L-ORPHAN",
+        summary: "pub fn under crates/*/src that no other file of crates, src, tests, \
+                  examples or benchmark/src names: make it private, move it into its \
+                  file's tests, delete it, or justify inline",
     },
 ];
 
@@ -354,6 +362,63 @@ fn scan_prof_spans(path: &str, toks: &[Tok], regions: &Regions, out: &mut Vec<Fi
             });
         }
     }
+}
+
+/// L-ORPHAN, the one workspace-wide rule. `files` is every workspace
+/// source as `(path, tokens, regions)`; a `pub fn` outside test regions
+/// under `crates/*/src` is a finding when no other file names it as an
+/// identifier. The check is by name, so it never flags a live function but
+/// misses an orphan whose name is used for something else elsewhere.
+pub fn scan_orphans(files: &[(&str, &[Tok], &Regions)]) -> Vec<Finding> {
+    let mut files_naming: HashMap<&str, usize> = HashMap::new();
+    for (_, toks, _) in files {
+        let idents: HashSet<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        for name in idents {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for &(path, toks, regions) in files {
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        for f in &regions.fns {
+            if is_pub(toks, f.start)
+                && !regions.in_test(f.start)
+                && files_naming.get(f.name.as_str()) == Some(&1)
+            {
+                out.push(Finding {
+                    rule: "L-ORPHAN",
+                    path: path.to_string(),
+                    line: f.line,
+                    message: format!(
+                        "`pub fn {}` is named in no other workspace file; make it private, \
+                         move it into this file's tests if only they call it, or delete it",
+                        f.name
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// True when the `fn` at `fn_idx` is plain `pub` (not `pub(crate)`), past
+/// any `const`/`unsafe`/`async` qualifiers.
+fn is_pub(toks: &[Tok], fn_idx: usize) -> bool {
+    let mut i = fn_idx;
+    while i > 0
+        && ["const", "unsafe", "async"]
+            .iter()
+            .any(|q| toks[i - 1].is_ident(q))
+    {
+        i -= 1;
+    }
+    i > 0 && toks[i - 1].is_ident("pub")
 }
 
 #[cfg(test)]

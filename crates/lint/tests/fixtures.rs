@@ -3,7 +3,7 @@
 //! every trigger word into positions the engine must ignore — and the
 //! PR 1 pull-BFS regression, checked against the *real* kernel source.
 
-use eta_lint::{lint_source, Finding};
+use eta_lint::{lint_files, lint_source, Finding};
 
 fn lint_fixture(as_path: &str, fixture: &str) -> Vec<Finding> {
     lint_source(as_path, fixture)
@@ -116,6 +116,43 @@ fn prof_span_fixture() {
         "L-PROF-SPAN",
         7,
     );
+}
+
+#[test]
+fn orphan_fixture() {
+    let lib = (
+        "crates/demo/src/lib.rs".to_string(),
+        include_str!("fixtures/orphan.rs").to_string(),
+    );
+    let caller = (
+        "tests/demo.rs".to_string(),
+        "fn main() { demo::fixture_called_elsewhere(); }".to_string(),
+    );
+    let lines = |files| -> Vec<(String, u32)> {
+        let (hits, _) = lint_files(files);
+        hits.into_iter()
+            .map(|(f, _)| {
+                assert_eq!(f.rule, "L-ORPHAN", "{f:#?}");
+                (f.path, f.line)
+            })
+            .collect()
+    };
+    let (_, allowed) = lint_files(vec![lib.clone(), caller.clone()]);
+    assert_eq!(allowed, 1, "the justified inline allow suppresses");
+    assert_eq!(
+        lines(vec![lib.clone(), caller]),
+        [("crates/demo/src/lib.rs".to_string(), 4)]
+    );
+    // Without the caller, the other `pub fn` is an orphan too.
+    assert_eq!(
+        lines(vec![lib.clone()]),
+        [
+            ("crates/demo/src/lib.rs".to_string(), 4),
+            ("crates/demo/src/lib.rs".to_string(), 8)
+        ]
+    );
+    // Only `crates/*/src` defines functions the rule checks.
+    assert!(lines(vec![("tests/demo.rs".to_string(), lib.1)]).is_empty());
 }
 
 #[test]

@@ -293,11 +293,6 @@ impl AdaptiveRegion {
         self.groups[page / GROUP_PAGES].choice
     }
 
-    /// Whether the region has escalated to region-wide prefetch.
-    pub fn is_escalated(&self) -> bool {
-        self.escalation.is_some_and(|e| e.route == Route::Stream)
-    }
-
     /// The region's terminal decision and its inputs, once escalated.
     pub fn escalation(&self) -> Option<Escalation> {
         self.escalation
@@ -470,6 +465,13 @@ impl AdaptiveRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdaptiveRegion {
+        /// Whether the region has escalated to region-wide prefetch.
+        fn is_escalated(&self) -> bool {
+            self.escalation.is_some_and(|e| e.route == Route::Stream)
+        }
+    }
 
     fn touched(r: &mut AdaptiveRegion, page: usize, sectors: u64) {
         for _ in 0..sectors {

@@ -40,7 +40,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    fn sets(&self) -> usize {
         (self.lines() as usize / self.ways).max(1)
     }
 }

@@ -18,8 +18,8 @@
 //!   explicit copies, UM page migrations and prefetch streams.
 //! * [`um`] — page residency, contiguous-fault merging, 2 MiB prefetch
 //!   chunks, and LRU eviction for oversubscription.
-//! * [`peer::PeerFabric`] — NVLink-style device↔device links (one serially
-//!   occupied link per device pair) used by the sharded engine's halo
+//! * [`peer::PeerFabric`] — NVLink-style device↔device links (one
+//!   [`pcie::PcieLink`] per device pair) used by the sharded engine's halo
 //!   exchanges.
 //! * [`adaptive`] — the HyTGraph-style per-page-group transfer policy:
 //!   observes access density each iteration and serves every 64 KiB group
@@ -55,7 +55,7 @@ pub use adaptive::{
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{sectors_for_warp, SECTOR_BYTES, WORD_BYTES};
 pub use pcie::PcieLink;
-pub use peer::{PeerFabric, PeerLink, PeerLinkCfg, PeerTransfer};
+pub use peer::{PeerFabric, PeerTransfer};
 pub use system::{DSlice, MemError, MemSystem, RegionId, TransferMode};
 pub use timeline::{Span, SpanKind, Timeline};
 pub use um::PAGE_BYTES;

@@ -57,24 +57,12 @@ impl PcieLink {
         self.slowdowns = windows;
     }
 
-    pub fn latency_ns(&self) -> Ns {
-        self.latency_ns
-    }
-
-    pub fn bandwidth_gb_s(&self) -> f64 {
-        self.bytes_per_ns
-    }
-
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
     }
 
-    pub fn busy_until(&self) -> Ns {
-        self.busy_until
-    }
-
     /// Pure wire time for `bytes` (no queueing, no latency).
-    pub fn wire_time(&self, bytes: u64) -> Ns {
+    fn wire_time(&self, bytes: u64) -> Ns {
         (bytes as f64 / self.bytes_per_ns).ceil() as Ns
     }
 

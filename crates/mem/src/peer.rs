@@ -7,92 +7,29 @@
 //! motivates modeling this explicitly — once the graph is partitioned, the
 //! link, not the SM, is the resource that must be priced correctly.
 //!
-//! The model is deliberately the same shape as [`crate::pcie::PcieLink`]:
-//! each unordered device pair owns one full-duplex-agnostic link with a
-//! fixed per-transfer latency and a bandwidth in GB/s. Transfers on the
-//! same link serialize (`busy_until`), which is the fabric-contention model:
-//! two exchanges between the same pair queue behind each other, while
-//! disjoint pairs proceed in parallel. Peer copies move pinned device
-//! memory, so no pageable-staging penalty applies (unlike explicit PCIe
-//! copies).
+//! A peer link is priced exactly like the host link, so each unordered
+//! device pair owns one [`PcieLink`] at NVLink rates (40 GB/s, 2 µs of
+//! setup per transfer). Transfers on the same link serialize
+//! (`busy_until`), which is the fabric-contention model: two exchanges
+//! between the same pair queue behind each other, while disjoint pairs
+//! proceed in parallel. Every transfer is a [`SpanKind::PeerCopy`], so no
+//! pageable-staging penalty applies (peer copies move pinned device memory)
+//! and no fault plan degrades the link.
 //!
-//! Every transfer is recorded as a [`SpanKind::PeerCopy`] span on the
-//! link's [`Timeline`]; the sharded engine mirrors those spans into
-//! eta-prof on `Track::Peer`.
+//! Each transfer is recorded as a `PeerCopy` span on the link's
+//! [`Timeline`](crate::timeline::Timeline); the sharded engine mirrors
+//! those spans into eta-prof on `Track::Peer`.
 
-use crate::timeline::{Span, SpanKind, Timeline};
+use crate::pcie::PcieLink;
+use crate::timeline::SpanKind;
 use crate::Ns;
 
-/// Bandwidth/latency parameters for one peer link.
-#[derive(Debug, Clone, Copy)]
-pub struct PeerLinkCfg {
-    /// Link bandwidth in GB/s (1 GB/s == 1 byte/ns).
-    pub bandwidth_gb_s: f64,
-    /// Fixed per-transfer setup latency in nanoseconds.
-    pub latency_ns: Ns,
-}
-
-impl PeerLinkCfg {
-    /// An NVLink 1.0-style brick: ~40 GB/s with a short setup latency —
-    /// roughly 3× the modeled PCIe bandwidth at a quarter of its latency,
-    /// matching the published NVLink-vs-PCIe ratios EMOGI reports.
-    pub fn nvlink() -> Self {
-        Self {
-            bandwidth_gb_s: 40.0,
-            latency_ns: 2_000,
-        }
-    }
-}
-
-impl Default for PeerLinkCfg {
-    fn default() -> Self {
-        Self::nvlink()
-    }
-}
-
-/// One device↔device link: serially occupied, span-recorded.
-#[derive(Debug, Clone)]
-pub struct PeerLink {
-    bytes_per_ns: f64,
-    latency_ns: Ns,
-    busy_until: Ns,
-    bytes_moved: u64,
-    pub timeline: Timeline,
-}
-
-impl PeerLink {
-    fn new(cfg: PeerLinkCfg) -> Self {
-        Self {
-            bytes_per_ns: cfg.bandwidth_gb_s,
-            latency_ns: cfg.latency_ns,
-            busy_until: 0,
-            bytes_moved: 0,
-            timeline: Timeline::new(),
-        }
-    }
-
-    /// Models one transfer of `bytes` requested at `now`; returns the
-    /// `(start, end)` interval. Requests queue behind the link's previous
-    /// occupancy — that serialization is the contention model.
-    fn transfer(&mut self, bytes: u64, now: Ns) -> (Ns, Ns) {
-        let start = now.max(self.busy_until);
-        let wire = (bytes as f64 / self.bytes_per_ns).ceil() as Ns;
-        let end = start + self.latency_ns + wire;
-        self.busy_until = end;
-        self.bytes_moved += bytes;
-        self.timeline.push(Span {
-            kind: SpanKind::PeerCopy,
-            start,
-            end,
-            bytes,
-        });
-        (start, end)
-    }
-
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-}
+/// NVLink 1.0-style bricks: ~40 GB/s with a short setup latency —
+/// roughly 3× the modeled PCIe bandwidth at a quarter of its latency,
+/// matching the published NVLink-vs-PCIe ratios EMOGI reports.
+const NVLINK_GB_S: f64 = 40.0;
+/// Per-transfer setup latency of every peer link.
+const NVLINK_LATENCY_NS: Ns = 2_000;
 
 /// One recorded peer transfer with its endpoints, for profiler mirroring.
 #[derive(Debug, Clone, Copy)]
@@ -106,45 +43,41 @@ pub struct PeerTransfer {
 
 /// The all-pairs peer fabric of a device group.
 ///
-/// Holds one [`PeerLink`] per unordered device pair, created lazily on
+/// Holds one [`PcieLink`] per unordered device pair, created lazily on
 /// first use so a fabric over N devices costs O(pairs actually exercised).
 #[derive(Debug, Clone)]
 pub struct PeerFabric {
     devices: u32,
-    cfg: PeerLinkCfg,
     /// Keyed by `(min, max)` of the endpoint pair, kept sorted for
     /// deterministic iteration.
-    links: Vec<((u32, u32), PeerLink)>,
+    links: Vec<((u32, u32), PcieLink)>,
     /// Every transfer in request order, with endpoints (links only record
     /// anonymous spans).
     log: Vec<PeerTransfer>,
 }
 
 impl PeerFabric {
-    pub fn new(devices: u32, cfg: PeerLinkCfg) -> Self {
+    /// A fabric over `devices` devices whose every link runs at NVLink
+    /// rates.
+    pub fn nvlink(devices: u32) -> Self {
         Self {
             devices,
-            cfg,
             links: Vec::new(),
             log: Vec::new(),
         }
-    }
-
-    /// A fabric with the default NVLink-style link parameters.
-    pub fn nvlink(devices: u32) -> Self {
-        Self::new(devices, PeerLinkCfg::nvlink())
     }
 
     pub fn devices(&self) -> u32 {
         self.devices
     }
 
-    fn link_mut(&mut self, a: u32, b: u32) -> &mut PeerLink {
+    fn link_mut(&mut self, a: u32, b: u32) -> &mut PcieLink {
         let key = (a.min(b), a.max(b));
         match self.links.binary_search_by_key(&key, |(k, _)| *k) {
             Ok(i) => &mut self.links[i].1,
             Err(i) => {
-                self.links.insert(i, (key, PeerLink::new(self.cfg)));
+                let link = PcieLink::new(NVLINK_GB_S, NVLINK_LATENCY_NS);
+                self.links.insert(i, (key, link));
                 &mut self.links[i].1
             }
         }
@@ -154,7 +87,9 @@ impl PeerFabric {
     /// returns the `(start, end)` interval on the pair's link.
     pub fn transfer(&mut self, from: u32, to: u32, bytes: u64, now: Ns) -> (Ns, Ns) {
         debug_assert!(from < self.devices && to < self.devices && from != to);
-        let (start, end) = self.link_mut(from, to).transfer(bytes, now);
+        let (start, end) = self
+            .link_mut(from, to)
+            .transfer(SpanKind::PeerCopy, bytes, now);
         self.log.push(PeerTransfer {
             from,
             to,
@@ -182,7 +117,7 @@ impl PeerFabric {
     }
 
     /// The link for an unordered pair, if it has carried traffic.
-    pub fn link(&self, a: u32, b: u32) -> Option<&PeerLink> {
+    pub fn link(&self, a: u32, b: u32) -> Option<&PcieLink> {
         let key = (a.min(b), a.max(b));
         self.links
             .binary_search_by_key(&key, |(k, _)| *k)
@@ -197,20 +132,15 @@ mod tests {
 
     #[test]
     fn transfers_on_one_link_serialize() {
-        let mut f = PeerFabric::new(
-            2,
-            PeerLinkCfg {
-                bandwidth_gb_s: 1.0,
-                latency_ns: 100,
-            },
-        );
-        let (s1, e1) = f.transfer(0, 1, 1000, 0);
-        assert_eq!((s1, e1), (0, 1100));
+        // 40_000 B at 40 GB/s is 1000 ns of wire time after 2000 ns of setup.
+        let mut f = PeerFabric::nvlink(2);
+        let (s1, e1) = f.transfer(0, 1, 40_000, 0);
+        assert_eq!((s1, e1), (0, 3000));
         // Second request at t=50 queues behind the first (contention), and
         // the reverse direction shares the same physical link.
-        let (s2, e2) = f.transfer(1, 0, 1000, 50);
-        assert_eq!((s2, e2), (1100, 2200));
-        assert_eq!(f.bytes_moved(), 2000);
+        let (s2, e2) = f.transfer(1, 0, 40_000, 50);
+        assert_eq!((s2, e2), (3000, 6000));
+        assert_eq!(f.bytes_moved(), 80_000);
     }
 
     #[test]
@@ -227,15 +157,9 @@ mod tests {
     fn peer_copies_skip_the_pageable_penalty() {
         // 40 GB/s for 40_000 bytes is 1000 ns of wire time exactly; the
         // pageable staging factor (pcie.rs) must not apply to peer copies.
-        let mut f = PeerFabric::new(
-            2,
-            PeerLinkCfg {
-                bandwidth_gb_s: 40.0,
-                latency_ns: 0,
-            },
-        );
+        let mut f = PeerFabric::nvlink(2);
         let (s, e) = f.transfer(0, 1, 40_000, 0);
-        assert_eq!(e - s, 1000);
+        assert_eq!(e - s - NVLINK_LATENCY_NS, 1000);
     }
 
     #[test]

@@ -48,10 +48,6 @@ impl MemSystem {
         }
     }
 
-    pub fn init_tracking_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     /// Whether `addr` has been written since tracking was enabled. Always
     /// `true` when tracking is off, so callers need no mode check.
     #[inline]
@@ -131,6 +127,12 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use crate::system::tests::system;
+
+    impl crate::system::MemSystem {
+        fn init_tracking_enabled(&self) -> bool {
+            self.shadow.is_some()
+        }
+    }
 
     #[test]
     fn host_roundtrip() {

@@ -75,22 +75,6 @@ pub struct UmStats {
 }
 
 impl UmStats {
-    pub fn batch_avg_bytes(&self) -> f64 {
-        if self.migration_batches.is_empty() {
-            0.0
-        } else {
-            self.migrated_bytes as f64 / self.migration_batches.len() as f64
-        }
-    }
-
-    pub fn batch_min_bytes(&self) -> u64 {
-        self.migration_batches.iter().copied().min().unwrap_or(0)
-    }
-
-    pub fn batch_max_bytes(&self) -> u64 {
-        self.migration_batches.iter().copied().max().unwrap_or(0)
-    }
-
     /// All observed migration sizes (demand batches and prefetch chunks),
     /// matching what the paper's Table V reports per configuration.
     pub fn all_sizes(&self) -> Vec<u64> {
@@ -649,10 +633,19 @@ mod tests {
             }
             p = d.region(r).resident_pages();
         }
-        let max = d.stats.batch_max_bytes();
-        let min = d.stats.batch_min_bytes();
-        assert_eq!(max, MAX_BATCH_BYTES, "dense faulting reaches the 1 MiB cap");
-        assert_eq!(min, FAULT_GROUP_BYTES, "the first cold batch stays small");
+        let batches = &d.stats.migration_batches;
+        let max = batches.iter().copied().max();
+        let min = batches.iter().copied().min();
+        assert_eq!(
+            max,
+            Some(MAX_BATCH_BYTES),
+            "dense faulting reaches the 1 MiB cap"
+        );
+        assert_eq!(
+            min,
+            Some(FAULT_GROUP_BYTES),
+            "the first cold batch stays small"
+        );
     }
 
     #[test]
@@ -663,7 +656,8 @@ mod tests {
         for p in [0usize, 1000, 2000, 3000] {
             d.touch_pages(r, &[p], 0, u64::MAX, &mut l);
         }
-        assert!(d.stats.batch_max_bytes() <= 2 * FAULT_GROUP_BYTES);
+        let batches = &d.stats.migration_batches;
+        assert!(batches.iter().all(|&b| b <= 2 * FAULT_GROUP_BYTES));
     }
 
     #[test]
@@ -735,17 +729,6 @@ mod tests {
         let before = d.stats.migration_batches.len();
         d.touch_pages(r, &[0], 0, budget, &mut l);
         assert!(d.stats.migration_batches.len() > before);
-    }
-
-    #[test]
-    fn stats_summaries() {
-        let (mut d, r) = driver_with_region(512);
-        let mut l = link();
-        d.touch_pages(r, &[0], 0, u64::MAX, &mut l);
-        d.touch_pages(r, &[400], 0, u64::MAX, &mut l);
-        assert_eq!(d.stats.batch_min_bytes(), FAULT_GROUP_BYTES);
-        assert!(d.stats.batch_avg_bytes() > 0.0);
-        assert!(d.stats.batch_max_bytes() <= MAX_BATCH_BYTES);
     }
 
     #[test]

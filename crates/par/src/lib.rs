@@ -1,11 +1,10 @@
 //! `eta-par` — a minimal, dependency-light data-parallel substrate.
 //!
 //! The EtaGraph reproduction needs a small slice of what `rayon` offers:
-//! chunked parallel-for over slices, and deterministic
-//! map-reduce. Rather than pull in a work-stealing scheduler, we build that
+//! chunked parallel-for over slices, a parallel sort and a two-stage
+//! pipeline. Rather than pull in a work-stealing scheduler, we build that
 //! slice on `crossbeam::scope`, which is plenty for the regular, statically
-//! partitionable loops that dominate graph generation, analysis and the CPU
-//! reference algorithms.
+//! partitionable loops that dominate graph generation and construction.
 //!
 //! Design points:
 //!
@@ -14,9 +13,9 @@
 //!   (edge generation, label init, histogram builds), so static partitioning
 //!   is within a few percent of a work-stealing schedule and keeps the
 //!   implementation obviously correct.
-//! * **Deterministic reduction.** [`map_reduce`] always folds per-thread
-//!   partials in thread-index order, so floating-point and other
-//!   non-commutative reductions are reproducible run to run.
+//! * **Deterministic results.** Each element's value depends only on its
+//!   index, never on which worker ran it, so [`build_vec`] returns the same
+//!   vector at every thread count.
 //! * **Small-input fast path.** Inputs below [`PAR_THRESHOLD`] run inline on
 //!   the calling thread; spawning threads for tiny loops costs more than it
 //!   saves.
@@ -106,7 +105,7 @@ pub fn chunks(len: usize, parts: usize) -> Vec<(usize, usize)> {
 }
 
 /// Parallel in-place transform of a mutable slice, chunk by chunk.
-pub fn for_each_mut<T, F>(data: &mut [T], body: F)
+fn for_each_mut<T, F>(data: &mut [T], body: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
@@ -339,53 +338,6 @@ impl<T> Drop for Closer<'_, '_, T> {
     }
 }
 
-/// Parallel map-reduce over `0..len` with a deterministic fold order.
-///
-/// Each worker folds its chunk with `fold` starting from `identity()`; the
-/// per-thread partials are then combined with `combine` in chunk order, so
-/// the result is independent of thread scheduling.
-pub fn map_reduce<T, I, F, C>(len: usize, identity: I, fold: F, combine: C) -> T
-where
-    T: Send,
-    I: Fn() -> T + Sync,
-    F: Fn(T, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let threads = current_threads();
-    if len < PAR_THRESHOLD || threads <= 1 {
-        let mut acc = identity();
-        for i in 0..len {
-            acc = fold(acc, i);
-        }
-        return acc;
-    }
-    let parts = chunks(len, threads);
-    let partials: Vec<T> = crossbeam::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|&(a, b)| {
-                let identity = &identity;
-                let fold = &fold;
-                s.spawn(move |_| {
-                    let mut acc = identity();
-                    for i in a..b {
-                        acc = fold(acc, i);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("eta-par worker panicked"))
-            .collect()
-    })
-    .expect("eta-par scope failed");
-    let mut iter = partials.into_iter();
-    let first = iter.next().expect("chunks() never returns empty for len>0");
-    iter.fold(first, combine)
-}
-
 /// Convenience: parallel generation of a `Vec<T>` where element `i` is
 /// `gen(i)`.
 pub fn build_vec<T, G>(len: usize, generate: G) -> Vec<T>
@@ -447,41 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_sums_correctly() {
-        let n = 50_000usize;
-        let total = map_reduce(n, || 0u64, |acc, i| acc + i as u64, |a, b| a + b);
-        assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
-    }
-
-    #[test]
-    fn map_reduce_is_deterministic_for_order_sensitive_combine() {
-        // Fold partials into a Vec — result must always be in chunk order.
-        let n = 20_000usize;
-        let a = map_reduce(
-            n,
-            Vec::new,
-            |mut acc: Vec<usize>, i| {
-                if i % 5000 == 0 {
-                    acc.push(i);
-                }
-                acc
-            },
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-        );
-        assert_eq!(a, vec![0, 5000, 10000, 15000]);
-    }
-
-    #[test]
     fn small_inputs_run_inline() {
         // Must not deadlock or spawn for trivial sizes.
         let mut v = vec![0u8; 16];
         for_each_mut(&mut v, |i, x| *x = i as u8);
         assert_eq!(v[15], 15);
-        let s = map_reduce(10, || 0usize, |a, i| a + i, |a, b| a + b);
-        assert_eq!(s, 45);
     }
 
     #[test]

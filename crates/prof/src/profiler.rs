@@ -105,7 +105,7 @@ impl Profiler {
     /// Closes the innermost open span, attaching args known only at close
     /// time (e.g. the iteration's frontier size). A stray `end` with no
     /// open span is ignored rather than corrupting the recording.
-    pub fn end_with_args(&mut self, ts: Ns, args: Vec<(&'static str, ArgValue)>) {
+    fn end_with_args(&mut self, ts: Ns, args: Vec<(&'static str, ArgValue)>) {
         if !self.enabled {
             return;
         }

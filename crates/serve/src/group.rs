@@ -10,7 +10,6 @@ use crate::qos::QosConfig;
 use crate::registry::GraphRegistry;
 use crate::sched::{Policy, ServeConfig, Service};
 use eta_fault::FaultPlan;
-use eta_mem::Ns;
 use eta_sim::GpuConfig;
 use etagraph::EtaConfig;
 
@@ -28,12 +27,6 @@ pub struct GroupConfig {
     pub queue_capacity: usize,
     /// Per-device fault plan, installed on each member at every launch.
     pub faults: FaultPlan,
-    /// Device-fault retries per query before the CPU fallback answers it.
-    pub max_retries: u32,
-    /// First retry delay; doubles per retry.
-    pub backoff_base_ns: Ns,
-    /// How long a faulted member sits out of dispatch.
-    pub quarantine_ns: Ns,
     /// Snapshot interval in supersteps (0 = checkpointing off; a faulted
     /// query then retries from scratch on the regrouped set).
     pub checkpoint_interval: u32,
@@ -50,9 +43,6 @@ impl Default for GroupConfig {
             eta: EtaConfig::paper(),
             queue_capacity: 256,
             faults: FaultPlan::default(),
-            max_retries: 2,
-            backoff_base_ns: 50_000,
-            quarantine_ns: 2_000_000,
             checkpoint_interval: 0,
             qos: QosConfig::default(),
         }
@@ -78,10 +68,7 @@ impl GroupService {
             max_batch: 1,
             policy: Policy::Fifo,
             faults: cfg.faults,
-            max_retries: cfg.max_retries,
-            backoff_base_ns: cfg.backoff_base_ns,
             quarantine_after: 1,
-            quarantine_ns: cfg.quarantine_ns,
             checkpoint_interval: cfg.checkpoint_interval,
             qos: cfg.qos,
         };
@@ -96,6 +83,7 @@ mod tests {
     use eta_ckpt::digest_words;
     use eta_graph::generate::{rmat, RmatConfig};
     use eta_graph::reference;
+    use eta_mem::Ns;
 
     fn registry_with(names: &[(&str, u64)]) -> GraphRegistry {
         let mut reg = GraphRegistry::new();

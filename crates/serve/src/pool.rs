@@ -101,16 +101,6 @@ impl DeviceWorker {
             + MultiBfsResources::footprint_bytes(csr, cfg)
     }
 
-    /// Number of graphs currently resident on this device.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Whether `name` is resident on this device.
-    pub fn is_resident(&self, name: &str) -> bool {
-        self.resident.contains_key(name)
-    }
-
     /// Makes `name` resident (uploading and evicting as needed) and returns
     /// the time its synchronous setup completes (`now` when already warm).
     pub fn ensure_resident(
@@ -204,13 +194,6 @@ impl DeviceWorker {
         self.run_batch_ckpt(name, sources, cfg, start, &mut CkptSink::default(), None)
     }
 
-    /// Content digest of the resident graph `name` (`None` when not
-    /// resident). The scheduler stamps checkpoints with this so a resume
-    /// on another device validates it resumes against the same topology.
-    pub fn resident_digest(&self, name: &str) -> Option<u64> {
-        self.resident.get(name).map(|rg| rg.digest)
-    }
-
     /// Runs one batch against the resident graph `name`, starting at
     /// `start` on this device's clock. Snapshots land in `sink` at its
     /// configured interval (a disabled sink is byte-inert), and `resume`
@@ -239,6 +222,24 @@ mod tests {
     use super::*;
     use eta_graph::generate::{rmat, RmatConfig};
     use eta_graph::reference;
+
+    impl DeviceWorker {
+        /// Number of graphs currently resident on this device.
+        fn resident_count(&self) -> usize {
+            self.resident.len()
+        }
+
+        /// Whether `name` is resident on this device.
+        fn is_resident(&self, name: &str) -> bool {
+            self.resident.contains_key(name)
+        }
+
+        /// Content digest of the resident graph `name` (`None` when not
+        /// resident).
+        fn resident_digest(&self, name: &str) -> Option<u64> {
+            self.resident.get(name).map(|rg| rg.digest)
+        }
+    }
 
     fn small(seed: u64) -> Csr {
         rmat(&RmatConfig::paper(10, 8_000, seed))

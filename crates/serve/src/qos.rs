@@ -158,7 +158,7 @@ impl TokenBucket {
 
     /// Takes `n` tokens if available at `now`; `false` leaves the balance
     /// untouched.
-    pub fn try_take(&mut self, now: Ns, n: u64) -> bool {
+    fn try_take(&mut self, now: Ns, n: u64) -> bool {
         self.refill(now);
         if self.tokens >= n {
             self.tokens -= n;
@@ -166,12 +166,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Current balance at `now` (refills first).
-    pub fn available(&mut self, now: Ns) -> u64 {
-        self.refill(now);
-        self.tokens
     }
 }
 
@@ -193,7 +187,7 @@ impl CostModel {
     /// Analytic prior: a launch overhead plus memory-bound per-vertex and
     /// per-edge walks at GPU rates. Zero-copy pays per-edge sector reads
     /// over PCIe, so its prior doubles.
-    pub fn prior(csr: &Csr, eta: &EtaConfig) -> Ns {
+    fn prior(csr: &Csr, eta: &EtaConfig) -> Ns {
         let base = 30_000 + csr.n() as Ns / 2 + csr.m() as Ns / 4;
         if eta.transfer == TransferMode::ZeroCopy {
             base * 2
@@ -327,6 +321,14 @@ impl QosState {
 mod tests {
     use super::*;
     use eta_graph::generate::{rmat, RmatConfig};
+
+    impl TokenBucket {
+        /// Current balance at `now` (refills first).
+        fn available(&mut self, now: Ns) -> u64 {
+            self.refill(now);
+            self.tokens
+        }
+    }
 
     #[test]
     fn token_bucket_refills_exactly_with_carry() {

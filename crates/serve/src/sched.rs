@@ -39,6 +39,17 @@ impl Policy {
     }
 }
 
+/// Device-fault retries per request before the CPU fallback answers it.
+const MAX_RETRIES: u32 = 2;
+
+/// First retry delay; doubles per retry (`BACKOFF_BASE_NS << retries`,
+/// simulated time).
+const BACKOFF_BASE_NS: Ns = 50_000;
+
+/// How long a quarantined device sits out of dispatch before the scheduler
+/// re-probes it with ordinary traffic.
+const QUARANTINE_NS: Ns = 2_000_000;
+
 /// Service shape: how many devices, how they are configured, and how the
 /// queue behaves.
 #[derive(Debug, Clone)]
@@ -59,16 +70,9 @@ pub struct ServeConfig {
     /// (empty) plan is inert: the service behaves — and its report
     /// serializes — exactly as if the fault machinery did not exist.
     pub faults: FaultPlan,
-    /// Device-fault retries per request before the CPU fallback answers it.
-    pub max_retries: u32,
-    /// First retry delay; doubles per retry (`base << retries`, simulated
-    /// time).
-    pub backoff_base_ns: Ns,
-    /// Consecutive faults (no intervening success) that quarantine a device.
+    /// Consecutive faults (no intervening success) that quarantine a device
+    /// for `QUARANTINE_NS`.
     pub quarantine_after: u32,
-    /// How long a quarantined device sits out of dispatch before the
-    /// scheduler re-probes it with ordinary traffic.
-    pub quarantine_ns: Ns,
     /// Snapshot interval in traversal iterations (0 = checkpointing off;
     /// the service then behaves — and its report serializes — exactly as
     /// if the checkpoint machinery did not exist). With an interval, a
@@ -91,10 +95,7 @@ impl Default for ServeConfig {
             max_batch: MAX_BATCH,
             policy: Policy::PriorityDeadline,
             faults: FaultPlan::default(),
-            max_retries: 2,
-            backoff_base_ns: 50_000,
             quarantine_after: 3,
-            quarantine_ns: 2_000_000,
             checkpoint_interval: 0,
             qos: QosConfig::default(),
         }
@@ -585,7 +586,7 @@ impl<'r> Service<'r> {
         self.ledger.faulted(w.id, &fault, fail_at, members.len());
         if w.consecutive_faults >= self.cfg.quarantine_after {
             w.consecutive_faults = 0;
-            w.quarantined_until = fail_at + self.cfg.quarantine_ns;
+            w.quarantined_until = fail_at + QUARANTINE_NS;
             self.ledger.quarantined(w.id, fail_at, w.quarantined_until);
         }
         (w.id, fail_at)
@@ -607,7 +608,7 @@ impl<'r> Service<'r> {
     ) {
         let snapshot = job.resume.as_ref().map(|(ck, _)| ck.iteration);
         for (slot, mut q) in std::mem::take(&mut job.riders) {
-            let mut granted = q.retries < self.cfg.max_retries;
+            let mut granted = q.retries < MAX_RETRIES;
             if granted {
                 if let Some(verdict) = st.qos.retry_try_take(&self.cfg.qos, fail_at) {
                     self.ledger.retry_verdict(&q, verdict, fail_at);
@@ -646,7 +647,7 @@ impl<'r> Service<'r> {
     /// Exponential backoff after a fault at `fail_at`; the gate is strictly
     /// in the future, so the event loop always advances.
     fn gate(&self, retries: u32, fail_at: Ns, now: Ns) -> Ns {
-        (fail_at + (self.cfg.backoff_base_ns << retries)).max(now + 1)
+        (fail_at + (BACKOFF_BASE_NS << retries)).max(now + 1)
     }
 
     /// Last rung: the CPU reference answers a rider. Slow but sure — the
@@ -961,7 +962,7 @@ mod tests {
         };
         let report = Service::new(&reg, cfg).run(&[req(0, "g", 0, 0)]);
         // Attempts at retries 0, 1, 2 all hang; the third strike both
-        // quarantines the device and exhausts max_retries (2), so the CPU
+        // quarantines the device and exhausts MAX_RETRIES (2), so the CPU
         // reference answers.
         assert_eq!(report.completed, 1, "no request is lost to faults");
         assert_eq!(report.rejected, 0);

@@ -130,7 +130,7 @@ fn one_scheduler_countable() {
         ("fn cpu_fallback(", "CPU fallbacks"),
         ("10_000 + 2 *", "copies of the CPU cost model"),
         (".retry_try_take(", "retry-budget call sites"),
-        ("backoff_base_ns <<", "backoff computations"),
+        ("BACKOFF_BASE_NS <<", "backoff computations"),
         ("loop {", "event loops"),
     ] {
         assert_eq!(count(&src, needle, ""), 1, "{what} (`{needle}`)");

@@ -358,7 +358,7 @@ impl Device {
 
     /// Resident warps per SM for a launch, honoring warp and shared-memory
     /// limits.
-    pub fn occupancy(&self, launch: &LaunchConfig, shared_words_per_block: u64) -> u64 {
+    fn occupancy(&self, launch: &LaunchConfig, shared_words_per_block: u64) -> u64 {
         let warps_per_block = (launch.threads_per_block as u64).div_ceil(32).max(1);
         let max_blocks_by_warps = self.cfg.max_resident_warps as u64 / warps_per_block;
         let shared_bytes = shared_words_per_block * 4;

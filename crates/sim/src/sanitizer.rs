@@ -134,21 +134,21 @@ pub struct KernelLintStats {
 
 impl KernelLintStats {
     /// Mean fraction of the 32 lanes active per global-memory instruction.
-    pub fn divergence_ratio(&self) -> f64 {
+    fn divergence_ratio(&self) -> f64 {
         if self.mem_instructions == 0 {
             return 1.0;
         }
         self.active_lanes as f64 / (self.mem_instructions * WARP_SIZE as u64) as f64
     }
 
-    pub fn sectors_per_instruction(&self) -> f64 {
+    fn sectors_per_instruction(&self) -> f64 {
         if self.mem_instructions == 0 {
             return 0.0;
         }
         self.sectors as f64 / self.mem_instructions as f64
     }
 
-    pub fn uncoalesced_fraction(&self) -> f64 {
+    fn uncoalesced_fraction(&self) -> f64 {
         if self.mem_instructions == 0 {
             return 0.0;
         }
@@ -156,7 +156,7 @@ impl KernelLintStats {
     }
 
     /// Mean shared-memory bank serialization (1.0 = conflict-free).
-    pub fn avg_bank_conflict_ways(&self) -> f64 {
+    fn avg_bank_conflict_ways(&self) -> f64 {
         if self.shared_instructions == 0 {
             return 1.0;
         }
