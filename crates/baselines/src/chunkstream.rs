@@ -36,14 +36,12 @@ pub const DEFAULT_CHUNK_EDGES: u32 = 512 * 1024;
 
 pub struct ChunkStream {
     pub chunk_edges: u32,
-    pub threads_per_block: u32,
 }
 
 impl Default for ChunkStream {
     fn default() -> Self {
         ChunkStream {
             chunk_edges: DEFAULT_CHUNK_EDGES,
-            threads_per_block: 256,
         }
     }
 }
@@ -126,7 +124,7 @@ impl Framework for ChunkStream {
         let labels = dev.mem.alloc_explicit(n as u64)?;
         let flag = dev.mem.alloc_explicit(1)?;
 
-        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let mut group = Group::solo(dev, 0);
         let lane = &mut group.lane(0);
         lane.h2d(labels, &init_labels(n, source, alg));
 
@@ -213,10 +211,7 @@ mod tests {
     }
 
     fn small_chunks() -> ChunkStream {
-        ChunkStream {
-            chunk_edges: 4096,
-            threads_per_block: 256,
-        }
+        ChunkStream { chunk_edges: 4096 }
     }
 
     #[test]

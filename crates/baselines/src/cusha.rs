@@ -32,19 +32,8 @@ use etagraph::Algorithm;
 /// Consecutive edges processed per thread (CuSha's unrolled entry stride).
 pub const EDGES_PER_THREAD: u32 = 8;
 
-pub struct CushaLike {
-    pub threads_per_block: u32,
-    pub window: u32,
-}
-
-impl Default for CushaLike {
-    fn default() -> Self {
-        CushaLike {
-            threads_per_block: 256,
-            window: GShards::DEFAULT_WINDOW,
-        }
-    }
-}
+#[derive(Default)]
+pub struct CushaLike {}
 
 /// This warp's entry runs: `EDGES_PER_THREAD` consecutive entries per
 /// thread from `tid * EDGES_PER_THREAD`, clipped to the `m` entries, and
@@ -161,7 +150,7 @@ impl Framework for CushaLike {
         let m = csr.m() as u64;
 
         // Host-side sharding (preprocessing, uncharged per the methodology).
-        let shards = GShards::from_csr(csr, self.window);
+        let shards = GShards::from_csr(csr, GShards::DEFAULT_WINDOW);
         let mut src_h = Vec::with_capacity(csr.m());
         let mut dst_h = Vec::with_capacity(csr.m());
         let mut w_h: Vec<u32> = Vec::with_capacity(if csr.is_weighted() { csr.m() } else { 0 });
@@ -192,7 +181,7 @@ impl Framework for CushaLike {
         let flag = dev.mem.alloc_explicit(1)?;
 
         // Upfront transfers of all shard data.
-        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let mut group = Group::solo(dev, 0);
         let lane = &mut group.lane(0);
         if m > 0 {
             lane.h2d(src, &src_h);

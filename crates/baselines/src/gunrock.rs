@@ -36,17 +36,8 @@ use etagraph::Algorithm;
 /// Degree threshold between the per-thread and warp-cooperative mappings.
 pub const WARP_DEGREE_THRESHOLD: u32 = 32;
 
-pub struct GunrockLike {
-    pub threads_per_block: u32,
-}
-
-impl Default for GunrockLike {
-    fn default() -> Self {
-        GunrockLike {
-            threads_per_block: 256,
-        }
-    }
-}
+#[derive(Default)]
+pub struct GunrockLike {}
 
 /// Load-balancing partition pass: gather frontier degrees into the scan
 /// array (Gunrock sizes its advance grid from this scan).
@@ -217,7 +208,7 @@ impl Framework for GunrockLike {
         let scan_temp = dev.mem.alloc_explicit((m / 2).max(n as u64).max(1))?;
 
         // Upfront transfers.
-        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let mut group = Group::solo(dev, 0);
         let lane = &mut group.lane(0);
         lane.h2d(row_offsets, &csr.row_offsets);
         if m > 0 {

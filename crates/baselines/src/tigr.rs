@@ -31,19 +31,8 @@ use etagraph::Algorithm;
 /// Degree bound Tigr uses for its virtual split (the Tigr paper's default).
 pub const TIGR_K: u32 = 16;
 
-pub struct TigrLike {
-    pub k: u32,
-    pub threads_per_block: u32,
-}
-
-impl Default for TigrLike {
-    fn default() -> Self {
-        TigrLike {
-            k: TIGR_K,
-            threads_per_block: 256,
-        }
-    }
-}
+#[derive(Default)]
+pub struct TigrLike {}
 
 /// Expand kernel: push every virtual vertex of each active real vertex.
 struct ExpandKernel {
@@ -135,7 +124,7 @@ impl Framework for TigrLike {
         let n = csr.n() as u32;
 
         // Host-side preprocessing (not charged, per the paper's methodology).
-        let vst = Vst::from_csr(csr, self.k);
+        let vst = Vst::from_csr(csr, TIGR_K);
         let n_virt = vst.n_virtual() as u32;
 
         // Explicit device structures: the Table I VST footprint.
@@ -158,7 +147,7 @@ impl Framework for TigrLike {
         let virt_frontier = DeviceQueue::alloc(&mut *dev, n_virt.max(1))?;
 
         // Upfront copies (charged).
-        let mut group = Group::solo(dev, 0, self.threads_per_block);
+        let mut group = Group::solo(dev, 0);
         let lane = &mut group.lane(0);
         lane.h2d(virt_offsets, &vst.virt_offsets);
         if !vst.virt_real.is_empty() {

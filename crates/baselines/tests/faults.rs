@@ -19,10 +19,7 @@ fn frameworks() -> Vec<Box<dyn Framework>> {
         Box::new(TigrLike::default()),
         Box::new(GunrockLike::default()),
         Box::new(CushaLike::default()),
-        Box::new(ChunkStream {
-            chunk_edges: 4096,
-            threads_per_block: 256,
-        }),
+        Box::new(ChunkStream { chunk_edges: 4096 }),
     ]
 }
 

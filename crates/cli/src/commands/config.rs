@@ -4,7 +4,7 @@ use super::Output;
 use crate::args::{ArgError, Args};
 use eta_sim::{Device, GpuConfig, SanitizerMode};
 use etagraph::kernels::smp_shared_words;
-use etagraph::{EtaConfig, TransferMode, UdcMode};
+use etagraph::{EtaConfig, TransferMode, UdcMode, THREADS_PER_BLOCK};
 use serde_json::json;
 use std::fmt::Write as _;
 
@@ -57,7 +57,7 @@ pub(crate) fn smp_config(
 ) -> Result<EtaConfig, ArgError> {
     let mut cfg = eta_config(args)?;
     cfg.smp &= !args.switch("no-smp");
-    let words = smp_shared_words(cfg.smp, cfg.k, cfg.threads_per_block, weighted);
+    let words = smp_shared_words(cfg.smp, cfg.k, THREADS_PER_BLOCK, weighted);
     if words * 4 > gpu.shared_mem_per_sm {
         return Err(ArgError(format!(
             "--k {} needs {} B of shared memory per block for Shared Memory Prefetch; \

@@ -245,6 +245,39 @@ mod tests {
     }
 
     #[test]
+    fn web_generator_refuses_bad_shapes_before_generating() {
+        let f = tmpfile("web-bad.etag");
+        for (flags, named) in [
+            ("--vertices 3", "--vertices"),
+            ("--vertices 100 --island 90", "--island"),
+            ("--vertices 100 --island 25", "--island"),
+            ("--vertices 100 --lcc nan", "--lcc"),
+            ("--vertices 100 --lcc -1", "--lcc"),
+            ("--vertices 100 --lcc 2", "--lcc"),
+        ] {
+            let cmd = format!("generate web {flags} --edges 400 --out {f}");
+            let err = dispatch(argv(&cmd)).unwrap_err();
+            assert!(err.0.contains(named), "{flags}: {err}");
+            assert!(!std::path::Path::new(&f).exists(), "{flags} wrote a graph");
+        }
+    }
+
+    #[test]
+    fn pagerank_refuses_a_damping_outside_the_unit_interval() {
+        let f = tmpfile("pr-damping.etag");
+        dispatch(argv(&format!(
+            "generate rmat --scale 8 --edges 2000 --out {f}"
+        )))
+        .unwrap();
+        for damping in ["nan", "-0.1", "1.5", "inf"] {
+            let cmd = format!("run {f} --alg pagerank --damping {damping}");
+            let err = dispatch(argv(&cmd)).unwrap_err();
+            assert!(err.0.contains("--damping"), "{damping}: {err}");
+        }
+        std::fs::remove_file(&f).ok();
+    }
+
+    #[test]
     fn connected_components_via_cli() {
         let f = tmpfile("cc.etag");
         dispatch(argv(&format!(
@@ -440,6 +473,25 @@ mod tests {
             .unwrap_err()
             .0
             .contains("--rate"));
+        // Each of these used to panic, trip an assert or pass silently.
+        for (flags, named) in [
+            ("--slo-ms 18446744073710", "--slo-ms"),
+            ("--timeout-ms 18446744073710", "--timeout-ms"),
+            ("--rate nan", "--rate"),
+            ("--rate inf", "--rate"),
+            ("--interactive-frac 7", "--interactive-frac"),
+            ("--interactive-frac nan", "--interactive-frac"),
+            ("--interactive-frac -0.5", "--interactive-frac"),
+        ] {
+            let err = dispatch(argv(&format!("serve --graph rmat10 {flags}"))).unwrap_err();
+            assert!(err.0.contains(named), "{flags}: {err}");
+        }
+        // The largest SLO the clock holds serves: its deadlines saturate.
+        let out = dispatch(argv(
+            "serve --graph rmat10 --requests 5 --rate 5000 --slo-ms 18446744073709",
+        ))
+        .unwrap();
+        assert_eq!(out.json["report"]["completed"], 5);
         // Typo'd flags are named, like every other subcommand.
         let err = dispatch(argv("serve --graph rmat10 --reqests 10")).unwrap_err();
         assert!(err.0.contains("--reqests"), "{err}");

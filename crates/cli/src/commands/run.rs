@@ -210,6 +210,9 @@ fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgErro
         iterations: args.get_parse("iterations", 20)?,
         eta: smp_config(args, false, &devs[0].cfg)?,
     };
+    if !(0.0..=1.0).contains(&cfg.damping) {
+        return Err(ArgError("--damping takes a fraction in [0, 1]".into()));
+    }
     let mut text = String::new();
     let (digest, json) = if let [dev] = devs {
         let r = etagraph::pagerank::run(dev, g, &cfg)

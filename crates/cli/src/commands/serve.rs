@@ -31,10 +31,16 @@ fn parse_graph_spec(spec: &str, idx: usize) -> Result<Csr, ArgError> {
 
 /// `--NAME MS` in nanoseconds; `None` when the flag is absent.
 fn ns_from_ms(args: &Args, name: &str) -> Result<Option<u64>, ArgError> {
-    match args.get(name) {
-        None => Ok(None),
-        Some(_) => Ok(Some(args.require_parse::<u64>(name)? * 1_000_000)),
+    if args.get(name).is_none() {
+        return Ok(None);
     }
+    let ms = args.require_parse::<u64>(name)?;
+    let max = u64::MAX / 1_000_000;
+    ms.checked_mul(1_000_000).map(Some).ok_or_else(|| {
+        ArgError(format!(
+            "--{name} {ms} overflows the nanosecond clock (at most {max})"
+        ))
+    })
 }
 
 /// Serves a deterministic Poisson workload over one or more tenant graphs
@@ -65,8 +71,13 @@ pub(crate) fn serve(args: &Args) -> Result<Output, ArgError> {
         batch_slo_ns: None,
         timeout_ns: ns_from_ms(args, "timeout-ms")?,
     };
-    if workload.rate_per_s <= 0.0 {
-        return Err(ArgError("--rate must be positive".into()));
+    if !(workload.rate_per_s.is_finite() && workload.rate_per_s > 0.0) {
+        return Err(ArgError("--rate must be finite and positive".into()));
+    }
+    if !(0.0..=1.0).contains(&workload.interactive_fraction) {
+        return Err(ArgError(
+            "--interactive-frac takes a fraction in [0, 1]".into(),
+        ));
     }
 
     let mut gpu = gpu_config(args)?;

@@ -31,6 +31,17 @@ pub(crate) fn generate(args: &Args) -> Result<Output, ArgError> {
             let communities: usize = args.get_parse("communities", 32)?;
             let lcc: f64 = args.get_parse("lcc", 0.8)?;
             let island: usize = args.get_parse("island", 0)?;
+            if vertices < 4 {
+                return Err(ArgError("--vertices must be at least 4".into()));
+            }
+            if island >= vertices / 4 {
+                return Err(ArgError(format!(
+                    "--island {island} must be below a quarter of --vertices {vertices}"
+                )));
+            }
+            if !(0.0..=1.0).contains(&lcc) {
+                return Err(ArgError("--lcc takes a fraction in [0, 1]".into()));
+            }
             web(&WebConfig {
                 vertices,
                 edges,

@@ -106,6 +106,11 @@ pub enum UdcMode {
     OutOfCore,
 }
 
+/// Threads per block of every launch on a [`crate::driver::Lane`]: every
+/// kernel here and in the baseline models, the shape the paper's
+/// comparison launches.
+pub const THREADS_PER_BLOCK: u32 = 256;
+
 /// Full EtaGraph configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EtaConfig {
@@ -121,8 +126,6 @@ pub struct EtaConfig {
     /// the paper as specialized related work, implemented here as an
     /// extension). Only affects [`Algorithm::Bfs`].
     pub direction_optimizing: bool,
-    /// Threads per block for all kernels.
-    pub threads_per_block: u32,
 }
 
 impl Default for EtaConfig {
@@ -133,7 +136,6 @@ impl Default for EtaConfig {
             transfer: TransferMode::UnifiedPrefetch,
             udc: UdcMode::InCore,
             direction_optimizing: false,
-            threads_per_block: 256,
         }
     }
 }

@@ -11,7 +11,7 @@
 //! and [`Group::solo_result`] (DESIGN.md, "Execution models on a `Lane`").
 
 use crate::active_set::{DeviceQueue, VirtualQueue, WorkQueues};
-use crate::config::{Algorithm, EtaConfig, TransferMode};
+use crate::config::{Algorithm, EtaConfig, TransferMode, THREADS_PER_BLOCK};
 use crate::engine::DeviceShadowTable;
 use crate::result::{IterationStats, RunResult};
 use crate::sharded::{fail, Sharded, SuperstepStats, MSG_BYTES};
@@ -70,7 +70,6 @@ pub struct Group<'a> {
     pub(crate) devs: &'a mut [Device],
     pub(crate) clocks: Vec<Ns>,
     tallies: Vec<Tally>,
-    threads_per_block: u32,
     adaptive: bool,
 }
 
@@ -78,29 +77,23 @@ impl<'a> Group<'a> {
     /// `ready[s]` is when member `s` may start per-query work.
     pub(crate) fn new(devs: &'a mut [Device], ready: Vec<Ns>, cfg: &EtaConfig) -> Self {
         let adaptive = cfg.transfer == TransferMode::Adaptive;
-        Self::build(devs, ready, cfg.threads_per_block, adaptive)
+        Self::build(devs, ready, adaptive)
     }
 
     /// A group of one whose member may start work at `ready_ns`, for an
     /// execution model that keeps its own loop and runs it on
     /// [`Group::lane`]`(0)`.
-    pub fn solo(dev: &'a mut Device, ready_ns: Ns, threads_per_block: u32) -> Self {
+    pub fn solo(dev: &'a mut Device, ready_ns: Ns) -> Self {
         let devs = std::slice::from_mut(dev);
-        Self::build(devs, vec![ready_ns], threads_per_block, false)
+        Self::build(devs, vec![ready_ns], false)
     }
 
-    fn build(
-        devs: &'a mut [Device],
-        clocks: Vec<Ns>,
-        threads_per_block: u32,
-        adaptive: bool,
-    ) -> Self {
+    fn build(devs: &'a mut [Device], clocks: Vec<Ns>, adaptive: bool) -> Self {
         assert!(!devs.is_empty() && devs.len() == clocks.len());
         Group {
             tallies: devs.iter().map(|_| Tally::default()).collect(),
             devs,
             clocks,
-            threads_per_block,
             adaptive,
         }
     }
@@ -112,7 +105,6 @@ impl<'a> Group<'a> {
 
     /// Every member's lane at once, in index order.
     pub(crate) fn lanes(&mut self) -> impl Iterator<Item = Lane<'_>> {
-        let threads_per_block = self.threads_per_block;
         let (devs, clocks) = (self.devs.iter_mut(), self.clocks.iter_mut());
         let members = devs.zip(clocks).zip(&mut self.tallies).enumerate();
         members.map(move |(member, ((dev, clock), tally))| Lane {
@@ -120,20 +112,17 @@ impl<'a> Group<'a> {
             dev,
             clock,
             tally,
-            threads_per_block,
         })
     }
 
     /// Member `s`, to run charged work on its device and clock.
     pub fn lane(&mut self, s: usize) -> Lane<'_> {
         let (dev, clock, tally) = (&mut self.devs[s], &mut self.clocks[s], &mut self.tallies[s]);
-        let threads_per_block = self.threads_per_block;
         Lane {
             member: s,
             dev,
             clock,
             tally,
-            threads_per_block,
         }
     }
 
@@ -214,7 +203,6 @@ pub struct Lane<'a> {
     pub dev: &'a mut Device,
     clock: &'a mut Ns,
     tally: &'a mut Tally,
-    threads_per_block: u32,
 }
 
 impl Lane<'_> {
@@ -226,7 +214,7 @@ impl Lane<'_> {
     /// advances to `max(kernel end, latest UM page arrival)`, so demand
     /// paging overlaps compute as in Fig. 4; then polls the fault watchdog.
     pub fn launch(&mut self, kern: &dyn Kernel, items: u32) -> Sharded<()> {
-        let cfg = LaunchConfig::for_items(items, self.threads_per_block);
+        let cfg = LaunchConfig::for_items(items, THREADS_PER_BLOCK);
         let r = self.dev.launch(kern, cfg, *self.clock);
         self.tally.add(&r.metrics, r.metrics.time_ns);
         *self.clock = r.end_ns.max(r.metrics.data_ready_ns);

@@ -431,7 +431,6 @@ impl<'a> Program for Traversal<'a> {
                 tags: res.tags,
                 next,
                 iter: step,
-                threads_per_block: cfg.threads_per_block,
             };
             let table = res.shadow_table.as_ref();
             m.frontier

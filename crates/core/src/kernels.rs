@@ -32,7 +32,7 @@
 //! arithmetic at its own call site.
 
 use crate::active_set::{DeviceQueue, VirtualQueue};
-use crate::config::Algorithm;
+use crate::config::{Algorithm, THREADS_PER_BLOCK};
 use eta_mem::system::DSlice;
 use eta_sim::{
     active_lanes, lane_degrees, lanes_where, row_index, row_lanes, Kernel, Lanes, WarpCtx,
@@ -137,7 +137,6 @@ pub struct TraversalKernel {
     pub next: DeviceQueue,
     /// Current iteration number (tags smaller than this are stale).
     pub iter: u32,
-    pub threads_per_block: u32,
 }
 
 impl Kernel for TraversalKernel {
@@ -180,11 +179,10 @@ impl Kernel for TraversalKernel {
         let (mut slot, mut weight_slot) = ([0; WARP_SIZE], [0; WARP_SIZE]);
         if self.smp {
             // --- burst all neighbors (and weights) into shared memory.
-            let tpb = self.threads_per_block;
-            slot = tids.map(|tid| tid % tpb * self.k);
+            slot = tids.map(|tid| tid % THREADS_PER_BLOCK * self.k);
             w.stage_burst(self.col_idx, &start, &deg, mask, &slot);
             if let Some(ws) = self.weights {
-                weight_slot = slot.map(|s| tpb * self.k + s);
+                weight_slot = slot.map(|s| THREADS_PER_BLOCK * self.k + s);
                 w.stage_burst(ws, &start, &deg, mask, &weight_slot);
             }
         }
@@ -306,7 +304,7 @@ mod tests {
 
         let k = 2u32;
         let a2v = ActToVirtKernel::new(&act, 1, ro, &full, &partial, k);
-        dev.launch(&a2v, LaunchConfig::for_items(1, 256), 0);
+        dev.launch(&a2v, LaunchConfig::for_items(1, THREADS_PER_BLOCK), 0);
         let (nf, _) = full.read_count(&mut dev, 0);
         let (np, _) = partial.read_count(&mut dev, 0);
         assert_eq!((nf, np), (1, 1), "degree 3 with k=2 → one full, one tail");
@@ -324,9 +322,8 @@ mod tests {
                 tags,
                 next,
                 iter: 1,
-                threads_per_block: 256,
             };
-            dev.launch(&kern, LaunchConfig::for_items(len, 256), 0);
+            dev.launch(&kern, LaunchConfig::for_items(len, THREADS_PER_BLOCK), 0);
         }
 
         assert_eq!(dev.mem.host_read(labels, 0, 5), &[0, 1, 1, 1, u32::MAX]);
@@ -380,9 +377,8 @@ mod tests {
             tags,
             next,
             iter: 1,
-            threads_per_block: 256,
         };
-        dev.launch(&kern, LaunchConfig::for_items(2, 256), 0);
+        dev.launch(&kern, LaunchConfig::for_items(2, THREADS_PER_BLOCK), 0);
         let (n, _) = next.read_count(&mut dev, 0);
         assert_eq!(n, 1, "vertex 3 must be enqueued exactly once");
         assert_eq!(dev.mem.host_read(next.items, 0, 1), &[3]);
@@ -420,9 +416,8 @@ mod tests {
             tags,
             next,
             iter: 1,
-            threads_per_block: 256,
         };
-        dev.launch(&kern, LaunchConfig::for_items(1, 256), 0);
+        dev.launch(&kern, LaunchConfig::for_items(1, THREADS_PER_BLOCK), 0);
         assert_eq!(dev.mem.host_read(labels, 0, 3), &[u32::MAX, 7, 3]);
     }
 
@@ -445,9 +440,8 @@ mod tests {
                 tags: d,
                 next,
                 iter: 1,
-                threads_per_block: 256,
             }
-            .shared_words_per_block(256)
+            .shared_words_per_block(THREADS_PER_BLOCK)
         };
         assert_eq!(dummy(false, Algorithm::Bfs), 0);
         assert_eq!(dummy(true, Algorithm::Bfs), 256 * 16);

@@ -42,7 +42,7 @@ pub mod session;
 pub mod sharded;
 pub mod udc;
 
-pub use config::{Algorithm, EtaConfig, TransferMode, UdcMode};
+pub use config::{Algorithm, EtaConfig, TransferMode, UdcMode, THREADS_PER_BLOCK};
 pub use device_graph::DeviceGraph;
 pub use error::QueryError;
 pub use result::{IterationStats, RunResult};

@@ -18,7 +18,7 @@
 //! contributions, then apply.
 
 use crate::active_set::VirtualQueue;
-use crate::config::EtaConfig;
+use crate::config::{EtaConfig, THREADS_PER_BLOCK};
 use crate::device_graph::DeviceGraph;
 use crate::driver::{drive, owner, Group, Lane, Program, SendFn, ShardView};
 use crate::error::QueryError;
@@ -154,7 +154,6 @@ pub(crate) struct ScatterKernel {
     pub(crate) col_idx: DSlice,
     pub(crate) contrib: DSlice,
     pub(crate) next_ranks: DSlice,
-    pub(crate) threads_per_block: u32,
 }
 
 impl Kernel for ScatterKernel {
@@ -184,7 +183,7 @@ impl Kernel for ScatterKernel {
 
         let mut slot = [0u32; WARP_SIZE];
         if self.smp {
-            slot = tids.map(|tid| tid % self.threads_per_block * self.k);
+            slot = tids.map(|tid| tid % THREADS_PER_BLOCK * self.k);
             w.stage_burst(self.col_idx, &start, &deg, mask, &slot);
         }
         for j in 0..max_deg {
@@ -541,7 +540,6 @@ impl<'a> Program for Ranking<'a> {
             col_idx: shard.dg.col_idx,
             contrib: shard.contrib,
             next_ranks: shard.next_ranks,
-            threads_per_block: eta.threads_per_block,
         };
         lane.launch(&scatter, shard.shadows)
     }

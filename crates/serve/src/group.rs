@@ -30,7 +30,7 @@ pub struct GroupConfig {
     /// Snapshot interval in supersteps (0 = checkpointing off; a faulted
     /// query then retries from scratch on the regrouped set).
     pub checkpoint_interval: u32,
-    /// Overload control; the default disables it and is byte-inert.
+    /// Overload control, on or off; off (the default) is byte-inert.
     pub qos: QosConfig,
 }
 

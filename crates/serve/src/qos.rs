@@ -34,9 +34,11 @@
 //!   deterministically when the EWMA recovers.
 //!
 //! Everything runs on the service's simulated clock with integer
-//! arithmetic, so a trace replays to byte-identical reports. The default
-//! [`QosConfig`] disables every feature and is inert: the service behaves —
-//! and its report serializes — exactly as if this module did not exist.
+//! arithmetic, so a trace replays to byte-identical reports. Qos is on or
+//! off: [`QosConfig::Off`], the default, builds no qos state, so the
+//! service behaves — and its report serializes — exactly as if this module
+//! did not exist; [`QosConfig::Standard`] turns every control on with the
+//! thresholds below.
 
 use eta_graph::Csr;
 use eta_mem::Ns;
@@ -44,71 +46,49 @@ use etagraph::{EtaConfig, TransferMode};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Which overload-control features are active, and their thresholds. The
-/// default disables everything; [`QosConfig::standard`] is the tuned
-/// all-on profile the CLI's `--qos` flag and the overload drill use.
-#[derive(Debug, Clone, Default)]
-pub struct QosConfig {
-    /// Deadline-feasibility admission control
-    /// ([`RejectReason::DeadlineInfeasible`](crate::request::RejectReason)).
-    pub admission: bool,
-    /// Shed the worst queue entry at capacity instead of the newcomer
-    /// ([`RejectReason::ShedOverload`](crate::request::RejectReason)).
-    pub shed: bool,
-    /// Per-tenant fair-share token buckets, enforced only under congestion
-    /// ([`RejectReason::TenantThrottled`](crate::request::RejectReason)).
-    pub fair_share: bool,
-    /// Device-nanoseconds each tenant's bucket accrues per simulated
-    /// second.
-    pub tenant_rate_ns_per_s: u64,
-    /// Device-nanoseconds a tenant bucket holds at most (its burst).
-    pub tenant_burst_ns: u64,
-    /// Fair share is work-conserving: buckets are only consulted while the
-    /// queue holds at least this many entries.
-    pub fair_share_min_queue: usize,
-    /// Gate recovery-ladder retries through the global retry bucket.
-    pub retry_budget: bool,
-    /// Retry tokens accrued per simulated second.
-    pub retry_rate_per_s: u64,
-    /// Retry tokens the bucket holds at most.
-    pub retry_burst: u64,
-    /// Brownout degradation of best-effort requests under sustained
-    /// overload.
-    pub brownout: bool,
-    /// Queue-delay EWMA at or above this enters brownout.
-    pub brownout_enter_ns: Ns,
-    /// Queue-delay EWMA at or below this exits brownout (hysteresis:
-    /// strictly below `brownout_enter_ns`).
-    pub brownout_exit_ns: Ns,
+/// Device-nanoseconds each tenant's fair-share bucket accrues per
+/// simulated second: 70% of one device, so two tenants can saturate a
+/// two-device pool and one tenant alone cannot.
+const TENANT_RATE_NS_PER_S: u64 = 700_000_000;
+/// Device-nanoseconds a tenant bucket holds at most (its burst).
+const TENANT_BURST_NS: u64 = 30_000_000;
+/// Fair share is work-conserving: buckets are only consulted while the
+/// queue holds at least this many entries.
+const FAIR_SHARE_MIN_QUEUE: usize = 8;
+/// Retry tokens accrued per simulated second.
+const RETRY_RATE_PER_S: u64 = 100;
+/// Retry tokens the bucket holds at most.
+const RETRY_BURST: u64 = 4;
+/// Queue-delay EWMA at or above this enters brownout.
+const BROWNOUT_ENTER_NS: Ns = 2_000_000;
+/// Queue-delay EWMA at or below this exits brownout.
+const BROWNOUT_EXIT_NS: Ns = 500_000;
+const _: () = assert!(BROWNOUT_EXIT_NS < BROWNOUT_ENTER_NS, "hysteresis");
+
+/// Overload control, on or off. The CLI's `--qos` flag and the overload
+/// drill use [`QosConfig::standard`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum QosConfig {
+    /// Every control off: the scheduler's qos hooks are inert and the
+    /// report carries no qos section.
+    #[default]
+    Off,
+    /// Every control on — deadline-feasibility admission, worst-first
+    /// shedding, tenant fair share, the retry budget and brownout — with
+    /// thresholds sized for the simulated pool (sub-millisecond
+    /// traversals, a few devices, a couple of tenants).
+    Standard,
 }
 
 impl QosConfig {
-    /// The tuned all-on profile: every feature enabled with thresholds
-    /// sized for the simulated pool (sub-millisecond traversals, a few
-    /// devices, a couple of tenants).
+    /// The all-on profile.
     pub fn standard() -> Self {
-        QosConfig {
-            admission: true,
-            shed: true,
-            fair_share: true,
-            // 70% of one device per tenant: two tenants can saturate a
-            // two-device pool, one tenant alone cannot.
-            tenant_rate_ns_per_s: 700_000_000,
-            tenant_burst_ns: 30_000_000,
-            fair_share_min_queue: 8,
-            retry_budget: true,
-            retry_rate_per_s: 100,
-            retry_burst: 4,
-            brownout: true,
-            brownout_enter_ns: 2_000_000,
-            brownout_exit_ns: 500_000,
-        }
+        QosConfig::Standard
     }
 
-    /// Whether any feature is on. When `false` the scheduler's qos hooks
-    /// are inert and the report carries no qos section.
-    pub fn any_enabled(&self) -> bool {
-        self.admission || self.shed || self.fair_share || self.retry_budget || self.brownout
+    /// The run state this setting needs: none when qos is off.
+    pub(crate) fn state(self) -> Option<QosState> {
+        (self == QosConfig::Standard).then(QosState::new)
     }
 }
 
@@ -249,61 +229,65 @@ pub enum BrownoutTransition {
 }
 
 /// Mutable qos policy state for one run: the cost model, the tenant and
-/// retry buckets, and the brownout EWMA. Verdicts are returned, not
-/// counted — [`QosStats`] belongs to the scheduler's ledger.
+/// retry buckets, and the brownout EWMA. The scheduler holds one only
+/// while qos is on. Verdicts are returned, not counted — [`QosStats`]
+/// belongs to the scheduler's ledger.
 #[derive(Debug, Clone)]
-pub struct QosState {
-    pub cost: CostModel,
+pub(crate) struct QosState {
+    pub(crate) cost: CostModel,
     tenants: BTreeMap<String, TokenBucket>,
     retry: TokenBucket,
     /// Whether brownout degradation is currently in force.
-    pub brownout_active: bool,
+    pub(crate) brownout_active: bool,
     wait_ewma: Ns,
 }
 
 impl QosState {
-    pub fn new(cfg: &QosConfig) -> Self {
+    pub(crate) fn new() -> Self {
         QosState {
             cost: CostModel::new(),
             tenants: BTreeMap::new(),
-            retry: TokenBucket::new(cfg.retry_rate_per_s, cfg.retry_burst),
+            retry: TokenBucket::new(RETRY_RATE_PER_S, RETRY_BURST),
             brownout_active: false,
             wait_ewma: 0,
         }
     }
 
-    /// Charges `cost_ns` against the tenant's fair-share bucket; `false`
-    /// means the tenant is over its share right now. Buckets are created
-    /// full on first sight, so a tenant's initial burst is never penalized.
-    pub fn tenant_try_charge(
+    /// Fair share for an arrival that finds `queued` entries waiting:
+    /// below [`FAIR_SHARE_MIN_QUEUE`] it is admitted untouched; otherwise
+    /// `cost_ns` is charged against the tenant's bucket and `false` means
+    /// the tenant is over its share right now. Buckets are created full on
+    /// first sight, so a tenant's initial burst is never penalized.
+    pub(crate) fn tenant_try_charge(
         &mut self,
-        cfg: &QosConfig,
         tenant: &str,
+        queued: usize,
         now: Ns,
         cost_ns: Ns,
     ) -> bool {
+        if queued < FAIR_SHARE_MIN_QUEUE {
+            return true;
+        }
         let bucket = self
             .tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TokenBucket::new(cfg.tenant_rate_ns_per_s, cfg.tenant_burst_ns));
+            .or_insert_with(|| TokenBucket::new(TENANT_RATE_NS_PER_S, TENANT_BURST_NS));
         bucket.try_take(now, cost_ns)
     }
 
-    /// Asks the global retry budget for one retry token: `None` when the
-    /// budget feature is off (every retry is then allowed and nothing is
-    /// counted), otherwise whether the token was granted.
-    pub fn retry_try_take(&mut self, cfg: &QosConfig, now: Ns) -> Option<bool> {
-        cfg.retry_budget.then(|| self.retry.try_take(now, 1))
+    /// Asks the global retry budget for one retry token.
+    pub(crate) fn retry_try_take(&mut self, now: Ns) -> bool {
+        self.retry.try_take(now, 1)
     }
 
     /// Feeds one queue-delay sample (the dispatched head's wait) into the
     /// brownout EWMA (α = 1/8) and reports a threshold crossing, if any.
-    pub fn observe_wait(&mut self, cfg: &QosConfig, wait_ns: Ns) -> Option<BrownoutTransition> {
+    pub(crate) fn observe_wait(&mut self, wait_ns: Ns) -> Option<BrownoutTransition> {
         self.wait_ewma = self.wait_ewma - self.wait_ewma / 8 + wait_ns / 8;
-        if !self.brownout_active && self.wait_ewma >= cfg.brownout_enter_ns {
+        if !self.brownout_active && self.wait_ewma >= BROWNOUT_ENTER_NS {
             self.brownout_active = true;
             Some(BrownoutTransition::Entered)
-        } else if self.brownout_active && self.wait_ewma <= cfg.brownout_exit_ns {
+        } else if self.brownout_active && self.wait_ewma <= BROWNOUT_EXIT_NS {
             self.brownout_active = false;
             Some(BrownoutTransition::Exited)
         } else {
@@ -312,7 +296,7 @@ impl QosState {
     }
 
     /// The current queue-delay EWMA (for reporting and tests).
-    pub fn wait_ewma(&self) -> Ns {
+    pub(crate) fn wait_ewma(&self) -> Ns {
         self.wait_ewma
     }
 }
@@ -391,16 +375,10 @@ mod tests {
 
     #[test]
     fn brownout_has_hysteresis() {
-        let cfg = QosConfig {
-            brownout: true,
-            brownout_enter_ns: 1_000,
-            brownout_exit_ns: 200,
-            ..QosConfig::default()
-        };
-        let mut st = QosState::new(&cfg);
+        let mut st = QosState::new();
         let mut entered_at = None;
         for i in 0..64 {
-            if st.observe_wait(&cfg, 8_000) == Some(BrownoutTransition::Entered) {
+            if st.observe_wait(4 * BROWNOUT_ENTER_NS) == Some(BrownoutTransition::Entered) {
                 entered_at = Some(i);
                 break;
             }
@@ -409,11 +387,11 @@ mod tests {
         assert!(st.brownout_active);
         // A single quiet sample must not exit (hysteresis); a sustained
         // quiet period must.
-        assert_eq!(st.observe_wait(&cfg, 0), None);
+        assert_eq!(st.observe_wait(0), None);
         assert!(st.brownout_active);
         let mut exited = false;
         for _ in 0..64 {
-            if st.observe_wait(&cfg, 0) == Some(BrownoutTransition::Exited) {
+            if st.observe_wait(0) == Some(BrownoutTransition::Exited) {
                 exited = true;
                 break;
             }
@@ -423,51 +401,42 @@ mod tests {
     }
 
     #[test]
-    fn tenant_buckets_are_independent() {
-        let cfg = QosConfig {
-            fair_share: true,
-            tenant_rate_ns_per_s: 0,
-            tenant_burst_ns: 100,
-            ..QosConfig::default()
-        };
-        let mut st = QosState::new(&cfg);
-        assert!(st.tenant_try_charge(&cfg, "a", 0, 100));
-        assert!(!st.tenant_try_charge(&cfg, "a", 0, 1), "a is drained");
-        assert!(st.tenant_try_charge(&cfg, "b", 0, 60), "b is untouched");
+    fn tenant_buckets_are_independent_and_charged_only_under_congestion() {
+        let mut st = QosState::new();
+        let busy = FAIR_SHARE_MIN_QUEUE;
+        // An uncongested arrival is admitted without touching its bucket.
+        assert!(st.tenant_try_charge("a", busy - 1, 0, 10 * TENANT_BURST_NS));
+        assert!(st.tenant_try_charge("a", busy, 0, TENANT_BURST_NS));
+        assert!(!st.tenant_try_charge("a", busy, 0, 1), "a is drained");
+        assert!(
+            st.tenant_try_charge("a", busy - 1, 0, 1),
+            "idle pools serve anyone"
+        );
+        assert!(
+            st.tenant_try_charge("b", busy, 0, TENANT_BURST_NS),
+            "b is untouched"
+        );
+        // 1 ms refills 70% of a device-millisecond.
+        assert!(st.tenant_try_charge("a", busy, 1_000_000, 700_000));
+        assert!(!st.tenant_try_charge("a", busy, 1_000_000, 1));
     }
 
     #[test]
-    fn retry_budget_disabled_always_grants() {
-        let cfg = QosConfig::default();
-        let mut st = QosState::new(&cfg);
-        for _ in 0..1_000 {
-            assert_eq!(
-                st.retry_try_take(&cfg, 0),
-                None,
-                "a disabled budget issues no verdict, so nothing is counted"
-            );
+    fn retry_budget_denies_when_drained_and_refills() {
+        let mut st = QosState::new();
+        for _ in 0..RETRY_BURST {
+            assert!(st.retry_try_take(0), "the burst is granted");
         }
+        assert!(!st.retry_try_take(0), "a drained budget denies");
+        let one_token_ns = 1_000_000_000 / RETRY_RATE_PER_S;
+        assert!(!st.retry_try_take(one_token_ns - 1));
+        assert!(st.retry_try_take(one_token_ns));
     }
 
     #[test]
-    fn retry_budget_denies_when_drained() {
-        let cfg = QosConfig {
-            retry_budget: true,
-            retry_rate_per_s: 0,
-            retry_burst: 2,
-            ..QosConfig::default()
-        };
-        let mut st = QosState::new(&cfg);
-        assert_eq!(st.retry_try_take(&cfg, 0), Some(true));
-        assert_eq!(st.retry_try_take(&cfg, 0), Some(true));
-        assert_eq!(st.retry_try_take(&cfg, 0), Some(false));
-    }
-
-    #[test]
-    fn standard_profile_enables_everything() {
-        assert!(QosConfig::standard().any_enabled());
-        assert!(!QosConfig::default().any_enabled());
-        let std = QosConfig::standard();
-        assert!(std.brownout_exit_ns < std.brownout_enter_ns, "hysteresis");
+    fn only_the_standard_profile_builds_qos_state() {
+        assert_eq!(QosConfig::default(), QosConfig::Off);
+        assert!(QosConfig::Off.state().is_none());
+        assert!(QosConfig::standard().state().is_some());
     }
 }

@@ -156,8 +156,8 @@ pub struct ServeReport {
     /// services, so pre-group reports stay byte-identical.
     #[serde(skip_serializing_if = "Vec::is_empty")]
     pub groups: Vec<GroupStats>,
-    /// Overload-control accounting; `None` whenever every
-    /// [`QosConfig`](crate::qos::QosConfig) feature is off.
+    /// Overload-control accounting; `None` while qos is
+    /// [`Off`](crate::qos::QosConfig::Off).
     pub qos: Option<QosStats>,
 }
 

@@ -79,9 +79,9 @@ pub struct ServeConfig {
     /// faulted launch parks its newest snapshot and resumes from it after
     /// the backoff instead of restarting from scratch.
     pub checkpoint_interval: u32,
-    /// Overload control ([`crate::qos`]). The default disables every
-    /// feature — the service then behaves, and its report serializes,
-    /// exactly as if the qos layer did not exist.
+    /// Overload control ([`crate::qos`]), on or off. Off, the default,
+    /// the service behaves — and its report serializes — exactly as if
+    /// the qos layer did not exist.
     pub qos: QosConfig,
 }
 
@@ -118,7 +118,7 @@ pub(crate) struct Queued<'r> {
     pub(crate) not_before: Ns,
     /// Qos cost-model estimate at admission (device-ns this request is
     /// expected to consume); feeds the backlog term of later admission
-    /// decisions. Unused when qos is off.
+    /// decisions. 0 when qos is off.
     est_ns: Ns,
 }
 
@@ -147,7 +147,8 @@ struct RunState<'r> {
     queue: Vec<Queued<'r>>,
     /// Faulted jobs waiting out their backoff with a snapshot in hand.
     parked: Vec<Job<'r>>,
-    qos: QosState,
+    /// Overload control; `None` while qos is off, so every hook is inert.
+    qos: Option<QosState>,
 }
 
 /// The running service: registry + device pool + placement + ledger.
@@ -227,7 +228,7 @@ impl<'r> Service<'r> {
         let mut st = RunState {
             queue: Vec::new(),
             parked: Vec::new(),
-            qos: QosState::new(&self.cfg.qos),
+            qos: self.cfg.qos.state(),
         };
         let mut next = 0usize;
         let mut now: Ns = 0;
@@ -266,8 +267,7 @@ impl<'r> Service<'r> {
             "the event loop may not leave requests stranded"
         );
         debug_assert_eq!(self.ledger.disposed(), trace.len(), "a request was dropped");
-        self.ledger
-            .finish(&self.workers, self.cfg.qos.any_enabled())
+        self.ledger.finish(&self.workers, st.qos.is_some())
     }
 
     /// Nothing is dispatchable at `now`: the next of {arrival, member
@@ -296,7 +296,7 @@ impl<'r> Service<'r> {
     /// Admission control at arrival time: validation, the placement's
     /// footprint, then the qos hooks — deadline feasibility, tenant fair
     /// share, worst-first shedding at capacity (arbitrate before you
-    /// spend) — each inert when its feature is off. Every refusal is a
+    /// spend) — all inert while qos is off. Every refusal is a
     /// typed rejection; admitted requests enter the bounded queue.
     fn admit(&mut self, req: &Request, now: Ns, st: &mut RunState<'r>) {
         let registry = self.registry;
@@ -319,41 +319,40 @@ impl<'r> Service<'r> {
         if footprint.is_none_or(|bytes| bytes > self.workers[0].dev.mem.capacity_bytes()) {
             return self.ledger.refuse(req, RejectReason::AdmissionDenied, now);
         }
-        let qos = &self.cfg.qos;
-        let est_ns = st.qos.cost.estimate(&req.graph, csr, &self.cfg.eta);
-        // Hook: deadline feasibility. Predicted completion = the earliest
-        // any device frees up, plus the queued backlog spread across the
-        // pool, plus this request's own estimate. A request that cannot
-        // make its deadline even under that optimistic schedule is refused
-        // now, before it wastes queue space and device time on a
-        // guaranteed SLO miss.
-        if let (true, Some(deadline)) = (qos.admission, req.deadline_ns) {
-            let backlog: Ns = st.queue.iter().map(|q| q.est_ns).sum();
-            let earliest_free = self
-                .workers
-                .iter()
-                .map(|w| w.free_at.max(w.quarantined_until))
-                .min()
-                .unwrap_or(now)
-                .max(now);
-            let width = (self.cfg.devices / self.placement.members()) as Ns;
-            let predicted = earliest_free + backlog / width + est_ns;
-            if predicted > deadline {
-                return self.ledger.infeasible(req, predicted, deadline, now);
+        let mut est_ns = 0;
+        if let Some(qos) = &mut st.qos {
+            est_ns = qos.cost.estimate(&req.graph, csr, &self.cfg.eta);
+            // Hook: deadline feasibility. Predicted completion = the
+            // earliest any device frees up, plus the queued backlog spread
+            // across the pool, plus this request's own estimate. A request
+            // that cannot make its deadline even under that optimistic
+            // schedule is refused now, before it wastes queue space and
+            // device time on a guaranteed SLO miss.
+            if let Some(deadline) = req.deadline_ns {
+                let backlog: Ns = st.queue.iter().map(|q| q.est_ns).sum();
+                let earliest_free = self
+                    .workers
+                    .iter()
+                    .map(|w| w.free_at.max(w.quarantined_until))
+                    .min()
+                    .unwrap_or(now)
+                    .max(now);
+                let width = (self.cfg.devices / self.placement.members()) as Ns;
+                let predicted = earliest_free + backlog / width + est_ns;
+                if predicted > deadline {
+                    return self.ledger.infeasible(req, predicted, deadline, now);
+                }
+            }
+            // Hook: tenant fair share, enforced only under congestion so
+            // the policy stays work-conserving: an idle pool serves anyone,
+            // a backlogged pool charges each tenant's bucket for its
+            // estimated device time.
+            if !qos.tenant_try_charge(&req.graph, st.queue.len(), now, est_ns) {
+                return self.ledger.throttled(req, now);
             }
         }
-        // Hook: tenant fair share, enforced only under congestion so the
-        // policy stays work-conserving: an idle pool serves anyone, a
-        // backlogged pool charges each tenant's bucket for its estimated
-        // device time.
-        if qos.fair_share
-            && st.queue.len() >= qos.fair_share_min_queue
-            && !st.qos.tenant_try_charge(qos, &req.graph, now, est_ns)
-        {
-            return self.ledger.throttled(req, now);
-        }
         if st.queue.len() >= self.cfg.queue_capacity {
-            if !qos.shed {
+            if st.qos.is_none() {
                 return self.ledger.refuse(req, RejectReason::QueueFull, now);
             }
             // Hook: deterministic worst-first shedding. Among the queue and
@@ -413,7 +412,7 @@ impl<'r> Service<'r> {
         // Hook: brownout. The state is sampled once per pick; transitions
         // observed below take effect at the *next* one (hysteresis by
         // construction — one decision is never half-degraded).
-        let brownout = self.cfg.qos.brownout && st.qos.brownout_active;
+        let brownout = st.qos.as_ref().is_some_and(|qos| qos.brownout_active);
         match self.cfg.policy {
             Policy::Fifo => st.queue.sort_by_key(|q| (q.req.arrival_ns, q.req.id)),
             // Under brownout, best-effort (deadline-less) requests are
@@ -454,9 +453,9 @@ impl<'r> Service<'r> {
         let riders: Vec<(usize, Queued)> = st.queue.extract_if(.., rides).enumerate().collect();
         // The wait the dispatched head experienced is the freshest
         // congestion signal for the brownout state machine.
-        if self.cfg.qos.brownout {
-            if let Some(transition) = st.qos.observe_wait(&self.cfg.qos, head_wait) {
-                self.ledger.brownout(transition, st.qos.wait_ewma(), now);
+        if let Some(qos) = &mut st.qos {
+            if let Some(transition) = qos.observe_wait(head_wait) {
+                self.ledger.brownout(transition, qos.wait_ewma(), now);
             }
         }
         Some(Job {
@@ -529,9 +528,12 @@ impl<'r> Service<'r> {
                     (Some(_), _) => {}
                     (None, true) => self.ledger.degraded_launch(riders),
                     (None, false) => {
-                        let per_request = (served.completed_ns - served.started_ns) / riders as Ns;
-                        let eta = &self.cfg.eta;
-                        st.qos.cost.observe(&job.graph, job.csr, eta, per_request);
+                        if let Some(qos) = &mut st.qos {
+                            let per_request =
+                                (served.completed_ns - served.started_ns) / riders as Ns;
+                            let eta = &self.cfg.eta;
+                            qos.cost.observe(&job.graph, job.csr, eta, per_request);
+                        }
                     }
                 }
                 self.ledger
@@ -609,11 +611,9 @@ impl<'r> Service<'r> {
         let snapshot = job.resume.as_ref().map(|(ck, _)| ck.iteration);
         for (slot, mut q) in std::mem::take(&mut job.riders) {
             let mut granted = q.retries < MAX_RETRIES;
-            if granted {
-                if let Some(verdict) = st.qos.retry_try_take(&self.cfg.qos, fail_at) {
-                    self.ledger.retry_verdict(&q, verdict, fail_at);
-                    granted = verdict;
-                }
+            if let (true, Some(qos)) = (granted, &mut st.qos) {
+                granted = qos.retry_try_take(fail_at);
+                self.ledger.retry_verdict(&q, granted, fail_at);
             }
             if !granted {
                 self.cpu_fallback(q, now, fail_at, device);

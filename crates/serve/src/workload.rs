@@ -162,7 +162,7 @@ pub fn poisson_trace(
             class,
             source,
             arrival_ns,
-            deadline_ns: slo.map(|s| arrival_ns + s),
+            deadline_ns: slo.map(|s| arrival_ns.saturating_add(s)),
             timeout_ns: cfg.timeout_ns,
         });
     }
@@ -241,6 +241,23 @@ mod tests {
             interactive > 0 && interactive < 40,
             "mixed classes expected, got {interactive}/40 interactive"
         );
+    }
+
+    #[test]
+    fn deadlines_saturate_at_the_end_of_the_clock() {
+        let cfg = WorkloadConfig {
+            requests: 50,
+            interactive_fraction: 1.0,
+            interactive_slo_ns: Some(Ns::MAX - 1),
+            ..WorkloadConfig::default()
+        };
+        let trace = poisson_trace(&registry(), &["g".to_string()], &cfg);
+        assert!(
+            trace.last().unwrap().arrival_ns > 1,
+            "arrivals move the clock"
+        );
+        assert!(trace.iter().all(|r| r.deadline_ns >= Some(Ns::MAX - 1)));
+        assert_eq!(trace.last().unwrap().deadline_ns, Some(Ns::MAX));
     }
 
     #[test]
