@@ -59,12 +59,13 @@ echo "    sanitize launches all 18 kernels under the sanitizer; table1, table2,"
 echo "    fig2, fig5 and table4 pin the representation overheads, the dataset"
 echo "    inventory, the per-iteration frontiers and the BFS activation; fig4"
 echo "    and fig6 pin the SSSP transfer/compute overlap and the ablations;"
-echo "    overload pins the standard qos profile through the full drill; the"
-echo "    slower artifacts are the pre-merge 'report all --check reports/' step"
-echo "    of .claude/skills/verify/SKILL.md)"
+echo "    overload pins the standard qos profile through the full drill;"
+echo "    table5 pins the UM migration batch sizes with and without prefetch;"
+echo "    the slower table3, shard and transfer are the pre-merge"
+echo "    'report all --check reports/' step of .claude/skills/verify/SKILL.md)"
 cargo run --release -p eta-bench --bin report -- \
     profile serve faults chaos extras lint fig7 sanitize \
-    table1 table2 fig2 fig5 table4 fig4 fig6 overload --check reports/
+    table1 table2 fig2 fig5 table4 fig4 fig6 overload table5 --check reports/
 
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"

@@ -6,9 +6,8 @@ use crate::tables::Artifact;
 use eta_lint::LintReport;
 use serde_json::{json, Value};
 
-/// Converts a lint report into the artifact's JSON value. Field-compatible
-/// with [`LintReport::json`] (the CLI's hand-emitted sink); this one exists
-/// because artifacts carry a `serde_json::Value`.
+/// Converts a lint report into its JSON value: the one JSON writer behind
+/// both `reports/lint.json` and `etagraph lint --json`.
 pub fn value(r: &LintReport) -> Value {
     let rules: Vec<Value> = eta_lint::RULES
         .iter()

@@ -9,17 +9,15 @@
 //! re-probe, or migrated to a healthy one.
 //!
 //! The crate is deliberately engine-agnostic: it defines *what a checkpoint
-//! is* ([`Checkpoint`], [`CkptState`]), *when to take one* ([`CkptPolicy`]),
-//! *where a run's snapshot lives* ([`CkptSink`]; a parked serving job owns
-//! its own), and *how a resume is validated* ([`Checkpoint::validate`]
+//! is* ([`Checkpoint`], [`CkptState`]), *when to take one and where a
+//! run's snapshot lives* ([`CkptSink`]; a parked serving job owns its
+//! own), and *how a resume is validated* ([`Checkpoint::validate`]
 //! against a graph-content digest). The engine hooks that fill these types
 //! in live in `eta-core`; the ladder that consumes them lives in
 //! `eta-serve`.
 //!
 //! Everything here is plain host-side data on the simulated clock — no
 //! wall time, no I/O — so checkpointed runs stay byte-deterministic.
-
-use serde::Serialize;
 
 /// Simulated nanoseconds (mirrors `eta_sim::Ns` without the dependency).
 pub type Ns = u64;
@@ -175,67 +173,37 @@ impl Checkpoint {
     }
 }
 
-/// When to take checkpoints: every `interval` completed iterations.
-/// `interval == 0` disables checkpointing entirely (and must be byte-inert:
-/// a run with a disabled policy is identical to one with no policy at all).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct CkptPolicy {
-    pub interval: u32,
+/// Per-run checkpoint receiver: a snapshot every `interval` completed
+/// iterations, of which it keeps the most recent, and a count for the
+/// report. The engine writes into this; after a faulted run the caller
+/// takes the survivor out to resume from. `interval == 0` (the default)
+/// disables checkpointing, and must be byte-inert: such a run is identical
+/// to one with no sink at all.
+#[derive(Debug, Default)]
+pub struct CkptSink {
+    interval: u32,
+    last: Option<Checkpoint>,
+    /// Snapshots taken over the sink's lifetime.
+    pub taken: u32,
 }
 
-impl CkptPolicy {
+impl CkptSink {
     pub fn every(interval: u32) -> Self {
-        CkptPolicy { interval }
-    }
-
-    fn disabled() -> Self {
-        CkptPolicy { interval: 0 }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.interval > 0
+        CkptSink {
+            interval,
+            ..CkptSink::default()
+        }
     }
 
     /// Is a snapshot due after `iteration` completed iterations?
     pub fn due(&self, iteration: u32) -> bool {
         self.interval > 0 && iteration > 0 && iteration.is_multiple_of(self.interval)
     }
-}
-
-/// Per-run checkpoint receiver: keeps the most recent snapshot plus
-/// counters for the report. The engine writes into this; after a faulted
-/// run the caller takes the survivor out and hands it to the store.
-#[derive(Debug, Default)]
-pub struct CkptSink {
-    pub policy: CkptPolicy,
-    last: Option<Checkpoint>,
-    /// Snapshots taken over the sink's lifetime.
-    pub taken: u32,
-    /// Total payload words across all snapshots taken (accounting).
-    pub words: u64,
-}
-
-impl Default for CkptPolicy {
-    fn default() -> Self {
-        CkptPolicy::disabled()
-    }
-}
-
-impl CkptSink {
-    pub fn every(interval: u32) -> Self {
-        CkptSink {
-            policy: CkptPolicy::every(interval),
-            last: None,
-            taken: 0,
-            words: 0,
-        }
-    }
 
     /// Stores a snapshot, replacing any previous one (only the latest
     /// boundary matters for resume).
     pub fn store(&mut self, ck: Checkpoint) {
         self.taken += 1;
-        self.words += ck.payload_words();
         self.last = Some(ck);
     }
 
@@ -333,14 +301,13 @@ mod tests {
 
     #[test]
     fn policy_due_only_at_multiples_and_never_when_disabled() {
-        let p = CkptPolicy::every(3);
+        let p = CkptSink::every(3);
         assert!(!p.due(0), "iteration 0 is the initial state, not progress");
         assert!(!p.due(1));
         assert!(p.due(3));
         assert!(!p.due(4));
         assert!(p.due(6));
-        let off = CkptPolicy::disabled();
-        assert!(!off.is_enabled());
+        let off = CkptSink::default();
         for it in 0..10 {
             assert!(!off.due(it));
         }
@@ -371,11 +338,9 @@ mod tests {
     #[test]
     fn sink_keeps_only_the_latest_snapshot_but_counts_all() {
         let mut sink = CkptSink::every(2);
-        assert!(sink.policy.is_enabled());
         sink.store(sample(2));
         sink.store(sample(4));
         assert_eq!(sink.taken, 2);
-        assert_eq!(sink.words, 2 * sample(2).payload_words());
         assert_eq!(sink.last().unwrap().iteration, 4);
         let got = sink.take().unwrap();
         assert_eq!(got.iteration, 4);

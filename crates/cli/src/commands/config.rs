@@ -9,7 +9,7 @@ use serde_json::json;
 use std::fmt::Write as _;
 
 /// Flags only a one-device run honours; a group refuses each by name.
-const SINGLE_DEVICE: [&str; 5] = ["trace", "faults", "sanitize", "pull", "out-of-core"];
+const SINGLE_DEVICE: [&str; 4] = ["faults", "sanitize", "pull", "out-of-core"];
 
 /// `--k` and the transfer spellings: what every EtaGraph program honours.
 pub(crate) fn eta_config(args: &Args) -> Result<EtaConfig, ArgError> {

@@ -67,7 +67,7 @@ fn usage() -> String {
      etagraph run FILE --alg bfs|sssp|sswp|cc|pagerank [--source V] [--sources A,B,...] [--framework eta|tigr|gunrock|cusha|chunkstream]\n\
      \x20            [--k K] [--no-smp] [--transfer demand|prefetch|explicit|zerocopy|adaptive]\n\
      \x20            [--no-ump] [--no-um] [--out-of-core] [--pull] [--devices N] [--damping D] [--iterations I]\n\
-     \x20            [--device-mb MB] [--host-threads N] [--trace FILE] [--profile FILE] [--sanitize] [--faults PLAN.json] [--json]\n\
+     \x20            [--device-mb MB] [--host-threads N] [--profile FILE] [--sanitize] [--faults PLAN.json] [--json]\n\
      etagraph serve --graph SPEC[,SPEC...] [--requests N] [--seed S] [--devices D] [--rate QPS]\n\
      \x20          [--arrival poisson|burst] [--batch B | --no-batch] [--fifo] [--queue-cap Q] [--timeout-ms T]\n\
      \x20          [--interactive-frac F] [--slo-ms S] [--k K] [--transfer MODE | --no-ump | --no-um]\n\
@@ -247,6 +247,7 @@ mod tests {
     #[test]
     fn web_generator_refuses_bad_shapes_before_generating() {
         let f = tmpfile("web-bad.etag");
+        std::fs::remove_file(&f).ok();
         for (flags, named) in [
             ("--vertices 3", "--vertices"),
             ("--vertices 100 --island 90", "--island"),
@@ -254,11 +255,28 @@ mod tests {
             ("--vertices 100 --lcc nan", "--lcc"),
             ("--vertices 100 --lcc -1", "--lcc"),
             ("--vertices 100 --lcc 2", "--lcc"),
+            (
+                "--vertices 100 --edges 100 --communities 1000",
+                "--communities",
+            ),
+            ("--vertices 100 --communities 26", "--communities"),
+            (
+                "--vertices 100 --island 10 --communities 23",
+                "--communities",
+            ),
+            ("--vertices 100 --communities 0", "--communities"),
         ] {
             let cmd = format!("generate web {flags} --edges 400 --out {f}");
             let err = dispatch(argv(&cmd)).unwrap_err();
             assert!(err.0.contains(named), "{flags}: {err}");
             assert!(!std::path::Path::new(&f).exists(), "{flags} wrote a graph");
+        }
+        // The boundary: the island plus 4 vertices per community fill 100.
+        for flags in ["--communities 25", "--island 12 --communities 22"] {
+            let cmd = format!("generate web --vertices 100 --edges 400 {flags} --out {f}");
+            let out = dispatch(argv(&cmd)).unwrap();
+            assert_eq!(out.json["vertices"], 100, "{flags}");
+            std::fs::remove_file(&f).ok();
         }
     }
 
@@ -306,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_bfs_and_trace_via_cli() {
+    fn multi_bfs_via_cli_and_trace_is_refused() {
         let f = tmpfile("multi.etag");
         dispatch(argv(&format!(
             "generate rmat --scale 9 --edges 4000 --out {f}"
@@ -318,13 +336,23 @@ mod tests {
         let bad = dispatch(argv(&format!("run {f} --sources 0,abc"))).unwrap_err();
         assert!(bad.0.contains("--sources"));
 
-        let trace = tmpfile("run.trace.json");
-        dispatch(argv(&format!("run {f} --alg bfs --trace {trace}"))).unwrap();
-        let body = std::fs::read_to_string(&trace).unwrap();
-        assert!(body.contains("\"ph\":\"X\""));
-        assert!(body.trim_end().ends_with(']'));
+        // `--trace` is gone: `--profile FILE` writes the one Chrome trace,
+        // and a refused invocation writes neither.
+        let (trace, profile) = (tmpfile("run.trace.json"), tmpfile("run.refused.json"));
+        for p in [&trace, &profile] {
+            std::fs::remove_file(p).ok();
+        }
+        for flags in [
+            format!("--trace {trace}"),
+            format!("--trace {trace} --profile {profile}"),
+        ] {
+            let err = dispatch(argv(&format!("run {f} --alg bfs {flags}"))).unwrap_err();
+            assert!(err.0.contains("--trace"), "{err}");
+            for p in [&trace, &profile] {
+                assert!(!std::path::Path::new(p).exists(), "{flags} wrote {p}");
+            }
+        }
         std::fs::remove_file(&f).ok();
-        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
@@ -495,6 +523,20 @@ mod tests {
         // Typo'd flags are named, like every other subcommand.
         let err = dispatch(argv("serve --graph rmat10 --reqests 10")).unwrap_err();
         assert!(err.0.contains("--reqests"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_arrivals_past_the_clock_horizon() {
+        // A rate this low saturated every arrival at `u64::MAX` ns: a debug
+        // build overflowed the link clock, a release build served garbage.
+        for rate in ["1e-300", "1e-15"] {
+            let cmd = format!("serve --graph rmat8 --rate {rate} --requests 3");
+            let err = dispatch(argv(&cmd)).unwrap_err();
+            assert!(err.0.contains("--rate"), "{rate}: {err}");
+        }
+        // A slow trace whose arrivals stay inside the horizon still serves.
+        let out = dispatch(argv("serve --graph rmat8 --rate 1e-6 --requests 3")).unwrap();
+        assert_eq!(out.json["report"]["completed"], 3);
     }
 
     #[test]
@@ -803,9 +845,8 @@ mod tests {
             .filter_map(|tok| tok.strip_prefix("--"))
             .collect();
         let g = graph_file("usage.etag", 8);
-        let (web, trace, profile, plan) = (
+        let (web, profile, plan) = (
             tmpfile("usage-web.etag"),
-            tmpfile("usage.trace.json"),
             tmpfile("usage.profile.json"),
             tmpfile("usage-plan.json"),
         );
@@ -826,7 +867,7 @@ mod tests {
             (
                 format!(
                     "run {g} --alg sssp --framework eta --k 8 --no-smp --out-of-core --pull \
-                     --trace {trace} --profile {profile} --sanitize --faults {plan}"
+                     --profile {profile} --sanitize --faults {plan}"
                 ),
                 true,
             ),
@@ -855,7 +896,7 @@ mod tests {
                 );
             }
         }
-        for p in [g, web, trace, profile, plan] {
+        for p in [g, web, profile, plan] {
             std::fs::remove_file(&p).ok();
         }
     }
@@ -866,8 +907,7 @@ mod tests {
         let g = graph_file("readme.etag", 10);
         let plan = tmpfile("readme-plan.json");
         std::fs::write(&plan, "{}").unwrap();
-        let outputs =
-            ["trace.json", "t.json", "p.json"].map(|name| tmpfile(&format!("readme.{name}")));
+        let outputs = ["trace.json", "p.json"].map(|name| tmpfile(&format!("readme.{name}")));
         let readme = include_str!("../../../../README.md");
         let mut ran = 0;
         for line in readme.lines() {
@@ -881,8 +921,7 @@ mod tests {
                     "g.etag" => g.clone(),
                     "plan.json" => plan.clone(),
                     "trace.json" => outputs[0].clone(),
-                    "t.json" => outputs[1].clone(),
-                    "p.json" => outputs[2].clone(),
+                    "p.json" => outputs[1].clone(),
                     other => other.to_string(),
                 })
                 .collect();

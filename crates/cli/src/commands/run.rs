@@ -49,6 +49,8 @@ pub(crate) fn run(args: &Args) -> Result<Output, ArgError> {
             traversal(args, &g, alg, framework, &mut devs)?
         }
     };
+    // Refuse an unread flag before `--profile` writes its file.
+    args.ensure_consumed()?;
     attach(&mut out, &devs, args)?;
     Ok(out)
 }
@@ -113,10 +115,6 @@ fn traversal(
                     .map_err(|e| ArgError(format!("{name} failed: {e}")))?
             }
         };
-        if let Some(path) = args.get("trace") {
-            std::fs::write(path, result.timeline.to_chrome_trace())
-                .map_err(|e| ArgError(format!("writing trace {path}: {e}")))?;
-        }
         let m = &result.metrics;
         let _ = writeln!(
             text,

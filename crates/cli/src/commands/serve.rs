@@ -12,6 +12,12 @@ use etagraph::multi_bfs::MAX_BATCH;
 use serde_json::json;
 use std::fmt::Write as _;
 
+/// The latest arrival a served trace may hold: 2^62 ns (~146 years). It
+/// leaves the simulated clock room to serve the last request; a trace that
+/// passes it (a `--rate` so low that arrivals saturate the clock) is refused
+/// before anything is served.
+const ARRIVAL_HORIZON_NS: u64 = 1 << 62;
+
 /// One `--graph` spec: `rmatN` generates an R-MAT graph in memory (graph
 /// seed `42 + index`, paper edge factor); anything else loads a graph file.
 /// The spec string itself becomes the registry name.
@@ -122,6 +128,16 @@ pub(crate) fn serve(args: &Args) -> Result<Output, ArgError> {
     args.ensure_consumed()?;
 
     let trace = poisson_trace(&registry, &specs, &workload);
+    if trace
+        .last()
+        .is_some_and(|r| r.arrival_ns > ARRIVAL_HORIZON_NS)
+    {
+        return Err(ArgError(format!(
+            "--rate {:e} puts the last of {} arrivals past the clock horizon \
+             (2^62 ns, ~146 years); raise --rate or lower --requests",
+            workload.rate_per_s, workload.requests
+        )));
+    }
     let mut service = eta_serve::Service::new(&registry, cfg.clone());
     let report = service.run(&trace);
 

@@ -42,6 +42,14 @@ pub(crate) fn generate(args: &Args) -> Result<Output, ArgError> {
             if !(0.0..=1.0).contains(&lcc) {
                 return Err(ArgError("--lcc takes a fraction in [0, 1]".into()));
             }
+            // Each community holds at least 4 vertices; more than fit
+            // would grow the graph past --vertices.
+            if communities == 0 || island + 4 * communities > vertices {
+                return Err(ArgError(format!(
+                    "--communities {communities} must be at least 1 and fit 4 vertices each \
+                     beside --island {island} in --vertices {vertices}"
+                )));
+            }
             web(&WebConfig {
                 vertices,
                 edges,

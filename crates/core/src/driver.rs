@@ -498,14 +498,16 @@ pub(crate) fn drive<P: Program>(
         let barrier = g.end_ns();
         let mut messages = 0u64;
         if let Some(fabric) = fabric.as_deref_mut() {
-            let mark = fabric.log().len();
             let mut ready = vec![barrier; members.len()];
+            let mut sent = Vec::new();
             prog.collect(&mut members, g, &mut |from, to, count| {
-                let (_, end) = fabric.transfer(from as u32, to as u32, count * MSG_BYTES, barrier);
+                let bytes = count * MSG_BYTES;
+                let (start, end) = fabric.transfer(from as u32, to as u32, bytes, barrier);
+                sent.push((from, to, bytes, start, end));
                 ready[to] = ready[to].max(end);
                 messages += count;
             });
-            mirror_peer_spans(g.devs, fabric, mark);
+            mirror_peer_spans(g.devs, &sent);
             g.clocks = ready;
         }
         exchanged_bytes += messages * MSG_BYTES;
@@ -523,7 +525,7 @@ pub(crate) fn drive<P: Program>(
 
         // 4. Superstep boundary: the one place a snapshot is taken.
         if let Some(sink) = ckpt.sink.as_deref_mut() {
-            if sink.policy.due(step) && running(&members, step) {
+            if sink.due(step) && running(&members, step) {
                 sink.store(checkpoint(g, &prog, &members, step, ckpt.graph_digest)?);
             }
         }
@@ -577,18 +579,18 @@ fn checkpoint<P: Program>(
     })
 }
 
-/// Mirrors peer-fabric transfers recorded since `mark` into the sending
-/// device's profiler on [`Track::Peer`].
-fn mirror_peer_spans(devs: &mut [Device], fabric: &PeerFabric, mark: usize) {
-    for t in fabric.log_since(mark) {
-        let prof = &mut devs[t.from as usize].mem.prof;
+/// Mirrors one superstep's peer transfers `(from, to, bytes, start, end)`
+/// into the sending device's profiler on [`Track::Peer`].
+fn mirror_peer_spans(devs: &mut [Device], sent: &[(usize, usize, u64, Ns, Ns)]) {
+    for &(from, to, bytes, start, end) in sent {
+        let prof = &mut devs[from].mem.prof;
         if prof.is_enabled() {
             let args = vec![
-                ("from", t.from.into()),
-                ("to", t.to.into()),
-                ("bytes", t.bytes.into()),
+                ("from", from.into()),
+                ("to", to.into()),
+                ("bytes", bytes.into()),
             ];
-            prof.record(Track::Peer, "halo_exchange", t.start, t.end, args);
+            prof.record(Track::Peer, "halo_exchange", start, end, args);
         }
     }
 }

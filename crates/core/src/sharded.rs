@@ -465,9 +465,15 @@ mod tests {
                     .count()
             })
             .sum();
+        let link = fabric.link(0, 1).expect("the pair exchanged halos");
+        let peer_copies = link
+            .timeline
+            .spans()
+            .iter()
+            .filter(|s| s.kind == eta_mem::SpanKind::PeerCopy)
+            .count();
         assert_eq!(
-            peer_events,
-            fabric.log().len(),
+            peer_events, peer_copies,
             "every fabric transfer appears once on Track::Peer"
         );
     }

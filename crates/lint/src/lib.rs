@@ -11,8 +11,8 @@
 //! [`regions`] (test items, function bodies, `WarpCtx` kernel scopes), a
 //! token-pattern rule engine ([`rules`], eight rules — seven per file and
 //! the workspace-wide `L-ORPHAN`; see [`rules::RULES`]), the committed
-//! suppression [`baseline`] (`lint.allow`), and deterministic text/JSON
-//! [`report`] sinks.
+//! suppression [`baseline`] (`lint.allow`), and the deterministic text
+//! [`report`] (eta-bench renders its JSON form).
 //!
 //! Run it as `etagraph lint`, or regenerate the committed artifact with
 //! `cargo run --release -p eta-bench --bin report -- lint --out reports`.

@@ -1,9 +1,9 @@
-//! Deterministic text and JSON rendering of a lint run.
+//! A lint run's outcome and its deterministic text rendering.
 //!
-//! Both sinks are byte-identical across runs and platforms: findings are
-//! sorted by (path, line, rule), paths use forward slashes, and the JSON is
-//! hand-emitted (this crate is dependency-free) with escaped strings and no
-//! floating-point values.
+//! The text is byte-identical across runs and platforms: findings are
+//! sorted by (path, line, rule) and paths use forward slashes. The JSON
+//! form (`etagraph lint --json`, `reports/lint.json`) is rendered from the
+//! same fields by `eta_bench::lint_report::value`.
 
 use crate::baseline::BaselineEntry;
 use crate::rules::{Finding, RULES};
@@ -90,74 +90,6 @@ impl LintReport {
         }
         out
     }
-
-    pub fn json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"new\": {},\n", self.findings.len()));
-        out.push_str(&format!("  \"baselined\": {},\n", self.baselined));
-        out.push_str(&format!("  \"inline_allowed\": {},\n", self.inline_allowed));
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str("  \"rules\": [\n");
-        for (i, r) in RULES.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": {}, \"summary\": {}}}{}\n",
-                json_str(r.id),
-                json_str(r.summary),
-                if i + 1 < RULES.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"findings\": [\n");
-        for (i, (f, src)) in self.findings.iter().zip(&self.source_lines).enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"source\": {}}}{}\n",
-                json_str(f.rule),
-                json_str(&f.path),
-                f.line,
-                json_str(&f.message),
-                json_str(src),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stale_baseline\": [\n");
-        for (i, e) in self.stale_baseline.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": {}, \"path\": {}, \"source\": {}}}{}\n",
-                json_str(&e.rule),
-                json_str(&e.path),
-                json_str(&e.line_text),
-                if i + 1 < self.stale_baseline.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -172,11 +104,10 @@ mod tests {
         };
         assert!(r.is_clean());
         assert!(r.text().contains("clean: no non-baselined findings"));
-        assert!(r.json().contains("\"clean\": true"));
     }
 
     #[test]
-    fn findings_render_sorted_and_escaped() {
+    fn findings_render_sorted() {
         let mut r = LintReport {
             files_scanned: 1,
             findings: vec![
@@ -200,10 +131,8 @@ mod tests {
         assert!(!r.is_clean());
         assert_eq!(r.findings[0].path, "a.rs");
         assert_eq!(r.source_lines[0], "HashMap::new();");
-        let json = r.json();
-        assert!(json.contains("\\\"no\\\""));
         let text = r.text();
-        assert!(text.contains("L-PANIC b.rs:2"));
+        assert!(text.contains("L-PANIC b.rs:2: say \"no\""));
     }
 
     #[test]

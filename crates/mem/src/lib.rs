@@ -55,7 +55,7 @@ pub use adaptive::{
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{sectors_for_warp, SECTOR_BYTES, WORD_BYTES};
 pub use pcie::PcieLink;
-pub use peer::{PeerFabric, PeerTransfer};
+pub use peer::PeerFabric;
 pub use system::{DSlice, MemError, MemSystem, RegionId, TransferMode};
 pub use timeline::{Span, SpanKind, Timeline};
 pub use um::PAGE_BYTES;

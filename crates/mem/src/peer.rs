@@ -17,8 +17,9 @@
 //! and no fault plan degrades the link.
 //!
 //! Each transfer is recorded as a `PeerCopy` span on the link's
-//! [`Timeline`](crate::timeline::Timeline); the sharded engine mirrors
-//! those spans into eta-prof on `Track::Peer`.
+//! [`Timeline`](crate::timeline::Timeline); the superstep driver mirrors
+//! each superstep's transfers, with their endpoints, into the sender's
+//! profiler on `Track::Peer`.
 
 use crate::pcie::PcieLink;
 use crate::timeline::SpanKind;
@@ -31,16 +32,6 @@ const NVLINK_GB_S: f64 = 40.0;
 /// Per-transfer setup latency of every peer link.
 const NVLINK_LATENCY_NS: Ns = 2_000;
 
-/// One recorded peer transfer with its endpoints, for profiler mirroring.
-#[derive(Debug, Clone, Copy)]
-pub struct PeerTransfer {
-    pub from: u32,
-    pub to: u32,
-    pub bytes: u64,
-    pub start: Ns,
-    pub end: Ns,
-}
-
 /// The all-pairs peer fabric of a device group.
 ///
 /// Holds one [`PcieLink`] per unordered device pair, created lazily on
@@ -51,9 +42,6 @@ pub struct PeerFabric {
     /// Keyed by `(min, max)` of the endpoint pair, kept sorted for
     /// deterministic iteration.
     links: Vec<((u32, u32), PcieLink)>,
-    /// Every transfer in request order, with endpoints (links only record
-    /// anonymous spans).
-    log: Vec<PeerTransfer>,
 }
 
 impl PeerFabric {
@@ -63,7 +51,6 @@ impl PeerFabric {
         Self {
             devices,
             links: Vec::new(),
-            log: Vec::new(),
         }
     }
 
@@ -87,33 +74,13 @@ impl PeerFabric {
     /// returns the `(start, end)` interval on the pair's link.
     pub fn transfer(&mut self, from: u32, to: u32, bytes: u64, now: Ns) -> (Ns, Ns) {
         debug_assert!(from < self.devices && to < self.devices && from != to);
-        let (start, end) = self
-            .link_mut(from, to)
-            .transfer(SpanKind::PeerCopy, bytes, now);
-        self.log.push(PeerTransfer {
-            from,
-            to,
-            bytes,
-            start,
-            end,
-        });
-        (start, end)
+        self.link_mut(from, to)
+            .transfer(SpanKind::PeerCopy, bytes, now)
     }
 
     /// Total bytes moved over every link.
     pub fn bytes_moved(&self) -> u64 {
         self.links.iter().map(|(_, l)| l.bytes_moved()).sum()
-    }
-
-    /// Every transfer in request order, with endpoints.
-    pub fn log(&self) -> &[PeerTransfer] {
-        &self.log
-    }
-
-    /// Transfers recorded since `mark` (a previous `log().len()`), for
-    /// incremental profiler mirroring.
-    pub fn log_since(&self, mark: usize) -> &[PeerTransfer] {
-        &self.log[mark..]
     }
 
     /// The link for an unordered pair, if it has carried traffic.
@@ -150,7 +117,8 @@ mod tests {
         let (s2, _) = f.transfer(2, 3, 40_000, 0);
         assert_eq!(s2, 0, "0-1 traffic must not delay the 2-3 link");
         assert!(e1 > 0);
-        assert_eq!(f.log().len(), 2);
+        let links = [f.link(0, 1), f.link(2, 3)].map(|l| l.expect("link exists"));
+        assert!(links.iter().all(|l| l.timeline.spans().len() == 1));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Fig. 4 of the paper plots "execution status" of EtaGraph w/o UMP — which
 //! intervals the PCIe link and the SMs are busy — and reports 60–80 %
 //! transfer/compute overlap. We reproduce that by recording every transfer
-//! and every kernel as a [`Span`] and measuring interval overlap directly.
+//! and every kernel as a [`Span`] and measuring interval overlap directly,
+//! through eta-prof's interval algebra, so a timeline and a profile of the
+//! same spans agree.
 
 use crate::Ns;
 use serde::Serialize;
@@ -37,7 +39,7 @@ impl SpanKind {
         !matches!(self, SpanKind::Compute)
     }
 
-    /// Stable event name, shared by the Chrome trace sink and the profiler.
+    /// Stable event name, as the profiler records it.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::CopyH2D => "copy_h2d",
@@ -94,30 +96,25 @@ impl Timeline {
 
     /// Total busy time of spans matching `pred`, merging overlaps.
     pub fn busy_time<F: Fn(&Span) -> bool>(&self, pred: F) -> Ns {
-        let mut ivals: Vec<(Ns, Ns)> = self
-            .spans
-            .iter()
-            .filter(|s| pred(s))
-            .map(|s| (s.start, s.end))
-            .collect();
-        merged_length(&mut ivals)
+        eta_prof::union_ns(self.intervals(pred))
     }
 
     /// Time during which both a transfer span and a compute span are active.
     pub fn overlap_time(&self) -> Ns {
-        let mut xfer: Vec<(Ns, Ns)> = self
-            .spans
+        eta_prof::intersection_ns(
+            self.intervals(|s| s.kind.is_transfer()),
+            self.intervals(|s| !s.kind.is_transfer()),
+        )
+    }
+
+    fn intervals<'a>(
+        &'a self,
+        pred: impl Fn(&Span) -> bool + 'a,
+    ) -> impl Iterator<Item = (Ns, Ns)> + 'a {
+        self.spans
             .iter()
-            .filter(|s| s.kind.is_transfer())
+            .filter(move |s| pred(s))
             .map(|s| (s.start, s.end))
-            .collect();
-        let mut comp: Vec<(Ns, Ns)> = self
-            .spans
-            .iter()
-            .filter(|s| !s.kind.is_transfer())
-            .map(|s| (s.start, s.end))
-            .collect();
-        intersect_length(&mut xfer, &mut comp)
     }
 
     /// Fraction of transfer busy time that is hidden under compute.
@@ -128,72 +125,6 @@ impl Timeline {
         }
         self.overlap_time() as f64 / t as f64
     }
-
-    /// End of the last span, i.e. the makespan of the recording.
-    pub fn end(&self) -> Ns {
-        self.spans.iter().map(|s| s.end).max().unwrap_or(0)
-    }
-
-    /// Serializes the recording as a Chrome trace (the `chrome://tracing` /
-    /// Perfetto JSON array format): transfer spans on one track, compute on
-    /// another, timestamps in microseconds. Hand-formatted — every field is
-    /// a number or a fixed identifier, so no JSON escaping is needed.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, s) in self.spans.iter().enumerate() {
-            let name = s.kind.name();
-            let tid = if s.kind.is_transfer() { 1 } else { 2 };
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "  {{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"bytes\":{}}}}}",
-                s.start as f64 / 1e3,
-                s.duration() as f64 / 1e3,
-                s.bytes
-            ));
-        }
-        out.push_str("\n]\n");
-        out
-    }
-}
-
-/// Sorts, merges and sums a set of intervals.
-fn merged_length(ivals: &mut Vec<(Ns, Ns)>) -> Ns {
-    merge(ivals);
-    ivals.iter().map(|&(a, b)| b - a).sum()
-}
-
-fn merge(ivals: &mut Vec<(Ns, Ns)>) {
-    ivals.sort_unstable();
-    let mut out: Vec<(Ns, Ns)> = Vec::with_capacity(ivals.len());
-    for &(a, b) in ivals.iter() {
-        match out.last_mut() {
-            Some(last) if a <= last.1 => last.1 = last.1.max(b),
-            _ => out.push((a, b)),
-        }
-    }
-    *ivals = out;
-}
-
-fn intersect_length(a: &mut Vec<(Ns, Ns)>, b: &mut Vec<(Ns, Ns)>) -> Ns {
-    merge(a);
-    merge(b);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut total = 0;
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            total += hi - lo;
-        }
-        if a[i].1 < b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -234,29 +165,46 @@ mod tests {
         let t = Timeline::new();
         assert_eq!(t.overlap_time(), 0);
         assert_eq!(t.overlap_fraction(), 0.0);
-        assert_eq!(t.end(), 0);
     }
 
+    /// A timeline and a profile of the same spans measure through the one
+    /// interval algebra, so they agree on zero-length, touching, nested and
+    /// duplicated spans alike.
     #[test]
-    fn makespan_is_last_end() {
+    fn timeline_and_profile_agree_on_degenerate_spans() {
+        use eta_prof::{Profile, Profiler, Track};
+        let spans = [
+            (SpanKind::Compute, 0, 100),
+            (SpanKind::Compute, 10, 20),   // nested
+            (SpanKind::Compute, 100, 150), // touching
+            (SpanKind::Compute, 150, 150), // zero-length, touching
+            (SpanKind::Migration, 40, 60),
+            (SpanKind::Migration, 40, 60),  // duplicated
+            (SpanKind::Migration, 60, 60),  // zero-length, touching
+            (SpanKind::CopyH2D, 60, 120),   // touching
+            (SpanKind::Prefetch, 200, 200), // zero-length, alone
+            (SpanKind::CopyD2H, 150, 170),  // touching compute's end
+        ];
         let mut t = Timeline::new();
-        t.push(span(SpanKind::Compute, 5, 9));
-        t.push(span(SpanKind::CopyH2D, 0, 4));
-        assert_eq!(t.end(), 9);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_one_event_per_span() {
-        let mut t = Timeline::new();
-        t.push(span(SpanKind::CopyH2D, 0, 2000));
-        t.push(span(SpanKind::Compute, 1000, 5000));
-        let trace = t.to_chrome_trace();
-        // Hand-rolled writer: sanity-check shape without a JSON parser.
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2);
-        assert!(trace.contains("\"name\":\"copy_h2d\""));
-        assert!(trace.contains("\"name\":\"kernel\""));
-        assert!(trace.trim_start().starts_with('['));
-        assert!(trace.trim_end().ends_with(']'));
+        let mut prof = Profiler::new(true);
+        for (kind, start, end) in spans {
+            t.push(span(kind, start, end));
+            let track = match kind {
+                SpanKind::Compute => Track::Kernel,
+                SpanKind::CopyH2D | SpanKind::CopyD2H => Track::Transfer,
+                _ => Track::Um,
+            };
+            prof.record(track, kind.name(), start, end, Vec::new());
+        }
+        let p = Profile::single("device", prof.events().to_vec());
+        // Compute covers [0, 150); transfers [40, 120) and [150, 170).
+        assert_eq!(t.busy_time(|s| !s.kind.is_transfer()), 150);
+        assert_eq!(p.kernel_busy_ns(), 150);
+        assert_eq!(t.busy_time(|s| s.kind.is_transfer()), 100);
+        assert_eq!(p.transfer_busy_ns(), 100);
+        assert_eq!(t.overlap_time(), 80);
+        assert_eq!(p.overlap_ns(), 80);
+        assert_eq!(t.overlap_fraction(), p.overlap_fraction());
     }
 
     #[test]

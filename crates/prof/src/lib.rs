@@ -23,7 +23,8 @@
 //!
 //! * [`event`] — [`Track`]s, typed [`ArgValue`]s, and the [`Event`] record
 //! * [`profiler`] — the [`Profiler`] recorder with nested spans
-//! * [`profile`] — assembled [`Profile`]s, overlap math, and the sinks
+//! * [`profile`] — assembled [`Profile`]s, the interval algebra
+//!   ([`union_ns`], [`intersection_ns`]), and the sinks
 //! * [`fmt`] — deterministic formatting shared by the sinks
 //!
 //! # Example
@@ -48,5 +49,8 @@ pub mod profiler;
 pub type Ns = u64;
 
 pub use event::{ArgValue, Event, Track};
-pub use profile::{CounterStat, KernelCounters, Profile, ProfileProcess, Summary, SummaryRow};
+pub use profile::{
+    intersection_ns, union_ns, CounterStat, KernelCounters, Profile, ProfileProcess, Summary,
+    SummaryRow,
+};
 pub use profiler::Profiler;

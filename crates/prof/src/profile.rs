@@ -118,7 +118,7 @@ impl Profile {
             .map(|p| {
                 let kern = intervals(&p.events, |t| t == Track::Kernel);
                 let xfer = intervals(&p.events, |t| t == Track::Transfer || t == Track::Um);
-                intersect_length(kern, xfer)
+                intersection_ns(kern, xfer)
             })
             .sum()
     }
@@ -145,10 +145,7 @@ impl Profile {
     fn busy<F: Fn(Track) -> bool>(&self, pred: F) -> Ns {
         self.processes
             .iter()
-            .map(|p| {
-                let iv = intervals(&p.events, &pred);
-                iv.iter().map(|&(a, b)| b - a).sum::<Ns>()
-            })
+            .map(|p| union_ns(intervals(&p.events, &pred)))
             .sum()
     }
 
@@ -459,13 +456,21 @@ impl Profile {
     }
 }
 
-/// Sorted, merged busy intervals of the events matching `pred`.
-fn intervals<F: Fn(Track) -> bool>(events: &[Event], pred: F) -> Vec<(Ns, Ns)> {
-    let mut iv: Vec<(Ns, Ns)> = events
+/// The `(start, end)` intervals of the events on a track matching `pred`.
+fn intervals<'a>(
+    events: &'a [Event],
+    pred: impl Fn(Track) -> bool + 'a,
+) -> impl Iterator<Item = (Ns, Ns)> + 'a {
+    events
         .iter()
-        .filter(|e| pred(e.track) && e.end > e.start)
+        .filter(move |e| pred(e.track))
         .map(|e| (e.start, e.end))
-        .collect();
+}
+
+/// Sorted, merged intervals: overlapping and touching intervals join, and
+/// empty ones are dropped (they hold no time).
+fn merge(iv: impl IntoIterator<Item = (Ns, Ns)>) -> Vec<(Ns, Ns)> {
+    let mut iv: Vec<(Ns, Ns)> = iv.into_iter().filter(|&(a, b)| b > a).collect();
     iv.sort_unstable();
     let mut out: Vec<(Ns, Ns)> = Vec::with_capacity(iv.len());
     for (a, b) in iv {
@@ -477,8 +482,20 @@ fn intervals<F: Fn(Track) -> bool>(events: &[Event], pred: F) -> Vec<(Ns, Ns)> {
     out
 }
 
-/// Total length of the intersection of two merged interval sets.
-fn intersect_length(a: Vec<(Ns, Ns)>, b: Vec<(Ns, Ns)>) -> Ns {
+/// Busy time of a set of intervals: the length of their union. The one
+/// interval algebra of the workspace, with [`intersection_ns`]; both a
+/// [`Profile`] and `eta_mem`'s link timelines measure through it.
+pub fn union_ns(iv: impl IntoIterator<Item = (Ns, Ns)>) -> Ns {
+    merge(iv).iter().map(|&(a, b)| b - a).sum()
+}
+
+/// Time during which both interval sets are busy: the length of the
+/// intersection of their unions.
+pub fn intersection_ns(
+    a: impl IntoIterator<Item = (Ns, Ns)>,
+    b: impl IntoIterator<Item = (Ns, Ns)>,
+) -> Ns {
+    let (a, b) = (merge(a), merge(b));
     let (mut i, mut j) = (0usize, 0usize);
     let mut total = 0;
     while i < a.len() && j < b.len() {
