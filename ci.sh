@@ -39,15 +39,17 @@ echo "    copy, release mode: graph construction must not change one byte)"
 cargo test --release -p eta-graph --lib -q -- --ignored datasets::tests::all_dataset_digests_are_pinned
 
 echo "==> per-access differentials (release mode: recency-key cache vs the"
-echo "    valid-bit oracle, one-pass coalesce vs per-access sort + dedup,"
-echo "    closed-form bank conflicts vs the sort-based definition)"
+echo "    valid-bit oracle, the sector-run builder and the sectors a warp"
+echo "    records vs per-access sort + dedup, closed-form bank conflicts vs"
+echo "    the sort-based definition)"
 cargo test --release -p eta-mem --lib -q -- \
     cache::tests::differential_random_ops_match_fill_oracle \
     cache::tests::flush_edges_match_fill_oracle \
     cache::tests::clock_at_the_key_bound_matches_fill_oracle \
     access::tests::coalesce_matches_per_access_sort_and_dedup
 cargo test --release -p eta-sim --lib -q -- \
-    warp::tests::bank_conflicts_match_the_sort_based_definition
+    warp::tests::bank_conflicts_match_the_sort_based_definition \
+    warp::tests::recorded_sectors_match_sort_and_dedup_of_the_touched_words
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -61,11 +63,12 @@ echo "    inventory, the per-iteration frontiers and the BFS activation; fig4"
 echo "    and fig6 pin the SSSP transfer/compute overlap and the ablations;"
 echo "    overload pins the standard qos profile through the full drill;"
 echo "    table5 pins the UM migration batch sizes with and without prefetch;"
-echo "    the slower table3, shard and transfer are the pre-merge"
+echo "    transfer pins every transfer mode, its oversubscribed section the"
+echo "    paging path; the slower table3 and shard are the pre-merge"
 echo "    'report all --check reports/' step of .claude/skills/verify/SKILL.md)"
 cargo run --release -p eta-bench --bin report -- \
     profile serve faults chaos extras lint fig7 sanitize \
-    table1 table2 fig2 fig5 table4 fig4 fig6 overload table5 --check reports/
+    table1 table2 fig2 fig5 table4 fig4 fig6 overload table5 transfer --check reports/
 
 echo "==> report profile smoke run (quick suite, temp dir)"
 PROFILE_OUT="$(mktemp -d)"

@@ -36,7 +36,8 @@ pub fn dispatch(argv: Vec<String>) -> Result<Output, ArgError> {
     let args = Args::parse(argv);
     let out = execute(&args)?;
     // Reject typos and flags this command never read (a stale or wrong
-    // invocation must not silently run something else).
+    // invocation must not silently run something else). `run` already
+    // checked before its first launch; this is the backstop for the rest.
     args.ensure_consumed()?;
     Ok(out)
 }
@@ -612,6 +613,55 @@ mod tests {
         let err = dispatch(argv(&format!("run {f} --alg bfs --faults {bad}"))).unwrap_err();
         assert!(err.0.contains("fault plan"), "{err}");
         for p in [f, plan, empty, bad] {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn run_refuses_an_unread_flag_before_the_first_launch() {
+        let f = tmpfile("refuse-first.etag");
+        dispatch(argv(&format!(
+            "generate rmat --scale 12 --edges 600000 --max-weight 8 --out {f}"
+        )))
+        .unwrap();
+        // Device 0 hangs on its first launch, and a 1 MiB group member
+        // cannot hold its shard: each program below fails at its first
+        // simulated launch or upload, so an error that names the unread
+        // flag instead shows that none happened before the refusal.
+        let plan = tmpfile("refuse-first-hang.json");
+        std::fs::write(
+            &plan,
+            r#"{"hangs": [{"device": 0, "start_ns": 0, "end_ns": 99999999999, "budget_ns": 1}]}"#,
+        )
+        .unwrap();
+        let hang = format!("--faults {plan}");
+        for (program, failure) in [
+            (format!("--alg sssp {hang}"), "kernel_hang"),
+            (format!("--alg bfs --framework tigr {hang}"), "kernel_hang"),
+            (
+                format!("--alg pagerank --iterations 2 {hang}"),
+                "kernel_hang",
+            ),
+            (format!("--sources 0,1 {hang}"), "kernel_hang"),
+            (
+                "--alg bfs --devices 2 --device-mb 1 --transfer explicit".to_string(),
+                "out of device memory",
+            ),
+            (
+                "--alg pagerank --devices 2 --device-mb 1 --transfer explicit".to_string(),
+                "out of device memory",
+            ),
+        ] {
+            let cmd = format!("run {f} {program}");
+            let err = dispatch(argv(&cmd)).unwrap_err();
+            assert!(err.0.contains(failure), "{cmd}: {err}");
+            let err = dispatch(argv(&format!("{cmd} --bogus 1"))).unwrap_err();
+            assert!(
+                err.0.contains("unknown or unused flag(s): --bogus"),
+                "{cmd} --bogus 1: {err}"
+            );
+        }
+        for p in [f, plan] {
             std::fs::remove_file(&p).ok();
         }
     }

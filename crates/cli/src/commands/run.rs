@@ -8,7 +8,8 @@ use eta_baselines::{ChunkStream, CushaLike, Framework, GunrockLike, TigrLike};
 use eta_graph::Csr;
 use eta_sim::Device;
 use etagraph::multi_bfs::MAX_BATCH;
-use etagraph::Algorithm;
+use etagraph::pagerank::PageRankConfig;
+use etagraph::{Algorithm, EtaConfig};
 use serde_json::json;
 use std::fmt::Write as _;
 
@@ -30,14 +31,14 @@ pub(crate) fn run(args: &Args) -> Result<Output, ArgError> {
         )));
     }
     let mut devs = members(args, devices)?;
-    let mut out = match (sources, alg) {
-        (Some(list), None | Some("bfs")) => multi_bfs(args, &g, list, &mut devs[0])?,
+    let program = match (sources, alg) {
+        (Some(list), None | Some("bfs")) => multi_bfs_plan(args, &g, list)?,
         (Some(_), Some(alg)) => {
             return Err(ArgError(format!(
                 "--sources runs batched BFS; drop --alg {alg}"
             )))
         }
-        (None, Some("pagerank")) => pagerank(args, &g, &mut devs)?,
+        (None, Some("pagerank")) => pagerank_plan(args, &devs)?,
         (None, alg) => {
             let alg = match alg.unwrap_or("bfs") {
                 "bfs" => Algorithm::Bfs,
@@ -46,13 +47,43 @@ pub(crate) fn run(args: &Args) -> Result<Output, ArgError> {
                 "cc" => Algorithm::Cc,
                 other => return Err(ArgError(format!("unknown algorithm {other:?}"))),
             };
-            traversal(args, &g, alg, framework, &mut devs)?
+            traversal_plan(args, &g, alg, framework, &devs)?
         }
     };
-    // Refuse an unread flag before `--profile` writes its file.
+    // Every flag the program honours is read: refuse an unread one before
+    // the first launch, so a typo costs no simulation.
     args.ensure_consumed()?;
+    let mut out = match program {
+        Program::Traversal {
+            alg,
+            source,
+            solver,
+        } => traversal(&g, alg, source, solver, &mut devs)?,
+        Program::PageRank(cfg) => pagerank(&g, &cfg, &mut devs)?,
+        Program::MultiBfs { sources, cfg } => multi_bfs(&g, &sources, &cfg, &mut devs[0])?,
+    };
     attach(&mut out, &devs, args)?;
     Ok(out)
+}
+
+/// What `run` executes, built from its flags before the first launch.
+enum Program<'a> {
+    Traversal {
+        alg: Algorithm,
+        source: u32,
+        solver: Solver<'a>,
+    },
+    PageRank(PageRankConfig),
+    MultiBfs {
+        sources: Vec<u32>,
+        cfg: EtaConfig,
+    },
+}
+
+/// Who runs a traversal: EtaGraph with its config, or a named baseline.
+enum Solver<'a> {
+    Eta(EtaConfig),
+    Baseline(&'a str, Box<dyn Framework>),
 }
 
 /// The vertex-range partition and the NVLink fabric of a group.
@@ -73,15 +104,16 @@ fn digest(words: impl Iterator<Item = u32>) -> String {
     format!("{:016x}", eta_ckpt::digest_words(&[&words]))
 }
 
-/// One traversal from `--source`. The labels digest is byte-comparable
-/// across group sizes — the CI differential gate diffs exactly that line.
-fn traversal(
+/// A traversal from `--source`, with the config its solver honours: a
+/// one-device EtaGraph run reads [`traversal_config`], a group
+/// [`smp_config`], a baseline nothing more.
+fn traversal_plan<'a>(
     args: &Args,
     g: &Csr,
     alg: Algorithm,
-    framework: &str,
-    devs: &mut [Device],
-) -> Result<Output, ArgError> {
+    framework: &'a str,
+    devs: &[Device],
+) -> Result<Program<'a>, ArgError> {
     if alg.needs_weights() && !g.is_weighted() {
         return Err(ArgError(format!(
             "{} needs a weighted graph (generate with --max-weight)",
@@ -95,25 +127,45 @@ fn traversal(
             g.n()
         )));
     }
+    let weighted = alg.needs_weights();
+    let solver = match (framework, devs) {
+        ("eta", [dev]) => Solver::Eta(traversal_config(args, weighted, &dev.cfg)?),
+        ("eta", _) => Solver::Eta(smp_config(args, weighted, &devs[0].cfg)?),
+        (name, _) => {
+            let fw: Box<dyn Framework> = match name {
+                "tigr" => Box::new(TigrLike::default()),
+                "gunrock" => Box::new(GunrockLike::default()),
+                "cusha" => Box::new(CushaLike::default()),
+                "chunkstream" => Box::new(ChunkStream::default()),
+                other => return Err(ArgError(format!("unknown framework {other:?}"))),
+            };
+            Solver::Baseline(name, fw)
+        }
+    };
+    Ok(Program::Traversal {
+        alg,
+        source,
+        solver,
+    })
+}
+
+/// One traversal. The labels digest is byte-comparable across group sizes
+/// — the CI differential gate diffs exactly that line.
+fn traversal(
+    g: &Csr,
+    alg: Algorithm,
+    source: u32,
+    solver: Solver<'_>,
+    devs: &mut [Device],
+) -> Result<Output, ArgError> {
     let mut text = String::new();
     let (digest, json) = if let [dev] = devs {
-        let result = match framework {
-            "eta" => {
-                let cfg = traversal_config(args, alg.needs_weights(), &dev.cfg)?;
-                etagraph::engine::run(dev, g, source, alg, &cfg)
-                    .map_err(|e| ArgError(format!("run failed: {e}")))?
-            }
-            name => {
-                let fw: Box<dyn Framework> = match name {
-                    "tigr" => Box::new(TigrLike::default()),
-                    "gunrock" => Box::new(GunrockLike::default()),
-                    "cusha" => Box::new(CushaLike::default()),
-                    "chunkstream" => Box::new(ChunkStream::default()),
-                    other => return Err(ArgError(format!("unknown framework {other:?}"))),
-                };
-                fw.run(dev, g, source, alg)
-                    .map_err(|e| ArgError(format!("{name} failed: {e}")))?
-            }
+        let result = match &solver {
+            Solver::Eta(cfg) => etagraph::engine::run(dev, g, source, alg, cfg)
+                .map_err(|e| ArgError(format!("run failed: {e}")))?,
+            Solver::Baseline(name, fw) => fw
+                .run(dev, g, source, alg)
+                .map_err(|e| ArgError(format!("{name} failed: {e}")))?,
         };
         let m = &result.metrics;
         let _ = writeln!(
@@ -156,9 +208,11 @@ fn traversal(
         });
         (digest, json)
     } else {
-        let cfg = smp_config(args, alg.needs_weights(), &devs[0].cfg)?;
+        let Solver::Eta(cfg) = &solver else {
+            unreachable!("`run` refuses a baseline on a group")
+        };
         let (part, mut fabric) = group(g, devs);
-        let r = etagraph::sharded::run_sharded(devs, &mut fabric, &part, source, alg, &cfg)
+        let r = etagraph::sharded::run_sharded(devs, &mut fabric, &part, source, alg, cfg)
             .map_err(|e| ArgError(format!("sharded run failed: {e}")))?;
         let init = alg.init_label();
         let visited = r.labels.iter().filter(|&&l| l != init).count();
@@ -200,10 +254,9 @@ fn traversal(
     Ok(Output { json, text })
 }
 
-/// PageRank; the ranks are bit-identical across group sizes (the digest
-/// line matches the single-device run's exactly).
-fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgError> {
-    let cfg = etagraph::pagerank::PageRankConfig {
+/// PageRank's `--damping`, `--iterations` and [`smp_config`].
+fn pagerank_plan(args: &Args, devs: &[Device]) -> Result<Program<'static>, ArgError> {
+    let cfg = PageRankConfig {
         damping: args.get_parse("damping", 0.85f32)?,
         iterations: args.get_parse("iterations", 20)?,
         eta: smp_config(args, false, &devs[0].cfg)?,
@@ -211,9 +264,15 @@ fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgErro
     if !(0.0..=1.0).contains(&cfg.damping) {
         return Err(ArgError("--damping takes a fraction in [0, 1]".into()));
     }
+    Ok(Program::PageRank(cfg))
+}
+
+/// PageRank; the ranks are bit-identical across group sizes (the digest
+/// line matches the single-device run's exactly).
+fn pagerank(g: &Csr, cfg: &PageRankConfig, devs: &mut [Device]) -> Result<Output, ArgError> {
     let mut text = String::new();
     let (digest, json) = if let [dev] = devs {
-        let r = etagraph::pagerank::run(dev, g, &cfg)
+        let r = etagraph::pagerank::run(dev, g, cfg)
             .map_err(|e| ArgError(format!("pagerank failed: {e}")))?;
         let mut top: Vec<(usize, f32)> = r.ranks.iter().copied().enumerate().collect();
         top.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -241,7 +300,7 @@ fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgErro
         (digest, json)
     } else {
         let (part, mut fabric) = group(g, devs);
-        let r = etagraph::sharded::run_sharded_pagerank(devs, &mut fabric, &part, g, &cfg)
+        let r = etagraph::sharded::run_sharded_pagerank(devs, &mut fabric, &part, g, cfg)
             .map_err(|e| ArgError(format!("sharded pagerank failed: {e}")))?;
         let _ = writeln!(
             text,
@@ -268,9 +327,8 @@ fn pagerank(args: &Args, g: &Csr, devs: &mut [Device]) -> Result<Output, ArgErro
     Ok(Output { json, text })
 }
 
-/// Batched concurrent BFS over a comma-separated source list (iBFS-style;
-/// up to 32 sources share one traversal).
-fn multi_bfs(args: &Args, g: &Csr, list: &str, dev: &mut Device) -> Result<Output, ArgError> {
+/// Batched BFS's comma-separated `--sources` and [`eta_config`].
+fn multi_bfs_plan(args: &Args, g: &Csr, list: &str) -> Result<Program<'static>, ArgError> {
     let sources: Vec<u32> = list
         .split(',')
         .map(|tok| {
@@ -287,7 +345,21 @@ fn multi_bfs(args: &Args, g: &Csr, list: &str, dev: &mut Device) -> Result<Outpu
     if let Some(s) = sources.iter().find(|&&s| s as usize >= g.n()) {
         return Err(ArgError(format!("--sources: vertex {s} out of range")));
     }
-    let r = etagraph::multi_bfs::run(dev, g, &sources, &eta_config(args)?)
+    Ok(Program::MultiBfs {
+        sources,
+        cfg: eta_config(args)?,
+    })
+}
+
+/// Batched concurrent BFS (iBFS-style; up to 32 sources share one
+/// traversal).
+fn multi_bfs(
+    g: &Csr,
+    sources: &[u32],
+    cfg: &EtaConfig,
+    dev: &mut Device,
+) -> Result<Output, ArgError> {
+    let r = etagraph::multi_bfs::run(dev, g, sources, cfg)
         .map_err(|e| ArgError(format!("multi-bfs failed: {e}")))?;
     let mut text = String::new();
     let _ = writeln!(

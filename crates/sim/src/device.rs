@@ -93,7 +93,7 @@ struct Grid {
 }
 
 /// The front half of a launch's pipeline, on the calling thread: stages
-/// 1–3 over the memory system, the sanitizer, the block's shared memory
+/// 1–2 over the memory system, the sanitizer, the block's shared memory
 /// and the per-SM record accumulators — none of which [`Back`] touches.
 struct Front<'d, K: ?Sized> {
     kernel: &'d K,
@@ -106,24 +106,23 @@ struct Front<'d, K: ?Sized> {
     instr: &'d mut [u64],
     stall: &'d mut [u64],
     metrics: &'d mut KernelMetrics,
-    /// Accesses the warps recorded and stage 3 replayed, and blocks done.
+    /// Accesses the warps recorded and stage 2 replayed, and blocks done.
     recorded: usize,
     replayed: usize,
     blocks: usize,
 }
 
 impl<K: Kernel + ?Sized> Front<'_, K> {
-    /// Stages 1–3 for block `block` into its SM's queue, which held the
+    /// Stages 1–2 for block `block` into its SM's queue, which held the
     /// SM's block of the previous wave (or launch) until now.
     ///
     /// 1. Record: the block's warps execute functionally — real loads,
     ///    stores, atomics, all sanitizer hooks — appending their global
-    ///    accesses to the queue.
-    /// 2. Coalesce: per-queue state only.
-    /// 3. Residency: UM migrations, PCIe spans, adaptive-policy evolution
+    ///    accesses to the queue as coalesced sector runs.
+    /// 2. Residency: UM migrations, PCIe spans, adaptive-policy evolution
     ///    and fault injection are shared state, replayed here access by
     ///    access. Blocks arrive in index order, so this is the canonical
-    ///    block-major order; record reads none of what stage 3 writes, so
+    ///    block-major order; record reads none of what stage 2 writes, so
     ///    running it before the next block records changes nothing.
     fn block(&mut self, block: usize, queue: &mut SmQueue) {
         let sm = block % self.cfg.num_sms;
@@ -150,8 +149,8 @@ impl<K: Kernel + ?Sized> Front<'_, K> {
             self.stall[sm] += stall;
             self.recorded += recs;
         }
-        queue.coalesce();
-        // Stage 4 stages at most one `L2Work` per record and one L2 sector
+        queue.zc.resize(queue.sectors.len(), false);
+        // Stage 3 stages at most one `L2Work` per record and one L2 sector
         // per sector. Growing its arenas here keeps every allocation on the
         // calling thread: a worker's would land in an allocator arena of
         // its own (glibc's per-thread arenas), a second heap of queue
@@ -174,7 +173,7 @@ impl<K: Kernel + ?Sized> Front<'_, K> {
 }
 
 /// The back half of a launch's pipeline, on a worker thread when the
-/// launch has one: stages 4 and 5 over the L1s and the L2 — which nothing
+/// launch has one: stages 3 and 4 over the L1s and the L2 — which nothing
 /// in [`Front`] reads — into counters of its own, merged into the launch's
 /// once at its end.
 struct Back<'d> {
@@ -189,7 +188,7 @@ struct Back<'d> {
 }
 
 impl Back<'_> {
-    /// Stages 4 and 5 for block `block`. Blocks arrive in index order, so
+    /// Stages 3 and 4 for block `block`. Blocks arrive in index order, so
     /// each L1 — private, invalidated at launch start — sees its own SM's
     /// blocks in order, and the shared L2 sees every block's `L2Work` in
     /// block order.
@@ -215,7 +214,7 @@ impl Back<'_> {
     }
 }
 
-/// Stage 5 for one block: its L2-bound sectors probe the shared L2,
+/// Stage 4 for one block: its L2-bound sectors probe the shared L2,
 /// misses go to DRAM, and the L2 clock advances by each access's insertions.
 /// Returns the stall cycles charged to the SM.
 fn drain_l2(
@@ -492,7 +491,7 @@ impl Device {
 
     /// Streams the grid's blocks through the two-stage host pipeline
     /// ([`eta_par::pipeline2`] over the per-SM queues as a ring): [`Front`]
-    /// records, coalesces and replays residency for a block on the calling
+    /// records (coalescing as it goes) and replays residency for a block on the calling
     /// thread while [`Back`] drains the L1 and the L2 for earlier blocks on
     /// a worker. Block *b* runs in SM *b* mod `num_sms`'s queue, which the
     /// front refills only once the back has drained block *b* − `num_sms`,

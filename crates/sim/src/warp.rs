@@ -116,11 +116,12 @@ impl Burst {
 
 /// Mutable execution state for one warp.
 ///
-/// Global accesses are *recorded*, not probed: each appends one access to
-/// the owning SM's queue, and the staged launch pipeline (see
-/// [`eta_mem::access`]) replays the wave's queues against residency, L1 and
-/// L2. Loads therefore charge their memory stall in the drain stages;
-/// stores, atomics and shared accesses charge constant costs here.
+/// Global accesses are *recorded*, not probed: each appends one access —
+/// its lanes' sorted, unique sectors — to the owning SM's queue, and the
+/// staged launch pipeline (see [`eta_mem::access`]) replays the wave's
+/// queues against residency, L1 and L2. Loads therefore charge their
+/// memory stall in the drain stages; stores, atomics and shared accesses
+/// charge constant costs here.
 pub struct WarpCtx<'a> {
     pub cfg: &'a GpuConfig,
     pub mem: &'a mut MemSystem,
@@ -246,44 +247,39 @@ impl<'a> WarpCtx<'a> {
     // ---- global memory ---------------------------------------------------
 
     /// Resolves active lanes' element indices to word addresses and records
-    /// them as one access of the owning SM's queue. Returns the effective
-    /// lane mask (the sanitizer drops out-of-bounds lanes, report-and-
-    /// continue, where `DSlice::addr` would otherwise panic) and its lanes'
-    /// addresses, in lane order at the front of the array.
+    /// their sectors as one access of the owning SM's queue. Returns the
+    /// effective lane mask (the sanitizer drops out-of-bounds lanes, report-
+    /// and-continue, where `DSlice::addr` would otherwise panic) and its
+    /// lanes' word addresses, in lane order at the front of the array.
     fn access(&mut self, s: DSlice, idx: &Lanes, mask: u32, op: PipeOp) -> (u32, [u64; WARP_SIZE]) {
         let mask = match self.san.as_deref_mut() {
             Some(san) => san.global(self.id, op, s, idx, None, mask, self.mem),
             None => mask,
         };
         self.count_lanes(mask.count_ones());
-        // No active lane coalesces to no sectors: nothing to record. The
-        // raw addresses are coalesced by stage 2 of the pipeline, off the
-        // serial critical path.
-        let mut addrs = [0u64; WARP_SIZE];
+        let mut words = [0u64; WARP_SIZE];
+        // No active lane coalesces to no sectors: nothing to record.
         if mask == 0 {
-            return (mask, addrs);
+            return (mask, words);
         }
-        for (slot, lane) in addrs.iter_mut().zip(active_lanes(mask)) {
+        for (slot, lane) in words.iter_mut().zip(active_lanes(mask)) {
             *slot = s.addr(idx[lane] as u64);
         }
-        let addr_start = self.queue.addrs.len();
-        self.queue
-            .addrs
-            .extend_from_slice(&addrs[..mask.count_ones() as usize]);
+        self.queue.push_words(&words[..mask.count_ones() as usize]);
         // Loads charge their worst sector latency once it is known (the
         // L1/L2 drain stages); stores and atomics charge constant costs at
         // the call sites below, so their records charge nothing.
         let charge = op == PipeOp::Load;
-        self.queue.commit(s.region, op, false, charge, addr_start);
-        (mask, addrs)
+        self.queue.close(s.region, op, false, charge);
+        (mask, words)
     }
 
     /// One warp load instruction: `out[lane] = s[idx[lane]]` for active lanes.
     pub fn load(&mut self, s: DSlice, idx: &Lanes, mask: u32) -> Lanes {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Load);
+        let (mask, words) = self.access(s, idx, mask, PipeOp::Load);
         let mut out = [0u32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+        for (lane, &addr) in active_lanes(mask).zip(&words) {
             out[lane] = self.mem.word(addr);
         }
         out
@@ -301,10 +297,10 @@ impl<'a> WarpCtx<'a> {
     /// One warp store instruction: `s[idx[lane]] = vals[lane]`.
     pub fn store(&mut self, s: DSlice, idx: &Lanes, vals: &Lanes, mask: u32) {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Store);
+        let (mask, words) = self.access(s, idx, mask, PipeOp::Store);
         // Stores retire through the write queue; charge issue cost only.
         self.stall += self.cfg.burst_issue;
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+        for (lane, &addr) in active_lanes(mask).zip(&words) {
             self.mem.set_word(addr, vals[lane]);
         }
     }
@@ -344,22 +340,25 @@ impl<'a> WarpCtx<'a> {
             // in the group is one recorded access, coalesced together.
             self.instructions += 1;
             let mut active = 0u32;
-            let addr_start = self.queue.addrs.len();
             for lane in active_lanes(mask) {
-                active += (count[lane] > group_start) as u32;
-                for r in group_start..group_end.min(count[lane]) {
+                let end = group_end.min(count[lane]);
+                if end <= group_start {
+                    continue;
+                }
+                active += 1;
+                for r in group_start..end {
                     let addr = s.addr((start[lane] + r) as u64);
-                    self.queue.addrs.push(addr);
                     self.burst_rows[first + r as usize][lane] = self.mem.word(addr);
                 }
+                // The lane's rows are consecutive words.
+                let lo = s.addr((start[lane] + group_start) as u64);
+                self.queue.push_span(lo, u64::from(end - group_start));
             }
             self.count_lanes(active);
-            if self.queue.addrs.len() > addr_start {
-                // The first non-empty group charges its worst sector
-                // latency once the drain stages know it; later groups pay
-                // the pipelined issue cost right here.
-                self.queue
-                    .commit(s.region, PipeOp::Load, true, first_group, addr_start);
+            // The first non-empty group charges its worst sector latency
+            // once the drain stages know it; later groups pay the
+            // pipelined issue cost right here.
+            if self.queue.close(s.region, PipeOp::Load, true, first_group) {
                 if first_group {
                     first_group = false;
                 } else {
@@ -440,12 +439,12 @@ impl<'a> WarpCtx<'a> {
         mut op: impl FnMut(usize, u32) -> Option<u32>,
     ) -> Lanes {
         self.instructions += 1;
-        let (mask, addrs) = self.access(s, idx, mask, PipeOp::Atomic);
+        let (mask, words) = self.access(s, idx, mask, PipeOp::Atomic);
         let active = mask.count_ones() as u64;
         self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
-        for (lane, &addr) in active_lanes(mask).zip(&addrs) {
+        for (lane, &addr) in active_lanes(mask).zip(&words) {
             let old = self.mem.word(addr);
             out[lane] = old;
             if let Some(new) = op(lane, old) {
@@ -613,11 +612,11 @@ mod tests {
             )
         }
 
-        /// Stages 2 and 4 of the launch pipeline over what the warps
-        /// recorded (every region here is explicit, so the residency stage
-        /// has nothing to classify).
+        /// Stage 3 of the launch pipeline over what the warps recorded
+        /// (every region here is explicit, so the residency stage has
+        /// nothing to classify).
         fn replay(&mut self, interleave: u64) {
-            self.queue.coalesce();
+            self.queue.zc.resize(self.queue.sectors.len(), false);
             let params = L1DrainParams {
                 l1_latency: self.cfg.l1_latency,
                 zero_copy_latency: self.cfg.zero_copy_latency,
@@ -877,6 +876,137 @@ mod tests {
         assert_eq!(again.rows(), 1);
         assert_eq!(w.burst_row(again, 0)[1], 100);
         assert_eq!(w.burst_row(rows, 2)[0], 12);
+    }
+
+    /// A warp's global instruction as the oracle sees it: the word
+    /// addresses it touched (lane order, a lane's rows in order) and the
+    /// record it must leave.
+    struct Touched {
+        words: Vec<u64>,
+        region: eta_mem::system::RegionId,
+        op: PipeOp,
+        burst: bool,
+        charge: bool,
+    }
+
+    /// Seeded plain loads, stores and atomics and Shared Memory Prefetch
+    /// bursts on one warp: the sector runs it records equal
+    /// `coalesce_by_sort` over the words each instruction touched, and each
+    /// record carries its instruction's region, op, burst and charge.
+    #[test]
+    fn recorded_sectors_match_sort_and_dedup_of_the_touched_words() {
+        const LEN: u32 = 1 << 14;
+        let mut state = 0x5ec7_0125_u64;
+        let mut draw = move |below: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 32) % below as u64) as u32
+        };
+        let mut burst_rows_seen = [false; 18];
+        for case in 0..300 {
+            let mut rig = Rig::new();
+            let slices = [
+                rig.mem.alloc_explicit(LEN as u64).unwrap(),
+                rig.mem.alloc_explicit(LEN as u64).unwrap(),
+            ];
+            let mut touched = Vec::new();
+            let mut w = rig.warp();
+            for _ in 0..draw(12) {
+                let s = slices[draw(2) as usize];
+                let mask = match draw(4) {
+                    0 => FULL_MASK,
+                    1 => 0,
+                    2 => draw(u32::MAX) & draw(u32::MAX),
+                    _ => draw(u32::MAX),
+                };
+                let base = draw(LEN - 32 * 17);
+                let op = [PipeOp::Load, PipeOp::Store, PipeOp::Atomic][draw(3) as usize];
+                if draw(4) > 0 {
+                    // Dense, strided, reversed, few words, or a gather.
+                    let (shape, stride, few) = (draw(5), 1 + draw(17), draw(40) + 1);
+                    let idx: Lanes = std::array::from_fn(|lane| match shape {
+                        0 => base + lane as u32,
+                        1 => base + stride * lane as u32,
+                        2 => base + 3 * (31 - lane as u32),
+                        3 => base + draw(few),
+                        _ => draw(LEN),
+                    });
+                    match op {
+                        PipeOp::Load => drop(w.load(s, &idx, mask)),
+                        PipeOp::Store => w.store(s, &idx, &idx, mask),
+                        PipeOp::Atomic => drop(w.atomic_add(s, &idx, &idx, mask)),
+                    }
+                    let words: Vec<u64> = active_lanes(mask)
+                        .map(|lane| s.addr(idx[lane] as u64))
+                        .collect();
+                    if !words.is_empty() {
+                        let charge = op == PipeOp::Load;
+                        touched.push(Touched {
+                            words,
+                            region: s.region,
+                            op,
+                            burst: false,
+                            charge,
+                        });
+                    }
+                    continue;
+                }
+                // A burst: up to 17 rows a lane (every group boundary), the
+                // lanes' runs disjoint, overlapping or anywhere; lanes
+                // outside `mask` carry counts it must ignore.
+                let spread = [16, 2, 0][draw(3) as usize];
+                let start: Lanes = std::array::from_fn(|lane| match spread {
+                    0 => draw(LEN - 17),
+                    d => base + d * lane as u32 + draw(3),
+                });
+                let most = draw(18);
+                let count: Lanes = std::array::from_fn(|_| draw(most + 1));
+                let rows = w.load_burst(s, &start, &count, mask).rows();
+                burst_rows_seen[rows as usize] = true;
+                let vec = WarpCtx::BURST_VEC;
+                for group in (0..rows).step_by(vec as usize) {
+                    let words: Vec<u64> = active_lanes(mask)
+                        .flat_map(|lane| {
+                            (group..(group + vec).min(count[lane]))
+                                .map(move |r| s.addr((start[lane] + r) as u64))
+                        })
+                        .collect();
+                    assert!(!words.is_empty(), "a group below `rows` has a lane");
+                    let charge = group == 0;
+                    touched.push(Touched {
+                        words,
+                        region: s.region,
+                        op: PipeOp::Load,
+                        burst: true,
+                        charge,
+                    });
+                }
+            }
+            let (_, _, recorded) = w.finish(&mut KernelMetrics::default());
+            assert_eq!(recorded, touched.len(), "case {case}");
+            let (sectors, ranges) =
+                eta_mem::access::coalesce_by_sort(touched.iter().map(|t| t.words.as_slice()));
+            assert_eq!(rig.queue.sectors, sectors, "case {case}");
+            for ((rec, t), &(start, len)) in rig.queue.recs.iter().zip(&touched).zip(&ranges) {
+                assert_eq!(
+                    (
+                        rec.sec_start,
+                        rec.sec_len,
+                        rec.region,
+                        rec.op,
+                        rec.burst,
+                        rec.charge
+                    ),
+                    (start, len, t.region, t.op, t.burst, t.charge),
+                    "case {case}"
+                );
+            }
+        }
+        assert!(
+            burst_rows_seen.iter().all(|&seen| seen),
+            "bursts of 0..=17 rows: {burst_rows_seen:?}"
+        );
     }
 
     #[test]
