@@ -179,7 +179,8 @@ cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.2.json"
 cmp "$PROFILE_OUT/hp.serve.1.json" "$PROFILE_OUT/hp.serve.4.json"
 
 echo "==> fault parity (one launch path: a hang plan is a typed error under"
-echo "    every --framework, never a run that exits 0)"
+echo "    every --framework, never a run that exits 0; a 200 000-deep plan"
+echo "    exits 2, not 134)"
 echo '{"hangs":[{"device":0,"start_ns":0,"end_ns":100000000000,"budget_ns":1000}]}' \
     >"$PROFILE_OUT/hang.json"
 for fw in eta tigr gunrock cusha chunkstream; do
@@ -190,6 +191,18 @@ for fw in eta tigr gunrock cusha chunkstream; do
     fi
     grep -q "kernel_hang" "$PROFILE_OUT/hang.out"
 done
+# A hostile plan (200 000 nested `[`) is a named argument error (exit 2),
+# not a stack overflow (abort, 134). The binary runs directly: `cargo run`
+# would report a signal death as its own exit code. The loop above built it.
+head -c 200000 /dev/zero | tr '\0' '[' >"$PROFILE_OUT/deep.json"
+status=0
+"${CARGO_TARGET_DIR:-target}/release/etagraph" run "$PROFILE_OUT/hp.rmat.etag" --alg bfs \
+    --faults "$PROFILE_OUT/deep.json" >"$PROFILE_OUT/deep.out" 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ci: a 200000-deep fault plan exited $status, not 2" >&2
+    exit 1
+fi
+grep -q "nesting deeper than 64 levels" "$PROFILE_OUT/deep.out"
 
 echo "==> sharded-vs-single differential (every program's CLI answer digest"
 echo "    must match across group sizes 1, 2 and 4)"

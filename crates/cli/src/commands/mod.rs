@@ -356,6 +356,22 @@ mod tests {
         std::fs::remove_file(&f).ok();
     }
 
+    /// The `traceEvents` of a Chrome trace, read as JSON.
+    fn trace_events(body: &str) -> Vec<serde_json::Value> {
+        let trace: serde_json::Value = serde_json::from_str(body).unwrap();
+        assert_eq!(trace["displayTimeUnit"], "ns");
+        trace["traceEvents"].as_array().unwrap().clone()
+    }
+
+    /// The names a trace's `kind` metadata events (`process_name`,
+    /// `thread_name`) give their tracks.
+    fn track_names<'e>(events: &'e [serde_json::Value], kind: &str) -> Vec<&'e str> {
+        let named = events
+            .iter()
+            .filter(|e| e["ph"] == "M" && e["name"] == kind);
+        named.filter_map(|e| e["args"]["name"].as_str()).collect()
+    }
+
     #[test]
     fn profile_flag_writes_deterministic_chrome_trace() {
         let f = tmpfile("prof.etag");
@@ -373,10 +389,14 @@ mod tests {
         );
         assert!(out.json["profile"]["events"].as_u64().unwrap() > 0);
         let body = std::fs::read_to_string(&trace).unwrap();
-        assert!(body.starts_with("{\"traceEvents\":["));
-        assert!(body.contains("\"name\":\"kernels\""), "kernel track named");
-        assert!(body.contains("\"name\":\"pcie transfers\""));
-        assert!(body.contains("\"ph\":\"X\""));
+        let events = trace_events(&body);
+        let threads = track_names(&events, "thread_name");
+        assert!(
+            threads.contains(&"kernels"),
+            "kernel track named: {threads:?}"
+        );
+        assert!(threads.contains(&"pcie transfers"), "{threads:?}");
+        assert!(events.iter().any(|e| e["ph"] == "X"), "no complete span");
         // Byte-identical on a repeated identical invocation.
         let trace2 = tmpfile("run.profile2.json");
         dispatch(argv(&format!("run {f} --alg bfs --profile {trace2}"))).unwrap();
@@ -397,9 +417,10 @@ mod tests {
         )))
         .unwrap();
         assert!(out.text.contains("==eta-prof=="), "{}", out.text);
-        let body = std::fs::read_to_string(&trace).unwrap();
-        assert!(body.contains("\"name\":\"scheduler\""), "scheduler process");
-        assert!(body.contains("\"name\":\"device0\""), "device process");
+        let events = trace_events(&std::fs::read_to_string(&trace).unwrap());
+        let processes = track_names(&events, "process_name");
+        assert!(processes.contains(&"scheduler"), "{processes:?}");
+        assert!(processes.contains(&"device0"), "{processes:?}");
         std::fs::remove_file(&trace).ok();
 
         let f = tmpfile("prof-multi.etag");
@@ -613,6 +634,23 @@ mod tests {
         let err = dispatch(argv(&format!("run {f} --alg bfs --faults {bad}"))).unwrap_err();
         assert!(err.0.contains("fault plan"), "{err}");
         for p in [f, plan, empty, bad] {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn a_deeply_nested_fault_plan_is_a_named_error() {
+        let f = tmpfile("deep-plan.etag");
+        dispatch(argv(&format!(
+            "generate rmat --scale 6 --edges 200 --out {f}"
+        )))
+        .unwrap();
+        let deep = tmpfile("deep-plan.json");
+        std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+        let err = dispatch(argv(&format!("run {f} --alg bfs --faults {deep}"))).unwrap_err();
+        assert!(err.0.contains("fault plan"), "{err}");
+        assert!(err.0.contains("nesting deeper than 64 levels"), "{err}");
+        for p in [f, deep] {
             std::fs::remove_file(&p).ok();
         }
     }

@@ -14,14 +14,12 @@
 //! propagates up through `etagraph::QueryError` into the serving layer's
 //! recovery ladder (retry → quarantine → CPU fallback; see DESIGN.md).
 //!
-//! Plans are written as JSON (`--faults PLAN.json`). The vendored
-//! `serde_json` shim has no parser, so this crate carries a small strict
-//! JSON reader ([`FaultPlan::from_json_str`]) for exactly the plan schema;
-//! serialization goes through the usual `Serialize` derive, and the two
-//! round-trip ([`FaultPlan::seeded`] plans are tested to survive
-//! serialize → parse unchanged).
+//! Plans are written as JSON (`--faults PLAN.json`): serialization goes
+//! through the `Serialize` derive, [`FaultPlan::from_json_str`] checks the
+//! schema on what `serde_json::from_str` reads, and the two round-trip.
 
 use serde::Serialize;
+use serde_json::Value;
 
 /// Simulated nanoseconds — the one clock every subsystem shares.
 pub type Ns = u64;
@@ -387,272 +385,74 @@ impl DeviceFaultState {
 }
 
 // ---------------------------------------------------------------------------
-// JSON parsing (the vendored serde_json has no parser)
+// Reading a plan from JSON
 // ---------------------------------------------------------------------------
 
-/// A minimal JSON value tree, internal to the plan parser.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// The value, or an error saying field `what` must be `kind`.
+fn want<T>(got: Option<T>, what: &str, kind: &str) -> Result<T, String> {
+    got.ok_or_else(|| format!("fault plan: `{what}` must be {kind}"))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
-        Err(format!("fault plan JSON, byte {}: {}", self.pos, msg))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected `{}`", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => self.err(&format!("unexpected `{}`", c as char)),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            self.err(&format!("expected `{word}`"))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        _ => return self.err("unsupported escape in string"),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) if c < 0x80 => {
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole code point.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        format!("fault plan JSON, byte {}: invalid UTF-8", self.pos)
-                    })?;
-                    match s.chars().next() {
-                        Some(ch) => {
-                            out.push(ch);
-                            self.pos += ch.len_utf8();
-                        }
-                        None => return self.err("unterminated string"),
-                    }
-                }
-                None => return self.err("unterminated string"),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("fault plan JSON, byte {start}: invalid UTF-8 in number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("fault plan JSON, byte {start}: bad number `{text}`"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            // A duplicate key means one of the two values silently loses;
-            // in a fault plan that is an event that never fires (or fires
-            // with the wrong parameters), so reject it outright.
-            if fields.iter().any(|(k, _)| *k == key) {
-                return self.err(&format!("duplicate key `{key}` in object"));
-            }
-            self.expect_byte(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-    }
-}
-
-/// Rejects empty (`end <= start`) injection windows: a zero-length or
-/// inverted window can never intersect a launch, so a plan carrying one is
-/// almost certainly a typo'd timestamp pair — fail loudly instead of
-/// silently injecting nothing.
-fn check_window(section: &str, start_ns: Ns, end_ns: Ns) -> Result<(), String> {
-    if end_ns <= start_ns {
-        return Err(format!(
-            "fault plan: `{section}` window [{start_ns}, {end_ns}) is {} \
-             (end_ns must be strictly greater than start_ns)",
-            if end_ns == start_ns {
-                "zero-length"
-            } else {
-                "inverted"
-            }
-        ));
-    }
-    Ok(())
-}
-
-fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
-    match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 => {
-            Ok(*n as u64)
-        }
-        _ => Err(format!(
-            "fault plan: `{what}` must be a non-negative integer"
-        )),
+/// A non-negative integral value no larger than 2^53, so window
+/// arithmetic cannot overflow. Read through `as_f64`, so `1e3` and `5.0`
+/// count as integers.
+fn int(v: &Value, what: &str) -> Result<u64, String> {
+    match v.as_f64() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15 => Ok(n as u64),
+        _ => want(None, what, "a non-negative integer"),
     }
 }
 
 /// A device id: a non-negative integer that fits a `u32`. A wider id
 /// would wrap onto a real device, so it is an error, not a truncation.
-fn as_device(v: &Json, what: &str) -> Result<u32, String> {
-    let id = as_u64(v, what)?;
+fn device(v: &Value, what: &str) -> Result<u32, String> {
+    let id = int(v, what)?;
     u32::try_from(id).map_err(|_| format!("fault plan: `{what}` {id} does not fit a u32 device id"))
 }
 
-fn as_f64(v: &Json, what: &str) -> Result<f64, String> {
-    match v {
-        Json::Num(n) => Ok(*n),
-        _ => Err(format!("fault plan: `{what}` must be a number")),
+/// `section`'s `[start_ns, end_ns)` window. An empty one (`end <= start`)
+/// can never intersect a launch, so a plan carrying one is almost
+/// certainly a typo'd timestamp pair — fail loudly instead of silently
+/// injecting nothing.
+fn window(f: &mut Fields, section: &str) -> Result<(Ns, Ns), String> {
+    let start = int(f.take("start_ns")?, &format!("{section}.start_ns"))?;
+    let end = int(f.take("end_ns")?, &format!("{section}.end_ns"))?;
+    if end <= start {
+        let shape = if end < start {
+            "inverted"
+        } else {
+            "zero-length"
+        };
+        return Err(format!(
+            "fault plan: `{section}` window [{start}, {end}) is {shape} \
+             (end_ns must be strictly greater than start_ns)"
+        ));
     }
-}
-
-fn as_bool(v: &Json, what: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("fault plan: `{what}` must be a boolean")),
-    }
-}
-
-fn as_arr<'v>(v: &'v Json, what: &str) -> Result<&'v [Json], String> {
-    match v {
-        Json::Arr(a) => Ok(a),
-        _ => Err(format!("fault plan: `{what}` must be an array")),
-    }
+    Ok((start, end))
 }
 
 /// An object with every key consumed exactly once; leftovers are an error,
 /// so typos in hand-written plans fail loudly instead of injecting nothing.
 struct Fields<'v> {
     what: &'static str,
-    fields: Vec<(&'v str, &'v Json)>,
+    fields: Vec<(&'v str, &'v Value)>,
 }
 
 impl<'v> Fields<'v> {
-    fn new(v: &'v Json, what: &'static str) -> Result<Fields<'v>, String> {
-        match v {
-            Json::Obj(fields) => Ok(Fields {
-                what,
-                fields: fields.iter().map(|(k, v)| (k.as_str(), v)).collect(),
-            }),
-            _ => Err(format!("fault plan: `{what}` must be an object")),
-        }
+    fn new(v: &'v Value, what: &'static str) -> Result<Fields<'v>, String> {
+        let map = want(v.as_object(), what, "an object")?;
+        let fields = map.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        Ok(Fields { what, fields })
     }
 
-    fn take(&mut self, key: &str) -> Result<&'v Json, String> {
-        match self.fields.iter().position(|(k, _)| *k == key) {
-            Some(i) => Ok(self.fields.remove(i).1),
-            None => Err(format!("fault plan: `{}` is missing `{key}`", self.what)),
-        }
+    fn take(&mut self, key: &str) -> Result<&'v Value, String> {
+        self.take_opt(key)
+            .ok_or_else(|| format!("fault plan: `{}` is missing `{key}`", self.what))
     }
 
-    fn take_opt(&mut self, key: &str) -> Option<&'v Json> {
-        self.fields
-            .iter()
-            .position(|(k, _)| *k == key)
-            .map(|i| self.fields.remove(i).1)
+    fn take_opt(&mut self, key: &str) -> Option<&'v Value> {
+        let i = self.fields.iter().position(|(k, _)| *k == key)?;
+        Some(self.fields.remove(i).1)
     }
 
     fn finish(self) -> Result<(), String> {
@@ -664,105 +464,88 @@ impl<'v> Fields<'v> {
 }
 
 impl FaultPlan {
-    /// Parses a plan from its JSON text. Strict: unknown keys, missing
-    /// required fields, or malformed values are errors with a field name or
-    /// byte offset, never a silently empty plan. All top-level sections are
-    /// optional — `{}` is the empty plan.
+    /// Parses a plan from its JSON text. Strict: malformed JSON (see
+    /// [`serde_json::from_str`]), unknown keys, missing fields or bad values
+    /// are errors with a byte offset or a field name, never a silently empty
+    /// plan. All top-level sections are optional — `{}` is the empty plan.
     pub fn from_json_str(text: &str) -> Result<FaultPlan, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let root = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return p.err("trailing characters after the plan object");
-        }
-
+        let root = serde_json::from_str(text).map_err(|e| format!("fault plan JSON: {e}"))?;
         let mut top = Fields::new(&root, "plan")?;
         let mut plan = FaultPlan::default();
         if let Some(v) = top.take_opt("seed") {
-            plan.seed = as_u64(v, "seed")?;
+            plan.seed = int(v, "seed")?;
         }
         if let Some(v) = top.take_opt("ecc") {
-            for item in as_arr(v, "ecc")? {
+            for item in want(v.as_array(), "ecc", "an array")? {
                 let mut f = Fields::new(item, "ecc entry")?;
-                let device = as_device(f.take("device")?, "ecc.device")?;
-                let at_ns = as_u64(f.take("at_ns")?, "ecc.at_ns")?;
-                let addr_start = as_u64(f.take("addr_start")?, "ecc.addr_start")?;
-                let addr_words = as_u64(f.take("addr_words")?, "ecc.addr_words")?;
+                let device = device(f.take("device")?, "ecc.device")?;
+                let at_ns = int(f.take("at_ns")?, "ecc.at_ns")?;
+                let addr_start = int(f.take("addr_start")?, "ecc.addr_start")?;
+                let addr_words = int(f.take("addr_words")?, "ecc.addr_words")?;
                 if addr_words == 0 {
-                    return Err(
+                    Err(
                         "fault plan: `ecc.addr_words` is 0 — an empty address range \
-                         corrupts nothing, so the event could never fire"
-                            .into(),
-                    );
+                         corrupts nothing, so the event could never fire",
+                    )?;
                 }
                 plan.ecc.push(EccFault {
                     device,
                     at_ns,
                     addr_start,
                     addr_words,
-                    double_bit: as_bool(f.take("double_bit")?, "ecc.double_bit")?,
+                    double_bit: want(
+                        f.take("double_bit")?.as_bool(),
+                        "ecc.double_bit",
+                        "a boolean",
+                    )?,
                 });
                 f.finish()?;
             }
         }
         if let Some(v) = top.take_opt("um") {
-            for item in as_arr(v, "um")? {
+            for item in want(v.as_array(), "um", "an array")? {
                 let mut f = Fields::new(item, "um entry")?;
-                let kind = match f.take("kind")? {
-                    Json::Str(s) if s == "MigrationFail" => UmFaultKind::MigrationFail,
-                    Json::Str(s) if s == "Storm" => UmFaultKind::Storm,
-                    _ => {
-                        return Err(
-                            "fault plan: `um.kind` must be \"MigrationFail\" or \"Storm\"".into(),
-                        )
-                    }
+                let kind = match f.take("kind")?.as_str() {
+                    Some("MigrationFail") => UmFaultKind::MigrationFail,
+                    Some("Storm") => UmFaultKind::Storm,
+                    _ => Err("fault plan: `um.kind` must be \"MigrationFail\" or \"Storm\"")?,
                 };
-                let start_ns = as_u64(f.take("start_ns")?, "um.start_ns")?;
-                let end_ns = as_u64(f.take("end_ns")?, "um.end_ns")?;
-                check_window("um", start_ns, end_ns)?;
+                let (start_ns, end_ns) = window(&mut f, "um")?;
                 plan.um.push(UmFault {
-                    device: as_device(f.take("device")?, "um.device")?,
+                    device: device(f.take("device")?, "um.device")?,
                     start_ns,
                     end_ns,
                     kind,
-                    extra_ns: match f.take_opt("extra_ns") {
-                        Some(v) => as_u64(v, "um.extra_ns")?,
-                        None => 0,
-                    },
+                    extra_ns: f
+                        .take_opt("extra_ns")
+                        .map_or(Ok(0), |v| int(v, "um.extra_ns"))?,
                 });
                 f.finish()?;
             }
         }
         if let Some(v) = top.take_opt("hangs") {
-            for item in as_arr(v, "hangs")? {
+            for item in want(v.as_array(), "hangs", "an array")? {
                 let mut f = Fields::new(item, "hangs entry")?;
-                let start_ns = as_u64(f.take("start_ns")?, "hangs.start_ns")?;
-                let end_ns = as_u64(f.take("end_ns")?, "hangs.end_ns")?;
-                check_window("hangs", start_ns, end_ns)?;
+                let (start_ns, end_ns) = window(&mut f, "hangs")?;
                 plan.hangs.push(HangFault {
-                    device: as_device(f.take("device")?, "hangs.device")?,
+                    device: device(f.take("device")?, "hangs.device")?,
                     start_ns,
                     end_ns,
-                    budget_ns: as_u64(f.take("budget_ns")?, "hangs.budget_ns")?,
+                    budget_ns: int(f.take("budget_ns")?, "hangs.budget_ns")?,
                 });
                 f.finish()?;
             }
         }
         if let Some(v) = top.take_opt("pcie") {
-            for item in as_arr(v, "pcie")? {
+            for item in want(v.as_array(), "pcie", "an array")? {
                 let mut f = Fields::new(item, "pcie entry")?;
-                let factor = as_f64(f.take("factor")?, "pcie.factor")?;
+                let factor = want(f.take("factor")?.as_f64(), "pcie.factor", "a number")?;
                 if !factor.is_finite() || factor < 1.0 {
                     return Err("fault plan: `pcie.factor` must be a finite number >= 1.0".into());
                 }
-                let start_ns = as_u64(f.take("start_ns")?, "pcie.start_ns")?;
-                let end_ns = as_u64(f.take("end_ns")?, "pcie.end_ns")?;
-                check_window("pcie", start_ns, end_ns)?;
+                let (start_ns, end_ns) = window(&mut f, "pcie")?;
                 plan.pcie.push(PcieDegradation {
-                    device: as_device(f.take("device")?, "pcie.device")?,
+                    device: device(f.take("device")?, "pcie.device")?,
                     start_ns,
                     end_ns,
                     factor,
@@ -1074,6 +857,96 @@ mod tests {
             let text = serde_json::to_string(&plan).expect("plan serializes");
             let back = FaultPlan::from_json_str(&text).expect("serialized plan parses");
             assert_eq!(plan, back, "round trip for seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_deeply_nested_plan_is_a_typed_error() {
+        let err = FaultPlan::from_json_str(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+    }
+
+    #[test]
+    fn plan_json_is_strict_rfc_8259() {
+        // Escapes the hand-rolled reader refused now decode...
+        let plan = FaultPlan::from_json_str(
+            r#"{"se\u0065d": 3, "um": [{"device": 0, "start_ns": 0, "end_ns": 1,
+                                        "kind": "St\u006frm"}]}"#,
+        )
+        .unwrap();
+        assert_eq!((plan.seed, plan.um[0].kind), (3, UmFaultKind::Storm));
+        // ...and numbers it took through `str::parse::<f64>` are refused.
+        for (text, needle) in [
+            (r#"{"seed": 01}"#, "malformed number"),
+            (r#"{"seed": 1.}"#, "malformed number"),
+            (r#"{"seed": 1.e3}"#, "malformed number"),
+            (r#"{"seed": 1e999}"#, "number `1e999` out of range"),
+            ("{\"se\u{1}ed\": 3}", "raw control character"),
+            (
+                r#"{"seed": 1, "seed": 2}"#,
+                "duplicate key `seed` at byte 18",
+            ),
+            (
+                r#"{"bogus": [[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[["#,
+                "nesting",
+            ),
+        ] {
+            let err = FaultPlan::from_json_str(text).expect_err(text);
+            assert!(err.starts_with("fault plan JSON: "), "{text:?} -> {err}");
+            assert!(err.contains(needle), "{text:?} -> {err}");
+        }
+        // An integer field keeps its rule: integral, >= 0, <= 2^53, as f64.
+        for (text, seed) in [
+            (r#"{"seed": 1e3}"#, Some(1000)),
+            (r#"{"seed": 5.0}"#, Some(5)),
+            (r#"{"seed": -0}"#, Some(0)),
+            (r#"{"seed": 9007199254740992}"#, Some(1 << 53)),
+            (r#"{"seed": 9007199254740994}"#, None),
+            (r#"{"seed": 0.5}"#, None),
+        ] {
+            assert_eq!(
+                FaultPlan::from_json_str(text).ok().map(|p| p.seed),
+                seed,
+                "{text}"
+            );
+        }
+    }
+
+    /// Truncation at every offset and seeded one-byte flips to ASCII of
+    /// rendered plans and a nested value: both readers answer `Ok` or `Err`
+    /// and never panic, and no proper prefix of a plan is a plan.
+    #[test]
+    fn corrupt_plans_are_errors_not_panics() {
+        let nested = serde_json::json!({"ecc": [{"device": 0, "deep": [[[{"s": "\u{e9}\n"}]]]}],
+                                        "seed": -1.5, "pcie": null});
+        let mut docs = vec![serde_json::to_string(&nested).unwrap()];
+        for seed in [0u64, 1, 7, 42, 0xDEAD_BEEF] {
+            let plan = FaultPlan::seeded(seed, 3, 2_000_000);
+            let value = serde_json::to_value(plan.clone()).unwrap();
+            for text in [
+                serde_json::to_string(&plan).unwrap(),
+                serde_json::to_string_pretty(&plan).unwrap(),
+            ] {
+                assert_eq!(serde_json::from_str(&text).unwrap(), value);
+                assert_eq!(FaultPlan::from_json_str(&text).unwrap(), plan);
+                docs.push(text);
+            }
+        }
+        let mut rng = SplitMix64(0xF17E);
+        for text in &docs {
+            for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                assert!(serde_json::from_str(&text[..cut]).is_err());
+                assert!(FaultPlan::from_json_str(&text[..cut]).is_err());
+            }
+            for _ in 0..2000 {
+                let mut bytes = text.clone().into_bytes();
+                let at = (rng.next() % bytes.len() as u64) as usize;
+                bytes[at] = (rng.next() % 0x80) as u8;
+                if let Ok(flipped) = String::from_utf8(bytes) {
+                    let _ = serde_json::from_str(&flipped);
+                    let _ = FaultPlan::from_json_str(&flipped);
+                }
+            }
         }
     }
 

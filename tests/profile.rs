@@ -6,6 +6,7 @@ use eta_graph::generate::{rmat, RmatConfig};
 use eta_prof::{Profile, Track};
 use eta_sim::{Device, GpuConfig};
 use etagraph::{Algorithm, EtaConfig};
+use serde_json::Value;
 
 /// One BFS on a device sized below the run's working set (CSR + labels +
 /// frontier state), so UM pages the topology while kernels run (the Fig. 4
@@ -20,31 +21,13 @@ fn oversubscribed_bfs() -> Device {
     dev
 }
 
-/// Every `{`/`[` closes in order — a structural sanity check the
-/// hand-formatted sinks must pass (no JSON parser exists in this workspace).
-fn assert_balanced(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if in_str {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => in_str = false,
-                _ => escaped = false,
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => stack.push(c),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced brace"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced bracket"),
-            _ => {}
-        }
-    }
-    assert!(stack.is_empty(), "unclosed delimiters: {stack:?}");
-    assert!(!in_str, "unterminated string");
+/// The `traceEvents` of a Chrome trace, read as JSON.
+fn trace_events(trace: &str) -> Vec<Value> {
+    let trace: Value = serde_json::from_str(trace).expect("the Chrome trace is JSON");
+    trace["traceEvents"]
+        .as_array()
+        .expect("traceEvents")
+        .clone()
 }
 
 #[test]
@@ -65,11 +48,18 @@ fn oversubscribed_bfs_profile_shows_transfer_compute_overlap() {
     assert!(um_events > 0, "migrations/evictions missing from Um track");
 
     // The Chrome trace shows the overlap as distinct, named tracks.
-    let trace = p.to_chrome_trace();
-    assert!(trace.contains("\"name\":\"kernels\""));
-    assert!(trace.contains("\"name\":\"unified memory\""));
-    assert!(trace.contains(&format!("\"tid\":{}", Track::Kernel.tid())));
-    assert!(trace.contains(&format!("\"tid\":{}", Track::Um.tid())));
+    let events = trace_events(&p.to_chrome_trace());
+    for (track, label) in [(Track::Kernel, "kernels"), (Track::Um, "unified memory")] {
+        let on = |e: &&Value| e["tid"] == track.tid();
+        assert!(events
+            .iter()
+            .filter(on)
+            .any(|e| e["name"] == "thread_name" && e["args"]["name"] == label));
+        assert!(
+            events.iter().filter(on).any(|e| e["ph"] == "X"),
+            "{label} spans"
+        );
+    }
 }
 
 #[test]
@@ -84,13 +74,14 @@ fn every_sink_is_byte_identical_across_runs() {
 #[test]
 fn json_sinks_are_structurally_valid() {
     let p = oversubscribed_bfs().profile();
-    let trace = p.to_chrome_trace();
-    assert_balanced(&trace);
-    assert!(trace.starts_with("{\"traceEvents\":["));
-    assert!(trace.trim_end().ends_with('}'));
-    let json = p.to_json();
-    assert_balanced(&json);
-    assert!(json.contains("\"schema\": \"eta-prof-v1\""));
+    let spans = trace_events(&p.to_chrome_trace())
+        .into_iter()
+        .filter(|e| e["ph"] != "M")
+        .count();
+    assert_eq!(spans, p.event_count(), "one trace event per recorded event");
+    let json: Value = serde_json::from_str(&p.to_json()).expect("to_json is JSON");
+    assert_eq!(json["schema"], "eta-prof-v1");
+    assert_eq!(json["summary"]["event_count"], p.event_count());
 }
 
 #[test]
@@ -118,10 +109,15 @@ fn every_counter_documented_in_profiling_md_is_emitted() {
         documented.len() >= 20,
         "marker block lists the counter table, found {documented:?}"
     );
-    let json = oversubscribed_bfs().profile().to_json();
+    let events = trace_events(&oversubscribed_bfs().profile().to_chrome_trace());
+    let emitted = |name: &str| {
+        events
+            .iter()
+            .any(|e| e["ph"] != "M" && e["args"].get(name).is_some())
+    };
     for name in documented {
         assert!(
-            json.contains(&format!("\"{name}\":")),
+            emitted(name),
             "PROFILING.md documents counter {name:?} but no event emits it"
         );
     }
