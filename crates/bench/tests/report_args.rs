@@ -59,3 +59,21 @@ fn a_repeated_artifact_runs_once() {
         .collect();
     assert_eq!(verdicts, ["same lint", "same table1"], "{stdout}");
 }
+
+#[test]
+fn check_names_a_changed_artifact_and_exits_1() {
+    let dir = std::env::temp_dir().join(format!("report-diff-{}", std::process::id()));
+    let dir_arg = dir.to_str().unwrap();
+    assert!(report(&["lint", "--quick", "--out", dir_arg])
+        .status
+        .success());
+    let json = dir.join("lint.json");
+    let mut bytes = std::fs::read(&json).unwrap();
+    bytes[0] ^= 1;
+    std::fs::write(&json, bytes).unwrap();
+    let out = report(&["lint", "--check", dir_arg]);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.starts_with("DIFF lint"), "{stdout}");
+}

@@ -48,23 +48,19 @@ pub(crate) fn eta_config(args: &Args) -> Result<EtaConfig, ArgError> {
 
 /// [`eta_config`] plus `--no-smp`: traversal and PageRank (multi-BFS has no
 /// SMP path). With SMP on, a `--k` whose staging — neighbour ids, and their
-/// weights when `weighted` — overflows one SM of `gpu` is refused here,
-/// before any launch.
-pub(crate) fn smp_config(
-    args: &Args,
-    weighted: bool,
-    gpu: &GpuConfig,
-) -> Result<EtaConfig, ArgError> {
+/// weights when `weighted` — overflows one SM's shared memory is refused
+/// here, before any launch.
+pub(crate) fn smp_config(args: &Args, weighted: bool) -> Result<EtaConfig, ArgError> {
     let mut cfg = eta_config(args)?;
     cfg.smp &= !args.switch("no-smp");
     let words = smp_shared_words(cfg.smp, cfg.k, THREADS_PER_BLOCK, weighted);
-    if words * 4 > gpu.shared_mem_per_sm {
+    if words * 4 > GpuConfig::SHARED_MEM_PER_SM {
         return Err(ArgError(format!(
             "--k {} needs {} B of shared memory per block for Shared Memory Prefetch; \
              the SM has {} B (lower --k or pass --no-smp)",
             cfg.k,
             words * 4,
-            gpu.shared_mem_per_sm
+            GpuConfig::SHARED_MEM_PER_SM
         )));
     }
     Ok(cfg)
@@ -72,12 +68,8 @@ pub(crate) fn smp_config(
 
 /// [`smp_config`] plus `--out-of-core` and `--pull`: a one-device traversal
 /// only (a group normalises both away).
-pub(crate) fn traversal_config(
-    args: &Args,
-    weighted: bool,
-    gpu: &GpuConfig,
-) -> Result<EtaConfig, ArgError> {
-    let mut cfg = smp_config(args, weighted, gpu)?;
+pub(crate) fn traversal_config(args: &Args, weighted: bool) -> Result<EtaConfig, ArgError> {
+    let mut cfg = smp_config(args, weighted)?;
     if args.switch("out-of-core") {
         cfg.udc = UdcMode::OutOfCore;
     }
@@ -96,7 +88,7 @@ pub(crate) fn fault_plan_from(args: &Args) -> Result<Option<eta_fault::FaultPlan
         .map_err(|e| ArgError(format!("reading fault plan {path}: {e}")))?;
     eta_fault::FaultPlan::from_json_str(&body)
         .map(Some)
-        .map_err(|e| ArgError(format!("fault plan {path}: {e}")))
+        .map_err(|e| ArgError(format!("{path}: {e}")))
 }
 
 /// The one device builder: `--device-mb` (default 88), `--host-threads`

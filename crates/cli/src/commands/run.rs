@@ -38,7 +38,7 @@ pub(crate) fn run(args: &Args) -> Result<Output, ArgError> {
                 "--sources runs batched BFS; drop --alg {alg}"
             )))
         }
-        (None, Some("pagerank")) => pagerank_plan(args, &devs)?,
+        (None, Some("pagerank")) => pagerank_plan(args)?,
         (None, alg) => {
             let alg = match alg.unwrap_or("bfs") {
                 "bfs" => Algorithm::Bfs,
@@ -129,8 +129,8 @@ fn traversal_plan<'a>(
     }
     let weighted = alg.needs_weights();
     let solver = match (framework, devs) {
-        ("eta", [dev]) => Solver::Eta(traversal_config(args, weighted, &dev.cfg)?),
-        ("eta", _) => Solver::Eta(smp_config(args, weighted, &devs[0].cfg)?),
+        ("eta", [_]) => Solver::Eta(traversal_config(args, weighted)?),
+        ("eta", _) => Solver::Eta(smp_config(args, weighted)?),
         (name, _) => {
             let fw: Box<dyn Framework> = match name {
                 "tigr" => Box::new(TigrLike::default()),
@@ -255,11 +255,11 @@ fn traversal(
 }
 
 /// PageRank's `--damping`, `--iterations` and [`smp_config`].
-fn pagerank_plan(args: &Args, devs: &[Device]) -> Result<Program<'static>, ArgError> {
+fn pagerank_plan(args: &Args) -> Result<Program<'static>, ArgError> {
     let cfg = PageRankConfig {
         damping: args.get_parse("damping", 0.85f32)?,
         iterations: args.get_parse("iterations", 20)?,
-        eta: smp_config(args, false, &devs[0].cfg)?,
+        eta: smp_config(args, false)?,
     };
     if !(0.0..=1.0).contains(&cfg.damping) {
         return Err(ArgError("--damping takes a fraction in [0, 1]".into()));

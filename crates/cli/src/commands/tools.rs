@@ -1,4 +1,4 @@
-//! `generate`, `info`, the chaos and overload drills, `lint`, `datasets`.
+//! `generate`, `info`, `lint`, `datasets`.
 
 use super::{load_graph, Output};
 use crate::args::{ArgError, Args};
@@ -124,75 +124,6 @@ pub(crate) fn info(args: &Args) -> Result<Output, ArgError> {
         }),
         text,
     })
-}
-
-/// Runs the deterministic chaos-soak drill from `eta-bench`: seeded fault
-/// plans crossed with checkpoint intervals, every completed answer checked
-/// against the CPU reference.
-pub(crate) fn chaos(args: &Args) -> Result<Output, ArgError> {
-    drill(args, eta_bench::chaos::chaos, |_, lost, wrong| {
-        if lost > 0 || wrong > 0 {
-            return Err(format!(
-                "{lost} lost, {wrong} wrong — minimal reproducers in the json artifact"
-            ));
-        }
-        Ok("0 lost, 0 wrong".into())
-    })
-}
-
-/// Runs the deterministic overload drill from `eta-bench`: arrival-rate
-/// multipliers over calibrated capacity crossed with fault plans, every
-/// trace served qos-off and qos-on, every id accounted for exactly once.
-pub(crate) fn overload(args: &Args) -> Result<Output, ArgError> {
-    drill(args, eta_bench::overload::overload, |json, lost, wrong| {
-        let wins = json["saturated_qos_wins"].as_u64().unwrap_or(0);
-        let cells = json["saturated_cells"].as_u64().unwrap_or(u64::MAX);
-        if lost > 0 || wrong > 0 {
-            return Err(format!(
-                "{lost} lost, {wrong} wrong — per-cell detail in the json artifact"
-            ));
-        }
-        if wins < cells {
-            return Err(format!(
-                "qos beat the baseline in only {wins}/{cells} saturated cells"
-            ));
-        }
-        Ok(format!(
-            "0 lost, 0 wrong; qos won all {cells} saturated cells"
-        ))
-    })
-}
-
-/// The drill runner: `--full` runs the large sweep, `--out DIR` also writes
-/// the artifact pair exactly as `report <name> --out DIR` would, and
-/// `verdict(json, lost, wrong)` decides pass (a summary) or fail (why).
-fn drill(
-    args: &Args,
-    run: fn(eta_bench::Suite) -> eta_bench::tables::Artifact,
-    verdict: fn(&serde_json::Value, u64, u64) -> Result<String, String>,
-) -> Result<Output, ArgError> {
-    let suite = if args.switch("full") {
-        eta_bench::Suite::Full
-    } else {
-        eta_bench::Suite::Quick
-    };
-    let out_dir = args.get("out").map(std::path::PathBuf::from);
-    args.ensure_consumed()?;
-
-    let a = run(suite);
-    let mut text = format!("{}\n\n{}", a.title, a.text);
-    if let Some(dir) = &out_dir {
-        let [txt, jsn] = a
-            .write(dir)
-            .map_err(|e| ArgError(format!("writing {} to {}: {e}", a.name, dir.display())))?;
-        let _ = writeln!(text, "\nwrote {} and {}", txt.display(), jsn.display());
-    }
-    let lost = a.json["verification"]["lost"].as_u64().unwrap_or(u64::MAX);
-    let wrong = a.json["verification"]["wrong"].as_u64().unwrap_or(u64::MAX);
-    let summary = verdict(&a.json, lost, wrong)
-        .map_err(|why| ArgError(format!("{} drill FAILED: {why}", a.name)))?;
-    let _ = writeln!(text, "\n{} drill passed: {summary}", a.name);
-    Ok(Output { json: a.json, text })
 }
 
 /// Runs the workspace static invariant checker (`crates/lint`): eight

@@ -109,7 +109,7 @@ pub fn claim_and_push(
 /// Shared words one block of an SMP launch stages: each thread's `k`
 /// neighbour slots, plus `k` weight slots when `weighted` (SSSP, SSWP).
 /// None with SMP off. A launch fits only while `4 ×` this is at most
-/// [`eta_sim::GpuConfig::shared_mem_per_sm`].
+/// [`eta_sim::GpuConfig::SHARED_MEM_PER_SM`].
 pub fn smp_shared_words(smp: bool, k: u32, threads_per_block: u32, weighted: bool) -> u64 {
     if !smp {
         return 0;

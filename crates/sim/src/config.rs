@@ -6,6 +6,11 @@
 //! capacity is **scaled down** in the same proportion as the datasets
 //! (DESIGN.md), so that the O.O.M boundaries of Table III fall between the
 //! same dataset pairs as in the paper.
+//!
+//! The numbers no experiment varies are associated constants of
+//! [`GpuConfig`] (`GpuConfig::CLOCK_GHZ`, `GpuConfig::DRAM_LATENCY`, …),
+//! checked when the crate compiles; the struct holds what a caller sets or
+//! a probe reads.
 
 use crate::sanitizer::SanitizerMode;
 use eta_mem::cache::CacheConfig;
@@ -18,30 +23,12 @@ pub const WARP_SIZE: usize = 32;
 pub struct GpuConfig {
     /// Streaming multiprocessors.
     pub num_sms: usize,
-    /// Hardware limit of resident warps per SM.
-    pub max_resident_warps: usize,
-    /// Core clock in GHz (cycles per ns).
-    pub clock_ghz: f64,
     /// Per-SM L1/unified cache.
     pub l1: CacheConfig,
     /// Device-wide L2 cache.
     pub l2: CacheConfig,
-    /// Programmer-managed shared memory per SM, bytes.
-    pub shared_mem_per_sm: u64,
-    /// DRAM bandwidth, GB/s.
-    pub dram_bandwidth_gb_s: f64,
-    /// Latency of an access serviced by DRAM, cycles.
-    pub dram_latency: u64,
-    /// Latency of an access serviced by L2, cycles.
-    pub l2_latency: u64,
     /// Latency of an access serviced by L1, cycles.
     pub l1_latency: u64,
-    /// Latency of a shared-memory access, cycles.
-    pub shared_latency: u64,
-    /// Issue cost of a pipelined (burst) memory operation, cycles.
-    pub burst_issue: u64,
-    /// Serialization cost per lane of an atomic, cycles.
-    pub atomic_serialize: u64,
     /// Latency of a zero-copy (host-mapped) access, cycles.
     pub zero_copy_latency: u64,
     /// Device memory capacity, bytes (scaled with the datasets).
@@ -50,8 +37,6 @@ pub struct GpuConfig {
     pub pcie_bandwidth_gb_s: f64,
     /// Per-transfer interconnect setup latency, ns.
     pub pcie_latency_ns: u64,
-    /// Cap on the memory-latency-hiding factor from warp switching.
-    pub hiding_cap: usize,
     /// Whether a sanitizer instruments kernel accesses (default off).
     pub sanitizer: SanitizerMode,
     /// Whether the device records an `eta-prof` event stream (default off;
@@ -67,25 +52,15 @@ pub struct GpuConfig {
     pub host_threads: usize,
 }
 
-/// A degenerate [`GpuConfig`] field, rejected at device construction.
-///
-/// Before PR 9 these reached `block % num_sms` / `div_ceil(num_sms)` deep
-/// inside `Device::launch` and died with a raw divide-by-zero; now
-/// [`GpuConfig::validate`] names the field up front.
+/// A degenerate [`GpuConfig`] field, rejected at device construction by
+/// [`GpuConfig::validate`] before it can reach `block % num_sms` or a cache's
+/// set arithmetic deep inside `Device::launch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `num_sms == 0`: no SM to schedule blocks onto.
     ZeroSms,
-    /// `max_resident_warps == 0`: no warp could ever be resident.
-    ZeroResidentWarps,
-    /// `hiding_cap == 0`: the latency-hiding divisor would be meaningless.
-    ZeroHidingCap,
     /// `host_threads == 0`: a launch needs at least the calling thread.
     ZeroHostThreads,
-    /// `clock_ghz` is zero, negative, or non-finite.
-    BadClock,
-    /// `dram_bandwidth_gb_s` is zero, negative, or non-finite.
-    BadDramBandwidth,
     /// `l1.ways == 0`: a set-associative cache needs at least one way.
     ZeroL1Ways,
     /// `l1.line_bytes == 0`: sector math divides by the line size.
@@ -104,11 +79,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             ConfigError::ZeroSms => "num_sms must be at least 1",
-            ConfigError::ZeroResidentWarps => "max_resident_warps must be at least 1",
-            ConfigError::ZeroHidingCap => "hiding_cap must be at least 1",
             ConfigError::ZeroHostThreads => "host_threads must be at least 1",
-            ConfigError::BadClock => "clock_ghz must be finite and positive",
-            ConfigError::BadDramBandwidth => "dram_bandwidth_gb_s must be finite and positive",
             ConfigError::ZeroL1Ways => "l1.ways must be at least 1",
             ConfigError::ZeroL1Line => "l1.line_bytes must be at least 1",
             ConfigError::ZeroL2Ways => "l2.ways must be at least 1",
@@ -126,7 +97,35 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+// A launch schedules with the first two and divides by the last two.
+const _: () = {
+    assert!(GpuConfig::MAX_RESIDENT_WARPS > 0 && GpuConfig::HIDING_CAP > 0);
+    assert!(GpuConfig::CLOCK_GHZ.is_finite() && GpuConfig::CLOCK_GHZ > 0.0);
+    assert!(GpuConfig::DRAM_BANDWIDTH_GB_S.is_finite() && GpuConfig::DRAM_BANDWIDTH_GB_S > 0.0);
+};
+
 impl GpuConfig {
+    /// Hardware limit of resident warps per SM.
+    pub const MAX_RESIDENT_WARPS: usize = 64;
+    /// Core clock in GHz (cycles per ns).
+    pub const CLOCK_GHZ: f64 = 1.48;
+    /// Programmer-managed shared memory per SM, bytes.
+    pub const SHARED_MEM_PER_SM: u64 = 96 * 1024;
+    /// DRAM bandwidth, GB/s.
+    pub const DRAM_BANDWIDTH_GB_S: f64 = 484.0;
+    /// Latency of an access serviced by DRAM, cycles.
+    pub const DRAM_LATENCY: u64 = 400;
+    /// Latency of an access serviced by L2, cycles.
+    pub const L2_LATENCY: u64 = 220;
+    /// Latency of a shared-memory access, cycles.
+    pub const SHARED_LATENCY: u64 = 24;
+    /// Issue cost of a pipelined (burst) memory operation, cycles.
+    pub const BURST_ISSUE: u64 = 4;
+    /// Serialization cost per lane of an atomic, cycles.
+    pub const ATOMIC_SERIALIZE: u64 = 2;
+    /// Cap on the memory-latency-hiding factor from warp switching.
+    pub const HIDING_CAP: usize = 24;
+
     /// GTX 1080Ti-like preset with device memory scaled to the datasets.
     ///
     /// `device_mem_bytes` is the one knob experiments vary (the paper's GPU
@@ -150,18 +149,9 @@ impl GpuConfig {
         };
         GpuConfig {
             num_sms: 28,
-            max_resident_warps: 64,
-            clock_ghz: 1.48,
             l1,
             l2,
-            shared_mem_per_sm: 96 * 1024,
-            dram_bandwidth_gb_s: 484.0,
-            dram_latency: 400,
-            l2_latency: 220,
             l1_latency: 32,
-            shared_latency: 24,
-            burst_issue: 4,
-            atomic_serialize: 2,
             zero_copy_latency: 2_000,
             device_mem_bytes,
             pcie_bandwidth_gb_s: 12.0,
@@ -169,7 +159,6 @@ impl GpuConfig {
             // would dominate 128x-smaller transfers and erase every
             // kernel-side effect the paper measures.
             pcie_latency_ns: 1_000,
-            hiding_cap: 24,
             sanitizer: SanitizerMode::Off,
             profiling: false,
             host_threads: 2,
@@ -196,26 +185,14 @@ impl GpuConfig {
     }
 
     /// Rejects degenerate fields before they reach div/mod arithmetic deep
-    /// inside the launch path (PR 9 regression: `num_sms = 0` panicked with
-    /// a raw divide-by-zero out of `block % num_sms`).
+    /// inside the launch path (`num_sms = 0` would divide by zero in
+    /// `block % num_sms`).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_sms == 0 {
             return Err(ConfigError::ZeroSms);
         }
-        if self.max_resident_warps == 0 {
-            return Err(ConfigError::ZeroResidentWarps);
-        }
-        if self.hiding_cap == 0 {
-            return Err(ConfigError::ZeroHidingCap);
-        }
         if self.host_threads == 0 {
             return Err(ConfigError::ZeroHostThreads);
-        }
-        if !self.clock_ghz.is_finite() || self.clock_ghz <= 0.0 {
-            return Err(ConfigError::BadClock);
-        }
-        if !self.dram_bandwidth_gb_s.is_finite() || self.dram_bandwidth_gb_s <= 0.0 {
-            return Err(ConfigError::BadDramBandwidth);
         }
         if self.l1.ways == 0 {
             return Err(ConfigError::ZeroL1Ways);
@@ -256,14 +233,9 @@ impl GpuConfig {
         Self::gtx1080ti_scaled(Self::DEFAULT_DEVICE_MEM)
     }
 
-    /// DRAM bytes transferred per core cycle.
-    pub fn dram_bytes_per_cycle(&self) -> f64 {
-        self.dram_bandwidth_gb_s / self.clock_ghz
-    }
-
     /// Converts core cycles to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        (cycles as f64 / self.clock_ghz).ceil() as u64
+    pub fn cycles_to_ns(cycles: u64) -> u64 {
+        (cycles as f64 / Self::CLOCK_GHZ).ceil() as u64
     }
 }
 
@@ -277,20 +249,18 @@ mod tests {
         assert_eq!(c.num_sms, 28);
         assert!(c.l1.lines() > 0);
         assert!(c.l2.size_bytes > c.l1.size_bytes);
-        assert!(c.dram_bytes_per_cycle() > 100.0);
     }
 
     #[test]
     fn cycle_conversion() {
-        let c = GpuConfig::gtx1080ti_scaled(1 << 20);
         // 1.48 GHz: 1480 cycles = 1000 ns.
-        assert_eq!(c.cycles_to_ns(1480), 1000);
-        assert_eq!(c.cycles_to_ns(0), 0);
+        assert_eq!(GpuConfig::cycles_to_ns(1480), 1000);
+        assert_eq!(GpuConfig::cycles_to_ns(0), 0);
     }
 
-    /// Regression (PR 9): each degenerate field used to surface as a raw
-    /// div/mod-by-zero panic deep inside `Device::launch`; now every one is
-    /// a typed error at validation time.
+    /// Every degenerate field is a typed error at validation time, and
+    /// `Device::new` panics naming it, before a div/mod by zero deep inside
+    /// `Device::launch` could.
     #[test]
     fn degenerate_fields_are_typed_errors() {
         let ok = GpuConfig::default_preset();
@@ -299,26 +269,13 @@ mod tests {
         type Case = (fn(&mut GpuConfig), ConfigError);
         let cases: &[Case] = &[
             (|c| c.num_sms = 0, ConfigError::ZeroSms),
-            (|c| c.max_resident_warps = 0, ConfigError::ZeroResidentWarps),
-            (|c| c.hiding_cap = 0, ConfigError::ZeroHidingCap),
             (|c| c.host_threads = 0, ConfigError::ZeroHostThreads),
-            (|c| c.clock_ghz = 0.0, ConfigError::BadClock),
-            (|c| c.clock_ghz = -1.0, ConfigError::BadClock),
-            (|c| c.clock_ghz = f64::NAN, ConfigError::BadClock),
-            (
-                |c| c.dram_bandwidth_gb_s = 0.0,
-                ConfigError::BadDramBandwidth,
-            ),
-            (
-                |c| c.dram_bandwidth_gb_s = f64::INFINITY,
-                ConfigError::BadDramBandwidth,
-            ),
             (|c| c.l1.ways = 0, ConfigError::ZeroL1Ways),
             (|c| c.l1.line_bytes = 0, ConfigError::ZeroL1Line),
             (|c| c.l2.ways = 0, ConfigError::ZeroL2Ways),
             (|c| c.l2.line_bytes = 0, ConfigError::ZeroL2Line),
-            // Regression (PR 18): these two passed `validate` and then
-            // tripped `Cache::new`'s assert inside `Device::try_new`.
+            // `Cache::new` asserts on these two, so `validate` must catch
+            // them before device construction reaches it.
             (|c| c.l1.size_bytes = 64, ConfigError::L1SmallerThanOneSet),
             (
                 |c| c.l2.size_bytes = c.l2.line_bytes * c.l2.ways as u64 - 1,
@@ -333,9 +290,11 @@ mod tests {
             let mut c = GpuConfig::default_preset();
             mutate(&mut c);
             assert_eq!(c.validate(), Err(*want), "expected {want:?}");
-            assert_eq!(crate::Device::try_new(c).err(), Some(*want));
-            // The error renders without panicking.
-            assert!(!want.to_string().is_empty());
+            let panic = std::panic::catch_unwind(|| crate::Device::new(c))
+                .err()
+                .expect("Device::new accepted a degenerate config");
+            let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(*msg, format!("invalid GpuConfig: {want}"));
         }
     }
 

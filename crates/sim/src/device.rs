@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! sm_cycles = instructions + stall / hiding
-//! hiding    = min(resident_warps, hiding_cap)
+//! hiding    = min(resident_warps, GpuConfig::HIDING_CAP)
 //! ```
 //!
 //! — multithreading hides memory latency proportionally to how many warps
@@ -32,7 +32,7 @@
 //! for more shared memory per block (large SMP degree limit `K`) reduces its
 //! own occupancy, a real trade-off the `K`-sweep ablation measures.
 
-use crate::config::{ConfigError, GpuConfig};
+use crate::config::GpuConfig;
 use crate::kernel::{Kernel, LaunchConfig};
 use crate::metrics::KernelMetrics;
 use crate::sanitizer::{Sanitizer, SanitizerReport};
@@ -130,7 +130,6 @@ impl<K: Kernel + ?Sized> Front<'_, K> {
         self.shared.fill(0);
         for warp in 0..self.grid.warps_per_block {
             let mut ctx = WarpCtx::new_recording(
-                self.cfg,
                 self.mem,
                 queue,
                 self.shared,
@@ -204,7 +203,7 @@ impl Back<'_> {
             interleave: self.grid.occupancy,
         };
         eta_mem::access::drain_l1(queue, &mut self.l1s[sm], &params);
-        let l2_stall = drain_l2(queue, self.l2, self.cfg, self.grid, &mut self.metrics);
+        let l2_stall = drain_l2(queue, self.l2, self.grid, &mut self.metrics);
         self.stall[sm] += queue.stall + l2_stall;
         self.metrics.l1_requests += queue.l1_requests;
         self.metrics.l1.hits += queue.l1_hits;
@@ -217,13 +216,7 @@ impl Back<'_> {
 /// Stage 4 for one block: its L2-bound sectors probe the shared L2,
 /// misses go to DRAM, and the L2 clock advances by each access's insertions.
 /// Returns the stall cycles charged to the SM.
-fn drain_l2(
-    queue: &SmQueue,
-    l2: &mut Cache,
-    cfg: &GpuConfig,
-    grid: &Grid,
-    metrics: &mut KernelMetrics,
-) -> u64 {
+fn drain_l2(queue: &SmQueue, l2: &mut Cache, grid: &Grid, metrics: &mut KernelMetrics) -> u64 {
     let mut stall = 0;
     let mut drained = 0;
     for work in &queue.l2q {
@@ -237,11 +230,11 @@ fn drain_l2(
                     metrics.l2_requests += 1;
                     if l2.access(sec) {
                         metrics.l2.hits += 1;
-                        worst_d = worst_d.max(cfg.l2_latency);
+                        worst_d = worst_d.max(GpuConfig::L2_LATENCY);
                     } else {
                         metrics.l2.misses += 1;
                         metrics.dram_transactions += 1;
-                        worst_d = worst_d.max(cfg.dram_latency);
+                        worst_d = worst_d.max(GpuConfig::DRAM_LATENCY);
                     }
                 }
                 PipeOp::Store | PipeOp::Atomic => {
@@ -277,18 +270,14 @@ pub struct LaunchResult {
 }
 
 impl Device {
-    /// Builds a device, panicking on a degenerate configuration. Use
-    /// [`Device::try_new`] to handle [`ConfigError`] instead.
+    /// Builds a device. A degenerate configuration (`num_sms = 0`, zero
+    /// cache ways, …) panics here naming its [`crate::ConfigError`] (see
+    /// [`GpuConfig::validate`]), not with a div-by-zero mid-launch.
     pub fn new(cfg: GpuConfig) -> Self {
-        // lint: allow(L-PANIC): infallible-constructor convenience for known-good presets; the fallible path is try_new
-        Self::try_new(cfg).expect("invalid GpuConfig")
-    }
-
-    /// Builds a device after [`GpuConfig::validate`], so degenerate fields
-    /// (`num_sms = 0`, zero cache ways, …) surface as typed errors rather
-    /// than div-by-zero panics mid-launch.
-    pub fn try_new(cfg: GpuConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        if let Err(e) = cfg.validate() {
+            // lint: allow(L-PANIC): every config is the preset plus caller-checked run settings; a degenerate one is a bug here
+            panic!("invalid GpuConfig: {e}");
+        }
         let pcie = PcieLink::new(cfg.pcie_bandwidth_gb_s, cfg.pcie_latency_ns);
         let mut mem = MemSystem::new(cfg.device_mem_bytes, pcie);
         let sanitizer = cfg.sanitizer.enabled().then(|| {
@@ -297,7 +286,7 @@ impl Device {
         });
         mem.prof.set_enabled(cfg.profiling);
         let num_sms = cfg.num_sms;
-        Ok(Device {
+        Device {
             cfg,
             mem,
             l1s: (0..num_sms).map(|_| Cache::new(cfg.l1)).collect(),
@@ -311,7 +300,7 @@ impl Device {
             sanitizer,
             shared: Vec::new(),
             burst_rows: Vec::new(),
-        })
+        }
     }
 
     /// What SM `sm` recorded and replayed in the last *wave* of the last
@@ -359,11 +348,9 @@ impl Device {
     /// limits.
     fn occupancy(&self, launch: &LaunchConfig, shared_words_per_block: u64) -> u64 {
         let warps_per_block = (launch.threads_per_block as u64).div_ceil(32).max(1);
-        let max_blocks_by_warps = self.cfg.max_resident_warps as u64 / warps_per_block;
+        let max_blocks_by_warps = GpuConfig::MAX_RESIDENT_WARPS as u64 / warps_per_block;
         let shared_bytes = shared_words_per_block * 4;
-        let max_blocks_by_shared = self
-            .cfg
-            .shared_mem_per_sm
+        let max_blocks_by_shared = GpuConfig::SHARED_MEM_PER_SM
             .checked_div(shared_bytes)
             .unwrap_or(u64::MAX);
         let total_warps = launch.blocks as u64 * warps_per_block;
@@ -452,12 +439,12 @@ impl Device {
     ) -> Grid {
         let shared_words = kernel.shared_words_per_block(launch.threads_per_block);
         assert!(
-            shared_words * 4 <= self.cfg.shared_mem_per_sm,
+            shared_words * 4 <= GpuConfig::SHARED_MEM_PER_SM,
             "kernel '{}' requests {} B of shared memory per block; the SM has {} B \
              (CUDA would fail this launch)",
             kernel.name(),
             shared_words * 4,
-            self.cfg.shared_mem_per_sm
+            GpuConfig::SHARED_MEM_PER_SM
         );
         let warps_per_block = (launch.threads_per_block as u64).div_ceil(32);
         // L2 interleaving pressure: between two instructions of one warp,
@@ -576,16 +563,17 @@ impl Device {
     /// cycle/time/occupancy fields of `metrics` and returns when the launch
     /// retires.
     fn time_launch(&mut self, grid: &Grid, metrics: &mut KernelMetrics) -> Ns {
-        let hiding = grid.occupancy.min(self.cfg.hiding_cap as u64).max(1);
+        let hiding = grid.occupancy.min(GpuConfig::HIDING_CAP as u64).max(1);
         let used = grid.used_sms;
         let sm_cycles = (self.instr[..used].iter().zip(&self.stall[..used]))
             .map(|(instr, stall)| instr + stall / hiding)
             .max()
             .unwrap_or(0);
-        let dram_cycles = (metrics.dram_bytes as f64 / self.cfg.dram_bytes_per_cycle()) as u64;
+        let dram_bytes_per_cycle = GpuConfig::DRAM_BANDWIDTH_GB_S / GpuConfig::CLOCK_GHZ;
+        let dram_cycles = (metrics.dram_bytes as f64 / dram_bytes_per_cycle) as u64;
         let cycles = sm_cycles.max(dram_cycles).max(1);
         metrics.cycles = cycles;
-        metrics.time_ns = self.cfg.cycles_to_ns(cycles).max(1);
+        metrics.time_ns = GpuConfig::cycles_to_ns(cycles).max(1);
         metrics.occupancy_warps = grid.occupancy;
 
         // The kernel occupies the device until both its compute finishes and

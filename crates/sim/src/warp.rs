@@ -123,7 +123,6 @@ impl Burst {
 /// memory stall in the drain stages; stores, atomics and shared accesses
 /// charge constant costs here.
 pub struct WarpCtx<'a> {
-    pub cfg: &'a GpuConfig,
     pub mem: &'a mut MemSystem,
     queue: &'a mut SmQueue,
     /// `queue.recs.len()` when this warp started.
@@ -152,7 +151,6 @@ impl<'a> WarpCtx<'a> {
     /// to `queue` (its SM's arena); `burst_rows` is launch scratch, emptied
     /// here.
     pub(crate) fn new_recording(
-        cfg: &'a GpuConfig,
         mem: &'a mut MemSystem,
         queue: &'a mut SmQueue,
         shared: &'a mut [u32],
@@ -162,7 +160,6 @@ impl<'a> WarpCtx<'a> {
     ) -> Self {
         burst_rows.clear();
         WarpCtx {
-            cfg,
             mem,
             first_rec: queue.recs.len(),
             queue,
@@ -299,7 +296,7 @@ impl<'a> WarpCtx<'a> {
         self.instructions += 1;
         let (mask, words) = self.access(s, idx, mask, PipeOp::Store);
         // Stores retire through the write queue; charge issue cost only.
-        self.stall += self.cfg.burst_issue;
+        self.stall += GpuConfig::BURST_ISSUE;
         for (lane, &addr) in active_lanes(mask).zip(&words) {
             self.mem.set_word(addr, vals[lane]);
         }
@@ -362,7 +359,7 @@ impl<'a> WarpCtx<'a> {
                 if first_group {
                     first_group = false;
                 } else {
-                    self.stall += self.cfg.burst_issue;
+                    self.stall += GpuConfig::BURST_ISSUE;
                 }
             }
             group_start = group_end;
@@ -441,7 +438,7 @@ impl<'a> WarpCtx<'a> {
         self.instructions += 1;
         let (mask, words) = self.access(s, idx, mask, PipeOp::Atomic);
         let active = mask.count_ones() as u64;
-        self.stall += self.cfg.l2_latency + active * self.cfg.atomic_serialize;
+        self.stall += GpuConfig::L2_LATENCY + active * GpuConfig::ATOMIC_SERIALIZE;
         self.atomics += active;
         let mut out = [0u32; WARP_SIZE];
         for (lane, &addr) in active_lanes(mask).zip(&words) {
@@ -506,7 +503,7 @@ impl<'a> WarpCtx<'a> {
     fn shared_access(&mut self, op: PipeOp, idx: &Lanes, mask: u32) -> u32 {
         self.instructions += 1;
         self.shared_accesses += 1;
-        self.stall += self.cfg.shared_latency;
+        self.stall += GpuConfig::SHARED_LATENCY;
         let mask = match self.san.as_deref_mut() {
             Some(san) => san.shared(self.id, op, self.shared.len(), idx, mask),
             None => mask,
@@ -597,7 +594,6 @@ mod tests {
 
         fn warp(&mut self) -> WarpCtx<'_> {
             WarpCtx::new_recording(
-                &self.cfg,
                 &mut self.mem,
                 &mut self.queue,
                 &mut self.shared,
