@@ -11,6 +11,27 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `exact_tests PKG [--ignored] NAME...` runs PKG's lib tests named in full
+# (release, `--exact`) and fails unless every one of them passed: a renamed
+# test would otherwise match nothing and the step would pass with 0 tests.
+exact_tests() {
+    local pkg=$1 flags=(--exact) out
+    shift
+    if [ "$1" = --ignored ]; then
+        flags+=(--ignored)
+        shift
+    fi
+    out=$(cargo test --release -p "$pkg" --lib -q -- "${flags[@]}" "$@" 2>&1) || {
+        echo "$out"
+        return 1
+    }
+    echo "$out"
+    if ! grep -q "^test result: ok\. $# passed;" <<<"$out"; then
+        echo "ci: expected $# test(s) of $pkg to run and pass: $*" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
@@ -32,22 +53,24 @@ cargo test --workspace --release -q
 
 echo "==> UM eviction differential (victim index vs the scan-and-sort oracle,"
 echo "    release mode: the gate that keeps every UM artifact byte-stable)"
-cargo test --release -p eta-mem --lib -q -- um::tests::differential um::tests::lazy_index
+exact_tests eta-mem \
+    um::tests::differential_random_ops_match_scan_and_sort_oracle \
+    um::tests::lazy_index_matches_oracle_across_stamp_resets_and_reprefetch
 
 echo "==> dataset digest pins (all seven Table II analogs, topology and weighted"
 echo "    copy, release mode: graph construction must not change one byte)"
-cargo test --release -p eta-graph --lib -q -- --ignored datasets::tests::all_dataset_digests_are_pinned
+exact_tests eta-graph --ignored datasets::tests::all_dataset_digests_are_pinned
 
 echo "==> per-access differentials (release mode: recency-key cache vs the"
 echo "    valid-bit oracle, the sector-run builder and the sectors a warp"
 echo "    records vs per-access sort + dedup, closed-form bank conflicts vs"
 echo "    the sort-based definition)"
-cargo test --release -p eta-mem --lib -q -- \
+exact_tests eta-mem \
     cache::tests::differential_random_ops_match_fill_oracle \
     cache::tests::flush_edges_match_fill_oracle \
     cache::tests::clock_at_the_key_bound_matches_fill_oracle \
     access::tests::coalesce_matches_per_access_sort_and_dedup
-cargo test --release -p eta-sim --lib -q -- \
+exact_tests eta-sim \
     warp::tests::bank_conflicts_match_the_sort_based_definition \
     warp::tests::recorded_sectors_match_sort_and_dedup_of_the_touched_words
 

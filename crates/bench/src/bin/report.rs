@@ -12,7 +12,7 @@
 //! `DIR/<name>.txt` and `DIR/<name>.json`. With `--check DIR` nothing is
 //! written: each regenerated artifact is compared byte for byte against the
 //! files committed in `DIR`, one `same`/`DIFF` line per artifact, and the
-//! exit status is nonzero on any difference.
+//! exit status is nonzero on any difference. The two flags are exclusive.
 
 use eta_bench::hosttime::Stopwatch;
 use eta_bench::tables::Artifact;
@@ -74,15 +74,15 @@ fn main() {
     let known: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut check_dir: Option<PathBuf> = None;
+    // `--out DIR` or `--check DIR`, as (is `--check`, DIR); never both.
+    let mut dir: Option<(bool, PathBuf)> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => out_dir = Some(dir_after(&a, it.next())),
-            "--check" => check_dir = Some(dir_after(&a, it.next())),
+            "--out" | "--check" if dir.is_some() => fail("--out and --check are exclusive"),
+            "--out" | "--check" => dir = Some((a == "--check", dir_after(&a, it.next()))),
             "all" => wanted.extend(known.iter().map(|s| s.to_string())),
             other if known.contains(&other) => wanted.push(other.to_string()),
             other => fail(&format!(
@@ -105,7 +105,7 @@ fn main() {
         let sw = Stopwatch::started();
         let generate = ARTIFACTS.iter().find(|(known, _)| *known == name);
         let artifact = generate.expect("validated while parsing").1(suite);
-        if let Some(dir) = &check_dir {
+        if let Some((true, dir)) = &dir {
             let same = artifact.matches(dir);
             let verdict = if same { "same" } else { "DIFF" };
             println!("{verdict} {} [{:.1}s]", artifact.name, sw.elapsed_secs());
@@ -115,7 +115,7 @@ fn main() {
         println!("\n=== {} ===", artifact.title);
         println!("{}", artifact.text);
         println!("[generated in {:.1}s]", sw.elapsed_secs());
-        if let Some(dir) = &out_dir {
+        if let Some((false, dir)) = &dir {
             let [txt, json] = artifact.write(dir).unwrap_or_else(|e| {
                 fail(&format!(
                     "writing {} to {}: {e}",

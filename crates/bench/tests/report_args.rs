@@ -38,6 +38,21 @@ fn an_unwritable_out_directory_is_an_error() {
 }
 
 #[test]
+fn out_and_check_together_are_a_usage_error() {
+    // Refused before any artifact runs, whichever flag comes first; a
+    // repeated flag is refused too, rather than the last one winning.
+    let (a, b) = ("report-out-unused", "report-check-unused");
+    for args in [
+        ["lint", "--out", a, "--check", b],
+        ["lint", "--check", b, "--out", a],
+        ["lint", "--out", a, "--out", b],
+    ] {
+        assert_usage_error(&report(&args), "--out and --check are exclusive");
+    }
+    assert!(!std::path::Path::new(a).exists(), "nothing is written");
+}
+
+#[test]
 fn an_unknown_artifact_is_a_usage_error() {
     assert_usage_error(&report(&["table9"]), "unknown artifact \"table9\"");
 }

@@ -75,10 +75,6 @@ impl<'g> EtaGraph<'g> {
         self
     }
 
-    pub fn config(&self) -> &EtaConfig {
-        &self.cfg
-    }
-
     /// Runs `alg` from `source` and returns labels plus measurements.
     pub fn run(&self, alg: Algorithm, source: u32) -> Result<RunResult, QueryError> {
         let mut dev = Device::new(self.gpu);

@@ -9,7 +9,7 @@
 //!
 //! The pipeline: a comment/string/raw-string-aware [`lexer`], structural
 //! [`regions`] (test items, function bodies, `WarpCtx` kernel scopes), a
-//! token-pattern rule engine ([`rules`], eight rules — seven per file and
+//! token-pattern rule engine ([`rules`], seven rules — six per file and
 //! the workspace-wide `L-ORPHAN`; see [`rules::RULES`]), the committed
 //! suppression [`baseline`] (`lint.allow`), and the deterministic text
 //! [`report`] (eta-bench renders its JSON form).

@@ -1,6 +1,6 @@
 //! Structural regions over the token stream: `#[cfg(test)]` / `#[test]`
 //! items (excluded from every rule — tests may unwrap and hash freely) and
-//! function bodies (needed by the span-pairing and kernel-accessor rules).
+//! function bodies (needed by the kernel-accessor and orphan rules).
 
 use crate::lexer::{Tok, TokKind};
 

@@ -1,4 +1,4 @@
-//! The invariant catalogue: seven token-pattern rules over one file, and
+//! The invariant catalogue: six token-pattern rules over one file, and
 //! one rule, `L-ORPHAN`, over the whole workspace.
 //!
 //! Each rule protects a CI gate that is otherwise enforced only by
@@ -18,7 +18,7 @@ pub struct RuleMeta {
 }
 
 /// Every rule the engine knows, in report order.
-pub const RULES: [RuleMeta; 8] = [
+pub const RULES: [RuleMeta; 7] = [
     RuleMeta {
         id: "L-DET-HASH",
         summary: "HashMap/HashSet in a report/sink/serve-output crate: iteration order is \
@@ -48,11 +48,6 @@ pub const RULES: [RuleMeta; 8] = [
         id: "L-CAST-TRUNC",
         summary: "lossy `as` cast of a length/count into a vertex-or-edge id width: use \
                   u32::try_from or justify why the value is bounded",
-    },
-    RuleMeta {
-        id: "L-PROF-SPAN",
-        summary: "profiler span begun but not ended on every path out of the function: \
-                  unbalanced spans corrupt every downstream trace sink",
     },
     RuleMeta {
         id: "L-ORPHAN",
@@ -259,8 +254,6 @@ pub fn scan(path: &str, class: FileClass, toks: &[Tok], regions: &Regions) -> Ve
             _ => {}
         }
     }
-
-    scan_prof_spans(path, toks, regions, &mut out);
     out
 }
 
@@ -289,79 +282,6 @@ fn first_arg_shared_buffer(toks: &[Tok], open_paren: usize) -> Option<&'static s
         }
     }
     None
-}
-
-/// L-PROF-SPAN: within each function body, `.begin(Track::…)` must be
-/// balanced by `.end(…)`/`.end_with_args(…)` — and no `?` or `return` may
-/// execute while a span is open (the early exit would leak it). This is a
-/// conservative syntactic check: code that closes spans on every path by
-/// construction (RAII-style guards) trivially passes because it contains
-/// no bare `begin`.
-fn scan_prof_spans(path: &str, toks: &[Tok], regions: &Regions, out: &mut Vec<Finding>) {
-    for f in &regions.fns {
-        let Some((body_start, body_end)) = f.body else {
-            continue;
-        };
-        if regions.in_test(f.start) {
-            continue;
-        }
-        // Skip tokens of nested fns: they are scanned as their own entry.
-        let nested: Vec<(usize, usize)> = regions
-            .fns
-            .iter()
-            .filter(|g| g.start != f.start)
-            .filter_map(|g| g.body)
-            .filter(|&(a, b)| body_start <= a && b <= body_end)
-            .collect();
-        let mut open: Vec<u32> = Vec::new(); // lines of unmatched begins
-        let mut i = body_start;
-        while i < body_end {
-            if let Some(&(_, skip_to)) = nested.iter().find(|&&(a, _)| a == i) {
-                i = skip_to;
-                continue;
-            }
-            let t = &toks[i];
-            let begins_span = t.is_ident("begin")
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("Track"));
-            if begins_span {
-                open.push(t.line);
-            } else if (t.is_ident("end") || t.is_ident("end_with_args"))
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            {
-                open.pop();
-            } else if !open.is_empty() && (t.is_punct('?') || t.is_ident("return")) {
-                out.push(Finding {
-                    rule: "L-PROF-SPAN",
-                    path: path.to_string(),
-                    line: t.line,
-                    message: format!(
-                        "early exit from `{}` while the span begun on line {} is still \
-                         open; close it (or restructure) so every path ends the span",
-                        f.name,
-                        open[open.len() - 1]
-                    ),
-                });
-            }
-            i += 1;
-        }
-        for line in open {
-            out.push(Finding {
-                rule: "L-PROF-SPAN",
-                path: path.to_string(),
-                line,
-                message: format!(
-                    "span begun here is never ended in `{}`; every begin(Track::…) \
-                     needs a matching end on all paths",
-                    f.name
-                ),
-            });
-        }
-    }
 }
 
 /// L-ORPHAN, the one workspace-wide rule. `files` is every workspace
@@ -480,20 +400,6 @@ mod tests {
         assert!(scan_src("crates/graph/src/csr.rs", field).is_empty());
         let widening = "fn f(v: &[u32]) -> u64 { v.len() as u64 }";
         assert!(scan_src("crates/graph/src/csr.rs", widening).is_empty());
-    }
-
-    #[test]
-    fn prof_span_balance_and_early_exit() {
-        let leaky = "fn f(p: &mut P) { p.begin(Track::Kernel, \"k\", 0); }";
-        let hits = scan_src("crates/core/src/engine.rs", leaky);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "L-PROF-SPAN");
-        let early = "fn f(p: &mut P) -> R { p.begin(Track::Kernel, \"k\", 0); \
-                     let x = fallible()?; p.end(1); Ok(x) }";
-        let hits = scan_src("crates/core/src/engine.rs", early);
-        assert_eq!(hits.len(), 1, "the `?` leaks the span");
-        let balanced = "fn f(p: &mut P) { p.begin(Track::Kernel, \"k\", 0); p.end(1); }";
-        assert!(scan_src("crates/core/src/engine.rs", balanced).is_empty());
     }
 
     #[test]

@@ -109,16 +109,6 @@ fn cast_trunc_fixture() {
 }
 
 #[test]
-fn prof_span_fixture() {
-    assert_single(
-        "crates/core/src/engine.rs",
-        include_str!("fixtures/prof_span.rs"),
-        "L-PROF-SPAN",
-        7,
-    );
-}
-
-#[test]
 fn orphan_fixture() {
     let lib = (
         "crates/demo/src/lib.rs".to_string(),

@@ -140,10 +140,6 @@ impl Cache {
         }
     }
 
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
-    }
-
     pub fn stats(&self) -> CacheStats {
         self.stats
     }

@@ -50,8 +50,6 @@ struct PageState {
     arrival: Ns,
     /// LRU clock of the last GPU access.
     last_access: u64,
-    /// Whether the driver's victim index holds this page's (single) entry.
-    indexed: bool,
 }
 
 /// Victim-index entry: `(last_access, region idx, page idx)`, min first.
@@ -134,27 +132,6 @@ impl UmRegion {
         let end_w = (start_w + PAGE_WORDS).min(self.len_words);
         (end_w - start_w) * 4
     }
-
-    /// Drops residency of a page range, zeroing the LRU stamps and index
-    /// marks too when `reset` (the caller then purges the victim index);
-    /// returns the bytes freed.
-    fn drop_pages(&mut self, range: std::ops::Range<usize>, reset: bool) -> u64 {
-        let mut freed = 0u64;
-        for pi in range {
-            if self.pages[pi].resident {
-                freed += self.bytes_of_page(pi);
-                self.resident -= 1;
-            }
-            let st = &mut self.pages[pi];
-            st.resident = false;
-            st.arrival = 0;
-            if reset {
-                st.last_access = 0;
-                st.indexed = false;
-            }
-        }
-        freed
-    }
 }
 
 /// The Unified Memory driver state shared by all UM regions of a device.
@@ -164,9 +141,9 @@ pub struct UmDriver {
     /// LRU clock; bumped on every GPU access batch.
     clock: u64,
     resident_bytes: u64,
-    /// Lazy exact-LRU victim index: one entry per indexed page, keyed by the
-    /// stamp the page had when pushed. A touch never updates it; `make_room`
-    /// re-keys entries touched since and drops those no longer resident.
+    /// Lazy exact-LRU victim index: one entry per resident page, keyed by
+    /// the stamp the page had when pushed. A touch never updates it;
+    /// `make_room` re-keys entries touched since.
     victims: BinaryHeap<Victim>,
     /// Region, budget and inclusive page ranges of the last fault event (a
     /// demand touch's batches, or one prefetch chunk); the ranges are
@@ -315,12 +292,9 @@ impl UmDriver {
             if stamp {
                 st.last_access = self.clock;
             }
-            // A page evicted lazily may still own an entry (keyed no later
-            // than its stamp): one entry per page is enough.
-            if !st.indexed {
-                st.indexed = true;
-                self.victims.push(Reverse((st.last_access, region_idx, p)));
-            }
+            // A non-resident page has no entry: eviction popped it, or
+            // `invalidate_region` purged it.
+            self.victims.push(Reverse((st.last_access, region_idx, p)));
             region.resident += 1;
         }
     }
@@ -398,23 +372,19 @@ impl UmDriver {
                 break;
             };
             let Reverse((stamp, ri, pi)) = *top;
-            let st = self.regions[ri].pages[pi];
-            if st.resident && st.last_access != stamp {
+            let last_access = self.regions[ri].pages[pi].last_access;
+            if last_access != stamp {
                 // Touched since it was pushed: re-key in place with the true
                 // stamp (the entry sifts down as `top` drops).
-                top.0 .0 = st.last_access;
+                top.0 .0 = last_access;
                 continue;
             }
             PeekMut::pop(top);
-            if !st.resident {
-                // Invalidated since it was pushed: the entry just goes.
-                self.regions[ri].pages[pi].indexed = false;
-            } else if self.protected(ri, pi) {
+            if self.protected(ri, pi) {
                 self.aside.push(Reverse((stamp, ri, pi)));
             } else {
                 let region = &mut self.regions[ri];
                 region.pages[pi].resident = false;
-                region.pages[pi].indexed = false;
                 region.resident -= 1;
                 let bytes = region.bytes_of_page(pi);
                 self.resident_bytes -= bytes;
@@ -495,57 +465,32 @@ impl UmDriver {
     /// and not reclaimed, like [`crate::system::MemSystem::release`].
     pub fn invalidate_region(&mut self, region_idx: usize) {
         let region = &mut self.regions[region_idx];
-        self.resident_bytes -= region.drop_pages(0..region.pages.len(), true);
+        for pi in 0..region.pages.len() {
+            if region.pages[pi].resident {
+                self.resident_bytes -= region.bytes_of_page(pi);
+            }
+            region.pages[pi] = PageState::default();
+        }
+        region.resident = 0;
         region.last_batch_end = usize::MAX;
         region.streak = 0;
-        // The stamps are zeroed, so the region's entries cannot stay lazily.
+        // The region's entries go with its residency.
         self.victims.retain(|&Reverse((_, ri, _))| ri != region_idx);
-    }
-
-    /// Drops residency of one inclusive page range (the adaptive policy
-    /// moving a group to zero-copy: its pages no longer earn their device
-    /// bytes). Returns the bytes freed. Unlike [`Self::invalidate_region`]
-    /// this leaves the density heuristic state (`last_batch_end`, `streak`)
-    /// and the LRU stamps untouched — the rest of the region keeps
-    /// demand-faulting normally.
-    pub fn invalidate_pages(
-        &mut self,
-        region_idx: usize,
-        first_page: usize,
-        last_page: usize,
-    ) -> u64 {
-        let region = &mut self.regions[region_idx];
-        let end_page = last_page.saturating_add(1).min(region.pages.len());
-        let freed = region.drop_pages(first_page..end_page, false);
-        self.resident_bytes -= freed;
-        freed
-    }
-
-    /// Drops all residency (new experiment on the same data).
-    pub fn invalidate_all(&mut self) {
-        self.victims.clear();
-        for region_idx in 0..self.regions.len() {
-            self.invalidate_region(region_idx);
-        }
-        self.clock = 0;
     }
 
     /// Panics unless the residency bookkeeping is consistent: the byte and
     /// per-region page counters equal the page tables, the victim index holds
-    /// exactly the indexed pages (every resident one among them, each keyed
-    /// no later than its stamp), and the last fault event's budget is
-    /// exceeded by nothing but that event's protected pages. `Device::launch`
-    /// runs this after every launch in debug builds.
+    /// exactly the resident pages (each once, keyed no later than its
+    /// stamp), and the last fault event's budget is exceeded by nothing but
+    /// that event's protected pages. `Device::launch` runs this after every
+    /// launch in debug builds.
     pub fn check_invariants(&self) {
-        let (mut bytes, mut evictable, mut indexed) = (0u64, 0usize, Vec::new());
+        let (mut bytes, mut evictable, mut pages) = (0u64, 0usize, Vec::new());
         for (ri, region) in self.regions.iter().enumerate() {
             let mut resident = 0usize;
             for (pi, st) in region.pages.iter().enumerate() {
-                if st.indexed {
-                    indexed.push((ri, pi));
-                }
                 if st.resident {
-                    assert!(st.indexed, "resident page {ri}:{pi} is not indexed");
+                    pages.push((ri, pi));
                     resident += 1;
                     bytes += region.bytes_of_page(pi);
                     evictable += usize::from(!self.protected(ri, pi));
@@ -561,7 +506,7 @@ impl UmDriver {
         };
         let mut entries: Vec<(usize, usize)> = self.victims.iter().map(entry).collect();
         entries.sort_unstable();
-        assert_eq!(entries, indexed, "victim index != indexed pages");
+        assert_eq!(entries, pages, "victim index != resident pages");
         assert!(
             bytes <= self.event_budget || evictable == 0,
             "budget exceeded with {evictable} evictable page(s) resident"
@@ -678,13 +623,13 @@ mod tests {
     fn refault_of_evicted_page_can_migrate_alone() {
         let (mut d, r) = driver_with_region(16);
         let mut l = link();
-        d.touch_pages(r, &[0], 0, u64::MAX, &mut l); // whole group resident
-                                                     // Evict exactly page 3 by hand via invalidate + selective re-touch is
-                                                     // impossible through the public API, so emulate the state: touch a
-                                                     // fresh driver where only page 3 is missing.
-        d.invalidate_all();
-        d.touch_pages(r, &[0], 0, u64::MAX, &mut l); // group resident again
-                                                     // Now all 16 pages are resident; nothing to migrate.
+        // The whole first group becomes resident.
+        d.touch_pages(r, &[0], 0, u64::MAX, &mut l);
+        // Evicting exactly page 3 is impossible through the public API, so
+        // retire the region and fault its first group back in.
+        d.invalidate_region(r);
+        d.touch_pages(r, &[0], 0, u64::MAX, &mut l);
+        // Page 3 is in that group; nothing to migrate.
         d.stats.migration_batches.clear();
         d.touch_pages(r, &[3], 0, u64::MAX, &mut l);
         assert!(d.stats.migration_batches.is_empty());
@@ -789,20 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_pages_frees_only_the_range() {
-        let (mut d, r) = driver_with_region(32);
-        let mut l = link();
-        d.prefetch(r, 0, u64::MAX, &mut l);
-        assert_eq!(d.region(r).resident_pages(), 32);
-        let freed = d.invalidate_pages(r, 8, 15);
-        assert_eq!(freed, 8 * PAGE_BYTES);
-        assert_eq!(d.region(r).resident_pages(), 24);
-        assert_eq!(d.resident_bytes(), 24 * PAGE_BYTES);
-        // Idempotent.
-        assert_eq!(d.invalidate_pages(r, 8, 15), 0);
-    }
-
-    #[test]
     fn prefetch_respects_budget_via_eviction() {
         let pages = 1024u64; // 4 MiB region
         let (mut d, r) = driver_with_region(pages);
@@ -823,13 +754,10 @@ mod tests {
         let mut l = link();
         assert_eq!(d.prefetch(empty, 7, u64::MAX, &mut l), 7);
         assert_eq!(d.prefetch_range(empty, 0, 3, 7, u64::MAX, &mut l), 7);
-        assert_eq!(d.invalidate_pages(empty, 0, 3), 0);
         d.invalidate_region(empty);
         // A range starting past the end of a non-empty region, or inverted.
         assert_eq!(d.prefetch_range(full, 8, 20, 7, u64::MAX, &mut l), 7);
         assert_eq!(d.prefetch_range(full, 5, 2, 7, u64::MAX, &mut l), 7);
-        assert_eq!(d.invalidate_pages(full, 8, 20), 0);
-        assert_eq!(d.invalidate_pages(full, 5, 2), 0);
         assert!(l.timeline.spans().is_empty() && d.stats == UmStats::default());
         d.check_invariants();
     }
@@ -888,19 +816,9 @@ mod tests {
             assert_eq!(t, self.old.prefetch_range(r, first, last, now, budget, lo));
         }
 
-        fn invalidate_pages(&mut self, r: usize, first: usize, last: usize) {
-            let freed = self.new.invalidate_pages(r, first, last);
-            assert_eq!(freed, self.old.invalidate_pages(r, first, last));
-        }
-
         fn invalidate_region(&mut self, r: usize) {
             self.new.invalidate_region(r);
             self.old.invalidate_region(r);
-        }
-
-        fn invalidate_all(&mut self) {
-            self.new.invalidate_all();
-            self.old.invalidate_all();
         }
 
         /// Identical page tables (residency, arrival, LRU stamp), counters,
@@ -938,14 +856,11 @@ mod tests {
         pair.prefetch_range(0, 0, 7, budget);
         pair.assert_same();
         assert!(resident(&pair, 0, 0) && !resident(&pair, 0, 11) && resident(&pair, 0, 12));
-        // invalidate_pages keeps stamps (their entries stay behind, lazily):
-        // re-prefetched, region 1's pages 0..8 still carry stamp 1.
-        pair.invalidate_pages(1, 0, 7);
-        pair.prefetch_range(1, 0, 7, budget);
-        pair.touch(0, &[30], budget);
-        pair.assert_same();
-        // invalidate_region zeroes them: re-prefetched, pages 4..12 are the
-        // first victims again, in page order, ahead of region 0's residents.
+        // Region 0's pages 0..8 are touched (resident: their entries go
+        // stale again). invalidate_region zeroes region 1's stamps:
+        // re-prefetched, its pages 4..12 are the first victims, in page
+        // order, ahead of region 0's residents.
+        pair.touch(0, &[0, 1, 2, 3, 4, 5, 6, 7], budget);
         pair.invalidate_region(1);
         pair.prefetch_range(1, 4, 11, budget);
         pair.touch(1, &[31], budget);
@@ -953,7 +868,7 @@ mod tests {
         assert!(!resident(&pair, 1, 5) && resident(&pair, 1, 6) && resident(&pair, 0, 12));
         // A multi-batch event under a one-group budget overflows it with
         // nothing but its own protected pages.
-        pair.invalidate_all();
+        let mut pair = Pair::new(&[32 * PAGE_WORDS, 32 * PAGE_WORDS]);
         pair.touch(0, &[0, 8, 31], FAULT_GROUP_BYTES);
         pair.assert_same();
         assert!(pair.new.resident_bytes() > FAULT_GROUP_BYTES);
@@ -986,23 +901,21 @@ mod tests {
                 // An inclusive range that may be inverted or overrun the end.
                 let (a, b) = (rng.below(n + 2), rng.below(n + 40));
                 match rng.below(100) {
-                    0..=39 => {
+                    0..=42 => {
                         // Sorted multi-page access (duplicates allowed).
                         let mut pages: Vec<usize> =
                             (0..1 + rng.below(6)).map(|_| rng.below(n)).collect();
                         pages.sort_unstable();
                         pair.touch(r, &pages, budget);
                     }
-                    40..=64 => {
+                    43..=68 => {
                         // Streaming sweep: drives the density escalation.
                         cursor = (cursor + 1 + rng.below(3)) % n;
                         pair.touch(r, &[cursor], budget);
                     }
-                    65..=79 => pair.prefetch_range(r, a.min(b), b, budget),
-                    80..=83 => pair.prefetch_range(r, 0, usize::MAX, budget),
-                    84..=91 => pair.invalidate_pages(r, a, b),
-                    92..=95 => pair.invalidate_region(r),
-                    96 => pair.invalidate_all(),
+                    69..=85 => pair.prefetch_range(r, a.min(b), b, budget),
+                    86..=90 => pair.prefetch_range(r, 0, usize::MAX, budget),
+                    91..=96 => pair.invalidate_region(r),
                     // Explicit allocations move the budget between events.
                     _ => budget = budgets[rng.below(budgets.len())],
                 }

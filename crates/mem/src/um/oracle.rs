@@ -355,49 +355,4 @@ impl UmDriver {
         region.streak = 0;
         self.resident_bytes -= freed;
     }
-
-    /// Drops residency of one inclusive page range (the adaptive policy
-    /// moving a group to zero-copy: its pages no longer earn their device
-    /// bytes). Returns the bytes freed. Unlike [`Self::invalidate_region`]
-    /// this leaves the density heuristic state (`last_batch_end`, `streak`)
-    /// untouched — the rest of the region keeps demand-faulting normally.
-    pub fn invalidate_pages(
-        &mut self,
-        region_idx: usize,
-        first_page: usize,
-        last_page: usize,
-    ) -> u64 {
-        let region = &mut self.regions[region_idx];
-        let last_page = last_page.min(region.pages.len() - 1);
-        let mut freed = 0u64;
-        for pi in first_page..=last_page {
-            let st = &mut region.pages[pi];
-            if st.resident {
-                freed += {
-                    let start_w = pi as u64 * PAGE_WORDS;
-                    let end_w = (start_w + PAGE_WORDS).min(region.len_words);
-                    (end_w - start_w) * 4
-                };
-            }
-            st.resident = false;
-            st.arrival = 0;
-        }
-        self.resident_bytes -= freed;
-        freed
-    }
-
-    /// Drops all residency (new experiment on the same data).
-    pub fn invalidate_all(&mut self) {
-        for region in &mut self.regions {
-            for st in &mut region.pages {
-                st.resident = false;
-                st.arrival = 0;
-                st.last_access = 0;
-            }
-            region.last_batch_end = usize::MAX;
-            region.streak = 0;
-        }
-        self.resident_bytes = 0;
-        self.clock = 0;
-    }
 }

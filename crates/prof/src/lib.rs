@@ -22,7 +22,7 @@
 //! # Module map
 //!
 //! * [`event`] — [`Track`]s, typed [`ArgValue`]s, and the [`Event`] record
-//! * [`profiler`] — the [`Profiler`] recorder with nested spans
+//! * [`profiler`] — the [`Profiler`] recorder of whole spans and instants
 //! * [`profile`] — assembled [`Profile`]s, the interval algebra
 //!   ([`union_ns`], [`intersection_ns`]), and the sinks
 //! * [`fmt`] — deterministic formatting shared by the sinks
